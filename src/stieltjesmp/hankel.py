@@ -66,11 +66,7 @@ class MomentSequence:
     def to_json(self) -> dict:
         from . import serialize
 
-        return {
-            "alpha": self.alpha,
-            "q": self.q,
-            "s": [serialize.matrix_to_json(x) for x in self.s],
-        }
+        return serialize.sequence_to_json(self.alpha, self.s)
 
     @classmethod
     def from_json(cls, obj: dict) -> "MomentSequence":

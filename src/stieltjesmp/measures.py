@@ -3,8 +3,8 @@
 A measure here is a finite sum of point masses with positive semidefinite
 matrix weights.  It supplies exact moments, an exactly rational
 half-axis transform sum_k (x_k - z)^(-1) w_k, and the reverse direction:
-reading moments back off a rational function from its decay along the
-imaginary axis, which is how candidate solutions get verified.
+reading moments back off a rational function exactly, by series division
+at infinity, which is how candidate solutions get verified.
 """
 
 from __future__ import annotations
@@ -126,24 +126,17 @@ def stieltjes_transform(mu: DiscreteMeasure) -> RationalMatFun:
     return RationalMatFun(num.trimmed(), tuple(den)).simplify()
 
 
-def _fit_grid(fun: RationalMatFun, nterms: int, anchors) -> np.ndarray:
-    roots = npoly.polyroots(np.asarray(fun.den)) if len(fun.den) > 1 else np.array([])
-    pole_scale = float(np.abs(roots).max()) if roots.size else 0.0
-    y_lo = max(10.0, 8.0 * (1.0 + pole_scale), min(anchors) / 100.0)
-    y_hi = max(max(anchors), 1e3 * y_lo)
-    n = max(8 * nterms, 48)
-    return np.geomspace(y_lo, y_hi, n)
-
-
 def extract_moments(fun: RationalMatFun, alpha: float, m: int, ladder=None,
                     tol: ToleranceConfig = DEFAULT_TOL):
-    """Recover (s_0..s_m, residual) from the imaginary-axis decay of ``fun``.
+    """Recover (s_0..s_m, residual) from the expansion of ``fun`` at infinity.
 
-    The expansion fun(iy) ~ -sum_j s_j (iy)^(-(j+1)) is fitted entrywise by
-    weighted least squares over a log-spaced grid, with guard terms beyond
-    index m absorbing the truncation tail.  A function that does not scale
-    like a half-axis transform (the sup of y*norm over the ladder is far
-    from its inf) raises GrowthError.
+    The moments in fun(z) = -sum_j s_j z^-(j+1) follow exactly from series
+    division of the numerator by the scalar denominator; their Hermitian
+    parts are returned.  ``residual`` is the size of the numerator
+    coefficients at or above the denominator degree relative to the
+    largest one: zero for a strictly proper function.  A function that
+    does not scale like a half-axis transform (the sup of y*norm(fun(iy))
+    over the ladder is far from its inf) raises GrowthError.
     """
     anchors = default_ladder() if ladder is None else tuple(ladder)
     if m < 0:
@@ -159,38 +152,32 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int, ladder=None,
             "function does not decay like a half-axis transform "
             f"(y*norm spans {min(growth):.3e} .. {top:.3e})")
 
-    nterms = m + 5
-    ys = _fit_grid(fun, nterms, anchors)
-    powers = -(np.arange(nterms) + 1)
-    design = (1j * ys[:, None]) ** powers[None, :]
-    # weight rows by y so every row carries moment-sized information
-    design_w = design * ys[:, None]
-    col = np.linalg.norm(design_w, axis=0)
-    design_s = design_w / col[None, :]
-
-    vals = np.stack([fun(1j * y) for y in ys])
-    rhs = vals.reshape(len(ys), q * q) * ys[:, None]
-    coef_s, *_ = np.linalg.lstsq(design_s, rhs, rcond=None)
-    coef = coef_s / col[:, None]
-
-    fit = design_w @ coef
-    err = np.abs(rhs - fit).max(axis=1)
-    mats = []
-    for j in range(m + 1):
-        sj = -coef[j].reshape(q, q)
-        mats.append(0.5 * (sj + sj.conj().T))
-    scale = 1.0 + matcore.frob(mats[0])
-    residual = float(err.max() / scale)
-    return MomentSequence(alpha, tuple(mats)), residual
+    den = np.asarray(fun.den)
+    deg = len(den) - 1
+    coeffs = fun.num.coeffs
+    tail = max((matcore.frob(c) for c in coeffs[deg:]), default=0.0)
+    residual = float(tail / max(matcore.frob(c) for c in coeffs))
+    zero = np.zeros((q, q), dtype=complex)
+    c = []
+    for i in range(m + 1):
+        k = deg - 1 - i
+        acc = coeffs[k].copy() if 0 <= k < len(coeffs) else zero.copy()
+        for j in range(1, min(i, deg) + 1):
+            acc -= den[deg - j] * c[i - j]
+        c.append(acc / den[deg])
+    mats = tuple(-0.5 * (x + x.conj().T) for x in c)
+    return MomentSequence(alpha, mats), residual
 
 
 def verify_solution(fun: RationalMatFun, seq: MomentSequence, mode: str = "leq",
                     tol: ToleranceConfig = DEFAULT_TOL, ladder=None) -> dict:
     """Compare the moments read off ``fun`` with a prescribed sequence.
 
-    Both modes require the first m moments to match relatively to the
-    extraction tolerance; the final moment must match too (eq mode) or sit
-    below the prescribed one up to tolerance (leq mode).
+    The function must be strictly proper (its ``residual`` from
+    ``extract_moments`` within the extraction tolerance), and both modes
+    require the first m moments to match relatively to the extraction
+    tolerance; the final moment must match too (eq mode) or sit below the
+    prescribed one up to tolerance (leq mode).
     """
     if mode not in ("leq", "eq"):
         raise PreconditionError("mode must be 'leq' or 'eq'")
@@ -221,7 +208,7 @@ def verify_solution(fun: RationalMatFun, seq: MomentSequence, mode: str = "leq",
         "top_defect": defect,
         "top_margin": float(top_margin),
         "top_ok": top_ok,
-        "ok": bool(prefix_ok and top_ok),
+        "ok": bool(residual <= tol.extraction and prefix_ok and top_ok),
     }
     return report
 

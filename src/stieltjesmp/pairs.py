@@ -141,13 +141,13 @@ class RationalMatFun:
         multiple roots, so instead the reduced form is reconstructed from
         the coefficients: a reduced pair (N, p) represents the same function
         exactly when N * den = num * p as polynomial identities, which is a
-        homogeneous linear system in the unknown coefficients with the
-        scalar p shared across entries.  For ascending trial denominator
-        degrees the null vector of that system is extracted, the numerator
-        is re-polished by least squares against the fitted denominator, and
-        the candidate is accepted only if it reproduces the function at
-        control points placed near the pole scale (where a spuriously low
-        degree shows up first).  If no degree passes, the function is
+        homogeneous linear system in the coefficients of p once N is
+        eliminated.  For ascending trial denominator degrees the null vector
+        of that system is extracted, the numerator is recovered by least
+        squares against the fitted denominator, and the candidate is
+        accepted only if it reproduces the function at control points
+        placed near the pole scale (where a spuriously low degree shows up
+        first).  If no degree passes, the function is
         returned unchanged.
         """
         num = self.num.trimmed()
@@ -176,51 +176,47 @@ class RationalMatFun:
     @staticmethod
     def _mul_matrix(poly, width: int) -> np.ndarray:
         """Convolution matrix sending a length-``width`` coefficient vector
-        to the coefficients of its product with ``poly``."""
+        to the coefficients of its product with ``poly``; a stack of
+        polynomials (last axis coefficients) gives a stack of matrices."""
         poly = np.asarray(poly, dtype=complex)
-        out = np.zeros((len(poly) + width - 1, width), dtype=complex)
+        n = poly.shape[-1]
+        out = np.zeros(poly.shape[:-1] + (n + width - 1, width), dtype=complex)
         for t in range(width):
-            out[t:t + len(poly), t] = poly
+            out[..., t:t + n, t] = poly
         return out
 
     def _refit(self, num_c, den, red_nd: int, d: int):
         """Coefficient-space reconstruction with numerator degree ``red_nd``
-        and denominator degree ``d``; None when no candidate exists."""
+        and denominator degree ``d``; None when no candidate exists.
+
+        A trial denominator p works when every num_ij * p lies in the range
+        of convolution by ``den``.  Projecting onto the orthogonal
+        complement of that range leaves a homogeneous system in the d + 1
+        coefficients of p alone; the numerator follows by least squares.
+        """
         rows, cols, _ = num_c.shape
-        dn = len(den) - 1
-        n_num = (red_nd + 1) * rows * cols
-        blk = red_nd + dn + 1
+        entries = num_c.reshape(rows * cols, -1)
         den_on_num = self._mul_matrix(den, red_nd + 1)
-        design = np.zeros((blk * rows * cols, n_num + d + 1), dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                r0 = (i * cols + j) * blk
-                c0 = (i * cols + j) * (red_nd + 1)
-                design[r0:r0 + blk, c0:c0 + red_nd + 1] = den_on_num
-                design[r0:r0 + blk, n_num:] = -self._mul_matrix(
-                    num_c[i, j], d + 1)
-        scale = np.linalg.norm(design, axis=0)
+        q_full = np.linalg.qr(den_on_num, mode="complete")[0]
+        coker = q_full[:, red_nd + 1:].conj().T
+        conv = self._mul_matrix(entries, d + 1)
+        system = (coker @ conv).reshape(-1, d + 1)
+        scale = np.linalg.norm(system, axis=0)
         scale[scale == 0.0] = 1.0
-        design /= scale
-        sv, vh = np.linalg.svd(design, compute_uv=True)[1:]
+        sv, vh = np.linalg.svd(system / scale, full_matrices=False)[1:]
         if sv[-1] > 1e-6 * sv[0]:
             return None
-        x = vh[-1].conj() / scale
-        new_den = x[n_num:]
-        if np.abs(new_den).max() <= 1e-12 * max(1.0, float(np.abs(x).max())):
-            return None
+        new_den = vh[-1].conj() / scale
+        # unit peak, so the constructor trims tiny trailing coefficients
+        # relative to the denominator's own size
+        new_den /= np.abs(new_den).max()
         # Polish: with the denominator fixed the numerator solves the
         # well-conditioned linear system N * den = num * new_den exactly.
-        rhs = np.stack([np.convolve(num_c[i, j], new_den)
-                        for i in range(rows) for j in range(cols)], axis=1)
+        rhs = (conv @ new_den).T
         fit = np.linalg.lstsq(den_on_num, rhs, rcond=None)[0]
-        mats = [np.zeros((rows, cols), dtype=complex) for _ in range(red_nd + 1)]
-        for i in range(rows):
-            for j in range(cols):
-                for t in range(red_nd + 1):
-                    mats[t][i, j] = fit[t, i * cols + j]
+        mats = tuple(fit.reshape(red_nd + 1, rows, cols))
         try:
-            return RationalMatFun(MatrixPolynomial(tuple(mats)).trimmed(),
+            return RationalMatFun(MatrixPolynomial(mats).trimmed(),
                                   tuple(new_den))
         except ValueError:
             return None

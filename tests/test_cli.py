@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import completely_degenerate_seq, measure_seq
+from conftest import cauchy_pair, completely_degenerate_seq, measure_seq
 import stieltjesmp
 from stieltjesmp import serialize
 from stieltjesmp.cli import main
@@ -157,6 +157,20 @@ def test_solve_completely_degenerate_has_closed_form(tmp_path, capsys):
         got = serialize.matrix_from_json(entry["F"])
         assert_allclose(got, w / (t - z), atol=1e-9)
         assert_allclose(fun(z), w / (t - z), atol=1e-9)
+
+
+def test_solve_accepts_library_json_of_sequence_and_pair(tmp_path, capsys):
+    # a generic alpha, which the sequence and the pair must round alike
+    alpha = 0.6100058474907604
+    rng = np.random.default_rng(14)
+    _, seq = measure_seq(rng, 2, 2, atoms=3, alpha=alpha)
+    payload = {"sequence": seq.to_json(),
+               "parameter": cauchy_pair(alpha, 2).to_json(),
+               "mode": "leq"}
+    path = write_json(tmp_path / "prob.json", payload)
+    code, out = run_cli(capsys, ["solve", path])
+    assert code == 0
+    assert out["verification_report"]["ok"] is True
 
 
 def test_solve_rejects_inadmissible_parameter(tmp_path, capsys):

@@ -3,7 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from conftest import measure_seq, nondegenerate_seq, random_measure, random_psd, sample_points
+from conftest import (
+    cauchy_pair,
+    measure_seq,
+    nondegenerate_seq,
+    random_measure,
+    random_psd,
+    sample_points,
+)
 from stieltjesmp.hankel import MomentSequence, classify
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
@@ -22,6 +29,7 @@ from stieltjesmp.measures import (
 )
 from stieltjesmp.pairs import RationalMatFun
 from stieltjesmp.respoly import MatrixPolynomial
+from stieltjesmp.solver import SolutionRequest, solve
 
 
 def test_measure_validation():
@@ -149,6 +157,48 @@ def test_verify_solution_negative_fixture_defect():
     rep = verify_solution(fun, seq, mode="leq")
     assert not rep["ok"]
     assert frob(rep["top_defect"] - np.array([[0.0, 1.0], [1.0, 1.0]])) <= 1e-4
+
+
+@pytest.mark.parametrize("q, m, seed, modes", [
+    (2, 6, 0, ("eq",)),
+    (3, 5, 4, ("leq", "eq")),
+    (1, 8, 0, ("eq",)),
+])
+def test_verify_solution_reads_exact_moments(q, m, seed, modes):
+    # Measure oracles whose transform or synthesized solutions a
+    # least-squares fit of the moments along the imaginary axis rejected
+    # at these orders.  The leq
+    # solutions here have top moment equal to s_m, and at (2, 6) and (1, 8)
+    # rounding of that zero defect is not small beside the leq rule's
+    # absolute scale, so only (3, 5) checks leq.
+    rng = np.random.default_rng(seed)
+    mu, seq = nondegenerate_seq(rng, q, m)
+    rep = verify_solution(stieltjes_transform(mu), seq, mode="eq")
+    assert rep["ok"], rep
+    assert rep["residual"] <= 1e-12
+    ref = oracles.oracle_moments(0.0, mu.nodes, mu.weights, m)
+    for got, want in zip(rep["extracted"].s, ref):
+        assert frob(got - want) <= 1e-8 * (1.0 + frob(want))
+    for mode in modes:
+        sol = solve(SolutionRequest(seq, cauchy_pair(0.0, q), mode))
+        rep = verify_solution(sol, seq, mode=mode)
+        assert rep["ok"], (mode, rep)
+
+
+def test_verify_solution_rejects_improper_function():
+    # -s0/z + 1e-3 I: an atom at alpha = 0 plus a constant term at infinity,
+    # which no half-axis transform has; the moments of the proper part
+    # match, and a short ladder lets the function past the growth gate
+    s0 = np.diag([1.0, 2.0]).astype(complex)
+    seq = MomentSequence(0.0, (s0, np.zeros((2, 2))))
+    fun = RationalMatFun(MatrixPolynomial((-s0, 1e-3 * np.eye(2))),
+                         (0.0, 1.0))
+    rep = verify_solution(fun, seq, mode="eq", ladder=(1.0, 2.0))
+    assert rep["prefix_ok"] and rep["top_ok"]
+    assert rep["residual"] > DEFAULT_TOL.extraction
+    assert not rep["ok"]
+    with pytest.raises(GrowthError):
+        verify_solution(fun, seq, mode="eq")
 
 
 def test_default_ladder_is_increasing():

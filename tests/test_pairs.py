@@ -98,6 +98,54 @@ def test_simplify_cancels_shared_roots_only():
     assert len(base.simplify().den) == len(base.den)
 
 
+@pytest.mark.parametrize("q", [3, 4])
+def test_simplify_cancels_cubic_factor_with_repeated_root(q):
+    rng = np.random.default_rng(60 + q)
+    base = _rand_rat(rng, q, 1, (0.5, -1.5, 1.0))  # roots 0.5 and 1
+    # multiply numerator and denominator by (z - 2)^2 (z + 0.5)
+    factor = np.polynomial.polynomial.polyfromroots([2.0, 2.0, -0.5])
+    blown = RationalMatFun(base.num.scale_poly(factor),
+                           tuple(np.convolve(base.den, factor)))
+    slim = blown.simplify()
+    assert len(slim.den) == len(base.den)
+    for z in (0.7 + 0.4j, -1.3 + 2.0j, 5.0):
+        assert_allclose(slim(z), base(z), rtol=1e-10, atol=1e-10)
+
+
+def test_simplify_leaves_coprime_function_alone():
+    rng = np.random.default_rng(62)
+    den = np.polynomial.polynomial.polyfromroots([0.5, -1.0, 3.0 + 1.0j])
+    f = _rand_rat(rng, 4, 2, tuple(den))
+    slim = f.simplify()
+    assert len(slim.den) == len(f.den)
+    for z in (0.7 + 0.4j, 5.0):
+        assert_allclose(slim(z), f(z), rtol=1e-12)
+
+
+def test_simplify_solves_thin_systems_in_the_denominator_alone(monkeypatch):
+    # shape guard: every SVD simplify takes has at most dn + 1 columns (the
+    # trial denominator's coefficients) and never builds a full left factor
+    rng = np.random.default_rng(63)
+    den = np.polynomial.polynomial.polyfromroots(rng.uniform(-3.0, 3.0, 20))
+    f = _rand_rat(rng, 4, 19, tuple(den))
+    dn = len(f.den) - 1
+    assert dn == 20
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, full_matrices=True, compute_uv=True, hermitian=False):
+        calls.append((np.shape(a), full_matrices, compute_uv))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv,
+                   hermitian=hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    f.simplify()
+    assert calls
+    for shape, full, uv in calls:
+        assert shape[1] <= dn + 1, shape
+        assert not (uv and full), shape
+
+
 def test_rational_json_roundtrip():
     rng = np.random.default_rng(53)
     f = _rand_rat(rng, 2, 2, (1.0, 0.5, 2.0))
