@@ -51,11 +51,12 @@ def main():
     weights = tuple((lambda c: c @ c.conj().T + 0.2 * np.eye(q))(
         rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))) for _ in nodes)
     seq = moments(DiscreteMeasure(alpha, nodes, weights), 3)
-    vb, wb = compose_resolvent(seq)
+    trace = transform_trace(seq)
+    vb, wb = compose_resolvent(trace)
     print(f"\ncomposed factors for a (q={q}, m={seq.m}) sequence: "
           f"degrees {vb.full.degree} and {wb.full.degree}")
 
-    top = transform_trace(seq).diagonal[-1]
+    top = trace.diagonal[-1]
     proj = top @ matcore.pinv(top)
     eye = np.eye(q)
     zero = np.zeros((q, q))
@@ -69,7 +70,7 @@ def main():
           f"worst residual {worst:.3e}")
 
     # The individual degree-one factors are where that comes from.
-    d0 = transform_trace(seq).diagonal[0]
+    d0 = trace.diagonal[0]
     v0, w0 = v_poly(alpha, d0), w_poly(alpha, d0)
     r = matcore.frob(w0(z) @ v0(z)
                      - (z - alpha) * np.block([[d0 @ matcore.pinv(d0), zero],

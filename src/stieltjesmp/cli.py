@@ -157,10 +157,14 @@ def cmd_schur(args) -> int:
     if args.k < 0 or args.k > seq.m:
         raise PreconditionError(
             f"transform order k={args.k} out of range 0..{seq.m}")
-    out = schur.k_th_transform(seq, args.k, cfg.tol)
-    payload = {"k": args.k, "sequence": out.to_json()}
     if args.trace:
-        payload["trace"] = schur.transform_trace(seq, cfg.tol).to_json()
+        trace = schur.transform_trace(seq, cfg.tol)
+        out = MomentSequence(seq.alpha, trace.stages[args.k])
+        payload = {"k": args.k, "sequence": out.to_json(),
+                   "trace": trace.to_json()}
+    else:
+        out = schur.k_th_transform(seq, args.k, cfg.tol)
+        payload = {"k": args.k, "sequence": out.to_json()}
     _emit(payload, cfg)
     return EXIT_OK
 
@@ -168,7 +172,8 @@ def cmd_schur(args) -> int:
 def cmd_poly(args) -> int:
     cfg = _config(args)
     seq = _sequence(_load(args.path))
-    v, w = respoly.compose_resolvent(seq, cfg.tol)
+    v, w = respoly.compose_resolvent(schur.transform_trace(seq, cfg.tol),
+                                     cfg.tol)
     _emit({"q": seq.q, "m": seq.m, "v": v.to_json(), "w": w.to_json()}, cfg)
     return EXIT_OK
 

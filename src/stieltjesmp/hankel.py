@@ -21,6 +21,7 @@ __all__ = [
     "ClassReport",
     "build_stack",
     "classify",
+    "cone_margins",
     "stieltjes_parametrization",
     "inverse_parametrization",
 ]
@@ -78,25 +79,22 @@ class MomentSequence:
 
 @dataclass(frozen=True)
 class HankelStack:
-    """All admissible block Hankel matrices and Schur complements.
+    """The block Hankel matrices and interleaved Schur complements.
 
     Index conventions (m is the top moment index):
-      H[n]          blocks s_{j+k},                 2n     <= m
-      K[n]          blocks s_{j+k+1},               2n + 1 <= m
-      Halpha[n]     -alpha*H_n + K_n,               2n + 1 <= m
-      L[n]          s_{2n} minus Schur complement,  2n     <= m
-      Lalpha[n]     same on the shifted sequence,   2n + 1 <= m
-      Theta[n]      the complement itself,          2n - 1 <= m
-      ThetaAlpha[n] shifted complement,             2n     <= m
+      H[n]       blocks s_{j+k},                     2n     <= m
+      Halpha[n]  blocks -alpha*s_{j+k} + s_{j+k+1},  2n + 1 <= m
+      L[n]       s_{2n} minus Schur complement,      2n     <= m
+      Lalpha[n]  same on the shifted sequence,       2n + 1 <= m
+
+    :func:`classify` does not build it: per stage it needs only the two
+    top Hankel matrices (:func:`cone_margins`) and the top complement.
     """
 
     H: tuple
-    K: tuple
     Halpha: tuple
     L: tuple
     Lalpha: tuple
-    Theta: tuple
-    ThetaAlpha: tuple
 
 
 def _block_hankel(mats, n: int) -> np.ndarray:
@@ -108,11 +106,10 @@ def _block_hankel(mats, n: int) -> np.ndarray:
     return h
 
 
-def _theta(mats, n: int, tol: ToleranceConfig, q: int | None = None) -> np.ndarray:
+def _theta(mats, n: int, tol: ToleranceConfig) -> np.ndarray:
     """z_{n,2n-1} H_{n-1}^+ y_{n,2n-1}; zero for n = 0."""
-    if q is None:
-        q = mats[0].shape[0]
     if n == 0:
+        q = mats[0].shape[0]
         return np.zeros((q, q), dtype=complex)
     z = np.hstack([mats[j] for j in range(n, 2 * n)])
     y = np.vstack([mats[j] for j in range(n, 2 * n)])
@@ -127,16 +124,12 @@ def build_stack(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> Hank
     m = seq.m
     mats = list(seq.s)
     shifted = list(seq.shifted())
-
-    H = tuple(_block_hankel(mats, n) for n in range(m // 2 + 1))
-    K = tuple(_block_hankel(mats[1:], n) for n in range((m - 1) // 2 + 1) if 2 * n + 1 <= m)
-    Halpha = tuple(-seq.alpha * H[n] + K[n] for n in range(len(K)))
-    L = tuple(_schur_l(mats, n, tol) for n in range(m // 2 + 1))
-    Lalpha = tuple(_schur_l(shifted, n, tol) for n in range((m - 1) // 2 + 1))
-    Theta = tuple(_theta(mats, n, tol, seq.q) for n in range((m + 1) // 2 + 1))
-    ThetaAlpha = tuple(_theta(shifted, n, tol, seq.q) for n in range(m // 2 + 1))
-    return HankelStack(H=H, K=K, Halpha=Halpha, L=L, Lalpha=Lalpha,
-                       Theta=Theta, ThetaAlpha=ThetaAlpha)
+    return HankelStack(
+        H=tuple(_block_hankel(mats, n) for n in range(m // 2 + 1)),
+        Halpha=tuple(_block_hankel(shifted, n) for n in range((m - 1) // 2 + 1)),
+        L=tuple(_schur_l(mats, n, tol) for n in range(m // 2 + 1)),
+        Lalpha=tuple(_schur_l(shifted, n, tol) for n in range((m - 1) // 2 + 1)),
+    )
 
 
 def stieltjes_parametrization(seq: MomentSequence,
@@ -177,7 +170,7 @@ class ClassReport:
 
     extendable_candidate is three-valued ('yes'/'no'/'unknown'): there is no
     constructive one-shot test for one-step extendability, so it is decided
-    by the recursive criterion in :func:`classify`'s docstring.
+    by the stagewise criterion in :func:`classify`'s docstring.
     """
 
     q: int
@@ -204,22 +197,16 @@ class ClassReport:
         }
 
 
-def _top_psd_pair(seq: MomentSequence, stack: HankelStack):
-    """The two matrices whose semidefiniteness defines the moment cone."""
-    m = seq.m
-    tops = [stack.H[m // 2]]
-    if m >= 1:
-        tops.append(stack.Halpha[(m - 1) // 2])
-    return tops
+def cone_margins(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
+    """PSD margins of the top block Hankel matrix H_{m//2} and, for m >= 1,
+    of the shifted one built from -alpha*s_j + s_{j+1}.
 
-
-def _cone_verdicts(seq: MomentSequence, stack: HankelStack, tol: ToleranceConfig):
-    margins = [matcore.psd_margin(t, tol) for t in _top_psd_pair(seq, stack)]
-    lo = min(margins)
-    psd = lo >= -tol.psd
-    pd = lo > tol.psd
-    borderline = abs(lo) < 10.0 * tol.psd
-    return psd, pd, borderline
+    The sequence lies in the moment cone when both are >= -tol.psd.
+    """
+    tops = [_block_hankel(seq.s, seq.m // 2)]
+    if seq.m >= 1:
+        tops.append(_block_hankel(seq.shifted(), (seq.m - 1) // 2))
+    return tuple(matcore.psd_margin(t, tol) for t in tops)
 
 
 def _dominated_by_first(seq: MomentSequence, tol: ToleranceConfig) -> bool:
@@ -232,34 +219,14 @@ def _dominated_by_first(seq: MomentSequence, tol: ToleranceConfig) -> bool:
     return True
 
 
-def _hard_threshold(a: np.ndarray, scale: float, tol: ToleranceConfig) -> np.ndarray:
-    cut = tol.psd * max(1.0, scale)
-    out = a.copy()
-    out[np.abs(out) <= cut] = 0.0
-    return out
-
-
-def _extendable_candidate(seq: MomentSequence, tol: ToleranceConfig) -> str:
-    # necessary conditions first, cheapest shortcut verdicts second,
-    # otherwise recurse through one algorithm step
-    stack = build_stack(seq, tol)
-    psd, pd, borderline = _cone_verdicts(seq, stack, tol)
-    if not psd:
-        return "unknown" if borderline else "no"
-    if pd and not borderline:
-        return "yes"
-    q_top = stieltjes_parametrization(seq, tol)[-1]
-    scale = max(matcore.frob(x) for x in seq.s)
-    if not np.any(_hard_threshold(matcore.hermitize(q_top, tol), scale, tol)):
-        return "yes"
-    if seq.m == 0:
-        # a PSD single term always extends: append alpha*s_0 + s_0
-        return "yes"
-    if not _dominated_by_first(seq, tol):
-        return "no"
-    from . import schur
-
-    return _extendable_candidate(schur.first_transform(seq, tol), tol)
+def _top_entry(seq: MomentSequence, tol: ToleranceConfig) -> np.ndarray:
+    """Q_m, the top interleaved Schur complement, with entries at or below
+    tol.psd times the sequence scale set to zero."""
+    mats = seq.s if seq.m % 2 == 0 else seq.shifted()
+    q_top = matcore.hermitize(_schur_l(mats, seq.m // 2, tol), tol)
+    cut = tol.psd * max(1.0, max(matcore.frob(x) for x in seq.s))
+    q_top[np.abs(q_top) <= cut] = 0.0
+    return q_top
 
 
 def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
@@ -268,31 +235,49 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
     The moment cone test checks the top plain Hankel matrix together with
     the top shifted one; strict positivity upgrades the verdict.  Complete
     degeneracy means the top parametrization entry vanishes after an
-    entrywise hard threshold.  The extendability candidate is recursive:
-    a cone member counts as a candidate when it is strictly positive or
-    completely degenerate (both are sufficient), when m = 0, or when its
-    ranges are dominated by s_0 and one algorithm step is again a
-    candidate; dominance failing is disqualifying.
+    entrywise hard threshold.  The extendability candidate walks the
+    algorithm's stages: a stage outside the cone settles it as 'no'
+    ('unknown' when borderline); a cone member settles it as 'yes' when it
+    is strictly positive or completely degenerate (both are sufficient) or
+    when m = 0; otherwise its ranges must be dominated by s_0 (failing is
+    disqualifying) and the next stage decides.
     """
-    stack = build_stack(seq, tol)
-    psd, pd, _ = _cone_verdicts(seq, stack, tol)
-    hankel_psd = matcore.is_psd(stack.H[seq.m // 2], tol)
-    dominant = _dominated_by_first(seq, tol)
+    from . import schur
 
-    qs = stieltjes_parametrization(seq, tol)
-    scale = max(matcore.frob(x) for x in seq.s)
-    q_top = _hard_threshold(matcore.hermitize(qs[-1], tol), scale, tol)
-    degenerate = not np.any(q_top)
-    candidate = _extendable_candidate(seq, tol)
+    margins = cone_margins(seq, tol)
+    lo = min(margins)
+    dominant = _dominated_by_first(seq, tol)
+    q_top = _top_entry(seq, tol)
+
+    stage, stage_lo = seq, lo
+    while True:
+        borderline = abs(stage_lo) < 10.0 * tol.psd
+        if stage_lo < -tol.psd:
+            candidate = "unknown" if borderline else "no"
+            break
+        if stage_lo > tol.psd and not borderline:
+            candidate = "yes"
+            break
+        # complete degeneracy suffices, and a PSD single term always
+        # extends: append alpha*s_0 + s_0
+        top = q_top if stage is seq else _top_entry(stage, tol)
+        if not np.any(top) or stage.m == 0:
+            candidate = "yes"
+            break
+        if not (dominant if stage is seq else _dominated_by_first(stage, tol)):
+            candidate = "no"
+            break
+        stage = schur.first_transform(stage, tol)
+        stage_lo = min(cone_margins(stage, tol))
 
     return ClassReport(
         q=seq.q,
         m=seq.m,
-        hankel_psd=hankel_psd,
-        stieltjes_psd=psd,
-        stieltjes_pd=pd,
+        hankel_psd=margins[0] >= -tol.psd,
+        stieltjes_psd=lo >= -tol.psd,
+        stieltjes_pd=lo > tol.psd,
         first_term_dominant=dominant,
-        completely_degenerate=degenerate,
+        completely_degenerate=not np.any(q_top),
         extendable_candidate=candidate,
         rank_top=matcore.rank_with_tol(q_top, tol),
     )

@@ -15,7 +15,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from . import matcore
-from .hankel import MomentSequence, classify
+from .hankel import MomentSequence, cone_margins
 from .matcore import (
     DEFAULT_TOL,
     GrowthError,
@@ -177,11 +177,13 @@ def verify_solution(fun: RationalMatFun, seq: MomentSequence, mode: str = "leq",
     ``extract_moments`` within the extraction tolerance), and both modes
     require the first m moments to match relatively to the extraction
     tolerance; the final moment must match too (eq mode) or sit below the
-    prescribed one up to tolerance (leq mode).
+    prescribed one up to tolerance (leq mode).  Both top-moment rules
+    measure the defect s_m minus the read-off moment relative to
+    1 + norm(s_m): its norm for eq, its smallest eigenvalue for leq.
     """
     if mode not in ("leq", "eq"):
         raise PreconditionError("mode must be 'leq' or 'eq'")
-    if not classify(seq, tol).stieltjes_psd:
+    if min(cone_margins(seq, tol)) < -tol.psd:
         raise PreconditionError("sequence is not solvable (outside the solvability cone)")
     extracted, residual = extract_moments(fun, seq.alpha, seq.m, ladder, tol)
 
@@ -193,12 +195,12 @@ def verify_solution(fun: RationalMatFun, seq: MomentSequence, mode: str = "leq",
     prefix_ok = prefix_gap <= tol.extraction
 
     defect = matcore.hermitize(seq.s[-1] - extracted.s[-1], tol)
+    scale = 1.0 + matcore.frob(seq.s[-1])
     if mode == "leq":
-        top_margin = matcore.psd_margin(defect, tol)
-        top_ok = bool(top_margin >= -tol.extraction)
+        top_margin = float(np.linalg.eigvalsh(defect)[0]) / scale
     else:
-        top_margin = float(-matcore.frob(defect) / (1.0 + matcore.frob(seq.s[-1])))
-        top_ok = bool(-top_margin <= tol.extraction)
+        top_margin = -matcore.frob(defect) / scale
+    top_ok = bool(top_margin >= -tol.extraction)
     report = {
         "mode": mode,
         "extracted": extracted,

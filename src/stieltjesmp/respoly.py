@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore, schur
-from .hankel import MomentSequence
+from . import matcore
 from .matcore import DEFAULT_TOL, PreconditionError, ToleranceConfig
+from .schur import TransformTrace
 
 __all__ = [
     "MatrixPolynomial",
@@ -303,9 +303,9 @@ def w_poly(alpha: float, a, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynom
     return MatrixPolynomial((c0, c1))
 
 
-def compose_resolvent(seq: MomentSequence,
+def compose_resolvent(trace: TransformTrace,
                       tol: ToleranceConfig = DEFAULT_TOL):
-    """Stagewise products over the algorithm diagonal.
+    """Stagewise products over the diagonal of an algorithm trace.
 
     Returns (descent blocks, ascent blocks).  The descent product has the
     stage-0 factor leftmost; the ascent product has the stage-m factor
@@ -313,13 +313,13 @@ def compose_resolvent(seq: MomentSequence,
     (z-alpha)^(m+1) diag(P, I) with P the projector onto the range of the
     top diagonal entry.
     """
-    diag = schur.transform_trace(seq, tol).diagonal
-    v = v_poly(seq.alpha, diag[0], tol)
+    alpha, diag = trace.input.alpha, trace.diagonal
+    v = v_poly(alpha, diag[0], tol)
     for d in diag[1:]:
-        v = v @ v_poly(seq.alpha, d, tol)
-    w = w_poly(seq.alpha, diag[0], tol)
+        v = v @ v_poly(alpha, d, tol)
+    w = w_poly(alpha, diag[0], tol)
     for d in diag[1:]:
-        w = w_poly(seq.alpha, d, tol) @ w
+        w = w_poly(alpha, d, tol) @ w
     return v.blocks(), w.blocks()
 
 

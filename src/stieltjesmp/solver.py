@@ -63,10 +63,13 @@ class SolutionRequest:
 
 def case_of(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL):
     """(case tag, rank r, top diagonal entry) for a sequence."""
-    diag = schur.transform_trace(seq, tol).diagonal
-    top = diag[-1]
+    return _case(schur.transform_trace(seq, tol), tol)
+
+
+def _case(trace: schur.TransformTrace, tol: ToleranceConfig):
+    top = trace.diagonal[-1]
     r = matcore.rank_with_tol(top, tol)
-    if r == seq.q:
+    if r == trace.input.q:
         tag = CASE_NONDEGENERATE
     elif r == 0:
         tag = CASE_COMPLETELY_DEGENERATE
@@ -191,7 +194,8 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
             f"(candidate: {report.extendable_candidate}); "
             "the resolvent construction needs every algorithm stage in the cone")
 
-    tag, r, top = case_of(seq, tol)
+    trace = schur.transform_trace(seq, tol)
+    tag, r, top = _case(trace, tol)
     pre = pairs.verify_pair(req.parameter, tol, grid)
     if not pre["ok"]:
         raise PreconditionError(f"parameter pair is not admissible: {pre}")
@@ -206,7 +210,7 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
                 "equality problem needs a decaying parameter; quotient norms "
                 f"{decay['norms']}")
 
-    blocks, _ = respoly.compose_resolvent(seq, tol)
+    blocks, _ = respoly.compose_resolvent(trace, tol)
     return _synthesize(blocks, req.parameter.phi, req.parameter.psi,
                        seq.alpha, tol, grid)
 

@@ -1,10 +1,10 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is written in the most literal way available -- explicit
-loops, nested sums, dense block assembly -- and imports nothing from the
-package under test.  Tests compare the optimized library code against these
-second opinions, and several hand-derived constants below are frozen into
-the test modules.
+loops, nested sums, dense block assembly -- and, except for
+:func:`oracle_classify`, imports nothing from the package under test.
+Tests compare the optimized library code against these second opinions,
+and several hand-derived constants below are frozen into the test modules.
 """
 
 from __future__ import annotations
@@ -111,6 +111,74 @@ def oracle_schur_complement(seq, n, rtol=1e-12):
     z = np.hstack([seq[j] for j in range(n, 2 * n)])
     y = np.vstack([seq[j] for j in range(n, 2 * n)])
     return seq[2 * n] - z @ oracle_pinv(oracle_block_hankel(seq, n - 1), rtol) @ y
+
+
+def oracle_classify(seq, tol=None):
+    """The classifier as a recursion over whole block-Hankel stacks.
+
+    Every level rebuilds the stack and the full parametrization of its
+    sequence and recomputes each verdict from them, then recurses through
+    one algorithm step.  It uses the package's block-Hankel layer
+    (``build_stack``, ``stieltjes_parametrization``), ``first_transform``
+    and the matcore predicates, so it checks how the library's classifier
+    walks and reuses the stages, not those building blocks.
+    """
+    from stieltjesmp import matcore
+    from stieltjesmp.hankel import (
+        ClassReport,
+        build_stack,
+        stieltjes_parametrization,
+    )
+    from stieltjesmp.schur import first_transform
+
+    tol = matcore.DEFAULT_TOL if tol is None else tol
+
+    def cone(s):
+        stack = build_stack(s, tol)
+        tops = [stack.H[s.m // 2]]
+        if s.m >= 1:
+            tops.append(stack.Halpha[(s.m - 1) // 2])
+        lo = min(matcore.psd_margin(t, tol) for t in tops)
+        return stack, lo >= -tol.psd, lo > tol.psd, abs(lo) < 10.0 * tol.psd
+
+    def dominated(s):
+        return all(matcore.range_contains(s.s[0], x, tol)
+                   and matcore.null_contains(s.s[0], x, tol) for x in s.s[1:])
+
+    def top(s):
+        q_top = matcore.hermitize(stieltjes_parametrization(s, tol)[-1], tol)
+        cut = tol.psd * max(1.0, max(matcore.frob(x) for x in s.s))
+        return np.where(np.abs(q_top) <= cut, 0.0, q_top)
+
+    def candidate(s):
+        _, psd, pd, borderline = cone(s)
+        if not psd:
+            return "unknown" if borderline else "no"
+        if pd and not borderline:
+            return "yes"
+        if not np.any(top(s)):
+            return "yes"
+        if s.m == 0:
+            return "yes"
+        if not dominated(s):
+            return "no"
+        return candidate(first_transform(s, tol))
+
+    stack, psd, pd, _ = cone(seq)
+    hankel_psd = matcore.is_psd(stack.H[seq.m // 2], tol)
+    dominant = dominated(seq)
+    q_top = top(seq)
+    return ClassReport(
+        q=seq.q,
+        m=seq.m,
+        hankel_psd=hankel_psd,
+        stieltjes_psd=psd,
+        stieltjes_pd=pd,
+        first_term_dominant=dominant,
+        completely_degenerate=not np.any(q_top),
+        extendable_candidate=candidate(seq),
+        rank_top=matcore.rank_with_tol(q_top, tol),
+    )
 
 
 def oracle_moments(alpha, nodes, weights, m):

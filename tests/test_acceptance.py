@@ -116,14 +116,15 @@ def test_criterion_02_composed_polynomials_telescope():
         # where the stated absolute-versus-target tolerance is meaningful
         mu = random_measure(rng, q, m + 1, spread=2.5)
         seq = moments(mu, m)
-        diag = transform_trace(seq).diagonal
+        trace = transform_trace(seq)
+        diag = trace.diagonal
         # the generators divide by the diagonal entries, so a fixture with
         # an accidentally near-singular entry measures conditioning, not
         # the identity; require comfortably invertible entries
         if min(float(np.linalg.eigvalsh(d).min()) for d in diag) < 5e-2:
             continue
         accepted += 1
-        v, w = compose_resolvent(seq)
+        v, w = compose_resolvent(trace)
         top = diag[-1]
         proj = top @ pinv(top)
         eye = np.eye(q, dtype=complex)

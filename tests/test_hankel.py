@@ -3,7 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from conftest import measure_seq, nondegenerate_seq, random_psd
+from conftest import (
+    completely_degenerate_seq,
+    measure_seq,
+    nondegenerate_seq,
+    random_measure,
+    random_psd,
+)
 from stieltjesmp.hankel import (
     MomentSequence,
     build_stack,
@@ -11,7 +17,8 @@ from stieltjesmp.hankel import (
     inverse_parametrization,
     stieltjes_parametrization,
 )
-from stieltjesmp.matcore import DEFAULT_TOL, frob
+from stieltjesmp.matcore import DEFAULT_TOL, PreconditionError, frob
+from stieltjesmp.measures import DiscreteMeasure, moments
 
 
 def test_sequence_validation():
@@ -130,6 +137,71 @@ def test_restricted_sequences_stay_in_cone():
     _, seq = nondegenerate_seq(rng, 2, 5)
     for ell in range(seq.m + 1):
         assert classify(seq.restricted(ell)).stieltjes_psd
+
+
+def _outcome(fn, seq):
+    try:
+        return fn(seq)
+    except Exception as exc:  # a failure must surface the same way
+        return type(exc), str(exc)
+
+
+def _partially_degenerate(rng, q, m, alpha):
+    """m+1 atoms inside one fixed (q-1)-dimensional range plus one atom
+    along another direction: the top parametrization entry has rank q-1."""
+    v = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+    low, u = v[:, :-1] @ v[:, :-1].conj().T, v[:, -1:] @ v[:, -1:].conj().T
+    nodes = alpha + rng.uniform(0.3, 2.0, size=m + 2)
+    weights = [rng.uniform(0.5, 2.0) * low for _ in range(m + 1)] + [u]
+    return moments(DiscreteMeasure(alpha, tuple(nodes), tuple(weights)), m)
+
+
+def _sweep_sequences():
+    rng = np.random.default_rng(18)
+    out = []
+    for q in range(1, 5):
+        for m in range(9):
+            alpha = float(rng.uniform(-1.0, 1.0))
+            mu = random_measure(rng, q, m + 1, alpha=alpha, spread=2.0)
+            nondeg = moments(mu, m)
+            bump = random_psd(rng, q, scale=0.1 * frob(nondeg.s[-1]) / q)
+            out += [nondeg, MomentSequence(alpha, nondeg.s[:-1]
+                                           + (nondeg.s[-1] - bump,))]
+            out.append(completely_degenerate_seq(rng, q, m, alpha)[1] if m
+                       else MomentSequence(alpha, (np.zeros((q, q)),)))
+            if q >= 2:
+                out.append(_partially_degenerate(rng, q, m, alpha))
+    return out
+
+
+def test_classify_matches_recursive_oracle():
+    # each sequence of the sweep and every one of its restrictions; the
+    # sweep covers all three degeneracy cases and tops pushed off the cone
+    seqs = [seq.restricted(ell) for seq in _sweep_sequences()
+            for ell in range(seq.m + 1)]
+    reports = [_outcome(classify, seq) for seq in seqs]
+    for seq, rep in zip(seqs, reports):
+        assert rep == _outcome(oracles.oracle_classify, seq), (seq.q, seq.m)
+    verdicts = {rep.extendable_candidate for rep in reports
+                if not isinstance(rep, tuple)}
+    assert verdicts == {"yes", "no"}
+    assert any(rep.completely_degenerate for rep in reports)
+    assert any(0 < rep.rank_top < rep.q for rep in reports)
+
+    # the fixtures: the non-extendable cone member, a borderline and a
+    # negative definite single term, and exact moments at (2, 8) with
+    # nodes up to 6, whose top Schur complement comes out asymmetric
+    # beyond tolerance, so classify raises a false "not Hermitian" there
+    s0 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    s1 = np.array([[1.0, 1.0], [1.0, 1.0]])
+    fixtures = [MomentSequence(0.0, (s0, s1)),
+                MomentSequence(0.0, (np.diag([1.0, -5e-9]),)),
+                MomentSequence(0.0, (-np.eye(2),)),
+                nondegenerate_seq(np.random.default_rng(0), 2, 8)[1]]
+    got = [_outcome(classify, seq) for seq in fixtures]
+    for seq, rep in zip(fixtures, got):
+        assert rep == _outcome(oracles.oracle_classify, seq)
+    assert got[3][0] is PreconditionError and "not Hermitian" in got[3][1]
 
 
 def test_json_roundtrip():

@@ -160,17 +160,16 @@ def test_verify_solution_negative_fixture_defect():
 
 
 @pytest.mark.parametrize("q, m, seed, modes", [
-    (2, 6, 0, ("eq",)),
+    (2, 6, 0, ("leq", "eq")),
     (3, 5, 4, ("leq", "eq")),
-    (1, 8, 0, ("eq",)),
+    (1, 8, 0, ("leq", "eq")),
 ])
 def test_verify_solution_reads_exact_moments(q, m, seed, modes):
     # Measure oracles whose transform or synthesized solutions a
     # least-squares fit of the moments along the imaginary axis rejected
-    # at these orders.  The leq
-    # solutions here have top moment equal to s_m, and at (2, 6) and (1, 8)
-    # rounding of that zero defect is not small beside the leq rule's
-    # absolute scale, so only (3, 5) checks leq.
+    # at these orders.  The leq solutions here have top moment equal to
+    # s_m; the leq rule's relative scale accepts that zero defect at
+    # every order.
     rng = np.random.default_rng(seed)
     mu, seq = nondegenerate_seq(rng, q, m)
     rep = verify_solution(stieltjes_transform(mu), seq, mode="eq")
@@ -182,6 +181,18 @@ def test_verify_solution_reads_exact_moments(q, m, seed, modes):
     for mode in modes:
         sol = solve(SolutionRequest(seq, cauchy_pair(0.0, q), mode))
         rep = verify_solution(sol, seq, mode=mode)
+        assert rep["ok"], (mode, rep)
+
+
+def test_verify_solution_asks_only_the_cone_question():
+    # exact moments at (2, 8) with nodes up to 6: classify raises a false
+    # "not Hermitian" on the top Schur complement, which verification,
+    # needing only cone membership, never forms
+    mu, seq = nondegenerate_seq(np.random.default_rng(0), 2, 8)
+    with pytest.raises(PreconditionError, match="not Hermitian"):
+        classify(seq)
+    for mode in ("leq", "eq"):
+        rep = verify_solution(stieltjes_transform(mu), seq, mode=mode)
         assert rep["ok"], (mode, rep)
 
 

@@ -96,8 +96,9 @@ def test_generator_polynomials_match_pointwise_oracles():
 def test_composition_order_is_outermost_first_for_descent():
     rng = np.random.default_rng(34)
     _, seq = measure_seq(rng, 2, 1, alpha=0.5)
-    diag = transform_trace(seq).diagonal
-    v, w = compose_resolvent(seq)
+    trace = transform_trace(seq)
+    diag = trace.diagonal
+    v, w = compose_resolvent(trace)
     z = 0.8 + 1.3j
     v_expected = v_poly(0.5, diag[0])(z) @ v_poly(0.5, diag[1])(z)
     w_expected = w_poly(0.5, diag[1])(z) @ w_poly(0.5, diag[0])(z)
@@ -109,7 +110,7 @@ def test_composed_blocks_for_the_one_atom_at_zero_fixture():
     # s = (s_0, O) at alpha 0 gives exactly [[O, -z s_0],[O, z^2 I]]
     s0 = np.diag([2.0, 1.0]).astype(complex)
     seq = MomentSequence(0.0, (s0, np.zeros((2, 2))))
-    v, _ = compose_resolvent(seq)
+    v, _ = compose_resolvent(transform_trace(seq))
     zero = np.zeros((2, 2))
     assert_allclose(v.nw.coeffs, np.stack([zero] * 3), atol=1e-14)
     assert_allclose(v.sw.coeffs, np.stack([zero] * 3), atol=1e-14)

@@ -14,6 +14,7 @@ from conftest import (
     random_psd,
     sample_points,
 )
+from stieltjesmp import hankel, schur
 from stieltjesmp.hankel import MomentSequence
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
@@ -45,6 +46,26 @@ def test_request_validation():
         SolutionRequest(seq, identity_pair(0.0, 3), "leq")
     with pytest.raises(PreconditionError):
         SolutionRequest(seq, identity_pair(1.0, 2), "leq")
+
+
+def test_solve_runs_the_algorithm_once(monkeypatch):
+    # classify settles a strictly positive sequence at stage 0, and the
+    # case tag, the top entry and the resolvent all read one trace
+    calls = dict.fromkeys(("transform_trace", "first_transform",
+                           "build_stack"), 0)
+    for module, name in ((schur, "transform_trace"),
+                         (schur, "first_transform"),
+                         (hankel, "build_stack")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    rng = np.random.default_rng(71)
+    _, seq = nondegenerate_seq(rng, 2, 5)
+    sol = solve(SolutionRequest(seq, cauchy_pair(0.0, 2)))
+    assert calls == {"transform_trace": 1, "first_transform": 5,
+                     "build_stack": 0}
+    assert verify_solution(sol, seq)["ok"]
 
 
 def test_case_tags():
