@@ -129,11 +129,6 @@ def _emit(payload, cfg: CliConfig) -> None:
     print(dumps(_clean(payload, cfg.digits)))
 
 
-def _sequence(obj: dict) -> MomentSequence:
-    alpha, mats = serialize.sequence_from_json(obj)
-    return MomentSequence(alpha, tuple(mats))
-
-
 def _samples(fun, grid) -> list:
     out = []
     for z in grid:
@@ -146,14 +141,14 @@ def _samples(fun, grid) -> list:
 
 def cmd_classify(args) -> int:
     cfg = _config(args)
-    seq = _sequence(_load(args.path))
+    seq = MomentSequence.from_json(_load(args.path))
     _emit(classify(seq, cfg.tol).to_json(), cfg)
     return EXIT_OK
 
 
 def cmd_schur(args) -> int:
     cfg = _config(args)
-    seq = _sequence(_load(args.path))
+    seq = MomentSequence.from_json(_load(args.path))
     if args.k < 0 or args.k > seq.m:
         raise PreconditionError(
             f"transform order k={args.k} out of range 0..{seq.m}")
@@ -171,7 +166,7 @@ def cmd_schur(args) -> int:
 
 def cmd_poly(args) -> int:
     cfg = _config(args)
-    seq = _sequence(_load(args.path))
+    seq = MomentSequence.from_json(_load(args.path))
     v, w = respoly.compose_resolvent(schur.transform_trace(seq, cfg.tol),
                                      cfg.tol)
     _emit({"q": seq.q, "m": seq.m, "v": v.to_json(), "w": w.to_json()}, cfg)
@@ -181,7 +176,7 @@ def cmd_poly(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _config(args)
     obj = _load(args.path)
-    seq = _sequence(obj["sequence"])
+    seq = MomentSequence.from_json(obj["sequence"])
     parameter = serialize.pair_from_json(obj["parameter"])
     mode = args.mode or obj.get("mode", "leq")
     req = solver.SolutionRequest(seq, parameter, mode)
@@ -204,7 +199,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config(args)
     obj = _load(args.path)
-    seq = _sequence(obj["sequence"])
+    seq = MomentSequence.from_json(obj["sequence"])
     fun = serialize.rational_from_json(obj["function"])
     mode = args.mode or obj.get("mode", "leq")
     report = measures.verify_solution(fun, seq, mode, cfg.tol, cfg.ladder)

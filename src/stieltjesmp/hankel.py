@@ -73,8 +73,8 @@ class MomentSequence:
     def from_json(cls, obj: dict) -> "MomentSequence":
         from . import serialize
 
-        mats = [serialize.matrix_from_json(x) for x in obj["s"]]
-        return cls(float(obj["alpha"]), tuple(mats))
+        alpha, mats = serialize.sequence_from_json(obj)
+        return cls(alpha, tuple(mats))
 
 
 @dataclass(frozen=True)

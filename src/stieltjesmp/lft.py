@@ -1,9 +1,13 @@
-"""Linear-fractional transforms with 2q x 2q block generators.
+"""The linear-fractional kernel: 2q x 2q generators acting on pairs.
 
 A generator E = [[a, b], [c, d]] acts on a single matrix x as
 (ax + b)(cx + d)^(-1) and on a column pair (x, y) as
 (ax + by)(cx + dy)^(-1).  The lower block row [c, d] must have full row
 rank, otherwise no input can ever make the denominator invertible.
+
+``lft_matrix``/``lft_pair`` evaluate the action at a point, ``lft_rational``
+on rational matrix functions; every denominator passes ``check_denominator``
+(pointwise) or ``det_or_none`` (identically singular determinant).
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from .matcore import (
     SingularDenominatorError,
     ToleranceConfig,
 )
+from .respoly import MatrixPolynomial, adjugate_poly, det_poly
 
-__all__ = ["BlockGenerator", "lft_matrix", "lft_pair", "compose"]
+__all__ = ["BlockGenerator", "check_denominator", "det_or_none", "lft_matrix",
+           "lft_pair", "lft_rational", "compose"]
 
 
 @dataclass(frozen=True)
@@ -67,18 +73,38 @@ class BlockGenerator:
         return BlockGenerator.from_matrix(self.as_matrix() @ other.as_matrix())
 
 
-def _solve_right(num: np.ndarray, den: np.ndarray,
-                 tol: ToleranceConfig, stage: str) -> np.ndarray:
-    """num @ den^(-1) with a conditioning gate on the denominator."""
+def check_denominator(den: np.ndarray, tol: ToleranceConfig, stage: str,
+                      point=None) -> None:
+    """Raise unless sigma_min/sigma_max of ``den`` reaches ``tol.det_gate``."""
     sv = np.linalg.svd(den, compute_uv=False)
     top = sv[0] if sv.size else 0.0
     if top == 0.0 or sv[-1] < tol.det_gate * top:
         gap = float(sv[-1] / top) if top else 0.0
+        where = "" if point is None else f" at {point}"
         raise SingularDenominatorError(
-            "linear-fractional denominator is numerically singular",
-            stage=stage, gap=gap,
+            f"linear-fractional denominator is numerically singular{where}",
+            stage=stage, point=point, gap=gap,
         )
+
+
+def _solve_right(num: np.ndarray, den: np.ndarray,
+                 tol: ToleranceConfig, stage: str) -> np.ndarray:
+    """num @ den^(-1) with a conditioning gate on the denominator."""
+    check_denominator(den, tol, stage)
     return np.linalg.solve(den.T, num.T).T
+
+
+def det_or_none(den: MatrixPolynomial):
+    """Coefficients of det den(z), or None if it vanishes identically.
+
+    Relative to the size of ``den``, floored at 1: the coefficient trims cut
+    at an absolute 1e-13, so a purely relative test would pass trim noise.
+    """
+    det = det_poly(den)
+    scale = max(matcore.frob(c) for c in den.coeffs)
+    if np.abs(det).max() <= 1e-12 * max(1.0, scale ** den.size):
+        return None
+    return det
 
 
 def lft_matrix(e: BlockGenerator, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -92,6 +118,31 @@ def lft_pair(e: BlockGenerator, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.
     x = matcore.as_cmat(x)
     y = matcore.as_cmat(y)
     return _solve_right(e.a @ x + e.b @ y, e.c @ x + e.d @ y, tol, "pair-input")
+
+
+def lft_rational(blocks, phi, psi, tol: ToleranceConfig = DEFAULT_TOL,
+                 grid=(), stage: str = "rational"):
+    """(nw phi + ne psi)(sw phi + se psi)^(-1) as one rational matrix function.
+
+    ``blocks`` is a ``MatrixPolynomial.blocks()`` view, (phi, psi) a pair of
+    ``RationalMatFun``.  Over the common factor phi.den psi.den the action is
+    N D^(-1) = N adj(D) / det(D); D must pass ``det_or_none`` and, at each
+    point of ``grid``, ``check_denominator`` (both raise tagged ``stage``).
+    """
+    from .pairs import RationalMatFun
+
+    num = ((blocks.nw @ phi.num).scale_poly(psi.den)
+           + (blocks.ne @ psi.num).scale_poly(phi.den)).trimmed()
+    den = ((blocks.sw @ phi.num).scale_poly(psi.den)
+           + (blocks.se @ psi.num).scale_poly(phi.den)).trimmed()
+    det = det_or_none(den)
+    if det is None:
+        raise SingularDenominatorError(
+            "linear-fractional denominator is identically singular",
+            stage=stage, gap=0.0)
+    for z in grid:
+        check_denominator(den(complex(z)), tol, stage, complex(z))
+    return RationalMatFun(num @ adjugate_poly(den), det).simplify()
 
 
 def compose(e2: BlockGenerator, e1: BlockGenerator, x, y=None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from . import matcore
+from . import lft, matcore
 from .matcore import (
     DEFAULT_TOL,
     InconsistencyError,
@@ -24,7 +24,7 @@ from .matcore import (
     SingularDenominatorError,
     ToleranceConfig,
 )
-from .respoly import MatrixPolynomial, adjugate_poly, det_poly
+from .respoly import MatrixPolynomial
 
 __all__ = [
     "RationalMatFun",
@@ -122,17 +122,12 @@ class RationalMatFun:
         top = max(matcore.frob(c) for c in self.num.coeffs)
         return top <= rel
 
-    def det_num(self) -> np.ndarray:
-        return np.asarray(_trim_scalar(det_poly(self.num)))
-
     def inverse(self) -> "RationalMatFun":
-        """Rational inverse via determinant and adjugate of the numerator."""
-        det = self.det_num()
-        if max(abs(x) for x in det) <= 1e-12:
-            raise SingularDenominatorError(
-                "numerator determinant vanishes identically", stage="inverse")
-        adj = adjugate_poly(self.num)
-        return RationalMatFun(adj.scale_poly(self.den), tuple(det)).simplify()
+        """Rational inverse: the swap [[O, I], [I, O]] acting on (F, I)."""
+        eye = np.eye(self.q, dtype=complex)
+        swap = np.block([[np.zeros_like(eye), eye], [eye, np.zeros_like(eye)]])
+        return lft.lft_rational(MatrixPolynomial.constant(swap).blocks(), self,
+                                RationalMatFun.const(eye), stage="inverse")
 
     def simplify(self, rel: float = 1e-10) -> "RationalMatFun":
         """Rewrite with the smallest denominator degree that fits the values.
@@ -284,10 +279,7 @@ class StieltjesPair:
     def quotient_at(self, z: complex, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         """phi(z) psi(z)^(-1) with a conditioning gate."""
         ps = self.psi(z)
-        sv = np.linalg.svd(ps, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < tol.det_gate * sv[0]:
-            raise SingularDenominatorError(
-                "psi is numerically singular", stage="quotient", point=z)
+        lft.check_denominator(ps, tol, "quotient", z)
         return np.linalg.solve(ps.T, self.phi(z).T).T
 
     def to_json(self) -> dict:
@@ -346,8 +338,7 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
     if skipped == len(grid):
         raise InconsistencyError("every grid point sits on a pole of the pair")
 
-    det = pair.psi.det_num()
-    proper = bool(max(abs(x) for x in det) > 1e-12)
+    proper = lft.det_or_none(pair.psi.num) is not None
 
     rank_ok = bool(min(rank_gaps) > 1e-10) if rank_gaps else False
     kd1_m = float(min(kd1)) if kd1 else 0.0
@@ -447,16 +438,8 @@ def gamma_U_embed(phi: RationalMatFun, psi: RationalMatFun, u,
         raise PreconditionError("columns of u must be orthonormal")
     comp = np.eye(q, dtype=complex) - u @ u.conj().T
 
-    phi_up = RationalMatFun(
-        MatrixPolynomial(tuple(u @ c @ u.conj().T for c in phi.num.coeffs)),
-        phi.den)
-    psi_coeffs = [u @ c @ u.conj().T for c in psi.num.coeffs]
-    for k, d in enumerate(np.asarray(psi.den)):
-        if k >= len(psi_coeffs):
-            psi_coeffs.append(np.zeros((q, q), dtype=complex))
-        psi_coeffs[k] = psi_coeffs[k] + d * comp
-    psi_up = RationalMatFun(MatrixPolynomial(tuple(psi_coeffs)).trimmed(),
-                            psi.den)
+    phi_up = phi.lmul(u).rmul(u.conj().T)
+    psi_up = psi.lmul(u).rmul(u.conj().T) + RationalMatFun.const(comp)
     return StieltjesPair(alpha, phi_up, psi_up)
 
 
@@ -466,20 +449,19 @@ def gamma_U_extract(f: RationalMatFun, g: RationalMatFun, u,
 
     Uses the normalizing factor b = g - i f, which is invertible as a
     rational function for admissible range-restricted pairs; returns
-    (u^* f b^(-1) u, u^* g b^(-1) u) simplified.
+    (u^* f b^(-1) u, u^* g b^(-1) u) simplified, with f b^(-1) and g b^(-1)
+    the actions of [[I, O], [-iI, I]] and [[O, I], [-iI, I]] on (f, g).
     """
     u = matcore.as_cmat(u)
-    b = g - f.scale(1j)
-    det = b.det_num()
-    if max(abs(x) for x in det) <= 1e-12:
-        raise InconsistencyError(
-            "normalizing factor of the compression is identically singular")
-    binv = b.inverse()
-    phi = f @ binv
-    psi = g @ binv
-    phi_r = phi.lmul(u.conj().T).rmul(u).simplify()
-    psi_r = psi.lmul(u.conj().T).rmul(u).simplify()
-    return phi_r, psi_r
+    eye = np.eye(f.q, dtype=complex)
+    zero = np.zeros_like(eye)
+
+    def compressed(top):
+        gen = MatrixPolynomial.constant(np.block([top, [-1j * eye, eye]]))
+        fb = lft.lft_rational(gen.blocks(), f, g, tol, stage="compression")
+        return fb.lmul(u.conj().T).rmul(u).simplify()
+
+    return compressed([eye, zero]), compressed([zero, eye])
 
 
 def in_diamond(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,

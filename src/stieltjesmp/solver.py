@@ -7,7 +7,7 @@ the equality problem), then synthesize the solution
 
     F = (V_nw phi + V_ne psi) (V_sw phi + V_se psi)^(-1)
 
-as one rational matrix function and certify its denominator on the grid.
+with the kernel ``lft.lft_rational``, which gates its denominator on the grid.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore, pairs, respoly, schur
+from . import lft, matcore, pairs, respoly, schur
 from .hankel import MomentSequence, classify
 from .matcore import (
     DEFAULT_TOL,
@@ -26,7 +26,6 @@ from .matcore import (
     ToleranceConfig,
 )
 from .pairs import RationalMatFun, StieltjesPair
-from .respoly import MatrixPolynomial, adjugate_poly, det_poly
 
 __all__ = [
     "SolutionRequest",
@@ -89,7 +88,6 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     compatibility checked on the grid.
     """
     a = matcore.as_cmat(a)
-    ap = matcore.pinv(a, tol)
     grid = pairs.default_grid(alpha) if grid is None else tuple(grid)
     for z in grid:
         try:
@@ -102,16 +100,9 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
         if not matcore.null_contains(fz, a, tol):
             raise PreconditionError(
                 f"null space of the function at {z} is not killed by the seed")
-    shift = (-alpha, 1.0)
-    num = fun.num.scale_poly(shift) + MatrixPolynomial.constant(a).scale_poly(fun.den)
-    eye = np.eye(fun.q, dtype=complex)
-    den = (MatrixPolynomial(tuple(-ap @ c for c in fun.num.coeffs)).scale_poly(shift)
-           + MatrixPolynomial.constant(eye - ap @ a).scale_poly(fun.den))
-    num, den = num.trimmed(), den.trimmed()
-    det = np.asarray(pairs._trim_scalar(det_poly(den)))
-    if max(abs(x) for x in det) <= 1e-12:
-        raise PreconditionError("transform denominator vanishes identically")
-    return RationalMatFun(num @ adjugate_poly(den), tuple(det)).simplify()
+    return lft.lft_rational(respoly.w_poly(alpha, a, tol).blocks(), fun,
+                            RationalMatFun.const(np.eye(fun.q)), tol,
+                            stage="descent")
 
 
 def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
@@ -125,7 +116,6 @@ def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     a = matcore.hermitize(a, tol)
     if not matcore.is_psd(a, tol):
         raise PreconditionError("seed of the ascent transform must be PSD")
-    ap = matcore.pinv(a, tol)
     grid = pairs.default_grid(alpha) if grid is None else tuple(grid)
     for z in grid:
         try:
@@ -141,38 +131,9 @@ def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     if not decay["ok"]:
         raise PreconditionError(
             f"function does not decay along the imaginary axis: {decay['norms']}")
-    eye = np.eye(fun.q, dtype=complex)
-    inner = (MatrixPolynomial(tuple(ap @ c for c in fun.num.coeffs))
-             + MatrixPolynomial.constant(eye).scale_poly(fun.den))
-    inner = inner.scale_poly((-alpha, 1.0)).trimmed()
-    det = np.asarray(pairs._trim_scalar(det_poly(inner)))
-    if max(abs(x) for x in det) <= 1e-12:
-        raise PreconditionError("transform denominator vanishes identically")
-    num = (MatrixPolynomial.constant(-a) @ adjugate_poly(inner)).scale_poly(fun.den)
-    return RationalMatFun(num.trimmed(), tuple(det)).simplify()
-
-
-def _synthesize(blocks: respoly.ResolventBlocks, phi: RationalMatFun,
-                psi: RationalMatFun, alpha: float,
-                tol: ToleranceConfig, grid) -> RationalMatFun:
-    num = ((blocks.nw @ phi.num).scale_poly(psi.den)
-           + (blocks.ne @ psi.num).scale_poly(phi.den)).trimmed()
-    den = ((blocks.sw @ phi.num).scale_poly(psi.den)
-           + (blocks.se @ psi.num).scale_poly(phi.den)).trimmed()
-    det = np.asarray(pairs._trim_scalar(det_poly(den)))
-    top = max(abs(x) for x in det)
-    den_scale = max(matcore.frob(c) for c in den.coeffs)
-    if top <= 1e-12 * max(1.0, den_scale ** den.size):
-        raise InconsistencyError(
-            "solution denominator vanishes identically; the parameter "
-            "should not admit this")
-    for z in grid:
-        dz = den(complex(z))
-        sv = np.linalg.svd(dz, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < tol.det_gate * sv[0]:
-            raise InconsistencyError(
-                f"solution denominator is numerically singular at {z}")
-    return RationalMatFun(num @ adjugate_poly(den), tuple(det)).simplify()
+    return lft.lft_rational(respoly.v_poly(alpha, a, tol).blocks(), fun,
+                            RationalMatFun.const(np.eye(fun.q)), tol,
+                            stage="ascent")
 
 
 def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
@@ -185,16 +146,25 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
     problem additionally requires the decaying subclass.  Equivalent
     parameters give the same function.
     """
-    seq = req.seq
-    grid = pairs.default_grid(seq.alpha) if grid is None else tuple(grid)
+    return _solve_traced(req, _extendable_trace(req.seq, tol), tol, grid)
+
+
+def _extendable_trace(seq: MomentSequence, tol: ToleranceConfig):
+    """The one algorithm trace of a sequence certified extendable."""
     report = classify(seq, tol)
     if report.extendable_candidate != "yes":
         raise PreconditionError(
             "sequence is not certified extendable "
             f"(candidate: {report.extendable_candidate}); "
             "the resolvent construction needs every algorithm stage in the cone")
+    return schur.transform_trace(seq, tol)
 
-    trace = schur.transform_trace(seq, tol)
+
+def _solve_traced(req: SolutionRequest, trace: schur.TransformTrace,
+                  tol: ToleranceConfig, grid) -> RationalMatFun:
+    """``solve`` on the trace of ``req.seq`` that the caller already ran."""
+    seq = req.seq
+    grid = pairs.default_grid(seq.alpha) if grid is None else tuple(grid)
     tag, r, top = _case(trace, tol)
     pre = pairs.verify_pair(req.parameter, tol, grid)
     if not pre["ok"]:
@@ -211,8 +181,8 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
                 f"{decay['norms']}")
 
     blocks, _ = respoly.compose_resolvent(trace, tol)
-    return _synthesize(blocks, req.parameter.phi, req.parameter.psi,
-                       seq.alpha, tol, grid)
+    return lft.lft_rational(blocks, req.parameter.phi, req.parameter.psi,
+                            tol, grid, stage="synthesis")
 
 
 def _range_basis(a, r: int, tol: ToleranceConfig) -> np.ndarray:
@@ -238,7 +208,8 @@ def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
     ``w`` = [u, complement] is supplied, the lift uses the conjugated
     block-diagonal form, which agrees with the u-form.
     """
-    tag, r, top = case_of(seq, tol)
+    trace = _extendable_trace(seq, tol)
+    tag, r, top = _case(trace, tol)
     if pair.q > seq.q or pair.q != r:
         raise PreconditionError(
             f"parameter size {pair.q} must equal the degeneracy rank {r}")
@@ -258,7 +229,7 @@ def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
         raise PreconditionError(
             "columns of u must span the range of the top diagonal entry")
     lifted = pairs.gamma_U_embed(pair.phi, pair.psi, u_eff, seq.alpha, tol)
-    return solve(SolutionRequest(seq, lifted, mode), tol, grid)
+    return _solve_traced(SolutionRequest(seq, lifted, mode), trace, tol, grid)
 
 
 def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
@@ -269,7 +240,8 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
     r is the rank of the top diagonal entry; the completely degenerate
     case has no free parameter and is redirected to the unique solution.
     """
-    tag, r, top = case_of(seq, tol)
+    trace = _extendable_trace(seq, tol)
+    tag, r, top = _case(trace, tol)
     if r == 0:
         raise PreconditionError(
             "completely degenerate sequence: the problem has a unique "
@@ -283,7 +255,7 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
             f"parameter does not decay along the imaginary axis: {decay['norms']}")
     u = _range_basis(top, r, tol)
     lifted = pairs.gamma_U_embed(small.phi, small.psi, u, seq.alpha, tol)
-    return solve(SolutionRequest(seq, lifted, "eq"), tol, grid)
+    return _solve_traced(SolutionRequest(seq, lifted, "eq"), trace, tol, grid)
 
 
 def m0_base_case_check(fun: RationalMatFun, s0, alpha: float = 0.0,
@@ -309,9 +281,8 @@ def m0_base_case_check(fun: RationalMatFun, s0, alpha: float = 0.0,
     rep = pairs.verify_pair(pair, tol, grid)
     in_range = pairs.in_class_P_of(pair, s0, tol, grid)
 
-    inner = phi.lmul(s0p) + psi
-    inner = RationalMatFun(inner.num.scale_poly((-alpha, 1.0)), inner.den)
-    recon = (psi.lmul(-s0) @ inner.inverse()).simplify()
+    recon = lft.lft_rational(respoly.v_poly(alpha, s0, tol).blocks(), phi, psi,
+                             tol, stage="reconstruction")
 
     gaps = []
     for z in grid:

@@ -271,6 +271,35 @@ def test_grid_override_controls_sample_points(tmp_path, capsys):
     assert code == 2
 
 
+def test_singular_grid_point_is_a_verification_failure(tmp_path, capsys):
+    # at m = 0 the solution denominator (z - alpha) I is singular at alpha
+    eye = serialize.matrix_to_json(np.eye(2))
+    zero = serialize.matrix_to_json(np.zeros((2, 2)))
+    payload = {
+        "sequence": serialize.sequence_to_json(0.5, (np.diag([2.0, 1.0]),)),
+        "parameter": {"alpha": 0.5,
+                      "phi": {"num": [zero], "den": [[1.0, 0.0]]},
+                      "psi": {"num": [eye], "den": [[1.0, 0.0]]}},
+    }
+    path = write_json(tmp_path / "prob.json", payload)
+    code, out = run_cli(capsys, ["solve", path, "--grid", "0.5"])
+    assert code == 4 and out is None
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("case", ["q1_m2", "q2_m2"])
+def test_output_matches_golden_bytes(capsys, command, case):
+    # inputs: exact moments s_0..s_2 of small discrete measures, with a
+    # Cauchy parameter for solve and the measure's own transform for
+    # verify; the expected stdout is the same at one and two BLAS threads
+    assert main([command, str(DATA / f"{command}_{case}.json")]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (DATA / f"{command}_{case}.out").read_bytes()
+
+
 def test_digits_flag_rounds_output(tmp_path, capsys):
     path = write_json(tmp_path / "spec.json", {"q": 1, "m": 1, "seed": 3})
     code, out = run_cli(capsys, ["oracle", path, "--digits", "3"])

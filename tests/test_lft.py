@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stieltjesmp.lft import BlockGenerator, compose, lft_matrix, lft_pair
-from stieltjesmp.matcore import PreconditionError, SingularDenominatorError
-from stieltjesmp.respoly import v_poly, w_poly
+from stieltjesmp.lft import (
+    BlockGenerator,
+    compose,
+    lft_matrix,
+    lft_pair,
+    lft_rational,
+)
+from stieltjesmp.matcore import PreconditionError, SingularDenominatorError, frob
+from stieltjesmp.pairs import RationalMatFun
+from stieltjesmp.respoly import MatrixPolynomial, v_poly, w_poly
 
 
 def _rand_gen(rng, q):
@@ -81,3 +88,41 @@ def test_singular_denominator_reports_stage():
         compose(e_id, e_bad, np.zeros((1, 1)))
     assert err.value.stage == "inner"
     assert err.value.gap == 0.0
+
+
+def _rand_poly(rng, n, deg):
+    return MatrixPolynomial(tuple(
+        rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for _ in range(deg + 1)))
+
+
+def test_rational_kernel_matches_pointwise_action():
+    # the rational form agrees with the pointwise one away from its grid
+    rng = np.random.default_rng(44)
+    for q in (1, 2, 3):
+        e = _rand_poly(rng, 2 * q, 1)
+        phi = RationalMatFun(_rand_poly(rng, q, 1), (2.0, 1.0))
+        psi = RationalMatFun(_rand_poly(rng, q, 0), (1.0, 0.0, 0.5))
+        fun = lft_rational(e.blocks(), phi, psi, grid=(0.3 + 0.7j,))
+        for z in (1.1 - 0.4j, -0.6 + 1.3j, 2.2 + 0.1j):
+            ref = lft_pair(BlockGenerator.from_matrix(e(z)), phi(z), psi(z))
+            assert frob(fun(z) - ref) <= 1e-9 * (1.0 + frob(ref)), (q, z)
+
+
+def test_rational_kernel_gates_the_denominator():
+    q = 2
+    eye, zero = np.eye(q), np.zeros((q, q))
+    phi, psi = RationalMatFun.const(eye), RationalMatFun.const(eye)
+    # lower row [I, -I] sends (I, I) to the zero denominator
+    flat = MatrixPolynomial.constant(np.block([[eye, zero], [eye, -eye]]))
+    with pytest.raises(SingularDenominatorError) as err:
+        lft_rational(flat.blocks(), phi, psi, stage="probe")
+    assert err.value.stage == "probe"
+    # lower row [zI, O]: invertible as a polynomial, singular at z = 0
+    shift = MatrixPolynomial((np.block([[eye, zero], [zero, zero]]),
+                              np.block([[zero, zero], [eye, zero]])))
+    fun = lft_rational(shift.blocks(), phi, psi, grid=(1.0,))
+    assert_allclose(fun(2.0), eye / 2.0, atol=1e-12)
+    with pytest.raises(SingularDenominatorError) as err:
+        lft_rational(shift.blocks(), phi, psi, grid=(1.0, 0.0), stage="probe")
+    assert err.value.stage == "probe" and err.value.point == 0.0

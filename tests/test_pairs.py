@@ -82,6 +82,14 @@ def test_rational_inverse():
     zero = RationalMatFun.zero(2)
     with pytest.raises(SingularDenominatorError):
         zero.inverse()
+    # coefficient trims are absolute (1e-13), so at 1e-5 scale the adjugate
+    # route is unreliable; without the floor at 1 in the vanishing test the
+    # "inverse" of this 3 x 3 function is off by O(10), so it must refuse
+    small = _rand_rat(rng, 3, 1, (1.0, 2.0))
+    small = RationalMatFun(small.num.scale(1e-5), small.den)
+    with pytest.raises(SingularDenominatorError) as err:
+        small.inverse()
+    assert err.value.stage == "inverse"
 
 
 def test_simplify_cancels_shared_roots_only():

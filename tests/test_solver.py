@@ -20,6 +20,7 @@ from stieltjesmp.matcore import (
     DEFAULT_TOL,
     InconsistencyError,
     PreconditionError,
+    SingularDenominatorError,
     frob,
 )
 from stieltjesmp.measures import moments, stieltjes_transform, verify_solution
@@ -66,6 +67,28 @@ def test_solve_runs_the_algorithm_once(monkeypatch):
     assert calls == {"transform_trace": 1, "first_transform": 5,
                      "build_stack": 0}
     assert verify_solution(sol, seq)["ok"]
+
+    # the rank-reduced routes read the case and solve from the same trace
+    _, seq = partially_degenerate_seq(rng, 2, 1, alpha=0.25)
+    f = RationalMatFun(MatrixPolynomial.constant(np.array([[0.5]])),
+                       (1.25, -1.0))
+    small = StieltjesPair(0.25, f, RationalMatFun.const(np.eye(1)))
+    for route in (lambda: solve_equality_subset(seq, f),
+                  lambda: solve_degenerate_embedded(seq, small, mode="eq")):
+        calls["transform_trace"] = 0
+        sol = route()
+        assert calls["transform_trace"] == 1
+        assert verify_solution(sol, seq, mode="eq")["ok"]
+
+
+def test_solve_gates_the_denominator_on_its_grid():
+    # at m = 0 the solution denominator is (z - alpha) I, singular at alpha
+    seq = MomentSequence(0.5, (np.diag([2.0, 1.0]),))
+    req = SolutionRequest(seq, identity_pair(0.5, 2))
+    with pytest.raises(SingularDenominatorError) as err:
+        solve(req, grid=(0.5, 0.5 + 1j))
+    assert err.value.stage == "synthesis"
+    assert err.value.point == 0.5
 
 
 def test_case_tags():
