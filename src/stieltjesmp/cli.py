@@ -152,14 +152,10 @@ def cmd_schur(args) -> int:
     if args.k < 0 or args.k > seq.m:
         raise PreconditionError(
             f"transform order k={args.k} out of range 0..{seq.m}")
+    out = schur.k_th_transform(seq, args.k, cfg.tol)
+    payload = {"k": args.k, "sequence": out.to_json()}
     if args.trace:
-        trace = schur.transform_trace(seq, cfg.tol)
-        out = MomentSequence(seq.alpha, trace.stages[args.k])
-        payload = {"k": args.k, "sequence": out.to_json(),
-                   "trace": trace.to_json()}
-    else:
-        out = schur.k_th_transform(seq, args.k, cfg.tol)
-        payload = {"k": args.k, "sequence": out.to_json()}
+        payload["trace"] = schur.transform_trace(seq, cfg.tol).to_json()
     _emit(payload, cfg)
     return EXIT_OK
 
@@ -182,8 +178,7 @@ def cmd_solve(args) -> int:
     req = solver.SolutionRequest(seq, parameter, mode)
     grid = cfg.grid if cfg.grid is not None else pairs.default_grid(seq.alpha)
 
-    tag, rank, _ = solver.case_of(seq, cfg.tol)
-    sol = solver.solve(req, cfg.tol, grid)
+    tag, rank, sol = solver._solve(req, cfg.tol, grid)
     report = measures.verify_solution(sol, seq, mode, cfg.tol, cfg.ladder)
     payload = {
         "case": tag,

@@ -8,7 +8,7 @@ solver uses to dispatch between the degeneracy cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,9 +55,7 @@ class MomentSequence:
 
     def shifted(self) -> tuple:
         """The length-m tuple of -alpha*s_j + s_{j+1}."""
-        return tuple(
-            -self.alpha * self.s[j] + self.s[j + 1] for j in range(self.m)
-        )
+        return _shifted(self.alpha, self.s)
 
     def restricted(self, ell: int) -> "MomentSequence":
         if not 0 <= ell <= self.m:
@@ -86,15 +84,16 @@ class HankelStack:
       Halpha[n]  blocks -alpha*s_{j+k} + s_{j+k+1},  2n + 1 <= m
       L[n]       s_{2n} minus Schur complement,      2n     <= m
       Lalpha[n]  same on the shifted sequence,       2n + 1 <= m
-
-    :func:`classify` does not build it: per stage it needs only the two
-    top Hankel matrices (:func:`cone_margins`) and the top complement.
     """
 
     H: tuple
     Halpha: tuple
     L: tuple
     Lalpha: tuple
+
+
+def _shifted(alpha: float, mats) -> tuple:
+    return tuple(-alpha * mats[j] + mats[j + 1] for j in range(len(mats) - 1))
 
 
 def _block_hankel(mats, n: int) -> np.ndarray:
@@ -116,10 +115,6 @@ def _theta(mats, n: int, tol: ToleranceConfig) -> np.ndarray:
     return z @ matcore.pinv(_block_hankel(mats, n - 1), tol) @ y
 
 
-def _schur_l(mats, n: int, tol: ToleranceConfig) -> np.ndarray:
-    return mats[2 * n] - _theta(mats, n, tol)
-
-
 def build_stack(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> HankelStack:
     m = seq.m
     mats = list(seq.s)
@@ -127,8 +122,9 @@ def build_stack(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> Hank
     return HankelStack(
         H=tuple(_block_hankel(mats, n) for n in range(m // 2 + 1)),
         Halpha=tuple(_block_hankel(shifted, n) for n in range((m - 1) // 2 + 1)),
-        L=tuple(_schur_l(mats, n, tol) for n in range(m // 2 + 1)),
-        Lalpha=tuple(_schur_l(shifted, n, tol) for n in range((m - 1) // 2 + 1)),
+        L=tuple(mats[2 * n] - _theta(mats, n, tol) for n in range(m // 2 + 1)),
+        Lalpha=tuple(shifted[2 * n] - _theta(shifted, n, tol)
+                     for n in range((m - 1) // 2 + 1)),
     )
 
 
@@ -158,7 +154,7 @@ def inverse_parametrization(alpha: float, qs,
             theta = _theta(mats, k, tol) if k else np.zeros_like(qj)
             mats.append(theta + qj)
         else:
-            shifted = [-alpha * mats[i] + mats[i + 1] for i in range(len(mats) - 1)]
+            shifted = _shifted(alpha, mats)
             theta = _theta(shifted, k, tol) if k else np.zeros_like(qj)
             mats.append(alpha * mats[2 * k] + theta + qj)
     return MomentSequence(alpha, tuple(mats))
@@ -171,6 +167,9 @@ class ClassReport:
     extendable_candidate is three-valued ('yes'/'no'/'unknown'): there is no
     constructive one-shot test for one-step extendability, so it is decided
     by the stagewise criterion in :func:`classify`'s docstring.
+
+    ``trace`` is the algorithm run the verdicts were read from, which the
+    solver reuses; it takes no part in ``==``, ``repr`` or :meth:`to_json`.
     """
 
     q: int
@@ -182,6 +181,7 @@ class ClassReport:
     completely_degenerate: bool
     extendable_candidate: str
     rank_top: int
+    trace: object = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -203,72 +203,55 @@ def cone_margins(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> tup
 
     The sequence lies in the moment cone when both are >= -tol.psd.
     """
-    tops = [_block_hankel(seq.s, seq.m // 2)]
-    if seq.m >= 1:
-        tops.append(_block_hankel(seq.shifted(), (seq.m - 1) // 2))
+    return _cone_margins(seq.alpha, seq.s, tol)
+
+
+def _cone_margins(alpha: float, mats, tol: ToleranceConfig) -> tuple:
+    m = len(mats) - 1
+    tops = [_block_hankel(mats, m // 2)]
+    if m >= 1:
+        tops.append(_block_hankel(_shifted(alpha, mats), (m - 1) // 2))
     return tuple(matcore.psd_margin(t, tol) for t in tops)
 
 
-def _dominated_by_first(seq: MomentSequence, tol: ToleranceConfig) -> bool:
-    s0 = seq.s[0]
-    for sj in seq.s[1:]:
-        if not matcore.range_contains(s0, sj, tol):
-            return False
-        if not matcore.null_contains(s0, sj, tol):
-            return False
-    return True
-
-
-def _top_entry(seq: MomentSequence, tol: ToleranceConfig) -> np.ndarray:
-    """Q_m, the top interleaved Schur complement, with entries at or below
-    tol.psd times the sequence scale set to zero."""
-    mats = seq.s if seq.m % 2 == 0 else seq.shifted()
-    q_top = matcore.hermitize(_schur_l(mats, seq.m // 2, tol), tol)
-    cut = tol.psd * max(1.0, max(matcore.frob(x) for x in seq.s))
-    q_top[np.abs(q_top) <= cut] = 0.0
-    return q_top
-
-
 def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
-    """Full membership report.
+    """Full membership report, read from one run of the algorithm.
 
     The moment cone test checks the top plain Hankel matrix together with
-    the top shifted one; strict positivity upgrades the verdict.  Complete
-    degeneracy means the top parametrization entry vanishes after an
-    entrywise hard threshold.  The extendability candidate walks the
+    the top shifted one; strict positivity upgrades the verdict.  Q_m is
+    the last entry of the algorithm's diagonal, whose steps set a stage of
+    rounding to zero, and rank_top is its numerical rank; complete
+    degeneracy means rank 0.  The extendability candidate walks the
     algorithm's stages: a stage outside the cone settles it as 'no'
     ('unknown' when borderline); a cone member settles it as 'yes' when it
     is strictly positive or completely degenerate (both are sufficient) or
-    when m = 0; otherwise its ranges must be dominated by s_0 (failing is
-    disqualifying) and the next stage decides.
+    when it is a single term; otherwise its ranges must be dominated by its
+    first term (failing is disqualifying) and the next stage decides.
     """
     from . import schur
 
     margins = cone_margins(seq, tol)
     lo = min(margins)
-    dominant = _dominated_by_first(seq, tol)
-    q_top = _top_entry(seq, tol)
+    dominant = matcore.dominates(seq.s[0], seq.s[1:], tol)
+    trace = schur.transform_trace(seq, tol)
+    rank_top = matcore.rank_with_tol(trace.diagonal[-1], tol)
 
-    stage, stage_lo = seq, lo
-    while True:
+    candidate = "yes"
+    for k, stage in enumerate(trace.stages):
+        stage_lo = lo if k == 0 else min(_cone_margins(seq.alpha, stage, tol))
         borderline = abs(stage_lo) < 10.0 * tol.psd
         if stage_lo < -tol.psd:
             candidate = "unknown" if borderline else "no"
             break
-        if stage_lo > tol.psd and not borderline:
-            candidate = "yes"
+        # strict positivity and complete degeneracy both suffice, and a
+        # PSD single term always extends: append alpha*s_0 + s_0
+        if stage_lo > tol.psd and not borderline or rank_top == 0 \
+                or k == seq.m:
             break
-        # complete degeneracy suffices, and a PSD single term always
-        # extends: append alpha*s_0 + s_0
-        top = q_top if stage is seq else _top_entry(stage, tol)
-        if not np.any(top) or stage.m == 0:
-            candidate = "yes"
-            break
-        if not (dominant if stage is seq else _dominated_by_first(stage, tol)):
+        if not (dominant if k == 0
+                else matcore.dominates(stage[0], stage[1:], tol)):
             candidate = "no"
             break
-        stage = schur.first_transform(stage, tol)
-        stage_lo = min(cone_margins(stage, tol))
 
     return ClassReport(
         q=seq.q,
@@ -277,7 +260,8 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
         stieltjes_psd=lo >= -tol.psd,
         stieltjes_pd=lo > tol.psd,
         first_term_dominant=dominant,
-        completely_degenerate=not np.any(q_top),
+        completely_degenerate=rank_top == 0,
         extendable_candidate=candidate,
-        rank_top=matcore.rank_with_tol(q_top, tol),
+        rank_top=rank_top,
+        trace=trace,
     )

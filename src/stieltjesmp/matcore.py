@@ -27,6 +27,7 @@ __all__ = [
     "psd_margin",
     "range_contains",
     "null_contains",
+    "dominates",
     "rank_with_tol",
     "lowner_leq_chain",
     "signature_j",
@@ -123,7 +124,11 @@ def hermitize(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Return (A + A*)/2, rejecting gross asymmetry.
 
     Asymmetry beyond ``tol.herm`` relative to the matrix size is treated as
-    a construction error rather than silently repaired.
+    a construction error rather than silently repaired.  It is meant for
+    values from outside the package (``MomentSequence``, ``DiscreteMeasure``,
+    caller seeds).  The algorithm's computed stages are symmetrized without
+    it: their asymmetry is rounding, large relative to a small result of
+    cancellation.
     """
     m = as_cmat(a)
     if m.shape[0] != m.shape[1]:
@@ -171,8 +176,7 @@ def range_contains(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     b = as_cmat(b)
     if a.shape[0] != b.shape[0]:
         raise ValueError("row counts differ")
-    resid = frob(a @ pinv(a, tol) @ b - b)
-    return resid <= tol.inclusion * (1.0 + frob(b))
+    return _negligible(a @ pinv(a, tol) @ b - b, b, tol)
 
 
 def null_contains(a, c, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -181,8 +185,21 @@ def null_contains(a, c, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     c = as_cmat(c)
     if a.shape[1] != c.shape[1]:
         raise ValueError("column counts differ")
-    resid = frob(c @ pinv(a, tol) @ a - c)
-    return resid <= tol.inclusion * (1.0 + frob(c))
+    return _negligible(c @ pinv(a, tol) @ a - c, c, tol)
+
+
+def dominates(a, bs, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """``range_contains(a, b)`` and ``null_contains(a, b)`` for every B in
+    ``bs``, with one A^+ for all of them."""
+    a = as_cmat(a)
+    ap = pinv(a, tol)
+    proj = a @ ap
+    return all(_negligible(proj @ b - b, b, tol)
+               and _negligible(b @ ap @ a - b, b, tol) for b in bs)
+
+
+def _negligible(resid, b, tol: ToleranceConfig) -> bool:
+    return frob(resid) <= tol.inclusion * (1.0 + frob(b))
 
 
 def rank_with_tol(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -28,27 +28,49 @@ __all__ = [
 ]
 
 
-def reciprocal(seq, tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """Reciprocal sequence: r_0 = s_0^+, r_j = -s_0^+ sum_{l<j} s_{j-l} r_l."""
-    mats = [matcore.as_cmat(x) for x in seq]
-    if not mats:
+def reciprocal(mats, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Reciprocal of stacked matrices: r_0 = s_0^+,
+    r_j = -s_0^+ sum_{l<j} s_{j-l} r_l."""
+    if len(mats) == 0:
         raise ValueError("reciprocal of an empty sequence")
-    s0p = matcore.pinv(mats[0], tol)
-    out = [s0p]
+    mats = _stacked(mats)
+    out = np.empty_like(mats)
+    out[0] = matcore.pinv(mats[0], tol)
+    neg = -out[0]
     for j in range(1, len(mats)):
-        acc = sum(mats[j - l] @ out[l] for l in range(j))
-        out.append(-s0p @ acc)
+        out[j] = neg @ sum(mats[j:0:-1] @ out[:j])
     return out
 
 
-def alpha_shift(alpha: float, seq) -> list:
-    """Entrywise -alpha*s_{j-1} + s_j with the convention s_{-1} = 0."""
-    mats = [matcore.as_cmat(x) for x in seq]
-    out = []
-    prev = np.zeros_like(mats[0])
-    for s in mats:
-        out.append(-alpha * prev + s)
-        prev = s
+def alpha_shift(alpha: float, mats) -> np.ndarray:
+    """Stacked -alpha*s_{j-1} + s_j with the convention s_{-1} = 0."""
+    mats = _stacked(mats)
+    return -alpha * np.concatenate((np.zeros_like(mats[:1]), mats[:-1])) + mats
+
+
+def _stacked(mats) -> np.ndarray:
+    out = np.asarray(mats, dtype=complex)
+    if out.ndim != 3 or not np.all(np.isfinite(out)):
+        raise ValueError("expected finite matrices of one shape")
+    return out
+
+
+def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """:func:`first_transform` on stacked matrices.
+
+    The outputs are Hermitian in exact arithmetic; their asymmetry is
+    rounding, so they are symmetrized.  When the first output is at or
+    below tol.psd times the first input (Frobenius norms), the outputs are
+    the rounding passed on from the input's larger later entries, which
+    the next step's pseudoinverse would amplify: they are set to zero, and
+    every later step then gives zeros.
+    """
+    out = -s[0] @ reciprocal(alpha_shift(alpha, s), tol)[1:] @ s[0]
+    out = 0.5 * (out + out.conj().transpose(0, 2, 1))
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix contains non-finite entries")
+    if matcore.frob(out[0]) <= tol.psd * matcore.frob(s[0]):
+        return np.zeros_like(out)
     return out
 
 
@@ -56,15 +78,11 @@ def first_transform(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """One algorithm step; shortens the sequence by one.
 
     Entry j of the output is -s_0 r_{j+1} s_0 where r is the reciprocal of
-    the shifted sequence.  Outputs are re-symmetrized (they are Hermitian
-    in exact arithmetic for Hermitian input).
+    the shifted sequence; see :func:`_step` for the rounding it removes.
     """
     if seq.m < 1:
         raise PreconditionError("transform needs at least two sequence entries")
-    rec = reciprocal(alpha_shift(seq.alpha, seq.s), tol)
-    s0 = seq.s[0]
-    mats = tuple(matcore.hermitize(-s0 @ rec[j + 1] @ s0, tol) for j in range(seq.m))
-    return MomentSequence(seq.alpha, mats)
+    return MomentSequence(seq.alpha, tuple(_step(seq.alpha, np.array(seq.s), tol)))
 
 
 def k_th_transform(seq: MomentSequence, k: int,
@@ -97,11 +115,12 @@ class TransformTrace:
 
 
 def transform_trace(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> TransformTrace:
-    stages = [seq.s]
-    cur = seq
+    """The algorithm run to its last stage; stage k has m-k+1 entries and
+    equals ``k_th_transform(seq, k)``."""
+    stages = [np.array(seq.s)]
     for _ in range(seq.m):
-        cur = first_transform(cur, tol)
-        stages.append(cur.s)
+        stages.append(_step(seq.alpha, stages[-1], tol))
+    stages = [seq.s] + [tuple(stage) for stage in stages[1:]]
     return TransformTrace(
         input=seq,
         stages=tuple(stages),
@@ -117,7 +136,8 @@ def inverse_transform(t: MomentSequence, a,
         r_0 = a,
         r_j = alpha r_{j-1} + a a^+ sum_{k<j} t_{j-1-k} a^+ (shift r)_k,
     which agrees with the literal nested-sum definition (the test suite
-    checks them against each other).
+    checks them against each other).  The seed is checked for asymmetry;
+    the computed entries are symmetrized.
     """
     a = matcore.hermitize(a, tol)
     ap = matcore.pinv(a, tol)
@@ -127,7 +147,8 @@ def inverse_transform(t: MomentSequence, a,
     shifted = [a]  # (shift r)_k, maintained alongside
     for j in range(1, t.m + 2):
         acc = sum(t.s[j - 1 - k] @ ap @ shifted[k] for k in range(j))
-        nxt = matcore.hermitize(alpha * out[-1] + proj @ acc, tol)
+        nxt = alpha * out[-1] + proj @ acc
+        nxt = 0.5 * (nxt + nxt.conj().T)
         shifted.append(-alpha * out[-1] + nxt)
         out.append(nxt)
     return MomentSequence(alpha, tuple(out))

@@ -1,9 +1,9 @@
 """End-to-end solution of the truncated half-axis moment problem.
 
-The pipeline: classify the sequence, run the transform algorithm to get
-the diagonal, build the descent resolvent, gate the parameter pair
-(admissibility, range condition against the top diagonal entry, decay for
-the equality problem), then synthesize the solution
+The pipeline: classify the sequence, which runs the transform algorithm
+once, build the descent resolvent from that run's diagonal, gate the
+parameter pair (admissibility, range condition against the top diagonal
+entry, decay for the equality problem), then synthesize the solution
 
     F = (V_nw phi + V_ne psi) (V_sw phi + V_se psi)^(-1)
 
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lft, matcore, pairs, respoly, schur
-from .hankel import MomentSequence, classify
+from . import lft, matcore, pairs, respoly
+from .hankel import ClassReport, MomentSequence, classify
 from .matcore import (
     DEFAULT_TOL,
     InconsistencyError,
@@ -61,20 +61,19 @@ class SolutionRequest:
 
 
 def case_of(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL):
-    """(case tag, rank r, top diagonal entry) for a sequence."""
-    return _case(schur.transform_trace(seq, tol), tol)
+    """(case tag, rank r, top diagonal entry), with classify's rank_top."""
+    return _case(classify(seq, tol))
 
 
-def _case(trace: schur.TransformTrace, tol: ToleranceConfig):
-    top = trace.diagonal[-1]
-    r = matcore.rank_with_tol(top, tol)
-    if r == trace.input.q:
+def _case(report: ClassReport):
+    r = report.rank_top
+    if r == report.q:
         tag = CASE_NONDEGENERATE
     elif r == 0:
         tag = CASE_COMPLETELY_DEGENERATE
     else:
         tag = CASE_PARTIALLY_DEGENERATE
-    return tag, r, top
+    return tag, r, report.trace.diagonal[-1]
 
 
 def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
@@ -146,26 +145,28 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
     problem additionally requires the decaying subclass.  Equivalent
     parameters give the same function.
     """
-    return _solve_traced(req, _extendable_trace(req.seq, tol), tol, grid)
+    return _solve(req, tol, grid)[2]
 
 
-def _extendable_trace(seq: MomentSequence, tol: ToleranceConfig):
-    """The one algorithm trace of a sequence certified extendable."""
+def _classified(seq: MomentSequence, tol: ToleranceConfig) -> ClassReport:
+    """The report of a sequence certified extendable."""
     report = classify(seq, tol)
     if report.extendable_candidate != "yes":
         raise PreconditionError(
             "sequence is not certified extendable "
             f"(candidate: {report.extendable_candidate}); "
             "the resolvent construction needs every algorithm stage in the cone")
-    return schur.transform_trace(seq, tol)
+    return report
 
 
-def _solve_traced(req: SolutionRequest, trace: schur.TransformTrace,
-                  tol: ToleranceConfig, grid) -> RationalMatFun:
-    """``solve`` on the trace of ``req.seq`` that the caller already ran."""
+def _solve(req: SolutionRequest, tol: ToleranceConfig, grid,
+           report: ClassReport | None = None) -> tuple:
+    """(case tag, rank r, solution) of ``req`` from one classify of its
+    sequence; ``report`` is that classify when the caller already ran it."""
     seq = req.seq
+    report = _classified(seq, tol) if report is None else report
     grid = pairs.default_grid(seq.alpha) if grid is None else tuple(grid)
-    tag, r, top = _case(trace, tol)
+    tag, r, top = _case(report)
     pre = pairs.verify_pair(req.parameter, tol, grid)
     if not pre["ok"]:
         raise PreconditionError(f"parameter pair is not admissible: {pre}")
@@ -180,9 +181,10 @@ def _solve_traced(req: SolutionRequest, trace: schur.TransformTrace,
                 "equality problem needs a decaying parameter; quotient norms "
                 f"{decay['norms']}")
 
-    blocks, _ = respoly.compose_resolvent(trace, tol)
-    return lft.lft_rational(blocks, req.parameter.phi, req.parameter.psi,
-                            tol, grid, stage="synthesis")
+    blocks, _ = respoly.compose_resolvent(report.trace, tol)
+    return tag, r, lft.lft_rational(blocks, req.parameter.phi,
+                                    req.parameter.psi, tol, grid,
+                                    stage="synthesis")
 
 
 def _range_basis(a, r: int, tol: ToleranceConfig) -> np.ndarray:
@@ -208,8 +210,8 @@ def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
     ``w`` = [u, complement] is supplied, the lift uses the conjugated
     block-diagonal form, which agrees with the u-form.
     """
-    trace = _extendable_trace(seq, tol)
-    tag, r, top = _case(trace, tol)
+    report = _classified(seq, tol)
+    tag, r, top = _case(report)
     if pair.q > seq.q or pair.q != r:
         raise PreconditionError(
             f"parameter size {pair.q} must equal the degeneracy rank {r}")
@@ -229,7 +231,7 @@ def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
         raise PreconditionError(
             "columns of u must span the range of the top diagonal entry")
     lifted = pairs.gamma_U_embed(pair.phi, pair.psi, u_eff, seq.alpha, tol)
-    return _solve_traced(SolutionRequest(seq, lifted, mode), trace, tol, grid)
+    return _solve(SolutionRequest(seq, lifted, mode), tol, grid, report)[2]
 
 
 def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
@@ -240,8 +242,8 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
     r is the rank of the top diagonal entry; the completely degenerate
     case has no free parameter and is redirected to the unique solution.
     """
-    trace = _extendable_trace(seq, tol)
-    tag, r, top = _case(trace, tol)
+    report = _classified(seq, tol)
+    tag, r, top = _case(report)
     if r == 0:
         raise PreconditionError(
             "completely degenerate sequence: the problem has a unique "
@@ -255,7 +257,7 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
             f"parameter does not decay along the imaginary axis: {decay['norms']}")
     u = _range_basis(top, r, tol)
     lifted = pairs.gamma_U_embed(small.phi, small.psi, u, seq.alpha, tol)
-    return _solve_traced(SolutionRequest(seq, lifted, "eq"), trace, tol, grid)
+    return _solve(SolutionRequest(seq, lifted, "eq"), tol, grid, report)[2]
 
 
 def m0_base_case_check(fun: RationalMatFun, s0, alpha: float = 0.0,

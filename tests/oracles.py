@@ -118,7 +118,9 @@ def oracle_classify(seq, tol=None):
 
     Every level rebuilds the stack and the full parametrization of its
     sequence and recomputes each verdict from them, then recurses through
-    one algorithm step.  It uses the package's block-Hankel layer
+    one algorithm step.  Q_m is the top block-Hankel Schur complement of
+    each level, a second route beside the library's, which reads it off
+    the algorithm's diagonal.  It uses the package's block-Hankel layer
     (``build_stack``, ``stieltjes_parametrization``), ``first_transform``
     and the matcore predicates, so it checks how the library's classifier
     walks and reuses the stages, not those building blocks.
@@ -146,7 +148,10 @@ def oracle_classify(seq, tol=None):
                    and matcore.null_contains(s.s[0], x, tol) for x in s.s[1:])
 
     def top(s):
-        q_top = matcore.hermitize(stieltjes_parametrization(s, tol)[-1], tol)
+        # symmetrized, not checked: like the library's algorithm outputs,
+        # this Schur complement is computed, and its asymmetry is rounding
+        q_top = stieltjes_parametrization(s, tol)[-1]
+        q_top = 0.5 * (q_top + q_top.conj().T)
         cut = tol.psd * max(1.0, max(matcore.frob(x) for x in s.s))
         return np.where(np.abs(q_top) <= cut, 0.0, q_top)
 

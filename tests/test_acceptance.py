@@ -143,16 +143,24 @@ def test_criterion_03_schur_roundtrips():
     rng = np.random.default_rng(303)
     scale = lambda seq: 1.0 + max(frob(x) for x in seq.s)
 
-    # (a) order-k transform composes from repeated single steps
-    for q, m in [(1, 3), (2, 3), (3, 2), (4, 2)]:
-        _, seq = measure_seq(rng, q, m, atoms=m + 1)
-        for k in range(m + 1):
+    # (a) order-k transform composes from repeated single steps, and is
+    # stage k of the trace; one atom at m = 8 collapses, its stages from
+    # the second on being rounding that every route sets to zero
+    seqs = [measure_seq(rng, q, m, atoms=m + 1)[1]
+            for q, m in [(1, 3), (2, 3), (3, 2), (4, 2)]]
+    seqs.append(moments(random_measure(np.random.default_rng(3), 1, 1), 8))
+    for seq in seqs:
+        stages = transform_trace(seq).stages
+        for k in range(seq.m + 1):
             stepped = seq
             for _ in range(k):
                 stepped = first_transform(stepped)
             direct = k_th_transform(seq, k)
             gap = max(frob(a - b) for a, b in zip(direct.s, stepped.s))
-            assert gap <= 1e-10 * scale(seq), (q, m, k, gap)
+            assert gap <= 1e-10 * scale(seq), (seq.q, seq.m, k, gap)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(direct.s, stages[k])), (seq.m, k)
+    assert not np.any(stages[2])
 
     # (b) ascent undoes descent when the first term dominates
     for q, m in [(1, 2), (2, 2), (3, 3), (2, 4)]:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import oracles
 from conftest import (
+    cauchy_pair,
     completely_degenerate_seq,
     measure_seq,
     nondegenerate_seq,
@@ -17,8 +18,9 @@ from stieltjesmp.hankel import (
     inverse_parametrization,
     stieltjes_parametrization,
 )
-from stieltjesmp.matcore import DEFAULT_TOL, PreconditionError, frob
-from stieltjesmp.measures import DiscreteMeasure, moments
+from stieltjesmp.matcore import DEFAULT_TOL, frob
+from stieltjesmp.measures import DiscreteMeasure, moments, verify_solution
+from stieltjesmp.solver import SolutionRequest, solve
 
 
 def test_sequence_validation():
@@ -190,18 +192,22 @@ def test_classify_matches_recursive_oracle():
 
     # the fixtures: the non-extendable cone member, a borderline and a
     # negative definite single term, and exact moments at (2, 8) with
-    # nodes up to 6, whose top Schur complement comes out asymmetric
-    # beyond tolerance, so classify raises a false "not Hermitian" there
+    # nodes up to 6, whose computed Q_m is asymmetric by rounding well
+    # beyond tol.herm; computed matrices are symmetrized, so this measure
+    # classifies as extendable, solves and verifies
     s0 = np.array([[1.0, 0.0], [0.0, 0.0]])
     s1 = np.array([[1.0, 1.0], [1.0, 1.0]])
+    _, seq8 = nondegenerate_seq(np.random.default_rng(0), 2, 8)
     fixtures = [MomentSequence(0.0, (s0, s1)),
                 MomentSequence(0.0, (np.diag([1.0, -5e-9]),)),
                 MomentSequence(0.0, (-np.eye(2),)),
-                nondegenerate_seq(np.random.default_rng(0), 2, 8)[1]]
+                seq8]
     got = [_outcome(classify, seq) for seq in fixtures]
     for seq, rep in zip(fixtures, got):
         assert rep == _outcome(oracles.oracle_classify, seq)
-    assert got[3][0] is PreconditionError and "not Hermitian" in got[3][1]
+    assert got[3].extendable_candidate == "yes" and got[3].rank_top == 2
+    sol = solve(SolutionRequest(seq8, cauchy_pair(0.0, 2)))
+    assert verify_solution(sol, seq8)["ok"]
 
 
 def test_json_roundtrip():

@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from conftest import measure_seq, nondegenerate_seq, random_psd
+from conftest import measure_seq, nondegenerate_seq, random_measure, random_psd
 from stieltjesmp.hankel import MomentSequence, stieltjes_parametrization
-from stieltjesmp.matcore import DEFAULT_TOL, PreconditionError, frob
+from stieltjesmp.matcore import DEFAULT_TOL, PreconditionError, frob, pinv
+from stieltjesmp.measures import moments
 from stieltjesmp.schur import (
     alpha_shift,
     check_inequality_preservation,
@@ -74,6 +75,17 @@ def test_kth_transform_composes():
     with pytest.raises(PreconditionError):
         k_th_transform(seq, 6)
 
+    # exact moments of one atom collapse: their stages from the second on
+    # are rounding, set to zero; they compose too, since each step reads
+    # only its own input
+    seq = moments(random_measure(np.random.default_rng(3), 1, 1), 8)
+    for j, k in [(1, 1), (1, 3), (2, 4), (0, 8)]:
+        lhs = k_th_transform(seq, j + k)
+        rhs = k_th_transform(k_th_transform(seq, j), k)
+        assert all(np.array_equal(a, b) for a, b in zip(lhs.s, rhs.s))
+    assert np.any(k_th_transform(seq, 1).s[0])
+    assert not np.any(k_th_transform(seq, 2).s)
+
 
 def test_trace_diagonal_equals_parametrization():
     rng = np.random.default_rng(23)
@@ -86,6 +98,28 @@ def test_trace_diagonal_equals_parametrization():
         scale = 1 + max(frob(x) for x in seq.s)
         worst = max(frob(a - b) for a, b in zip(trace.diagonal, qs))
         assert worst <= 1e-9 * scale
+
+
+def test_trace_steps_match_loop_arithmetic_exactly():
+    # each step runs on stacked arrays, with the arithmetic of the loop
+    # below entry for entry, so every stage agrees with it to the last bit
+    rng = np.random.default_rng(25)
+    for q, m, alpha in [(1, 6, 0.0), (2, 5, -0.7), (3, 4, 1.3)]:
+        _, seq = measure_seq(rng, q, m, alpha=alpha)
+        trace = transform_trace(seq)
+        for k in range(m):
+            mats = trace.stages[k]
+            shifted, prev = [], np.zeros_like(mats[0])
+            for x in mats:
+                shifted.append(-alpha * prev + x)
+                prev = x
+            s0p = pinv(shifted[0])
+            rec = [s0p]
+            for j in range(1, len(mats)):
+                rec.append(-s0p @ sum(shifted[j - l] @ rec[l] for l in range(j)))
+            loop = [-mats[0] @ r @ mats[0] for r in rec[1:]]
+            for got, x in zip(trace.stages[k + 1], loop):
+                assert np.array_equal(got, 0.5 * (x + x.conj().T))
 
 
 def test_inverse_transform_matches_nested_sum_oracle():

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -11,10 +14,11 @@ from conftest import (
     measure_seq,
     nondegenerate_seq,
     partially_degenerate_seq,
+    random_measure,
     random_psd,
     sample_points,
 )
-from stieltjesmp import hankel, schur
+from stieltjesmp import cli, hankel, schur, serialize
 from stieltjesmp.hankel import MomentSequence
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
@@ -49,13 +53,12 @@ def test_request_validation():
         SolutionRequest(seq, identity_pair(1.0, 2), "leq")
 
 
-def test_solve_runs_the_algorithm_once(monkeypatch):
-    # classify settles a strictly positive sequence at stage 0, and the
-    # case tag, the top entry and the resolvent all read one trace
-    calls = dict.fromkeys(("transform_trace", "first_transform",
-                           "build_stack"), 0)
+def test_solve_runs_the_algorithm_once(monkeypatch, tmp_path, capsys):
+    # classify runs the one trace, which steps the algorithm m times, and
+    # the case tag, the top entry and the resolvent all read from it
+    calls = dict.fromkeys(("transform_trace", "_step", "build_stack"), 0)
     for module, name in ((schur, "transform_trace"),
-                         (schur, "first_transform"),
+                         (schur, "_step"),
                          (hankel, "build_stack")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -64,9 +67,11 @@ def test_solve_runs_the_algorithm_once(monkeypatch):
     rng = np.random.default_rng(71)
     _, seq = nondegenerate_seq(rng, 2, 5)
     sol = solve(SolutionRequest(seq, cauchy_pair(0.0, 2)))
-    assert calls == {"transform_trace": 1, "first_transform": 5,
-                     "build_stack": 0}
+    assert calls == {"transform_trace": 1, "_step": 5, "build_stack": 0}
     assert verify_solution(sol, seq)["ok"]
+    calls["transform_trace"] = 0
+    hankel.classify(seq)
+    assert calls["transform_trace"] == 1
 
     # the rank-reduced routes read the case and solve from the same trace
     _, seq = partially_degenerate_seq(rng, 2, 1, alpha=0.25)
@@ -79,6 +84,18 @@ def test_solve_runs_the_algorithm_once(monkeypatch):
         sol = route()
         assert calls["transform_trace"] == 1
         assert verify_solution(sol, seq, mode="eq")["ok"]
+
+    # so does ``cli solve``, which prints the case beside the solution
+    _, seq = nondegenerate_seq(rng, 2, 3)
+    path = tmp_path / "problem.json"
+    path.write_text(serialize.dumps({
+        "sequence": serialize.sequence_to_json(seq.alpha, seq.s),
+        "parameter": serialize.pair_to_json(cauchy_pair(seq.alpha, 2)),
+        "mode": "leq"}), encoding="utf-8")
+    calls["transform_trace"] = 0
+    assert cli.main(["solve", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == "NonDegenerate"
+    assert calls["transform_trace"] == 1
 
 
 def test_solve_gates_the_denominator_on_its_grid():
@@ -101,6 +118,49 @@ def test_case_tags():
     tag, r, top = case_of(seq)
     assert tag == "PartiallyDegenerate" and r == 1
     assert top.shape == (3, 3)
+
+
+def test_case_of_reads_classify_rank_on_one_atom_measures():
+    # exact moments of one atom up to m = 8: every stage from the second on
+    # is rounding, which the next step's pseudoinverse would amplify into a
+    # nonzero Q_m (0.93 at seed 3) and into a resolvent whose solution
+    # misses the moments (seed 12); case_of must give classify's rank 0,
+    # and the (O, I) solution must verify
+    for q, seed in ((1, 3), (1, 12), (2, 15)):
+        mu = random_measure(np.random.default_rng(seed), q, 1)
+        seq = moments(mu, 8)
+        tag, r, top = case_of(seq)
+        assert (tag, r) == ("CompletelyDegenerate", 0)
+        assert r == hankel.classify(seq).rank_top
+        assert not np.any(top)
+        sol = solve(SolutionRequest(seq, identity_pair(seq.alpha, q)))
+        assert verify_solution(sol, seq)["ok"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 12),
+       st.floats(0.5, 10.0), st.floats(-1.0, 1.0))
+def test_exact_moments_of_a_measure_are_never_refused(seed, q, m, spread,
+                                                      alpha):
+    # exact moments of m+1 atoms with nodes up to alpha + spread: classify
+    # certifies them extendable and solve accepts the Cauchy pair.  Neither
+    # raises: not the false "not Hermitian" of a computed matrix under an
+    # asymmetry check, nor a range refusal from a rank cut at the scale of
+    # the whole input.  At q = 1, Q_m > 0, and only rank_with_tol's
+    # absolute floor tol.psd may call it zero.  At large m and spread the
+    # solution can miss the moments by conditioning, so verification is not
+    # asserted.  solve runs only where its synthesis, whose cost grows with
+    # q (m + 1), stays cheap.
+    mu = random_measure(np.random.default_rng(seed), q, m + 1, alpha=alpha,
+                        spread=spread)
+    seq = moments(mu, m)
+    report = hankel.classify(seq)
+    assert report.extendable_candidate == "yes"
+    if q == 1:
+        q_top = abs(report.trace.diagonal[-1][0, 0])
+        assert report.completely_degenerate == (q_top <= DEFAULT_TOL.psd)
+    if q * (m + 1) <= 16:
+        solve(SolutionRequest(seq, cauchy_pair(alpha, q)))
 
 
 def test_transform_duality_on_measure_functions():
