@@ -130,13 +130,7 @@ def _emit(payload, cfg: CliConfig) -> None:
 
 
 def _samples(fun, grid) -> list:
-    out = []
-    for z in grid:
-        try:
-            out.append({"z": complex(z), "F": fun(complex(z))})
-        except SingularDenominatorError:
-            continue
-    return out
+    return [{"z": z, "F": value} for z, value in pairs.off_poles(fun, grid)]
 
 
 def cmd_classify(args) -> int:
@@ -152,10 +146,11 @@ def cmd_schur(args) -> int:
     if args.k < 0 or args.k > seq.m:
         raise PreconditionError(
             f"transform order k={args.k} out of range 0..{seq.m}")
-    out = schur.k_th_transform(seq, args.k, cfg.tol)
+    trace = schur.transform_trace(seq, cfg.tol)
+    out = MomentSequence(seq.alpha, trace.stages[args.k])
     payload = {"k": args.k, "sequence": out.to_json()}
     if args.trace:
-        payload["trace"] = schur.transform_trace(seq, cfg.tol).to_json()
+        payload["trace"] = trace.to_json()
     _emit(payload, cfg)
     return EXIT_OK
 

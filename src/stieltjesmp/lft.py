@@ -5,9 +5,9 @@ A generator E = [[a, b], [c, d]] acts on a single matrix x as
 (ax + by)(cx + dy)^(-1).  The lower block row [c, d] must have full row
 rank, otherwise no input can ever make the denominator invertible.
 
-``lft_matrix``/``lft_pair`` evaluate the action at a point, ``lft_rational``
-on rational matrix functions; every denominator passes ``check_denominator``
-(pointwise) or ``det_or_none`` (identically singular determinant).
+``lft_pair`` evaluates the action at a point, ``lft_rational`` on rational
+matrix functions; every denominator passes ``check_denominator`` (pointwise)
+or ``det_or_none`` (identically singular determinant).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .matcore import (
 )
 from .respoly import MatrixPolynomial, adjugate_poly, det_poly
 
-__all__ = ["BlockGenerator", "check_denominator", "det_or_none", "lft_matrix",
-           "lft_pair", "lft_rational", "compose"]
+__all__ = ["BlockGenerator", "check_denominator", "det_or_none", "lft_pair",
+           "lft_rational"]
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,6 @@ class BlockGenerator:
         q = e.shape[0] // 2
         return cls(e[:q, :q], e[:q, q:], e[q:, :q], e[q:, q:])
 
-    def __matmul__(self, other: "BlockGenerator") -> "BlockGenerator":
-        return BlockGenerator.from_matrix(self.as_matrix() @ other.as_matrix())
-
 
 def check_denominator(den: np.ndarray, tol: ToleranceConfig, stage: str,
                       point=None) -> None:
@@ -87,13 +84,6 @@ def check_denominator(den: np.ndarray, tol: ToleranceConfig, stage: str,
         )
 
 
-def _solve_right(num: np.ndarray, den: np.ndarray,
-                 tol: ToleranceConfig, stage: str) -> np.ndarray:
-    """num @ den^(-1) with a conditioning gate on the denominator."""
-    check_denominator(den, tol, stage)
-    return np.linalg.solve(den.T, num.T).T
-
-
 def det_or_none(den: MatrixPolynomial):
     """Coefficients of det den(z), or None if it vanishes identically.
 
@@ -107,17 +97,13 @@ def det_or_none(den: MatrixPolynomial):
     return det
 
 
-def lft_matrix(e: BlockGenerator, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """(a x + b)(c x + d)^(-1)."""
-    x = matcore.as_cmat(x)
-    return _solve_right(e.a @ x + e.b, e.c @ x + e.d, tol, "matrix-input")
-
-
 def lft_pair(e: BlockGenerator, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """(a x + b y)(c x + d y)^(-1)."""
     x = matcore.as_cmat(x)
     y = matcore.as_cmat(y)
-    return _solve_right(e.a @ x + e.b @ y, e.c @ x + e.d @ y, tol, "pair-input")
+    den = e.c @ x + e.d @ y
+    check_denominator(den, tol, "pair-input")
+    return np.linalg.solve(den.T, (e.a @ x + e.b @ y).T).T
 
 
 def lft_rational(blocks, phi, psi, tol: ToleranceConfig = DEFAULT_TOL,
@@ -143,37 +129,3 @@ def lft_rational(blocks, phi, psi, tol: ToleranceConfig = DEFAULT_TOL,
     for z in grid:
         check_denominator(den(complex(z)), tol, stage, complex(z))
     return RationalMatFun(num @ adjugate_poly(den), det).simplify()
-
-
-def compose(e2: BlockGenerator, e1: BlockGenerator, x, y=None,
-            tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Apply e1 then e2 three equivalent ways and report agreement.
-
-    * chained: feed the first transform's value into the second;
-    * product: one transform with the matrix product generator e2 @ e1;
-    * pushed: track the numerator/denominator column pair through e1 and
-      only invert at the very end.
-
-    Raises SingularDenominatorError (tagged with the failing stage) when a
-    denominator degenerates; both orders of failure are possible and the
-    caller sees which stage died first.
-    """
-    x = matcore.as_cmat(x)
-    y = np.eye(e1.q, dtype=complex) if y is None else matcore.as_cmat(y)
-
-    u = e1.a @ x + e1.b @ y
-    v = e1.c @ x + e1.d @ y
-
-    mid = _solve_right(u, v, tol, "inner")
-    chained = lft_matrix(e2, mid, tol)
-
-    product = lft_pair(e2 @ e1, x, y, tol)
-
-    pushed = _solve_right(e2.a @ u + e2.b @ v, e2.c @ u + e2.d @ v, tol, "outer")
-
-    scale = 1.0 + matcore.frob(chained)
-    return {
-        "value": chained,
-        "product_gap": matcore.frob(chained - product) / scale,
-        "pushed_gap": matcore.frob(chained - pushed) / scale,
-    }

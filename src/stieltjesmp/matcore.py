@@ -21,6 +21,7 @@ __all__ = [
     "InconsistencyError",
     "as_cmat",
     "hermitize",
+    "symmetrized",
     "pinv",
     "is_psd",
     "is_pd",
@@ -29,7 +30,6 @@ __all__ = [
     "null_contains",
     "dominates",
     "rank_with_tol",
-    "lowner_leq_chain",
     "signature_j",
     "j_form",
     "frob",
@@ -131,13 +131,26 @@ def hermitize(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     cancellation.
     """
     m = as_cmat(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("hermitize needs a square matrix")
+    h = symmetrized(m)
     asym = frob(m - m.conj().T)
     if asym > tol.herm * (1.0 + frob(m)):
         raise PreconditionError(
             f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds tolerance"
         )
+    return h
+
+
+def symmetrized(a) -> np.ndarray:
+    """Return (A + A*)/2 of a square matrix, without an asymmetry check.
+
+    For matrices that are Hermitian in exact arithmetic, such as differences
+    and forms the package computes; values from outside it go through
+    :func:`hermitize`.  Symmetrizing an exactly Hermitian matrix changes no
+    bit.
+    """
+    m = as_cmat(a)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return 0.5 * (m + m.conj().T)
 
 
@@ -152,9 +165,11 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def psd_margin(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Smallest eigenvalue of the symmetrized matrix, relative to scale.
 
-    Positive semidefiniteness to tolerance means margin >= -tol.psd.
+    Positive semidefiniteness to tolerance means margin >= -tol.psd.  An
+    asymmetric argument is symmetrized by :func:`symmetrized`, not rejected;
+    a non-square one raises ValueError.
     """
-    m = hermitize(a, tol)
+    m = symmetrized(a)
     if m.size == 0:
         return 0.0
     w = np.linalg.eigvalsh(m)
@@ -163,6 +178,7 @@ def psd_margin(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
 
 
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """psd_margin(a) >= -tol.psd; an asymmetric ``a`` is symmetrized."""
     return psd_margin(a, tol) >= -tol.psd
 
 
@@ -210,58 +226,6 @@ def rank_with_tol(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     sig = np.linalg.svd(m, compute_uv=False)
     cut = tol.psd * max(1.0, float(sig[0]))
     return int(np.sum(sig > cut))
-
-
-def _null_space_equal(x, y, tol: ToleranceConfig) -> bool:
-    return null_contains(x, y, tol) and null_contains(y, x, tol)
-
-
-def _range_equal(x, y, tol: ToleranceConfig) -> bool:
-    return range_contains(x, y, tol) and range_contains(y, x, tol)
-
-
-def lowner_leq_chain(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Evaluate four equivalent forms of "0 <= B <= A" and their agreement.
-
-    The four verdicts:
-      (i)   O <= B <= A
-      (ii)  O <= B^+ B A^+ B B^+ <= B^+  together with nul A <= nul B
-      (iii) O <= B A^+ B <= B            together with nul A <= nul B
-      (iv)  the stacked block matrix [[A, B],[B, B]] is PSD
-
-    When (i) holds, the report also carries the two derived facts
-    nul(B A^+ B) = nul(B) and ran(B A^+ B) = ran(B).
-    """
-    a = hermitize(a, tol)
-    b = hermitize(b, tol)
-    ap = pinv(a, tol)
-    bp = pinv(b, tol)
-    null_dom = null_contains(a, b, tol)
-
-    cond_i = is_psd(b, tol) and is_psd(a - b, tol)
-
-    mid = bp @ b @ ap @ b @ bp
-    cond_ii = is_psd(mid, tol) and is_psd(bp - mid, tol) and null_dom
-
-    bab = b @ ap @ b
-    cond_iii = is_psd(bab, tol) and is_psd(b - bab, tol) and null_dom
-
-    stacked = np.block([[a, b], [b, b]])
-    cond_iv = is_psd(stacked, tol)
-
-    report = {
-        "cond_i": cond_i,
-        "cond_ii": cond_ii,
-        "cond_iii": cond_iii,
-        "cond_iv": cond_iv,
-        "agree": cond_i == cond_ii == cond_iii == cond_iv,
-        "null_consequence": None,
-        "range_consequence": None,
-    }
-    if cond_i:
-        report["null_consequence"] = _null_space_equal(bab, b, tol)
-        report["range_consequence"] = _range_equal(bab, b, tol)
-    return report
 
 
 def signature_j(q: int, kind: str = "imaginary") -> np.ndarray:

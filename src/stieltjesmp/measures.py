@@ -32,7 +32,6 @@ __all__ = [
     "stieltjes_transform",
     "extract_moments",
     "verify_solution",
-    "finite_cauchy_schwarz_check",
 ]
 
 
@@ -165,7 +164,7 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int, ladder=None,
         for j in range(1, min(i, deg) + 1):
             acc -= den[deg - j] * c[i - j]
         c.append(acc / den[deg])
-    mats = tuple(-0.5 * (x + x.conj().T) for x in c)
+    mats = tuple(-matcore.symmetrized(x) for x in c)
     return MomentSequence(alpha, mats), residual
 
 
@@ -194,7 +193,7 @@ def verify_solution(fun: RationalMatFun, seq: MomentSequence, mode: str = "leq",
     prefix_gap = float(max(prefix_gaps)) if prefix_gaps else 0.0
     prefix_ok = prefix_gap <= tol.extraction
 
-    defect = matcore.hermitize(seq.s[-1] - extracted.s[-1], tol)
+    defect = matcore.symmetrized(seq.s[-1] - extracted.s[-1])
     scale = 1.0 + matcore.frob(seq.s[-1])
     if mode == "leq":
         top_margin = float(np.linalg.eigvalsh(defect)[0]) / scale
@@ -212,72 +211,4 @@ def verify_solution(fun: RationalMatFun, seq: MomentSequence, mode: str = "leq",
         "top_ok": top_ok,
         "ok": bool(residual <= tol.extraction and prefix_ok and top_ok),
     }
-    return report
-
-
-def _integrate(mu: DiscreteMeasure, fvals, gvals) -> np.ndarray:
-    q = mu.q
-    out = np.zeros((q, q), dtype=complex)
-    for f, g, w in zip(fvals, gvals, mu.weights):
-        out = out + np.conj(f) * g * w
-    return out
-
-
-def finite_cauchy_schwarz_check(mu: DiscreteMeasure, f, g,
-                                tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Finite-sum integration inequalities for scalar node functions f, g.
-
-    With A = sum |f|^2 w, B = sum conj(f) g w, C = sum |g|^2 w and the
-    plain sums If = sum f w, Ig = sum g w, T = sum w, the report checks:
-
-      * adjoint symmetry of the cross term,
-      * ran B inside ran A (and ran B* inside ran C),
-      * nul A inside nul B* (and nul C inside nul B),
-      * both sandwich inequalities B* A^+ B <= C and B A^+ B* <= C,
-      * nul A inside nul If and nul If*, ran If + ran If* inside ran A,
-        If* A^+ If <= T and If A^+ If* <= T,
-      * nul T inside nul Ig and nul Ig*, ran Ig + ran Ig* inside ran T,
-        Ig T^+ Ig* <= C and Ig* T^+ Ig <= C.
-    """
-    fvals = [complex(f(x)) for x in mu.nodes]
-    gvals = [complex(g(x)) for x in mu.nodes]
-    ones = [1.0 + 0.0j] * len(mu.nodes)
-
-    a = _integrate(mu, fvals, fvals)
-    b = _integrate(mu, fvals, gvals)
-    c = _integrate(mu, gvals, gvals)
-    int_f = _integrate(mu, ones, fvals)
-    int_g = _integrate(mu, ones, gvals)
-    total = _integrate(mu, ones, ones)
-
-    ap = matcore.pinv(a, tol)
-    tp = matcore.pinv(total, tol)
-
-    def leq(x, y) -> bool:
-        return matcore.is_psd(matcore.hermitize(y - x, tol), tol)
-
-    b_adj = _integrate(mu, gvals, fvals)
-    report = {
-        "cross_adjoint": bool(
-            matcore.frob(b.conj().T - b_adj) <= 1e-10 * (1.0 + matcore.frob(b))),
-        "range_cross_in_ff": matcore.range_contains(a, b, tol),
-        "range_cross_adj_in_gg": matcore.range_contains(c, b.conj().T, tol),
-        "null_ff_in_cross_adj": matcore.null_contains(a, b.conj().T, tol),
-        "null_gg_in_cross": matcore.null_contains(c, b, tol),
-        "sandwich_fg": leq(b.conj().T @ ap @ b, c),
-        "sandwich_fg_swapped": leq(b @ ap @ b.conj().T, c),
-        "null_ff_in_mean": (matcore.null_contains(a, int_f, tol)
-                            and matcore.null_contains(a, int_f.conj().T, tol)),
-        "range_mean_in_ff": (matcore.range_contains(a, int_f, tol)
-                             and matcore.range_contains(a, int_f.conj().T, tol)),
-        "mean_sandwich": leq(int_f.conj().T @ ap @ int_f, total),
-        "mean_sandwich_swapped": leq(int_f @ ap @ int_f.conj().T, total),
-        "null_total_in_mean": (matcore.null_contains(total, int_g, tol)
-                               and matcore.null_contains(total, int_g.conj().T, tol)),
-        "range_mean_in_total": (matcore.range_contains(total, int_g, tol)
-                                and matcore.range_contains(total, int_g.conj().T, tol)),
-        "total_sandwich": leq(int_g @ tp @ int_g.conj().T, c),
-        "total_sandwich_swapped": leq(int_g.conj().T @ tp @ int_g, c),
-    }
-    report["ok"] = bool(all(report.values()))
     return report

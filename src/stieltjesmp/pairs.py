@@ -36,8 +36,8 @@ __all__ = [
     "in_class_P_of",
     "equivalent",
     "gamma_U_embed",
-    "gamma_U_extract",
     "in_diamond",
+    "off_poles",
 ]
 
 
@@ -117,17 +117,6 @@ class RationalMatFun:
         a = matcore.as_cmat(a)
         return RationalMatFun(
             MatrixPolynomial(tuple(c @ a for c in self.num.coeffs)), self.den)
-
-    def is_zero(self, rel: float = 1e-12) -> bool:
-        top = max(matcore.frob(c) for c in self.num.coeffs)
-        return top <= rel
-
-    def inverse(self) -> "RationalMatFun":
-        """Rational inverse: the swap [[O, I], [I, O]] acting on (F, I)."""
-        eye = np.eye(self.q, dtype=complex)
-        swap = np.block([[np.zeros_like(eye), eye], [eye, np.zeros_like(eye)]])
-        return lft.lft_rational(MatrixPolynomial.constant(swap).blocks(), self,
-                                RationalMatFun.const(eye), stage="inverse")
 
     def simplify(self, rel: float = 1e-10) -> "RationalMatFun":
         """Rewrite with the smallest denominator degree that fits the values.
@@ -253,6 +242,19 @@ def default_grid(alpha: float) -> tuple:
     return tuple(pts)
 
 
+def off_poles(f, grid):
+    """Yield (z, f(z)) for the points z of ``grid`` that are not poles of
+    ``f``: the one walk over a grid that skips the points where an
+    evaluation raises SingularDenominatorError."""
+    for pt in grid:
+        z = complex(pt)
+        try:
+            value = f(z)
+        except SingularDenominatorError:
+            continue
+        yield z, value
+
+
 def decay_ladder() -> tuple:
     return (1e2, 1e3, 1e4, 1e5)
 
@@ -311,31 +313,20 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
     kd1 = []
     kd2 = []
     real_margins = []
-    skipped = 0
-    for pt in grid:
-        z = complex(pt)
-        try:
-            ph = pair.phi(z)
-            ps = pair.psi(z)
-        except SingularDenominatorError:
-            skipped += 1
-            continue
+    values = list(off_poles(lambda z: (pair.phi(z), pair.psi(z)), grid))
+    for z, (ph, ps) in values:
         stk = np.vstack([ph, ps])
         sv = np.linalg.svd(stk, compute_uv=False)
         rank_gaps.append(float(sv[-1] / max(sv[0], 1e-300)))
         if z.imag != 0.0:
-            form1 = matcore.hermitize(
-                matcore.j_form(stk, jt) / (2.0 * z.imag), tol)
-            kd1.append(matcore.psd_margin(form1, tol))
+            kd1.append(matcore.psd_margin(
+                matcore.j_form(stk, jt) / (2.0 * z.imag), tol))
             stk2 = np.vstack([(z - pair.alpha) * ph, ps])
-            form2 = matcore.hermitize(
-                matcore.j_form(stk2, jt) / (2.0 * z.imag), tol)
-            kd2.append(matcore.psd_margin(form2, tol))
+            kd2.append(matcore.psd_margin(
+                matcore.j_form(stk2, jt) / (2.0 * z.imag), tol))
         elif z.real < pair.alpha:
-            formr = matcore.hermitize(
-                matcore.j_form(stk, jr), tol)
-            real_margins.append(matcore.psd_margin(formr, tol))
-    if skipped == len(grid):
+            real_margins.append(matcore.psd_margin(matcore.j_form(stk, jr), tol))
+    if not values:
         raise InconsistencyError("every grid point sits on a pole of the pair")
 
     proper = lft.det_or_none(pair.psi.num) is not None
@@ -354,7 +345,7 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
         "real_axis_margin": real_m,
         "real_axis_ok": bool(real_m >= -tol.psd),
         "proper": proper,
-        "skipped_points": skipped,
+        "skipped_points": len(grid) - len(values),
     }
     report["ok"] = bool(report["rank_ok"] and report["kd1_ok"]
                         and report["kd2_ok"] and report["real_axis_ok"])
@@ -381,11 +372,7 @@ def in_class_P_of(pair: StieltjesPair, a,
     """Range condition: ran phi(z) inside ran a at every grid point."""
     a = matcore.as_cmat(a)
     grid = default_grid(pair.alpha) if grid is None else tuple(grid)
-    for z in grid:
-        try:
-            ph = pair.phi(z)
-        except SingularDenominatorError:
-            continue
+    for _, ph in off_poles(pair.phi, grid):
         if not matcore.range_contains(a, ph, tol):
             return False
     return True
@@ -402,12 +389,7 @@ def equivalent(p1: StieltjesPair, p2: StieltjesPair,
         return False
     grid = default_grid(p1.alpha) if grid is None else tuple(grid)
     q = p1.q
-    for z in grid:
-        try:
-            s1 = p1.stack(z)
-            s2 = p2.stack(z)
-        except SingularDenominatorError:
-            continue
+    for _, (s1, s2) in off_poles(lambda z: (p1.stack(z), p2.stack(z)), grid):
         u1, sv1, _ = np.linalg.svd(s1, full_matrices=False)
         u2, sv2, _ = np.linalg.svd(s2, full_matrices=False)
         if sv1[0] < 1e-250 or sv2[0] < 1e-250:
@@ -441,27 +423,6 @@ def gamma_U_embed(phi: RationalMatFun, psi: RationalMatFun, u,
     phi_up = phi.lmul(u).rmul(u.conj().T)
     psi_up = psi.lmul(u).rmul(u.conj().T) + RationalMatFun.const(comp)
     return StieltjesPair(alpha, phi_up, psi_up)
-
-
-def gamma_U_extract(f: RationalMatFun, g: RationalMatFun, u,
-                    tol: ToleranceConfig = DEFAULT_TOL):
-    """Invert the lift: compress a q x q pair (f, g) back to r x r.
-
-    Uses the normalizing factor b = g - i f, which is invertible as a
-    rational function for admissible range-restricted pairs; returns
-    (u^* f b^(-1) u, u^* g b^(-1) u) simplified, with f b^(-1) and g b^(-1)
-    the actions of [[I, O], [-iI, I]] and [[O, I], [-iI, I]] on (f, g).
-    """
-    u = matcore.as_cmat(u)
-    eye = np.eye(f.q, dtype=complex)
-    zero = np.zeros_like(eye)
-
-    def compressed(top):
-        gen = MatrixPolynomial.constant(np.block([top, [-1j * eye, eye]]))
-        fb = lft.lft_rational(gen.blocks(), f, g, tol, stage="compression")
-        return fb.lmul(u.conj().T).rmul(u).simplify()
-
-    return compressed([eye, zero]), compressed([zero, eye])
 
 
 def in_diamond(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,

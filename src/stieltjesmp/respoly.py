@@ -28,6 +28,7 @@ __all__ = [
     "adjugate_poly",
     "v_poly",
     "w_poly",
+    "descent_resolvent",
     "compose_resolvent",
     "verify_product_identity",
     "verify_j_identities",
@@ -303,24 +304,32 @@ def w_poly(alpha: float, a, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynom
     return MatrixPolynomial((c0, c1))
 
 
+def descent_resolvent(trace: TransformTrace,
+                      tol: ToleranceConfig = DEFAULT_TOL) -> ResolventBlocks:
+    """The descent product over the diagonal of an algorithm trace, stage-0
+    factor leftmost: the generator ``solve`` synthesizes with."""
+    alpha, diag = trace.input.alpha, trace.diagonal
+    v = v_poly(alpha, diag[0], tol)
+    for d in diag[1:]:
+        v = v @ v_poly(alpha, d, tol)
+    return v.blocks()
+
+
 def compose_resolvent(trace: TransformTrace,
                       tol: ToleranceConfig = DEFAULT_TOL):
     """Stagewise products over the diagonal of an algorithm trace.
 
-    Returns (descent blocks, ascent blocks).  The descent product has the
-    stage-0 factor leftmost; the ascent product has the stage-m factor
+    Returns (descent blocks, ascent blocks).  The descent product is
+    :func:`descent_resolvent`; the ascent product has the stage-m factor
     leftmost so that ascent(z) @ descent(z) telescopes to
     (z-alpha)^(m+1) diag(P, I) with P the projector onto the range of the
     top diagonal entry.
     """
     alpha, diag = trace.input.alpha, trace.diagonal
-    v = v_poly(alpha, diag[0], tol)
-    for d in diag[1:]:
-        v = v @ v_poly(alpha, d, tol)
     w = w_poly(alpha, diag[0], tol)
     for d in diag[1:]:
         w = w_poly(alpha, d, tol) @ w
-    return v.blocks(), w.blocks()
+    return descent_resolvent(trace, tol), w.blocks()
 
 
 def verify_product_identity(alpha: float, a, z: complex,

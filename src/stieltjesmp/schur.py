@@ -147,8 +147,7 @@ def inverse_transform(t: MomentSequence, a,
     shifted = [a]  # (shift r)_k, maintained alongside
     for j in range(1, t.m + 2):
         acc = sum(t.s[j - 1 - k] @ ap @ shifted[k] for k in range(j))
-        nxt = alpha * out[-1] + proj @ acc
-        nxt = 0.5 * (nxt + nxt.conj().T)
+        nxt = matcore.symmetrized(alpha * out[-1] + proj @ acc)
         shifted.append(-alpha * out[-1] + nxt)
         out.append(nxt)
     return MomentSequence(alpha, tuple(out))
@@ -179,7 +178,7 @@ def check_inequality_preservation(s: MomentSequence, t: MomentSequence,
     gap = _prefix_gap(s.s[:m], t.s[:m])
     if gap > tol.herm * (1.0 + matcore.frob(s.s[0])):
         raise PreconditionError(f"prefixes differ by {gap:.3e}")
-    defect = matcore.hermitize(s.s[m] - t.s[m], tol)
+    defect = matcore.symmetrized(s.s[m] - t.s[m])
     if not matcore.is_psd(defect, tol):
         raise PreconditionError("top entries are not ordered")
 
@@ -192,7 +191,7 @@ def check_inequality_preservation(s: MomentSequence, t: MomentSequence,
         report["forward_prefix_ok"] = report["forward_prefix_gap"] <= 1e-10 * (
             1.0 + matcore.frob(s.s[0])
         )
-        diff = matcore.hermitize(fs.s[m - 1] - ft.s[m - 1], tol)
+        diff = matcore.symmetrized(fs.s[m - 1] - ft.s[m - 1])
         report["forward_top_margin"] = matcore.psd_margin(diff, tol)
         report["forward_top_ok"] = matcore.is_psd(diff, tol)
         p = matcore.pinv(s.s[0], tol) @ s.s[0]
@@ -209,7 +208,7 @@ def check_inequality_preservation(s: MomentSequence, t: MomentSequence,
     report["inverse_prefix_ok"] = report["inverse_prefix_gap"] <= 1e-10 * (
         1.0 + matcore.frob(seed)
     )
-    idiff = matcore.hermitize(rs.s[m + 1] - rt.s[m + 1], tol)
+    idiff = matcore.symmetrized(rs.s[m + 1] - rt.s[m + 1])
     report["inverse_top_margin"] = matcore.psd_margin(idiff, tol)
     report["inverse_top_ok"] = matcore.is_psd(idiff, tol)
     pa = matcore.pinv(seed, tol) @ seed

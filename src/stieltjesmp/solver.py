@@ -22,7 +22,6 @@ from .matcore import (
     DEFAULT_TOL,
     InconsistencyError,
     PreconditionError,
-    SingularDenominatorError,
     ToleranceConfig,
 )
 from .pairs import RationalMatFun, StieltjesPair
@@ -35,7 +34,6 @@ __all__ = [
     "solve",
     "solve_degenerate_embedded",
     "solve_equality_subset",
-    "m0_base_case_check",
 ]
 
 CASE_NONDEGENERATE = "NonDegenerate"
@@ -88,11 +86,7 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     """
     a = matcore.as_cmat(a)
     grid = pairs.default_grid(alpha) if grid is None else tuple(grid)
-    for z in grid:
-        try:
-            fz = fun(complex(z))
-        except SingularDenominatorError:
-            continue
+    for z, fz in pairs.off_poles(fun, grid):
         if not matcore.range_contains(a, fz, tol):
             raise PreconditionError(
                 f"range of the function at {z} escapes the range of the seed")
@@ -116,11 +110,7 @@ def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     if not matcore.is_psd(a, tol):
         raise PreconditionError("seed of the ascent transform must be PSD")
     grid = pairs.default_grid(alpha) if grid is None else tuple(grid)
-    for z in grid:
-        try:
-            gz = fun(complex(z))
-        except SingularDenominatorError:
-            continue
+    for z, gz in pairs.off_poles(fun, grid):
         if not matcore.range_contains(a, gz, tol):
             raise PreconditionError(
                 f"range of the function at {z} escapes the range of the seed")
@@ -181,7 +171,7 @@ def _solve(req: SolutionRequest, tol: ToleranceConfig, grid,
                 "equality problem needs a decaying parameter; quotient norms "
                 f"{decay['norms']}")
 
-    blocks, _ = respoly.compose_resolvent(report.trace, tol)
+    blocks = respoly.descent_resolvent(report.trace, tol)
     return tag, r, lft.lft_rational(blocks, req.parameter.phi,
                                     req.parameter.psi, tol, grid,
                                     stage="synthesis")
@@ -258,48 +248,3 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
     u = _range_basis(top, r, tol)
     lifted = pairs.gamma_U_embed(small.phi, small.psi, u, seq.alpha, tol)
     return _solve(SolutionRequest(seq, lifted, "eq"), tol, grid, report)[2]
-
-
-def m0_base_case_check(fun: RationalMatFun, s0, alpha: float = 0.0,
-                       tol: ToleranceConfig = DEFAULT_TOL,
-                       grid=None) -> dict:
-    """Length-one roundtrip: solution -> pair -> solution.
-
-    Builds the pair (phi, psi) = ((z-alpha)F + s_0,
-    -(z-alpha)s_0^+ F + (I - s_0^+ s_0)), checks admissibility and the
-    range condition against s_0, reconstructs F from the pair through the
-    degree-1 descent generator, and reports the worst grid mismatch.
-    """
-    s0 = matcore.hermitize(s0, tol)
-    s0p = matcore.pinv(s0, tol)
-    q = fun.q
-    grid = pairs.default_grid(alpha) if grid is None else tuple(grid)
-
-    zshift = RationalMatFun(fun.num.scale_poly((-alpha, 1.0)), fun.den)
-    phi = zshift + RationalMatFun.const(s0)
-    psi = zshift.lmul(-s0p) + RationalMatFun.const(np.eye(q) - s0p @ s0)
-    pair = StieltjesPair(alpha, phi, psi)
-
-    rep = pairs.verify_pair(pair, tol, grid)
-    in_range = pairs.in_class_P_of(pair, s0, tol, grid)
-
-    recon = lft.lft_rational(respoly.v_poly(alpha, s0, tol).blocks(), phi, psi,
-                             tol, stage="reconstruction")
-
-    gaps = []
-    for z in grid:
-        try:
-            gaps.append(matcore.frob(fun(complex(z)) - recon(complex(z)))
-                        / (1.0 + matcore.frob(fun(complex(z)))))
-        except SingularDenominatorError:
-            continue
-    gap = float(max(gaps)) if gaps else float("inf")
-    return {
-        "pair_ok": bool(rep["ok"]),
-        "pair_report": rep,
-        "in_range_class": bool(in_range),
-        "reconstruction_gap": gap,
-        "pair": pair,
-        "reconstructed": recon,
-        "ok": bool(rep["ok"] and in_range and gap <= 1e-9),
-    }

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from conftest import cauchy_pair, completely_degenerate_seq, measure_seq
 import stieltjesmp
-from stieltjesmp import serialize
+from stieltjesmp import schur, serialize
 from stieltjesmp.cli import main
 from stieltjesmp.measures import DiscreteMeasure, moments
 from stieltjesmp.schur import first_transform
@@ -113,6 +113,32 @@ def test_schur_trace_lists_every_stage(tmp_path, capsys):
     assert code == 0
     assert len(out["trace"]["stages"]) == seq.m + 1
     assert len(out["trace"]["diagonal"]) == seq.m + 1
+
+
+def test_schur_trace_runs_the_algorithm_once(tmp_path, capsys, monkeypatch):
+    # stage k is read off one run of the algorithm: m steps, not k + m, and
+    # it is the k-th transform, with or without --trace
+    rng = np.random.default_rng(4)
+    _, seq = measure_seq(rng, 2, 4, atoms=5)
+    path = sequence_file(tmp_path, seq.alpha, seq.s)
+    with open(path) as fh:
+        read = stieltjesmp.MomentSequence.from_json(json.load(fh))
+    direct = [schur.k_th_transform(read, k).to_json() for k in range(seq.m + 1)]
+    steps = []
+
+    def counted(*args, _fn=schur._step, **kwargs):
+        steps.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(schur, "_step", counted)
+    for k in range(seq.m + 1):
+        for extra in ([], ["--trace"]):
+            steps.clear()
+            code, out = run_cli(capsys, ["schur", path, "-k", str(k)] + extra)
+            assert code == 0
+            assert len(steps) == seq.m
+            assert out["sequence"] == direct[k]
+        assert out["trace"]["stages"][k] == direct[k]["s"]
 
 
 def test_poly_reports_resolvent_blocks(tmp_path, capsys):

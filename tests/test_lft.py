@@ -4,14 +4,58 @@ from numpy.testing import assert_allclose
 
 from stieltjesmp.lft import (
     BlockGenerator,
-    compose,
-    lft_matrix,
+    check_denominator,
     lft_pair,
     lft_rational,
 )
-from stieltjesmp.matcore import PreconditionError, SingularDenominatorError, frob
+from stieltjesmp.matcore import (
+    DEFAULT_TOL,
+    PreconditionError,
+    SingularDenominatorError,
+    frob,
+)
 from stieltjesmp.pairs import RationalMatFun
 from stieltjesmp.respoly import MatrixPolynomial, v_poly, w_poly
+
+
+def _solve_right(num, den, stage):
+    """num @ den^(-1) behind the kernel's denominator gate."""
+    check_denominator(den, DEFAULT_TOL, stage)
+    return np.linalg.solve(den.T, num.T).T
+
+
+def lft_matrix(e, x):
+    """(a x + b)(c x + d)^(-1)."""
+    return _solve_right(e.a @ x + e.b, e.c @ x + e.d, "matrix-input")
+
+
+def compose(e2, e1, x):
+    """Apply e1 then e2 to x (paired with y = I) three equivalent ways and
+    report agreement.
+
+    * chained: feed the first transform's value into the second;
+    * product: one transform with the matrix product generator e2 e1;
+    * pushed: track the numerator/denominator column pair through e1 and
+      only invert at the very end.
+
+    A degenerate denominator raises SingularDenominatorError tagged with
+    the stage that failed first.
+    """
+    y = np.eye(e1.q, dtype=complex)
+    u = e1.a @ x + e1.b @ y
+    v = e1.c @ x + e1.d @ y
+
+    chained = lft_matrix(e2, _solve_right(u, v, "inner"))
+    product = lft_pair(BlockGenerator.from_matrix(e2.as_matrix() @ e1.as_matrix()),
+                       x, y)
+    pushed = _solve_right(e2.a @ u + e2.b @ v, e2.c @ u + e2.d @ v, "outer")
+
+    scale = 1.0 + frob(chained)
+    return {
+        "value": chained,
+        "product_gap": frob(chained - product) / scale,
+        "pushed_gap": frob(chained - pushed) / scale,
+    }
 
 
 def _rand_gen(rng, q):

@@ -13,13 +13,13 @@ from stieltjesmp.matcore import (
     is_pd,
     is_psd,
     j_form,
-    lowner_leq_chain,
     null_contains,
     pinv,
     psd_margin,
     range_contains,
     rank_with_tol,
     signature_j,
+    symmetrized,
 )
 
 from conftest import random_hermitian, random_psd
@@ -71,6 +71,18 @@ def test_hermitize_rejects_gross_asymmetry():
     assert_allclose(h, h.conj().T)
 
 
+def test_psd_predicates_symmetrize_but_need_a_square_matrix():
+    # an asymmetric argument is symmetrized, not rejected
+    a = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert psd_margin(a) == psd_margin(symmetrized(a)) == 0.5 / 1.5
+    assert_allclose(symmetrized(a), [[1.0, 0.5], [0.5, 1.0]])
+    # a row or column does not broadcast into a square matrix
+    for shape in ((1, 3), (3, 1)):
+        for check in (is_psd, is_pd, psd_margin, symmetrized, hermitize):
+            with pytest.raises(ValueError):
+                check(np.ones(shape))
+
+
 def test_psd_margin_sign_convention():
     assert psd_margin(np.diag([2.0, 1.0])) > 0
     assert psd_margin(np.diag([1.0, 0.0])) == 0
@@ -96,6 +108,52 @@ def test_rank_with_tol_uses_relative_cutoff():
     assert rank_with_tol(a) == 2
     assert rank_with_tol(np.zeros((3, 3))) == 0
     assert rank_with_tol(a + 1e-13 * np.eye(4)) == 2
+
+
+def lowner_leq_chain(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+    """Evaluate four equivalent forms of "0 <= B <= A" and their agreement.
+
+    The four verdicts:
+      (i)   O <= B <= A
+      (ii)  O <= B^+ B A^+ B B^+ <= B^+  together with nul A <= nul B
+      (iii) O <= B A^+ B <= B            together with nul A <= nul B
+      (iv)  the stacked block matrix [[A, B],[B, B]] is PSD
+
+    When (i) holds, the report also carries the two derived facts
+    nul(B A^+ B) = nul(B) and ran(B A^+ B) = ran(B).
+    """
+    a = hermitize(a, tol)
+    b = hermitize(b, tol)
+    ap = pinv(a, tol)
+    bp = pinv(b, tol)
+    null_dom = null_contains(a, b, tol)
+
+    cond_i = is_psd(b, tol) and is_psd(a - b, tol)
+
+    mid = bp @ b @ ap @ b @ bp
+    cond_ii = is_psd(mid, tol) and is_psd(bp - mid, tol) and null_dom
+
+    bab = b @ ap @ b
+    cond_iii = is_psd(bab, tol) and is_psd(b - bab, tol) and null_dom
+
+    stacked = np.block([[a, b], [b, b]])
+    cond_iv = is_psd(stacked, tol)
+
+    report = {
+        "cond_i": cond_i,
+        "cond_ii": cond_ii,
+        "cond_iii": cond_iii,
+        "cond_iv": cond_iv,
+        "agree": cond_i == cond_ii == cond_iii == cond_iv,
+        "null_consequence": None,
+        "range_consequence": None,
+    }
+    if cond_i:
+        report["null_consequence"] = (null_contains(bab, b, tol)
+                                      and null_contains(b, bab, tol))
+        report["range_consequence"] = (range_contains(bab, b, tol)
+                                       and range_contains(b, bab, tol))
+    return report
 
 
 def test_lowner_chain_agrees_on_clean_instances():

@@ -17,8 +17,11 @@ from stieltjesmp.matcore import (
     PreconditionError,
     SingularDenominatorError,
     frob,
+    j_form,
+    signature_j,
 )
-from stieltjesmp.measures import stieltjes_transform
+from stieltjesmp.lft import lft_rational
+from stieltjesmp.measures import DiscreteMeasure, stieltjes_transform
 from stieltjesmp.pairs import (
     RationalMatFun,
     StieltjesPair,
@@ -26,7 +29,6 @@ from stieltjesmp.pairs import (
     default_grid,
     equivalent,
     gamma_U_embed,
-    gamma_U_extract,
     in_class_P_of,
     in_diamond,
     pair_from_function,
@@ -73,22 +75,30 @@ def test_rational_pole_gate():
     assert err.value.point == 1.0
 
 
+def inverse(f):
+    """Rational inverse: the swap [[O, I], [I, O]] acting on (F, I)."""
+    eye = np.eye(f.q, dtype=complex)
+    swap = np.block([[np.zeros_like(eye), eye], [eye, np.zeros_like(eye)]])
+    return lft_rational(MatrixPolynomial.constant(swap).blocks(), f,
+                        RationalMatFun.const(eye), stage="inverse")
+
+
 def test_rational_inverse():
     rng = np.random.default_rng(51)
     f = _rand_rat(rng, 2, 1, (1.0, 2.0))
-    inv = f.inverse()
+    inv = inverse(f)
     for z in (0.3 + 0.8j, -1.5):
         assert_allclose(f(z) @ inv(z), np.eye(2), atol=1e-9)
     zero = RationalMatFun.zero(2)
     with pytest.raises(SingularDenominatorError):
-        zero.inverse()
+        inverse(zero)
     # coefficient trims are absolute (1e-13), so at 1e-5 scale the adjugate
     # route is unreliable; without the floor at 1 in the vanishing test the
     # "inverse" of this 3 x 3 function is off by O(10), so it must refuse
     small = _rand_rat(rng, 3, 1, (1.0, 2.0))
     small = RationalMatFun(small.num.scale(1e-5), small.den)
     with pytest.raises(SingularDenominatorError) as err:
-        small.inverse()
+        inverse(small)
     assert err.value.stage == "inverse"
 
 
@@ -209,6 +219,24 @@ def test_verify_pair_rejects_wrong_sign_and_real_axis():
     assert not rep["real_axis_ok"] and not rep["ok"]
 
 
+def test_verify_pair_symmetrizes_computed_forms():
+    # (F + H) R and R with a large PSD H: the J-forms are O(1) results of
+    # cancelling O(1e8) products, so their rounding asymmetry exceeds
+    # tol.herm; the forms are symmetrized, not rejected as "not Hermitian"
+    mu = DiscreteMeasure(0.0, (1.0, 3.0), (np.eye(2), np.diag([1.0, 2.0])))
+    phi = stieltjes_transform(mu) + RationalMatFun.const(
+        1e8 * np.diag([1.0, 0.5]))
+    r = np.array([[0.3 - 1.1j, 1.2 + 0.4j], [-0.7 + 0.2j, 0.9 - 0.6j]])
+    pair = StieltjesPair(0.0, phi.rmul(r), RationalMatFun.const(r))
+    jt = signature_j(2)
+    z = complex(default_grid(0.0)[3])
+    form = j_form(pair.stack(z), jt) / (2.0 * z.imag)
+    assert frob(form - form.conj().T) > DEFAULT_TOL.herm * (1.0 + frob(form))
+    rep = verify_pair(pair)
+    assert rep["ok"], rep
+    assert min(rep["kd1_margin"], rep["kd2_margin"]) > 0.0
+
+
 def test_verify_pair_rejects_rank_deficient_stack():
     sing = np.array([[1.0, 0.0], [0.0, 0.0]])
     pair = StieltjesPair(0.0, RationalMatFun.const(sing),
@@ -244,6 +272,25 @@ def test_in_class_range_condition():
     assert in_class_P_of(inside, proj2)
     assert not in_class_P_of(outside, proj2)
     assert in_class_P_of(identity_pair(0.0, 3), np.zeros((3, 3)))
+
+
+def gamma_U_extract(f, g, u):
+    """Invert the lift: compress a q x q pair (f, g) back to r x r.
+
+    Uses the normalizing factor b = g - i f, which is invertible as a
+    rational function for admissible range-restricted pairs; returns
+    (u^* f b^(-1) u, u^* g b^(-1) u) simplified, with f b^(-1) and g b^(-1)
+    the actions of [[I, O], [-iI, I]] and [[O, I], [-iI, I]] on (f, g).
+    """
+    eye = np.eye(f.q, dtype=complex)
+    zero = np.zeros_like(eye)
+
+    def compressed(top):
+        gen = MatrixPolynomial.constant(np.block([top, [-1j * eye, eye]]))
+        fb = lft_rational(gen.blocks(), f, g, stage="compression")
+        return fb.lmul(u.conj().T).rmul(u).simplify()
+
+    return compressed([eye, zero]), compressed([zero, eye])
 
 
 def test_gamma_embedding_roundtrip():

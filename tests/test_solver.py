@@ -18,8 +18,9 @@ from conftest import (
     random_psd,
     sample_points,
 )
-from stieltjesmp import cli, hankel, schur, serialize
+from stieltjesmp import cli, hankel, matcore, pairs, respoly, schur, serialize
 from stieltjesmp.hankel import MomentSequence
+from stieltjesmp.lft import lft_rational
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
     InconsistencyError,
@@ -29,13 +30,12 @@ from stieltjesmp.matcore import (
 )
 from stieltjesmp.measures import moments, stieltjes_transform, verify_solution
 from stieltjesmp.pairs import RationalMatFun, StieltjesPair, equivalent
-from stieltjesmp.respoly import MatrixPolynomial
+from stieltjesmp.respoly import MatrixPolynomial, v_poly
 from stieltjesmp.schur import first_transform
 from stieltjesmp.solver import (
     SolutionRequest,
     case_of,
     inverse_schur_stieltjes_transform,
-    m0_base_case_check,
     schur_stieltjes_transform,
     solve,
     solve_degenerate_embedded,
@@ -96,6 +96,21 @@ def test_solve_runs_the_algorithm_once(monkeypatch, tmp_path, capsys):
     assert cli.main(["solve", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["case"] == "NonDegenerate"
     assert calls["transform_trace"] == 1
+
+
+def test_solve_builds_only_the_descent_product(monkeypatch):
+    # the synthesis reads the descent product; no ascent generator is built
+    calls = []
+
+    def counted(*args, _fn=respoly.w_poly, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(respoly, "w_poly", counted)
+    _, seq = nondegenerate_seq(np.random.default_rng(72), 2, 4)
+    sol = solve(SolutionRequest(seq, cauchy_pair(0.0, 2)))
+    assert calls == []
+    assert verify_solution(sol, seq)["ok"]
 
 
 def test_solve_gates_the_denominator_on_its_grid():
@@ -343,6 +358,49 @@ def test_degenerate_embedded_with_explicit_bases():
         solve_degenerate_embedded(seq, cauchy_pair(0.0, 3, t=1.0))
     with pytest.raises(PreconditionError):
         solve_degenerate_embedded(seq, small, w=np.ones((3, 3)))
+
+
+def m0_base_case_check(fun, s0, alpha=0.0, tol=DEFAULT_TOL):
+    """Length-one roundtrip: solution -> pair -> solution.
+
+    Builds the pair (phi, psi) = ((z-alpha)F + s_0,
+    -(z-alpha)s_0^+ F + (I - s_0^+ s_0)), checks admissibility and the
+    range condition against s_0, reconstructs F from the pair through the
+    degree-1 descent generator, and reports the worst grid mismatch.
+    """
+    s0 = matcore.hermitize(s0, tol)
+    s0p = matcore.pinv(s0, tol)
+    q = fun.q
+    grid = pairs.default_grid(alpha)
+
+    zshift = RationalMatFun(fun.num.scale_poly((-alpha, 1.0)), fun.den)
+    phi = zshift + RationalMatFun.const(s0)
+    psi = zshift.lmul(-s0p) + RationalMatFun.const(np.eye(q) - s0p @ s0)
+    pair = StieltjesPair(alpha, phi, psi)
+
+    rep = pairs.verify_pair(pair, tol, grid)
+    in_range = pairs.in_class_P_of(pair, s0, tol, grid)
+
+    recon = lft_rational(v_poly(alpha, s0, tol).blocks(), phi, psi, tol,
+                         stage="reconstruction")
+
+    gaps = []
+    for z in grid:
+        try:
+            gaps.append(matcore.frob(fun(complex(z)) - recon(complex(z)))
+                        / (1.0 + matcore.frob(fun(complex(z)))))
+        except SingularDenominatorError:
+            continue
+    gap = float(max(gaps)) if gaps else float("inf")
+    return {
+        "pair_ok": bool(rep["ok"]),
+        "pair_report": rep,
+        "in_range_class": bool(in_range),
+        "reconstruction_gap": gap,
+        "pair": pair,
+        "reconstructed": recon,
+        "ok": bool(rep["ok"] and in_range and gap <= 1e-9),
+    }
 
 
 def test_m0_base_case_roundtrip():
