@@ -31,7 +31,8 @@ __all__ = ["BlockGenerator", "check_denominator", "det_or_none", "lft_pair",
 
 @dataclass(frozen=True)
 class BlockGenerator:
-    """Four q x q blocks of a linear-fractional generator."""
+    """Four q x q blocks of a linear-fractional generator, kept as
+    read-only copies of the inputs."""
 
     a: np.ndarray
     b: np.ndarray
@@ -39,18 +40,14 @@ class BlockGenerator:
     d: np.ndarray
 
     def __post_init__(self):
-        blocks = {}
-        q = None
-        for name in ("a", "b", "c", "d"):
-            m = matcore.as_cmat(getattr(self, name))
-            if q is None:
-                q = m.shape[0]
+        blocks = [matcore.as_cmat(getattr(self, name)).copy() for name in "abcd"]
+        q = blocks[0].shape[0]
+        for name, m in zip("abcd", blocks):
             if m.shape != (q, q):
                 raise ValueError("generator blocks must be square, equal size")
-            blocks[name] = m
-        for name, m in blocks.items():
+            m.flags.writeable = False
             object.__setattr__(self, name, m)
-        lower = np.hstack([blocks["c"], blocks["d"]])
+        lower = np.hstack(blocks[2:])
         if np.linalg.matrix_rank(lower, tol=1e-12 * max(1.0, matcore.specnorm(lower))) < q:
             raise PreconditionError("lower block row of generator is rank deficient")
 
@@ -91,7 +88,7 @@ def det_or_none(den: MatrixPolynomial):
     at an absolute 1e-13, so a purely relative test would pass trim noise.
     """
     det = det_poly(den)
-    scale = max(matcore.frob(c) for c in den.coeffs)
+    scale = max(den.coeff_norms())
     if np.abs(det).max() <= 1e-12 * max(1.0, scale ** den.size):
         return None
     return det

@@ -122,7 +122,7 @@ def stieltjes_transform(mu: DiscreteMeasure) -> RationalMatFun:
         others = [x for j, x in enumerate(mu.nodes) if j != i]
         cof = ((-1.0) ** len(others)) * npoly.polyfromroots(others)
         num = num + MatrixPolynomial.constant(w).scale_poly(cof)
-    return RationalMatFun(num.trimmed(), tuple(den)).simplify()
+    return RationalMatFun(num.trimmed(), den).simplify()
 
 
 def extract_moments(fun: RationalMatFun, alpha: float, m: int, ladder=None,
@@ -151,11 +151,11 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int, ladder=None,
             "function does not decay like a half-axis transform "
             f"(y*norm spans {min(growth):.3e} .. {top:.3e})")
 
-    den = np.asarray(fun.den)
+    den = fun.den
     deg = len(den) - 1
     coeffs = fun.num.coeffs
-    tail = max((matcore.frob(c) for c in coeffs[deg:]), default=0.0)
-    residual = float(tail / max(matcore.frob(c) for c in coeffs))
+    norms = fun.num.coeff_norms()
+    residual = float(max(norms[deg:], default=0.0) / max(norms))
     zero = np.zeros((q, q), dtype=complex)
     c = []
     for i in range(m + 1):

@@ -1,5 +1,8 @@
 """Rational matrix functions and admissible function pairs.
 
+A rational matrix function is a matrix polynomial numerator, one stack of
+coefficients, over a scalar denominator held as one 1-d array.
+
 A pair (phi, psi) of q x q rational functions is admissible for the
 half-axis [alpha, inf) when the stacked column [phi; psi] has full rank,
 the imaginary-signature form of the stack and of [(z-alpha)phi; psi] is
@@ -24,7 +27,7 @@ from .matcore import (
     SingularDenominatorError,
     ToleranceConfig,
 )
-from .respoly import MatrixPolynomial
+from .respoly import MatrixPolynomial, trim_trailing
 
 __all__ = [
     "RationalMatFun",
@@ -41,32 +44,27 @@ __all__ = [
 ]
 
 
-def _trim_scalar(c, rel: float = 1e-13) -> tuple:
-    c = list(np.atleast_1d(np.asarray(c, dtype=complex)))
-    top = max(abs(x) for x in c)
-    cut = rel * max(1.0, top)
-    while len(c) > 1 and abs(c[-1]) <= cut:
-        c.pop()
-    return tuple(c)
-
-
 @dataclass(frozen=True)
 class RationalMatFun:
-    """Matrix polynomial numerator over a scalar polynomial denominator."""
+    """Matrix polynomial numerator over a scalar polynomial denominator
+    ``den``: a read-only 1-d complex array, degree-ascending, copied from
+    the given sequence without its negligible trailing coefficients."""
 
     num: MatrixPolynomial
-    den: tuple = (1.0 + 0.0j,)
+    den: np.ndarray = (1.0 + 0.0j,)
 
     def __post_init__(self):
-        den = _trim_scalar(self.den)
-        if max(abs(x) for x in den) == 0.0:
-            raise ValueError("denominator is identically zero")
-        object.__setattr__(self, "den", den)
-        # keep evaluation well scaled: unit-size leading data
+        den = np.atleast_1d(np.array(self.den, dtype=complex))
+        den = trim_trailing(den, [abs(x) for x in den])
         top = max(abs(x) for x in den)
+        if top == 0.0:
+            raise ValueError("denominator is identically zero")
+        # keep evaluation well scaled: unit-size leading data
         if not (0.5 <= top <= 2.0):
-            object.__setattr__(self, "den", tuple(x / top for x in den))
+            den = den / top
             object.__setattr__(self, "num", self.num.scale(1.0 / top))
+        den.flags.writeable = False
+        object.__setattr__(self, "den", den)
 
     @property
     def shape(self) -> tuple:
@@ -85,8 +83,8 @@ class RationalMatFun:
         return RationalMatFun(MatrixPolynomial.constant(np.zeros((q, q))))
 
     def __call__(self, z: complex) -> np.ndarray:
-        dv = npoly.polyval(z, np.asarray(self.den))
-        bound = float(npoly.polyval(abs(z), np.abs(np.asarray(self.den))))
+        dv = npoly.polyval(z, self.den)
+        bound = float(npoly.polyval(abs(z), np.abs(self.den)))
         if abs(dv) <= 1e-12 * max(bound, 1e-300):
             raise SingularDenominatorError(
                 "evaluation point is numerically a pole",
@@ -110,13 +108,11 @@ class RationalMatFun:
 
     def lmul(self, a) -> "RationalMatFun":
         a = matcore.as_cmat(a)
-        return RationalMatFun(
-            MatrixPolynomial(tuple(a @ c for c in self.num.coeffs)), self.den)
+        return RationalMatFun(MatrixPolynomial(a @ self.num.coeffs), self.den)
 
     def rmul(self, a) -> "RationalMatFun":
         a = matcore.as_cmat(a)
-        return RationalMatFun(
-            MatrixPolynomial(tuple(c @ a for c in self.num.coeffs)), self.den)
+        return RationalMatFun(MatrixPolynomial(self.num.coeffs @ a), self.den)
 
     def simplify(self, rel: float = 1e-10) -> "RationalMatFun":
         """Rewrite with the smallest denominator degree that fits the values.
@@ -135,18 +131,15 @@ class RationalMatFun:
         returned unchanged.
         """
         num = self.num.trimmed()
-        den = np.asarray(_trim_scalar(self.den), dtype=complex)
+        den = self.den
         dn = len(den) - 1
-        rows, cols = num.shape
-        if all(not c.any() for c in num.coeffs):
+        if not num.coeffs.any():
             return RationalMatFun(
-                MatrixPolynomial.constant(np.zeros((rows, cols))), (1.0,))
+                MatrixPolynomial.constant(np.zeros(num.shape)), (1.0,))
         if dn == 0:
-            return RationalMatFun(num, tuple(den))
+            return RationalMatFun(num, den)
         nd = num.degree
-        num_c = np.zeros((rows, cols, nd + 1), dtype=complex)
-        for t, mat in enumerate(num.coeffs):
-            num_c[:, :, t] = mat
+        num_c = num.coeffs.transpose(1, 2, 0)
         pole_scale = 1.0 + float(np.abs(npoly.polyroots(den)).max())
 
         for d in range(max(0, dn - nd), dn):
@@ -155,7 +148,7 @@ class RationalMatFun:
                 continue
             if self._matches(cand, pole_scale, rel):
                 return cand
-        return RationalMatFun(num, tuple(den))
+        return RationalMatFun(num, den)
 
     @staticmethod
     def _mul_matrix(poly, width: int) -> np.ndarray:
@@ -198,10 +191,9 @@ class RationalMatFun:
         # well-conditioned linear system N * den = num * new_den exactly.
         rhs = (conv @ new_den).T
         fit = np.linalg.lstsq(den_on_num, rhs, rcond=None)[0]
-        mats = tuple(fit.reshape(red_nd + 1, rows, cols))
+        num = MatrixPolynomial(fit.reshape(red_nd + 1, rows, cols))
         try:
-            return RationalMatFun(MatrixPolynomial(mats).trimmed(),
-                                  tuple(new_den))
+            return RationalMatFun(num.trimmed(), new_den)
         except ValueError:
             return None
 

@@ -1,6 +1,10 @@
 """Matrix polynomials: the two elementary 2q x 2q generator families, their
 stagewise compositions, and the indefinite-metric identities.
 
+A matrix polynomial is one read-only coefficient stack, and every operation
+works on the stack: evaluation takes a point or an array of points, so the
+determinant and adjugate sample each interpolation circle in one call.
+
 The descent generator at a seed A is
     [[0, -A], [(z-alpha)A^+, (z-alpha)I]]
 and the ascent generator is
@@ -24,6 +28,7 @@ from .schur import TransformTrace
 __all__ = [
     "MatrixPolynomial",
     "ResolventBlocks",
+    "trim_trailing",
     "det_poly",
     "adjugate_poly",
     "v_poly",
@@ -35,29 +40,39 @@ __all__ = [
 ]
 
 
+def trim_trailing(stack, sizes, rel: float = 1e-13):
+    """``stack`` (degree-ascending coefficients) without its trailing
+    entries of size at most rel * max(1, largest size); ``sizes`` holds
+    the size of each entry.  The constant entry always stays."""
+    cut = rel * max(1.0, max(sizes))
+    n = len(stack)
+    while n > 1 and sizes[n - 1] <= cut:
+        n -= 1
+    return stack[:n]
+
+
 @dataclass(frozen=True)
 class MatrixPolynomial:
-    """Matrix-coefficient polynomial, coefficients degree-ascending."""
+    """Matrix-coefficient polynomial: ``coeffs`` is a read-only complex
+    array of shape (degree + 1, rows, cols), degree-ascending, copied from
+    the sequence of equally shaped matrices the constructor is given."""
 
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(matcore.as_cmat(c) for c in self.coeffs)
-        if not mats:
-            raise ValueError("polynomial needs at least one coefficient")
-        shape = mats[0].shape
-        for c in mats:
-            if c.shape != shape:
-                raise ValueError("coefficients must all have the same shape")
-        object.__setattr__(self, "coeffs", mats)
+        stack = np.array(self.coeffs, dtype=complex)
+        if stack.ndim != 3 or not len(stack) or not np.isfinite(stack).all():
+            raise ValueError("coefficients must be finite equal-shape matrices")
+        stack.flags.writeable = False
+        object.__setattr__(self, "coeffs", stack)
 
     @property
     def shape(self) -> tuple:
-        return self.coeffs[0].shape
+        return self.coeffs.shape[1:]
 
     @property
     def size(self) -> int:
-        r, c = self.coeffs[0].shape
+        r, c = self.shape
         if r != c:
             raise ValueError("size is only defined for square coefficients")
         return r
@@ -66,23 +81,33 @@ class MatrixPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z: complex) -> np.ndarray:
-        acc = self.coeffs[-1].copy()
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
-        return acc
+    def coeff_norms(self) -> list:
+        """Frobenius norm of each coefficient, degree-ascending."""
+        return [matcore.frob(c) for c in self.coeffs]
+
+    def __call__(self, z) -> np.ndarray:
+        """Horner evaluation at a point; at an array of points, the values
+        stacked along the leading axes of the array."""
+        cs = self.coeffs
+        n = len(cs) - 1
+        acc = cs[n]
+        z = np.asarray(z)
+        if z.ndim:
+            z = z[..., None, None]
+            # broadcast first: at one point, 1 x 1 coefficients would round
+            # unlike the single-point product, which the stack must equal
+            acc = np.broadcast_to(acc, z.shape[:-2] + self.shape)
+        for k in range(n - 1, -1, -1):
+            acc = acc * z + cs[k]
+        return acc if n else acc.copy()
 
     def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in polynomial sum")
         n = max(len(self.coeffs), len(other.coeffs))
-        zero = np.zeros(self.shape, dtype=complex)
-        out = []
-        for k in range(n):
-            a = self.coeffs[k] if k < len(self.coeffs) else zero
-            b = other.coeffs[k] if k < len(other.coeffs) else zero
-            out.append(a + b)
-        return MatrixPolynomial(tuple(out))
+        a, b = (np.concatenate((p.coeffs, np.zeros((n - p.degree - 1,) + p.shape)))
+                for p in (self, other))
+        return MatrixPolynomial(a + b)
 
     def __sub__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         return self + other.scale(-1.0)
@@ -91,42 +116,34 @@ class MatrixPolynomial:
         """Coefficient convolution (noncommutative)."""
         if self.shape[1] != other.shape[0]:
             raise ValueError("inner dimensions do not match")
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        shape = (self.shape[0], other.shape[1])
-        out = [np.zeros(shape, dtype=complex) for _ in range(n)]
+        width = len(other.coeffs)
+        out = np.zeros((len(self.coeffs) + width - 1, self.shape[0],
+                        other.shape[1]), dtype=complex)
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a @ b
-        return MatrixPolynomial(tuple(out))
+            out[i:i + width] += a @ other.coeffs
+        return MatrixPolynomial(out)
 
     def scale(self, c: complex) -> "MatrixPolynomial":
-        return MatrixPolynomial(tuple(c * x for x in self.coeffs))
+        return MatrixPolynomial(c * self.coeffs)
 
     def scale_poly(self, scalar_coeffs) -> "MatrixPolynomial":
         """Multiply by a scalar polynomial (degree-ascending coefficients)."""
         sc = np.atleast_1d(np.asarray(scalar_coeffs, dtype=complex))
-        n = len(self.coeffs) + len(sc) - 1
-        out = [np.zeros(self.shape, dtype=complex) for _ in range(n)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(sc):
-                out[i + j] += b * a
-        return MatrixPolynomial(tuple(out))
+        n = len(self.coeffs)
+        out = np.zeros((n + len(sc) - 1,) + self.shape, dtype=complex)
+        # descending j adds the terms of each output coefficient in the
+        # order of __matmul__, ascending in the matrix coefficient
+        for j in range(len(sc) - 1, -1, -1):
+            out[j:j + n] += sc[j] * self.coeffs
+        return MatrixPolynomial(out)
 
     def trimmed(self, rel: float = 1e-13) -> "MatrixPolynomial":
-        top = max(matcore.frob(c) for c in self.coeffs)
-        cut = rel * max(1.0, top)
-        coeffs = list(self.coeffs)
-        while len(coeffs) > 1 and matcore.frob(coeffs[-1]) <= cut:
-            coeffs.pop()
-        return MatrixPolynomial(tuple(coeffs))
+        return MatrixPolynomial(
+            trim_trailing(self.coeffs, self.coeff_norms(), rel))
 
     @staticmethod
     def constant(a) -> "MatrixPolynomial":
-        return MatrixPolynomial((matcore.as_cmat(a),))
-
-    @staticmethod
-    def identity(n: int) -> "MatrixPolynomial":
-        return MatrixPolynomial((np.eye(n, dtype=complex),))
+        return MatrixPolynomial((a,))
 
     def blocks(self) -> "ResolventBlocks":
         if self.size % 2:
@@ -145,7 +162,7 @@ class MatrixPolynomial:
     def from_json(cls, obj: dict) -> "MatrixPolynomial":
         from . import serialize
 
-        return cls(tuple(serialize.matrix_from_json(c) for c in obj["coeffs"]))
+        return cls([serialize.matrix_from_json(c) for c in obj["coeffs"]])
 
 
 @dataclass(frozen=True)
@@ -154,8 +171,10 @@ class ResolventBlocks:
 
     full: MatrixPolynomial
 
-    def _slice(self, rows, cols) -> MatrixPolynomial:
-        return MatrixPolynomial(tuple(c[rows, cols] for c in self.full.coeffs))
+    def _block(self, i: int, j: int) -> MatrixPolynomial:
+        q = self.q
+        return MatrixPolynomial(
+            self.full.coeffs[:, i * q:(i + 1) * q, j * q:(j + 1) * q])
 
     @property
     def q(self) -> int:
@@ -163,23 +182,19 @@ class ResolventBlocks:
 
     @property
     def nw(self) -> MatrixPolynomial:
-        q = self.q
-        return self._slice(slice(0, q), slice(0, q))
+        return self._block(0, 0)
 
     @property
     def ne(self) -> MatrixPolynomial:
-        q = self.q
-        return self._slice(slice(0, q), slice(q, 2 * q))
+        return self._block(0, 1)
 
     @property
     def sw(self) -> MatrixPolynomial:
-        q = self.q
-        return self._slice(slice(q, 2 * q), slice(0, q))
+        return self._block(1, 0)
 
     @property
     def se(self) -> MatrixPolynomial:
-        q = self.q
-        return self._slice(slice(q, 2 * q), slice(q, 2 * q))
+        return self._block(1, 1)
 
     def to_json(self) -> dict:
         return {
@@ -190,24 +205,22 @@ class ResolventBlocks:
         }
 
 
-def _adjugate_at(m: np.ndarray) -> np.ndarray:
-    """Classical adjugate of one matrix via cofactor minors."""
-    n = m.shape[0]
-    if n == 1:
-        return np.ones((1, 1), dtype=complex)
-    adj = np.empty((n, n), dtype=complex)
-    rows = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = m[np.ix_(rows != i, rows != j)]
-            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
+def _adjugates(m: np.ndarray) -> np.ndarray:
+    """Classical adjugates of a stack of n x n matrices, from all cofactor
+    minors of all of them in one determinant call:
+    adj[..., j, i] = (-1)^(i+j) det(m without row i and column j)."""
+    n = m.shape[-1]
+    # others[i] lists the indices other than i, ascending
+    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    minors = m[..., others[:, None, :, None], others[None, :, None, :]]
+    sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    return (sign * np.linalg.det(minors)).swapaxes(-1, -2)
 
 
 def _balanced_radius(p: MatrixPolynomial) -> float:
     """Fujiwara-style circle radius at which the leading coefficients of
     ``p`` contribute visibly to the sampled values."""
-    norms = [float(np.linalg.norm(c)) for c in p.coeffs]
+    norms = p.coeff_norms()
     top = max(norms)
     if top == 0.0:
         return 1.0
@@ -221,17 +234,19 @@ def _balanced_radius(p: MatrixPolynomial) -> float:
     return min(radius, 1e4)
 
 
-def _interp_coeffs(sample_fn, k: int, radius: float) -> np.ndarray:
-    """Coefficients (degree-ascending) of a polynomial of degree < ``k``
-    given a pointwise evaluator.
+def _interp_coeffs(p: MatrixPolynomial, fn, k: int) -> np.ndarray:
+    """Coefficients (degree-ascending) of fn(p(z)), a polynomial of degree
+    < ``k``, where ``fn`` maps a stack of values of ``p`` to a stack.
 
     A single sampling circle cannot resolve a wide coefficient dynamic
     range: on a small circle the high-degree coefficients drown in
     rounding noise, which |z|^degree then amplifies at evaluation points
     away from the circle; on a large circle the low-degree coefficients
-    drown instead.  So the FFT interpolation runs on several radii and
-    each coefficient is taken from the radius with the smallest error
-    bound eps * max|samples| / radius^degree."""
+    drown instead.  So the FFT interpolation runs on several radii, each
+    evaluating ``p`` once at all k nodes, and each coefficient is taken
+    from the radius with the smallest error bound
+    eps * max|samples| / radius^degree."""
+    radius = _balanced_radius(p)
     radii = [1.0]
     if radius > 1.5:
         radii.append(float(radius))
@@ -242,7 +257,7 @@ def _interp_coeffs(sample_fn, k: int, radius: float) -> np.ndarray:
     powers = np.arange(k, dtype=float)
     for r in radii:
         nodes = r * np.exp(2j * np.pi * np.arange(k) / k)
-        vals = np.stack([np.asarray(sample_fn(z)) for z in nodes])
+        vals = fn(p(nodes))
         coeffs = np.fft.fft(vals, axis=0) / k
         shape = (slice(None),) + (None,) * (coeffs.ndim - 1)
         coeffs = coeffs / (r ** powers)[shape]
@@ -262,22 +277,14 @@ def det_poly(p: MatrixPolynomial) -> np.ndarray:
     Recovered by circle interpolation; exact up to rounding because det p
     has degree at most size * degree.
     """
-    q = p.size
-    k = q * p.degree + 1
-    return _interp_coeffs(lambda z: np.linalg.det(p(z)), k,
-                          _balanced_radius(p))
+    return _interp_coeffs(p, np.linalg.det, p.size * p.degree + 1)
 
 
 def adjugate_poly(p: MatrixPolynomial) -> MatrixPolynomial:
     """Adjugate of a square matrix polynomial, so that
     p(z) adj(z) = adj(z) p(z) = det p(z) I."""
-    q = p.size
-    if q == 1:
-        return MatrixPolynomial((np.eye(1, dtype=complex),))
-    k = max((q - 1) * p.degree + 1, 1)
-    coeffs = _interp_coeffs(lambda z: _adjugate_at(p(z)), k,
-                            _balanced_radius(p))
-    return MatrixPolynomial(tuple(coeffs)).trimmed()
+    k = (p.size - 1) * p.degree + 1
+    return MatrixPolynomial(_interp_coeffs(p, _adjugates, k)).trimmed()
 
 
 def v_poly(alpha: float, a, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynomial:

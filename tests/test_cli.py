@@ -314,16 +314,70 @@ def test_singular_grid_point_is_a_verification_failure(tmp_path, capsys):
 
 DATA = Path(__file__).resolve().parent / "data"
 
+# golden stdout name -> (subcommand, input file, flags); seq_q2_m2.json is
+# the sequence of solve_q2_m2.json
+GOLDEN = {
+    **{f"{command}_{case}": (command, f"{command}_{case}.json")
+       for command in ("solve", "verify") for case in ("q1_m2", "q2_m2")},
+    "poly_q2_m2": ("poly", "seq_q2_m2.json"),
+    "schur_k1_q2_m2": ("schur", "seq_q2_m2.json", "-k", "1", "--trace"),
+}
+
+
+def golden_argv(name):
+    command, path, *flags = GOLDEN[name]
+    return [command, str(DATA / path), *flags]
+
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("case", ["q1_m2", "q2_m2"])
 def test_output_matches_golden_bytes(capsys, command, case):
     # inputs: exact moments s_0..s_2 of small discrete measures, with a
     # Cauchy parameter for solve and the measure's own transform for
-    # verify; the expected stdout is the same at one and two BLAS threads
-    assert main([command, str(DATA / f"{command}_{case}.json")]) == 0
+    # verify; test_goldens_hold_at_one_and_two_blas_threads checks that
+    # the expected stdout does not depend on the BLAS thread count
+    assert main(golden_argv(f"{command}_{case}")) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (DATA / f"{command}_{case}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["poly_q2_m2", "schur_k1_q2_m2"])
+def test_resolvent_and_trace_output_matches_golden_bytes(capsys, name):
+    # the resolvent blocks print every matrix polynomial coefficient, and
+    # the trace every stage of the algorithm, of the q=2, m=2 sequence
+    assert main(golden_argv(name)) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (DATA / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_goldens_hold_at_one_and_two_blas_threads(tmp_path, threads):
+    # BLAS fixes its thread count when it loads, so each count needs a
+    # fresh interpreter; PYTHONPATH leads with the package this test
+    # imported, so the child runs this code and not an installed copy.
+    src = str(Path(stieltjesmp.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = (
+        "import contextlib, io, json, pathlib, sys\n"
+        "from stieltjesmp.cli import main\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    assert code == 0, (name, code)\n"
+        "    pathlib.Path(sys.argv[2], name + '.out').write_bytes(\n"
+        "        out.getvalue().encode('utf-8'))\n")
+    argvs = {name: golden_argv(name) for name in GOLDEN}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs), str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for name in GOLDEN:
+        assert ((tmp_path / f"{name}.out").read_bytes()
+                == (DATA / f"{name}.out").read_bytes()), name
 
 
 def test_digits_flag_rounds_output(tmp_path, capsys):

@@ -81,6 +81,15 @@ def test_generator_rejects_rank_deficient_lower_row():
         BlockGenerator(np.eye(2), np.eye(2), z, z)
 
 
+def test_generator_keeps_read_only_copies_of_its_blocks():
+    a = np.eye(2, dtype=complex)
+    e = BlockGenerator(a, np.eye(2), np.zeros((2, 2)), np.eye(2))
+    a[0, 0] = 7.0
+    assert e.a[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        e.d[1, 1] = 9.0
+
+
 def test_lft_matrix_hand_example():
     # a=b=d=I, c=O: x -> x + I
     e = BlockGenerator(np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2))

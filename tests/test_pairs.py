@@ -67,6 +67,15 @@ def test_rational_den_normalization():
         RationalMatFun(MatrixPolynomial.constant(np.eye(2)), (0.0,))
 
 
+def test_rational_den_is_a_read_only_copy():
+    den = np.array([1.0, -0.5, 1e-20], dtype=complex)
+    f = RationalMatFun(MatrixPolynomial.constant(np.eye(2)), den)
+    den[0] = 5.0
+    assert f.den.shape == (2,) and f.den[0] == 1.0
+    with pytest.raises(ValueError):
+        f.den[1] = 0.0
+
+
 def test_rational_pole_gate():
     f = RationalMatFun(MatrixPolynomial.constant(np.eye(2)), (1.0, -1.0))
     with pytest.raises(SingularDenominatorError) as err:

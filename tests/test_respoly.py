@@ -8,6 +8,7 @@ from stieltjesmp.hankel import MomentSequence
 from stieltjesmp.matcore import DEFAULT_TOL, PreconditionError, frob
 from stieltjesmp.respoly import (
     MatrixPolynomial,
+    _adjugates,
     adjugate_poly,
     compose_resolvent,
     det_poly,
@@ -62,6 +63,23 @@ def test_rectangular_polynomials_multiply_with_shape_checks():
         a.size
 
 
+def test_polynomial_keeps_its_own_read_only_coefficients():
+    c0 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    p = MatrixPolynomial((c0,))
+    c0[0, 0] = 7.0
+    assert p(0.0)[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        p.coeffs[0][1, 1] = 9.0
+    value = p(0.0)
+    value[1, 1] = 9.0
+    assert p(0.0)[1, 1] == 4.0
+    assert p.coeffs.shape == (1, 2, 2) and p.coeffs.dtype == complex
+    with pytest.raises(ValueError):
+        MatrixPolynomial(())
+    with pytest.raises(ValueError):
+        MatrixPolynomial((np.eye(2), np.eye(3)))
+
+
 def test_trimmed_drops_negligible_top_coefficients():
     p = MatrixPolynomial((np.eye(2), 1e-20 * np.eye(2)))
     assert p.trimmed().degree == 0
@@ -69,10 +87,43 @@ def test_trimmed_drops_negligible_top_coefficients():
     assert z.trimmed().degree == 0
 
 
+def test_evaluation_at_an_array_of_points_stacks_the_pointwise_values():
+    # bit for bit: det_poly and adjugate_poly sample a whole circle at once
+    rng = np.random.default_rng(40)
+    for q in range(1, 7):
+        for deg in (0, 1, 3, 6):
+            p = _rand_poly(rng, q, deg)
+            zs = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+            zs[0, :2] = zs[0, :2].real
+            values = p(zs)
+            assert values.shape == (2, 5, q, q)
+            pointwise = np.array([[p(z) for z in row] for row in zs])
+            assert np.array_equal(values, pointwise), (q, deg)
+            nodes = 3.0 * np.exp(2j * np.pi * np.arange(q * deg + 1)
+                                 / (q * deg + 1))
+            assert np.array_equal(p(nodes), np.stack([p(z) for z in nodes]))
+            for z in zs.ravel():
+                assert np.array_equal(p(np.array([z])), p(z)[None])
+
+
+def test_stacked_adjugates_match_the_cofactor_loop_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for q in range(1, 7):
+        stack = rng.normal(size=(7, q, q)) + 1j * rng.normal(size=(7, q, q))
+        stack[0] = 0.0
+        stack[1, :, 0] = stack[1, :, -1]      # singular
+        expected = np.stack([oracles.oracle_adjugate(m) for m in stack])
+        assert np.array_equal(_adjugates(stack), expected), q
+
+
 def test_det_and_adjugate_interpolation():
     rng = np.random.default_rng(32)
-    for q, deg in [(1, 3), (2, 2), (3, 4), (4, 1)]:
-        p = _rand_poly(rng, q, deg)
+    cases = [_rand_poly(rng, q, deg) for q, deg in
+             [(1, 3), (2, 2), (3, 4), (4, 1), (5, 3), (6, 2)]]
+    full = _rand_poly(rng, 3, 2)
+    lead = np.diag([1.0, 2.0, 0.0]) @ full.coeffs[-1]     # singular
+    cases.append(MatrixPolynomial(tuple(full.coeffs[:-1]) + (lead,)))
+    for p in cases:
         det = det_poly(p)
         adj = adjugate_poly(p)
         for z in (0.4 + 0.9j, -1.2, 2.0 - 0.3j):
