@@ -8,6 +8,15 @@ rank, otherwise no input can ever make the denominator invertible.
 ``lft_pair`` evaluates the action at a point, ``lft_rational`` on rational
 matrix functions; every denominator passes ``check_denominator`` (pointwise)
 or ``det_or_none`` (identically singular determinant).
+
+Every generator in the package is built at an endpoint alpha, and the
+resolvent satisfies V(z)W(z) = (z-alpha)^(m+1) diag(P, I), so the numerator
+N adj(D) and the denominator det D that ``lft_rational`` forms share a
+power of (z - alpha).  Rounding spreads a k-fold root into a cluster of
+radius about eps^(1/k) that ``simplify`` cannot cancel, so the kernel takes
+alpha and divides that power out first (``divide_out_root``): repeated
+synthetic division, for as long as both remainders are at most
+``DEFLATION_REL`` of their largest coefficient.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from .matcore import (
 )
 from .respoly import MatrixPolynomial, adjugate_poly, det_poly
 
-__all__ = ["BlockGenerator", "check_denominator", "det_or_none", "lft_pair",
-           "lft_rational"]
+__all__ = ["BlockGenerator", "DEFLATION_REL", "check_denominator",
+           "det_or_none", "divide_out_root", "lft_pair", "lft_rational"]
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,53 @@ def det_or_none(den: MatrixPolynomial):
     return det
 
 
+# A remainder of the division by (z - alpha) is negligible when it is at most
+# this fraction of the largest coefficient of the polynomial divided: far
+# above the rounding that spreads a multiple root at alpha into a cluster,
+# far below any coefficient a solution needs.
+DEFLATION_REL = 1e-8
+
+
+def _divide_by_root(c: np.ndarray, alpha: float):
+    """(quotient, remainder) of the coefficient stack ``c`` (degree-ascending
+    along axis 0) divided by (z - alpha): synthetic division, top down."""
+    quo = np.empty_like(c[1:])
+    acc = c[-1]
+    for j in range(len(c) - 2, -1, -1):
+        quo[j] = acc
+        acc = c[j] + alpha * acc
+    return quo, acc
+
+
+def divide_out_root(num: MatrixPolynomial, den: np.ndarray, alpha: float):
+    """(num, den) over the largest power of (z - alpha) at which the
+    remainders of both are at most ``DEFLATION_REL`` of their largest
+    coefficient; the inputs themselves when that power is 0.
+
+    The denominator is taken as the last column of the numerator's
+    flattened stack, padded with exact zeros to its degree, so one synthetic
+    division serves both.
+    """
+    rows, cols = num.shape
+    nd, dn = num.degree, len(den) - 1
+    num_cut = DEFLATION_REL * max(num.coeff_norms())
+    den_cut = DEFLATION_REL * float(np.abs(den).max())
+    both = np.zeros((max(nd, dn) + 1, rows * cols + 1), dtype=complex)
+    both[:nd + 1, :-1] = num.coeffs.reshape(nd + 1, -1)
+    both[:dn + 1, -1] = den
+    k = 0
+    while k < min(nd, dn):
+        quo, rem = _divide_by_root(both, alpha)
+        if abs(rem[-1]) > den_cut or np.linalg.norm(rem[:-1]) > num_cut:
+            break
+        both = quo
+        k += 1
+    if k == 0:
+        return num, den
+    return (MatrixPolynomial(both[:nd + 1 - k, :-1].reshape(-1, rows, cols)),
+            both[:dn + 1 - k, -1])
+
+
 def lft_pair(e: BlockGenerator, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """(a x + b y)(c x + d y)^(-1)."""
     x = matcore.as_cmat(x)
@@ -103,14 +159,18 @@ def lft_pair(e: BlockGenerator, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.
     return np.linalg.solve(den.T, (e.a @ x + e.b @ y).T).T
 
 
-def lft_rational(blocks, phi, psi, tol: ToleranceConfig = DEFAULT_TOL,
-                 grid=(), stage: str = "rational"):
+def lft_rational(blocks, phi, psi, alpha: float,
+                 tol: ToleranceConfig = DEFAULT_TOL, grid=(),
+                 stage: str = "rational"):
     """(nw phi + ne psi)(sw phi + se psi)^(-1) as one rational matrix function.
 
     ``blocks`` is a ``MatrixPolynomial.blocks()`` view, (phi, psi) a pair of
-    ``RationalMatFun``.  Over the common factor phi.den psi.den the action is
+    ``RationalMatFun``, ``alpha`` the endpoint the generator was built at.
+    Over the common factor phi.den psi.den the action is
     N D^(-1) = N adj(D) / det(D); D must pass ``det_or_none`` and, at each
     point of ``grid``, ``check_denominator`` (both raise tagged ``stage``).
+    The power of (z - alpha) that N adj(D) and det(D) share is divided out
+    (``divide_out_root``, at ``DEFLATION_REL``) before ``simplify`` runs.
     """
     from .pairs import RationalMatFun
 
@@ -125,4 +185,5 @@ def lft_rational(blocks, phi, psi, tol: ToleranceConfig = DEFAULT_TOL,
             stage=stage, gap=0.0)
     for z in grid:
         check_denominator(den(complex(z)), tol, stage, complex(z))
-    return RationalMatFun(num @ adjugate_poly(den), det).simplify()
+    num, det = divide_out_root(num @ adjugate_poly(den), det, alpha)
+    return RationalMatFun(num, det).simplify()

@@ -127,8 +127,12 @@ class RationalMatFun:
         squares against the fitted denominator, and the candidate is
         accepted only if it reproduces the function at control points
         placed near the pole scale (where a spuriously low degree shows up
-        first).  If no degree passes, the function is
-        returned unchanged.
+        first).  If no degree passes, the function keeps its coefficients.
+
+        The result is in canonical form: numerator and denominator are
+        multiplied by the unit that makes the denominator's leading
+        coefficient real and positive, so its coefficients depend on the
+        function and not on the phase an SVD null vector happens to have.
         """
         num = self.num.trimmed()
         den = self.den
@@ -136,18 +140,21 @@ class RationalMatFun:
         if not num.coeffs.any():
             return RationalMatFun(
                 MatrixPolynomial.constant(np.zeros(num.shape)), (1.0,))
-        if dn == 0:
-            return RationalMatFun(num, den)
-        nd = num.degree
-        num_c = num.coeffs.transpose(1, 2, 0)
-        pole_scale = 1.0 + float(np.abs(npoly.polyroots(den)).max())
-
-        for d in range(max(0, dn - nd), dn):
-            cand = self._refit(num_c, den, nd - (dn - d), d)
-            if cand is None:
-                continue
-            if self._matches(cand, pole_scale, rel):
-                return cand
+        if dn > 0:
+            nd = num.degree
+            num_c = num.coeffs.transpose(1, 2, 0)
+            pole_scale = 1.0 + float(np.abs(npoly.polyroots(den)).max())
+            for d in range(max(0, dn - nd), dn):
+                cand = self._refit(num_c, den, nd - (dn - d), d)
+                if cand is not None and self._matches(cand, pole_scale, rel):
+                    num, den = cand.num, cand.den
+                    break
+        lead = den[-1]
+        if lead.imag != 0.0 or lead.real < 0.0:
+            unit = abs(lead) / lead
+            den = den * unit
+            den[-1] = abs(lead)
+            num = num.scale(unit)
         return RationalMatFun(num, den)
 
     @staticmethod

@@ -7,7 +7,8 @@ entry, decay for the equality problem), then synthesize the solution
 
     F = (V_nw phi + V_ne psi) (V_sw phi + V_se psi)^(-1)
 
-with the kernel ``lft.lft_rational``, which gates its denominator on the grid.
+with the kernel ``lft.lft_rational``, which gates its denominator on the grid
+and divides out the power of (z - alpha) that the resolvent introduces.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
             raise PreconditionError(
                 f"null space of the function at {z} is not killed by the seed")
     return lft.lft_rational(respoly.w_poly(alpha, a, tol).blocks(), fun,
-                            RationalMatFun.const(np.eye(fun.q)), tol,
+                            RationalMatFun.const(np.eye(fun.q)), alpha, tol,
                             stage="descent")
 
 
@@ -121,7 +122,7 @@ def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
         raise PreconditionError(
             f"function does not decay along the imaginary axis: {decay['norms']}")
     return lft.lft_rational(respoly.v_poly(alpha, a, tol).blocks(), fun,
-                            RationalMatFun.const(np.eye(fun.q)), tol,
+                            RationalMatFun.const(np.eye(fun.q)), alpha, tol,
                             stage="ascent")
 
 
@@ -173,7 +174,7 @@ def _solve(req: SolutionRequest, tol: ToleranceConfig, grid,
 
     blocks = respoly.descent_resolvent(report.trace, tol)
     return tag, r, lft.lft_rational(blocks, req.parameter.phi,
-                                    req.parameter.psi, tol, grid,
+                                    req.parameter.psi, seq.alpha, tol, grid,
                                     stage="synthesis")
 
 

@@ -1,10 +1,12 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from numpy.testing import assert_allclose
 
 from stieltjesmp.lft import (
     BlockGenerator,
     check_denominator,
+    divide_out_root,
     lft_pair,
     lft_rational,
 )
@@ -14,8 +16,14 @@ from stieltjesmp.matcore import (
     SingularDenominatorError,
     frob,
 )
-from stieltjesmp.pairs import RationalMatFun
-from stieltjesmp.respoly import MatrixPolynomial, v_poly, w_poly
+from stieltjesmp.pairs import RationalMatFun, default_grid
+from stieltjesmp.respoly import (
+    MatrixPolynomial,
+    adjugate_poly,
+    det_poly,
+    v_poly,
+    w_poly,
+)
 
 
 def _solve_right(num, den, stage):
@@ -156,7 +164,7 @@ def test_rational_kernel_matches_pointwise_action():
         e = _rand_poly(rng, 2 * q, 1)
         phi = RationalMatFun(_rand_poly(rng, q, 1), (2.0, 1.0))
         psi = RationalMatFun(_rand_poly(rng, q, 0), (1.0, 0.0, 0.5))
-        fun = lft_rational(e.blocks(), phi, psi, grid=(0.3 + 0.7j,))
+        fun = lft_rational(e.blocks(), phi, psi, 0.0, grid=(0.3 + 0.7j,))
         for z in (1.1 - 0.4j, -0.6 + 1.3j, 2.2 + 0.1j):
             ref = lft_pair(BlockGenerator.from_matrix(e(z)), phi(z), psi(z))
             assert frob(fun(z) - ref) <= 1e-9 * (1.0 + frob(ref)), (q, z)
@@ -169,13 +177,60 @@ def test_rational_kernel_gates_the_denominator():
     # lower row [I, -I] sends (I, I) to the zero denominator
     flat = MatrixPolynomial.constant(np.block([[eye, zero], [eye, -eye]]))
     with pytest.raises(SingularDenominatorError) as err:
-        lft_rational(flat.blocks(), phi, psi, stage="probe")
+        lft_rational(flat.blocks(), phi, psi, 0.0, stage="probe")
     assert err.value.stage == "probe"
     # lower row [zI, O]: invertible as a polynomial, singular at z = 0
     shift = MatrixPolynomial((np.block([[eye, zero], [zero, zero]]),
                               np.block([[zero, zero], [eye, zero]])))
-    fun = lft_rational(shift.blocks(), phi, psi, grid=(1.0,))
+    fun = lft_rational(shift.blocks(), phi, psi, 0.0, grid=(1.0,))
     assert_allclose(fun(2.0), eye / 2.0, atol=1e-12)
     with pytest.raises(SingularDenominatorError) as err:
-        lft_rational(shift.blocks(), phi, psi, grid=(1.0, 0.0), stage="probe")
+        lft_rational(shift.blocks(), phi, psi, 0.0, grid=(1.0, 0.0),
+                     stage="probe")
     assert err.value.stage == "probe" and err.value.point == 0.0
+
+
+def test_rational_kernel_divides_out_the_shared_power_of_z_minus_alpha():
+    # N (z - alpha)^3 over d (z - alpha)^3 acted on by the identity: the
+    # kernel forms N (z - alpha)^3 adj(D) over det D, which share
+    # (z - alpha)^6, and must return N / d with its degree and values
+    rng = np.random.default_rng(45)
+    alpha = 0.7
+    cube = npoly.polyfromroots([alpha] * 3)
+    n = _rand_poly(rng, 2, 2)
+    d = npoly.polyfromroots([-1.5, 2.0 + 1.0j, 3.0])
+    num, den = divide_out_root(n.scale_poly(cube), npoly.polymul(d, cube),
+                               alpha)
+    assert (num.degree, len(den) - 1) == (2, 3)
+
+    phi = RationalMatFun(n.scale_poly(cube), npoly.polymul(d, cube))
+    eye = RationalMatFun.const(np.eye(2))
+    identity = MatrixPolynomial.constant(np.eye(4))
+    fun = lft_rational(identity.blocks(), phi, eye, alpha)
+    assert len(fun.den) - 1 == 3 and fun.num.degree <= 2
+    ref = RationalMatFun(n, d)
+    for z in default_grid(alpha):
+        assert frob(fun(z) - ref(z)) <= 1e-10 * (1.0 + frob(ref(z))), z
+
+
+def test_rational_kernel_passes_a_function_without_a_factor_at_alpha_as_is():
+    # no power of (z - alpha) to divide out: simplify gets N adj(D) over
+    # det D exactly as the kernel formed them, so the output is the one of
+    # the kernel without the division, bit for bit
+    rng = np.random.default_rng(46)
+    alpha = 0.7
+    for q in (1, 2, 3):
+        e = _rand_poly(rng, 2 * q, 1).blocks()
+        phi = RationalMatFun(_rand_poly(rng, q, 1), (2.0, 1.0))
+        psi = RationalMatFun(_rand_poly(rng, q, 0), (1.0, 0.0, 0.5))
+        num = ((e.nw @ phi.num).scale_poly(psi.den)
+               + (e.ne @ psi.num).scale_poly(phi.den)).trimmed()
+        den = ((e.sw @ phi.num).scale_poly(psi.den)
+               + (e.se @ psi.num).scale_poly(phi.den)).trimmed()
+        num, det = num @ adjugate_poly(den), det_poly(den)
+        kept = divide_out_root(num, det, alpha)
+        assert kept[0] is num and kept[1] is det
+        ref = RationalMatFun(num, det).simplify()
+        fun = lft_rational(e, phi, psi, alpha)
+        assert np.array_equal(fun.num.coeffs, ref.num.coeffs), q
+        assert np.array_equal(fun.den, ref.den), q

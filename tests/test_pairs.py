@@ -85,11 +85,13 @@ def test_rational_pole_gate():
 
 
 def inverse(f):
-    """Rational inverse: the swap [[O, I], [I, O]] acting on (F, I)."""
+    """Rational inverse: the swap [[O, I], [I, O]] acting on (F, I).  The
+    swap is constant, so it has no endpoint of its own; the kernel divides
+    out common factors z^k, which leaves the function as it is."""
     eye = np.eye(f.q, dtype=complex)
     swap = np.block([[np.zeros_like(eye), eye], [eye, np.zeros_like(eye)]])
     return lft_rational(MatrixPolynomial.constant(swap).blocks(), f,
-                        RationalMatFun.const(eye), stage="inverse")
+                        RationalMatFun.const(eye), 0.0, stage="inverse")
 
 
 def test_rational_inverse():
@@ -283,7 +285,7 @@ def test_in_class_range_condition():
     assert in_class_P_of(identity_pair(0.0, 3), np.zeros((3, 3)))
 
 
-def gamma_U_extract(f, g, u):
+def gamma_U_extract(f, g, u, alpha):
     """Invert the lift: compress a q x q pair (f, g) back to r x r.
 
     Uses the normalizing factor b = g - i f, which is invertible as a
@@ -296,7 +298,7 @@ def gamma_U_extract(f, g, u):
 
     def compressed(top):
         gen = MatrixPolynomial.constant(np.block([top, [-1j * eye, eye]]))
-        fb = lft_rational(gen.blocks(), f, g, stage="compression")
+        fb = lft_rational(gen.blocks(), f, g, alpha, stage="compression")
         return fb.lmul(u.conj().T).rmul(u).simplify()
 
     return compressed([eye, zero]), compressed([zero, eye])
@@ -312,7 +314,7 @@ def test_gamma_embedding_roundtrip():
     assert in_class_P_of(lifted, usub @ usub.conj().T)
 
     # extraction returns a representative of the same projective class
-    phi_r, psi_r = gamma_U_extract(lifted.phi, lifted.psi, usub)
+    phi_r, psi_r = gamma_U_extract(lifted.phi, lifted.psi, usub, 0.25)
     recovered = StieltjesPair(0.25, phi_r, psi_r)
     assert equivalent(recovered, small)
     for z in sample_points(rng, 0.25, 5):

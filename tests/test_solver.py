@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ from stieltjesmp.solver import (
     solve_degenerate_embedded,
     solve_equality_subset,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_request_validation():
@@ -381,8 +384,8 @@ def m0_base_case_check(fun, s0, alpha=0.0, tol=DEFAULT_TOL):
     rep = pairs.verify_pair(pair, tol, grid)
     in_range = pairs.in_class_P_of(pair, s0, tol, grid)
 
-    recon = lft_rational(v_poly(alpha, s0, tol).blocks(), phi, psi, tol,
-                         stage="reconstruction")
+    recon = lft_rational(v_poly(alpha, s0, tol).blocks(), phi, psi, alpha,
+                         tol, stage="reconstruction")
 
     gaps = []
     for z in grid:
@@ -453,3 +456,58 @@ def test_solutions_across_all_cases_pass_leq_verification():
         assert verify_solution(sol, seq, mode="leq")["ok"], (tag, seq.q, seq.m)
     assert tags == {"NonDegenerate", "CompletelyDegenerate",
                     "PartiallyDegenerate"}
+
+
+@pytest.mark.parametrize("q, m, seed, degree_before", [
+    (3, 3, 1, 15), (4, 3, 1, 20), (5, 1, 6, 15)])
+def test_solutions_have_no_false_pole_left_of_alpha(q, m, seed,
+                                                    degree_before):
+    # the resolvent makes N adj(D) and det D share a power of (z - alpha);
+    # rounding spreads it into a cluster of near-roots, so before the
+    # kernel divided it out these solutions raised at alpha - 0.01 or
+    # alpha - 0.1 and had the degrees given here, though every solution is
+    # analytic left of alpha
+    alpha = 0.5
+    _, seq = nondegenerate_seq(np.random.default_rng(seed), q, m, alpha)
+    sol = solve(SolutionRequest(seq, cauchy_pair(alpha, q), "leq"))
+    for z in (alpha - 0.01, alpha - 0.1):
+        sol(z)
+    assert len(sol.den) - 1 <= degree_before
+    assert verify_solution(sol, seq, mode="leq")["ok"]
+
+
+def test_unique_solution_is_the_one_atom_transform_at_q2_m6():
+    # completely degenerate: the one solution is the measure's own
+    # transform, of degree 1; with the (z - alpha) power left in it came
+    # out at degree 14 with near-poles around alpha
+    alpha = 0.5
+    mu, seq = completely_degenerate_seq(np.random.default_rng(0), 2, 6,
+                                        alpha)
+    sol = solve(SolutionRequest(seq, identity_pair(alpha, 2), "leq"))
+    exact = stieltjes_transform(mu)
+    assert len(sol.den) - 1 == 1
+    for z in (alpha - 0.01, alpha - 0.1) + pairs.default_grid(alpha):
+        assert frob(sol(z) - exact(z)) <= 1e-9 * (1.0 + frob(exact(z))), z
+
+
+def test_solutions_have_a_real_positive_leading_denominator_coefficient():
+    # the canonical form simplify returns: the output does not carry the
+    # arbitrary phase of an SVD null vector
+    rng = np.random.default_rng(90)
+    for q, m in ((1, 2), (3, 3), (4, 3)):
+        _, seq = nondegenerate_seq(rng, q, m, alpha=0.25)
+        sol = solve(SolutionRequest(seq, cauchy_pair(0.25, q), "leq"))
+        lead = sol.den[-1]
+        assert lead.imag == 0.0 and lead.real > 0.0, (q, m, lead)
+
+
+def test_eq_solution_at_q3_m2_verifies():
+    # the bench's qcliff pool, seed 913, input 173, stored at full
+    # precision: it missed s_2 by 7.7e-4 (top_margin) before the kernel
+    # divided out the shared power of (z - alpha)
+    data = json.loads((DATA / "eq_q3_m2.json").read_text())
+    alpha, mats = serialize.sequence_from_json(data["sequence"])
+    seq = MomentSequence(alpha, tuple(mats))
+    pair = serialize.pair_from_json(data["parameter"])
+    sol = solve(SolutionRequest(seq, pair, data["mode"]))
+    assert verify_solution(sol, seq, mode=data["mode"])["ok"]
