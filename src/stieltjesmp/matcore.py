@@ -8,7 +8,7 @@ the indefinite-metric identities.  Everything downstream threads a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class ToleranceConfig:
     inclusion    relative residual for range/null-space containment tests
     det_gate     sigma_min/sigma_max gate below which denominators count
                  as singular
-    decay        absolute bound for the high-imaginary-axis decay test
-    extraction   relative tolerance for moment recovery from samples
+    extraction   relative tolerance for moment recovery and a solution's
+                 strict properness (``RationalMatFun.proper_residual``)
     equiv        subspace-distance bound for projective pair comparison
     """
 
@@ -57,17 +57,8 @@ class ToleranceConfig:
     psd: float = 1e-9
     inclusion: float = 1e-9
     det_gate: float = 1e-10
-    decay: float = 1e-3
     extraction: float = 1e-4
     equiv: float = 1e-7
-
-    def scaled(self, factor: float) -> "ToleranceConfig":
-        return replace(
-            self,
-            psd=self.psd * factor,
-            inclusion=self.inclusion * factor,
-            herm=self.herm * factor,
-        )
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -131,11 +131,10 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int, ladder=None,
 
     The moments in fun(z) = -sum_j s_j z^-(j+1) follow exactly from series
     division of the numerator by the scalar denominator; their Hermitian
-    parts are returned.  ``residual`` is the size of the numerator
-    coefficients at or above the denominator degree relative to the
-    largest one: zero for a strictly proper function.  A function that
-    does not scale like a half-axis transform (the sup of y*norm(fun(iy))
-    over the ladder is far from its inf) raises GrowthError.
+    parts are returned.  ``residual`` is ``fun.proper_residual()``: zero
+    for a strictly proper function.  A function that does not scale like a
+    half-axis transform (the sup of y*norm(fun(iy)) over the ladder is far
+    from its inf) raises GrowthError.
     """
     anchors = default_ladder() if ladder is None else tuple(ladder)
     if m < 0:
@@ -154,8 +153,7 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int, ladder=None,
     den = fun.den
     deg = len(den) - 1
     coeffs = fun.num.coeffs
-    norms = fun.num.coeff_norms()
-    residual = float(max(norms[deg:], default=0.0) / max(norms))
+    residual = fun.proper_residual()
     zero = np.zeros((q, q), dtype=complex)
     c = []
     for i in range(m + 1):

@@ -27,13 +27,13 @@ from .matcore import (
     SingularDenominatorError,
     ToleranceConfig,
 )
-from .respoly import MatrixPolynomial, trim_trailing
+from .respoly import TRIM_REL, MatrixPolynomial, trim_trailing
 
 __all__ = [
     "RationalMatFun",
+    "SIMPLIFY_REL",
     "StieltjesPair",
     "default_grid",
-    "decay_ladder",
     "pair_from_function",
     "verify_pair",
     "in_class_P_of",
@@ -42,6 +42,12 @@ __all__ = [
     "in_diamond",
     "off_poles",
 ]
+
+# A reduced candidate replaces a function in ``simplify`` only if it gives
+# its values at every control point to this relative error: loose enough
+# for the rounding a coefficient refit leaves, tight enough that a
+# candidate of too low a degree shows.
+SIMPLIFY_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,17 @@ class RationalMatFun:
         a = matcore.as_cmat(a)
         return RationalMatFun(MatrixPolynomial(self.num.coeffs @ a), self.den)
 
-    def simplify(self, rel: float = 1e-10) -> "RationalMatFun":
+    def proper_residual(self) -> float:
+        """Size of the numerator coefficients at or above the denominator
+        degree relative to the largest one: zero for a strictly proper
+        function, and for the zero function."""
+        norms = self.num.coeff_norms()
+        top = max(norms)
+        if top == 0.0:
+            return 0.0
+        return float(max(norms[len(self.den) - 1:], default=0.0) / top)
+
+    def simplify(self) -> "RationalMatFun":
         """Rewrite with the smallest denominator degree that fits the values.
 
         Cancelling a common polynomial factor by root-finding is fragile at
@@ -146,7 +162,7 @@ class RationalMatFun:
             pole_scale = 1.0 + float(np.abs(npoly.polyroots(den)).max())
             for d in range(max(0, dn - nd), dn):
                 cand = self._refit(num_c, den, nd - (dn - d), d)
-                if cand is not None and self._matches(cand, pole_scale, rel):
+                if cand is not None and self._matches(cand, pole_scale):
                     num, den = cand.num, cand.den
                     break
         lead = den[-1]
@@ -204,8 +220,7 @@ class RationalMatFun:
         except ValueError:
             return None
 
-    def _matches(self, other: "RationalMatFun", pole_scale: float,
-                 rel: float) -> bool:
+    def _matches(self, other: "RationalMatFun", pole_scale: float) -> bool:
         checked = 0
         for t, ang in ((0.11, 0.77), (0.43, 2.1), (1.19, -1.3), (2.3, 0.4)):
             z = pole_scale * t * np.exp(1j * ang)
@@ -215,7 +230,7 @@ class RationalMatFun:
             except SingularDenominatorError:
                 continue
             checked += 1
-            if matcore.frob(got - ref) > max(rel, 1e-12) * (1.0 + matcore.frob(ref)):
+            if matcore.frob(got - ref) > SIMPLIFY_REL * (1.0 + matcore.frob(ref)):
                 return False
         return checked > 0
 
@@ -254,10 +269,6 @@ def off_poles(f, grid):
         yield z, value
 
 
-def decay_ladder() -> tuple:
-    return (1e2, 1e3, 1e4, 1e5)
-
-
 @dataclass(frozen=True)
 class StieltjesPair:
     """A candidate pair (phi, psi) attached to the half-axis [alpha, inf)."""
@@ -276,12 +287,6 @@ class StieltjesPair:
 
     def stack(self, z: complex) -> np.ndarray:
         return np.vstack([self.phi(z), self.psi(z)])
-
-    def quotient_at(self, z: complex, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        """phi(z) psi(z)^(-1) with a conditioning gate."""
-        ps = self.psi(z)
-        lft.check_denominator(ps, tol, "quotient", z)
-        return np.linalg.solve(ps.T, self.phi(z).T).T
 
     def to_json(self) -> dict:
         from . import serialize
@@ -424,24 +429,19 @@ def gamma_U_embed(phi: RationalMatFun, psi: RationalMatFun, u,
     return StieltjesPair(alpha, phi_up, psi_up)
 
 
-def in_diamond(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
-               ladder=None) -> dict:
+def in_diamond(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     """Check that the quotient phi psi^(-1) decays along the imaginary axis.
 
-    The quotient must shrink up the ladder (no plateau above rounding) and
-    end below the decay tolerance.  Pairs whose second component is
-    singular at a ladder point fail with SingularDenominatorError.
+    For a rational pair that is strict properness, judged by degree on the
+    unreduced fraction N adj(D) / det(D) of the identity generator's action
+    (common factors leave its degree difference unchanged): ``residual``,
+    its ``proper_residual``, must be rounding, at most ``TRIM_REL``.  A size
+    bound would pass a nonzero limit under large lower coefficients, as in
+    I + I/(200 - z).  A pair whose second component is identically
+    singular raises SingularDenominatorError.
     """
-    ladder = decay_ladder() if ladder is None else tuple(ladder)
-    norms = []
-    for y in ladder:
-        norms.append(float(matcore.specnorm(pair.quotient_at(1j * y, tol))))
-    decreasing = all(
-        b <= max(0.95 * a, 1e-14) for a, b in zip(norms, norms[1:]))
-    final_small = norms[-1] <= tol.decay
-    return {
-        "norms": norms,
-        "decreasing": bool(decreasing),
-        "final_small": bool(final_small),
-        "ok": bool(decreasing and final_small),
-    }
+    eye = MatrixPolynomial.constant(np.eye(2 * pair.q))
+    num, det = lft.lft_fraction(eye.blocks(), pair.phi, pair.psi, tol,
+                                stage="diamond")
+    residual = RationalMatFun(num, det).proper_residual()
+    return {"residual": residual, "ok": bool(residual <= TRIM_REL)}

@@ -28,6 +28,7 @@ from .schur import TransformTrace
 __all__ = [
     "MatrixPolynomial",
     "ResolventBlocks",
+    "TRIM_REL",
     "trim_trailing",
     "det_poly",
     "adjugate_poly",
@@ -40,11 +41,17 @@ __all__ = [
 ]
 
 
-def trim_trailing(stack, sizes, rel: float = 1e-13):
+# Trailing coefficients at most this fraction of the largest one, floored
+# at 1, are rounding left by the products that formed them (a few hundred
+# ulps), not a degree the polynomial has.
+TRIM_REL = 1e-13
+
+
+def trim_trailing(stack, sizes):
     """``stack`` (degree-ascending coefficients) without its trailing
-    entries of size at most rel * max(1, largest size); ``sizes`` holds
+    entries of size at most TRIM_REL * max(1, largest size); ``sizes`` holds
     the size of each entry.  The constant entry always stays."""
-    cut = rel * max(1.0, max(sizes))
+    cut = TRIM_REL * max(1.0, max(sizes))
     n = len(stack)
     while n > 1 and sizes[n - 1] <= cut:
         n -= 1
@@ -137,9 +144,8 @@ class MatrixPolynomial:
             out[j:j + n] += sc[j] * self.coeffs
         return MatrixPolynomial(out)
 
-    def trimmed(self, rel: float = 1e-13) -> "MatrixPolynomial":
-        return MatrixPolynomial(
-            trim_trailing(self.coeffs, self.coeff_norms(), rel))
+    def trimmed(self) -> "MatrixPolynomial":
+        return MatrixPolynomial(trim_trailing(self.coeffs, self.coeff_norms()))
 
     @staticmethod
     def constant(a) -> "MatrixPolynomial":

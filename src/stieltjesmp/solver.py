@@ -101,7 +101,7 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
 
 def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
                                       tol: ToleranceConfig = DEFAULT_TOL,
-                                      grid=None, ladder=None) -> RationalMatFun:
+                                      grid=None) -> RationalMatFun:
     """One ascent step: F = -A [(z-alpha)(A^+ G + I)]^(-1).
 
     Requires a PSD seed and an input that decays along the imaginary axis
@@ -116,11 +116,10 @@ def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
             raise PreconditionError(
                 f"range of the function at {z} escapes the range of the seed")
     decay = pairs.in_diamond(
-        StieltjesPair(alpha, fun, RationalMatFun.const(np.eye(fun.q))),
-        tol, ladder)
+        StieltjesPair(alpha, fun, RationalMatFun.const(np.eye(fun.q))), tol)
     if not decay["ok"]:
-        raise PreconditionError(
-            f"function does not decay along the imaginary axis: {decay['norms']}")
+        raise PreconditionError("function does not decay along the imaginary "
+                                f"axis: residual {decay['residual']:.3e}")
     return lft.lft_rational(respoly.v_poly(alpha, a, tol).blocks(), fun,
                             RationalMatFun.const(np.eye(fun.q)), alpha, tol,
                             stage="ascent")
@@ -169,8 +168,8 @@ def _solve(req: SolutionRequest, tol: ToleranceConfig, grid,
         decay = pairs.in_diamond(req.parameter, tol)
         if not decay["ok"]:
             raise PreconditionError(
-                "equality problem needs a decaying parameter; quotient norms "
-                f"{decay['norms']}")
+                "equality problem needs a decaying parameter; quotient "
+                f"residual {decay['residual']:.3e}")
 
     blocks = respoly.descent_resolvent(report.trace, tol)
     return tag, r, lft.lft_rational(blocks, req.parameter.phi,
@@ -191,15 +190,13 @@ def _range_basis(a, r: int, tol: ToleranceConfig) -> np.ndarray:
 
 
 def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
-                              u=None, w=None, mode: str = "leq",
+                              u=None, mode: str = "leq",
                               tol: ToleranceConfig = DEFAULT_TOL,
                               grid=None) -> RationalMatFun:
     """Solve with a low-rank r x r parameter lifted into the full size.
 
     ``u`` (q x r, orthonormal columns spanning the range of the top
-    diagonal entry) defaults to its eigenbasis.  If a full orthonormal
-    ``w`` = [u, complement] is supplied, the lift uses the conjugated
-    block-diagonal form, which agrees with the u-form.
+    diagonal entry) defaults to its eigenbasis.
     """
     report = _classified(seq, tol)
     tag, r, top = _case(report)
@@ -208,16 +205,7 @@ def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
             f"parameter size {pair.q} must equal the degeneracy rank {r}")
     if pair.alpha != seq.alpha:
         raise PreconditionError("parameter and sequence endpoints differ")
-    if w is not None:
-        w = matcore.as_cmat(w)
-        if w.shape != (seq.q, seq.q) or \
-                matcore.frob(w.conj().T @ w - np.eye(seq.q)) > 1e-9 * seq.q:
-            raise PreconditionError("w must be unitary of the full size")
-        u_eff = w[:, :r]
-    elif u is not None:
-        u_eff = matcore.as_cmat(u)
-    else:
-        u_eff = _range_basis(top, r, tol)
+    u_eff = _range_basis(top, r, tol) if u is None else matcore.as_cmat(u)
     if not matcore.range_contains(top, u_eff, tol):
         raise PreconditionError(
             "columns of u must span the range of the top diagonal entry")
@@ -244,8 +232,8 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
     small = StieltjesPair(seq.alpha, f, RationalMatFun.const(np.eye(r)))
     decay = pairs.in_diamond(small, tol)
     if not decay["ok"]:
-        raise PreconditionError(
-            f"parameter does not decay along the imaginary axis: {decay['norms']}")
+        raise PreconditionError("parameter does not decay along the imaginary "
+                                f"axis: residual {decay['residual']:.3e}")
     u = _range_basis(top, r, tol)
     lifted = pairs.gamma_U_embed(small.phi, small.psi, u, seq.alpha, tol)
     return _solve(SolutionRequest(seq, lifted, "eq"), tol, grid, report)[2]

@@ -199,12 +199,3 @@ def test_j_form_is_congruence_by_minus_j():
     # the form is Hermitian whenever J is
     f = j_form(x, jt)
     assert_allclose(f, f.conj().T)
-
-
-def test_tolerance_scaling_touches_only_softness_fields():
-    t = DEFAULT_TOL.scaled(10.0)
-    assert t.psd == 10 * DEFAULT_TOL.psd
-    assert t.inclusion == 10 * DEFAULT_TOL.inclusion
-    assert t.det_gate == DEFAULT_TOL.det_gate
-    assert t.pinv_rtol == DEFAULT_TOL.pinv_rtol
-    assert isinstance(t, ToleranceConfig)

@@ -1,9 +1,14 @@
 """The public surface of each module: every name in ``__all__`` resolves
-and a star import works."""
+and a star import works, and every tolerance field is read somewhere."""
 
+import dataclasses
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+from stieltjesmp.matcore import ToleranceConfig
 
 MODULES = ("cli", "hankel", "lft", "matcore", "measures", "pairs",
            "respoly", "schur", "serialize", "solver")
@@ -17,3 +22,13 @@ def test_module_surface_resolves(name):
     namespace = {}
     exec(f"from stieltjesmp.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_every_tolerance_field_is_read():
+    # a ToleranceConfig field the package never reads is a knob that changes
+    # nothing, yet the CLI still accepts it through --tol
+    src = Path(importlib.import_module("stieltjesmp").__file__).parent
+    text = "".join(p.read_text(encoding="utf-8") for p in src.glob("*.py"))
+    unread = [f.name for f in dataclasses.fields(ToleranceConfig)
+              if not re.search(rf"\btol\.{f.name}\b", text)]
+    assert not unread, unread

@@ -25,7 +25,6 @@ from stieltjesmp.measures import DiscreteMeasure, stieltjes_transform
 from stieltjesmp.pairs import (
     RationalMatFun,
     StieltjesPair,
-    decay_ladder,
     default_grid,
     equivalent,
     gamma_U_embed,
@@ -188,15 +187,14 @@ def test_default_grid_shape():
     assert len(grid) == 15
     reals = [z for z in grid if complex(z).imag == 0]
     assert len(reals) == 3 and all(complex(z).real < 1.0 for z in reals)
-    ladder = decay_ladder()
-    assert all(y2 > y1 for y1, y2 in zip(ladder, ladder[1:]))
 
 
 def test_pair_construction_and_quotient():
     p = cauchy_pair(0.0, 2, t=1.0)
     assert p.q == 2
     z = 0.5 + 0.5j
-    assert_allclose(p.quotient_at(z), np.eye(2) / (1.0 - z), atol=1e-12)
+    assert_allclose(p.phi(z) @ np.linalg.inv(p.psi(z)), np.eye(2) / (1.0 - z),
+                    atol=1e-12)
     stack = p.stack(z)
     assert stack.shape == (4, 2)
 
@@ -318,7 +316,8 @@ def test_gamma_embedding_roundtrip():
     recovered = StieltjesPair(0.25, phi_r, psi_r)
     assert equivalent(recovered, small)
     for z in sample_points(rng, 0.25, 5):
-        assert frob(recovered.quotient_at(z) - small.quotient_at(z)) <= 1e-9
+        got = recovered.phi(z) @ np.linalg.inv(recovered.psi(z))
+        assert frob(got - small.phi(z) @ np.linalg.inv(small.psi(z))) <= 1e-9
 
 
 def test_gamma_embed_validates_isometry():
@@ -329,11 +328,30 @@ def test_gamma_embed_validates_isometry():
 
 
 def test_diamond_membership():
+    eye = RationalMatFun.const(np.eye(2))
     assert in_diamond(cauchy_pair(0.0, 2, t=1.0))["ok"]
     assert in_diamond(identity_pair(0.0, 2))["ok"]
     rep = in_diamond(const_pair(0.0, 2, 1.0))
     assert not rep["ok"]
-    assert rep["norms"][-1] > 0.1
+    assert rep["residual"] > 0.1
+    # decay is judged by degree, not size: a tiny constant still fails, and
+    # so does a constant part under a large or slowly decaying Cauchy part
+    assert not in_diamond(const_pair(0.0, 2, 1e-6))["ok"]
+    for c, t in ((1.0, 200.0), (1e6, 1.0)):
+        plus = cauchy_pair(0.0, 2, t=t, c=c * np.eye(2)).phi + eye
+        rep = in_diamond(StieltjesPair(0.0, plus, eye))
+        assert not rep["ok"], (c, t, rep)
+
+    # a non-constant psi: phi psi^(-1) = I/(1 - z) decays; with
+    # psi = diag(1, 1 - z) the first diagonal entry of the quotient does not
+    one_minus_z = np.array([np.eye(2), -np.eye(2)])
+    assert in_diamond(StieltjesPair(
+        0.0, eye, RationalMatFun(MatrixPolynomial(one_minus_z))))["ok"]
+    one_minus_z[1, 0, 0] = 0.0
+    rep = in_diamond(StieltjesPair(
+        0.0, eye, RationalMatFun(MatrixPolynomial(one_minus_z))))
+    assert not rep["ok"]
+    assert_allclose(rep["residual"], np.sqrt(0.5), rtol=1e-12)
 
 
 def test_pair_json_roundtrip():

@@ -277,6 +277,17 @@ def test_solve_eq_mode_needs_decay():
         solve(SolutionRequest(seq, const_pair(0.0, 2, 1.0), "eq"))
 
 
+@pytest.mark.parametrize("kw", [{"c": 200.0 * np.eye(2)}, {"t": 1e4}],
+                         ids=["c=200", "t=1e4"])
+def test_eq_accepts_cauchy_parameters_of_any_scale(kw):
+    # phi psi^(-1) = c/(t - z) I is strictly proper whatever c and t are;
+    # a size test up the imaginary axis refused both of these
+    _, seq = nondegenerate_seq(np.random.default_rng(5), 2, 3)
+    sol = solve(SolutionRequest(seq, cauchy_pair(seq.alpha, 2, **kw), "eq"))
+    rep = verify_solution(sol, seq, mode="eq")
+    assert rep["ok"], rep
+
+
 def test_nondegenerate_solutions_verify_both_modes():
     rng = np.random.default_rng(80)
     _, seq = nondegenerate_seq(rng, 2, 3, alpha=0.25)
@@ -352,15 +363,14 @@ def test_degenerate_embedded_with_explicit_bases():
     sol_default = solve_degenerate_embedded(seq, small)
     vals, vecs = np.linalg.eigh(top)
     u = vecs[:, np.argsort(vals)[::-1][:2]]
-    w = np.hstack([u, vecs[:, np.argsort(vals)[::-1][2:]]])
-    sol_w = solve_degenerate_embedded(seq, small, w=w)
+    sol_u = solve_degenerate_embedded(seq, small, u=u)
     zs = sample_points(rng, 0.0, 8)
-    assert max(frob(sol_default(z) - sol_w(z)) for z in zs) <= 1e-9
+    assert max(frob(sol_default(z) - sol_u(z)) for z in zs) <= 1e-9
 
     with pytest.raises(PreconditionError):
         solve_degenerate_embedded(seq, cauchy_pair(0.0, 3, t=1.0))
     with pytest.raises(PreconditionError):
-        solve_degenerate_embedded(seq, small, w=np.ones((3, 3)))
+        solve_degenerate_embedded(seq, small, u=np.ones((3, 2)))
 
 
 def m0_base_case_check(fun, s0, alpha=0.0, tol=DEFAULT_TOL):
