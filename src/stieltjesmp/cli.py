@@ -45,7 +45,6 @@ class CliConfig:
 
     tol: ToleranceConfig = DEFAULT_TOL
     grid: tuple | None = None
-    ladder: tuple | None = None
     digits: int = 15
 
     def __post_init__(self):
@@ -79,20 +78,10 @@ def _parse_grid(text: str | None):
     return points
 
 
-def _parse_ladder(text: str | None):
-    if text is None:
-        return None
-    levels = tuple(float(part) for part in text.split(",") if part.strip())
-    if not levels or any(y <= 0 for y in levels):
-        raise ValueError("--ladder must be positive heights")
-    return levels
-
-
 def _config(args) -> CliConfig:
     return CliConfig(
         tol=_parse_tol(getattr(args, "tol", None)),
         grid=_parse_grid(getattr(args, "grid", None)),
-        ladder=_parse_ladder(getattr(args, "ladder", None)),
         digits=getattr(args, "digits", 15),
     )
 
@@ -174,7 +163,7 @@ def cmd_solve(args) -> int:
     grid = cfg.grid if cfg.grid is not None else pairs.default_grid(seq.alpha)
 
     tag, rank, sol = solver._solve(req, cfg.tol, grid)
-    report = measures.verify_solution(sol, seq, mode, cfg.tol, cfg.ladder)
+    report = measures.verify_solution(sol, seq, mode, cfg.tol)
     payload = {
         "case": tag,
         "rank": rank,
@@ -192,7 +181,7 @@ def cmd_verify(args) -> int:
     seq = MomentSequence.from_json(obj["sequence"])
     fun = serialize.rational_from_json(obj["function"])
     mode = args.mode or obj.get("mode", "leq")
-    report = measures.verify_solution(fun, seq, mode, cfg.tol, cfg.ladder)
+    report = measures.verify_solution(fun, seq, mode, cfg.tol)
     _emit(report, cfg)
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
@@ -239,7 +228,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override a tolerance field (repeatable)")
     p.add_argument("--grid", help="comma-separated complex grid points")
-    p.add_argument("--ladder", help="comma-separated imaginary-axis heights")
     p.add_argument("--digits", type=int, default=15,
                    help="significant digits in output floats")
 

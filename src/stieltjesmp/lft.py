@@ -5,9 +5,8 @@ A generator E = [[a, b], [c, d]] acts on a single matrix x as
 (ax + by)(cx + dy)^(-1).  The lower block row [c, d] must have full row
 rank, otherwise no input can ever make the denominator invertible.
 
-``lft_pair`` evaluates the action at a point, ``lft_fraction`` forms it on
-rational matrix functions as one unreduced fraction, and ``lft_rational``
-reduces that fraction; every denominator passes ``check_denominator``
+``lft_pair`` evaluates the action at a point and ``lft_rational`` on
+rational matrix functions; every denominator passes ``check_denominator``
 (pointwise) or ``det_or_none`` (identically singular determinant).
 
 Every generator in the package is built at an endpoint alpha, and the
@@ -36,8 +35,7 @@ from .matcore import (
 from .respoly import MatrixPolynomial, adjugate_poly, det_poly
 
 __all__ = ["BlockGenerator", "DEFLATION_REL", "check_denominator",
-           "det_or_none", "divide_out_root", "lft_fraction", "lft_pair",
-           "lft_rational"]
+           "det_or_none", "divide_out_root", "lft_pair", "lft_rational"]
 
 
 @dataclass(frozen=True)
@@ -161,16 +159,22 @@ def lft_pair(e: BlockGenerator, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.
     return np.linalg.solve(den.T, (e.a @ x + e.b @ y).T).T
 
 
-def lft_fraction(blocks, phi, psi, tol: ToleranceConfig = DEFAULT_TOL,
-                 grid=(), stage: str = "rational"):
-    """(N adj(D), det D) for the action (nw phi + ne psi)(sw phi + se psi)^(-1).
+def lft_rational(blocks, phi, psi, alpha: float,
+                 tol: ToleranceConfig = DEFAULT_TOL, grid=(),
+                 stage: str = "rational"):
+    """(nw phi + ne psi)(sw phi + se psi)^(-1) as one rational matrix function.
 
     ``blocks`` is a ``MatrixPolynomial.blocks()`` view, (phi, psi) a pair of
-    ``RationalMatFun``.  Over the common factor phi.den psi.den the action
-    is N D^(-1) = N adj(D) / det(D); D must pass ``det_or_none`` and, at
-    each point of ``grid``, ``check_denominator`` (both raise tagged
-    ``stage``).  No common factor is cancelled.
+    ``RationalMatFun``, and ``alpha`` the endpoint the generator was built
+    at.  Over the common factor phi.den psi.den the action is
+    N D^(-1) = N adj(D) / det(D); D must pass ``det_or_none`` and, at each
+    point of ``grid``, ``check_denominator`` (both raise tagged ``stage``).
+    The power of (z - alpha) that the fraction's numerator and denominator
+    share is divided out (``divide_out_root``, at ``DEFLATION_REL``) before
+    ``simplify`` runs.
     """
+    from .pairs import RationalMatFun
+
     num = ((blocks.nw @ phi.num).scale_poly(psi.den)
            + (blocks.ne @ psi.num).scale_poly(phi.den)).trimmed()
     den = ((blocks.sw @ phi.num).scale_poly(psi.den)
@@ -182,21 +186,5 @@ def lft_fraction(blocks, phi, psi, tol: ToleranceConfig = DEFAULT_TOL,
             stage=stage, gap=0.0)
     for z in grid:
         check_denominator(den(complex(z)), tol, stage, complex(z))
-    return num @ adjugate_poly(den), det
-
-
-def lft_rational(blocks, phi, psi, alpha: float,
-                 tol: ToleranceConfig = DEFAULT_TOL, grid=(),
-                 stage: str = "rational"):
-    """(nw phi + ne psi)(sw phi + se psi)^(-1) as one rational matrix function.
-
-    The fraction of ``lft_fraction``, with the power of (z - alpha) that its
-    numerator and denominator share divided out (``divide_out_root``, at
-    ``DEFLATION_REL``) before ``simplify`` runs; ``alpha`` is the endpoint
-    the generator was built at.
-    """
-    from .pairs import RationalMatFun
-
-    num, det = divide_out_root(
-        *lft_fraction(blocks, phi, psi, tol, grid, stage), alpha)
+    num, det = divide_out_root(num @ adjugate_poly(den), det, alpha)
     return RationalMatFun(num, det).simplify()

@@ -47,8 +47,7 @@ class ToleranceConfig:
     inclusion    relative residual for range/null-space containment tests
     det_gate     sigma_min/sigma_max gate below which denominators count
                  as singular
-    extraction   relative tolerance for moment recovery and a solution's
-                 strict properness (``RationalMatFun.proper_residual``)
+    extraction   relative tolerance for the moments read off a solution
     equiv        subspace-distance bound for projective pair comparison
     """
 
@@ -83,7 +82,8 @@ class SingularDenominatorError(ArithmeticError):
 
 
 class GrowthError(ArithmeticError):
-    """A sampled function grows too fast along the imaginary axis."""
+    """A rational function is not of a half-axis transform's growth class:
+    nonzero, with numerator degree other than one below its denominator's."""
 
 
 class InconsistencyError(RuntimeError):

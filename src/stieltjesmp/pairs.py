@@ -27,7 +27,7 @@ from .matcore import (
     SingularDenominatorError,
     ToleranceConfig,
 )
-from .respoly import TRIM_REL, MatrixPolynomial, trim_trailing
+from .respoly import TRIM_REL, MatrixPolynomial, adjugate_poly, trim_trailing
 
 __all__ = [
     "RationalMatFun",
@@ -429,19 +429,23 @@ def gamma_U_embed(phi: RationalMatFun, psi: RationalMatFun, u,
     return StieltjesPair(alpha, phi_up, psi_up)
 
 
-def in_diamond(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def in_diamond(pair: StieltjesPair) -> dict:
     """Check that the quotient phi psi^(-1) decays along the imaginary axis.
 
     For a rational pair that is strict properness, judged by degree on the
-    unreduced fraction N adj(D) / det(D) of the identity generator's action
+    unreduced fraction phi.num psi.den adj(psi.num) / (phi.den det psi.num)
     (common factors leave its degree difference unchanged): ``residual``,
     its ``proper_residual``, must be rounding, at most ``TRIM_REL``.  A size
     bound would pass a nonzero limit under large lower coefficients, as in
     I + I/(200 - z).  A pair whose second component is identically
     singular raises SingularDenominatorError.
     """
-    eye = MatrixPolynomial.constant(np.eye(2 * pair.q))
-    num, det = lft.lft_fraction(eye.blocks(), pair.phi, pair.psi, tol,
-                                stage="diamond")
-    residual = RationalMatFun(num, det).proper_residual()
+    det = lft.det_or_none(pair.psi.num)
+    if det is None:
+        raise SingularDenominatorError(
+            "second component of the pair is identically singular",
+            stage="diamond", gap=0.0)
+    num = pair.phi.num.scale_poly(pair.psi.den) @ adjugate_poly(pair.psi.num)
+    den = npoly.polymul(pair.phi.den, det)
+    residual = RationalMatFun(num, den).proper_residual()
     return {"residual": residual, "ok": bool(residual <= TRIM_REL)}

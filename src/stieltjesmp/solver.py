@@ -116,7 +116,7 @@ def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
             raise PreconditionError(
                 f"range of the function at {z} escapes the range of the seed")
     decay = pairs.in_diamond(
-        StieltjesPair(alpha, fun, RationalMatFun.const(np.eye(fun.q))), tol)
+        StieltjesPair(alpha, fun, RationalMatFun.const(np.eye(fun.q))))
     if not decay["ok"]:
         raise PreconditionError("function does not decay along the imaginary "
                                 f"axis: residual {decay['residual']:.3e}")
@@ -165,7 +165,7 @@ def _solve(req: SolutionRequest, tol: ToleranceConfig, grid,
             "parameter range escapes the range of the top diagonal entry "
             f"(rank {r} case '{tag}')")
     if req.mode == "eq":
-        decay = pairs.in_diamond(req.parameter, tol)
+        decay = pairs.in_diamond(req.parameter)
         if not decay["ok"]:
             raise PreconditionError(
                 "equality problem needs a decaying parameter; quotient "
@@ -230,7 +230,7 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
     if f.q != r:
         raise PreconditionError(f"parameter must be {r} x {r}")
     small = StieltjesPair(seq.alpha, f, RationalMatFun.const(np.eye(r)))
-    decay = pairs.in_diamond(small, tol)
+    decay = pairs.in_diamond(small)
     if not decay["ok"]:
         raise PreconditionError("parameter does not decay along the imaginary "
                                 f"axis: residual {decay['residual']:.3e}")

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from conftest import cauchy_pair, completely_degenerate_seq, measure_seq
 import stieltjesmp
-from stieltjesmp import schur, serialize
+from stieltjesmp import measures, schur, serialize
 from stieltjesmp.cli import main
 from stieltjesmp.measures import DiscreteMeasure, moments
 from stieltjesmp.schur import first_transform
@@ -250,6 +250,24 @@ def test_verify_flags_moment_mismatch(tmp_path, capsys):
     assert out["ok"] is False
     defect = serialize.matrix_from_json(out["top_defect"])
     assert_allclose(defect, np.array([[0.0, 1.0], [1.0, 1.0]]), atol=1e-4)
+
+
+def test_verify_reads_decay_from_degrees(tmp_path, capsys):
+    # the transform of weight I at 0.5 and 100 I at 5e4 verifies, and the
+    # removed --ladder heights are a usage error
+    mu = DiscreteMeasure(0.0, (0.5, 5e4), (np.eye(2), 100 * np.eye(2)))
+    payload = {
+        "sequence": moments(mu, 1).to_json(),
+        "function": serialize.rational_to_json(
+            measures.stieltjes_transform(mu)),
+        "mode": "eq",
+    }
+    path = write_json(tmp_path / "far.json", payload)
+    code, out = run_cli(capsys, ["verify", path])
+    assert code == 0
+    assert out["ok"] is True
+    code, _ = run_cli(capsys, ["verify", path, "--ladder", "1,2"])
+    assert code == 2
 
 
 def test_oracle_output_is_byte_identical(tmp_path, capsys):

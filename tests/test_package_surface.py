@@ -1,5 +1,6 @@
 """The public surface of each module: every name in ``__all__`` resolves
-and a star import works, and every tolerance field is read somewhere."""
+and a star import works, and every tolerance field and command-line
+option is read somewhere."""
 
 import dataclasses
 import importlib
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from stieltjesmp.cli import CliConfig
 from stieltjesmp.matcore import ToleranceConfig
 
 MODULES = ("cli", "hankel", "lft", "matcore", "measures", "pairs",
@@ -24,11 +26,24 @@ def test_module_surface_resolves(name):
     assert set(module.__all__) <= set(namespace)
 
 
+def _package_source(name="*") -> str:
+    src = Path(importlib.import_module("stieltjesmp").__file__).parent
+    return "".join(p.read_text(encoding="utf-8") for p in src.glob(f"{name}.py"))
+
+
 def test_every_tolerance_field_is_read():
     # a ToleranceConfig field the package never reads is a knob that changes
     # nothing, yet the CLI still accepts it through --tol
-    src = Path(importlib.import_module("stieltjesmp").__file__).parent
-    text = "".join(p.read_text(encoding="utf-8") for p in src.glob("*.py"))
+    text = _package_source()
     unread = [f.name for f in dataclasses.fields(ToleranceConfig)
               if not re.search(rf"\btol\.{f.name}\b", text)]
+    assert not unread, unread
+
+
+def test_every_cli_config_field_is_read():
+    # likewise a CliConfig field no subcommand reads is an option that the
+    # CLI parses and then ignores
+    text = _package_source("cli")
+    unread = [f.name for f in dataclasses.fields(CliConfig)
+              if not re.search(rf"\bcfg\.{f.name}\b", text)]
     assert not unread, unread
