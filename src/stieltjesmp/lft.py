@@ -7,7 +7,11 @@ rank, otherwise no input can ever make the denominator invertible.
 
 ``lft_pair`` evaluates the action at a point and ``lft_rational`` on
 rational matrix functions; every denominator passes ``check_denominator``
-(pointwise) or ``det_or_none`` (identically singular determinant).
+(pointwise) or ``det_or_none`` (identically singular determinant).  The
+pointwise gate is ``denominator_gate``, sigma_min/sigma_max against
+``tol.det_gate``; ``lft_rational`` applies it to the denominator's values
+on the whole grid at once (one stacked evaluation, one batched SVD) and
+raises at the first failing point in grid order.
 
 Every generator in the package is built at an endpoint alpha, and the
 resolvent satisfies V(z)W(z) = (z-alpha)^(m+1) diag(P, I), so the numerator
@@ -35,7 +39,8 @@ from .matcore import (
 from .respoly import MatrixPolynomial, adjugate_poly, det_poly
 
 __all__ = ["BlockGenerator", "DEFLATION_REL", "check_denominator",
-           "det_or_none", "divide_out_root", "lft_pair", "lft_rational"]
+           "denominator_gate", "det_or_none", "divide_out_root", "lft_pair",
+           "lft_rational"]
 
 
 @dataclass(frozen=True)
@@ -76,13 +81,26 @@ class BlockGenerator:
         return cls(e[:q, :q], e[:q, q:], e[q:, :q], e[q:, q:])
 
 
+def denominator_gate(dens, tol: ToleranceConfig) -> tuple:
+    """(passes, gap) for a denominator or, elementwise, a stack of them:
+    ``gap`` is sigma_min/sigma_max (0 for a zero or empty matrix), and a
+    denominator passes when it is nonzero with sigma_min at least
+    ``tol.det_gate`` times sigma_max."""
+    sv = np.linalg.svd(dens, compute_uv=False)
+    if not sv.shape[-1]:
+        sv = np.zeros(sv.shape[:-1] + (1,))
+    top, low = sv[..., 0], sv[..., -1]
+    passes = (top != 0.0) & (low >= tol.det_gate * top)
+    gap = np.divide(low, top, out=np.zeros_like(low), where=top != 0.0)
+    return passes, gap
+
+
 def check_denominator(den: np.ndarray, tol: ToleranceConfig, stage: str,
                       point=None) -> None:
     """Raise unless sigma_min/sigma_max of ``den`` reaches ``tol.det_gate``."""
-    sv = np.linalg.svd(den, compute_uv=False)
-    top = sv[0] if sv.size else 0.0
-    if top == 0.0 or sv[-1] < tol.det_gate * top:
-        gap = float(sv[-1] / top) if top else 0.0
+    passes, gap = denominator_gate(den, tol)
+    if not passes:
+        gap = float(gap)
         where = "" if point is None else f" at {point}"
         raise SingularDenominatorError(
             f"linear-fractional denominator is numerically singular{where}",
@@ -168,7 +186,9 @@ def lft_rational(blocks, phi, psi, alpha: float,
     ``RationalMatFun``, and ``alpha`` the endpoint the generator was built
     at.  Over the common factor phi.den psi.den the action is
     N D^(-1) = N adj(D) / det(D); D must pass ``det_or_none`` and, at each
-    point of ``grid``, ``check_denominator`` (both raise tagged ``stage``).
+    point of ``grid``, ``denominator_gate``, all points decided from one
+    stacked evaluation of D (both raise tagged ``stage``; the grid gate
+    names the first failing point, in grid order, and its ``gap``).
     The power of (z - alpha) that the fraction's numerator and denominator
     share is divided out (``divide_out_root``, at ``DEFLATION_REL``) before
     ``simplify`` runs.
@@ -184,7 +204,11 @@ def lft_rational(blocks, phi, psi, alpha: float,
         raise SingularDenominatorError(
             "linear-fractional denominator is identically singular",
             stage=stage, gap=0.0)
-    for z in grid:
-        check_denominator(den(complex(z)), tol, stage, complex(z))
+    zs = np.asarray(grid, dtype=complex)
+    values = den(zs)
+    failing = np.flatnonzero(~denominator_gate(values, tol)[0])
+    if failing.size:
+        k = failing[0]
+        check_denominator(values[k], tol, stage, complex(zs[k]))
     num, det = divide_out_root(num @ adjugate_poly(den), det, alpha)
     return RationalMatFun(num, det).simplify()

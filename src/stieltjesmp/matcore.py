@@ -4,6 +4,13 @@ Hermitian handling, Moore-Penrose pseudoinverse, Loewner-order and
 range/null-space predicates, and the two 2q x 2q signature matrices used by
 the indefinite-metric identities.  Everything downstream threads a single
 :class:`ToleranceConfig` through these predicates.
+
+The kernels a grid gate needs (``symmetrized``, ``pinv``, ``psd_margin``,
+``range_contains``, ``null_contains``, ``j_form``) also take a stack of
+matrices, shape (..., rows, cols), and then answer per matrix with one
+batched LAPACK call; numpy's stacked ``eigvalsh``/``svd`` run the same
+routine on each matrix, so a stacked answer has the bits of the single
+one.  A 2-d argument is the one-matrix case, unchanged.
 """
 
 from __future__ import annotations
@@ -100,6 +107,21 @@ def as_cmat(a) -> np.ndarray:
     return m
 
 
+def _as_stack(a) -> np.ndarray:
+    """Coerce to a finite complex ndarray of one matrix or a stack of them."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of them, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
+    return m
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
@@ -137,30 +159,37 @@ def symmetrized(a) -> np.ndarray:
     For matrices that are Hermitian in exact arithmetic, such as differences
     and forms the package computes; values from outside it go through
     :func:`hermitize`.  Symmetrizing an exactly Hermitian matrix changes no
-    bit.
+    bit.  A stack is symmetrized matrix by matrix.
     """
-    m = as_cmat(a)
-    if m.shape[0] != m.shape[1]:
+    m = _as_stack(a)
+    if m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + _adjoint(m))
 
 
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse with relative singular-value cutoff."""
-    m = as_cmat(a)
+    """Moore-Penrose inverse with relative singular-value cutoff; of each
+    matrix of a stack, each cut relative to its own largest value."""
+    m = _as_stack(a)
     if m.size == 0:
-        return m.conj().T.copy()
+        return _adjoint(m).copy()
     return np.linalg.pinv(m, rtol=tol.pinv_rtol)
 
 
-def psd_margin(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def psd_margin(a, tol: ToleranceConfig = DEFAULT_TOL):
     """Smallest eigenvalue of the symmetrized matrix, relative to scale.
 
     Positive semidefiniteness to tolerance means margin >= -tol.psd.  An
     asymmetric argument is symmetrized by :func:`symmetrized`, not rejected;
-    a non-square one raises ValueError.
+    a non-square one raises ValueError.  A stack gives the array of its
+    matrices' margins, from one batched eigensolve.
     """
     m = symmetrized(a)
+    if m.ndim > 2:
+        if m.shape[-1] == 0:
+            return np.zeros(m.shape[:-2])
+        w = np.linalg.eigvalsh(m)
+        return w[..., 0] / np.maximum(1.0, np.abs(w).max(axis=-1))
     if m.size == 0:
         return 0.0
     w = np.linalg.eigvalsh(m)
@@ -177,20 +206,25 @@ def is_pd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return psd_margin(a, tol) > tol.psd
 
 
-def range_contains(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff ran B is contained in ran A, via the A A^+ B = B residual."""
-    a = as_cmat(a)
-    b = as_cmat(b)
-    if a.shape[0] != b.shape[0]:
+def range_contains(a, b, tol: ToleranceConfig = DEFAULT_TOL):
+    """True iff ran B is contained in ran A, via the A A^+ B = B residual.
+
+    Either argument may be a stack; the answer is then one verdict per
+    matrix, with one (stacked) pseudoinverse of A.
+    """
+    a = _as_stack(a)
+    b = _as_stack(b)
+    if a.shape[-2] != b.shape[-2]:
         raise ValueError("row counts differ")
     return _negligible(a @ pinv(a, tol) @ b - b, b, tol)
 
 
-def null_contains(a, c, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff nul A is contained in nul C, via the C A^+ A = C residual."""
-    a = as_cmat(a)
-    c = as_cmat(c)
-    if a.shape[1] != c.shape[1]:
+def null_contains(a, c, tol: ToleranceConfig = DEFAULT_TOL):
+    """True iff nul A is contained in nul C, via the C A^+ A = C residual;
+    for stacks, one verdict per matrix, as in :func:`range_contains`."""
+    a = _as_stack(a)
+    c = _as_stack(c)
+    if a.shape[-1] != c.shape[-1]:
         raise ValueError("column counts differ")
     return _negligible(c @ pinv(a, tol) @ a - c, c, tol)
 
@@ -205,8 +239,12 @@ def dominates(a, bs, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
                and _negligible(b @ ap @ a - b, b, tol) for b in bs)
 
 
-def _negligible(resid, b, tol: ToleranceConfig) -> bool:
-    return frob(resid) <= tol.inclusion * (1.0 + frob(b))
+def _negligible(resid, b, tol: ToleranceConfig):
+    """||resid||_F <= tol.inclusion (1 + ||b||_F); per matrix of a stack."""
+    if resid.ndim == 2 and b.ndim == 2:
+        return frob(resid) <= tol.inclusion * (1.0 + frob(b))
+    sizes = np.linalg.norm(b, axis=(-2, -1))
+    return np.linalg.norm(resid, axis=(-2, -1)) <= tol.inclusion * (1.0 + sizes)
 
 
 def rank_with_tol(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -221,21 +259,25 @@ def rank_with_tol(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
 
 def signature_j(q: int, kind: str = "imaginary") -> np.ndarray:
     """Signature matrix: [[0,-iI],[iI,0]] or the real variant [[0,-I],[-I,0]]."""
-    z = np.zeros((q, q), dtype=complex)
     eye = np.eye(q, dtype=complex)
     if kind == "imaginary":
-        return np.block([[z, -1j * eye], [1j * eye, z]])
-    if kind == "real":
-        return np.block([[z, -eye], [-eye, z]])
-    raise ValueError(f"unknown signature kind {kind!r}")
+        upper, lower = -1j * eye, 1j * eye
+    elif kind == "real":
+        upper, lower = -eye, -eye
+    else:
+        raise ValueError(f"unknown signature kind {kind!r}")
+    j = np.zeros((2 * q, 2 * q), dtype=complex)
+    j[:q, q:] = upper
+    j[q:, :q] = lower
+    return j
 
 
 def j_form(x, j) -> np.ndarray:
-    """X^* (-J) X for a stacked 2q-row matrix X."""
-    x = as_cmat(x)
+    """X^* (-J) X for a stacked 2q-row matrix X, or for each of a stack."""
+    x = _as_stack(x)
     j = as_cmat(j)
-    if x.shape[0] != j.shape[0]:
+    if x.shape[-2] != j.shape[0]:
         raise ValueError(
-            f"stacked matrix has {x.shape[0]} rows, signature expects {j.shape[0]}"
+            f"stacked matrix has {x.shape[-2]} rows, signature expects {j.shape[0]}"
         )
-    return x.conj().T @ (-j) @ x
+    return _adjoint(x) @ (-j) @ x

@@ -10,6 +10,15 @@ positive semidefinite off the real axis, and the real-signature form is
 positive semidefinite left of alpha.  Pairs are considered up to right
 multiplication by an invertible rational factor; the quotient phi psi^(-1)
 is what enters the solution formulas.
+
+Every check runs on a finite grid (``default_grid``).  ``grid_values``
+evaluates functions on all of it at once: array Horner on the numerators,
+and the pole rule of ``RationalMatFun.__call__``, |d(z)| <= POLE_REL |d|(|z|)
+with |d| the polynomial of the moduli of d's coefficients, to drop the
+points that are numerically poles of any of them.  Each gate then decides
+from the stacked values with batched kernels (``matcore`` takes stacks).
+``off_poles``, the same walk one point at a time with each value exactly
+``f(z)``, serves the sampled values the CLI prints.
 """
 
 from __future__ import annotations
@@ -40,7 +49,9 @@ __all__ = [
     "equivalent",
     "gamma_U_embed",
     "in_diamond",
+    "grid_values",
     "off_poles",
+    "POLE_REL",
 ]
 
 # A reduced candidate replaces a function in ``simplify`` only if it gives
@@ -48,6 +59,37 @@ __all__ = [
 # for the rounding a coefficient refit leaves, tight enough that a
 # candidate of too low a degree shows.
 SIMPLIFY_REL = 1e-10
+
+# A point z is numerically a pole of a denominator d when |d(z)| is at most
+# this fraction of |d|(|z|), the bound the moduli of d's coefficients give.
+POLE_REL = 1e-12
+
+
+def _modulus(z):
+    """|z| by ``hypot``, the rounding of Python's ``abs``, for a point or
+    elementwise (numpy's vector complex ``abs`` rounds differently)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _den_at(den: np.ndarray, z):
+    """(d(z), whether z is off the poles of d) at a point or, elementwise,
+    at an array of points: the one pole rule of the package.
+
+    At an array, Horner runs on real and imaginary parts, so every value
+    has the bits of the single-point one: numpy's vector complex product
+    may fuse a multiply-add that the scalar product rounds apart.
+    """
+    if np.ndim(z):
+        re = np.full(z.shape, den[-1].real)
+        im = np.full(z.shape, den[-1].imag)
+        for c in den[-2::-1]:
+            re, im = (re * z.real - im * z.imag + c.real,
+                      re * z.imag + im * z.real + c.imag)
+        dv = re + 1j * im
+    else:
+        dv = npoly.polyval(z, den)
+    bound = npoly.polyval(_modulus(z), np.abs(den))
+    return dv, _modulus(dv) > POLE_REL * np.maximum(bound, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -89,9 +131,8 @@ class RationalMatFun:
         return RationalMatFun(MatrixPolynomial.constant(np.zeros((q, q))))
 
     def __call__(self, z: complex) -> np.ndarray:
-        dv = npoly.polyval(z, self.den)
-        bound = float(npoly.polyval(abs(z), np.abs(self.den)))
-        if abs(dv) <= 1e-12 * max(bound, 1e-300):
+        dv, off_pole = _den_at(self.den, z)
+        if not off_pole:
             raise SingularDenominatorError(
                 "evaluation point is numerically a pole",
                 stage="evaluation", point=z,
@@ -256,10 +297,30 @@ def default_grid(alpha: float) -> tuple:
     return tuple(pts)
 
 
+def grid_values(funs, grid) -> tuple:
+    """(zs, values): the points of ``grid`` that are poles of none of the
+    rational functions ``funs``, as a 1-d complex array in grid order, and
+    for each function its values there, stacked along a leading axis.
+
+    A point is a pole by the rule of ``RationalMatFun.__call__``; the kept
+    values come from one array Horner per numerator.
+    """
+    zs = np.asarray(grid, dtype=complex)
+    keep = np.ones(len(zs), dtype=bool)
+    dens = []
+    for f in funs:
+        dv, off_pole = _den_at(f.den, zs)
+        keep &= off_pole
+        dens.append(dv)
+    zs = zs[keep]
+    return zs, tuple(f.num(zs) / dv[keep][:, None, None]
+                     for f, dv in zip(funs, dens))
+
+
 def off_poles(f, grid):
     """Yield (z, f(z)) for the points z of ``grid`` that are not poles of
-    ``f``: the one walk over a grid that skips the points where an
-    evaluation raises SingularDenominatorError."""
+    ``f``, one point at a time, each value exactly ``f(z)``.  The gates
+    use ``grid_values`` instead; this walk serves printed samples."""
     for pt in grid:
         z = complex(pt)
         try:
@@ -307,41 +368,37 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
     Returns margins (least eigenvalue ratios, worst over the grid) and
     booleans per condition plus an overall verdict.  Grid points that land
     on poles are skipped and counted; admissibility only constrains points
-    off the exceptional set.
+    off the exceptional set.  ``proper`` records whether psi(z) passes the
+    denominator gate of ``lft.check_denominator`` at some kept point.
+
+    All kept points are decided at once: one stacked SVD for the rank gaps
+    and one batched eigensolve for the margins of every form.
     """
     grid = default_grid(pair.alpha) if grid is None else tuple(grid)
+    zs, (ph, ps) = grid_values((pair.phi, pair.psi), grid)
+    if not len(zs):
+        raise InconsistencyError("every grid point sits on a pole of the pair")
     jt = matcore.signature_j(pair.q, "imaginary")
     jr = matcore.signature_j(pair.q, "real")
 
-    rank_gaps = []
-    kd1 = []
-    kd2 = []
-    real_margins = []
-    values = list(off_poles(lambda z: (pair.phi(z), pair.psi(z)), grid))
-    for z, (ph, ps) in values:
-        stk = np.vstack([ph, ps])
-        sv = np.linalg.svd(stk, compute_uv=False)
-        rank_gaps.append(float(sv[-1] / max(sv[0], 1e-300)))
-        if z.imag != 0.0:
-            kd1.append(matcore.psd_margin(
-                matcore.j_form(stk, jt) / (2.0 * z.imag), tol))
-            stk2 = np.vstack([(z - pair.alpha) * ph, ps])
-            kd2.append(matcore.psd_margin(
-                matcore.j_form(stk2, jt) / (2.0 * z.imag), tol))
-        elif z.real < pair.alpha:
-            real_margins.append(matcore.psd_margin(matcore.j_form(stk, jr), tol))
-    if not values:
-        raise InconsistencyError("every grid point sits on a pole of the pair")
-
-    proper = lft.det_or_none(pair.psi.num) is not None
-
-    rank_ok = bool(min(rank_gaps) > 1e-10) if rank_gaps else False
-    kd1_m = float(min(kd1)) if kd1 else 0.0
-    kd2_m = float(min(kd2)) if kd2 else 0.0
-    real_m = float(min(real_margins)) if real_margins else 0.0
+    stk = np.concatenate([ph, ps], axis=1)
+    sv = np.linalg.svd(stk, compute_uv=False)
+    rank_gaps = sv[:, -1] / np.maximum(sv[:, 0], 1e-300)
+    off = zs.imag != 0.0
+    left = ~off & (zs.real < pair.alpha)
+    height = (2.0 * zs.imag[off])[:, None, None]
+    stk2 = np.concatenate([(zs[off] - pair.alpha)[:, None, None] * ph[off],
+                           ps[off]], axis=1)
+    margins = matcore.psd_margin(np.concatenate([
+        matcore.j_form(stk[off], jt) / height,
+        matcore.j_form(stk2, jt) / height,
+        matcore.j_form(stk[left], jr)]), tol)
+    kd1_m, kd2_m, real_m = (float(m.min()) if m.size else 0.0 for m in
+                            np.split(margins, [off.sum(), 2 * off.sum()]))
+    proper = bool(lft.denominator_gate(ps, tol)[0].any())
     report = {
-        "rank_ok": rank_ok,
-        "min_rank_gap": float(min(rank_gaps)) if rank_gaps else 0.0,
+        "rank_ok": bool(rank_gaps.min() > 1e-10),
+        "min_rank_gap": float(rank_gaps.min()),
         "kd1_margin": kd1_m,
         "kd1_ok": bool(kd1_m >= -tol.psd),
         "kd2_margin": kd2_m,
@@ -349,7 +406,7 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
         "real_axis_margin": real_m,
         "real_axis_ok": bool(real_m >= -tol.psd),
         "proper": proper,
-        "skipped_points": len(grid) - len(values),
+        "skipped_points": len(grid) - len(zs),
     }
     report["ok"] = bool(report["rank_ok"] and report["kd1_ok"]
                         and report["kd2_ok"] and report["real_axis_ok"])
@@ -373,13 +430,12 @@ def pair_from_function(fun: RationalMatFun, alpha: float,
 
 def in_class_P_of(pair: StieltjesPair, a,
                   tol: ToleranceConfig = DEFAULT_TOL, grid=None) -> bool:
-    """Range condition: ran phi(z) inside ran a at every grid point."""
+    """Range condition: ran phi(z) inside ran a at every grid point, with
+    one pseudoinverse of ``a`` for all of them."""
     a = matcore.as_cmat(a)
     grid = default_grid(pair.alpha) if grid is None else tuple(grid)
-    for _, ph in off_poles(pair.phi, grid):
-        if not matcore.range_contains(a, ph, tol):
-            return False
-    return True
+    _, (ph,) = grid_values((pair.phi,), grid)
+    return bool(np.all(matcore.range_contains(a, ph, tol)))
 
 
 def equivalent(p1: StieltjesPair, p2: StieltjesPair,
@@ -387,24 +443,22 @@ def equivalent(p1: StieltjesPair, p2: StieltjesPair,
     """Same pair up to an invertible rational right factor.
 
     Tested as equality of the column spans of the stacked pairs at every
-    grid point (orthogonal projectors compared in spectral norm).
+    grid point (orthogonal projectors compared in spectral norm); points
+    where either stack is zero or numerically rank deficient are passed
+    over.
     """
     if p1.q != p2.q or p1.alpha != p2.alpha:
         return False
     grid = default_grid(p1.alpha) if grid is None else tuple(grid)
-    q = p1.q
-    for _, (s1, s2) in off_poles(lambda z: (p1.stack(z), p2.stack(z)), grid):
-        u1, sv1, _ = np.linalg.svd(s1, full_matrices=False)
-        u2, sv2, _ = np.linalg.svd(s2, full_matrices=False)
-        if sv1[0] < 1e-250 or sv2[0] < 1e-250:
-            continue
-        if sv1[-1] < 1e-10 * sv1[0] or sv2[-1] < 1e-10 * sv2[0]:
-            continue
-        pr1 = u1[:, :q] @ u1[:, :q].conj().T
-        pr2 = u2[:, :q] @ u2[:, :q].conj().T
-        if matcore.specnorm(pr1 - pr2) > tol.equiv:
-            return False
-    return True
+    _, (f1, g1, f2, g2) = grid_values((p1.phi, p1.psi, p2.phi, p2.psi), grid)
+    projectors = []
+    usable = True
+    for s in (np.concatenate([f1, g1], axis=1), np.concatenate([f2, g2], axis=1)):
+        u, sv, _ = np.linalg.svd(s, full_matrices=False)
+        usable = usable & (sv[:, 0] >= 1e-250) & (sv[:, -1] >= 1e-10 * sv[:, 0])
+        projectors.append(u @ u.conj().swapaxes(-1, -2))
+    gaps = np.linalg.svd(projectors[0] - projectors[1], compute_uv=False)
+    return bool(np.all(gaps[usable, 0] <= tol.equiv))
 
 
 def gamma_U_embed(phi: RationalMatFun, psi: RationalMatFun, u,

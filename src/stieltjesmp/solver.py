@@ -83,17 +83,22 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     Computed as the linear-fractional action of the degree-1 ascent
     generator, G = [(z-a)F + A][-(z-a)A^+ F + (I - A^+A)]^(-1), which only
     matches the pointwise pseudoinverse formula under the range/null
-    compatibility checked on the grid.
+    compatibility checked on the grid: one pseudoinverse of the seed and
+    one stacked pseudoinverse of the function's values.  The first failing
+    grid point is named.
     """
     a = matcore.as_cmat(a)
     grid = pairs.default_grid(alpha) if grid is None else tuple(grid)
-    for z, fz in pairs.off_poles(fun, grid):
-        if not matcore.range_contains(a, fz, tol):
-            raise PreconditionError(
-                f"range of the function at {z} escapes the range of the seed")
-        if not matcore.null_contains(fz, a, tol):
-            raise PreconditionError(
-                f"null space of the function at {z} is not killed by the seed")
+    zs, (fz,) = pairs.grid_values((fun,), grid)
+    in_range = matcore.range_contains(a, fz, tol)
+    failing = np.flatnonzero(~(in_range & matcore.null_contains(fz, a, tol)))
+    if failing.size:
+        k = failing[0]
+        if not in_range[k]:
+            raise PreconditionError(f"range of the function at {complex(zs[k])} "
+                                    "escapes the range of the seed")
+        raise PreconditionError(f"null space of the function at {complex(zs[k])} "
+                                "is not killed by the seed")
     return lft.lft_rational(respoly.w_poly(alpha, a, tol).blocks(), fun,
                             RationalMatFun.const(np.eye(fun.q)), alpha, tol,
                             stage="descent")
@@ -111,10 +116,11 @@ def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     if not matcore.is_psd(a, tol):
         raise PreconditionError("seed of the ascent transform must be PSD")
     grid = pairs.default_grid(alpha) if grid is None else tuple(grid)
-    for z, gz in pairs.off_poles(fun, grid):
-        if not matcore.range_contains(a, gz, tol):
-            raise PreconditionError(
-                f"range of the function at {z} escapes the range of the seed")
+    zs, (gz,) = pairs.grid_values((fun,), grid)
+    failing = np.flatnonzero(~matcore.range_contains(a, gz, tol))
+    if failing.size:
+        raise PreconditionError(f"range of the function at {complex(zs[failing[0]])} "
+                                "escapes the range of the seed")
     decay = pairs.in_diamond(
         StieltjesPair(alpha, fun, RationalMatFun.const(np.eye(fun.q))))
     if not decay["ok"]:

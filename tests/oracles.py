@@ -2,7 +2,8 @@
 
 Everything here is written in the most literal way available -- explicit
 loops, nested sums, dense block assembly -- and, except for
-:func:`oracle_classify`, imports nothing from the package under test.
+:func:`oracle_classify`, imports nothing from the package under test
+(:func:`oracle_verify_pair` calls the pair it is given, point by point).
 Tests compare the optimized library code against these second opinions,
 and several hand-derived constants below are frozen into the test modules.
 """
@@ -294,3 +295,61 @@ def random_measure(rng, q, n_atoms, alpha=0.0, spread=2.0, ranks=None):
         ranks = [q] * n_atoms
     weights = [random_psd(rng, q, rank=r) for r in ranks]
     return list(nodes), weights
+
+
+def oracle_verify_pair(pair, grid, psd_tol=1e-9, det_gate=1e-10):
+    """The admissibility report of ``verify_pair``, one grid point at a time.
+
+    Each point is evaluated by calling the pair's components; a point
+    where either raises ArithmeticError (a pole) is skipped and counted.
+    The forms are X^* (-J) X with the signature matrices written out, each
+    margin is the least eigenvalue of (F + F^*)/2 over max(1, largest
+    modulus), and ``proper`` asks whether psi(z) has
+    sigma_min >= det_gate sigma_max > 0 at some kept point.
+    """
+    q = pair.q
+    eye = np.eye(q)
+    zero = np.zeros((q, q))
+    jt = np.block([[zero, -1j * eye], [1j * eye, zero]])
+    jr = np.block([[zero, -eye], [-eye, zero]])
+
+    def margin(form):
+        w = np.linalg.eigvalsh(0.5 * (form + form.conj().T))
+        return float(w[0]) / max(1.0, float(np.abs(w).max()))
+
+    rank_gaps, kd1, kd2, real, proper = [], [], [], [], False
+    for pt in grid:
+        z = complex(pt)
+        try:
+            ph, ps = pair.phi(z), pair.psi(z)
+        except ArithmeticError:
+            continue
+        stk = np.vstack([ph, ps])
+        sv = np.linalg.svd(stk, compute_uv=False)
+        rank_gaps.append(float(sv[-1] / max(sv[0], 1e-300)))
+        sp = np.linalg.svd(ps, compute_uv=False)
+        proper = proper or bool(sp[0] > 0.0 and sp[-1] >= det_gate * sp[0])
+        if z.imag != 0.0:
+            kd1.append(margin(stk.conj().T @ (-jt) @ stk / (2.0 * z.imag)))
+            stk2 = np.vstack([(z - pair.alpha) * ph, ps])
+            kd2.append(margin(stk2.conj().T @ (-jt) @ stk2 / (2.0 * z.imag)))
+        elif z.real < pair.alpha:
+            real.append(margin(stk.conj().T @ (-jr) @ stk))
+    kd1_m = min(kd1, default=0.0)
+    kd2_m = min(kd2, default=0.0)
+    real_m = min(real, default=0.0)
+    report = {
+        "rank_ok": min(rank_gaps) > 1e-10,
+        "min_rank_gap": min(rank_gaps),
+        "kd1_margin": kd1_m,
+        "kd1_ok": kd1_m >= -psd_tol,
+        "kd2_margin": kd2_m,
+        "kd2_ok": kd2_m >= -psd_tol,
+        "real_axis_margin": real_m,
+        "real_axis_ok": real_m >= -psd_tol,
+        "proper": proper,
+        "skipped_points": len(grid) - len(rank_gaps),
+    }
+    report["ok"] = (report["rank_ok"] and report["kd1_ok"]
+                    and report["kd2_ok"] and report["real_axis_ok"])
+    return report

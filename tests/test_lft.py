@@ -190,6 +190,42 @@ def test_rational_kernel_gates_the_denominator():
     assert err.value.stage == "probe" and err.value.point == 0.0
 
 
+def test_rational_kernel_names_the_singular_grid_point():
+    # D(z) = r diag(1, z - z0) s is singular at one interior grid point z0
+    # only; the batched gate names it with the gap of check_denominator
+    rng = np.random.default_rng(45)
+    alpha = 0.25
+    grid = default_grid(alpha)
+    z0 = complex(grid[7])
+    r, s = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) + 2 * np.eye(2)
+            for _ in range(2))
+    den = MatrixPolynomial((r @ np.diag([1.0, -z0]) @ s,
+                            r @ np.diag([0.0, 1.0]) @ s))
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    gen = MatrixPolynomial((np.block([[eye, zero], [zero, den.coeffs[0]]]),
+                            np.block([[zero, zero], [zero, den.coeffs[1]]])))
+    one = RationalMatFun.const(eye)
+    with pytest.raises(SingularDenominatorError) as ref:
+        check_denominator(den(z0), DEFAULT_TOL, "probe", z0)
+    with pytest.raises(SingularDenominatorError) as err:
+        lft_rational(gen.blocks(), one, one, alpha, grid=grid, stage="probe")
+    assert err.value.stage == "probe"
+    assert err.value.point == z0
+    assert err.value.gap == ref.value.gap
+    assert str(err.value) == str(ref.value)
+    # off z0 the same denominator passes the gate
+    lft_rational(gen.blocks(), one, one, alpha, grid=grid[:7] + grid[8:])
+    # singular at z0 and at z1 too: the first of them in grid order is named
+    z1 = complex(grid[11])
+    both = MatrixPolynomial((r @ np.diag([-z1, -z0]) @ s, r @ s))
+    gen2 = MatrixPolynomial((np.block([[eye, zero], [zero, both.coeffs[0]]]),
+                             np.block([[zero, zero], [zero, both.coeffs[1]]])))
+    for order, first in ((grid, z0), (grid[::-1], z1)):
+        with pytest.raises(SingularDenominatorError) as err:
+            lft_rational(gen2.blocks(), one, one, alpha, grid=order)
+        assert err.value.point == first
+
+
 def test_rational_kernel_divides_out_the_shared_power_of_z_minus_alpha():
     # N (z - alpha)^3 over d (z - alpha)^3 acted on by the identity: the
     # kernel forms N (z - alpha)^3 adj(D) over det D, which share

@@ -92,6 +92,30 @@ def test_psd_margin_sign_convention():
     assert is_pd(np.eye(2))
 
 
+def test_stacked_kernels_answer_matrix_by_matrix():
+    # a stack gives each matrix's own answer, to the bit for the batched
+    # eigensolve and pseudoinverse
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 4, 7):
+        a = random_psd(rng, n, rank=max(1, n - 1))
+        mats = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+        stack = np.concatenate([mats, a @ mats])
+        margins = psd_margin(stack)
+        assert margins.shape == (12,)
+        assert all(margins[k] == psd_margin(m) for k, m in enumerate(stack))
+        plus = pinv(stack)
+        assert all(np.array_equal(plus[k], pinv(m)) for k, m in enumerate(stack))
+        assert_allclose(symmetrized(stack)[3], symmetrized(stack[3]), rtol=0)
+        inside = range_contains(a, stack)
+        assert list(inside) == [range_contains(a, m) for m in stack]
+        killed = null_contains(stack, a.T @ a)
+        assert list(killed) == [null_contains(m, a.T @ a) for m in stack]
+        if n > 1:
+            assert inside[6:].all() and not inside[:6].any()
+    assert psd_margin(np.zeros((0, 3, 3))).shape == (0,)
+    assert psd_margin(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+
+
 def test_range_and_null_containment():
     p = np.diag([1.0, 1.0, 0.0])
     v = np.array([[1.0], [2.0], [0.0]])

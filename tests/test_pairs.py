@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +14,7 @@ from conftest import (
     random_psd,
     sample_points,
 )
+from stieltjesmp import matcore
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
     InconsistencyError,
@@ -18,6 +22,7 @@ from stieltjesmp.matcore import (
     SingularDenominatorError,
     frob,
     j_form,
+    range_contains,
     signature_j,
 )
 from stieltjesmp.lft import lft_rational
@@ -30,10 +35,14 @@ from stieltjesmp.pairs import (
     gamma_U_embed,
     in_class_P_of,
     in_diamond,
+    off_poles,
     pair_from_function,
     verify_pair,
 )
 from stieltjesmp.respoly import MatrixPolynomial
+from stieltjesmp.solver import case_of
+
+from oracles import oracle_verify_pair
 
 
 def _rand_rat(rng, q, deg, den):
@@ -228,15 +237,20 @@ def test_verify_pair_rejects_wrong_sign_and_real_axis():
     assert not rep["real_axis_ok"] and not rep["ok"]
 
 
-def test_verify_pair_symmetrizes_computed_forms():
-    # (F + H) R and R with a large PSD H: the J-forms are O(1) results of
-    # cancelling O(1e8) products, so their rounding asymmetry exceeds
-    # tol.herm; the forms are symmetrized, not rejected as "not Hermitian"
+def _symmetrizing_pair():
+    """(F + H) R and R with a large PSD H: the J-forms are O(1) results of
+    cancelling O(1e8) products."""
     mu = DiscreteMeasure(0.0, (1.0, 3.0), (np.eye(2), np.diag([1.0, 2.0])))
     phi = stieltjes_transform(mu) + RationalMatFun.const(
         1e8 * np.diag([1.0, 0.5]))
     r = np.array([[0.3 - 1.1j, 1.2 + 0.4j], [-0.7 + 0.2j, 0.9 - 0.6j]])
-    pair = StieltjesPair(0.0, phi.rmul(r), RationalMatFun.const(r))
+    return StieltjesPair(0.0, phi.rmul(r), RationalMatFun.const(r))
+
+
+def test_verify_pair_symmetrizes_computed_forms():
+    # the rounding asymmetry of the J-forms exceeds tol.herm; the forms are
+    # symmetrized, not rejected as "not Hermitian"
+    pair = _symmetrizing_pair()
     jt = signature_j(2)
     z = complex(default_grid(0.0)[3])
     form = j_form(pair.stack(z), jt) / (2.0 * z.imag)
@@ -252,6 +266,62 @@ def test_verify_pair_rejects_rank_deficient_stack():
                          RationalMatFun.const(sing))
     rep = verify_pair(pair)
     assert not rep["rank_ok"] and not rep["ok"]
+
+
+def _oracle_pairs():
+    """Admissible pairs, the rejected ones of the tests above, and a phi
+    with a pole at the grid point alpha - 1."""
+    rng = np.random.default_rng(57)
+    out = []
+    for q in (1, 2, 3):
+        alpha = float(rng.uniform(-2.0, 2.0))
+        r = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q)) + 3 * np.eye(q)
+        transform = stieltjes_transform(random_measure(rng, q, 3, alpha=alpha))
+        out += [cauchy_pair(alpha, q, t=alpha + rng.uniform(0.1, 4.0),
+                            c=random_psd(rng, q)),
+                const_psi_pair(alpha, q),
+                pair_from_function(transform, alpha),
+                StieltjesPair(alpha, transform.rmul(r), RationalMatFun.const(r))]
+    sing = np.array([[1.0, 0.0], [0.0, 0.0]])
+    wrong_sign = RationalMatFun(MatrixPolynomial.constant(-np.eye(2)), (1.0, 1.0))
+    out += [StieltjesPair(0.0, wrong_sign, RationalMatFun.const(np.eye(2))),
+            StieltjesPair(0.0, RationalMatFun.const(np.eye(2)),
+                          RationalMatFun.const(-np.eye(2))),
+            StieltjesPair(0.0, RationalMatFun.const(sing),
+                          RationalMatFun.const(sing)),
+            _symmetrizing_pair()]
+    for alpha in (0.0, 0.75):
+        pole = RationalMatFun(MatrixPolynomial.constant(np.eye(2)),
+                              (alpha - 1.0, -1.0))
+        out.append(StieltjesPair(alpha, pole, RationalMatFun.const(np.eye(2))))
+    return out
+
+
+def test_verify_pair_matches_the_pointwise_oracle():
+    verdicts = set()
+    for pair in _oracle_pairs():
+        grid = default_grid(pair.alpha)
+        got = verify_pair(pair)
+        ref = oracle_verify_pair(pair, grid, DEFAULT_TOL.psd, DEFAULT_TOL.det_gate)
+        assert got.keys() == ref.keys()
+        for key, want in ref.items():
+            if isinstance(want, float):
+                # margins to 1e-12 relative; the floor only serves exact zeros
+                assert got[key] == pytest.approx(want, rel=1e-12, abs=1e-300), key
+            else:
+                assert got[key] == want, key
+        verdicts.add((got["ok"], got["skipped_points"]))
+    assert verdicts == {(True, 0), (False, 0), (False, 1)}
+
+
+def test_verify_pair_reads_properness_off_psi_values():
+    phi = RationalMatFun.const(np.eye(2))
+    alpha = 0.5
+    flat = StieltjesPair(alpha, phi, RationalMatFun.const(np.diag([1.0, 0.0])))
+    assert verify_pair(flat)["proper"] is False
+    # diag(1, z - alpha) is singular only at alpha, which is off the grid
+    shifted = MatrixPolynomial((np.diag([1.0, -alpha]), np.diag([0.0, 1.0])))
+    assert verify_pair(StieltjesPair(alpha, phi, RationalMatFun(shifted)))["proper"]
 
 
 def test_equivalence_is_projective():
@@ -281,6 +351,50 @@ def test_in_class_range_condition():
     assert in_class_P_of(inside, proj2)
     assert not in_class_P_of(outside, proj2)
     assert in_class_P_of(identity_pair(0.0, 3), np.zeros((3, 3)))
+
+
+def test_in_class_P_of_takes_one_pinv_of_its_matrix(monkeypatch):
+    calls = []
+
+    def counted(a, *args, _fn=matcore.pinv, **kwargs):
+        calls.append(np.array(a))
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "pinv", counted)
+    proj2 = np.diag([1.0, 1.0, 0.0])
+    assert in_class_P_of(cauchy_pair(0.0, 3, c=np.diag([1.0, 2.0, 0.0])), proj2)
+    assert len(calls) == 1 and np.array_equal(calls[0], proj2)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_in_class_P_of_matches_the_pointwise_rule_on_the_longseq_pool():
+    # the bench's longseq pool at seed 7 holds rank-deficient top entries
+    # (completely and partially degenerate sequences); each top is tested
+    # against the bench's pair when it is q x q, and a rank-deficient one
+    # also against (I, I) and (top, I)
+    verdicts = []
+    for prob in _bench_workloads().pool("longseq", 7, ""):
+        _, r, top = case_of(prob.seq)
+        alpha, q = prob.seq.alpha, prob.q
+        candidates = [prob.pair] if prob.pair.q == q else []
+        if r < q:
+            eye = RationalMatFun.const(np.eye(q))
+            candidates += [StieltjesPair(alpha, eye, eye),
+                           StieltjesPair(alpha, RationalMatFun.const(top), eye)]
+        grid = default_grid(alpha)
+        for pair in candidates:
+            want = all(range_contains(top, ph)
+                       for _, ph in off_poles(pair.phi, grid))
+            assert in_class_P_of(pair, top) == want
+            verdicts.append((r < q, want))
+    assert set(verdicts) == {(False, True), (True, True), (True, False)}
 
 
 def gamma_U_extract(f, g, u, alpha):

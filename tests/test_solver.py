@@ -1,7 +1,9 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
@@ -224,6 +226,23 @@ def test_forward_transform_range_gate():
     seed = np.diag([1.0, 0.0])
     with pytest.raises(PreconditionError):
         schur_stieltjes_transform(fun, seed, 0.0)
+
+
+def test_forward_transform_names_the_first_offending_grid_point():
+    # F(z) = diag(1, (z - g0)(z - g1)) lies in ran diag(1, 0) at the first
+    # two grid points g0, g1 only, so the range gate trips at the third
+    grid = pairs.default_grid(0.0)
+    roots = npoly.polyfromroots([grid[0], grid[1]]).real
+    fun = RationalMatFun(MatrixPolynomial(
+        [np.diag([1.0 if k == 0 else 0.0, c]) for k, c in enumerate(roots)]))
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"range of the function at {complex(grid[2])}")):
+        schur_stieltjes_transform(fun, np.diag([1.0, 0.0]), 0.0)
+    # with the seed I the range holds everywhere, and the null space of
+    # F(g0) = diag(1, 0) is not killed by the seed
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"null space of the function at {complex(grid[0])}")):
+        schur_stieltjes_transform(fun, np.eye(2), 0.0)
 
 
 def test_completely_degenerate_solution_is_parameter_free():
