@@ -179,12 +179,19 @@ class RationalMatFun:
         the coefficients: a reduced pair (N, p) represents the same function
         exactly when N * den = num * p as polynomial identities, which is a
         homogeneous linear system in the coefficients of p once N is
-        eliminated.  For ascending trial denominator degrees the null vector
-        of that system is extracted, the numerator is recovered by least
-        squares against the fitted denominator, and the candidate is
-        accepted only if it reproduces the function at control points
-        placed near the pole scale (where a spuriously low degree shows up
-        first).  If no degree passes, the function keeps its coefficients.
+        eliminated.  At a trial denominator degree the null vector of that
+        system is extracted, the numerator is recovered by least squares
+        against the fitted denominator, and the candidate is accepted only
+        if it reproduces the function at control points placed near the
+        pole scale (where a spuriously low degree shows up first).
+
+        The degrees below dn = deg den that admit a reduced form make an
+        interval [dn - g, dn - 1], g the degree of the common factor: a
+        reduced pair (N, p) at degree d gives (N l, p l) at d + 1 for any
+        linear l.  So the trial degrees run down from dn - 1, the search
+        stops at the first one rejected, and the lowest accepted candidate
+        wins; a coprime function costs one trial.  If none is accepted,
+        the function keeps its coefficients.
 
         The result is in canonical form: numerator and denominator are
         multiplied by the unit that makes the denominator's leading
@@ -200,12 +207,18 @@ class RationalMatFun:
         if dn > 0:
             nd = num.degree
             num_c = num.coeffs.transpose(1, 2, 0)
-            pole_scale = 1.0 + float(np.abs(npoly.polyroots(den)).max())
-            for d in range(max(0, dn - nd), dn):
+            pole_scale, best = None, None
+            for d in range(dn - 1, max(0, dn - nd) - 1, -1):
                 cand = self._refit(num_c, den, nd - (dn - d), d)
-                if cand is not None and self._matches(cand, pole_scale):
-                    num, den = cand.num, cand.den
+                if cand is None:
                     break
+                if pole_scale is None:
+                    pole_scale = 1.0 + float(np.abs(npoly.polyroots(den)).max())
+                if not self._matches(cand, pole_scale):
+                    break
+                best = cand
+            if best is not None:
+                num, den = best.num, best.den
         lead = den[-1]
         if lead.imag != 0.0 or lead.real < 0.0:
             unit = abs(lead) / lead
@@ -368,8 +381,7 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
     Returns margins (least eigenvalue ratios, worst over the grid) and
     booleans per condition plus an overall verdict.  Grid points that land
     on poles are skipped and counted; admissibility only constrains points
-    off the exceptional set.  ``proper`` records whether psi(z) passes the
-    denominator gate of ``lft.check_denominator`` at some kept point.
+    off the exceptional set.
 
     All kept points are decided at once: one stacked SVD for the rank gaps
     and one batched eigensolve for the margins of every form.
@@ -395,7 +407,6 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
         matcore.j_form(stk[left], jr)]), tol)
     kd1_m, kd2_m, real_m = (float(m.min()) if m.size else 0.0 for m in
                             np.split(margins, [off.sum(), 2 * off.sum()]))
-    proper = bool(lft.denominator_gate(ps, tol)[0].any())
     report = {
         "rank_ok": bool(rank_gaps.min() > 1e-10),
         "min_rank_gap": float(rank_gaps.min()),
@@ -405,7 +416,6 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
         "kd2_ok": bool(kd2_m >= -tol.psd),
         "real_axis_margin": real_m,
         "real_axis_ok": bool(real_m >= -tol.psd),
-        "proper": proper,
         "skipped_points": len(grid) - len(zs),
     }
     report["ok"] = bool(report["rank_ok"] and report["kd1_ok"]

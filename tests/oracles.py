@@ -3,7 +3,9 @@
 Everything here is written in the most literal way available -- explicit
 loops, nested sums, dense block assembly -- and, except for
 :func:`oracle_classify`, imports nothing from the package under test
-(:func:`oracle_verify_pair` calls the pair it is given, point by point).
+(:func:`oracle_verify_pair` calls the pair it is given, point by point, and
+:func:`oracle_simplify` the refit and match steps of the function it is
+given).
 Tests compare the optimized library code against these second opinions,
 and several hand-derived constants below are frozen into the test modules.
 """
@@ -297,15 +299,14 @@ def random_measure(rng, q, n_atoms, alpha=0.0, spread=2.0, ranks=None):
     return list(nodes), weights
 
 
-def oracle_verify_pair(pair, grid, psd_tol=1e-9, det_gate=1e-10):
+def oracle_verify_pair(pair, grid, psd_tol=1e-9):
     """The admissibility report of ``verify_pair``, one grid point at a time.
 
     Each point is evaluated by calling the pair's components; a point
     where either raises ArithmeticError (a pole) is skipped and counted.
-    The forms are X^* (-J) X with the signature matrices written out, each
-    margin is the least eigenvalue of (F + F^*)/2 over max(1, largest
-    modulus), and ``proper`` asks whether psi(z) has
-    sigma_min >= det_gate sigma_max > 0 at some kept point.
+    The forms are X^* (-J) X with the signature matrices written out, and
+    each margin is the least eigenvalue of (F + F^*)/2 over max(1, largest
+    modulus).
     """
     q = pair.q
     eye = np.eye(q)
@@ -317,7 +318,7 @@ def oracle_verify_pair(pair, grid, psd_tol=1e-9, det_gate=1e-10):
         w = np.linalg.eigvalsh(0.5 * (form + form.conj().T))
         return float(w[0]) / max(1.0, float(np.abs(w).max()))
 
-    rank_gaps, kd1, kd2, real, proper = [], [], [], [], False
+    rank_gaps, kd1, kd2, real = [], [], [], []
     for pt in grid:
         z = complex(pt)
         try:
@@ -327,8 +328,6 @@ def oracle_verify_pair(pair, grid, psd_tol=1e-9, det_gate=1e-10):
         stk = np.vstack([ph, ps])
         sv = np.linalg.svd(stk, compute_uv=False)
         rank_gaps.append(float(sv[-1] / max(sv[0], 1e-300)))
-        sp = np.linalg.svd(ps, compute_uv=False)
-        proper = proper or bool(sp[0] > 0.0 and sp[-1] >= det_gate * sp[0])
         if z.imag != 0.0:
             kd1.append(margin(stk.conj().T @ (-jt) @ stk / (2.0 * z.imag)))
             stk2 = np.vstack([(z - pair.alpha) * ph, ps])
@@ -347,9 +346,37 @@ def oracle_verify_pair(pair, grid, psd_tol=1e-9, det_gate=1e-10):
         "kd2_ok": kd2_m >= -psd_tol,
         "real_axis_margin": real_m,
         "real_axis_ok": real_m >= -psd_tol,
-        "proper": proper,
         "skipped_points": len(grid) - len(rank_gaps),
     }
     report["ok"] = (report["rank_ok"] and report["kd1_ok"]
                     and report["kd2_ok"] and report["real_axis_ok"])
     return report
+
+
+def oracle_simplify(f):
+    """``RationalMatFun.simplify`` by the bottom-up search: trial
+    denominator degrees in ascending order, the first candidate that
+    passes both the function's ``_refit`` and its ``_matches`` taken, then
+    the canonical unit that makes the leading denominator coefficient real
+    and positive."""
+    num = f.num.trimmed()
+    den = f.den
+    dn = len(den) - 1
+    if not num.coeffs.any():
+        return type(f)(type(num).constant(np.zeros(num.shape)), (1.0,))
+    if dn > 0:
+        nd = num.degree
+        num_c = num.coeffs.transpose(1, 2, 0)
+        pole_scale = 1.0 + float(np.abs(np.polynomial.polynomial.polyroots(den)).max())
+        for d in range(max(0, dn - nd), dn):
+            cand = f._refit(num_c, den, nd - (dn - d), d)
+            if cand is not None and f._matches(cand, pole_scale):
+                num, den = cand.num, cand.den
+                break
+    lead = den[-1]
+    if lead.imag != 0.0 or lead.real < 0.0:
+        unit = abs(lead) / lead
+        den = den * unit
+        den[-1] = abs(lead)
+        num = num.scale(unit)
+    return type(f)(num, den)

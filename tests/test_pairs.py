@@ -40,9 +40,14 @@ from stieltjesmp.pairs import (
     verify_pair,
 )
 from stieltjesmp.respoly import MatrixPolynomial
-from stieltjesmp.solver import case_of
+from stieltjesmp.solver import (
+    SolutionRequest,
+    case_of,
+    solve,
+    solve_degenerate_embedded,
+)
 
-from oracles import oracle_verify_pair
+from oracles import oracle_simplify, oracle_verify_pair
 
 
 def _rand_rat(rng, q, deg, den):
@@ -121,12 +126,34 @@ def test_rational_inverse():
     assert err.value.stage == "inverse"
 
 
-def test_simplify_cancels_shared_roots_only():
+def _linear_blown():
+    """(base, base with numerator and denominator multiplied by z - 2)."""
     rng = np.random.default_rng(52)
     base = _rand_rat(rng, 2, 1, (1.0, 1.0))
-    # multiply numerator and denominator by (z - 2)
     blown = RationalMatFun(base.num.scale_poly((-2.0, 1.0)),
                            tuple(np.convolve(base.den, (-2.0, 1.0))))
+    return base, blown
+
+
+def _cubic_blown(q):
+    """(base, base with numerator and denominator multiplied by
+    (z - 2)^2 (z + 0.5))."""
+    rng = np.random.default_rng(60 + q)
+    base = _rand_rat(rng, q, 1, (0.5, -1.5, 1.0))  # roots 0.5 and 1
+    factor = np.polynomial.polynomial.polyfromroots([2.0, 2.0, -0.5])
+    blown = RationalMatFun(base.num.scale_poly(factor),
+                           tuple(np.convolve(base.den, factor)))
+    return base, blown
+
+
+def _coprime():
+    rng = np.random.default_rng(62)
+    den = np.polynomial.polynomial.polyfromroots([0.5, -1.0, 3.0 + 1.0j])
+    return _rand_rat(rng, 4, 2, tuple(den))
+
+
+def test_simplify_cancels_shared_roots_only():
+    base, blown = _linear_blown()
     slim = blown.simplify()
     assert len(slim.den) == len(base.den)
     for z in (0.7 + 0.4j, 5.0):
@@ -137,12 +164,7 @@ def test_simplify_cancels_shared_roots_only():
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_simplify_cancels_cubic_factor_with_repeated_root(q):
-    rng = np.random.default_rng(60 + q)
-    base = _rand_rat(rng, q, 1, (0.5, -1.5, 1.0))  # roots 0.5 and 1
-    # multiply numerator and denominator by (z - 2)^2 (z + 0.5)
-    factor = np.polynomial.polynomial.polyfromroots([2.0, 2.0, -0.5])
-    blown = RationalMatFun(base.num.scale_poly(factor),
-                           tuple(np.convolve(base.den, factor)))
+    base, blown = _cubic_blown(q)
     slim = blown.simplify()
     assert len(slim.den) == len(base.den)
     for z in (0.7 + 0.4j, -1.3 + 2.0j, 5.0):
@@ -150,9 +172,7 @@ def test_simplify_cancels_cubic_factor_with_repeated_root(q):
 
 
 def test_simplify_leaves_coprime_function_alone():
-    rng = np.random.default_rng(62)
-    den = np.polynomial.polynomial.polyfromroots([0.5, -1.0, 3.0 + 1.0j])
-    f = _rand_rat(rng, 4, 2, tuple(den))
+    f = _coprime()
     slim = f.simplify()
     assert len(slim.den) == len(f.den)
     for z in (0.7 + 0.4j, 5.0):
@@ -181,6 +201,86 @@ def test_simplify_solves_thin_systems_in_the_denominator_alone(monkeypatch):
     for shape, full, uv in calls:
         assert shape[1] <= dn + 1, shape
         assert not (uv and full), shape
+
+
+def _presimplify_fractions(workload):
+    """What ``lft.lft_rational`` hands to ``simplify`` on the bench's
+    seed-7 batch 0 of ``workload``: divide_out_root(N adj(D), det D, alpha),
+    captured from ``solve`` itself."""
+    seen = []
+    simplify = RationalMatFun.simplify
+
+    def spy(f):
+        seen.append(f)
+        return simplify(f)
+
+    wl = _bench_workloads()
+    make = wl.qcliff_batch if workload == "qcliff" else wl.longseq_batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RationalMatFun, "simplify", spy)
+        for prob in make(7, 0):
+            if prob.embedded:
+                solve_degenerate_embedded(prob.seq, prob.pair, mode=prob.mode)
+            else:
+                solve(SolutionRequest(prob.seq, prob.pair, prob.mode))
+    return seen
+
+
+def _planted_factors():
+    """(function with a common factor of known degree, that degree)."""
+    npoly = np.polynomial.polynomial
+    alpha = 0.7
+    rng = np.random.default_rng(64)
+    for roots in ((), (alpha,), (2.0, 2.0), (2.0, 2.0, -0.5),
+                  (alpha, 1.5 + 0.5j, -2.0)):
+        for q in (1, 2, 3):
+            for deg in (1, 2):
+                den = npoly.polyfromroots(rng.uniform(-3.0, 3.0, deg + 1))
+                f = _rand_rat(rng, q, deg, tuple(den))
+                factor = npoly.polyfromroots(roots) if roots else np.ones(1)
+                yield RationalMatFun(f.num.scale_poly(factor),
+                                     npoly.polymul(f.den, factor)), len(roots)
+
+
+def test_simplify_matches_the_bottom_up_search():
+    # the degrees with a reduced form make an interval below the input's,
+    # so searching down from the top and keeping the last accepted degree
+    # picks what the ascending search picked: the same bits
+    def same(f):
+        got, ref = f.simplify(), oracle_simplify(f)
+        assert np.array_equal(got.num.coeffs, ref.num.coeffs)
+        assert np.array_equal(got.den, ref.den)
+        return len(f.den) - len(got.den)
+
+    for f, planted in _planted_factors():
+        assert same(f) == planted
+    for workload in ("qcliff", "longseq"):
+        cuts = [same(f) for f in _presimplify_fractions(workload)]
+        assert {0, 1} <= set(cuts), workload
+
+
+@pytest.mark.parametrize("build, rounds", [
+    (_coprime, 1),
+    (lambda: _linear_blown()[1], 2),
+    (lambda: _cubic_blown(3)[1], 4),
+], ids=["coprime", "linear", "cubic"])
+def test_simplify_refits_down_to_the_first_rejection(monkeypatch, build,
+                                                     rounds):
+    # cost guard: one refit per accepted degree plus the one that stops the
+    # search; the ascending search made dn - max(0, dn - nd) on a coprime
+    # function
+    f = build()
+    calls = []
+    refit = RationalMatFun._refit
+
+    def spy(self, *args):
+        calls.append(args[-1])
+        return refit(self, *args)
+
+    monkeypatch.setattr(RationalMatFun, "_refit", spy)
+    f.simplify()
+    dn = len(f.den) - 1
+    assert calls == list(range(dn - 1, dn - 1 - rounds, -1))
 
 
 def test_rational_json_roundtrip():
@@ -302,7 +402,7 @@ def test_verify_pair_matches_the_pointwise_oracle():
     for pair in _oracle_pairs():
         grid = default_grid(pair.alpha)
         got = verify_pair(pair)
-        ref = oracle_verify_pair(pair, grid, DEFAULT_TOL.psd, DEFAULT_TOL.det_gate)
+        ref = oracle_verify_pair(pair, grid, DEFAULT_TOL.psd)
         assert got.keys() == ref.keys()
         for key, want in ref.items():
             if isinstance(want, float):
@@ -312,16 +412,6 @@ def test_verify_pair_matches_the_pointwise_oracle():
                 assert got[key] == want, key
         verdicts.add((got["ok"], got["skipped_points"]))
     assert verdicts == {(True, 0), (False, 0), (False, 1)}
-
-
-def test_verify_pair_reads_properness_off_psi_values():
-    phi = RationalMatFun.const(np.eye(2))
-    alpha = 0.5
-    flat = StieltjesPair(alpha, phi, RationalMatFun.const(np.diag([1.0, 0.0])))
-    assert verify_pair(flat)["proper"] is False
-    # diag(1, z - alpha) is singular only at alpha, which is off the grid
-    shifted = MatrixPolynomial((np.diag([1.0, -alpha]), np.diag([0.0, 1.0])))
-    assert verify_pair(StieltjesPair(alpha, phi, RationalMatFun(shifted)))["proper"]
 
 
 def test_equivalence_is_projective():

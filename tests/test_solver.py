@@ -296,6 +296,20 @@ def test_solve_eq_mode_needs_decay():
         solve(SolutionRequest(seq, const_pair(0.0, 2, 1.0), "eq"))
 
 
+def test_solve_eq_mode_refuses_an_identically_singular_psi():
+    # (I, diag(1, 0)) is admissible, so leq solves, but phi psi^(-1) does
+    # not exist: the eq problem refuses it in the decay test, by stage
+    rng = np.random.default_rng(79)
+    _, seq = nondegenerate_seq(rng, 2, 1)
+    pair = StieltjesPair(seq.alpha, RationalMatFun.const(np.eye(2)),
+                         RationalMatFun.const(np.diag([1.0, 0.0])))
+    assert pairs.verify_pair(pair)["ok"]
+    solve(SolutionRequest(seq, pair, "leq"))
+    with pytest.raises(SingularDenominatorError) as err:
+        solve(SolutionRequest(seq, pair, "eq"))
+    assert err.value.stage == "diamond"
+
+
 @pytest.mark.parametrize("kw", [{"c": 200.0 * np.eye(2)}, {"t": 1e4}],
                          ids=["c=200", "t=1e4"])
 def test_eq_accepts_cauchy_parameters_of_any_scale(kw):
