@@ -4,6 +4,13 @@ A :class:`MomentSequence` holds the base point ``alpha`` and Hermitian
 matrices ``s_0 .. s_m``.  From it we derive the block Hankel stacks, the
 interleaved Schur complements, and the classification report that the
 solver uses to dispatch between the degeneracy cases.
+
+One slot keeps the sequence, tolerance, report and cone margins of the
+last :func:`classify`, read back for the same sequence object (``is``,
+whose id the slot's reference keeps from reuse) under an equal tolerance.
+One entry suffices for classify -> solve -> verify on one sequence to run
+the algorithm once, and retains one sequence at most.  Sequences and trace
+stages are read-only, so a stored report is never stale.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ __all__ = [
     "inverse_parametrization",
 ]
 
+_last = (None,) * 4  # (seq, tol, report, margins) of the last classify
+
 
 @dataclass(frozen=True)
 class MomentSequence:
@@ -42,8 +51,19 @@ class MomentSequence:
         for x in mats:
             if x.shape != (q, q):
                 raise ValueError("all moment matrices must share one size")
+            x.flags.writeable = False
         object.__setattr__(self, "s", mats)
         object.__setattr__(self, "alpha", float(self.alpha))
+
+    @classmethod
+    def _hermitian(cls, alpha: float, mats: tuple) -> "MomentSequence":
+        """Matrices the package computed as exactly Hermitian, kept unchecked."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "s", mats)
+        object.__setattr__(seq, "alpha", float(alpha))
+        for x in mats:
+            x.flags.writeable = False
+        return seq
 
     @property
     def q(self) -> int:
@@ -201,8 +221,12 @@ def cone_margins(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     """PSD margins of the top block Hankel matrix H_{m//2} and, for m >= 1,
     of the shifted one built from -alpha*s_j + s_{j+1}.
 
-    The sequence lies in the moment cone when both are >= -tol.psd.
+    The sequence lies in the moment cone when both are >= -tol.psd.  The
+    slot's margins are returned when it holds ``seq`` under ``tol``.
     """
+    slot = _last
+    if slot[0] is seq and slot[1] == tol:
+        return slot[3]
     return _cone_margins(seq.alpha, seq.s, tol)
 
 
@@ -215,7 +239,8 @@ def _cone_margins(alpha: float, mats, tol: ToleranceConfig) -> tuple:
 
 
 def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
-    """Full membership report, read from one run of the algorithm.
+    """Full membership report, read from one run of the algorithm: the
+    slot's when it holds ``seq`` under ``tol``, else computed and stored.
 
     The moment cone test checks the top plain Hankel matrix together with
     the top shifted one; strict positivity upgrades the verdict.  Q_m is
@@ -230,7 +255,11 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
     """
     from . import schur
 
-    margins = cone_margins(seq, tol)
+    global _last
+    slot = _last
+    if slot[0] is seq and slot[1] == tol:
+        return slot[2]
+    margins = _cone_margins(seq.alpha, seq.s, tol)
     lo = min(margins)
     dominant = matcore.dominates(seq.s[0], seq.s[1:], tol)
     trace = schur.transform_trace(seq, tol)
@@ -253,7 +282,7 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
             candidate = "no"
             break
 
-    return ClassReport(
+    report = ClassReport(
         q=seq.q,
         m=seq.m,
         hankel_psd=margins[0] >= -tol.psd,
@@ -265,3 +294,5 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
         rank_top=rank_top,
         trace=trace,
     )
+    _last = (seq, tol, report, margins)
+    return report

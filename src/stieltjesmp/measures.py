@@ -140,8 +140,8 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int):
     norms = fun.num.coeff_norms()
     top = max(norms)
     if top == 0.0:
-        zero = np.zeros((q, q))
-        return MomentSequence(alpha, tuple(zero for _ in range(m + 1))), 0.0
+        zero = np.zeros((q, q), dtype=complex)
+        return MomentSequence._hermitian(alpha, (zero,) * (m + 1)), 0.0
     den = fun.den
     deg = len(den) - 1
     num_deg = max(k for k, x in enumerate(norms) if x > TRIM_REL * top)
@@ -160,8 +160,8 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int):
         for j in range(1, min(i, deg) + 1):
             acc -= den[deg - j] * c[i - j]
         c.append(acc / den[deg])
-    mats = tuple(-matcore.symmetrized(x) for x in c)
-    return MomentSequence(alpha, mats), residual
+    mats = tuple(matcore.symmetrized(-x) for x in c)
+    return MomentSequence._hermitian(alpha, mats), residual
 
 
 def verify_solution(fun: RationalMatFun, seq: MomentSequence, mode: str = "leq",

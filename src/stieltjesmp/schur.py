@@ -120,6 +120,7 @@ def transform_trace(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> 
     stages = [np.array(seq.s)]
     for _ in range(seq.m):
         stages.append(_step(seq.alpha, stages[-1], tol))
+        stages[-1].flags.writeable = False
     stages = [seq.s] + [tuple(stage) for stage in stages[1:]]
     return TransformTrace(
         input=seq,

@@ -1,9 +1,10 @@
 """End-to-end solution of the truncated half-axis moment problem.
 
 The pipeline: classify the sequence, which runs the transform algorithm
-once, build the descent resolvent from that run's diagonal, gate the
-parameter pair (admissibility, range condition against the top diagonal
-entry, decay for the equality problem), then synthesize the solution
+once (a caller's classify of the same object stores the run), build the
+descent resolvent from that run's diagonal, gate the parameter pair
+(admissibility, range condition against the top diagonal entry, decay for
+the equality problem), then synthesize the solution
 
     F = (V_nw phi + V_ne psi) (V_sw phi + V_se psi)^(-1)
 
@@ -155,12 +156,11 @@ def _classified(seq: MomentSequence, tol: ToleranceConfig) -> ClassReport:
     return report
 
 
-def _solve(req: SolutionRequest, tol: ToleranceConfig, grid,
-           report: ClassReport | None = None) -> tuple:
-    """(case tag, rank r, solution) of ``req`` from one classify of its
-    sequence; ``report`` is that classify when the caller already ran it."""
+def _solve(req: SolutionRequest, tol: ToleranceConfig, grid) -> tuple:
+    """(case tag, rank r, solution) of ``req`` from the classify of its
+    sequence, which reads the report a caller's classify of it stored."""
     seq = req.seq
-    report = _classified(seq, tol) if report is None else report
+    report = _classified(seq, tol)
     grid = pairs.default_grid(seq.alpha) if grid is None else tuple(grid)
     tag, r, top = _case(report)
     pre = pairs.verify_pair(req.parameter, tol, grid)
@@ -204,8 +204,7 @@ def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
     ``u`` (q x r, orthonormal columns spanning the range of the top
     diagonal entry) defaults to its eigenbasis.
     """
-    report = _classified(seq, tol)
-    tag, r, top = _case(report)
+    _, r, top = _case(_classified(seq, tol))
     if pair.q > seq.q or pair.q != r:
         raise PreconditionError(
             f"parameter size {pair.q} must equal the degeneracy rank {r}")
@@ -216,7 +215,7 @@ def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
         raise PreconditionError(
             "columns of u must span the range of the top diagonal entry")
     lifted = pairs.gamma_U_embed(pair.phi, pair.psi, u_eff, seq.alpha, tol)
-    return _solve(SolutionRequest(seq, lifted, mode), tol, grid, report)[2]
+    return _solve(SolutionRequest(seq, lifted, mode), tol, grid)[2]
 
 
 def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
@@ -227,8 +226,7 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
     r is the rank of the top diagonal entry; the completely degenerate
     case has no free parameter and is redirected to the unique solution.
     """
-    report = _classified(seq, tol)
-    tag, r, top = _case(report)
+    _, r, top = _case(_classified(seq, tol))
     if r == 0:
         raise PreconditionError(
             "completely degenerate sequence: the problem has a unique "
@@ -242,4 +240,4 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
                                 f"axis: residual {decay['residual']:.3e}")
     u = _range_basis(top, r, tol)
     lifted = pairs.gamma_U_embed(small.phi, small.psi, u, seq.alpha, tol)
-    return _solve(SolutionRequest(seq, lifted, "eq"), tol, grid, report)[2]
+    return _solve(SolutionRequest(seq, lifted, "eq"), tol, grid)[2]

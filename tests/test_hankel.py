@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +16,7 @@ from conftest import (
     random_measure,
     random_psd,
 )
+from stieltjesmp import matcore, schur
 from stieltjesmp.hankel import (
     MomentSequence,
     build_stack,
@@ -18,7 +24,7 @@ from stieltjesmp.hankel import (
     inverse_parametrization,
     stieltjes_parametrization,
 )
-from stieltjesmp.matcore import DEFAULT_TOL, frob
+from stieltjesmp.matcore import DEFAULT_TOL, ToleranceConfig, frob
 from stieltjesmp.measures import DiscreteMeasure, moments, verify_solution
 from stieltjesmp.solver import SolutionRequest, solve
 
@@ -218,3 +224,108 @@ def test_json_roundtrip():
     # serialization rounds to 15 significant digits
     scale = max(frob(x) for x in seq.s)
     assert max(frob(a - b) for a, b in zip(back.s, seq.s)) <= 1e-12 * scale
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """Counts of the calls of the α-S trace and of ``psd_margin``."""
+    calls = dict.fromkeys(("transform_trace", "psd_margin"), 0)
+    for module, name in ((schur, "transform_trace"), (matcore, "psd_margin")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_library_pipeline_runs_the_algorithm_once(traces):
+    # solve and verify_solution read the report and the cone margins that
+    # classify stored for the same sequence object
+    _, seq = nondegenerate_seq(np.random.default_rng(91), 2, 4)
+    assert classify(seq).extendable_candidate == "yes"
+    sol = solve(SolutionRequest(seq, cauchy_pair(0.0, 2)))
+    assert traces["transform_trace"] == 1
+    traces["psd_margin"] = 0
+    assert verify_solution(sol, seq)["ok"]
+    assert traces == {"transform_trace": 1, "psd_margin": 0}
+
+    # a sequence nobody classified, as ``cli verify`` reads one, still gets
+    # both top Hankel matrices tested
+    fresh = MomentSequence(seq.alpha, seq.s)
+    assert verify_solution(sol, fresh)["ok"]
+    assert traces == {"transform_trace": 1, "psd_margin": 2}
+
+
+def test_classify_keeps_one_report(traces):
+    rng = np.random.default_rng(92)
+    _, a = nondegenerate_seq(rng, 2, 3)
+    _, b = nondegenerate_seq(rng, 2, 3)
+    first = classify(a)
+    classify(b)
+    again = classify(a)
+    assert traces["transform_trace"] == 3
+    assert again == first and again.trace.input is a
+
+    # an equal tolerance hits; another tolerance, or an equal-valued
+    # sequence that is another object, runs the algorithm again
+    assert classify(a, ToleranceConfig()) is again
+    assert traces["transform_trace"] == 3
+    classify(a, ToleranceConfig(psd=2e-9))
+    assert traces["transform_trace"] == 4
+    twin = MomentSequence(a.alpha, a.s)
+    assert classify(twin).trace.input is twin
+    assert traces["transform_trace"] == 5
+
+
+def test_classify_retains_at_most_one_sequence():
+    rng = np.random.default_rng(93)
+    _, a = nondegenerate_seq(rng, 2, 3)
+    _, b = nondegenerate_seq(rng, 2, 3)
+    classify(a)
+    ref = weakref.ref(a)
+    del a
+    classify(b)
+    gc.collect()
+    assert ref() is None
+
+
+def test_sequences_and_traces_are_read_only():
+    rng = np.random.default_rng(94)
+    _, seq = nondegenerate_seq(rng, 2, 3)
+    given = [np.array(x) for x in seq.s]
+    seq = MomentSequence(seq.alpha, given)
+    report = classify(seq)
+    for target in (seq.s[1], report.trace.stages[2][1],
+                   report.trace.diagonal[-1]):
+        with pytest.raises(ValueError):
+            target[0, 0] = 1.0
+    for x in given:
+        assert x.flags.writeable
+        x[0, 0] += 1.0
+    assert classify(seq) is report
+
+
+def test_concurrent_classify_returns_each_thread_its_own_report():
+    rng = np.random.default_rng(95)
+    seqs = [nondegenerate_seq(rng, 2, 3)[1] for _ in range(4)]
+    expected = [classify(s) for s in seqs]
+    wrong = []
+
+    def work(k):
+        for _ in range(40):
+            got = classify(seqs[k])
+            if got.trace.input is not seqs[k] or got != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []

@@ -122,6 +122,16 @@ def test_extract_moments_of_zero_function():
     assert all(not x.any() for x in got.s)
 
 
+def test_extract_moments_rejects_overflowing_moments():
+    # 1e150 / (1 + 1e-12 z) has moments growing by 1e12 per index: the
+    # ones beyond the float range are refused, not returned as inf
+    fun = RationalMatFun(MatrixPolynomial.constant(np.array([[1e150]])),
+                         (1.0, 1e-12))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        extract_moments(fun, 0.0, 15)
+
+
 def test_verify_solution_modes():
     rng = np.random.default_rng(64)
     mu, seq = nondegenerate_seq(rng, 2, 3)

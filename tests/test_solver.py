@@ -74,21 +74,27 @@ def test_solve_runs_the_algorithm_once(monkeypatch, tmp_path, capsys):
     sol = solve(SolutionRequest(seq, cauchy_pair(0.0, 2)))
     assert calls == {"transform_trace": 1, "_step": 5, "build_stack": 0}
     assert verify_solution(sol, seq)["ok"]
+    # a repeat call on the same object reads the report classify stored
     calls["transform_trace"] = 0
     hankel.classify(seq)
-    assert calls["transform_trace"] == 1
+    solve(SolutionRequest(seq, cauchy_pair(0.0, 2)))
+    assert calls["transform_trace"] == 0
 
-    # the rank-reduced routes read the case and solve from the same trace
+    # the rank-reduced routes read the case and solve from the same trace;
+    # each gets its own sequence object, so that each classifies afresh
     _, seq = partially_degenerate_seq(rng, 2, 1, alpha=0.25)
     f = RationalMatFun(MatrixPolynomial.constant(np.array([[0.5]])),
                        (1.25, -1.0))
     small = StieltjesPair(0.25, f, RationalMatFun.const(np.eye(1)))
-    for route in (lambda: solve_equality_subset(seq, f),
-                  lambda: solve_degenerate_embedded(seq, small, mode="eq")):
+    for route in (lambda s: solve_equality_subset(s, f),
+                  lambda s: solve_degenerate_embedded(s, small, mode="eq")):
+        fresh = MomentSequence(seq.alpha, seq.s)
         calls["transform_trace"] = 0
-        sol = route()
+        sol = route(fresh)
         assert calls["transform_trace"] == 1
-        assert verify_solution(sol, seq, mode="eq")["ok"]
+        assert verify_solution(sol, fresh, mode="eq")["ok"]
+        route(fresh)
+        assert calls["transform_trace"] == 1
 
     # so does ``cli solve``, which prints the case beside the solution
     _, seq = nondegenerate_seq(rng, 2, 3)
