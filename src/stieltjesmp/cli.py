@@ -102,15 +102,15 @@ def _clean(obj, digits: int):
     if isinstance(obj, (complex, np.complexfloating)):
         return [sig(obj.real, digits), sig(obj.imag, digits)]
     if isinstance(obj, np.ndarray):
-        return serialize.matrix_to_json(obj)
+        return serialize.matrix_to_json(obj, digits)
     if isinstance(obj, dict):
         return {k: _clean(v, digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v, digits) for v in obj]
     if obj is None or isinstance(obj, str):
         return obj
-    if hasattr(obj, "to_json"):
-        return _clean(obj.to_json(), digits)
+    if isinstance(obj, MomentSequence):
+        return _clean(serialize.sequence_to_json(obj.alpha, obj.s), digits)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -119,44 +119,46 @@ def _emit(payload, cfg: CliConfig) -> None:
 
 
 def _samples(fun, grid) -> list:
-    return [{"z": z, "F": value} for z, value in pairs.off_poles(fun, grid)]
+    zs, (values,) = pairs.grid_values((fun,), grid)
+    return [{"z": z, "F": value} for z, value in zip(zs, values)]
 
 
 def cmd_classify(args) -> int:
     cfg = _config(args)
-    seq = MomentSequence.from_json(_load(args.path))
-    _emit(classify(seq, cfg.tol).to_json(), cfg)
+    seq = serialize.sequence_from_json(_load(args.path))
+    _emit(serialize.report_to_json(classify(seq, cfg.tol)), cfg)
     return EXIT_OK
 
 
 def cmd_schur(args) -> int:
     cfg = _config(args)
-    seq = MomentSequence.from_json(_load(args.path))
+    seq = serialize.sequence_from_json(_load(args.path))
     if args.k < 0 or args.k > seq.m:
         raise PreconditionError(
             f"transform order k={args.k} out of range 0..{seq.m}")
     trace = schur.transform_trace(seq, cfg.tol)
-    out = MomentSequence(seq.alpha, trace.stages[args.k])
-    payload = {"k": args.k, "sequence": out.to_json()}
+    payload = {"k": args.k, "sequence": serialize.sequence_to_json(
+        seq.alpha, trace.stages[args.k])}
     if args.trace:
-        payload["trace"] = trace.to_json()
+        payload["trace"] = serialize.trace_to_json(trace)
     _emit(payload, cfg)
     return EXIT_OK
 
 
 def cmd_poly(args) -> int:
     cfg = _config(args)
-    seq = MomentSequence.from_json(_load(args.path))
+    seq = serialize.sequence_from_json(_load(args.path))
     v, w = respoly.compose_resolvent(schur.transform_trace(seq, cfg.tol),
                                      cfg.tol)
-    _emit({"q": seq.q, "m": seq.m, "v": v.to_json(), "w": w.to_json()}, cfg)
+    _emit({"q": seq.q, "m": seq.m, "v": serialize.blocks_to_json(v),
+           "w": serialize.blocks_to_json(w)}, cfg)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
     cfg = _config(args)
     obj = _load(args.path)
-    seq = MomentSequence.from_json(obj["sequence"])
+    seq = serialize.sequence_from_json(obj["sequence"])
     parameter = serialize.pair_from_json(obj["parameter"])
     mode = args.mode or obj.get("mode", "leq")
     req = solver.SolutionRequest(seq, parameter, mode)
@@ -178,7 +180,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config(args)
     obj = _load(args.path)
-    seq = MomentSequence.from_json(obj["sequence"])
+    seq = serialize.sequence_from_json(obj["sequence"])
     fun = serialize.rational_from_json(obj["function"])
     mode = args.mode or obj.get("mode", "leq")
     report = measures.verify_solution(fun, seq, mode, cfg.tol)
@@ -204,9 +206,8 @@ def cmd_oracle(args) -> int:
     cfg = _config(args)
     spec = _load(args.path)
     if "atoms" in spec and isinstance(spec["atoms"], list):
-        alpha, nodes, weights = serialize.measure_from_json(spec)
-        mu = DiscreteMeasure(alpha, tuple(nodes), tuple(weights))
-        m = int(spec.get("m", max(2 * (len(nodes) - 1), 0)))
+        mu = serialize.measure_from_json(spec)
+        m = int(spec.get("m", max(2 * (len(mu.nodes) - 1), 0)))
     else:
         mu = _random_measure(spec, args.seed)
         m = int(spec.get("m", 1))
@@ -214,9 +215,9 @@ def cmd_oracle(args) -> int:
     fun = measures.stieltjes_transform(mu)
     grid = cfg.grid if cfg.grid is not None else pairs.default_grid(mu.alpha)
     payload = {
-        "measure": mu.to_json(),
-        "sequence": seq.to_json(),
-        "classification": classify(seq, cfg.tol).to_json(),
+        "measure": serialize.measure_to_json(mu.alpha, mu.nodes, mu.weights),
+        "sequence": serialize.sequence_to_json(seq.alpha, seq.s),
+        "classification": serialize.report_to_json(classify(seq, cfg.tol)),
         "transform": serialize.rational_to_json(fun),
         "samples": _samples(fun, grid),
     }

@@ -82,18 +82,6 @@ class MomentSequence:
             raise ValueError("restriction index out of range")
         return MomentSequence(self.alpha, self.s[: ell + 1])
 
-    def to_json(self) -> dict:
-        from . import serialize
-
-        return serialize.sequence_to_json(self.alpha, self.s)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MomentSequence":
-        from . import serialize
-
-        alpha, mats = serialize.sequence_from_json(obj)
-        return cls(alpha, tuple(mats))
-
 
 @dataclass(frozen=True)
 class HankelStack:
@@ -189,7 +177,8 @@ class ClassReport:
     by the stagewise criterion in :func:`classify`'s docstring.
 
     ``trace`` is the algorithm run the verdicts were read from, which the
-    solver reuses; it takes no part in ``==``, ``repr`` or :meth:`to_json`.
+    solver reuses; it takes no part in ``==``, ``repr`` or the JSON layout
+    (:func:`stieltjesmp.serialize.report_to_json`).
     """
 
     q: int
@@ -202,19 +191,6 @@ class ClassReport:
     extendable_candidate: str
     rank_top: int
     trace: object = field(default=None, compare=False, repr=False)
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "m": self.m,
-            "Hgg": self.hankel_psd,
-            "Kgg": self.stieltjes_psd,
-            "Kgg_strict": self.stieltjes_pd,
-            "D": self.first_term_dominant,
-            "Kggd": self.completely_degenerate,
-            "Kgge_candidate": self.extendable_candidate,
-            "rank_top": self.rank_top,
-        }
 
 
 def cone_margins(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> tuple:

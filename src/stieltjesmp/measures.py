@@ -76,18 +76,6 @@ class DiscreteMeasure:
             return np.zeros((0, 0), dtype=complex)
         return sum(self.weights)
 
-    def to_json(self) -> dict:
-        from . import serialize
-
-        return serialize.measure_to_json(self.alpha, self.nodes, self.weights)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DiscreteMeasure":
-        from . import serialize
-
-        alpha, nodes, weights = serialize.measure_from_json(obj)
-        return cls(alpha, tuple(nodes), tuple(weights))
-
 
 def moments(mu: DiscreteMeasure, m: int) -> MomentSequence:
     """Power moments s_j = sum_k x_k^j w_k for j = 0..m."""

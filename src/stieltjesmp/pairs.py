@@ -16,9 +16,8 @@ evaluates functions on all of it at once: array Horner on the numerators,
 and the pole rule of ``RationalMatFun.__call__``, |d(z)| <= POLE_REL |d|(|z|)
 with |d| the polynomial of the moduli of d's coefficients, to drop the
 points that are numerically poles of any of them.  Each gate then decides
-from the stacked values with batched kernels (``matcore`` takes stacks).
-``off_poles``, the same walk one point at a time with each value exactly
-``f(z)``, serves the sampled values the CLI prints.
+from the stacked values with batched kernels (``matcore`` takes stacks),
+and the CLI prints its sampled values from the same walk.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "gamma_U_embed",
     "in_diamond",
     "grid_values",
-    "off_poles",
     "POLE_REL",
 ]
 
@@ -288,17 +286,6 @@ class RationalMatFun:
                 return False
         return checked > 0
 
-    def to_json(self) -> dict:
-        from . import serialize
-
-        return serialize.rational_to_json(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RationalMatFun":
-        from . import serialize
-
-        return serialize.rational_from_json(obj)
-
 
 def default_grid(alpha: float) -> tuple:
     """Evaluation points used by the pair checks: three points left of
@@ -330,19 +317,6 @@ def grid_values(funs, grid) -> tuple:
                      for f, dv in zip(funs, dens))
 
 
-def off_poles(f, grid):
-    """Yield (z, f(z)) for the points z of ``grid`` that are not poles of
-    ``f``, one point at a time, each value exactly ``f(z)``.  The gates
-    use ``grid_values`` instead; this walk serves printed samples."""
-    for pt in grid:
-        z = complex(pt)
-        try:
-            value = f(z)
-        except SingularDenominatorError:
-            continue
-        yield z, value
-
-
 @dataclass(frozen=True)
 class StieltjesPair:
     """A candidate pair (phi, psi) attached to the half-axis [alpha, inf)."""
@@ -361,17 +335,6 @@ class StieltjesPair:
 
     def stack(self, z: complex) -> np.ndarray:
         return np.vstack([self.phi(z), self.psi(z)])
-
-    def to_json(self) -> dict:
-        from . import serialize
-
-        return serialize.pair_to_json(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StieltjesPair":
-        from . import serialize
-
-        return serialize.pair_from_json(obj)
 
 
 def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,

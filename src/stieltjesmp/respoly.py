@@ -156,20 +156,6 @@ class MatrixPolynomial:
             raise ValueError("block access needs an even size")
         return ResolventBlocks(self)
 
-    def to_json(self) -> dict:
-        from . import serialize
-
-        return {
-            "size": self.size,
-            "coeffs": [serialize.matrix_to_json(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MatrixPolynomial":
-        from . import serialize
-
-        return cls([serialize.matrix_from_json(c) for c in obj["coeffs"]])
-
 
 @dataclass(frozen=True)
 class ResolventBlocks:
@@ -201,14 +187,6 @@ class ResolventBlocks:
     @property
     def se(self) -> MatrixPolynomial:
         return self._block(1, 1)
-
-    def to_json(self) -> dict:
-        return {
-            "nw": self.nw.to_json(),
-            "ne": self.ne.to_json(),
-            "sw": self.sw.to_json(),
-            "se": self.se.to_json(),
-        }
 
 
 def _adjugates(m: np.ndarray) -> np.ndarray:

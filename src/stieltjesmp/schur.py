@@ -104,15 +104,6 @@ class TransformTrace:
     stages: tuple  # stage k is a tuple of m-k+1 matrices
     diagonal: tuple  # entry k is stages[k][0]
 
-    def to_json(self) -> dict:
-        from . import serialize
-
-        return {
-            "input": self.input.to_json(),
-            "stages": [[serialize.matrix_to_json(x) for x in st] for st in self.stages],
-            "diagonal": [serialize.matrix_to_json(x) for x in self.diagonal],
-        }
-
 
 def transform_trace(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> TransformTrace:
     """The algorithm run to its last stage; stage k has m-k+1 entries and

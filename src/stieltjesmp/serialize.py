@@ -1,8 +1,20 @@
-"""JSON encoding shared by the library and the command line tool.
+"""Every JSON layout of the package: what the CLI reads and prints.
 
 Matrices travel as {"rows": r, "cols": c, "data": [...]} with the data
-row-major; every entry is a [re, im] pair.  Floats are rounded to 15
-significant digits on output so repeated runs produce identical files.
+row-major; every entry is a [re, im] pair.  On that base:
+
+  sequence   {"alpha", "q", "s": [matrix]}            MomentSequence
+  measure    {"alpha", "atoms": [{"x", "w": matrix}]}  DiscreteMeasure
+  rational   {"num": [matrix], "den": [[re, im]]}      RationalMatFun,
+             coefficients degree-ascending
+  pair       {"alpha", "phi": rational, "psi": rational}  StieltjesPair
+  report     {"q", "m", "Hgg", "Kgg", "Kgg_strict", "D", "Kggd",
+              "Kgge_candidate", "rank_top"}            ClassReport
+  trace      {"input": sequence, "stages": [[matrix]], "diagonal": [matrix]}
+  blocks     {"nw", "ne", "sw", "se"}, each {"size", "coeffs": [matrix]}
+
+Floats are rounded to ``digits`` significant digits on output, 15 unless
+the caller asks for fewer, so repeated runs produce identical files.
 """
 
 from __future__ import annotations
@@ -10,6 +22,12 @@ from __future__ import annotations
 import json
 
 import numpy as np
+
+from .hankel import ClassReport, MomentSequence
+from .measures import DiscreteMeasure
+from .pairs import RationalMatFun, StieltjesPair
+from .respoly import MatrixPolynomial, ResolventBlocks
+from .schur import TransformTrace
 
 __all__ = [
     "sig",
@@ -23,6 +41,9 @@ __all__ = [
     "rational_from_json",
     "pair_to_json",
     "pair_from_json",
+    "report_to_json",
+    "trace_to_json",
+    "blocks_to_json",
     "dumps",
 ]
 
@@ -35,18 +56,18 @@ def sig(x: float, digits: int = 15) -> float:
     return float(f"{x:.{digits}g}")
 
 
-def _entry(v: complex) -> list:
+def _entry(v: complex, digits: int = 15) -> list:
     v = complex(v)
-    return [sig(v.real), sig(v.imag)]
+    return [sig(v.real, digits), sig(v.imag, digits)]
 
 
-def matrix_to_json(a) -> dict:
+def matrix_to_json(a, digits: int = 15) -> dict:
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     r, c = a.shape
     return {
         "rows": int(r),
         "cols": int(c),
-        "data": [_entry(v) for v in a.reshape(-1)],
+        "data": [_entry(v, digits) for v in a.reshape(-1)],
     }
 
 
@@ -69,10 +90,9 @@ def sequence_to_json(alpha: float, mats) -> dict:
     }
 
 
-def sequence_from_json(obj: dict):
-    alpha = float(obj["alpha"])
-    mats = [matrix_from_json(m) for m in obj["s"]]
-    return alpha, mats
+def sequence_from_json(obj: dict) -> MomentSequence:
+    mats = tuple(matrix_from_json(m) for m in obj["s"])
+    return MomentSequence(float(obj["alpha"]), mats)
 
 
 def measure_to_json(alpha: float, nodes, weights) -> dict:
@@ -85,11 +105,10 @@ def measure_to_json(alpha: float, nodes, weights) -> dict:
     }
 
 
-def measure_from_json(obj: dict):
-    alpha = float(obj["alpha"])
-    nodes = [float(atom["x"]) for atom in obj["atoms"]]
-    weights = [matrix_from_json(atom["w"]) for atom in obj["atoms"]]
-    return alpha, nodes, weights
+def measure_from_json(obj: dict) -> DiscreteMeasure:
+    nodes = tuple(float(atom["x"]) for atom in obj["atoms"])
+    weights = tuple(matrix_from_json(atom["w"]) for atom in obj["atoms"])
+    return DiscreteMeasure(float(obj["alpha"]), nodes, weights)
 
 
 def rational_to_json(fun) -> dict:
@@ -101,10 +120,7 @@ def rational_to_json(fun) -> dict:
     }
 
 
-def rational_from_json(obj: dict):
-    from .pairs import RationalMatFun
-    from .respoly import MatrixPolynomial
-
+def rational_from_json(obj: dict) -> RationalMatFun:
     num = MatrixPolynomial(tuple(matrix_from_json(c) for c in obj["num"]))
     den = tuple(complex(p[0], p[1]) for p in obj["den"])
     return RationalMatFun(num, den)
@@ -118,12 +134,43 @@ def pair_to_json(pair) -> dict:
     }
 
 
-def pair_from_json(obj: dict):
-    from .pairs import StieltjesPair
-
+def pair_from_json(obj: dict) -> StieltjesPair:
     alpha = float(obj["alpha"])
     return StieltjesPair(alpha, rational_from_json(obj["phi"]),
                          rational_from_json(obj["psi"]))
+
+
+def report_to_json(rep: ClassReport) -> dict:
+    """The verdicts of a classification; its ``trace`` is not written."""
+    return {
+        "q": rep.q,
+        "m": rep.m,
+        "Hgg": rep.hankel_psd,
+        "Kgg": rep.stieltjes_psd,
+        "Kgg_strict": rep.stieltjes_pd,
+        "D": rep.first_term_dominant,
+        "Kggd": rep.completely_degenerate,
+        "Kgge_candidate": rep.extendable_candidate,
+        "rank_top": rep.rank_top,
+    }
+
+
+def trace_to_json(trace: TransformTrace) -> dict:
+    return {
+        "input": sequence_to_json(trace.input.alpha, trace.input.s),
+        "stages": [[matrix_to_json(x) for x in st] for st in trace.stages],
+        "diagonal": [matrix_to_json(x) for x in trace.diagonal],
+    }
+
+
+def blocks_to_json(blocks: ResolventBlocks) -> dict:
+    """The four q x q blocks of a resolvent factor, each with its size and
+    coefficient matrices (degree-ascending)."""
+    return {
+        name: {"size": p.size, "coeffs": [matrix_to_json(c) for c in p.coeffs]}
+        for name, p in (("nw", blocks.nw), ("ne", blocks.ne),
+                        ("sw", blocks.sw), ("se", blocks.se))
+    }
 
 
 def dumps(obj) -> str:

@@ -122,8 +122,9 @@ def test_schur_trace_runs_the_algorithm_once(tmp_path, capsys, monkeypatch):
     _, seq = measure_seq(rng, 2, 4, atoms=5)
     path = sequence_file(tmp_path, seq.alpha, seq.s)
     with open(path) as fh:
-        read = stieltjesmp.MomentSequence.from_json(json.load(fh))
-    direct = [schur.k_th_transform(read, k).to_json() for k in range(seq.m + 1)]
+        read = serialize.sequence_from_json(json.load(fh))
+    direct = [serialize.sequence_to_json(
+        read.alpha, schur.k_th_transform(read, k).s) for k in range(seq.m + 1)]
     steps = []
 
     def counted(*args, _fn=schur._step, **kwargs):
@@ -190,8 +191,8 @@ def test_solve_accepts_library_json_of_sequence_and_pair(tmp_path, capsys):
     alpha = 0.6100058474907604
     rng = np.random.default_rng(14)
     _, seq = measure_seq(rng, 2, 2, atoms=3, alpha=alpha)
-    payload = {"sequence": seq.to_json(),
-               "parameter": cauchy_pair(alpha, 2).to_json(),
+    payload = {"sequence": serialize.sequence_to_json(seq.alpha, seq.s),
+               "parameter": serialize.pair_to_json(cauchy_pair(alpha, 2)),
                "mode": "leq"}
     path = write_json(tmp_path / "prob.json", payload)
     code, out = run_cli(capsys, ["solve", path])
@@ -257,7 +258,7 @@ def test_verify_reads_decay_from_degrees(tmp_path, capsys):
     # removed --ladder heights are a usage error
     mu = DiscreteMeasure(0.0, (0.5, 5e4), (np.eye(2), 100 * np.eye(2)))
     payload = {
-        "sequence": moments(mu, 1).to_json(),
+        "sequence": serialize.sequence_to_json(mu.alpha, moments(mu, 1).s),
         "function": serialize.rational_to_json(
             measures.stieltjes_transform(mu)),
         "mode": "eq",
@@ -333,10 +334,13 @@ def test_singular_grid_point_is_a_verification_failure(tmp_path, capsys):
 DATA = Path(__file__).resolve().parent / "data"
 
 # golden stdout name -> (subcommand, input file, flags); seq_q2_m2.json is
-# the sequence of solve_q2_m2.json
+# the sequence of solve_q2_m2.json, and measure_q2_m2.json lists its atoms
+# explicitly, so no seeded generator is involved
 GOLDEN = {
     **{f"{command}_{case}": (command, f"{command}_{case}.json")
        for command in ("solve", "verify") for case in ("q1_m2", "q2_m2")},
+    "classify_q2_m2": ("classify", "seq_q2_m2.json"),
+    "oracle_q2_m2": ("oracle", "measure_q2_m2.json"),
     "poly_q2_m2": ("poly", "seq_q2_m2.json"),
     "schur_k1_q2_m2": ("schur", "seq_q2_m2.json", "-k", "1", "--trace"),
 }
@@ -363,6 +367,15 @@ def test_output_matches_golden_bytes(capsys, command, case):
 def test_resolvent_and_trace_output_matches_golden_bytes(capsys, name):
     # the resolvent blocks print every matrix polynomial coefficient, and
     # the trace every stage of the algorithm, of the q=2, m=2 sequence
+    assert main(golden_argv(name)) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (DATA / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["classify_q2_m2", "oracle_q2_m2"])
+def test_classify_and_oracle_output_matches_golden_bytes(capsys, name):
+    # the report of the q=2, m=2 sequence, and the oracle's measure,
+    # moments, report, transform and samples of an explicit measure
     assert main(golden_argv(name)) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (DATA / f"{name}.out").read_bytes()
@@ -398,12 +411,27 @@ def test_goldens_hold_at_one_and_two_blas_threads(tmp_path, threads):
                 == (DATA / f"{name}.out").read_bytes()), name
 
 
+def _floats(obj):
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _floats(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _floats(v)
+
+
 def test_digits_flag_rounds_output(tmp_path, capsys):
-    path = write_json(tmp_path / "spec.json", {"q": 1, "m": 1, "seed": 3})
-    code, out = run_cli(capsys, ["oracle", path, "--digits", "3"])
-    assert code == 0
-    node = out["measure"]["atoms"][0]["x"]
-    assert node == float(f"{node:.2e}")
+    # every float printed, matrices included, has at most three digits
+    spec = write_json(tmp_path / "spec.json", {"q": 1, "m": 1, "seed": 3})
+    for argv in (["oracle", spec], ["oracle", str(DATA / "measure_q2_m2.json")],
+                 ["solve", str(DATA / "solve_q2_m2.json")]):
+        code, out = run_cli(capsys, argv + ["--digits", "3"])
+        assert code == 0
+        floats = list(_floats(out))
+        long = [x for x in floats if x != float(f"{x:.2e}")]
+        assert floats and not long, (argv, long[:5])
 
 
 def test_console_script_runs(tmp_path):

@@ -16,7 +16,7 @@ from conftest import (
     random_measure,
     random_psd,
 )
-from stieltjesmp import matcore, schur
+from stieltjesmp import matcore, schur, serialize
 from stieltjesmp.hankel import (
     MomentSequence,
     build_stack,
@@ -104,7 +104,7 @@ def test_classify_cone_counterexample_fixture():
     assert rep.extendable_candidate == "no"
     assert not rep.completely_degenerate
     assert rep.rank_top == 1
-    js = rep.to_json()
+    js = serialize.report_to_json(rep)
     assert js["Kgg"] and not js["D"] and js["Kgge_candidate"] == "no"
 
 
@@ -219,7 +219,8 @@ def test_classify_matches_recursive_oracle():
 def test_json_roundtrip():
     rng = np.random.default_rng(17)
     _, seq = measure_seq(rng, 2, 3, alpha=0.75)
-    back = MomentSequence.from_json(seq.to_json())
+    back = serialize.sequence_from_json(
+        serialize.sequence_to_json(seq.alpha, seq.s))
     assert back.alpha == seq.alpha
     # serialization rounds to 15 significant digits
     scale = max(frob(x) for x in seq.s)

@@ -47,3 +47,16 @@ def test_every_cli_config_field_is_read():
     unread = [f.name for f in dataclasses.fields(CliConfig)
               if not re.search(rf"\bcfg\.{f.name}\b", text)]
     assert not unread, unread
+
+
+def test_json_layouts_live_in_serialize():
+    # serialize alone writes and reads the JSON layouts: no class carries a
+    # to_json/from_json of its own, and no function imports serialize (or,
+    # inside serialize, anything) locally to get round an import cycle
+    text = _package_source()
+    methods = re.findall(r"def (?:to|from)_json\b", text)
+    assert not methods, methods
+    local = re.findall(r"^[ \t]+(?:from|import)\b.*\bserialize\b", text, re.M)
+    local += re.findall(r"^[ \t]+(?:from|import)\b.*",
+                        _package_source("serialize"), re.M)
+    assert not local, local

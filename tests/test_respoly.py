@@ -212,12 +212,3 @@ def test_j_identity_weighted_forms_require_null_domination():
     bad_a = np.diag([1.0, 0.0, 0.0])
     with pytest.raises(PreconditionError):
         verify_j_identities(0.0, np.eye(3), 0.5 + 1.0j, a=bad_a)
-
-
-def test_polynomial_json_roundtrip():
-    rng = np.random.default_rng(39)
-    p = _rand_poly(rng, 2, 3)
-    back = MatrixPolynomial.from_json(p.to_json())
-    assert back.degree == p.degree
-    worst = max(frob(a - b) for a, b in zip(back.coeffs, p.coeffs))
-    assert worst <= 1e-12 * max(frob(c) for c in p.coeffs)

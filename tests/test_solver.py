@@ -555,8 +555,7 @@ def test_eq_solution_at_q3_m2_verifies():
     # precision: it missed s_2 by 7.7e-4 (top_margin) before the kernel
     # divided out the shared power of (z - alpha)
     data = json.loads((DATA / "eq_q3_m2.json").read_text())
-    alpha, mats = serialize.sequence_from_json(data["sequence"])
-    seq = MomentSequence(alpha, tuple(mats))
+    seq = serialize.sequence_from_json(data["sequence"])
     pair = serialize.pair_from_json(data["parameter"])
     sol = solve(SolutionRequest(seq, pair, data["mode"]))
     assert verify_solution(sol, seq, mode=data["mode"])["ok"]
