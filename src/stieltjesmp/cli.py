@@ -110,7 +110,7 @@ def _clean(obj, digits: int):
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, MomentSequence):
-        return _clean(serialize.sequence_to_json(obj.alpha, obj.s), digits)
+        return serialize.sequence_to_json(obj.alpha, obj.s, digits)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -138,9 +138,9 @@ def cmd_schur(args) -> int:
             f"transform order k={args.k} out of range 0..{seq.m}")
     trace = schur.transform_trace(seq, cfg.tol)
     payload = {"k": args.k, "sequence": serialize.sequence_to_json(
-        seq.alpha, trace.stages[args.k])}
+        seq.alpha, trace.stages[args.k], cfg.digits)}
     if args.trace:
-        payload["trace"] = serialize.trace_to_json(trace)
+        payload["trace"] = serialize.trace_to_json(trace, cfg.digits)
     _emit(payload, cfg)
     return EXIT_OK
 
@@ -150,8 +150,8 @@ def cmd_poly(args) -> int:
     seq = serialize.sequence_from_json(_load(args.path))
     v, w = respoly.compose_resolvent(schur.transform_trace(seq, cfg.tol),
                                      cfg.tol)
-    _emit({"q": seq.q, "m": seq.m, "v": serialize.blocks_to_json(v),
-           "w": serialize.blocks_to_json(w)}, cfg)
+    _emit({"q": seq.q, "m": seq.m, "v": serialize.blocks_to_json(v, cfg.digits),
+           "w": serialize.blocks_to_json(w, cfg.digits)}, cfg)
     return EXIT_OK
 
 
@@ -169,7 +169,7 @@ def cmd_solve(args) -> int:
     payload = {
         "case": tag,
         "rank": rank,
-        "rational_function": serialize.rational_to_json(sol),
+        "rational_function": serialize.rational_to_json(sol, cfg.digits),
         "samples": _samples(sol, grid),
         "verification_report": report,
     }
@@ -215,10 +215,11 @@ def cmd_oracle(args) -> int:
     fun = measures.stieltjes_transform(mu)
     grid = cfg.grid if cfg.grid is not None else pairs.default_grid(mu.alpha)
     payload = {
-        "measure": serialize.measure_to_json(mu.alpha, mu.nodes, mu.weights),
-        "sequence": serialize.sequence_to_json(seq.alpha, seq.s),
+        "measure": serialize.measure_to_json(mu.alpha, mu.nodes, mu.weights,
+                                             cfg.digits),
+        "sequence": serialize.sequence_to_json(seq.alpha, seq.s, cfg.digits),
         "classification": serialize.report_to_json(classify(seq, cfg.tol)),
-        "transform": serialize.rational_to_json(fun),
+        "transform": serialize.rational_to_json(fun, cfg.digits),
         "samples": _samples(fun, grid),
     }
     _emit(payload, cfg)

@@ -2,8 +2,8 @@
 
 A generator E = [[a, b], [c, d]] acts on a single matrix x as
 (ax + b)(cx + d)^(-1) and on a column pair (x, y) as
-(ax + by)(cx + dy)^(-1).  The lower block row [c, d] must have full row
-rank, otherwise no input can ever make the denominator invertible.
+(ax + by)(cx + dy)^(-1).  A lower block row [c, d] without full row rank
+makes every denominator singular, which the denominator gates refuse.
 
 ``lft_pair`` evaluates the action at a point and ``lft_rational`` on
 rational matrix functions; every denominator passes ``check_denominator``
@@ -25,60 +25,18 @@ synthetic division, for as long as both remainders are at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import matcore
 from .matcore import (
     DEFAULT_TOL,
-    PreconditionError,
     SingularDenominatorError,
     ToleranceConfig,
 )
 from .respoly import MatrixPolynomial, adjugate_poly, det_poly
 
-__all__ = ["BlockGenerator", "DEFLATION_REL", "check_denominator",
-           "denominator_gate", "det_or_none", "divide_out_root", "lft_pair",
-           "lft_rational"]
-
-
-@dataclass(frozen=True)
-class BlockGenerator:
-    """Four q x q blocks of a linear-fractional generator, kept as
-    read-only copies of the inputs."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        blocks = [matcore.as_cmat(getattr(self, name)).copy() for name in "abcd"]
-        q = blocks[0].shape[0]
-        for name, m in zip("abcd", blocks):
-            if m.shape != (q, q):
-                raise ValueError("generator blocks must be square, equal size")
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
-        lower = np.hstack(blocks[2:])
-        if np.linalg.matrix_rank(lower, tol=1e-12 * max(1.0, matcore.specnorm(lower))) < q:
-            raise PreconditionError("lower block row of generator is rank deficient")
-
-    @property
-    def q(self) -> int:
-        return self.a.shape[0]
-
-    def as_matrix(self) -> np.ndarray:
-        return np.block([[self.a, self.b], [self.c, self.d]])
-
-    @classmethod
-    def from_matrix(cls, e) -> "BlockGenerator":
-        e = matcore.as_cmat(e)
-        if e.shape[0] != e.shape[1] or e.shape[0] % 2:
-            raise ValueError("generator matrix must be square of even size")
-        q = e.shape[0] // 2
-        return cls(e[:q, :q], e[:q, q:], e[q:, :q], e[q:, q:])
+__all__ = ["DEFLATION_REL", "check_denominator", "denominator_gate",
+           "det_or_none", "divide_out_root", "lft_pair", "lft_rational"]
 
 
 def denominator_gate(dens, tol: ToleranceConfig) -> tuple:
@@ -168,13 +126,16 @@ def divide_out_root(num: MatrixPolynomial, den: np.ndarray, alpha: float):
             both[:dn + 1 - k, -1])
 
 
-def lft_pair(e: BlockGenerator, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """(a x + b y)(c x + d y)^(-1)."""
+def lft_pair(e, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """(a x + b y)(c x + d y)^(-1) for the 2q x 2q generator value
+    e = [[a, b], [c, d]], such as ``v_poly(alpha, A)(z)``."""
+    e = matcore.as_cmat(e)
     x = matcore.as_cmat(x)
     y = matcore.as_cmat(y)
-    den = e.c @ x + e.d @ y
+    q = e.shape[0] // 2
+    den = e[q:, :q] @ x + e[q:, q:] @ y
     check_denominator(den, tol, "pair-input")
-    return np.linalg.solve(den.T, (e.a @ x + e.b @ y).T).T
+    return np.linalg.solve(den.T, (e[:q, :q] @ x + e[:q, q:] @ y).T).T
 
 
 def lft_rational(blocks, phi, psi, alpha: float,

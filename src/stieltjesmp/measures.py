@@ -121,12 +121,16 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int):
     highest coefficient above ``TRIM_REL`` times the largest (Frobenius
     norms), must be one below the denominator's, as for every half-axis
     transform of a nonzero measure, or GrowthError names both degrees.
+    A norm that overflows, or moments beyond the float range, raise
+    ValueError.
     """
     if m < 0:
         raise PreconditionError("moment order must be nonnegative")
     q = fun.q
     norms = fun.num.coeff_norms()
     top = max(norms)
+    if not np.isfinite(top):
+        raise ValueError("numerator coefficient norm overflows to a non-finite value")
     if top == 0.0:
         zero = np.zeros((q, q), dtype=complex)
         return MomentSequence._hermitian(alpha, (zero,) * (m + 1)), 0.0

@@ -11,13 +11,17 @@ positive semidefinite left of alpha.  Pairs are considered up to right
 multiplication by an invertible rational factor; the quotient phi psi^(-1)
 is what enters the solution formulas.
 
-Every check runs on a finite grid (``default_grid``).  ``grid_values``
-evaluates functions on all of it at once: array Horner on the numerators,
-and the pole rule of ``RationalMatFun.__call__``, |d(z)| <= POLE_REL |d|(|z|)
-with |d| the polynomial of the moduli of d's coefficients, to drop the
-points that are numerically poles of any of them.  Each gate then decides
-from the stacked values with batched kernels (``matcore`` takes stacks),
-and the CLI prints its sampled values from the same walk.
+The range condition, ran phi(z) inside ran A for every z, is a
+polynomial identity: (I - A A^+) annihilates every numerator coefficient
+of phi, so ``in_class_P_of`` decides it on the coefficients with one
+pseudoinverse of A.  The other checks run on a finite grid
+(``default_grid``).  ``grid_values`` evaluates functions on all of it at
+once: array Horner on the numerators, and the pole rule of
+``RationalMatFun.__call__``, |d(z)| <= POLE_REL |d|(|z|) with |d| the
+polynomial of the moduli of d's coefficients, to drop the points that are
+numerically poles of any of them.  Each gate then decides from the stacked
+values with batched kernels (``matcore`` takes stacks), and the CLI prints
+its sampled values from the same walk.
 """
 
 from __future__ import annotations
@@ -387,11 +391,10 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
 
 
 def pair_from_function(fun: RationalMatFun, alpha: float,
-                       tol: ToleranceConfig = DEFAULT_TOL,
-                       grid=None) -> StieltjesPair:
+                       tol: ToleranceConfig = DEFAULT_TOL) -> StieltjesPair:
     """Wrap a single rational function as the pair (fun, I) and validate."""
     pair = StieltjesPair(alpha, fun, RationalMatFun.const(np.eye(fun.q)))
-    report = verify_pair(pair, tol, grid)
+    report = verify_pair(pair, tol)
     if not report["ok"]:
         failed = [k for k in ("rank_ok", "kd1_ok", "kd2_ok", "real_axis_ok")
                   if not report[k]]
@@ -402,28 +405,26 @@ def pair_from_function(fun: RationalMatFun, alpha: float,
 
 
 def in_class_P_of(pair: StieltjesPair, a,
-                  tol: ToleranceConfig = DEFAULT_TOL, grid=None) -> bool:
-    """Range condition: ran phi(z) inside ran a at every grid point, with
-    one pseudoinverse of ``a`` for all of them."""
-    a = matcore.as_cmat(a)
-    grid = default_grid(pair.alpha) if grid is None else tuple(grid)
-    _, (ph,) = grid_values((pair.phi,), grid)
-    return bool(np.all(matcore.range_contains(a, ph, tol)))
+                  tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Range condition: ran phi(z) inside ran a at every z, which holds
+    exactly when every numerator coefficient of phi lies in ran a; one
+    pseudoinverse of ``a`` for all of them."""
+    return bool(np.all(matcore.range_contains(a, pair.phi.num.coeffs, tol)))
 
 
 def equivalent(p1: StieltjesPair, p2: StieltjesPair,
-               tol: ToleranceConfig = DEFAULT_TOL, grid=None) -> bool:
+               tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Same pair up to an invertible rational right factor.
 
     Tested as equality of the column spans of the stacked pairs at every
-    grid point (orthogonal projectors compared in spectral norm); points
+    point of ``default_grid`` (projectors compared in spectral norm); points
     where either stack is zero or numerically rank deficient are passed
     over.
     """
     if p1.q != p2.q or p1.alpha != p2.alpha:
         return False
-    grid = default_grid(p1.alpha) if grid is None else tuple(grid)
-    _, (f1, g1, f2, g2) = grid_values((p1.phi, p1.psi, p2.phi, p2.psi), grid)
+    _, (f1, g1, f2, g2) = grid_values((p1.phi, p1.psi, p2.phi, p2.psi),
+                                      default_grid(p1.alpha))
     projectors = []
     usable = True
     for s in (np.concatenate([f1, g1], axis=1), np.concatenate([f2, g2], axis=1)):

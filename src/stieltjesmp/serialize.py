@@ -80,13 +80,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return flat.reshape(r, c)
 
 
-def sequence_to_json(alpha: float, mats) -> dict:
+def sequence_to_json(alpha: float, mats, digits: int = 15) -> dict:
     mats = list(mats)
     q = np.atleast_2d(np.asarray(mats[0])).shape[0] if mats else 0
     return {
-        "alpha": sig(alpha),
+        "alpha": sig(alpha, digits),
         "q": int(q),
-        "s": [matrix_to_json(m) for m in mats],
+        "s": [matrix_to_json(m, digits) for m in mats],
     }
 
 
@@ -95,11 +95,11 @@ def sequence_from_json(obj: dict) -> MomentSequence:
     return MomentSequence(float(obj["alpha"]), mats)
 
 
-def measure_to_json(alpha: float, nodes, weights) -> dict:
+def measure_to_json(alpha: float, nodes, weights, digits: int = 15) -> dict:
     return {
-        "alpha": sig(alpha),
+        "alpha": sig(alpha, digits),
         "atoms": [
-            {"x": sig(float(x)), "w": matrix_to_json(w)}
+            {"x": sig(float(x), digits), "w": matrix_to_json(w, digits)}
             for x, w in zip(nodes, weights)
         ],
     }
@@ -111,12 +111,12 @@ def measure_from_json(obj: dict) -> DiscreteMeasure:
     return DiscreteMeasure(float(obj["alpha"]), nodes, weights)
 
 
-def rational_to_json(fun) -> dict:
+def rational_to_json(fun, digits: int = 15) -> dict:
     """Encode a rational matrix function as numerator coefficient matrices
     over a scalar denominator coefficient list (degree-ascending)."""
     return {
-        "num": [matrix_to_json(c) for c in fun.num.coeffs],
-        "den": [_entry(c) for c in fun.den],
+        "num": [matrix_to_json(c, digits) for c in fun.num.coeffs],
+        "den": [_entry(c, digits) for c in fun.den],
     }
 
 
@@ -155,19 +155,21 @@ def report_to_json(rep: ClassReport) -> dict:
     }
 
 
-def trace_to_json(trace: TransformTrace) -> dict:
+def trace_to_json(trace: TransformTrace, digits: int = 15) -> dict:
     return {
-        "input": sequence_to_json(trace.input.alpha, trace.input.s),
-        "stages": [[matrix_to_json(x) for x in st] for st in trace.stages],
-        "diagonal": [matrix_to_json(x) for x in trace.diagonal],
+        "input": sequence_to_json(trace.input.alpha, trace.input.s, digits),
+        "stages": [[matrix_to_json(x, digits) for x in st]
+                   for st in trace.stages],
+        "diagonal": [matrix_to_json(x, digits) for x in trace.diagonal],
     }
 
 
-def blocks_to_json(blocks: ResolventBlocks) -> dict:
+def blocks_to_json(blocks: ResolventBlocks, digits: int = 15) -> dict:
     """The four q x q blocks of a resolvent factor, each with its size and
     coefficient matrices (degree-ascending)."""
     return {
-        name: {"size": p.size, "coeffs": [matrix_to_json(c) for c in p.coeffs]}
+        name: {"size": p.size,
+               "coeffs": [matrix_to_json(c, digits) for c in p.coeffs]}
         for name, p in (("nw", blocks.nw), ("ne", blocks.ne),
                         ("sw", blocks.sw), ("se", blocks.se))
     }

@@ -77,37 +77,44 @@ def _case(report: ClassReport):
 
 
 def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
-                              tol: ToleranceConfig = DEFAULT_TOL,
-                              grid=None) -> RationalMatFun:
+                              tol: ToleranceConfig = DEFAULT_TOL) -> RationalMatFun:
     """One descent step: the transform with seed ``a`` applied to ``fun``.
 
     Computed as the linear-fractional action of the degree-1 ascent
     generator, G = [(z-a)F + A][-(z-a)A^+ F + (I - A^+A)]^(-1), which only
-    matches the pointwise pseudoinverse formula under the range/null
-    compatibility checked on the grid: one pseudoinverse of the seed and
-    one stacked pseudoinverse of the function's values.  The first failing
-    grid point is named.
+    matches the pointwise pseudoinverse formula when ran F(z) lies in ran A
+    and nul F(z) in nul A.  The range half is a coefficient identity,
+    decided on the numerator coefficients with one pseudoinverse of the
+    seed; the first offending degree is named.  The null half stays on
+    ``default_grid``: it bounds the rank of F(z) from below at each point,
+    which no identity among the coefficients expresses, so it is tested on
+    one stacked pseudoinverse of the function's values and names the first
+    failing grid point.
     """
     a = matcore.as_cmat(a)
-    grid = pairs.default_grid(alpha) if grid is None else tuple(grid)
-    zs, (fz,) = pairs.grid_values((fun,), grid)
-    in_range = matcore.range_contains(a, fz, tol)
-    failing = np.flatnonzero(~(in_range & matcore.null_contains(fz, a, tol)))
+    _range_gate(a, fun, tol)
+    zs, (fz,) = pairs.grid_values((fun,), pairs.default_grid(alpha))
+    failing = np.flatnonzero(~matcore.null_contains(fz, a, tol))
     if failing.size:
-        k = failing[0]
-        if not in_range[k]:
-            raise PreconditionError(f"range of the function at {complex(zs[k])} "
-                                    "escapes the range of the seed")
-        raise PreconditionError(f"null space of the function at {complex(zs[k])} "
-                                "is not killed by the seed")
+        raise PreconditionError("null space of the function at "
+                                f"{complex(zs[failing[0]])} is not killed by the seed")
     return lft.lft_rational(respoly.w_poly(alpha, a, tol).blocks(), fun,
                             RationalMatFun.const(np.eye(fun.q)), alpha, tol,
                             stage="descent")
 
 
-def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
-                                      tol: ToleranceConfig = DEFAULT_TOL,
-                                      grid=None) -> RationalMatFun:
+def _range_gate(a, fun: RationalMatFun, tol: ToleranceConfig) -> None:
+    """Raise unless every numerator coefficient of ``fun`` lies in ran a,
+    naming the lowest degree that does not."""
+    failing = np.flatnonzero(~matcore.range_contains(a, fun.num.coeffs, tol))
+    if failing.size:
+        raise PreconditionError(f"range of the function's degree-{failing[0]} "
+                                "numerator coefficient escapes the range of the seed")
+
+
+def inverse_schur_stieltjes_transform(
+        fun: RationalMatFun, a, alpha: float,
+        tol: ToleranceConfig = DEFAULT_TOL) -> RationalMatFun:
     """One ascent step: F = -A [(z-alpha)(A^+ G + I)]^(-1).
 
     Requires a PSD seed and an input that decays along the imaginary axis
@@ -116,12 +123,7 @@ def inverse_schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     a = matcore.hermitize(a, tol)
     if not matcore.is_psd(a, tol):
         raise PreconditionError("seed of the ascent transform must be PSD")
-    grid = pairs.default_grid(alpha) if grid is None else tuple(grid)
-    zs, (gz,) = pairs.grid_values((fun,), grid)
-    failing = np.flatnonzero(~matcore.range_contains(a, gz, tol))
-    if failing.size:
-        raise PreconditionError(f"range of the function at {complex(zs[failing[0]])} "
-                                "escapes the range of the seed")
+    _range_gate(a, fun, tol)
     decay = pairs.in_diamond(
         StieltjesPair(alpha, fun, RationalMatFun.const(np.eye(fun.q))))
     if not decay["ok"]:
@@ -166,7 +168,7 @@ def _solve(req: SolutionRequest, tol: ToleranceConfig, grid) -> tuple:
     pre = pairs.verify_pair(req.parameter, tol, grid)
     if not pre["ok"]:
         raise PreconditionError(f"parameter pair is not admissible: {pre}")
-    if r < seq.q and not pairs.in_class_P_of(req.parameter, top, tol, grid):
+    if r < seq.q and not pairs.in_class_P_of(req.parameter, top, tol):
         raise PreconditionError(
             "parameter range escapes the range of the top diagonal entry "
             f"(rank {r} case '{tag}')")
@@ -197,8 +199,7 @@ def _range_basis(a, r: int, tol: ToleranceConfig) -> np.ndarray:
 
 def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
                               u=None, mode: str = "leq",
-                              tol: ToleranceConfig = DEFAULT_TOL,
-                              grid=None) -> RationalMatFun:
+                              tol: ToleranceConfig = DEFAULT_TOL) -> RationalMatFun:
     """Solve with a low-rank r x r parameter lifted into the full size.
 
     ``u`` (q x r, orthonormal columns spanning the range of the top
@@ -215,12 +216,11 @@ def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
         raise PreconditionError(
             "columns of u must span the range of the top diagonal entry")
     lifted = pairs.gamma_U_embed(pair.phi, pair.psi, u_eff, seq.alpha, tol)
-    return _solve(SolutionRequest(seq, lifted, mode), tol, grid)[2]
+    return _solve(SolutionRequest(seq, lifted, mode), tol, None)[2]
 
 
 def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
-                          tol: ToleranceConfig = DEFAULT_TOL,
-                          grid=None) -> RationalMatFun:
+                          tol: ToleranceConfig = DEFAULT_TOL) -> RationalMatFun:
     """Parametrize the equality problem by a decaying r x r function.
 
     r is the rank of the top diagonal entry; the completely degenerate
@@ -240,4 +240,4 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
                                 f"axis: residual {decay['residual']:.3e}")
     u = _range_basis(top, r, tol)
     lifted = pairs.gamma_U_embed(small.phi, small.psi, u, seq.alpha, tol)
-    return _solve(SolutionRequest(seq, lifted, "eq"), tol, grid)[2]
+    return _solve(SolutionRequest(seq, lifted, "eq"), tol, None)[2]

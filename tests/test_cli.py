@@ -434,6 +434,18 @@ def test_digits_flag_rounds_output(tmp_path, capsys):
         assert floats and not long, (argv, long[:5])
 
 
+def test_digits_flag_rounds_each_float_once(tmp_path, capsys):
+    # 0.12344999999999999 is 0.1234 at four digits; rounding it at 15
+    # digits first (0.12345) and then at four would print 0.1235
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"alpha": 0.0, "q": 1, "s": [
+        {"rows": 1, "cols": 1, "data": [[0.12344999999999999, 0.0]]}]}),
+        encoding="utf-8")
+    code, out = run_cli(capsys, ["schur", str(path), "-k", "0", "--digits", "4"])
+    assert code == 0
+    assert out["sequence"]["s"][0]["data"] == [[0.1234, 0.0]]
+
+
 def test_console_script_runs(tmp_path):
     # Build the wrapper an installer would make from this checkout's
     # [project.scripts] entry, so no installed copy is needed or used.

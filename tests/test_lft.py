@@ -4,7 +4,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from stieltjesmp.lft import (
-    BlockGenerator,
     check_denominator,
     divide_out_root,
     lft_pair,
@@ -12,7 +11,6 @@ from stieltjesmp.lft import (
 )
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
-    PreconditionError,
     SingularDenominatorError,
     frob,
 )
@@ -32,9 +30,16 @@ def _solve_right(num, den, stage):
     return np.linalg.solve(den.T, num.T).T
 
 
+def _blocks(e):
+    """(a, b, c, d) of the 2q x 2q generator value e = [[a, b], [c, d]]."""
+    q = e.shape[0] // 2
+    return e[:q, :q], e[:q, q:], e[q:, :q], e[q:, q:]
+
+
 def lft_matrix(e, x):
     """(a x + b)(c x + d)^(-1)."""
-    return _solve_right(e.a @ x + e.b, e.c @ x + e.d, "matrix-input")
+    a, b, c, d = _blocks(e)
+    return _solve_right(a @ x + b, c @ x + d, "matrix-input")
 
 
 def compose(e2, e1, x):
@@ -49,14 +54,15 @@ def compose(e2, e1, x):
     A degenerate denominator raises SingularDenominatorError tagged with
     the stage that failed first.
     """
-    y = np.eye(e1.q, dtype=complex)
-    u = e1.a @ x + e1.b @ y
-    v = e1.c @ x + e1.d @ y
+    y = np.eye(e1.shape[0] // 2, dtype=complex)
+    a1, b1, c1, d1 = _blocks(e1)
+    a2, b2, c2, d2 = _blocks(e2)
+    u = a1 @ x + b1 @ y
+    v = c1 @ x + d1 @ y
 
     chained = lft_matrix(e2, _solve_right(u, v, "inner"))
-    product = lft_pair(BlockGenerator.from_matrix(e2.as_matrix() @ e1.as_matrix()),
-                       x, y)
-    pushed = _solve_right(e2.a @ u + e2.b @ v, e2.c @ u + e2.d @ v, "outer")
+    product = lft_pair(e2 @ e1, x, y)
+    pushed = _solve_right(a2 @ u + b2 @ v, c2 @ u + d2 @ v, "outer")
 
     scale = 1.0 + frob(chained)
     return {
@@ -67,40 +73,12 @@ def compose(e2, e1, x):
 
 
 def _rand_gen(rng, q):
-    while True:
-        e = rng.normal(size=(2 * q, 2 * q)) + 1j * rng.normal(size=(2 * q, 2 * q))
-        try:
-            return BlockGenerator.from_matrix(e)
-        except PreconditionError:
-            continue
-
-
-def test_generator_block_roundtrip():
-    rng = np.random.default_rng(40)
-    e = _rand_gen(rng, 2)
-    back = BlockGenerator.from_matrix(e.as_matrix())
-    assert_allclose(back.b, e.b)
-    assert back.q == 2
-
-
-def test_generator_rejects_rank_deficient_lower_row():
-    z = np.zeros((2, 2))
-    with pytest.raises(PreconditionError):
-        BlockGenerator(np.eye(2), np.eye(2), z, z)
-
-
-def test_generator_keeps_read_only_copies_of_its_blocks():
-    a = np.eye(2, dtype=complex)
-    e = BlockGenerator(a, np.eye(2), np.zeros((2, 2)), np.eye(2))
-    a[0, 0] = 7.0
-    assert e.a[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        e.d[1, 1] = 9.0
+    return rng.normal(size=(2 * q, 2 * q)) + 1j * rng.normal(size=(2 * q, 2 * q))
 
 
 def test_lft_matrix_hand_example():
     # a=b=d=I, c=O: x -> x + I
-    e = BlockGenerator(np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2))
+    e = np.block([[np.eye(2), np.eye(2)], [np.zeros((2, 2)), np.eye(2)]])
     assert_allclose(lft_matrix(e, np.diag([1.0, 2.0])), np.diag([2.0, 3.0]))
 
 
@@ -132,23 +110,26 @@ def test_compose_with_resolvent_generators():
     a1 = np.diag([1.0, 0.5])
     a2 = np.array([[1.0, 0.2], [0.2, 2.0]])
     z = 0.4 + 1.1j
-    e1 = BlockGenerator.from_matrix(v_poly(0.0, a1)(z))
-    e2 = BlockGenerator.from_matrix(w_poly(0.0, a2)(z))
+    e1 = v_poly(0.0, a1)(z)
+    e2 = w_poly(0.0, a2)(z)
     x = rng.normal(size=(2, 2))
     rep = compose(e2, e1, x)
     assert rep["product_gap"] <= 1e-9 and rep["pushed_gap"] <= 1e-9
 
 
 def test_singular_denominator_reports_stage():
-    e_id = BlockGenerator(np.eye(1), np.zeros((1, 1)),
-                          np.zeros((1, 1)), np.eye(1))
+    e_id = np.eye(2)
     # inner denominator c x + d = 0 for x = 0 with c=I, d=O.
-    e_bad = BlockGenerator(np.zeros((1, 1)), np.eye(1),
-                           np.eye(1), np.zeros((1, 1)))
+    e_bad = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SingularDenominatorError) as err:
         compose(e_id, e_bad, np.zeros((1, 1)))
     assert err.value.stage == "inner"
     assert err.value.gap == 0.0
+    # a rank-deficient lower row [c, d] makes every denominator singular
+    flat = np.block([[np.eye(2), np.eye(2)], [np.zeros((2, 4))]])
+    with pytest.raises(SingularDenominatorError) as err:
+        lft_pair(flat, np.eye(2), np.eye(2))
+    assert err.value.stage == "pair-input"
 
 
 def _rand_poly(rng, n, deg):
@@ -166,7 +147,7 @@ def test_rational_kernel_matches_pointwise_action():
         psi = RationalMatFun(_rand_poly(rng, q, 0), (1.0, 0.0, 0.5))
         fun = lft_rational(e.blocks(), phi, psi, 0.0, grid=(0.3 + 0.7j,))
         for z in (1.1 - 0.4j, -0.6 + 1.3j, 2.2 + 0.1j):
-            ref = lft_pair(BlockGenerator.from_matrix(e(z)), phi(z), psi(z))
+            ref = lft_pair(e(z), phi(z), psi(z))
             assert frob(fun(z) - ref) <= 1e-9 * (1.0 + frob(ref)), (q, z)
 
 

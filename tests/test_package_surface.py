@@ -2,6 +2,7 @@
 and a star import works, and every tolerance field and command-line
 option is read somewhere."""
 
+import ast
 import dataclasses
 import importlib
 import re
@@ -60,3 +61,21 @@ def test_json_layouts_live_in_serialize():
     local += re.findall(r"^[ \t]+(?:from|import)\b.*",
                         _package_source("serialize"), re.M)
     assert not local, local
+
+
+def test_only_the_cli_grid_reaches_a_grid_parameter():
+    # the range conditions are coefficient identities and the other gates
+    # use default_grid, so a grid parameter belongs only to the functions
+    # that the CLI's --grid reaches
+    src = Path(importlib.import_module("stieltjesmp").__file__).parent
+    takers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args
+                         + args.kwonlyargs]
+                if "grid" in names:
+                    takers.add(f"{path.stem}.{node.name}")
+    assert takers == {"cli._samples", "pairs.grid_values", "pairs.verify_pair",
+                      "lft.lft_rational", "solver.solve", "solver._solve"}

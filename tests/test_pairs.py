@@ -41,6 +41,7 @@ from stieltjesmp.pairs import (
 from stieltjesmp.respoly import MatrixPolynomial
 from stieltjesmp.solver import (
     SolutionRequest,
+    _range_basis,
     case_of,
     solve,
     solve_degenerate_embedded,
@@ -440,6 +441,14 @@ def test_in_class_range_condition():
     assert in_class_P_of(inside, proj2)
     assert not in_class_P_of(outside, proj2)
     assert in_class_P_of(identity_pair(0.0, 3), np.zeros((3, 3)))
+    # phi(z) = diag(1e6 z^2, 1e-5) leaves ran diag(1, 0) at every z, but on
+    # the grid (|z - alpha| >= 0.5) the escape is below the inclusion
+    # tolerance relative to |phi(z)|; its constant coefficient shows it
+    phi = RationalMatFun(MatrixPolynomial(
+        (np.diag([0.0, 1e-5]), np.zeros((2, 2)), np.diag([1e6, 0.0]))))
+    small = StieltjesPair(0.0, phi, RationalMatFun.const(np.eye(2)))
+    assert not in_class_P_of(small, np.diag([1.0, 0.0]))
+    assert not range_contains(np.diag([1.0, 0.0]), phi(0.01))
 
 
 def test_in_class_P_of_takes_one_pinv_of_its_matrix(monkeypatch):
@@ -475,13 +484,18 @@ def _off_pole_values(f, grid):
 def test_in_class_P_of_matches_the_pointwise_rule_on_the_longseq_pool():
     # the bench's longseq pool at seed 7 holds rank-deficient top entries
     # (completely and partially degenerate sequences); each top is tested
-    # against the bench's pair when it is q x q, and a rank-deficient one
-    # also against (I, I) and (top, I)
+    # against the bench's pair when it is q x q, else against its lift on
+    # the range basis of top (the route of solve_degenerate_embedded), and
+    # a rank-deficient one also against (I, I) and (top, I)
     verdicts = []
     for prob in _bench_workloads().pool("longseq", 7, ""):
         _, r, top = case_of(prob.seq)
         alpha, q = prob.seq.alpha, prob.q
-        candidates = [prob.pair] if prob.pair.q == q else []
+        if prob.pair.q == q:
+            candidates = [prob.pair]
+        else:
+            candidates = [gamma_U_embed(prob.pair.phi, prob.pair.psi,
+                                        _range_basis(top, r, DEFAULT_TOL), alpha)]
         if r < q:
             eye = RationalMatFun.const(np.eye(q))
             candidates += [StieltjesPair(alpha, eye, eye),
