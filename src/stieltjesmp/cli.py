@@ -3,7 +3,10 @@
 Subcommands: classify, schur, poly, solve, verify, oracle.  Inputs are
 files holding the JSON layouts from :mod:`stieltjesmp.serialize`; output
 is deterministic JSON on stdout (sorted keys, floats at a fixed number of
-significant digits) so runs can be golden-file tested.
+significant digits) so runs can be golden-file tested.  Every float is
+rounded once, by the layout that prints it; ``--grid`` points and
+``--tol`` values must be finite.  ``main(argv)`` may be called
+repeatedly in one process and builds its parser once.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation,
 4 verification failure.
@@ -12,8 +15,11 @@ Exit codes: 0 success, 2 parse/usage error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -49,8 +55,9 @@ class CliConfig:
 
     def __post_init__(self):
         for name in (f.name for f in dataclasses.fields(self.tol)):
-            if getattr(self.tol, name) <= 0:
-                raise PreconditionError(f"tolerance {name} must be positive")
+            if not 0 < getattr(self.tol, name) < math.inf:
+                raise PreconditionError(
+                    f"tolerance {name} must be positive and finite")
         if self.digits < 1:
             raise PreconditionError("digits must be at least 1")
 
@@ -75,6 +82,8 @@ def _parse_grid(text: str | None):
                    for part in text.split(",") if part.strip())
     if not points:
         raise ValueError("--grid must name at least one point")
+    if not all(map(cmath.isfinite, points)):
+        raise ValueError("--grid points must be finite")
     return points
 
 
@@ -92,21 +101,18 @@ def _load(path: str) -> dict:
 
 
 def _clean(obj, digits: int):
-    """Recursively coerce report values into JSON-safe primitives."""
+    """Coerce a classification or verification report into JSON-safe
+    primitives; the layouts of :mod:`serialize` are final and skip this."""
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return sig(float(obj), digits)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [sig(obj.real, digits), sig(obj.imag, digits)]
     if isinstance(obj, np.ndarray):
         return serialize.matrix_to_json(obj, digits)
     if isinstance(obj, dict):
         return {k: _clean(v, digits) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v, digits) for v in obj]
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, MomentSequence):
@@ -114,19 +120,22 @@ def _clean(obj, digits: int):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(payload, cfg: CliConfig) -> None:
-    print(dumps(_clean(payload, cfg.digits)))
+def _emit(payload) -> None:
+    print(dumps(payload))
 
 
-def _samples(fun, grid) -> list:
+def _samples(fun, grid, digits: int) -> list:
     zs, (values,) = pairs.grid_values((fun,), grid)
-    return [{"z": z, "F": value} for z, value in zip(zs, values)]
+    return [{"z": [sig(z.real, digits), sig(z.imag, digits)],
+             "F": serialize.matrix_to_json(value, digits)}
+            for z, value in zip(zs, values)]
 
 
 def cmd_classify(args) -> int:
     cfg = _config(args)
     seq = serialize.sequence_from_json(_load(args.path))
-    _emit(serialize.report_to_json(classify(seq, cfg.tol)), cfg)
+    report = serialize.report_to_json(classify(seq, cfg.tol))
+    _emit(_clean(report, cfg.digits))
     return EXIT_OK
 
 
@@ -141,7 +150,7 @@ def cmd_schur(args) -> int:
         seq.alpha, trace.stages[args.k], cfg.digits)}
     if args.trace:
         payload["trace"] = serialize.trace_to_json(trace, cfg.digits)
-    _emit(payload, cfg)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -151,7 +160,7 @@ def cmd_poly(args) -> int:
     v, w = respoly.compose_resolvent(schur.transform_trace(seq, cfg.tol),
                                      cfg.tol)
     _emit({"q": seq.q, "m": seq.m, "v": serialize.blocks_to_json(v, cfg.digits),
-           "w": serialize.blocks_to_json(w, cfg.digits)}, cfg)
+           "w": serialize.blocks_to_json(w, cfg.digits)})
     return EXIT_OK
 
 
@@ -170,10 +179,10 @@ def cmd_solve(args) -> int:
         "case": tag,
         "rank": rank,
         "rational_function": serialize.rational_to_json(sol, cfg.digits),
-        "samples": _samples(sol, grid),
-        "verification_report": report,
+        "samples": _samples(sol, grid, cfg.digits),
+        "verification_report": _clean(report, cfg.digits),
     }
-    _emit(payload, cfg)
+    _emit(payload)
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
@@ -184,7 +193,7 @@ def cmd_verify(args) -> int:
     fun = serialize.rational_from_json(obj["function"])
     mode = args.mode or obj.get("mode", "leq")
     report = measures.verify_solution(fun, seq, mode, cfg.tol)
-    _emit(report, cfg)
+    _emit(_clean(report, cfg.digits))
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
@@ -218,11 +227,12 @@ def cmd_oracle(args) -> int:
         "measure": serialize.measure_to_json(mu.alpha, mu.nodes, mu.weights,
                                              cfg.digits),
         "sequence": serialize.sequence_to_json(seq.alpha, seq.s, cfg.digits),
-        "classification": serialize.report_to_json(classify(seq, cfg.tol)),
+        "classification": _clean(
+            serialize.report_to_json(classify(seq, cfg.tol)), cfg.digits),
         "transform": serialize.rational_to_json(fun, cfg.digits),
-        "samples": _samples(fun, grid),
+        "samples": _samples(fun, grid, cfg.digits),
     }
-    _emit(payload, cfg)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -234,6 +244,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="significant digits in output floats")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stieltjesmp",

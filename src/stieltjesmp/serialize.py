@@ -14,12 +14,14 @@ row-major; every entry is a [re, im] pair.  On that base:
   blocks     {"nw", "ne", "sw", "se"}, each {"size", "coeffs": [matrix]}
 
 Floats are rounded to ``digits`` significant digits on output, 15 unless
-the caller asks for fewer, so repeated runs produce identical files.
+the caller asks for fewer, so repeated runs produce identical files.  A
+layout's output is final: it is printed as it is, not rounded again.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -51,7 +53,7 @@ __all__ = [
 def sig(x: float, digits: int = 15) -> float:
     """Round to ``digits`` significant digits (0.0 stays 0.0)."""
     x = float(x)
-    if x == 0.0 or not np.isfinite(x):
+    if x == 0.0 or not math.isfinite(x):
         return x
     return float(f"{x:.{digits}g}")
 

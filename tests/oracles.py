@@ -12,6 +12,8 @@ and several hand-derived constants below are frozen into the test modules.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -61,6 +63,28 @@ def oracle_first_transform(alpha, seq, rtol=1e-12):
     rec = oracle_reciprocal(oracle_alpha_shift(alpha, seq), rtol)
     s0 = seq[0]
     return [-s0 @ rec[j + 1] @ s0 for j in range(len(seq) - 1)]
+
+
+def oracle_trace_exact(alpha, s):
+    """Every stage of the q = 1 algorithm in exact rational arithmetic.
+
+    ``alpha`` and the scalars ``s`` are converted to ``Fraction``.  Each
+    step forms the reciprocal r of the shifted sequence u_j = -alpha*s_{j-1}
+    + s_j (r_0 = 1/u_0, or 0 when u_0 = 0, the scalar pseudoinverse) and
+    maps s to -s_0 * r_{j+1} * s_0 for j = 0..len(s)-2.  Stage k holds
+    m-k+1 entries; the diagonal is the first entry of each stage.
+    """
+    alpha = Fraction(alpha)
+    stages = [[Fraction(x) for x in s]]
+    while len(stages[-1]) > 1:
+        cur = stages[-1]
+        u = [cur[0]] + [cur[j] - alpha * cur[j - 1] for j in range(1, len(cur))]
+        r = [1 / u[0] if u[0] else Fraction(0)]
+        for j in range(1, len(u)):
+            r.append(-r[0] * sum(u[j - l] * r[l] for l in range(j)))
+        stages.append([-cur[0] * r[j + 1] * cur[0]
+                       for j in range(len(cur) - 1)])
+    return stages
 
 
 def oracle_inverse_transform(alpha, a, t, n, rtol=1e-12):

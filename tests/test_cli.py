@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end, run in process, plus
 one run of the console script that ``pyproject.toml`` declares."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from conftest import cauchy_pair, completely_degenerate_seq, measure_seq
 import stieltjesmp
-from stieltjesmp import measures, schur, serialize
+from stieltjesmp import cli, measures, schur, serialize
 from stieltjesmp.cli import main
 from stieltjesmp.measures import DiscreteMeasure, moments
 from stieltjesmp.schur import first_transform
@@ -331,6 +332,32 @@ def test_singular_grid_point_is_a_verification_failure(tmp_path, capsys):
     assert code == 4 and out is None
 
 
+@pytest.mark.parametrize("grid", ["nan", "1+nanj", "0.5,nan"])
+def test_non_finite_grid_points_are_a_usage_error(capsys, grid):
+    # a NaN point is no pole of the pair, so it must not reach the solver
+    # (exit 4) or be printed as a sample (exit 0)
+    for argv in (["solve", str(DATA / "solve_q1_m2.json")],
+                 ["oracle", str(DATA / "measure_q2_m2.json")]):
+        assert main(argv + ["--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "--grid points must be finite" in captured.err
+
+
+@pytest.mark.parametrize("command, path, tol", [
+    ("classify", "seq_q2_m2.json", "psd=nan"),
+    ("verify", "verify_q1_m2.json", "extraction=inf"),
+    ("verify", "verify_q1_m2.json", "psd=-inf"),
+])
+def test_non_finite_tolerances_are_refused(capsys, command, path, tol):
+    # NaN passes a "<= 0" test and turns every comparison false; an
+    # infinite extraction tolerance accepts any moments
+    assert main([command, str(DATA / path), "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "must be positive and finite" in captured.err
+
+
 DATA = Path(__file__).resolve().parent / "data"
 
 # golden stdout name -> (subcommand, input file, flags); seq_q2_m2.json is
@@ -444,6 +471,56 @@ def test_digits_flag_rounds_each_float_once(tmp_path, capsys):
     code, out = run_cli(capsys, ["schur", str(path), "-k", "0", "--digits", "4"])
     assert code == 0
     assert out["sequence"]["s"][0]["data"] == [[0.1234, 0.0]]
+
+
+@pytest.mark.parametrize("digits", [[], ["--digits", "3"]])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_each_printed_float_is_rounded_once(capsys, monkeypatch, name,
+                                            digits):
+    # the layouts round every float they print, and nothing rounds their
+    # output again: one sig call per float of the six subcommands' output
+    calls = []
+
+    def counted(*args, _fn=serialize.sig):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(serialize, "sig", counted)
+    monkeypatch.setattr(cli, "sig", counted)
+    code, out = run_cli(capsys, golden_argv(name) + digits)
+    assert code == 0
+    assert len(calls) == len(list(_floats(out)))
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # one tree is the root parser and its six subcommand parsers
+    inits = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(3):
+        assert main(golden_argv("classify_q2_m2")) == 0
+    capsys.readouterr()
+    assert len(inits) <= 7
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # options, a usage error and --help leave nothing behind for the
+    # next call on the same parser
+    path = str(DATA / "solve_q2_m2.json")
+    assert main(["solve", path, "--digits", "4", "--tol", "psd=1e-8",
+                 "--grid", "0.5,2"]) == 0
+    assert main(["solve", path, "--digits"]) == 2
+    assert main(["solve", "--help"]) == 0
+    capsys.readouterr()
+    assert main(["solve", path]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (DATA / "solve_q2_m2.out").read_bytes()
 
 
 def test_console_script_runs(tmp_path):

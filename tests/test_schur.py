@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -178,3 +181,34 @@ def test_inequality_preservation_preconditions():
     bigger = MomentSequence(seq.alpha, seq.s[:-1] + (seq.s[-1] + np.eye(2),))
     with pytest.raises(PreconditionError):
         check_inequality_preservation(seq, bigger)
+
+
+def _rational_measure_moments(rng):
+    # m + 1 distinct nodes in alpha + [0.3, 8] on a 1/10 lattice, weights in
+    # (0, 4] on a 1/4 lattice, alpha a multiple of 1/8: the moments and
+    # every trace stage are exact rationals
+    m = rng.randint(2, 8)
+    alpha = Fraction(rng.randint(-16, 16), 8)
+    nodes = [alpha + Fraction(k, 10) for k in rng.sample(range(3, 81), m + 1)]
+    weights = [Fraction(rng.randint(1, 16), 4) for _ in nodes]
+    return alpha, [sum(w * x ** j for x, w in zip(nodes, weights))
+                   for j in range(m + 1)]
+
+
+def test_scalar_trace_diagonal_matches_exact_arithmetic():
+    # 50 rational measures, m 2..8: the float diagonal's relative error
+    # against oracle_trace_exact was 3.4e-14 at the median, 1.0e-10 at the
+    # 90th percentile and 9.4e-10 at worst (numpy 2.4, one BLAS thread);
+    # the bound leaves 10x headroom, and scaling every output of _step by
+    # 1 + 1e-6 fails it
+    rng = random.Random(17)
+    errors = []
+    for _ in range(50):
+        alpha, s = _rational_measure_moments(rng)
+        exact = [stage[0] for stage in oracles.oracle_trace_exact(alpha, s)]
+        seq = MomentSequence(float(alpha),
+                             tuple(np.array([[float(x)]]) for x in s))
+        got = [d[0, 0] for d in transform_trace(seq).diagonal]
+        errors.append(max(abs(g - float(e)) / float(e)
+                          for g, e in zip(got, exact)))
+    assert max(errors) <= 9.4e-9, (max(errors), float(np.median(errors)))
