@@ -5,8 +5,7 @@ files holding the JSON layouts from :mod:`stieltjesmp.serialize`; output
 is deterministic JSON on stdout (sorted keys, floats at a fixed number of
 significant digits) so runs can be golden-file tested.  Every float is
 rounded once, by the layout that prints it; ``--grid`` points and
-``--tol`` values must be finite.  ``main(argv)`` may be called
-repeatedly in one process and builds its parser once.
+``--tol`` values must be finite.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation,
 4 verification failure.
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -25,7 +23,7 @@ import sys
 import numpy as np
 
 from . import measures, pairs, respoly, schur, serialize, solver
-from .hankel import MomentSequence, classify
+from .hankel import classify
 from .matcore import (
     DEFAULT_TOL,
     GrowthError,
@@ -35,7 +33,7 @@ from .matcore import (
     ToleranceConfig,
 )
 from .measures import DiscreteMeasure
-from .serialize import dumps, sig
+from .serialize import dumps
 
 __all__ = ["CliConfig", "main"]
 
@@ -78,8 +76,10 @@ def _parse_tol(items) -> ToleranceConfig:
 def _parse_grid(text: str | None):
     if text is None:
         return None
-    points = tuple(complex(part.strip().replace("i", "j"))
-                   for part in text.split(",") if part.strip())
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    # only a trailing i is the imaginary unit: "inf" and "nan" keep theirs
+    points = tuple(complex(p[:-1] + "j" if p.endswith("i") else p)
+                   for p in parts)
     if not points:
         raise ValueError("--grid must name at least one point")
     if not all(map(cmath.isfinite, points)):
@@ -100,42 +100,15 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
-def _clean(obj, digits: int):
-    """Coerce a classification or verification report into JSON-safe
-    primitives; the layouts of :mod:`serialize` are final and skip this."""
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return sig(float(obj), digits)
-    if isinstance(obj, np.ndarray):
-        return serialize.matrix_to_json(obj, digits)
-    if isinstance(obj, dict):
-        return {k: _clean(v, digits) for k, v in obj.items()}
-    if obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, MomentSequence):
-        return serialize.sequence_to_json(obj.alpha, obj.s, digits)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _emit(payload) -> None:
-    print(dumps(payload))
-
-
 def _samples(fun, grid, digits: int) -> list:
     zs, (values,) = pairs.grid_values((fun,), grid)
-    return [{"z": [sig(z.real, digits), sig(z.imag, digits)],
-             "F": serialize.matrix_to_json(value, digits)}
-            for z, value in zip(zs, values)]
+    return serialize.samples_to_json(zs, values, digits)
 
 
 def cmd_classify(args) -> int:
     cfg = _config(args)
     seq = serialize.sequence_from_json(_load(args.path))
-    report = serialize.report_to_json(classify(seq, cfg.tol))
-    _emit(_clean(report, cfg.digits))
+    print(dumps(serialize.report_to_json(classify(seq, cfg.tol))))
     return EXIT_OK
 
 
@@ -150,7 +123,7 @@ def cmd_schur(args) -> int:
         seq.alpha, trace.stages[args.k], cfg.digits)}
     if args.trace:
         payload["trace"] = serialize.trace_to_json(trace, cfg.digits)
-    _emit(payload)
+    print(dumps(payload))
     return EXIT_OK
 
 
@@ -159,8 +132,9 @@ def cmd_poly(args) -> int:
     seq = serialize.sequence_from_json(_load(args.path))
     v, w = respoly.compose_resolvent(schur.transform_trace(seq, cfg.tol),
                                      cfg.tol)
-    _emit({"q": seq.q, "m": seq.m, "v": serialize.blocks_to_json(v, cfg.digits),
-           "w": serialize.blocks_to_json(w, cfg.digits)})
+    print(dumps({"q": seq.q, "m": seq.m,
+                 "v": serialize.blocks_to_json(v, cfg.digits),
+                 "w": serialize.blocks_to_json(w, cfg.digits)}))
     return EXIT_OK
 
 
@@ -180,9 +154,10 @@ def cmd_solve(args) -> int:
         "rank": rank,
         "rational_function": serialize.rational_to_json(sol, cfg.digits),
         "samples": _samples(sol, grid, cfg.digits),
-        "verification_report": _clean(report, cfg.digits),
+        "verification_report": serialize.verification_to_json(report,
+                                                             cfg.digits),
     }
-    _emit(payload)
+    print(dumps(payload))
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
@@ -193,7 +168,7 @@ def cmd_verify(args) -> int:
     fun = serialize.rational_from_json(obj["function"])
     mode = args.mode or obj.get("mode", "leq")
     report = measures.verify_solution(fun, seq, mode, cfg.tol)
-    _emit(_clean(report, cfg.digits))
+    print(dumps(serialize.verification_to_json(report, cfg.digits)))
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
@@ -227,12 +202,11 @@ def cmd_oracle(args) -> int:
         "measure": serialize.measure_to_json(mu.alpha, mu.nodes, mu.weights,
                                              cfg.digits),
         "sequence": serialize.sequence_to_json(seq.alpha, seq.s, cfg.digits),
-        "classification": _clean(
-            serialize.report_to_json(classify(seq, cfg.tol)), cfg.digits),
+        "classification": serialize.report_to_json(classify(seq, cfg.tol)),
         "transform": serialize.rational_to_json(fun, cfg.digits),
         "samples": _samples(fun, grid, cfg.digits),
     }
-    _emit(payload)
+    print(dumps(payload))
     return EXIT_OK
 
 
@@ -244,7 +218,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="significant digits in output floats")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stieltjesmp",

@@ -10,6 +10,9 @@ row-major; every entry is a [re, im] pair.  On that base:
   pair       {"alpha", "phi": rational, "psi": rational}  StieltjesPair
   report     {"q", "m", "Hgg", "Kgg", "Kgg_strict", "D", "Kggd",
               "Kgge_candidate", "rank_top"}            ClassReport
+  verification  {"mode", "extracted": sequence, "residual", "prefix_gap",
+             "prefix_ok", "top_defect": matrix, "top_margin", "top_ok", "ok"}
+  samples    [{"z": [re, im], "F": matrix}]           values on a grid
   trace      {"input": sequence, "stages": [[matrix]], "diagonal": [matrix]}
   blocks     {"nw", "ne", "sw", "se"}, each {"size", "coeffs": [matrix]}
 
@@ -44,6 +47,8 @@ __all__ = [
     "pair_to_json",
     "pair_from_json",
     "report_to_json",
+    "verification_to_json",
+    "samples_to_json",
     "trace_to_json",
     "blocks_to_json",
     "dumps",
@@ -145,16 +150,38 @@ def pair_from_json(obj: dict) -> StieltjesPair:
 def report_to_json(rep: ClassReport) -> dict:
     """The verdicts of a classification; its ``trace`` is not written."""
     return {
-        "q": rep.q,
-        "m": rep.m,
-        "Hgg": rep.hankel_psd,
-        "Kgg": rep.stieltjes_psd,
-        "Kgg_strict": rep.stieltjes_pd,
-        "D": rep.first_term_dominant,
-        "Kggd": rep.completely_degenerate,
+        "q": int(rep.q),
+        "m": int(rep.m),
+        "Hgg": bool(rep.hankel_psd),
+        "Kgg": bool(rep.stieltjes_psd),
+        "Kgg_strict": bool(rep.stieltjes_pd),
+        "D": bool(rep.first_term_dominant),
+        "Kggd": bool(rep.completely_degenerate),
         "Kgge_candidate": rep.extendable_candidate,
-        "rank_top": rep.rank_top,
+        "rank_top": int(rep.rank_top),
     }
+
+
+def verification_to_json(report: dict, digits: int = 15) -> dict:
+    """The report of :func:`stieltjesmp.measures.verify_solution`."""
+    extracted = report["extracted"]
+    return {
+        "mode": report["mode"],
+        "extracted": sequence_to_json(extracted.alpha, extracted.s, digits),
+        "residual": sig(report["residual"], digits),
+        "prefix_gap": sig(report["prefix_gap"], digits),
+        "prefix_ok": bool(report["prefix_ok"]),
+        "top_defect": matrix_to_json(report["top_defect"], digits),
+        "top_margin": sig(report["top_margin"], digits),
+        "top_ok": bool(report["top_ok"]),
+        "ok": bool(report["ok"]),
+    }
+
+
+def samples_to_json(zs, values, digits: int = 15) -> list:
+    """Matrix values F(z) at grid points z."""
+    return [{"z": _entry(z, digits), "F": matrix_to_json(v, digits)}
+            for z, v in zip(zs, values)]
 
 
 def trace_to_json(trace: TransformTrace, digits: int = 15) -> dict:

@@ -209,6 +209,6 @@ def test_scalar_trace_diagonal_matches_exact_arithmetic():
         seq = MomentSequence(float(alpha),
                              tuple(np.array([[float(x)]]) for x in s))
         got = [d[0, 0] for d in transform_trace(seq).diagonal]
-        errors.append(max(abs(g - float(e)) / float(e)
+        errors.append(max(abs(g - float(e)) / abs(float(e))
                           for g, e in zip(got, exact)))
     assert max(errors) <= 9.4e-9, (max(errors), float(np.median(errors)))
