@@ -5,7 +5,9 @@ files holding the JSON layouts from :mod:`stieltjesmp.serialize`; output
 is deterministic JSON on stdout (sorted keys, floats at a fixed number of
 significant digits) so runs can be golden-file tested.  Every float is
 rounded once, by the layout that prints it; ``--grid`` points and
-``--tol`` values must be finite.
+``--tol`` values must be finite.  A call builds the parser of the
+subcommand it names and no other (all six when it names none), so help
+and usage errors print as they would from the full parser.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation,
 4 verification failure.
@@ -176,6 +178,8 @@ def _random_measure(spec: dict, seed) -> DiscreteMeasure:
     rng = np.random.default_rng(spec.get("seed", seed) or 0)
     q = int(spec["q"])
     atoms = int(spec.get("atoms", spec.get("m", 1) + 1))
+    if q < 1 or atoms < 1:
+        raise ValueError("a random measure needs q >= 1 and atoms >= 1")
     alpha = float(spec.get("alpha", 0.0))
     nodes = np.sort(alpha + rng.uniform(0.3, 8.0, size=atoms))
     weights = []
@@ -218,56 +222,51 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="significant digits in output floats")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_MODE = (("--mode",), {"choices": ("leq", "eq")})
+
+# subcommand -> (handler, help, arguments between path and the common ones)
+_COMMANDS = {
+    "classify": (cmd_classify, "cone membership report for a sequence", ()),
+    "schur": (cmd_schur, "k-th algorithm transform of a sequence", (
+        (("-k",), {"type": int, "default": 1, "help": "transform order"}),
+        (("--trace",), {"action": "store_true",
+                        "help": "include all stages and the diagonal"}))),
+    "poly": (cmd_poly, "resolvent matrix polynomials of a sequence", ()),
+    "solve": (cmd_solve, "solve for a parameter pair and verify", (_MODE,)),
+    "verify": (cmd_verify, "check a rational function against moments",
+               (_MODE,)),
+    "oracle": (cmd_oracle, "measure fixture: moments and transform", (
+        (("--seed",), {"type": int, "default": 0}),)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stieltjesmp",
         description="Truncated half-axis matrix moment problems: classify, "
                     "transform, build resolvents, solve, verify.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="cone membership report for a sequence")
-    p.add_argument("path")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("schur", help="k-th algorithm transform of a sequence")
-    p.add_argument("path")
-    p.add_argument("-k", type=int, default=1, help="transform order")
-    p.add_argument("--trace", action="store_true",
-                   help="include all stages and the diagonal")
-    _add_common(p)
-    p.set_defaults(func=cmd_schur)
-
-    p = sub.add_parser("poly", help="resolvent matrix polynomials of a sequence")
-    p.add_argument("path")
-    _add_common(p)
-    p.set_defaults(func=cmd_poly)
-
-    p = sub.add_parser("solve", help="solve for a parameter pair and verify")
-    p.add_argument("path")
-    p.add_argument("--mode", choices=("leq", "eq"))
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("verify", help="check a rational function against moments")
-    p.add_argument("path")
-    p.add_argument("--mode", choices=("leq", "eq"))
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="measure fixture: moments and transform")
-    p.add_argument("path")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_oracle)
-
+    names = (command,) if command in _COMMANDS else tuple(_COMMANDS)
+    # one subparser would shrink the usage line to its own name; the
+    # metavar keeps it, and only a full parser names "argument command"
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in names:
+        func, help_text, extras = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("path")
+        for flags, options in extras:
+            p.add_argument(*flags, **options)
+        _add_common(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:

@@ -12,6 +12,7 @@ denominator's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         nodes = tuple(float(x) for x in self.nodes)
+        if not all(map(math.isfinite, nodes)):
+            raise ValueError("measure nodes must be finite")
         weights = tuple(matcore.as_cmat(w) for w in self.weights)
         if len(nodes) != len(weights):
             raise ValueError("nodes and weights must pair up")
@@ -78,16 +81,21 @@ class DiscreteMeasure:
 
 
 def moments(mu: DiscreteMeasure, m: int) -> MomentSequence:
-    """Power moments s_j = sum_k x_k^j w_k for j = 0..m."""
+    """Power moments s_j = sum_k x_k^j w_k for j = 0..m; a moment outside
+    the float range is a ValueError that names it."""
     if m < 0:
         raise PreconditionError("moment order must be nonnegative")
     q = mu.q
     mats = []
-    for j in range(m + 1):
-        s = np.zeros((q, q), dtype=complex)
-        for x, w in zip(mu.nodes, mu.weights):
-            s = s + (x ** j) * w
-        mats.append(s)
+    try:
+        with np.errstate(over="raise"):
+            for j in range(m + 1):
+                s = np.zeros((q, q), dtype=complex)
+                for x, w in zip(mu.nodes, mu.weights):
+                    s = s + (x ** j) * w
+                mats.append(s)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"moment s_{j} overflows the float range") from None
     return MomentSequence(mu.alpha, tuple(mats))
 
 

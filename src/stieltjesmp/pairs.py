@@ -26,6 +26,7 @@ its sampled values from the same walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,13 @@ class RationalMatFun:
 
     def __post_init__(self):
         den = np.atleast_1d(np.array(self.den, dtype=complex))
-        den = trim_trailing(den, [abs(x) for x in den])
-        top = max(abs(x) for x in den)
+        sizes = [abs(x) for x in den]
+        if not sizes:
+            raise ValueError("denominator has no coefficients")
+        if not all(map(math.isfinite, sizes)):
+            raise ValueError("denominator coefficients must be finite")
+        den = trim_trailing(den, sizes)
+        top = max(sizes[:len(den)])
         if top == 0.0:
             raise ValueError("denominator is identically zero")
         # keep evaluation well scaled: unit-size leading data

@@ -1,10 +1,12 @@
 """End-to-end checks of the command line front end, run in process, plus
 one run of the console script that ``pyproject.toml`` declares."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from numpy.testing import assert_allclose
 from conftest import cauchy_pair, completely_degenerate_seq, measure_seq
 import stieltjesmp
 from stieltjesmp import measures, schur, serialize
-from stieltjesmp.cli import main
+from stieltjesmp.cli import build_parser, main
 from stieltjesmp.measures import DiscreteMeasure, moments
 from stieltjesmp.schur import first_transform
 
@@ -358,6 +360,60 @@ def test_non_finite_tolerances_are_refused(capsys, command, path, tol):
     assert "must be positive and finite" in captured.err
 
 
+@pytest.mark.parametrize("x", [1e200, float("inf")])
+def test_far_or_infinite_atom_is_bad_input(tmp_path, capsys, x):
+    # x ** 2 overflows a float at 1e200, and an infinite node used to reach
+    # numpy and warn before the message
+    spec = json.loads((DATA / "measure_q2_m2.json").read_text())
+    spec["atoms"][0]["x"] = x
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["oracle", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not caught and not captured.out
+    assert captured.err.startswith("bad input: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [{"q": 2, "atoms": 0}, {"q": 0, "m": 1},
+                                  {"alpha": 0, "atoms": []}],
+                         ids=["random", "random-q0", "explicit"])
+def test_empty_measure_file_is_bad_input(tmp_path, capsys, spec):
+    # q cannot be read off no atoms, and the oracle must not print q = 0
+    path = write_json(tmp_path / "empty.json", spec)
+    assert main(["oracle", path]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("bad input: a ")
+    assert "measure needs" in captured.err
+
+
+@pytest.mark.parametrize("den", [[], [[float("nan"), 0.0]]],
+                         ids=["empty", "nan"])
+@pytest.mark.parametrize("command, path, keys", [
+    ("verify", "verify_q1_m2.json", ("function",)),
+    ("solve", "solve_q1_m2.json", ("parameter", "psi")),
+], ids=["verify", "solve"])
+def test_malformed_denominator_is_bad_input(tmp_path, capsys, command, path,
+                                            keys, den):
+    obj = json.loads((DATA / path).read_text())
+    fun = obj
+    for key in keys:
+        fun = fun[key]
+    fun["den"] = den
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert not caught and not captured.out
+    assert captured.err.startswith("bad input: denominator ")
+    assert captured.err.count("\n") == 1
+
+
 DATA = Path(__file__).resolve().parent / "data"
 
 # golden stdout name -> (subcommand, input file, flags); seq_q2_m2.json is
@@ -506,6 +562,64 @@ def test_consecutive_calls_keep_no_state(capsys):
     assert main(["solve", path]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (DATA / "solve_q2_m2.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_each_call_builds_only_its_subcommand_parser(capsys, monkeypatch,
+                                                     name):
+    # the root parser and the one subparser the call names, not all six
+    built = []
+
+    def counted(self, *args, _init=argparse.ArgumentParser.__init__,
+                **kwargs):
+        built.append(kwargs.get("prog"))
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(golden_argv(name)) == 0
+    capsys.readouterr()
+    assert len(built) <= 2, built
+
+
+SEQ = str(DATA / "seq_q2_m2.json")
+SUBCOMMANDS = ("classify", "schur", "poly", "solve", "verify", "oracle")
+# argv -> the last line it prints to stderr, where it is pinned
+PARSE_CASES = {
+    "missing-path": (["classify"], None),
+    "extra-positional": (["classify", SEQ, "extra"], None),
+    "unknown-option": (["classify", SEQ, "--bogus"], None),
+    "bad-mode": (["solve", str(DATA / "solve_q1_m2.json"), "--mode", "xx"],
+                 None),
+    "bad-k": (["schur", SEQ, "-k", "x"], None),
+    **{f"{command}-help": ([command, "-h"], None) for command in SUBCOMMANDS},
+    "no-arguments": ([], "stieltjesmp: error: the following arguments are "
+                         "required: command"),
+    "help": (["-h"], None),
+    "unknown-subcommand": (["bogus"], "stieltjesmp: error: argument command: "
+                                      "invalid choice: 'bogus' (choose from "
+                                      "'classify', 'schur', 'poly', 'solve', "
+                                      "'verify', 'oracle')"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_CASES))
+def test_usage_errors_and_help_match_the_full_parser(capsys, monkeypatch,
+                                                     case):
+    # building one subparser changes no help text, usage line or message
+    argv, last_err = PARSE_CASES[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv)
+    out, err = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert (out, err) == capsys.readouterr()
+    assert code == exc.value.code
+    if last_err is not None:
+        assert err.splitlines()[-1] == last_err
+    if case == "extra-positional":
+        assert err.splitlines()[0] == ("usage: stieltjesmp [-h] "
+                                       "{classify,schur,poly,solve,verify,"
+                                       "oracle} ...")
 
 
 def test_console_script_runs(tmp_path):
