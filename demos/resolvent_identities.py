@@ -54,7 +54,7 @@ def main():
     trace = transform_trace(seq)
     vb, wb = compose_resolvent(trace)
     print(f"\ncomposed factors for a (q={q}, m={seq.m}) sequence: "
-          f"degrees {vb.full.degree} and {wb.full.degree}")
+          f"degrees {vb.degree} and {wb.degree}")
 
     top = trace.diagonal[-1]
     proj = top @ matcore.pinv(top)
@@ -64,7 +64,7 @@ def main():
     for zz in (z, -2.0 + 0.3j, 0.1 - 1.1j, 4.5 + 2.0j):
         target = (zz - alpha) ** (seq.m + 1) * np.block(
             [[proj, zero], [zero, eye]])
-        res = matcore.frob(wb.full(zz) @ vb.full(zz) - target)
+        res = matcore.frob(wb(zz) @ vb(zz) - target)
         worst = max(worst, res / (1.0 + matcore.frob(target)))
     print(f"telescoping W(z) V(z) = (z-alpha)^(m+1) diag(P, I): "
           f"worst residual {worst:.3e}")

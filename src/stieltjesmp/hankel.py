@@ -15,6 +15,7 @@ stages are read-only, so a stored report is never stale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ class MomentSequence:
     s: tuple
 
     def __post_init__(self):
+        if not math.isfinite(float(self.alpha)):
+            raise ValueError("alpha must be finite")
         if len(self.s) == 0:
             raise ValueError("need at least one moment matrix")
         mats = tuple(matcore.hermitize(x) for x in self.s)

@@ -6,12 +6,13 @@ A generator E = [[a, b], [c, d]] acts on a single matrix x as
 makes every denominator singular, which the denominator gates refuse.
 
 ``lft_pair`` evaluates the action at a point and ``lft_rational`` on
-rational matrix functions; every denominator passes ``check_denominator``
-(pointwise) or ``det_or_none`` (identically singular determinant).  The
-pointwise gate is ``denominator_gate``, sigma_min/sigma_max against
-``tol.det_gate``; ``lft_rational`` applies it to the denominator's values
-on the whole grid at once (one stacked evaluation, one batched SVD) and
-raises at the first failing point in grid order.
+rational matrix functions; both slice the four q x q blocks from the
+generator itself.  Every denominator passes ``check_denominator``,
+sigma_min/sigma_max against ``tol.det_gate`` for one matrix or a stack,
+or ``det_or_none`` (identically singular determinant); ``lft_rational``
+gates the denominator's values on the whole grid at once (one stacked
+evaluation, one batched SVD) and raises at the first failing point in
+grid order.
 
 Every generator in the package is built at an endpoint alpha, and the
 resolvent satisfies V(z)W(z) = (z-alpha)^(m+1) diag(P, I), so the numerator
@@ -35,30 +36,29 @@ from .matcore import (
 )
 from .respoly import MatrixPolynomial, adjugate_poly, det_poly
 
-__all__ = ["DEFLATION_REL", "check_denominator", "denominator_gate",
-           "det_or_none", "divide_out_root", "lft_pair", "lft_rational"]
+__all__ = ["DEFLATION_REL", "check_denominator", "det_or_none",
+           "divide_out_root", "lft_pair", "lft_rational"]
 
 
-def denominator_gate(dens, tol: ToleranceConfig) -> tuple:
-    """(passes, gap) for a denominator or, elementwise, a stack of them:
-    ``gap`` is sigma_min/sigma_max (0 for a zero or empty matrix), and a
-    denominator passes when it is nonzero with sigma_min at least
-    ``tol.det_gate`` times sigma_max."""
-    sv = np.linalg.svd(dens, compute_uv=False)
+def check_denominator(den, tol: ToleranceConfig, stage: str,
+                      point=None) -> None:
+    """Raise unless sigma_min/sigma_max of ``den`` reaches ``tol.det_gate``.
+
+    ``den`` is one matrix, taken at ``point``, or a stack of them, taken at
+    the points listed in ``point``; one batched SVD decides them all.  The
+    error names the first failing matrix, its point and its gap (0 for a
+    zero or empty matrix).
+    """
+    sv = np.linalg.svd(den, compute_uv=False)
     if not sv.shape[-1]:
         sv = np.zeros(sv.shape[:-1] + (1,))
-    top, low = sv[..., 0], sv[..., -1]
-    passes = (top != 0.0) & (low >= tol.det_gate * top)
-    gap = np.divide(low, top, out=np.zeros_like(low), where=top != 0.0)
-    return passes, gap
-
-
-def check_denominator(den: np.ndarray, tol: ToleranceConfig, stage: str,
-                      point=None) -> None:
-    """Raise unless sigma_min/sigma_max of ``den`` reaches ``tol.det_gate``."""
-    passes, gap = denominator_gate(den, tol)
-    if not passes:
-        gap = float(gap)
+    top, low = sv[..., [0, -1]].reshape(-1, 2).T
+    failing = np.flatnonzero(~((top != 0.0) & (low >= tol.det_gate * top)))
+    if failing.size:
+        k = failing[0]
+        gap = float(low[k] / top[k]) if top[k] != 0.0 else 0.0
+        if point is not None and np.ndim(den) > 2:
+            point = complex(point[k])
         where = "" if point is None else f" at {point}"
         raise SingularDenominatorError(
             f"linear-fractional denominator is numerically singular{where}",
@@ -138,38 +138,36 @@ def lft_pair(e, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.solve(den.T, (e[:q, :q] @ x + e[:q, q:] @ y).T).T
 
 
-def lft_rational(blocks, phi, psi, alpha: float,
+def lft_rational(gen: MatrixPolynomial, phi, psi, alpha: float,
                  tol: ToleranceConfig = DEFAULT_TOL, grid=(),
                  stage: str = "rational"):
-    """(nw phi + ne psi)(sw phi + se psi)^(-1) as one rational matrix function.
+    """(a phi + b psi)(c phi + d psi)^(-1) as one rational matrix function.
 
-    ``blocks`` is a ``MatrixPolynomial.blocks()`` view, (phi, psi) a pair of
-    ``RationalMatFun``, and ``alpha`` the endpoint the generator was built
-    at.  Over the common factor phi.den psi.den the action is
-    N D^(-1) = N adj(D) / det(D); D must pass ``det_or_none`` and, at each
-    point of ``grid``, ``denominator_gate``, all points decided from one
-    stacked evaluation of D (both raise tagged ``stage``; the grid gate
-    names the first failing point, in grid order, and its ``gap``).
-    The power of (z - alpha) that the fraction's numerator and denominator
-    share is divided out (``divide_out_root``, at ``DEFLATION_REL``) before
-    ``simplify`` runs.
+    ``gen`` is the 2q x 2q generator polynomial [[a, b], [c, d]], (phi, psi)
+    a pair of ``RationalMatFun``, and ``alpha`` the endpoint the generator
+    was built at.  Over the common factor phi.den psi.den the action is
+    N D^(-1) = N adj(D) / det(D); D must pass ``det_or_none`` and, at the
+    points of ``grid`` all at once, ``check_denominator`` (both raise
+    tagged ``stage``; the grid gate names the first failing point, in grid
+    order, and its ``gap``).  The power of (z - alpha) that the fraction's
+    numerator and denominator share is divided out (``divide_out_root``,
+    at ``DEFLATION_REL``) before ``simplify`` runs.
     """
     from .pairs import RationalMatFun
 
-    num = ((blocks.nw @ phi.num).scale_poly(psi.den)
-           + (blocks.ne @ psi.num).scale_poly(phi.den)).trimmed()
-    den = ((blocks.sw @ phi.num).scale_poly(psi.den)
-           + (blocks.se @ psi.num).scale_poly(phi.den)).trimmed()
+    halves = (slice(None, gen.size // 2), slice(gen.size // 2, None))
+    a, b, c, d = (MatrixPolynomial(gen.coeffs[:, i, j])
+                  for i in halves for j in halves)
+    num = ((a @ phi.num).scale_poly(psi.den)
+           + (b @ psi.num).scale_poly(phi.den)).trimmed()
+    den = ((c @ phi.num).scale_poly(psi.den)
+           + (d @ psi.num).scale_poly(phi.den)).trimmed()
     det = det_or_none(den)
     if det is None:
         raise SingularDenominatorError(
             "linear-fractional denominator is identically singular",
             stage=stage, gap=0.0)
     zs = np.asarray(grid, dtype=complex)
-    values = den(zs)
-    failing = np.flatnonzero(~denominator_gate(values, tol)[0])
-    if failing.size:
-        k = failing[0]
-        check_denominator(values[k], tol, stage, complex(zs[k]))
+    check_denominator(den(zs), tol, stage, zs)
     num, det = divide_out_root(num @ adjugate_poly(den), det, alpha)
     return RationalMatFun(num, det).simplify()

@@ -40,7 +40,6 @@ __all__ = [
     "signature_j",
     "j_form",
     "frob",
-    "specnorm",
 ]
 
 
@@ -124,13 +123,6 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
-
-
-def specnorm(a) -> float:
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
 
 
 def hermitize(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

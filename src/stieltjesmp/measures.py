@@ -47,6 +47,8 @@ class DiscreteMeasure:
     weights: tuple
 
     def __post_init__(self):
+        if not math.isfinite(float(self.alpha)):
+            raise ValueError("alpha must be finite")
         nodes = tuple(float(x) for x in self.nodes)
         if not all(map(math.isfinite, nodes)):
             raise ValueError("measure nodes must be finite")

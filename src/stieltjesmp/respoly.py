@@ -27,7 +27,6 @@ from .schur import TransformTrace
 
 __all__ = [
     "MatrixPolynomial",
-    "ResolventBlocks",
     "TRIM_REL",
     "trim_trailing",
     "det_poly",
@@ -151,43 +150,6 @@ class MatrixPolynomial:
     def constant(a) -> "MatrixPolynomial":
         return MatrixPolynomial((a,))
 
-    def blocks(self) -> "ResolventBlocks":
-        if self.size % 2:
-            raise ValueError("block access needs an even size")
-        return ResolventBlocks(self)
-
-
-@dataclass(frozen=True)
-class ResolventBlocks:
-    """q x q block view (nw/ne/sw/se) of a 2q x 2q matrix polynomial."""
-
-    full: MatrixPolynomial
-
-    def _block(self, i: int, j: int) -> MatrixPolynomial:
-        q = self.q
-        return MatrixPolynomial(
-            self.full.coeffs[:, i * q:(i + 1) * q, j * q:(j + 1) * q])
-
-    @property
-    def q(self) -> int:
-        return self.full.size // 2
-
-    @property
-    def nw(self) -> MatrixPolynomial:
-        return self._block(0, 0)
-
-    @property
-    def ne(self) -> MatrixPolynomial:
-        return self._block(0, 1)
-
-    @property
-    def sw(self) -> MatrixPolynomial:
-        return self._block(1, 0)
-
-    @property
-    def se(self) -> MatrixPolynomial:
-        return self._block(1, 1)
-
 
 def _adjugates(m: np.ndarray) -> np.ndarray:
     """Classical adjugates of a stack of n x n matrices, from all cofactor
@@ -296,21 +258,21 @@ def w_poly(alpha: float, a, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynom
 
 
 def descent_resolvent(trace: TransformTrace,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> ResolventBlocks:
+                      tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynomial:
     """The descent product over the diagonal of an algorithm trace, stage-0
     factor leftmost: the generator ``solve`` synthesizes with."""
     alpha, diag = trace.input.alpha, trace.diagonal
     v = v_poly(alpha, diag[0], tol)
     for d in diag[1:]:
         v = v @ v_poly(alpha, d, tol)
-    return v.blocks()
+    return v
 
 
 def compose_resolvent(trace: TransformTrace,
                       tol: ToleranceConfig = DEFAULT_TOL):
     """Stagewise products over the diagonal of an algorithm trace.
 
-    Returns (descent blocks, ascent blocks).  The descent product is
+    Returns (descent product, ascent product), 2q x 2q polynomials.  The descent product is
     :func:`descent_resolvent`; the ascent product has the stage-m factor
     leftmost so that ascent(z) @ descent(z) telescopes to
     (z-alpha)^(m+1) diag(P, I) with P the projector onto the range of the
@@ -320,7 +282,7 @@ def compose_resolvent(trace: TransformTrace,
     w = w_poly(alpha, diag[0], tol)
     for d in diag[1:]:
         w = w_poly(alpha, d, tol) @ w
-    return descent_resolvent(trace, tol), w.blocks()
+    return descent_resolvent(trace, tol), w
 
 
 def verify_product_identity(alpha: float, a, z: complex,

@@ -14,7 +14,8 @@ row-major; every entry is a [re, im] pair.  On that base:
              "prefix_ok", "top_defect": matrix, "top_margin", "top_ok", "ok"}
   samples    [{"z": [re, im], "F": matrix}]           values on a grid
   trace      {"input": sequence, "stages": [[matrix]], "diagonal": [matrix]}
-  blocks     {"nw", "ne", "sw", "se"}, each {"size", "coeffs": [matrix]}
+  blocks     {"nw", "ne", "sw", "se"}, each {"size", "coeffs": [matrix]},
+             the q x q blocks of a 2q x 2q MatrixPolynomial
 
 Floats are rounded to ``digits`` significant digits on output, 15 unless
 the caller asks for fewer, so repeated runs produce identical files.  A
@@ -31,7 +32,7 @@ import numpy as np
 from .hankel import ClassReport, MomentSequence
 from .measures import DiscreteMeasure
 from .pairs import RationalMatFun, StieltjesPair
-from .respoly import MatrixPolynomial, ResolventBlocks
+from .respoly import MatrixPolynomial
 from .schur import TransformTrace
 
 __all__ = [
@@ -196,14 +197,16 @@ def trace_to_json(trace: TransformTrace, digits: int = 15) -> dict:
     }
 
 
-def blocks_to_json(blocks: ResolventBlocks, digits: int = 15) -> dict:
-    """The four q x q blocks of a resolvent factor, each with its size and
-    coefficient matrices (degree-ascending)."""
+def blocks_to_json(gen: MatrixPolynomial, digits: int = 15) -> dict:
+    """The four q x q blocks of a 2q x 2q resolvent factor, each with its
+    size and coefficient matrices (degree-ascending)."""
+    q = gen.size // 2
     return {
-        name: {"size": p.size,
-               "coeffs": [matrix_to_json(c, digits) for c in p.coeffs]}
-        for name, p in (("nw", blocks.nw), ("ne", blocks.ne),
-                        ("sw", blocks.sw), ("se", blocks.se))
+        name: {"size": q,
+               "coeffs": [matrix_to_json(c, digits)
+                          for c in gen.coeffs[:, i:i + q, j:j + q]]}
+        for name, i, j in (("nw", 0, 0), ("ne", 0, q), ("sw", q, 0),
+                           ("se", q, q))
     }
 
 

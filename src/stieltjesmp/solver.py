@@ -6,9 +6,10 @@ descent resolvent from that run's diagonal, gate the parameter pair
 (admissibility, range condition against the top diagonal entry, decay for
 the equality problem), then synthesize the solution
 
-    F = (V_nw phi + V_ne psi) (V_sw phi + V_se psi)^(-1)
+    F = (V_11 phi + V_12 psi) (V_21 phi + V_22 psi)^(-1)
 
-with the kernel ``lft.lft_rational``, which gates its denominator on the grid
+with V the 2q x 2q descent product and the kernel ``lft.lft_rational``,
+which slices its q x q blocks, gates its denominator on the grid
 and divides out the power of (z - alpha) that the resolvent introduces.
 """
 
@@ -98,7 +99,7 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     if failing.size:
         raise PreconditionError("null space of the function at "
                                 f"{complex(zs[failing[0]])} is not killed by the seed")
-    return lft.lft_rational(respoly.w_poly(alpha, a, tol).blocks(), fun,
+    return lft.lft_rational(respoly.w_poly(alpha, a, tol), fun,
                             RationalMatFun.const(np.eye(fun.q)), alpha, tol,
                             stage="descent")
 
@@ -129,7 +130,7 @@ def inverse_schur_stieltjes_transform(
     if not decay["ok"]:
         raise PreconditionError("function does not decay along the imaginary "
                                 f"axis: residual {decay['residual']:.3e}")
-    return lft.lft_rational(respoly.v_poly(alpha, a, tol).blocks(), fun,
+    return lft.lft_rational(respoly.v_poly(alpha, a, tol), fun,
                             RationalMatFun.const(np.eye(fun.q)), alpha, tol,
                             stage="ascent")
 
@@ -179,10 +180,9 @@ def _solve(req: SolutionRequest, tol: ToleranceConfig, grid) -> tuple:
                 "equality problem needs a decaying parameter; quotient "
                 f"residual {decay['residual']:.3e}")
 
-    blocks = respoly.descent_resolvent(report.trace, tol)
-    return tag, r, lft.lft_rational(blocks, req.parameter.phi,
-                                    req.parameter.psi, seq.alpha, tol, grid,
-                                    stage="synthesis")
+    gen = respoly.descent_resolvent(report.trace, tol)
+    return tag, r, lft.lft_rational(gen, req.parameter.phi, req.parameter.psi,
+                                    seq.alpha, tol, grid, stage="synthesis")
 
 
 def _range_basis(a, r: int, tol: ToleranceConfig) -> np.ndarray:

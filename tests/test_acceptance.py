@@ -131,8 +131,8 @@ def test_criterion_02_composed_polynomials_telescope():
         zero = np.zeros((q, q), dtype=complex)
         target_c = np.block([[proj, zero], [zero, eye]])
         for z in sample_points(rng, seq.alpha, 10):
-            vz = np.block([[v.nw(z), v.ne(z)], [v.sw(z), v.se(z)]])
-            wz = np.block([[w.nw(z), w.ne(z)], [w.sw(z), w.se(z)]])
+            vz = v(z)
+            wz = w(z)
             target = (z - seq.alpha) ** (m + 1) * target_c
             worst = max(worst,
                         frob(wz @ vz - target) / (1.0 + frob(target)))

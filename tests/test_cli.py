@@ -377,6 +377,22 @@ def test_far_or_infinite_atom_is_bad_input(tmp_path, capsys, x):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, path", [
+    ("classify", "seq_q2_m2.json"),
+    ("oracle", "measure_q2_m2.json"),
+])
+def test_non_finite_alpha_is_bad_input(tmp_path, capsys, command, path):
+    # the endpoint is named, not a later stage's non-finite matrix
+    obj = json.loads((DATA / path).read_text())
+    obj["alpha"] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "bad input: alpha must be finite\n"
+
+
 @pytest.mark.parametrize("spec", [{"q": 2, "atoms": 0}, {"q": 0, "m": 1},
                                   {"alpha": 0, "atoms": []}],
                          ids=["random", "random-q0", "explicit"])

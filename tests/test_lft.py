@@ -132,6 +132,20 @@ def test_singular_denominator_reports_stage():
     assert err.value.stage == "pair-input"
 
 
+def test_check_denominator_names_the_first_failing_matrix_of_a_stack():
+    good, thin, zero = np.eye(2), np.diag([1.0, 1e-12]), np.zeros((2, 2))
+    zs = np.array([0.5, 1j, 2.0])
+    check_denominator(np.stack([good, good]), DEFAULT_TOL, "probe", zs[:2])
+    with pytest.raises(SingularDenominatorError) as err:
+        check_denominator(np.stack([good, thin, zero]), DEFAULT_TOL, "probe", zs)
+    assert (err.value.stage, err.value.point) == ("probe", 1j)
+    assert err.value.gap == pytest.approx(1e-12)
+    assert str(err.value).endswith("singular at 1j")
+    with pytest.raises(SingularDenominatorError) as err:
+        check_denominator(np.stack([good, zero]), DEFAULT_TOL, "probe", zs[1:])
+    assert (err.value.point, err.value.gap) == (2.0, 0.0)
+
+
 def _rand_poly(rng, n, deg):
     return MatrixPolynomial(tuple(
         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -145,7 +159,7 @@ def test_rational_kernel_matches_pointwise_action():
         e = _rand_poly(rng, 2 * q, 1)
         phi = RationalMatFun(_rand_poly(rng, q, 1), (2.0, 1.0))
         psi = RationalMatFun(_rand_poly(rng, q, 0), (1.0, 0.0, 0.5))
-        fun = lft_rational(e.blocks(), phi, psi, 0.0, grid=(0.3 + 0.7j,))
+        fun = lft_rational(e, phi, psi, 0.0, grid=(0.3 + 0.7j,))
         for z in (1.1 - 0.4j, -0.6 + 1.3j, 2.2 + 0.1j):
             ref = lft_pair(e(z), phi(z), psi(z))
             assert frob(fun(z) - ref) <= 1e-9 * (1.0 + frob(ref)), (q, z)
@@ -158,22 +172,22 @@ def test_rational_kernel_gates_the_denominator():
     # lower row [I, -I] sends (I, I) to the zero denominator
     flat = MatrixPolynomial.constant(np.block([[eye, zero], [eye, -eye]]))
     with pytest.raises(SingularDenominatorError) as err:
-        lft_rational(flat.blocks(), phi, psi, 0.0, stage="probe")
+        lft_rational(flat, phi, psi, 0.0, stage="probe")
     assert err.value.stage == "probe"
     # lower row [zI, O]: invertible as a polynomial, singular at z = 0
     shift = MatrixPolynomial((np.block([[eye, zero], [zero, zero]]),
                               np.block([[zero, zero], [eye, zero]])))
-    fun = lft_rational(shift.blocks(), phi, psi, 0.0, grid=(1.0,))
+    fun = lft_rational(shift, phi, psi, 0.0, grid=(1.0,))
     assert_allclose(fun(2.0), eye / 2.0, atol=1e-12)
     with pytest.raises(SingularDenominatorError) as err:
-        lft_rational(shift.blocks(), phi, psi, 0.0, grid=(1.0, 0.0),
+        lft_rational(shift, phi, psi, 0.0, grid=(1.0, 0.0),
                      stage="probe")
     assert err.value.stage == "probe" and err.value.point == 0.0
 
 
 def test_rational_kernel_names_the_singular_grid_point():
     # D(z) = r diag(1, z - z0) s is singular at one interior grid point z0
-    # only; the batched gate names it with the gap of check_denominator
+    # only; the gate on the stack names it with the gap of the one matrix
     rng = np.random.default_rng(45)
     alpha = 0.25
     grid = default_grid(alpha)
@@ -189,13 +203,13 @@ def test_rational_kernel_names_the_singular_grid_point():
     with pytest.raises(SingularDenominatorError) as ref:
         check_denominator(den(z0), DEFAULT_TOL, "probe", z0)
     with pytest.raises(SingularDenominatorError) as err:
-        lft_rational(gen.blocks(), one, one, alpha, grid=grid, stage="probe")
+        lft_rational(gen, one, one, alpha, grid=grid, stage="probe")
     assert err.value.stage == "probe"
     assert err.value.point == z0
     assert err.value.gap == ref.value.gap
     assert str(err.value) == str(ref.value)
     # off z0 the same denominator passes the gate
-    lft_rational(gen.blocks(), one, one, alpha, grid=grid[:7] + grid[8:])
+    lft_rational(gen, one, one, alpha, grid=grid[:7] + grid[8:])
     # singular at z0 and at z1 too: the first of them in grid order is named
     z1 = complex(grid[11])
     both = MatrixPolynomial((r @ np.diag([-z1, -z0]) @ s, r @ s))
@@ -203,7 +217,7 @@ def test_rational_kernel_names_the_singular_grid_point():
                              np.block([[zero, zero], [zero, both.coeffs[1]]])))
     for order, first in ((grid, z0), (grid[::-1], z1)):
         with pytest.raises(SingularDenominatorError) as err:
-            lft_rational(gen2.blocks(), one, one, alpha, grid=order)
+            lft_rational(gen2, one, one, alpha, grid=order)
         assert err.value.point == first
 
 
@@ -223,7 +237,7 @@ def test_rational_kernel_divides_out_the_shared_power_of_z_minus_alpha():
     phi = RationalMatFun(n.scale_poly(cube), npoly.polymul(d, cube))
     eye = RationalMatFun.const(np.eye(2))
     identity = MatrixPolynomial.constant(np.eye(4))
-    fun = lft_rational(identity.blocks(), phi, eye, alpha)
+    fun = lft_rational(identity, phi, eye, alpha)
     assert len(fun.den) - 1 == 3 and fun.num.degree <= 2
     ref = RationalMatFun(n, d)
     for z in default_grid(alpha):
@@ -237,13 +251,15 @@ def test_rational_kernel_passes_a_function_without_a_factor_at_alpha_as_is():
     rng = np.random.default_rng(46)
     alpha = 0.7
     for q in (1, 2, 3):
-        e = _rand_poly(rng, 2 * q, 1).blocks()
+        e = _rand_poly(rng, 2 * q, 1)
         phi = RationalMatFun(_rand_poly(rng, q, 1), (2.0, 1.0))
         psi = RationalMatFun(_rand_poly(rng, q, 0), (1.0, 0.0, 0.5))
-        num = ((e.nw @ phi.num).scale_poly(psi.den)
-               + (e.ne @ psi.num).scale_poly(phi.den)).trimmed()
-        den = ((e.sw @ phi.num).scale_poly(psi.den)
-               + (e.se @ psi.num).scale_poly(phi.den)).trimmed()
+        nw, ne, sw, se = (MatrixPolynomial(e.coeffs[:, i:i + q, j:j + q])
+                          for i in (0, q) for j in (0, q))
+        num = ((nw @ phi.num).scale_poly(psi.den)
+               + (ne @ psi.num).scale_poly(phi.den)).trimmed()
+        den = ((sw @ phi.num).scale_poly(psi.den)
+               + (se @ psi.num).scale_poly(phi.den)).trimmed()
         num, det = num @ adjugate_poly(den), det_poly(den)
         kept = divide_out_root(num, det, alpha)
         assert kept[0] is num and kept[1] is det

@@ -37,6 +37,11 @@ def test_measure_validation():
         DiscreteMeasure(0.0, (-1.0,), (np.eye(2),))
     with pytest.raises(PreconditionError):
         DiscreteMeasure(0.0, (1.0,), (-np.eye(2),))
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            DiscreteMeasure(alpha, (1.0,), (np.eye(2),))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            MomentSequence(alpha, (np.eye(2),))
     mu = DiscreteMeasure(0.0, (1.0, 2.0), (np.eye(2), 2 * np.eye(2)))
     assert mu.q == 2
     assert_allclose(mu.total(), 3 * np.eye(2))

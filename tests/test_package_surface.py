@@ -1,6 +1,6 @@
-"""The public surface of each module: every name in ``__all__`` resolves
-and a star import works, and every tolerance field and command-line
-option is read somewhere."""
+"""The public surface of each module: every name in ``__all__`` resolves,
+a star import works and something reads it, and every tolerance field and
+command-line option is read somewhere."""
 
 import ast
 import dataclasses
@@ -79,3 +79,40 @@ def test_only_the_cli_grid_reaches_a_grid_parameter():
                     takers.add(f"{path.stem}.{node.name}")
     assert takers == {"cli._samples", "pairs.grid_values", "pairs.verify_pair",
                       "lft.lft_rational", "solver.solve", "solver._solve"}
+
+
+def _reads(path: Path) -> list:
+    """(name a top-level statement defines or None, the names it reads as a
+    bare name or an attribute) for each top-level statement of ``path``."""
+    out = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        defines = getattr(stmt, "name", None)
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            defines = names[0] if len(names) == 1 else None
+        read = {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(stmt)
+                if isinstance(n, (ast.Name, ast.Attribute))
+                and isinstance(n.ctx, ast.Load)}
+        out.append((defines, read))
+    return out
+
+
+def test_every_public_name_is_used():
+    # a name in __all__ that nothing reads outside its own definition, in
+    # the package, its tests or its demos, is surface without a caller
+    src = Path(importlib.import_module("stieltjesmp").__file__).parent
+    tests = Path(__file__).resolve().parent
+    files = [*src.glob("*.py"), *tests.glob("*.py"),
+             *(tests.parent / "demos").glob("*.py")]
+    reads = {path: _reads(path) for path in files}
+    unused = []
+    for name in MODULES:
+        own = src / f"{name}.py"
+        for public in importlib.import_module(f"stieltjesmp.{name}").__all__:
+            if not any(public in read for path, stmts in reads.items()
+                       for defines, read in stmts
+                       if not (path == own and defines == public)):
+                unused.append(f"{name}.{public}")
+    assert not unused, unused

@@ -103,7 +103,7 @@ def inverse(f):
     out common factors z^k, which leaves the function as it is."""
     eye = np.eye(f.q, dtype=complex)
     swap = np.block([[np.zeros_like(eye), eye], [eye, np.zeros_like(eye)]])
-    return lft_rational(MatrixPolynomial.constant(swap).blocks(), f,
+    return lft_rational(MatrixPolynomial.constant(swap), f,
                         RationalMatFun.const(eye), 0.0, stage="inverse")
 
 
@@ -177,6 +177,15 @@ def test_simplify_leaves_coprime_function_alone():
     assert len(slim.den) == len(f.den)
     for z in (0.7 + 0.4j, 5.0):
         assert_allclose(slim(z), f(z), rtol=1e-12)
+
+
+def test_simplify_of_a_zero_numerator_is_zero_over_one():
+    # no fraction to reduce: the constant zero of the same shape over 1
+    zero = RationalMatFun(MatrixPolynomial((np.zeros((2, 3)),) * 3),
+                          (2.0, 1.0, 1.0))
+    slim = zero.simplify()
+    assert slim.num.coeffs.shape == (1, 2, 3) and not slim.num.coeffs.any()
+    assert np.array_equal(slim.den, [1.0])
 
 
 def test_simplify_solves_thin_systems_in_the_denominator_alone(monkeypatch):
@@ -337,6 +346,13 @@ def test_verify_pair_rejects_wrong_sign_and_real_axis():
     assert not rep["real_axis_ok"] and not rep["ok"]
 
 
+def test_pair_from_function_names_the_failed_conditions():
+    # F = -I: Im((z - alpha) F) < 0 above the axis, and F < 0 left of alpha
+    with pytest.raises(PreconditionError) as err:
+        pair_from_function(RationalMatFun.const(-np.eye(2)), 0.0)
+    assert "failed: kd2_ok, real_axis_ok (report " in str(err.value)
+
+
 def _symmetrizing_pair():
     """(F + H) R and R with a large PSD H: the J-forms are O(1) results of
     cancelling O(1e8) products."""
@@ -430,6 +446,9 @@ def test_equivalence_is_projective():
     assert equivalent(base, conj)
     assert not equivalent(base, identity_pair(0.0, 2))
     assert equivalent(identity_pair(0.0, 2), const_psi_pair(0.0, 2))
+    # another size or endpoint is never equivalent
+    assert not equivalent(identity_pair(0.0, 2), identity_pair(0.0, 3))
+    assert not equivalent(identity_pair(0.0, 2), identity_pair(0.5, 2))
 
 
 def test_in_class_range_condition():
@@ -522,7 +541,7 @@ def gamma_U_extract(f, g, u, alpha):
 
     def compressed(top):
         gen = MatrixPolynomial.constant(np.block([top, [-1j * eye, eye]]))
-        fb = lft_rational(gen.blocks(), f, g, alpha, stage="compression")
+        fb = lft_rational(gen, f, g, alpha, stage="compression")
         return fb.lmul(u.conj().T).rmul(u).simplify()
 
     return compressed([eye, zero]), compressed([zero, eye])

@@ -153,8 +153,8 @@ def test_composition_order_is_outermost_first_for_descent():
     z = 0.8 + 1.3j
     v_expected = v_poly(0.5, diag[0])(z) @ v_poly(0.5, diag[1])(z)
     w_expected = w_poly(0.5, diag[1])(z) @ w_poly(0.5, diag[0])(z)
-    assert_allclose(v.full(z), v_expected, atol=1e-9)
-    assert_allclose(w.full(z), w_expected, atol=1e-9)
+    assert_allclose(v(z), v_expected, atol=1e-9)
+    assert_allclose(w(z), w_expected, atol=1e-9)
 
 
 def test_composed_blocks_for_the_one_atom_at_zero_fixture():
@@ -163,10 +163,9 @@ def test_composed_blocks_for_the_one_atom_at_zero_fixture():
     seq = MomentSequence(0.0, (s0, np.zeros((2, 2))))
     v, _ = compose_resolvent(transform_trace(seq))
     zero = np.zeros((2, 2))
-    assert_allclose(v.nw.coeffs, np.stack([zero] * 3), atol=1e-14)
-    assert_allclose(v.sw.coeffs, np.stack([zero] * 3), atol=1e-14)
-    assert_allclose(v.ne.coeffs, np.stack([zero, -s0, zero]), atol=1e-14)
-    assert_allclose(v.se.coeffs, np.stack([zero, zero, np.eye(2)]), atol=1e-14)
+    expected = np.stack([np.block([[zero, ne], [zero, se]]) for ne, se in
+                         ((zero, zero), (-s0, zero), (zero, np.eye(2)))])
+    assert_allclose(v.coeffs, expected, atol=1e-14)
 
 
 def test_single_stage_product_identity():

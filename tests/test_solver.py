@@ -434,7 +434,7 @@ def m0_base_case_check(fun, s0, alpha=0.0, tol=DEFAULT_TOL):
     rep = pairs.verify_pair(pair, tol, grid)
     in_range = pairs.in_class_P_of(pair, s0, tol)
 
-    recon = lft_rational(v_poly(alpha, s0, tol).blocks(), phi, psi, alpha,
+    recon = lft_rational(v_poly(alpha, s0, tol), phi, psi, alpha,
                          tol, stage="reconstruction")
 
     gaps = []
