@@ -6,13 +6,11 @@ A generator E = [[a, b], [c, d]] acts on a single matrix x as
 makes every denominator singular, which the denominator gates refuse.
 
 ``lft_pair`` evaluates the action at a point and ``lft_rational`` on
-rational matrix functions; both slice the four q x q blocks from the
-generator itself.  Every denominator passes ``check_denominator``,
-sigma_min/sigma_max against ``tol.det_gate`` for one matrix or a stack,
-or ``det_or_none`` (identically singular determinant); ``lft_rational``
-gates the denominator's values on the whole grid at once (one stacked
-evaluation, one batched SVD) and raises at the first failing point in
-grid order.
+rational matrix functions, each slicing the q x q blocks from the
+generator itself.  ``check_denominator`` gates their denominator values,
+sigma_min/sigma_max against ``tol.det_gate`` from one batched SVD of a
+stack (``lft_rational``'s on the whole grid), naming the first failing
+point; ``det_or_none`` refuses an identically singular determinant.
 
 Every generator in the package is built at an endpoint alpha, and the
 resolvent satisfies V(z)W(z) = (z-alpha)^(m+1) diag(P, I), so the numerator
@@ -40,25 +38,24 @@ __all__ = ["DEFLATION_REL", "check_denominator", "det_or_none",
            "divide_out_root", "lft_pair", "lft_rational"]
 
 
-def check_denominator(den, tol: ToleranceConfig, stage: str,
-                      point=None) -> None:
-    """Raise unless sigma_min/sigma_max of ``den`` reaches ``tol.det_gate``.
+def check_denominator(dens, tol: ToleranceConfig, stage: str,
+                      points=None) -> None:
+    """Raise unless sigma_min/sigma_max reaches ``tol.det_gate`` for every
+    matrix of the stack ``dens``.
 
-    ``den`` is one matrix, taken at ``point``, or a stack of them, taken at
-    the points listed in ``point``; one batched SVD decides them all.  The
-    error names the first failing matrix, its point and its gap (0 for a
-    zero or empty matrix).
+    ``points``, if given, lists the point each matrix was taken at; one
+    batched SVD decides them all.  The error names the first failing
+    matrix's point and its gap (0 for a zero or empty matrix).
     """
-    sv = np.linalg.svd(den, compute_uv=False)
+    sv = np.linalg.svd(dens, compute_uv=False)
     if not sv.shape[-1]:
         sv = np.zeros(sv.shape[:-1] + (1,))
-    top, low = sv[..., [0, -1]].reshape(-1, 2).T
+    top, low = sv[..., 0].ravel(), sv[..., -1].ravel()
     failing = np.flatnonzero(~((top != 0.0) & (low >= tol.det_gate * top)))
     if failing.size:
         k = failing[0]
         gap = float(low[k] / top[k]) if top[k] != 0.0 else 0.0
-        if point is not None and np.ndim(den) > 2:
-            point = complex(point[k])
+        point = None if points is None else complex(points[k])
         where = "" if point is None else f" at {point}"
         raise SingularDenominatorError(
             f"linear-fractional denominator is numerically singular{where}",
@@ -134,7 +131,7 @@ def lft_pair(e, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     y = matcore.as_cmat(y)
     q = e.shape[0] // 2
     den = e[q:, :q] @ x + e[q:, q:] @ y
-    check_denominator(den, tol, "pair-input")
+    check_denominator(den[None], tol, "pair-input")
     return np.linalg.solve(den.T, (e[:q, :q] @ x + e[:q, q:] @ y).T).T
 
 
@@ -155,6 +152,8 @@ def lft_rational(gen: MatrixPolynomial, phi, psi, alpha: float,
     """
     from .pairs import RationalMatFun
 
+    if gen.size % 2:
+        raise ValueError("a generator needs an even size")
     halves = (slice(None, gen.size // 2), slice(gen.size // 2, None))
     a, b, c, d = (MatrixPolynomial(gen.coeffs[:, i, j])
                   for i in halves for j in halves)

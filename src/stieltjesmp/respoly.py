@@ -272,8 +272,8 @@ def compose_resolvent(trace: TransformTrace,
                       tol: ToleranceConfig = DEFAULT_TOL):
     """Stagewise products over the diagonal of an algorithm trace.
 
-    Returns (descent product, ascent product), 2q x 2q polynomials.  The descent product is
-    :func:`descent_resolvent`; the ascent product has the stage-m factor
+    Returns the 2q x 2q polynomials (descent, ascent).  The descent product
+    is :func:`descent_resolvent`; the ascent product has the stage-m factor
     leftmost so that ascent(z) @ descent(z) telescopes to
     (z-alpha)^(m+1) diag(P, I) with P the projector onto the range of the
     top diagonal entry.

@@ -14,8 +14,7 @@ row-major; every entry is a [re, im] pair.  On that base:
              "prefix_ok", "top_defect": matrix, "top_margin", "top_ok", "ok"}
   samples    [{"z": [re, im], "F": matrix}]           values on a grid
   trace      {"input": sequence, "stages": [[matrix]], "diagonal": [matrix]}
-  blocks     {"nw", "ne", "sw", "se"}, each {"size", "coeffs": [matrix]},
-             the q x q blocks of a 2q x 2q MatrixPolynomial
+  blocks     {"nw", "ne", "sw", "se"}, each {"size", "coeffs": [matrix]}
 
 Floats are rounded to ``digits`` significant digits on output, 15 unless
 the caller asks for fewer, so repeated runs produce identical files.  A
@@ -200,6 +199,8 @@ def trace_to_json(trace: TransformTrace, digits: int = 15) -> dict:
 def blocks_to_json(gen: MatrixPolynomial, digits: int = 15) -> dict:
     """The four q x q blocks of a 2q x 2q resolvent factor, each with its
     size and coefficient matrices (degree-ascending)."""
+    if gen.size % 2:
+        raise ValueError("a generator needs an even size")
     q = gen.size // 2
     return {
         name: {"size": q,

@@ -3,6 +3,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 from numpy.testing import assert_allclose
 
+from stieltjesmp import serialize
 from stieltjesmp.lft import (
     check_denominator,
     divide_out_root,
@@ -26,7 +27,7 @@ from stieltjesmp.respoly import (
 
 def _solve_right(num, den, stage):
     """num @ den^(-1) behind the kernel's denominator gate."""
-    check_denominator(den, DEFAULT_TOL, stage)
+    check_denominator(den[None], DEFAULT_TOL, stage)
     return np.linalg.solve(den.T, num.T).T
 
 
@@ -146,6 +147,16 @@ def test_check_denominator_names_the_first_failing_matrix_of_a_stack():
     assert (err.value.point, err.value.gap) == (2.0, 0.0)
 
 
+def test_an_odd_size_generator_is_refused():
+    # a 3 x 3 generator has no q x q blocks to act with or to write out
+    gen = MatrixPolynomial.constant(np.eye(3))
+    one = RationalMatFun.const(np.eye(1))
+    with pytest.raises(ValueError, match="even size"):
+        lft_rational(gen, one, one, 0.0)
+    with pytest.raises(ValueError, match="even size"):
+        serialize.blocks_to_json(gen)
+
+
 def _rand_poly(rng, n, deg):
     return MatrixPolynomial(tuple(
         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -201,7 +212,7 @@ def test_rational_kernel_names_the_singular_grid_point():
                             np.block([[zero, zero], [zero, den.coeffs[1]]])))
     one = RationalMatFun.const(eye)
     with pytest.raises(SingularDenominatorError) as ref:
-        check_denominator(den(z0), DEFAULT_TOL, "probe", z0)
+        check_denominator(den(z0)[None], DEFAULT_TOL, "probe", [z0])
     with pytest.raises(SingularDenominatorError) as err:
         lft_rational(gen, one, one, alpha, grid=grid, stage="probe")
     assert err.value.stage == "probe"

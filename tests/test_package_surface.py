@@ -81,37 +81,110 @@ def test_only_the_cli_grid_reaches_a_grid_parameter():
                       "lft.lft_rational", "solver.solve", "solver._solve"}
 
 
-def _reads(path: Path) -> list:
-    """(name a top-level statement defines or None, the names it reads as a
-    bare name or an attribute) for each top-level statement of ``path``."""
+PACKAGE = "stieltjesmp"
+
+
+def _imported_module(node: ast.ImportFrom):
+    """The package module a ``from ... import`` reads: "lft" for
+    ``stieltjesmp.lft`` or ``.lft``, "" for the package itself, None for a
+    module outside the package."""
+    dotted = node.module or ""
+    if node.level:
+        return dotted
+    if dotted == PACKAGE or dotted.startswith(PACKAGE + "."):
+        return dotted[len(PACKAGE) + 1:]
+    return None
+
+
+def _bindings(tree, reexports: dict) -> dict:
+    """Local name -> the package module it is bound to ("" for the package)
+    or the (module, name) it imports, over every import of ``tree``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == PACKAGE:
+                    bound[a.asname or a.name] = ""
+                elif a.name.startswith(PACKAGE + ".") and a.asname:
+                    bound[a.asname] = a.name[len(PACKAGE) + 1:]
+        elif isinstance(node, ast.ImportFrom):
+            module = _imported_module(node)
+            for a in node.names if module is not None else ():
+                if module:
+                    target = (module, a.name)
+                elif a.name in MODULES:
+                    target = a.name
+                else:
+                    target = reexports.get(a.name)
+                bound[a.asname or a.name] = target
+    return bound
+
+
+def _reads(path: Path, reexports: dict) -> list:
+    """(name a top-level statement defines or None, the (module, name)
+    pairs it reads) for each top-level statement of ``path``.  A read
+    counts only when it resolves to a package module: ``module.name``,
+    ``stieltjesmp.name`` for a name the package re-exports, a bare name
+    imported from the module, or, in the module itself, a bare name it
+    defines at top level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = _bindings(tree, reexports)
+    if path.stem in MODULES and path.parent.name == PACKAGE:
+        for stmt in tree.body:
+            for name in _defined(stmt):
+                bound.setdefault(name, (path.stem, name))
+
+    def target(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            module = target(node.value)
+            if module == "":
+                return node.attr if node.attr in MODULES else reexports.get(node.attr)
+            if isinstance(module, str):
+                return (module, node.attr)
+        return None
+
     out = []
-    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-        defines = getattr(stmt, "name", None)
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-            defines = names[0] if len(names) == 1 else None
-        read = {n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(stmt)
+    for stmt in tree.body:
+        names = _defined(stmt)
+        read = {target(n) for n in ast.walk(stmt)
                 if isinstance(n, (ast.Name, ast.Attribute))
                 and isinstance(n.ctx, ast.Load)}
-        out.append((defines, read))
+        out.append((names[0] if len(names) == 1 else None,
+                    {t for t in read if isinstance(t, tuple)}))
     return out
+
+
+def _defined(stmt) -> list:
+    """The names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
 def test_every_public_name_is_used():
     # a name in __all__ that nothing reads outside its own definition, in
-    # the package, its tests or its demos, is surface without a caller
-    src = Path(importlib.import_module("stieltjesmp").__file__).parent
+    # the package, its tests or its demos, is surface without a caller; a
+    # read counts only where it resolves to that module's name, so an
+    # unrelated attribute or local of the same spelling keeps nothing alive
+    src = Path(importlib.import_module(PACKAGE).__file__).parent
     tests = Path(__file__).resolve().parent
+    reexports = {}
+    for node in ast.parse((src / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and _imported_module(node):
+            for a in node.names:
+                reexports[a.asname or a.name] = (_imported_module(node), a.name)
     files = [*src.glob("*.py"), *tests.glob("*.py"),
              *(tests.parent / "demos").glob("*.py")]
-    reads = {path: _reads(path) for path in files}
+    reads = {path: _reads(path, reexports) for path in files}
     unused = []
     for name in MODULES:
         own = src / f"{name}.py"
-        for public in importlib.import_module(f"stieltjesmp.{name}").__all__:
-            if not any(public in read for path, stmts in reads.items()
+        for public in importlib.import_module(f"{PACKAGE}.{name}").__all__:
+            if not any((name, public) in read for path, stmts in reads.items()
                        for defines, read in stmts
                        if not (path == own and defines == public)):
                 unused.append(f"{name}.{public}")
