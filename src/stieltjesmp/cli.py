@@ -7,7 +7,9 @@ significant digits) so runs can be golden-file tested.  Every float is
 rounded once, by the layout that prints it; ``--grid`` points and
 ``--tol`` values must be finite.  A call builds the parser of the
 subcommand it names and no other (all six when it names none), so help
-and usage errors print as they would from the full parser.
+and usage errors print as they would from the full parser.  ``main``
+alone reads the file and prints: a handler maps (JSON, options, args) to
+(payload, exit code).
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation,
 4 verification failure.
@@ -90,16 +92,8 @@ def _parse_grid(text: str | None):
 
 
 def _config(args) -> CliConfig:
-    return CliConfig(
-        tol=_parse_tol(getattr(args, "tol", None)),
-        grid=_parse_grid(getattr(args, "grid", None)),
-        digits=getattr(args, "digits", 15),
-    )
-
-
-def _load(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return CliConfig(tol=_parse_tol(args.tol), grid=_parse_grid(args.grid),
+                     digits=args.digits)
 
 
 def _samples(fun, grid, digits: int) -> list:
@@ -107,16 +101,13 @@ def _samples(fun, grid, digits: int) -> list:
     return serialize.samples_to_json(zs, values, digits)
 
 
-def cmd_classify(args) -> int:
-    cfg = _config(args)
-    seq = serialize.sequence_from_json(_load(args.path))
-    print(dumps(serialize.report_to_json(classify(seq, cfg.tol))))
-    return EXIT_OK
+def cmd_classify(obj, cfg: CliConfig, args) -> tuple:
+    seq = serialize.sequence_from_json(obj, cfg.tol)
+    return serialize.report_to_json(classify(seq, cfg.tol)), EXIT_OK
 
 
-def cmd_schur(args) -> int:
-    cfg = _config(args)
-    seq = serialize.sequence_from_json(_load(args.path))
+def cmd_schur(obj, cfg: CliConfig, args) -> tuple:
+    seq = serialize.sequence_from_json(obj, cfg.tol)
     if args.k < 0 or args.k > seq.m:
         raise PreconditionError(
             f"transform order k={args.k} out of range 0..{seq.m}")
@@ -125,25 +116,20 @@ def cmd_schur(args) -> int:
         seq.alpha, trace.stages[args.k], cfg.digits)}
     if args.trace:
         payload["trace"] = serialize.trace_to_json(trace, cfg.digits)
-    print(dumps(payload))
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_poly(args) -> int:
-    cfg = _config(args)
-    seq = serialize.sequence_from_json(_load(args.path))
+def cmd_poly(obj, cfg: CliConfig, args) -> tuple:
+    seq = serialize.sequence_from_json(obj, cfg.tol)
     v, w = respoly.compose_resolvent(schur.transform_trace(seq, cfg.tol),
                                      cfg.tol)
-    print(dumps({"q": seq.q, "m": seq.m,
-                 "v": serialize.blocks_to_json(v, cfg.digits),
-                 "w": serialize.blocks_to_json(w, cfg.digits)}))
-    return EXIT_OK
+    return {"q": seq.q, "m": seq.m,
+            "v": serialize.blocks_to_json(v, cfg.digits),
+            "w": serialize.blocks_to_json(w, cfg.digits)}, EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    cfg = _config(args)
-    obj = _load(args.path)
-    seq = serialize.sequence_from_json(obj["sequence"])
+def cmd_solve(obj, cfg: CliConfig, args) -> tuple:
+    seq = serialize.sequence_from_json(obj["sequence"], cfg.tol)
     parameter = serialize.pair_from_json(obj["parameter"])
     mode = args.mode or obj.get("mode", "leq")
     req = solver.SolutionRequest(seq, parameter, mode)
@@ -159,19 +145,16 @@ def cmd_solve(args) -> int:
         "verification_report": serialize.verification_to_json(report,
                                                              cfg.digits),
     }
-    print(dumps(payload))
-    return EXIT_OK if report["ok"] else EXIT_VERIFICATION
+    return payload, EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
-def cmd_verify(args) -> int:
-    cfg = _config(args)
-    obj = _load(args.path)
-    seq = serialize.sequence_from_json(obj["sequence"])
+def cmd_verify(obj, cfg: CliConfig, args) -> tuple:
+    seq = serialize.sequence_from_json(obj["sequence"], cfg.tol)
     fun = serialize.rational_from_json(obj["function"])
     mode = args.mode or obj.get("mode", "leq")
     report = measures.verify_solution(fun, seq, mode, cfg.tol)
-    print(dumps(serialize.verification_to_json(report, cfg.digits)))
-    return EXIT_OK if report["ok"] else EXIT_VERIFICATION
+    return (serialize.verification_to_json(report, cfg.digits),
+            EXIT_OK if report["ok"] else EXIT_VERIFICATION)
 
 
 def _random_measure(spec: dict, seed) -> DiscreteMeasure:
@@ -190,9 +173,7 @@ def _random_measure(spec: dict, seed) -> DiscreteMeasure:
                            tuple(weights))
 
 
-def cmd_oracle(args) -> int:
-    cfg = _config(args)
-    spec = _load(args.path)
+def cmd_oracle(spec, cfg: CliConfig, args) -> tuple:
     if "atoms" in spec and isinstance(spec["atoms"], list):
         mu = serialize.measure_from_json(spec)
         m = int(spec.get("m", max(2 * (len(mu.nodes) - 1), 0)))
@@ -210,8 +191,7 @@ def cmd_oracle(args) -> int:
         "transform": serialize.rational_to_json(fun, cfg.digits),
         "samples": _samples(fun, grid, cfg.digits),
     }
-    print(dumps(payload))
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -270,7 +250,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
-        return args.func(args)
+        cfg = _config(args)
+        with open(args.path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        payload, code = args.func(obj, cfg, args)
+        print(dumps(payload))
+        return code
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -16,7 +16,7 @@ stages are read-only, so a stored report is never stale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -37,19 +37,20 @@ __all__ = [
 _last = (None,) * 4  # (seq, tol, report, margins) of the last classify
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSequence:
     """Base point plus a finite tuple of Hermitian q x q matrices."""
 
     alpha: float
     s: tuple
+    tol: InitVar[ToleranceConfig] = DEFAULT_TOL  # hermitizes s; not stored
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         if not math.isfinite(float(self.alpha)):
             raise ValueError("alpha must be finite")
         if len(self.s) == 0:
             raise ValueError("need at least one moment matrix")
-        mats = tuple(matcore.hermitize(x) for x in self.s)
+        mats = tuple(matcore.hermitize(x, tol) for x in self.s)
         q = mats[0].shape[0]
         for x in mats:
             if x.shape != (q, q):
@@ -86,7 +87,7 @@ class MomentSequence:
         return MomentSequence(self.alpha, self.s[: ell + 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HankelStack:
     """The block Hankel matrices and interleaved Schur complements.
 

@@ -10,7 +10,7 @@ rational matrix functions, each slicing the q x q blocks from the
 generator itself.  ``check_denominator`` gates their denominator values,
 sigma_min/sigma_max against ``tol.det_gate`` from one batched SVD of a
 stack (``lft_rational``'s on the whole grid), naming the first failing
-point; ``det_or_none`` refuses an identically singular determinant.
+point; ``respoly.det_or_raise`` refuses a zero determinant.
 
 Every generator in the package is built at an endpoint alpha, and the
 resolvent satisfies V(z)W(z) = (z-alpha)^(m+1) diag(P, I), so the numerator
@@ -32,10 +32,11 @@ from .matcore import (
     SingularDenominatorError,
     ToleranceConfig,
 )
-from .respoly import MatrixPolynomial, adjugate_poly, det_poly
+from .pairs import RationalMatFun
+from .respoly import MatrixPolynomial, adjugate_poly, det_or_raise
 
-__all__ = ["DEFLATION_REL", "check_denominator", "det_or_none",
-           "divide_out_root", "lft_pair", "lft_rational"]
+__all__ = ["DEFLATION_REL", "check_denominator", "divide_out_root",
+           "lft_pair", "lft_rational"]
 
 
 def check_denominator(dens, tol: ToleranceConfig, stage: str,
@@ -61,19 +62,6 @@ def check_denominator(dens, tol: ToleranceConfig, stage: str,
             f"linear-fractional denominator is numerically singular{where}",
             stage=stage, point=point, gap=gap,
         )
-
-
-def det_or_none(den: MatrixPolynomial):
-    """Coefficients of det den(z), or None if it vanishes identically.
-
-    Relative to the size of ``den``, floored at 1: the coefficient trims cut
-    at an absolute 1e-13, so a purely relative test would pass trim noise.
-    """
-    det = det_poly(den)
-    scale = max(den.coeff_norms())
-    if np.abs(det).max() <= 1e-12 * max(1.0, scale ** den.size):
-        return None
-    return det
 
 
 # A remainder of the division by (z - alpha) is negligible when it is at most
@@ -143,15 +131,13 @@ def lft_rational(gen: MatrixPolynomial, phi, psi, alpha: float,
     ``gen`` is the 2q x 2q generator polynomial [[a, b], [c, d]], (phi, psi)
     a pair of ``RationalMatFun``, and ``alpha`` the endpoint the generator
     was built at.  Over the common factor phi.den psi.den the action is
-    N D^(-1) = N adj(D) / det(D); D must pass ``det_or_none`` and, at the
+    N D^(-1) = N adj(D) / det(D); D must pass ``det_or_raise`` and, at the
     points of ``grid`` all at once, ``check_denominator`` (both raise
     tagged ``stage``; the grid gate names the first failing point, in grid
     order, and its ``gap``).  The power of (z - alpha) that the fraction's
     numerator and denominator share is divided out (``divide_out_root``,
     at ``DEFLATION_REL``) before ``simplify`` runs.
     """
-    from .pairs import RationalMatFun
-
     if gen.size % 2:
         raise ValueError("a generator needs an even size")
     halves = (slice(None, gen.size // 2), slice(gen.size // 2, None))
@@ -161,11 +147,8 @@ def lft_rational(gen: MatrixPolynomial, phi, psi, alpha: float,
            + (b @ psi.num).scale_poly(phi.den)).trimmed()
     den = ((c @ phi.num).scale_poly(psi.den)
            + (d @ psi.num).scale_poly(phi.den)).trimmed()
-    det = det_or_none(den)
-    if det is None:
-        raise SingularDenominatorError(
-            "linear-fractional denominator is identically singular",
-            stage=stage, gap=0.0)
+    det = det_or_raise(den, stage,
+                       "linear-fractional denominator is identically singular")
     zs = np.asarray(grid, dtype=complex)
     check_denominator(den(zs), tol, stage, zs)
     num, det = divide_out_root(num @ adjugate_poly(den), det, alpha)

@@ -174,19 +174,15 @@ def psd_margin(a, tol: ToleranceConfig = DEFAULT_TOL):
     Positive semidefiniteness to tolerance means margin >= -tol.psd.  An
     asymmetric argument is symmetrized by :func:`symmetrized`, not rejected;
     a non-square one raises ValueError.  A stack gives the array of its
-    matrices' margins, from one batched eigensolve.
+    matrices' margins, from one batched eigensolve; a single matrix, solved
+    as a stack of one (the same bits), gives a float; an empty one gives 0.
     """
     m = symmetrized(a)
-    if m.ndim > 2:
-        if m.shape[-1] == 0:
-            return np.zeros(m.shape[:-2])
-        w = np.linalg.eigvalsh(m)
-        return w[..., 0] / np.maximum(1.0, np.abs(w).max(axis=-1))
-    if m.size == 0:
-        return 0.0
-    w = np.linalg.eigvalsh(m)
-    scale = max(1.0, float(np.abs(w).max()))
-    return float(w[0]) / scale
+    w = np.linalg.eigvalsh(m if m.ndim > 2 else m[None])
+    if not w.shape[-1]:
+        w = np.zeros(w.shape[:-1] + (1,))
+    margins = w[..., 0] / np.maximum(1.0, np.abs(w).max(axis=-1))
+    return margins if m.ndim > 2 else float(margins[0])
 
 
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

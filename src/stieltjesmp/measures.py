@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Point masses x_k >= alpha with PSD matrix weights w_k."""
 

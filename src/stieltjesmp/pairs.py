@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from . import lft, matcore
+from . import matcore
 from .matcore import (
     DEFAULT_TOL,
     InconsistencyError,
@@ -40,7 +40,8 @@ from .matcore import (
     SingularDenominatorError,
     ToleranceConfig,
 )
-from .respoly import TRIM_REL, MatrixPolynomial, adjugate_poly, trim_trailing
+from .respoly import (TRIM_REL, MatrixPolynomial, adjugate_poly, det_or_raise,
+                      trim_trailing)
 
 __all__ = [
     "RationalMatFun",
@@ -95,7 +96,7 @@ def _den_at(den: np.ndarray, z):
     return dv, _modulus(dv) > POLE_REL * np.maximum(bound, 1e-300)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalMatFun:
     """Matrix polynomial numerator over a scalar polynomial denominator
     ``den``: a read-only 1-d complex array, degree-ascending, copied from
@@ -327,7 +328,7 @@ def grid_values(funs, grid) -> tuple:
                      for f, dv in zip(funs, dens))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StieltjesPair:
     """A candidate pair (phi, psi) attached to the half-axis [alpha, inf)."""
 
@@ -474,11 +475,8 @@ def in_diamond(pair: StieltjesPair) -> dict:
     I + I/(200 - z).  A pair whose second component is identically
     singular raises SingularDenominatorError.
     """
-    det = lft.det_or_none(pair.psi.num)
-    if det is None:
-        raise SingularDenominatorError(
-            "second component of the pair is identically singular",
-            stage="diamond", gap=0.0)
+    det = det_or_raise(pair.psi.num, "diamond",
+                       "second component of the pair is identically singular")
     num = pair.phi.num.scale_poly(pair.psi.den) @ adjugate_poly(pair.psi.num)
     den = npoly.polymul(pair.phi.den, det)
     residual = RationalMatFun(num, den).proper_residual()

@@ -4,6 +4,8 @@ stagewise compositions, and the indefinite-metric identities.
 A matrix polynomial is one read-only coefficient stack, and every operation
 works on the stack: evaluation takes a point or an array of points, so the
 determinant and adjugate sample each interpolation circle in one call.
+``det_or_raise`` gives the determinant to the two callers that divide by
+it (``lft.lft_rational``, ``pairs.in_diamond``) and refuses a zero one.
 
 The descent generator at a seed A is
     [[0, -A], [(z-alpha)A^+, (z-alpha)I]]
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import DEFAULT_TOL, PreconditionError, ToleranceConfig
+from .matcore import (DEFAULT_TOL, PreconditionError, SingularDenominatorError,
+                      ToleranceConfig)
 from .schur import TransformTrace
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "TRIM_REL",
     "trim_trailing",
     "det_poly",
+    "det_or_raise",
     "adjugate_poly",
     "v_poly",
     "w_poly",
@@ -57,7 +61,7 @@ def trim_trailing(stack, sizes):
     return stack[:n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPolynomial:
     """Matrix-coefficient polynomial: ``coeffs`` is a read-only complex
     array of shape (degree + 1, rows, cols), degree-ascending, copied from
@@ -224,6 +228,20 @@ def det_poly(p: MatrixPolynomial) -> np.ndarray:
     has degree at most size * degree.
     """
     return _interp_coeffs(p, np.linalg.det, p.size * p.degree + 1)
+
+
+def det_or_raise(den: MatrixPolynomial, stage: str, message: str) -> np.ndarray:
+    """Coefficients of det den(z); SingularDenominatorError(``message``),
+    tagged ``stage``, if it vanishes identically.
+
+    Relative to the size of ``den``, floored at 1: the coefficient trims cut
+    at an absolute 1e-13, so a purely relative test would pass trim noise.
+    """
+    det = det_poly(den)
+    scale = max(den.coeff_norms())
+    if np.abs(det).max() <= 1e-12 * max(1.0, scale ** den.size):
+        raise SingularDenominatorError(message, stage=stage, gap=0.0)
+    return det
 
 
 def adjugate_poly(p: MatrixPolynomial) -> MatrixPolynomial:

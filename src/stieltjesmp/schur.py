@@ -87,16 +87,13 @@ def first_transform(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
 def k_th_transform(seq: MomentSequence, k: int,
                    tol: ToleranceConfig = DEFAULT_TOL) -> MomentSequence:
-    """k-fold iteration of :func:`first_transform`; k = 0 is the identity."""
+    """Stage k of :func:`transform_trace`, k steps of :func:`first_transform`."""
     if not 0 <= k <= seq.m:
         raise PreconditionError(f"stage {k} out of range for m={seq.m}")
-    out = seq
-    for _ in range(k):
-        out = first_transform(out, tol)
-    return out
+    return MomentSequence(seq.alpha, transform_trace(seq, tol).stages[k])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformTrace:
     """All stages of the algorithm plus the leading-entry diagonal."""
 
@@ -107,7 +104,7 @@ class TransformTrace:
 
 def transform_trace(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> TransformTrace:
     """The algorithm run to its last stage; stage k has m-k+1 entries and
-    equals ``k_th_transform(seq, k)``."""
+    is k steps of :func:`first_transform`."""
     stages = [np.array(seq.s)]
     for _ in range(seq.m):
         stages.append(_step(seq.alpha, stages[-1], tol))
@@ -151,6 +148,24 @@ def _prefix_gap(xs, ys) -> float:
     return max(matcore.frob(x - y) for x, y in zip(xs, ys))
 
 
+def _order_report(report: dict, name: str, xs, ys, k: int, base, defect,
+                  tol: ToleranceConfig) -> None:
+    """Add ``name``'s keys to ``report`` for the images xs, ys of two ordered
+    sequences: the gap of their entries below k, the margin of their entry-k
+    difference, and its gap to P^* defect P for P = base^+ base."""
+    gap = _prefix_gap(xs[:k], ys[:k])
+    report[f"{name}_prefix_gap"] = gap
+    report[f"{name}_prefix_ok"] = gap <= 1e-10 * (1.0 + matcore.frob(base))
+    diff = matcore.symmetrized(xs[k] - ys[k])
+    report[f"{name}_top_margin"] = matcore.psd_margin(diff, tol)
+    report[f"{name}_top_ok"] = matcore.is_psd(diff, tol)
+    p = matcore.pinv(base, tol) @ base
+    closed = p.conj().T @ defect @ p
+    closed_gap = matcore.frob(diff - closed)
+    report[f"{name}_closed_form_gap"] = closed_gap
+    report[f"{name}_closed_form_ok"] = closed_gap <= 1e-9 * (1.0 + matcore.frob(closed))
+
+
 def check_inequality_preservation(s: MomentSequence, t: MomentSequence,
                                   a=None,
                                   tol: ToleranceConfig = DEFAULT_TOL) -> dict:
@@ -175,40 +190,12 @@ def check_inequality_preservation(s: MomentSequence, t: MomentSequence,
         raise PreconditionError("top entries are not ordered")
 
     report: dict = {"m": m, "top_defect_margin": matcore.psd_margin(defect, tol)}
-
     if m >= 1:
-        fs = first_transform(s, tol)
-        ft = first_transform(t, tol)
-        report["forward_prefix_gap"] = _prefix_gap(fs.s[: m - 1], ft.s[: m - 1])
-        report["forward_prefix_ok"] = report["forward_prefix_gap"] <= 1e-10 * (
-            1.0 + matcore.frob(s.s[0])
-        )
-        diff = matcore.symmetrized(fs.s[m - 1] - ft.s[m - 1])
-        report["forward_top_margin"] = matcore.psd_margin(diff, tol)
-        report["forward_top_ok"] = matcore.is_psd(diff, tol)
-        p = matcore.pinv(s.s[0], tol) @ s.s[0]
-        closed = p.conj().T @ defect @ p
-        report["forward_closed_form_gap"] = matcore.frob(diff - closed)
-        report["forward_closed_form_ok"] = report["forward_closed_form_gap"] <= 1e-9 * (
-            1.0 + matcore.frob(closed)
-        )
-
+        _order_report(report, "forward", first_transform(s, tol).s,
+                      first_transform(t, tol).s, m - 1, s.s[0], defect, tol)
     seed = s.s[0] if a is None else matcore.hermitize(a, tol)
-    rs = inverse_transform(s, seed, tol)
-    rt = inverse_transform(t, seed, tol)
-    report["inverse_prefix_gap"] = _prefix_gap(rs.s[: m + 1], rt.s[: m + 1])
-    report["inverse_prefix_ok"] = report["inverse_prefix_gap"] <= 1e-10 * (
-        1.0 + matcore.frob(seed)
-    )
-    idiff = matcore.symmetrized(rs.s[m + 1] - rt.s[m + 1])
-    report["inverse_top_margin"] = matcore.psd_margin(idiff, tol)
-    report["inverse_top_ok"] = matcore.is_psd(idiff, tol)
-    pa = matcore.pinv(seed, tol) @ seed
-    iclosed = pa.conj().T @ defect @ pa
-    report["inverse_closed_form_gap"] = matcore.frob(idiff - iclosed)
-    report["inverse_closed_form_ok"] = report["inverse_closed_form_gap"] <= 1e-9 * (
-        1.0 + matcore.frob(iclosed)
-    )
+    _order_report(report, "inverse", inverse_transform(s, seed, tol).s,
+                  inverse_transform(t, seed, tol).s, m + 1, seed, defect, tol)
 
     keys = [k for k in report if k.endswith("_ok")]
     report["ok"] = all(report[k] for k in keys)

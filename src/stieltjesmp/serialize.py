@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .hankel import ClassReport, MomentSequence
+from .matcore import DEFAULT_TOL, ToleranceConfig
 from .measures import DiscreteMeasure
 from .pairs import RationalMatFun, StieltjesPair
 from .respoly import MatrixPolynomial
@@ -97,9 +98,10 @@ def sequence_to_json(alpha: float, mats, digits: int = 15) -> dict:
     }
 
 
-def sequence_from_json(obj: dict) -> MomentSequence:
+def sequence_from_json(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> MomentSequence:
+    """The sequence, its matrices hermitized at ``tol``."""
     mats = tuple(matrix_from_json(m) for m in obj["s"])
-    return MomentSequence(float(obj["alpha"]), mats)
+    return MomentSequence(float(obj["alpha"]), mats, tol)
 
 
 def measure_to_json(alpha: float, nodes, weights, digits: int = 15) -> dict:

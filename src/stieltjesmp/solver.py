@@ -11,6 +11,8 @@ the equality problem), then synthesize the solution
 with V the 2q x 2q descent product and the kernel ``lft.lft_rational``,
 which slices its q x q blocks, gates its denominator on the grid
 and divides out the power of (z - alpha) that the resolvent introduces.
+The low-rank routes lift an r x r pair into that solve; the equality
+subset is the lift of (f, I) in eq mode, with the same gates.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ CASE_COMPLETELY_DEGENERATE = "CompletelyDegenerate"
 CASE_PARTIALLY_DEGENERATE = "PartiallyDegenerate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionRequest:
     """A sequence, a parameter pair, and which problem (leq or eq) to solve."""
 
@@ -226,18 +228,9 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
     r is the rank of the top diagonal entry; the completely degenerate
     case has no free parameter and is redirected to the unique solution.
     """
-    _, r, top = _case(_classified(seq, tol))
-    if r == 0:
+    if _classified(seq, tol).rank_top == 0:
         raise PreconditionError(
             "completely degenerate sequence: the problem has a unique "
             "solution; call solve with the parameter (O, I)")
-    if f.q != r:
-        raise PreconditionError(f"parameter must be {r} x {r}")
-    small = StieltjesPair(seq.alpha, f, RationalMatFun.const(np.eye(r)))
-    decay = pairs.in_diamond(small)
-    if not decay["ok"]:
-        raise PreconditionError("parameter does not decay along the imaginary "
-                                f"axis: residual {decay['residual']:.3e}")
-    u = _range_basis(top, r, tol)
-    lifted = pairs.gamma_U_embed(small.phi, small.psi, u, seq.alpha, tol)
-    return _solve(SolutionRequest(seq, lifted, "eq"), tol, None)[2]
+    pair = StieltjesPair(seq.alpha, f, RationalMatFun.const(np.eye(f.q)))
+    return solve_degenerate_embedded(seq, pair, None, "eq", tol)

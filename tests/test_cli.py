@@ -87,6 +87,28 @@ def test_unknown_tolerance_is_a_parse_error(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command, path", [
+    ("classify", "seq_q2_m2.json"), ("schur", "seq_q2_m2.json"),
+    ("poly", "seq_q2_m2.json"), ("solve", "solve_q2_m2.json"),
+    ("verify", "verify_q2_m2.json"),
+])
+def test_tol_herm_reaches_the_sequence_reader(tmp_path, capsys, command, path):
+    # --tol herm decides how much asymmetry a sequence read from a file may
+    # carry, both ways: 1.4e-6 passes at herm=1e-3, 1.4e-13 fails at 1e-16
+    clean = main([command, str(DATA / path)])
+    for eps, herm, refused in ((1e-6, [], True), (1e-6, ["herm=1e-3"], False),
+                               (1e-13, [], False), (1e-13, ["herm=1e-16"], True)):
+        capsys.readouterr()
+        obj = json.loads((DATA / path).read_text())
+        seq = obj.get("sequence", obj)
+        seq["s"][0]["data"][1][0] += eps
+        argv = [command, write_json(tmp_path / path, obj)]
+        code = main(argv + [f"--tol={h}" for h in herm])
+        err = capsys.readouterr().err
+        assert ("not Hermitian" in err) is refused, (eps, herm, err)
+        assert code == (3 if refused else clean), (eps, herm, code)
+
+
 def test_schur_matches_library_transform(tmp_path, capsys):
     mats = tuple(np.array([[v]], dtype=complex) for v in (1.0, 1.0, 2.0, 6.0))
     path = sequence_file(tmp_path, 0.0, mats)

@@ -1,6 +1,7 @@
 """The public surface of each module: every name in ``__all__`` resolves,
-a star import works and something reads it, and every tolerance field and
-command-line option is read somewhere."""
+a star import works and something reads it, every tolerance field and
+command-line option is read somewhere, the package imports form no cycle,
+and the value types compare by identity."""
 
 import ast
 import dataclasses
@@ -8,10 +9,16 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stieltjesmp.cli import CliConfig
+from stieltjesmp.hankel import MomentSequence, build_stack
 from stieltjesmp.matcore import ToleranceConfig
+from stieltjesmp.measures import DiscreteMeasure
+from stieltjesmp.pairs import RationalMatFun, StieltjesPair
+from stieltjesmp.schur import transform_trace
+from stieltjesmp.solver import SolutionRequest
 
 MODULES = ("cli", "hankel", "lft", "matcore", "measures", "pairs",
            "respoly", "schur", "serialize", "solver")
@@ -189,3 +196,78 @@ def test_every_public_name_is_used():
                        if not (path == own and defines == public)):
                 unused.append(f"{name}.{public}")
     assert not unused, unused
+
+
+def _package_imports(node, scope=""):
+    """(scope, package module) for each import of a package module under
+    ``node``; scope is the dotted name of the enclosing def or class, "" at
+    module level, and ``from . import x`` imports module x."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _package_imports(child, f"{scope}.{child.name}".lstrip("."))
+        elif isinstance(child, ast.ImportFrom):
+            module = _imported_module(child)
+            if module:
+                yield scope, module
+            elif module == "":
+                yield from ((scope, a.name) for a in child.names
+                            if a.name in MODULES)
+        elif isinstance(child, ast.Import):
+            yield from ((scope, a.name[len(PACKAGE) + 1:]) for a in child.names
+                        if a.name.startswith(PACKAGE + "."))
+        else:
+            yield from _package_imports(child, scope)
+
+
+def _reachable(graph: dict, start: str) -> set:
+    """The modules ``start`` reaches along one or more edges of ``graph``."""
+    seen, todo = set(), list(graph.get(start, ()))
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph.get(name, ()))
+    return seen
+
+
+def test_package_imports_form_no_cycle():
+    # the module-level imports between package modules form an acyclic
+    # graph, so no module needs a function-level import to load; the one
+    # left is hankel.classify's schur, the remaining cycle: schur imports
+    # hankel, and both hankel.classify and schur.transform_trace are
+    # benchmark targets that stay where they are
+    src = Path(importlib.import_module(PACKAGE).__file__).parent
+    graph, local = {}, set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, module in _package_imports(tree):
+            if scope:
+                local.add((f"{path.stem}.{scope}", module))
+            else:
+                graph.setdefault(path.stem, set()).add(module)
+    assert local == {("hankel.classify", "schur")}, local
+    assert "hankel" in _reachable(graph, "schur")
+    cyclic = sorted(name for name in graph if name in _reachable(graph, name))
+    assert not cyclic, cyclic
+
+
+def test_value_types_compare_by_identity():
+    # the value types hold arrays, which a generated == would compare
+    # elementwise (raising) and a generated hash could not hash: each
+    # compares by identity, == gives a bool, and hash works
+    def seq():
+        return MomentSequence(0.0, (np.eye(2), np.eye(2)))
+
+    def pair():
+        return StieltjesPair(0.0, RationalMatFun.const(np.eye(2)),
+                             RationalMatFun.const(np.eye(2)))
+
+    makers = (seq, lambda: build_stack(seq()), lambda: transform_trace(seq()),
+              lambda: pair().phi.num, lambda: pair().phi, pair,
+              lambda: DiscreteMeasure(0.0, (1.0,), (np.eye(2),)),
+              lambda: SolutionRequest(seq(), pair()))
+    for make in makers:
+        one, twin = make(), make()
+        assert (one == one) is True and (one == twin) is False, one
+        assert (one != twin) is True, one
+        assert hash(one) == hash(one) and isinstance(hash(twin), int), one
