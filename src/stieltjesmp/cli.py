@@ -21,7 +21,6 @@ import argparse
 import cmath
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -56,10 +55,6 @@ class CliConfig:
     digits: int = 15
 
     def __post_init__(self):
-        for name in (f.name for f in dataclasses.fields(self.tol)):
-            if not 0 < getattr(self.tol, name) < math.inf:
-                raise PreconditionError(
-                    f"tolerance {name} must be positive and finite")
         if self.digits < 1:
             raise PreconditionError("digits must be at least 1")
 
@@ -121,8 +116,7 @@ def cmd_schur(obj, cfg: CliConfig, args) -> tuple:
 
 def cmd_poly(obj, cfg: CliConfig, args) -> tuple:
     seq = serialize.sequence_from_json(obj, cfg.tol)
-    v, w = respoly.compose_resolvent(schur.transform_trace(seq, cfg.tol),
-                                     cfg.tol)
+    v, w = respoly.compose_resolvent(schur.transform_trace(seq, cfg.tol))
     return {"q": seq.q, "m": seq.m,
             "v": serialize.blocks_to_json(v, cfg.digits),
             "w": serialize.blocks_to_json(w, cfg.digits)}, EXIT_OK

@@ -10,7 +10,9 @@ last :func:`classify`, read back for the same sequence object (``is``,
 whose id the slot's reference keeps from reuse) under an equal tolerance.
 One entry suffices for classify -> solve -> verify on one sequence to run
 the algorithm once, and retains one sequence at most.  Sequences and trace
-stages are read-only, so a stored report is never stale.
+stages are read-only, so a stored report is never stale.  Each stage's
+dominance test reads the pseudoinverse of the stage's first term from the
+trace, as the solver's resolvent product does after it.
 """
 
 from __future__ import annotations
@@ -231,7 +233,8 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
     ('unknown' when borderline); a cone member settles it as 'yes' when it
     is strictly positive or completely degenerate (both are sufficient) or
     when it is a single term; otherwise its ranges must be dominated by its
-    first term (failing is disqualifying) and the next stage decides.
+    first term (failing is disqualifying; tested with the first term's
+    pseudoinverse from the trace) and the next stage decides.
     """
     from . import schur
 
@@ -241,8 +244,11 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
         return slot[2]
     margins = _cone_margins(seq.alpha, seq.s, tol)
     lo = min(margins)
-    dominant = matcore.dominates(seq.s[0], seq.s[1:], tol)
     trace = schur.transform_trace(seq, tol)
+    # a single term dominates its (empty) tail; otherwise the trace holds
+    # the pseudoinverse of every stage's first term but the last
+    dominant = seq.m == 0 or matcore.dominates(seq.s[0], trace.pinvs[0],
+                                                seq.s[1:], tol)
     rank_top = matcore.rank_with_tol(trace.diagonal[-1], tol)
 
     candidate = "yes"
@@ -257,8 +263,8 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
         if stage_lo > tol.psd and not borderline or rank_top == 0 \
                 or k == seq.m:
             break
-        if not (dominant if k == 0
-                else matcore.dominates(stage[0], stage[1:], tol)):
+        if not (dominant if k == 0 else matcore.dominates(
+                stage[0], trace.pinvs[k], stage[1:], tol)):
             candidate = "no"
             break
 

@@ -15,7 +15,8 @@ one.  A 2-d argument is the one-matrix case, unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,9 +44,13 @@ __all__ = [
 ]
 
 
+class PreconditionError(ValueError):
+    """An operation was called outside its stated domain."""
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Shared numeric thresholds.
+    """Shared numeric thresholds, each positive and finite.
 
     pinv_rtol    relative singular-value cutoff for pseudoinverses
     herm         allowed relative asymmetry before symmetrization errors out
@@ -65,12 +70,16 @@ class ToleranceConfig:
     extraction: float = 1e-4
     equiv: float = 1e-7
 
+    def __post_init__(self):
+        # a NaN threshold turns every comparison false; an infinite one
+        # accepts anything
+        for name in (f.name for f in fields(self)):
+            if not 0 < getattr(self, name) < math.inf:
+                raise PreconditionError(
+                    f"tolerance {name} must be positive and finite")
+
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-class PreconditionError(ValueError):
-    """An operation was called outside its stated domain."""
 
 
 class SingularDenominatorError(ArithmeticError):
@@ -217,11 +226,11 @@ def null_contains(a, c, tol: ToleranceConfig = DEFAULT_TOL):
     return _negligible(c @ pinv(a, tol) @ a - c, c, tol)
 
 
-def dominates(a, bs, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def dominates(a, ap, bs, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """``range_contains(a, b)`` and ``null_contains(a, b)`` for every B in
-    ``bs``, with one A^+ for all of them."""
+    ``bs``, all read from ``ap``, the pseudoinverse of A the caller already
+    has (``TransformTrace.pinvs`` for a stage's first term)."""
     a = as_cmat(a)
-    ap = pinv(a, tol)
     proj = a @ ap
     return all(_negligible(proj @ b - b, b, tol)
                and _negligible(b @ ap @ a - b, b, tol) for b in bs)

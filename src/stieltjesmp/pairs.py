@@ -21,7 +21,8 @@ once: array Horner on the numerators, and the pole rule of
 polynomial of the moduli of d's coefficients, to drop the points that are
 numerically poles of any of them.  Each gate then decides from the stacked
 values with batched kernels (``matcore`` takes stacks), and the CLI prints
-its sampled values from the same walk.
+its sampled values from the same walk; a value that overflows is refused
+with the grid point it sits at.
 """
 
 from __future__ import annotations
@@ -314,18 +315,28 @@ def grid_values(funs, grid) -> tuple:
     for each function its values there, stacked along a leading axis.
 
     A point is a pole by the rule of ``RationalMatFun.__call__``; the kept
-    values come from one array Horner per numerator.
+    values come from one array Horner per numerator.  A value that
+    overflows is refused, not passed on: PreconditionError names the first
+    kept point where a function's value is not finite.
     """
     zs = np.asarray(grid, dtype=complex)
     keep = np.ones(len(zs), dtype=bool)
     dens = []
-    for f in funs:
-        dv, off_pole = _den_at(f.den, zs)
-        keep &= off_pole
-        dens.append(dv)
-    zs = zs[keep]
-    return zs, tuple(f.num(zs) / dv[keep][:, None, None]
-                     for f, dv in zip(funs, dens))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in funs:
+            dv, off_pole = _den_at(f.den, zs)
+            keep &= off_pole
+            dens.append(dv)
+        zs = zs[keep]
+        values = tuple(f.num(zs) / dv[keep][:, None, None]
+                       for f, dv in zip(funs, dens))
+    finite = np.ones(len(zs), dtype=bool)
+    for v in values:
+        finite &= np.isfinite(v).all(axis=(1, 2))
+    if not finite.all():
+        raise PreconditionError(f"a function value at grid point "
+                                f"{complex(zs[~finite][0])} is not finite")
+    return zs, values
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,9 @@ and the ascent generator is
 Compositions run over the algorithm diagonal of a moment sequence: the
 descent product multiplies stage 0 leftmost, the ascent product stage m
 leftmost, which is the order that telescopes against the descent product.
+They take every seed's pseudoinverse from the trace but the last entry's,
+which they invert once at the trace's tolerance, and each accumulates its
+factors into one coefficient stack.
 """
 
 from __future__ import annotations
@@ -126,12 +129,7 @@ class MatrixPolynomial:
         """Coefficient convolution (noncommutative)."""
         if self.shape[1] != other.shape[0]:
             raise ValueError("inner dimensions do not match")
-        width = len(other.coeffs)
-        out = np.zeros((len(self.coeffs) + width - 1, self.shape[0],
-                        other.shape[1]), dtype=complex)
-        for i, a in enumerate(self.coeffs):
-            out[i:i + width] += a @ other.coeffs
-        return MatrixPolynomial(out)
+        return MatrixPolynomial(_convolve(self.coeffs, other.coeffs))
 
     def scale(self, c: complex) -> "MatrixPolynomial":
         return MatrixPolynomial(c * self.coeffs)
@@ -153,6 +151,18 @@ class MatrixPolynomial:
     @staticmethod
     def constant(a) -> "MatrixPolynomial":
         return MatrixPolynomial((a,))
+
+
+def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficient stack of the product of the polynomials with stacks
+    ``x`` and ``y``: row i of ``x`` times all of ``y``, accumulated in
+    ascending i."""
+    width = len(y)
+    out = np.zeros((len(x) + width - 1, x.shape[1], y.shape[2]),
+                   dtype=complex)
+    for i, a in enumerate(x):
+        out[i:i + width] += a @ y
+    return out
 
 
 def _adjugates(m: np.ndarray) -> np.ndarray:
@@ -251,56 +261,85 @@ def adjugate_poly(p: MatrixPolynomial) -> MatrixPolynomial:
     return MatrixPolynomial(_interp_coeffs(p, _adjugates, k)).trimmed()
 
 
+def _block2(nw, ne, sw, se) -> np.ndarray:
+    """The 2q x 2q matrix [[nw, ne], [sw, se]] of q x q blocks."""
+    q = len(nw)
+    out = np.empty((2 * q, 2 * q), dtype=complex)
+    out[:q, :q], out[:q, q:], out[q:, :q], out[q:, q:] = nw, ne, sw, se
+    return out
+
+
+def _v_coeffs(alpha: float, a: np.ndarray, ap: np.ndarray) -> np.ndarray:
+    """Coefficient stack (c0, c1) of the descent generator for the seed
+    ``a`` with pseudoinverse ``ap``."""
+    eye = np.eye(len(a), dtype=complex)
+    zero = np.zeros_like(eye)
+    return np.array((_block2(zero, -a, -alpha * ap, -alpha * eye),
+                     _block2(zero, zero, ap, eye)))
+
+
+def _w_coeffs(alpha: float, a: np.ndarray, ap: np.ndarray) -> np.ndarray:
+    """Coefficient stack (c0, c1) of the ascent generator for the seed
+    ``a`` with pseudoinverse ``ap``."""
+    eye = np.eye(len(a), dtype=complex)
+    zero = np.zeros_like(eye)
+    return np.array((_block2(-alpha * eye, a, alpha * ap, eye - ap @ a),
+                     _block2(eye, zero, -ap, zero)))
+
+
 def v_poly(alpha: float, a, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynomial:
     """Degree-1 descent generator for seed matrix ``a``."""
     a = matcore.as_cmat(a)
-    ap = matcore.pinv(a, tol)
-    q = a.shape[0]
-    zero = np.zeros((q, q), dtype=complex)
-    eye = np.eye(q, dtype=complex)
-    c0 = np.block([[zero, -a], [-alpha * ap, -alpha * eye]])
-    c1 = np.block([[zero, zero], [ap, eye]])
-    return MatrixPolynomial((c0, c1))
+    return MatrixPolynomial(_v_coeffs(alpha, a, matcore.pinv(a, tol)))
 
 
 def w_poly(alpha: float, a, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynomial:
     """Degree-1 ascent generator for seed matrix ``a``."""
     a = matcore.as_cmat(a)
-    ap = matcore.pinv(a, tol)
-    q = a.shape[0]
-    zero = np.zeros((q, q), dtype=complex)
-    eye = np.eye(q, dtype=complex)
-    c0 = np.block([[-alpha * eye, a], [alpha * ap, eye - ap @ a]])
-    c1 = np.block([[eye, zero], [-ap, zero]])
-    return MatrixPolynomial((c0, c1))
+    return MatrixPolynomial(_w_coeffs(alpha, a, matcore.pinv(a, tol)))
 
 
-def descent_resolvent(trace: TransformTrace,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynomial:
+def _seeds(trace: TransformTrace) -> list:
+    """(entry, pseudoinverse) over the trace's diagonal: the steps' inverses,
+    and the last entry's, which no step computed, inverted at trace.tol."""
+    last = matcore.pinv(trace.diagonal[-1], trace.tol)
+    return list(zip(trace.diagonal, trace.pinvs + (last,)))
+
+
+def _descent(alpha: float, seeds: list) -> MatrixPolynomial:
+    """The descent product over ``seeds``, stage-0 factor leftmost."""
+    acc = _v_coeffs(alpha, *seeds[0])
+    for a, ap in seeds[1:]:
+        acc = _convolve(acc, _v_coeffs(alpha, a, ap))
+    return MatrixPolynomial(acc)
+
+
+def descent_resolvent(trace: TransformTrace) -> MatrixPolynomial:
     """The descent product over the diagonal of an algorithm trace, stage-0
-    factor leftmost: the generator ``solve`` synthesizes with."""
-    alpha, diag = trace.input.alpha, trace.diagonal
-    v = v_poly(alpha, diag[0], tol)
-    for d in diag[1:]:
-        v = v @ v_poly(alpha, d, tol)
-    return v
+    factor leftmost: the generator ``solve`` synthesizes with.
+
+    Each factor is :func:`v_poly` of its diagonal entry, built from the
+    trace's pseudoinverses, and the product is formed left to right with
+    the arithmetic of ``MatrixPolynomial.__matmul__``.
+    """
+    return _descent(trace.input.alpha, _seeds(trace))
 
 
-def compose_resolvent(trace: TransformTrace,
-                      tol: ToleranceConfig = DEFAULT_TOL):
+def compose_resolvent(trace: TransformTrace):
     """Stagewise products over the diagonal of an algorithm trace.
 
     Returns the 2q x 2q polynomials (descent, ascent).  The descent product
-    is :func:`descent_resolvent`; the ascent product has the stage-m factor
-    leftmost so that ascent(z) @ descent(z) telescopes to
+    is :func:`descent_resolvent`; the ascent product of :func:`w_poly`
+    factors has the stage-m factor leftmost, formed by multiplying each
+    later factor on the left, so that ascent(z) @ descent(z) telescopes to
     (z-alpha)^(m+1) diag(P, I) with P the projector onto the range of the
-    top diagonal entry.
+    top diagonal entry.  Both read the trace's pseudoinverses.
     """
-    alpha, diag = trace.input.alpha, trace.diagonal
-    w = w_poly(alpha, diag[0], tol)
-    for d in diag[1:]:
-        w = w_poly(alpha, d, tol) @ w
-    return descent_resolvent(trace, tol), w
+    alpha, seeds = trace.input.alpha, _seeds(trace)
+    acc = _w_coeffs(alpha, *seeds[0])
+    for a, ap in seeds[1:]:
+        acc = _convolve(_w_coeffs(alpha, a, ap), acc)
+    return _descent(alpha, seeds), MatrixPolynomial(acc)
 
 
 def verify_product_identity(alpha: float, a, z: complex,
@@ -312,9 +351,8 @@ def verify_product_identity(alpha: float, a, z: complex,
     vz = v_poly(alpha, a, tol)(z)
     wz = w_poly(alpha, a, tol)(z)
     proj = a @ matcore.pinv(a, tol)
-    target = (z - alpha) * np.block(
-        [[proj, np.zeros((q, q))], [np.zeros((q, q)), np.eye(q)]]
-    )
+    zero = np.zeros((q, q))
+    target = (z - alpha) * _block2(proj, zero, zero, np.eye(q))
     r1 = matcore.frob(vz @ wz - target)
     r2 = matcore.frob(wz @ vz - target)
     return max(r1, r2) / (1.0 + matcore.frob(target))
@@ -358,7 +396,7 @@ def verify_j_identities(alpha: float, b, z: complex, a=None,
 
     vz = v_poly(alpha, b, tol)(z)
     wz = w_poly(alpha, b, tol)(z)
-    dz = np.block([[u * eye, zero], [zero, eye]])
+    dz = _block2(u * eye, zero, zero, eye)
 
     out: dict = {}
 
@@ -368,30 +406,30 @@ def verify_j_identities(alpha: float, b, z: complex, a=None,
     out["w_isometry"] = rel(_jf(wz, jt), _jf(dz, jt))
 
     lhs = _jf(dz @ wz, jt)
-    pform = _jf(np.block([[proj, zero], [zero, eye]]), jt)
-    corr = np.block([[bp, zero], [zero, zero]])
-    tail = _jf(np.block([[u ** 2 * (eye - proj), zero], [zero, eye]]), jt)
+    pform = _jf(_block2(proj, zero, zero, eye), jt)
+    corr = _block2(bp, zero, zero, zero)
+    tail = _jf(_block2(u ** 2 * (eye - proj), zero, zero, eye), jt)
     rhs = abs(u) ** 2 * (pform - 2.0 * np.imag(z) * corr) + tail
     out["w_scaled_expansion"] = rel(lhs, rhs)
 
-    base = _jf(np.block([[u * b, zero], [zero, bp]]), jt)
-    bump = 2.0 * np.imag(z) * np.block([[zero, zero], [zero, b]])
+    base = _jf(_block2(u * b, zero, zero, bp), jt)
+    bump = 2.0 * np.imag(z) * _block2(zero, zero, zero, b)
     out["v_metric"] = rel(_jf(vz, jt), base + bump)
     out["v_metric_scaled"] = rel(
         _jf(dz @ vz, jt),
-        abs(u) ** 2 * _jf(np.block([[b, zero], [zero, bp]]), jt),
+        abs(u) ** 2 * _jf(_block2(b, zero, zero, bp), jt),
     )
 
-    const = np.block([[eye, b], [-bp, eye - bp @ b]])
+    const = _block2(eye, b, -bp, eye - bp @ b)
     out["j_conjugation"] = rel(_jf(const, jt), -jt)
 
     out["projector_forms"] = rel(
-        _jf(np.block([[b, zero], [zero, bp]]), jt),
-        _jf(np.block([[proj, zero], [zero, eye]]), jt),
+        _jf(_block2(b, zero, zero, bp), jt),
+        _jf(_block2(proj, zero, zero, eye), jt),
     )
     out["projector_forms_scaled"] = rel(
-        _jf(np.block([[u * b, zero], [zero, bp]]), jt),
-        _jf(np.block([[u * proj, zero], [zero, eye]]), jt),
+        _jf(_block2(u * b, zero, zero, bp), jt),
+        _jf(_block2(u * proj, zero, zero, eye), jt),
     )
 
     if a is not None:
@@ -399,11 +437,11 @@ def verify_j_identities(alpha: float, b, z: complex, a=None,
         if not matcore.null_contains(a, b, tol):
             raise PreconditionError("weighted identities need nul(a) <= nul(b)")
         ap = matcore.pinv(a, tol)
-        wa = np.block([[a, zero], [zero, ap]])
+        wa = _block2(a, zero, zero, ap)
         out["v_weighted"] = rel(_jf(wa @ vz, jt), base + bump)
-        wa2 = np.block([[u * a, zero], [zero, ap]])
+        wa2 = _block2(u * a, zero, zero, ap)
         out["v_weighted_scaled"] = rel(
             _jf(wa2 @ vz, jt),
-            abs(u) ** 2 * _jf(np.block([[b, zero], [zero, bp]]), jt),
+            abs(u) ** 2 * _jf(_block2(b, zero, zero, bp), jt),
         )
     return out

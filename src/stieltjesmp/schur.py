@@ -3,6 +3,10 @@
 The forward step maps ``(s_0..s_m)`` to a length-m sequence via the
 reciprocal of the shifted sequence; iterating it yields the stage trace
 whose leading entries form the diagonal used by the resolvent polynomials.
+Each step's reciprocal starts from the pseudoinverse of the stage's first
+entry, and the trace keeps these, so ``hankel.classify``'s dominance test
+and the resolvent products never invert a diagonal entry again; only the
+last one, which no step consumes, is inverted by the products.
 The inverse step reconstructs a longer sequence from a seed matrix.
 """
 
@@ -55,8 +59,9 @@ def _stacked(mats) -> np.ndarray:
     return out
 
 
-def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """:func:`first_transform` on stacked matrices.
+def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig) -> tuple:
+    """:func:`first_transform` on stacked matrices, with the pseudoinverse
+    of ``s[0]`` that the reciprocal of the shifted sequence starts from.
 
     The outputs are Hermitian in exact arithmetic; their asymmetry is
     rounding, so they are symmetrized.  When the first output is at or
@@ -65,13 +70,14 @@ def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     the next step's pseudoinverse would amplify: they are set to zero, and
     every later step then gives zeros.
     """
-    out = -s[0] @ reciprocal(alpha_shift(alpha, s), tol)[1:] @ s[0]
+    rec = reciprocal(alpha_shift(alpha, s), tol)
+    out = -s[0] @ rec[1:] @ s[0]
     out = 0.5 * (out + out.conj().transpose(0, 2, 1))
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix contains non-finite entries")
     if matcore.frob(out[0]) <= tol.psd * matcore.frob(s[0]):
-        return np.zeros_like(out)
-    return out
+        out = np.zeros_like(out)
+    return out, rec[0]
 
 
 def first_transform(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> MomentSequence:
@@ -82,7 +88,8 @@ def first_transform(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """
     if seq.m < 1:
         raise PreconditionError("transform needs at least two sequence entries")
-    return MomentSequence(seq.alpha, tuple(_step(seq.alpha, np.array(seq.s), tol)))
+    out, _ = _step(seq.alpha, np.array(seq.s), tol)
+    return MomentSequence(seq.alpha, tuple(out))
 
 
 def k_th_transform(seq: MomentSequence, k: int,
@@ -95,25 +102,36 @@ def k_th_transform(seq: MomentSequence, k: int,
 
 @dataclass(frozen=True, eq=False)
 class TransformTrace:
-    """All stages of the algorithm plus the leading-entry diagonal."""
+    """All stages of the algorithm plus the leading-entry diagonal, the
+    pseudoinverses of its entries that the steps computed, and the
+    tolerance they ran under.  The resolvent products read ``pinvs`` and
+    invert only the last diagonal entry, at ``tol``."""
 
     input: MomentSequence
     stages: tuple  # stage k is a tuple of m-k+1 matrices
     diagonal: tuple  # entry k is stages[k][0]
+    pinvs: tuple  # entry k is matcore.pinv(diagonal[k], tol), for k < m
+    tol: ToleranceConfig
 
 
 def transform_trace(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> TransformTrace:
     """The algorithm run to its last stage; stage k has m-k+1 entries and
     is k steps of :func:`first_transform`."""
     stages = [np.array(seq.s)]
+    pinvs = []
     for _ in range(seq.m):
-        stages.append(_step(seq.alpha, stages[-1], tol))
-        stages[-1].flags.writeable = False
+        out, r0 = _step(seq.alpha, stages[-1], tol)
+        out.flags.writeable = False
+        r0.flags.writeable = False
+        stages.append(out)
+        pinvs.append(r0)
     stages = [seq.s] + [tuple(stage) for stage in stages[1:]]
     return TransformTrace(
         input=seq,
         stages=tuple(stages),
         diagonal=tuple(st[0] for st in stages),
+        pinvs=tuple(pinvs),
+        tol=tol,
     )
 
 

@@ -182,7 +182,7 @@ def _solve(req: SolutionRequest, tol: ToleranceConfig, grid) -> tuple:
                 "equality problem needs a decaying parameter; quotient "
                 f"residual {decay['residual']:.3e}")
 
-    gen = respoly.descent_resolvent(report.trace, tol)
+    gen = respoly.descent_resolvent(report.trace)
     return tag, r, lft.lft_rational(gen, req.parameter.phi, req.parameter.psi,
                                     seq.alpha, tol, grid, stage="synthesis")
 

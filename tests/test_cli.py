@@ -19,6 +19,8 @@ import stieltjesmp
 from stieltjesmp import measures, schur, serialize
 from stieltjesmp.cli import build_parser, main
 from stieltjesmp.measures import DiscreteMeasure, moments
+from stieltjesmp.pairs import RationalMatFun
+from stieltjesmp.respoly import MatrixPolynomial
 from stieltjesmp.schur import first_transform
 
 
@@ -380,6 +382,27 @@ def test_non_finite_tolerances_are_refused(capsys, command, path, tol):
     captured = capsys.readouterr()
     assert not captured.out
     assert "must be positive and finite" in captured.err
+
+
+def test_overflowing_parameter_is_a_precondition_violation(tmp_path, capsys):
+    # phi = 1e-3 + 1e10 z^301 overflows on the outer ring of the default
+    # grid; the admissibility check used to hand numpy's SVD the infinite
+    # values and exit 2 with "bad input: SVD did not converge"
+    obj = json.loads((DATA / "solve_q1_m2.json").read_text())
+    coeffs = np.zeros((302, 1, 1))
+    coeffs[0], coeffs[301] = 1e-3, 1e10
+    obj["parameter"]["phi"] = serialize.rational_to_json(
+        RationalMatFun(MatrixPolynomial(coeffs)))
+    path = write_json(tmp_path / "overflow.json", obj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", path])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("precondition violated: a function value "
+                                   "at grid point (5")
+    assert captured.err.rstrip().endswith("is not finite")
 
 
 @pytest.mark.parametrize("x", [1e200, float("inf")])

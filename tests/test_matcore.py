@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from stieltjesmp.matcore import (
 )
 
 from conftest import random_hermitian, random_psd
+from stieltjesmp.hankel import MomentSequence, classify
 
 
 def test_as_cmat_requires_two_dimensions():
@@ -32,6 +35,24 @@ def test_as_cmat_requires_two_dimensions():
         as_cmat(3.0)
     with pytest.raises(ValueError):
         as_cmat([1.0, 2.0])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   0.0, -1e-9])
+def test_tolerance_fields_must_be_positive_and_finite(value):
+    for name in (f.name for f in fields(ToleranceConfig)):
+        with pytest.raises(PreconditionError,
+                           match=f"^tolerance {name} must be positive and finite$"):
+            replace(DEFAULT_TOL, **{name: value})
+
+
+def test_a_nan_tolerance_cannot_reach_a_verdict():
+    # every comparison with NaN is false, so a NaN psd slack used to call
+    # this non-PSD one-term sequence extendable
+    seq = MomentSequence(0.0, (np.diag([1.0, -5.0]),))
+    assert classify(seq).extendable_candidate == "no"
+    with pytest.raises(PreconditionError, match="tolerance psd"):
+        classify(seq, replace(DEFAULT_TOL, psd=float("nan")))
 
 
 def test_pinv_satisfies_all_four_penrose_axioms():

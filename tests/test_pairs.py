@@ -1,4 +1,6 @@
 import importlib.util
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from stieltjesmp.pairs import (
     default_grid,
     equivalent,
     gamma_U_embed,
+    grid_values,
     in_class_P_of,
     in_diamond,
     pair_from_function,
@@ -498,6 +501,30 @@ def _off_pole_values(f, grid):
             yield f(complex(z))
         except SingularDenominatorError:
             continue
+
+
+def test_grid_values_refuses_an_overflowing_value_at_its_grid_point():
+    # 1e10 z^301 overflows on default_grid's outer ring (|z| = 10) and on
+    # no point inside it; numpy's SVD then failed with LinAlgError
+    coeffs = np.zeros((302, 2, 2))
+    coeffs[0], coeffs[301] = 1e-3 * np.eye(2), 1e10 * np.eye(2)
+    phi = RationalMatFun(MatrixPolynomial(coeffs))
+    pair = StieltjesPair(0.0, phi, RationalMatFun.const(np.eye(2)))
+    grid = default_grid(0.0)
+    first = complex(grid[11])
+    assert abs(first) == pytest.approx(10.0) and abs(grid[10]) < 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError,
+                           match=f"grid point {re.escape(str(first))} is not finite"):
+            grid_values((pair.phi, pair.psi), grid)
+        with pytest.raises(PreconditionError, match="is not finite"):
+            verify_pair(pair)
+    # the points inside the ring keep the bits of pointwise evaluation
+    zs, (values,) = grid_values((phi,), grid[:11])
+    assert len(zs) == 11
+    for z, got in zip(zs, values):
+        assert got.tobytes() == phi(complex(z)).tobytes()
 
 
 def test_in_class_P_of_matches_the_pointwise_rule_on_the_longseq_pool():

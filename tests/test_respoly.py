@@ -1,16 +1,21 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from conftest import measure_seq, random_psd
-from stieltjesmp.hankel import MomentSequence
+from conftest import (completely_degenerate_seq, identity_pair, measure_seq,
+                      nondegenerate_seq, random_psd)
+from stieltjesmp import matcore
+from stieltjesmp.hankel import MomentSequence, classify
 from stieltjesmp.matcore import DEFAULT_TOL, PreconditionError, frob
 from stieltjesmp.respoly import (
     MatrixPolynomial,
     _adjugates,
     adjugate_poly,
     compose_resolvent,
+    descent_resolvent,
     det_poly,
     v_poly,
     verify_j_identities,
@@ -18,6 +23,7 @@ from stieltjesmp.respoly import (
     w_poly,
 )
 from stieltjesmp.schur import transform_trace
+from stieltjesmp.solver import SolutionRequest, solve
 
 
 def _rand_poly(rng, q, deg, rect=None):
@@ -155,6 +161,49 @@ def test_composition_order_is_outermost_first_for_descent():
     w_expected = w_poly(0.5, diag[1])(z) @ w_poly(0.5, diag[0])(z)
     assert_allclose(v(z), v_expected, atol=1e-9)
     assert_allclose(w(z), w_expected, atol=1e-9)
+
+
+def test_resolvent_products_equal_their_factor_products_bit_for_bit():
+    # the products read the trace's inverses and accumulate in one stack;
+    # the oracle multiplies v_poly / w_poly factors with __matmul__, the
+    # descent one stage 0 leftmost, the ascent one stage m leftmost
+    rng = np.random.default_rng(36)
+    for trial in range(40):
+        q, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        alpha = (-0.9, 0.0, 1.4)[trial % 3]
+        build = (nondegenerate_seq, completely_degenerate_seq,
+                 lambda r, q, m, alpha: measure_seq(r, q, m, atoms=2,
+                                                    alpha=alpha))[trial % 3]
+        _, seq = build(rng, q, m, alpha=alpha)
+        trace = transform_trace(seq)
+        v_ref = reduce(lambda acc, d: acc @ v_poly(alpha, d),
+                       trace.diagonal[1:], v_poly(alpha, trace.diagonal[0]))
+        w_ref = reduce(lambda acc, d: w_poly(alpha, d) @ acc,
+                       trace.diagonal[1:], w_poly(alpha, trace.diagonal[0]))
+        v, w = compose_resolvent(trace)
+        assert v.coeffs.tobytes() == v_ref.coeffs.tobytes()
+        assert w.coeffs.tobytes() == w_ref.coeffs.tobytes()
+        assert descent_resolvent(trace).coeffs.tobytes() == v_ref.coeffs.tobytes()
+
+
+def test_each_diagonal_entry_is_inverted_once_per_classify_and_solve(monkeypatch):
+    # classify's trace inverts the first m diagonal entries and its
+    # dominance tests reuse them; solve inverts only the last entry
+    calls = []
+
+    def counted(a, *args, _fn=matcore.pinv, **kwargs):
+        calls.append(np.array(a))
+        return _fn(a, *args, **kwargs)
+
+    _, seq = nondegenerate_seq(np.random.default_rng(37), 2, 4)
+    monkeypatch.setattr(matcore, "pinv", counted)
+    report = classify(seq)
+    assert report.first_term_dominant and report.extendable_candidate == "yes"
+    assert len(calls) == seq.m
+    calls.clear()
+    solve(SolutionRequest(seq, identity_pair(seq.alpha, seq.q)))
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], report.trace.diagonal[-1])
 
 
 def test_composed_blocks_for_the_one_atom_at_zero_fixture():

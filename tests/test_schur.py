@@ -6,9 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from conftest import measure_seq, nondegenerate_seq, random_measure, random_psd
+from conftest import (completely_degenerate_seq, measure_seq, nondegenerate_seq,
+                      partially_degenerate_seq, random_measure, random_psd)
 from stieltjesmp.hankel import MomentSequence, stieltjes_parametrization
-from stieltjesmp.matcore import DEFAULT_TOL, PreconditionError, frob, pinv
+from stieltjesmp.matcore import (DEFAULT_TOL, PreconditionError, ToleranceConfig,
+                                 frob, pinv)
 from stieltjesmp.measures import moments
 from stieltjesmp.schur import (
     alpha_shift,
@@ -193,6 +195,41 @@ def _rational_measure_moments(rng):
     weights = [Fraction(rng.randint(1, 16), 4) for _ in nodes]
     return alpha, [sum(w * x ** j for x, w in zip(nodes, weights))
                    for j in range(m + 1)]
+
+
+def test_trace_keeps_each_steps_seed_inverse_bit_for_bit():
+    # the inverse each step's reciprocal starts from is the one the
+    # resolvent products and classify's dominance test read back, so it
+    # must have the bits of a fresh pinv of the diagonal entry at the
+    # trace's tolerance, also where a step has zeroed its stage
+    rng = np.random.default_rng(27)
+    tols = (DEFAULT_TOL, ToleranceConfig(pinv_rtol=1e-8))
+    builders = (
+        lambda q, m, alpha: nondegenerate_seq(rng, q, m, alpha=alpha)[1],
+        lambda q, m, alpha: completely_degenerate_seq(rng, q, m, alpha=alpha)[1],
+        lambda q, m, alpha: measure_seq(rng, q, m, atoms=max(1, m // 2),
+                                        alpha=alpha)[1],
+        lambda q, m, alpha: partially_degenerate_seq(rng, q, max(1, q - 1),
+                                                     alpha=alpha)[1],
+    )
+    seen = set()
+    for trial in range(120):
+        q, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        alpha = (-1.3, 0.0, 0.8)[trial % 3]
+        build = builders[trial % 4]
+        if build is builders[3] and q == 1:
+            continue
+        seq = build(q, m, alpha)
+        tol = tols[trial // 12 % 2]
+        trace = transform_trace(seq, tol)
+        assert trace.tol is tol
+        assert len(trace.pinvs) == seq.m
+        for d, dp in zip(trace.diagonal, trace.pinvs):
+            assert dp.tobytes() == pinv(d, tol).tobytes()
+            assert not dp.flags.writeable
+            seen.add((np.sign(alpha), not np.any(d)))
+    assert seen == {(-1.0, False), (0.0, False), (1.0, False),
+                    (-1.0, True), (0.0, True), (1.0, True)}
 
 
 def test_scalar_trace_diagonal_matches_exact_arithmetic():
