@@ -129,7 +129,8 @@ def cmd_solve(obj, cfg: CliConfig, args) -> tuple:
     req = solver.SolutionRequest(seq, parameter, mode)
     grid = cfg.grid if cfg.grid is not None else pairs.default_grid(seq.alpha)
 
-    tag, rank, sol = solver._solve(req, cfg.tol, grid)
+    sol = solver.solve(req, cfg.tol, grid)
+    tag, rank, _ = solver.case_of(seq, cfg.tol)
     report = measures.verify_solution(sol, seq, mode, cfg.tol)
     payload = {
         "case": tag,

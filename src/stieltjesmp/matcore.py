@@ -105,16 +105,6 @@ class InconsistencyError(RuntimeError):
     """Numerical evidence contradicts a structural guarantee."""
 
 
-def as_cmat(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex ndarray."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
 def _as_stack(a) -> np.ndarray:
     """Coerce to a finite complex ndarray of one matrix or a stack of them."""
     m = np.asarray(a, dtype=complex)
@@ -122,6 +112,14 @@ def _as_stack(a) -> np.ndarray:
         raise ValueError(f"expected a matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
+    return m
+
+
+def as_cmat(a) -> np.ndarray:
+    """Coerce to a finite 2-d complex ndarray."""
+    m = _as_stack(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     return m
 
 

@@ -180,6 +180,9 @@ def verify_solution(fun: RationalMatFun, seq: MomentSequence, mode: str = "leq",
     """
     if mode not in ("leq", "eq"):
         raise PreconditionError("mode must be 'leq' or 'eq'")
+    if fun.q != seq.q:
+        raise PreconditionError(f"function size {fun.q} differs from the "
+                                f"sequence size {seq.q}")
     if min(cone_margins(seq, tol)) < -tol.psd:
         raise PreconditionError("sequence is not solvable (outside the solvability cone)")
     extracted, residual = extract_moments(fun, seq.alpha, seq.m)

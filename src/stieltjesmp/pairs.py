@@ -365,14 +365,20 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
 
     Returns margins (least eigenvalue ratios, worst over the grid) and
     booleans per condition plus an overall verdict.  Grid points that land
-    on poles are skipped and counted; admissibility only constrains points
-    off the exceptional set.
+    on poles or on the half-axis [alpha, inf) are skipped and counted;
+    admissibility only constrains points off both.  A grid with no point
+    off the half-axis checks nothing and is refused.
 
     All kept points are decided at once: one stacked SVD for the rank gaps
     and one batched eigensolve for the margins of every form.
     """
     grid = default_grid(pair.alpha) if grid is None else tuple(grid)
-    zs, (ph, ps) = grid_values((pair.phi, pair.psi), grid)
+    pts = np.asarray(grid, dtype=complex)
+    pts = pts[(pts.imag != 0.0) | (pts.real < pair.alpha)]
+    if not len(pts):
+        raise PreconditionError("no grid point lies off the half-axis "
+                                f"[{pair.alpha}, inf)")
+    zs, (ph, ps) = grid_values((pair.phi, pair.psi), pts)
     if not len(zs):
         raise InconsistencyError("every grid point sits on a pole of the pair")
     jt = matcore.signature_j(pair.q, "imaginary")
@@ -382,14 +388,13 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
     sv = np.linalg.svd(stk, compute_uv=False)
     rank_gaps = sv[:, -1] / np.maximum(sv[:, 0], 1e-300)
     off = zs.imag != 0.0
-    left = ~off & (zs.real < pair.alpha)
     height = (2.0 * zs.imag[off])[:, None, None]
     stk2 = np.concatenate([(zs[off] - pair.alpha)[:, None, None] * ph[off],
                            ps[off]], axis=1)
     margins = matcore.psd_margin(np.concatenate([
         matcore.j_form(stk[off], jt) / height,
         matcore.j_form(stk2, jt) / height,
-        matcore.j_form(stk[left], jr)]), tol)
+        matcore.j_form(stk[~off], jr)]), tol)
     kd1_m, kd2_m, real_m = (float(m.min()) if m.size else 0.0 for m in
                             np.split(margins, [off.sum(), 2 * off.sum()]))
     report = {

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import matcore
 from .matcore import (DEFAULT_TOL, PreconditionError, SingularDenominatorError,
-                      ToleranceConfig)
+                      ToleranceConfig, j_form)
 from .schur import TransformTrace
 
 __all__ = [
@@ -347,19 +347,15 @@ def verify_product_identity(alpha: float, a, z: complex,
     """Max residual of both orders of the elementary product identity:
     V W = W V = (z-alpha) diag(AA^+, I)."""
     a = matcore.as_cmat(a)
-    q = a.shape[0]
-    vz = v_poly(alpha, a, tol)(z)
-    wz = w_poly(alpha, a, tol)(z)
-    proj = a @ matcore.pinv(a, tol)
-    zero = np.zeros((q, q))
-    target = (z - alpha) * _block2(proj, zero, zero, np.eye(q))
+    ap = matcore.pinv(a, tol)
+    vz = MatrixPolynomial(_v_coeffs(alpha, a, ap))(z)
+    wz = MatrixPolynomial(_w_coeffs(alpha, a, ap))(z)
+    proj = a @ ap
+    zero = np.zeros_like(a)
+    target = (z - alpha) * _block2(proj, zero, zero, np.eye(len(a)))
     r1 = matcore.frob(vz @ wz - target)
     r2 = matcore.frob(wz @ vz - target)
     return max(r1, r2) / (1.0 + matcore.frob(target))
-
-
-def _jf(x, jt) -> np.ndarray:
-    return matcore.j_form(x, jt)
 
 
 def verify_j_identities(alpha: float, b, z: complex, a=None,
@@ -394,8 +390,8 @@ def verify_j_identities(alpha: float, b, z: complex, a=None,
     proj = b @ bp
     u = z - alpha
 
-    vz = v_poly(alpha, b, tol)(z)
-    wz = w_poly(alpha, b, tol)(z)
+    vz = MatrixPolynomial(_v_coeffs(alpha, b, bp))(z)
+    wz = MatrixPolynomial(_w_coeffs(alpha, b, bp))(z)
     dz = _block2(u * eye, zero, zero, eye)
 
     out: dict = {}
@@ -403,33 +399,33 @@ def verify_j_identities(alpha: float, b, z: complex, a=None,
     def rel(x, y):
         return matcore.frob(x - y) / (1.0 + matcore.frob(y))
 
-    out["w_isometry"] = rel(_jf(wz, jt), _jf(dz, jt))
+    out["w_isometry"] = rel(j_form(wz, jt), j_form(dz, jt))
 
-    lhs = _jf(dz @ wz, jt)
-    pform = _jf(_block2(proj, zero, zero, eye), jt)
+    lhs = j_form(dz @ wz, jt)
+    pform = j_form(_block2(proj, zero, zero, eye), jt)
     corr = _block2(bp, zero, zero, zero)
-    tail = _jf(_block2(u ** 2 * (eye - proj), zero, zero, eye), jt)
+    tail = j_form(_block2(u ** 2 * (eye - proj), zero, zero, eye), jt)
     rhs = abs(u) ** 2 * (pform - 2.0 * np.imag(z) * corr) + tail
     out["w_scaled_expansion"] = rel(lhs, rhs)
 
-    base = _jf(_block2(u * b, zero, zero, bp), jt)
+    base = j_form(_block2(u * b, zero, zero, bp), jt)
     bump = 2.0 * np.imag(z) * _block2(zero, zero, zero, b)
-    out["v_metric"] = rel(_jf(vz, jt), base + bump)
+    out["v_metric"] = rel(j_form(vz, jt), base + bump)
     out["v_metric_scaled"] = rel(
-        _jf(dz @ vz, jt),
-        abs(u) ** 2 * _jf(_block2(b, zero, zero, bp), jt),
+        j_form(dz @ vz, jt),
+        abs(u) ** 2 * j_form(_block2(b, zero, zero, bp), jt),
     )
 
     const = _block2(eye, b, -bp, eye - bp @ b)
-    out["j_conjugation"] = rel(_jf(const, jt), -jt)
+    out["j_conjugation"] = rel(j_form(const, jt), -jt)
 
     out["projector_forms"] = rel(
-        _jf(_block2(b, zero, zero, bp), jt),
-        _jf(_block2(proj, zero, zero, eye), jt),
+        j_form(_block2(b, zero, zero, bp), jt),
+        j_form(_block2(proj, zero, zero, eye), jt),
     )
     out["projector_forms_scaled"] = rel(
-        _jf(_block2(u * b, zero, zero, bp), jt),
-        _jf(_block2(u * proj, zero, zero, eye), jt),
+        j_form(_block2(u * b, zero, zero, bp), jt),
+        j_form(_block2(u * proj, zero, zero, eye), jt),
     )
 
     if a is not None:
@@ -438,10 +434,10 @@ def verify_j_identities(alpha: float, b, z: complex, a=None,
             raise PreconditionError("weighted identities need nul(a) <= nul(b)")
         ap = matcore.pinv(a, tol)
         wa = _block2(a, zero, zero, ap)
-        out["v_weighted"] = rel(_jf(wa @ vz, jt), base + bump)
+        out["v_weighted"] = rel(j_form(wa @ vz, jt), base + bump)
         wa2 = _block2(u * a, zero, zero, ap)
         out["v_weighted_scaled"] = rel(
-            _jf(wa2 @ vz, jt),
-            abs(u) ** 2 * _jf(_block2(b, zero, zero, bp), jt),
+            j_form(wa2 @ vz, jt),
+            abs(u) ** 2 * j_form(_block2(b, zero, zero, bp), jt),
         )
     return out

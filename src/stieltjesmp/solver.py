@@ -11,8 +11,9 @@ the equality problem), then synthesize the solution
 with V the 2q x 2q descent product and the kernel ``lft.lft_rational``,
 which slices its q x q blocks, gates its denominator on the grid
 and divides out the power of (z - alpha) that the resolvent introduces.
-The low-rank routes lift an r x r pair into that solve; the equality
-subset is the lift of (f, I) in eq mode, with the same gates.
+The low-rank routes lift an r x r pair into ``solve``, the one solve
+entry; the equality subset is the lift of (f, I) in eq mode.  The two
+function transforms share one seed intake and one synthesis call.
 """
 
 from __future__ import annotations
@@ -94,25 +95,30 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     one stacked pseudoinverse of the function's values and names the first
     failing grid point.
     """
-    a = matcore.as_cmat(a)
-    _range_gate(a, fun, tol)
+    a = _seed(a, fun, tol)
     zs, (fz,) = pairs.grid_values((fun,), pairs.default_grid(alpha))
     failing = np.flatnonzero(~matcore.null_contains(fz, a, tol))
     if failing.size:
         raise PreconditionError("null space of the function at "
                                 f"{complex(zs[failing[0]])} is not killed by the seed")
-    return lft.lft_rational(respoly.w_poly(alpha, a, tol), fun,
-                            RationalMatFun.const(np.eye(fun.q)), alpha, tol,
-                            stage="descent")
+    return _step(respoly.w_poly(alpha, a, tol), fun, alpha, tol, "descent")
 
 
-def _range_gate(a, fun: RationalMatFun, tol: ToleranceConfig) -> None:
-    """Raise unless every numerator coefficient of ``fun`` lies in ran a,
-    naming the lowest degree that does not."""
+def _seed(a, fun: RationalMatFun, tol: ToleranceConfig) -> np.ndarray:
+    """The hermitized seed ``a``; raises unless every numerator coefficient
+    of ``fun`` lies in its range, naming the lowest degree that does not."""
+    a = matcore.hermitize(a, tol)
     failing = np.flatnonzero(~matcore.range_contains(a, fun.num.coeffs, tol))
     if failing.size:
         raise PreconditionError(f"range of the function's degree-{failing[0]} "
                                 "numerator coefficient escapes the range of the seed")
+    return a
+
+
+def _step(gen, fun: RationalMatFun, alpha: float, tol, stage: str):
+    """The action of the degree-1 generator ``gen`` on the pair (fun, I)."""
+    return lft.lft_rational(gen, fun, RationalMatFun.const(np.eye(fun.q)),
+                            alpha, tol, stage=stage)
 
 
 def inverse_schur_stieltjes_transform(
@@ -123,31 +129,15 @@ def inverse_schur_stieltjes_transform(
     Requires a PSD seed and an input that decays along the imaginary axis
     with range inside the range of the seed.
     """
-    a = matcore.hermitize(a, tol)
+    a = _seed(a, fun, tol)
     if not matcore.is_psd(a, tol):
         raise PreconditionError("seed of the ascent transform must be PSD")
-    _range_gate(a, fun, tol)
     decay = pairs.in_diamond(
         StieltjesPair(alpha, fun, RationalMatFun.const(np.eye(fun.q))))
     if not decay["ok"]:
         raise PreconditionError("function does not decay along the imaginary "
                                 f"axis: residual {decay['residual']:.3e}")
-    return lft.lft_rational(respoly.v_poly(alpha, a, tol), fun,
-                            RationalMatFun.const(np.eye(fun.q)), alpha, tol,
-                            stage="ascent")
-
-
-def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
-          grid=None) -> RationalMatFun:
-    """All solutions of the truncated problem, one per parameter pair.
-
-    Gates: the sequence must classify as extendable (candidate yes); the
-    pair must be admissible; unless the top diagonal entry has full rank
-    the pair must satisfy the range condition against it; the equality
-    problem additionally requires the decaying subclass.  Equivalent
-    parameters give the same function.
-    """
-    return _solve(req, tol, grid)[2]
+    return _step(respoly.v_poly(alpha, a, tol), fun, alpha, tol, "ascent")
 
 
 def _classified(seq: MomentSequence, tol: ToleranceConfig) -> ClassReport:
@@ -161,14 +151,22 @@ def _classified(seq: MomentSequence, tol: ToleranceConfig) -> ClassReport:
     return report
 
 
-def _solve(req: SolutionRequest, tol: ToleranceConfig, grid) -> tuple:
-    """(case tag, rank r, solution) of ``req`` from the classify of its
-    sequence, which reads the report a caller's classify of it stored."""
+def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
+          grid=None) -> RationalMatFun:
+    """All solutions of the truncated problem, one per parameter pair.
+
+    Gates: the sequence must classify as extendable (candidate yes); the
+    pair must be admissible on ``default_grid``; unless the top diagonal
+    entry has full rank the pair must satisfy the range condition against
+    it; the equality problem additionally requires the decaying subclass.
+    ``grid`` holds the synthesis denominator gate's points.  Equivalent
+    parameters give the same function.
+    """
     seq = req.seq
     report = _classified(seq, tol)
     grid = pairs.default_grid(seq.alpha) if grid is None else tuple(grid)
     tag, r, top = _case(report)
-    pre = pairs.verify_pair(req.parameter, tol, grid)
+    pre = pairs.verify_pair(req.parameter, tol)
     if not pre["ok"]:
         raise PreconditionError(f"parameter pair is not admissible: {pre}")
     if r < seq.q and not pairs.in_class_P_of(req.parameter, top, tol):
@@ -183,8 +181,8 @@ def _solve(req: SolutionRequest, tol: ToleranceConfig, grid) -> tuple:
                 f"residual {decay['residual']:.3e}")
 
     gen = respoly.descent_resolvent(report.trace)
-    return tag, r, lft.lft_rational(gen, req.parameter.phi, req.parameter.psi,
-                                    seq.alpha, tol, grid, stage="synthesis")
+    return lft.lft_rational(gen, req.parameter.phi, req.parameter.psi,
+                            seq.alpha, tol, grid, stage="synthesis")
 
 
 def _range_basis(a, r: int, tol: ToleranceConfig) -> np.ndarray:
@@ -208,17 +206,15 @@ def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
     diagonal entry) defaults to its eigenbasis.
     """
     _, r, top = _case(_classified(seq, tol))
-    if pair.q > seq.q or pair.q != r:
+    if pair.q != r:
         raise PreconditionError(
             f"parameter size {pair.q} must equal the degeneracy rank {r}")
-    if pair.alpha != seq.alpha:
-        raise PreconditionError("parameter and sequence endpoints differ")
     u_eff = _range_basis(top, r, tol) if u is None else matcore.as_cmat(u)
     if not matcore.range_contains(top, u_eff, tol):
         raise PreconditionError(
             "columns of u must span the range of the top diagonal entry")
-    lifted = pairs.gamma_U_embed(pair.phi, pair.psi, u_eff, seq.alpha, tol)
-    return _solve(SolutionRequest(seq, lifted, mode), tol, None)[2]
+    lifted = pairs.gamma_U_embed(pair.phi, pair.psi, u_eff, pair.alpha, tol)
+    return solve(SolutionRequest(seq, lifted, mode), tol)
 
 
 def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,

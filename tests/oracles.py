@@ -327,7 +327,8 @@ def oracle_verify_pair(pair, grid, psd_tol=1e-9):
     """The admissibility report of ``verify_pair``, one grid point at a time.
 
     Each point is evaluated by calling the pair's components; a point
-    where either raises ArithmeticError (a pole) is skipped and counted.
+    where either raises ArithmeticError (a pole), and a point on the
+    half-axis [alpha, inf), is skipped and counted.
     The forms are X^* (-J) X with the signature matrices written out, and
     each margin is the least eigenvalue of (F + F^*)/2 over max(1, largest
     modulus).
@@ -345,6 +346,8 @@ def oracle_verify_pair(pair, grid, psd_tol=1e-9):
     rank_gaps, kd1, kd2, real = [], [], [], []
     for pt in grid:
         z = complex(pt)
+        if z.imag == 0.0 and z.real >= pair.alpha:
+            continue
         try:
             ph, ps = pair.phi(z), pair.psi(z)
         except ArithmeticError:
@@ -356,7 +359,7 @@ def oracle_verify_pair(pair, grid, psd_tol=1e-9):
             kd1.append(margin(stk.conj().T @ (-jt) @ stk / (2.0 * z.imag)))
             stk2 = np.vstack([(z - pair.alpha) * ph, ps])
             kd2.append(margin(stk2.conj().T @ (-jt) @ stk2 / (2.0 * z.imag)))
-        elif z.real < pair.alpha:
+        else:
             real.append(margin(stk.conj().T @ (-jr) @ stk))
     kd1_m = min(kd1, default=0.0)
     kd2_m = min(kd2, default=0.0)

@@ -243,6 +243,27 @@ def test_solve_rejects_inadmissible_parameter(tmp_path, capsys):
     path = write_json(tmp_path / "prob.json", payload)
     code, _ = run_cli(capsys, ["solve", path])
     assert code == 3
+    # a grid on the half-axis right of alpha checks no admissibility
+    # condition; the pair is gated on the default grid whatever --grid is
+    code, _ = run_cli(capsys, ["solve", path, "--grid", "3,7"])
+    assert code == 3
+
+
+def test_verify_refuses_a_function_of_another_size(tmp_path, capsys):
+    # the scalar transform of unit atoms at 1 and 2 broadcast against the
+    # 2 x 2 moments of the same nodes weighted ones((2, 2)) and verified
+    nodes = (1.0, 2.0)
+    mu = DiscreteMeasure(0.0, nodes, (np.ones((2, 2)),) * 2)
+    scalar = DiscreteMeasure(0.0, nodes, (np.eye(1),) * 2)
+    payload = {
+        "sequence": serialize.sequence_to_json(0.0, moments(mu, 2).s),
+        "function": serialize.rational_to_json(
+            measures.stieltjes_transform(scalar)),
+        "mode": "eq",
+    }
+    path = write_json(tmp_path / "sizes.json", payload)
+    code, out = run_cli(capsys, ["verify", path])
+    assert code == 3 and out is None
 
 
 def test_verify_accepts_true_solution(tmp_path, capsys):

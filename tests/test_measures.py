@@ -243,6 +243,17 @@ def test_verify_solution_rejects_improper_function():
             verify_solution(fun, seq, mode="eq")
 
 
+def test_verify_solution_refuses_a_function_of_another_size():
+    # a 1 x 1 function would broadcast against 2 x 2 moments and pass
+    nodes = (1.0, 2.0)
+    seq = moments(DiscreteMeasure(0.0, nodes, (np.ones((2, 2)),) * 2), 2)
+    scalar = stieltjes_transform(DiscreteMeasure(0.0, nodes, (np.eye(1),) * 2))
+    for mode in ("leq", "eq"):
+        with pytest.raises(PreconditionError,
+                           match="^function size 1 differs from the sequence size 2$"):
+            verify_solution(scalar, seq, mode=mode)
+
+
 def test_verify_solution_rejects_too_fast_decay():
     # -c/z^2 has moments (0, c), but a nonzero transform decays like 1/z
     c = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)

@@ -73,7 +73,8 @@ def test_json_layouts_live_in_serialize():
 def test_only_the_cli_grid_reaches_a_grid_parameter():
     # the range conditions are coefficient identities and the other gates
     # use default_grid, so a grid parameter belongs only to the functions
-    # that the CLI's --grid reaches
+    # that the CLI's --grid reaches, and to verify_pair, whose points a
+    # library caller picks
     src = Path(importlib.import_module("stieltjesmp").__file__).parent
     takers = set()
     for path in src.glob("*.py"):
@@ -85,7 +86,7 @@ def test_only_the_cli_grid_reaches_a_grid_parameter():
                 if "grid" in names:
                     takers.add(f"{path.stem}.{node.name}")
     assert takers == {"cli._samples", "pairs.grid_values", "pairs.verify_pair",
-                      "lft.lft_rational", "solver.solve", "solver._solve"}
+                      "lft.lft_rational", "solver.solve"}
 
 
 PACKAGE = "stieltjesmp"
@@ -196,6 +197,27 @@ def test_every_public_name_is_used():
                        if not (path == own and defines == public)):
                 unused.append(f"{name}.{public}")
     assert not unused, unused
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a private name is its module's own: another package module reads
+    # neither ``module._name`` nor ``from .module import _name``
+    src = Path(importlib.import_module(PACKAGE).__file__).parent
+    reads = []
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = _bindings(tree, {})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and _imported_module(node):
+                reads += [f"{path.stem}: from {node.module} import {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and isinstance(bound.get(node.value.id), str)
+                  and bound[node.value.id] not in ("", path.stem)
+                  and node.attr.startswith("_")):
+                reads.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert not reads, reads
 
 
 def _package_imports(node, scope=""):

@@ -433,6 +433,28 @@ def test_verify_pair_matches_the_pointwise_oracle():
     assert verdicts == {(True, 0), (False, 0), (False, 1)}
 
 
+def test_verify_pair_skips_and_counts_the_half_axis():
+    # points on [alpha, inf) enter no condition: they are skipped and
+    # counted, and a grid of nothing else is refused, where the default
+    # grid refuses the pair
+    for alpha in (0.0, 0.75):
+        bad = StieltjesPair(alpha, RationalMatFun.const(-np.eye(2)),
+                            RationalMatFun.const(np.eye(2)))
+        assert not verify_pair(bad)["ok"]
+        for grid in ((alpha + 3.0, alpha + 7.0), (alpha,)):
+            with pytest.raises(PreconditionError,
+                               match=re.escape(f"half-axis [{alpha}, inf)")):
+                verify_pair(bad, grid=grid)
+        grid = default_grid(alpha) + (alpha, alpha + 3.0)
+        for pair in _oracle_pairs():
+            if pair.alpha == alpha:
+                got = verify_pair(pair, grid=grid)
+                assert got == verify_pair(pair) | {
+                    "skipped_points": verify_pair(pair)["skipped_points"] + 2}
+                ref = oracle_verify_pair(pair, grid, DEFAULT_TOL.psd)
+                assert got["skipped_points"] == ref["skipped_points"]
+
+
 def test_equivalence_is_projective():
     rng = np.random.default_rng(55)
     base = cauchy_pair(0.0, 2, t=1.5)

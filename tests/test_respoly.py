@@ -249,6 +249,29 @@ def test_j_identity_report_all_small():
         assert max(rep.values()) <= 1e-10, rep
 
 
+def test_identity_checks_invert_each_seed_once(monkeypatch):
+    # V(z) and W(z) are built from the pseudoinverse each check computes;
+    # with a, the null containment test inverts a once more
+    calls = []
+
+    def counted(*args, _fn=matcore.pinv, **kwargs):
+        calls.append(args[0])
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "pinv", counted)
+    rng = np.random.default_rng(39)
+    b = random_psd(rng, 3, rank=2)
+    a = b + random_psd(rng, 3)
+    z = 0.5 + 1.0j
+    for check, want in ((lambda: verify_product_identity(0.0, b, z), 1),
+                        (lambda: verify_j_identities(0.0, b, z), 1),
+                        (lambda: verify_j_identities(0.0, b, z, a=a), 3)):
+        calls.clear()
+        rep = check()
+        assert len(calls) == want
+        assert (max(rep.values()) if isinstance(rep, dict) else rep) <= 1e-10
+
+
 def test_j_identity_weighted_forms_require_null_domination():
     rng = np.random.default_rng(38)
     b = random_psd(rng, 3)

@@ -252,6 +252,20 @@ def test_forward_transform_names_the_first_offending_grid_point():
         schur_stieltjes_transform(fun, np.eye(2), 0.0)
 
 
+def test_both_transforms_refuse_a_non_hermitian_seed():
+    # the seed is a caller's matrix: both transforms hermitize it, so an
+    # asymmetry of 1.4 is refused, not read as its upper triangle
+    rng = np.random.default_rng(74)
+    mu, _ = measure_seq(rng, 2, 1, atoms=2)
+    fun = stieltjes_transform(mu)
+    seed = np.array([[2.0, 1.0], [0.0, 2.0]])
+    for transform in (schur_stieltjes_transform,
+                      inverse_schur_stieltjes_transform):
+        with pytest.raises(PreconditionError,
+                           match="^matrix is not Hermitian: asymmetry 1.414e"):
+            transform(fun, seed, 0.0)
+
+
 def test_completely_degenerate_solution_is_parameter_free():
     s0 = np.diag([2.0, 1.0]).astype(complex)
     seq = MomentSequence(0.0, (s0, np.zeros((2, 2))))
@@ -411,6 +425,11 @@ def test_degenerate_embedded_with_explicit_bases():
         solve_degenerate_embedded(seq, cauchy_pair(0.0, 3, t=1.0))
     with pytest.raises(PreconditionError):
         solve_degenerate_embedded(seq, small, u=np.ones((3, 2)))
+    # the pair is lifted at its own endpoint, which SolutionRequest refuses
+    moved = StieltjesPair(0.5, small.phi, small.psi)
+    with pytest.raises(PreconditionError,
+                       match="^parameter and sequence endpoints differ$"):
+        solve_degenerate_embedded(seq, moved)
 
 
 def m0_base_case_check(fun, s0, alpha=0.0, tol=DEFAULT_TOL):
