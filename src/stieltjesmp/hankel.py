@@ -119,11 +119,10 @@ def _block_hankel(mats, n: int) -> np.ndarray:
     return h
 
 
-def _theta(mats, n: int, tol: ToleranceConfig) -> np.ndarray:
-    """z_{n,2n-1} H_{n-1}^+ y_{n,2n-1}; zero for n = 0."""
+def _theta(mats, n: int, tol: ToleranceConfig):
+    """z_{n,2n-1} H_{n-1}^+ y_{n,2n-1}; the scalar 0.0 for n = 0."""
     if n == 0:
-        q = mats[0].shape[0]
-        return np.zeros((q, q), dtype=complex)
+        return 0.0
     z = np.hstack([mats[j] for j in range(n, 2 * n)])
     y = np.vstack([mats[j] for j in range(n, 2 * n)])
     return z @ matcore.pinv(_block_hankel(mats, n - 1), tol) @ y
@@ -136,8 +135,9 @@ def build_stack(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> Hank
     return HankelStack(
         H=tuple(_block_hankel(mats, n) for n in range(m // 2 + 1)),
         Halpha=tuple(_block_hankel(shifted, n) for n in range((m - 1) // 2 + 1)),
-        L=tuple(mats[2 * n] - _theta(mats, n, tol) for n in range(m // 2 + 1)),
-        Lalpha=tuple(shifted[2 * n] - _theta(shifted, n, tol)
+        L=tuple(matcore.symmetrized(mats[2 * n] - _theta(mats, n, tol))
+                for n in range(m // 2 + 1)),
+        Lalpha=tuple(matcore.symmetrized(shifted[2 * n] - _theta(shifted, n, tol))
                      for n in range((m - 1) // 2 + 1)),
     )
 
@@ -165,13 +165,11 @@ def inverse_parametrization(alpha: float, qs,
     for j, qj in enumerate(qs):
         k = j // 2
         if j % 2 == 0:
-            theta = _theta(mats, k, tol) if k else np.zeros_like(qj)
-            mats.append(theta + qj)
+            mats.append(_theta(mats, k, tol) + qj)
         else:
             shifted = _shifted(alpha, mats)
-            theta = _theta(shifted, k, tol) if k else np.zeros_like(qj)
-            mats.append(alpha * mats[2 * k] + theta + qj)
-    return MomentSequence(alpha, tuple(mats))
+            mats.append(alpha * mats[2 * k] + _theta(shifted, k, tol) + qj)
+    return MomentSequence(alpha, tuple(map(matcore.symmetrized, mats)), tol)
 
 
 @dataclass(frozen=True)
@@ -209,15 +207,15 @@ def cone_margins(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     slot = _last
     if slot[0] is seq and slot[1] == tol:
         return slot[3]
-    return _cone_margins(seq.alpha, seq.s, tol)
+    return _cone_margins(seq.alpha, seq.s)
 
 
-def _cone_margins(alpha: float, mats, tol: ToleranceConfig) -> tuple:
+def _cone_margins(alpha: float, mats) -> tuple:
     m = len(mats) - 1
     tops = [_block_hankel(mats, m // 2)]
     if m >= 1:
         tops.append(_block_hankel(_shifted(alpha, mats), (m - 1) // 2))
-    return tuple(matcore.psd_margin(t, tol) for t in tops)
+    return tuple(matcore.psd_margin(t) for t in tops)
 
 
 def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
@@ -242,7 +240,7 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
     slot = _last
     if slot[0] is seq and slot[1] == tol:
         return slot[2]
-    margins = _cone_margins(seq.alpha, seq.s, tol)
+    margins = _cone_margins(seq.alpha, seq.s)
     lo = min(margins)
     trace = schur.transform_trace(seq, tol)
     # a single term dominates its (empty) tail; otherwise the trace holds
@@ -253,7 +251,7 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
 
     candidate = "yes"
     for k, stage in enumerate(trace.stages):
-        stage_lo = lo if k == 0 else min(_cone_margins(seq.alpha, stage, tol))
+        stage_lo = lo if k == 0 else min(_cone_margins(seq.alpha, stage))
         borderline = abs(stage_lo) < 10.0 * tol.psd
         if stage_lo < -tol.psd:
             candidate = "unknown" if borderline else "no"

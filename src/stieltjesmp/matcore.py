@@ -3,7 +3,8 @@
 Hermitian handling, Moore-Penrose pseudoinverse, Loewner-order and
 range/null-space predicates, and the two 2q x 2q signature matrices used by
 the indefinite-metric identities.  Everything downstream threads a single
-:class:`ToleranceConfig` through these predicates.
+:class:`ToleranceConfig` through these predicates; ``psd_margin`` is a
+measurement and reads none, its callers compare it with ``tol.psd``.
 
 The kernels a grid gate needs (``symmetrized``, ``pinv``, ``psd_margin``,
 ``range_contains``, ``null_contains``, ``j_form``) also take a stack of
@@ -59,7 +60,6 @@ class ToleranceConfig:
     det_gate     sigma_min/sigma_max gate below which denominators count
                  as singular
     extraction   relative tolerance for the moments read off a solution
-    equiv        subspace-distance bound for projective pair comparison
     """
 
     pinv_rtol: float = 1e-12
@@ -68,7 +68,6 @@ class ToleranceConfig:
     inclusion: float = 1e-9
     det_gate: float = 1e-10
     extraction: float = 1e-4
-    equiv: float = 1e-7
 
     def __post_init__(self):
         # a NaN threshold turns every comparison false; an infinite one
@@ -175,7 +174,7 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.pinv(m, rtol=tol.pinv_rtol)
 
 
-def psd_margin(a, tol: ToleranceConfig = DEFAULT_TOL):
+def psd_margin(a):
     """Smallest eigenvalue of the symmetrized matrix, relative to scale.
 
     Positive semidefiniteness to tolerance means margin >= -tol.psd.  An
@@ -194,11 +193,11 @@ def psd_margin(a, tol: ToleranceConfig = DEFAULT_TOL):
 
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """psd_margin(a) >= -tol.psd; an asymmetric ``a`` is symmetrized."""
-    return psd_margin(a, tol) >= -tol.psd
+    return psd_margin(a) >= -tol.psd
 
 
 def is_pd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return psd_margin(a, tol) > tol.psd
+    return psd_margin(a) > tol.psd
 
 
 def range_contains(a, b, tol: ToleranceConfig = DEFAULT_TOL):

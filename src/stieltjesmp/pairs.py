@@ -16,8 +16,8 @@ polynomial identity: (I - A A^+) annihilates every numerator coefficient
 of phi, so ``in_class_P_of`` decides it on the coefficients with one
 pseudoinverse of A.  The other checks run on a finite grid
 (``default_grid``).  ``grid_values`` evaluates functions on all of it at
-once: array Horner on the numerators, and the pole rule of
-``RationalMatFun.__call__``, |d(z)| <= POLE_REL |d|(|z|) with |d| the
+once, and ``f(z)`` is its walk at the one point z: array Horner on the
+numerators, and the pole rule |d(z)| <= POLE_REL |d|(|z|), with |d| the
 polynomial of the moduli of d's coefficients, to drop the points that are
 numerically poles of any of them.  Each gate then decides from the stacked
 values with batched kernels (``matcore`` takes stacks), and the CLI prints
@@ -57,6 +57,7 @@ __all__ = [
     "in_diamond",
     "grid_values",
     "POLE_REL",
+    "EQUIV_GAP",
 ]
 
 # A reduced candidate replaces a function in ``simplify`` only if it gives
@@ -68,33 +69,6 @@ SIMPLIFY_REL = 1e-10
 # A point z is numerically a pole of a denominator d when |d(z)| is at most
 # this fraction of |d|(|z|), the bound the moduli of d's coefficients give.
 POLE_REL = 1e-12
-
-
-def _modulus(z):
-    """|z| by ``hypot``, the rounding of Python's ``abs``, for a point or
-    elementwise (numpy's vector complex ``abs`` rounds differently)."""
-    return np.hypot(z.real, z.imag)
-
-
-def _den_at(den: np.ndarray, z):
-    """(d(z), whether z is off the poles of d) at a point or, elementwise,
-    at an array of points: the one pole rule of the package.
-
-    At an array, Horner runs on real and imaginary parts, so every value
-    has the bits of the single-point one: numpy's vector complex product
-    may fuse a multiply-add that the scalar product rounds apart.
-    """
-    if np.ndim(z):
-        re = np.full(z.shape, den[-1].real)
-        im = np.full(z.shape, den[-1].imag)
-        for c in den[-2::-1]:
-            re, im = (re * z.real - im * z.imag + c.real,
-                      re * z.imag + im * z.real + c.imag)
-        dv = re + 1j * im
-    else:
-        dv = npoly.polyval(z, den)
-    bound = npoly.polyval(_modulus(z), np.abs(den))
-    return dv, _modulus(dv) > POLE_REL * np.maximum(bound, 1e-300)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +115,14 @@ class RationalMatFun:
         return RationalMatFun(MatrixPolynomial.constant(np.zeros((q, q))))
 
     def __call__(self, z: complex) -> np.ndarray:
-        dv, off_pole = _den_at(self.den, z)
-        if not off_pole:
+        """The value at z, from :func:`grid_values` at that one point."""
+        zs, (values,) = grid_values((self,), (z,))
+        if not len(zs):
             raise SingularDenominatorError(
                 "evaluation point is numerically a pole",
                 stage="evaluation", point=z,
             )
-        return self.num(z) / dv
+        return values[0]
 
     def __add__(self, other: "RationalMatFun") -> "RationalMatFun":
         num = self.num.scale_poly(other.den) + other.num.scale_poly(self.den)
@@ -285,18 +260,12 @@ class RationalMatFun:
             return None
 
     def _matches(self, other: "RationalMatFun", pole_scale: float) -> bool:
-        checked = 0
-        for t, ang in ((0.11, 0.77), (0.43, 2.1), (1.19, -1.3), (2.3, 0.4)):
-            z = pole_scale * t * np.exp(1j * ang)
-            try:
-                ref = self(z)
-                got = other(z)
-            except SingularDenominatorError:
-                continue
-            checked += 1
-            if matcore.frob(got - ref) > SIMPLIFY_REL * (1.0 + matcore.frob(ref)):
-                return False
-        return checked > 0
+        points = [pole_scale * t * np.exp(1j * ang) for t, ang in
+                  ((0.11, 0.77), (0.43, 2.1), (1.19, -1.3), (2.3, 0.4))]
+        _, (refs, gots) = grid_values((self, other), points)
+        return len(refs) > 0 and not any(
+            matcore.frob(got - ref) > SIMPLIFY_REL * (1.0 + matcore.frob(ref))
+            for ref, got in zip(refs, gots))
 
 
 def default_grid(alpha: float) -> tuple:
@@ -314,19 +283,31 @@ def grid_values(funs, grid) -> tuple:
     rational functions ``funs``, as a 1-d complex array in grid order, and
     for each function its values there, stacked along a leading axis.
 
-    A point is a pole by the rule of ``RationalMatFun.__call__``; the kept
-    values come from one array Horner per numerator.  A value that
+    A point is a pole of f when |f.den(z)| <= POLE_REL |f.den|(|z|); the
+    kept values come from one array Horner per numerator.  A value that
     overflows is refused, not passed on: PreconditionError names the first
     kept point where a function's value is not finite.
     """
     zs = np.asarray(grid, dtype=complex)
+    x, y = zs.real, zs.imag
+    # moduli by hypot: numpy's vector complex abs rounds differently
+    r = np.hypot(x, y)
     keep = np.ones(len(zs), dtype=bool)
     dens = []
     with np.errstate(over="ignore", invalid="ignore"):
         for f in funs:
-            dv, off_pole = _den_at(f.den, zs)
-            keep &= off_pole
-            dens.append(dv)
+            # Horner on real and imaginary parts, so no fused multiply-add
+            # can move the bits: numpy's vector complex product may fuse
+            # one that separate real products round apart; beside it, the
+            # bound |d|(|z|)
+            coeffs = zip(*(v[::-1].tolist() for v in
+                           (f.den.real, f.den.imag, np.abs(f.den))))
+            re, im, bound = (np.full(zs.shape, v) for v in next(coeffs))
+            for a, b, c in coeffs:
+                re, im = re * x - im * y + a, re * y + im * x + b
+                bound = bound * r + c
+            keep &= np.hypot(re, im) > POLE_REL * np.maximum(bound, 1e-300)
+            dens.append(re + 1j * im)
         zs = zs[keep]
         values = tuple(f.num(zs) / dv[keep][:, None, None]
                        for f, dv in zip(funs, dens))
@@ -394,7 +375,7 @@ def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
     margins = matcore.psd_margin(np.concatenate([
         matcore.j_form(stk[off], jt) / height,
         matcore.j_form(stk2, jt) / height,
-        matcore.j_form(stk[~off], jr)]), tol)
+        matcore.j_form(stk[~off], jr)]))
     kd1_m, kd2_m, real_m = (float(m.min()) if m.size else 0.0 for m in
                             np.split(margins, [off.sum(), 2 * off.sum()]))
     report = {
@@ -435,14 +416,17 @@ def in_class_P_of(pair: StieltjesPair, a,
     return bool(np.all(matcore.range_contains(a, pair.phi.num.coeffs, tol)))
 
 
-def equivalent(p1: StieltjesPair, p2: StieltjesPair,
-               tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+# ``equivalent``'s bound on the spectral-norm gap between span projectors
+EQUIV_GAP = 1e-7
+
+
+def equivalent(p1: StieltjesPair, p2: StieltjesPair) -> bool:
     """Same pair up to an invertible rational right factor.
 
     Tested as equality of the column spans of the stacked pairs at every
-    point of ``default_grid`` (projectors compared in spectral norm); points
-    where either stack is zero or numerically rank deficient are passed
-    over.
+    point of ``default_grid`` (projectors compared in spectral norm, to
+    ``EQUIV_GAP``); points where either stack is zero or numerically rank
+    deficient are passed over.
     """
     if p1.q != p2.q or p1.alpha != p2.alpha:
         return False
@@ -455,11 +439,11 @@ def equivalent(p1: StieltjesPair, p2: StieltjesPair,
         usable = usable & (sv[:, 0] >= 1e-250) & (sv[:, -1] >= 1e-10 * sv[:, 0])
         projectors.append(u @ u.conj().swapaxes(-1, -2))
     gaps = np.linalg.svd(projectors[0] - projectors[1], compute_uv=False)
-    return bool(np.all(gaps[usable, 0] <= tol.equiv))
+    return bool(np.all(gaps[usable, 0] <= EQUIV_GAP))
 
 
 def gamma_U_embed(phi: RationalMatFun, psi: RationalMatFun, u,
-                  alpha: float, tol: ToleranceConfig = DEFAULT_TOL) -> StieltjesPair:
+                  alpha: float) -> StieltjesPair:
     """Lift an r x r pair to a q x q pair supported on the span of ``u``.
 
     ``u`` is a q x r matrix with orthonormal columns.  The lifted pair is

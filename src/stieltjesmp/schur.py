@@ -175,7 +175,7 @@ def _order_report(report: dict, name: str, xs, ys, k: int, base, defect,
     report[f"{name}_prefix_gap"] = gap
     report[f"{name}_prefix_ok"] = gap <= 1e-10 * (1.0 + matcore.frob(base))
     diff = matcore.symmetrized(xs[k] - ys[k])
-    report[f"{name}_top_margin"] = matcore.psd_margin(diff, tol)
+    report[f"{name}_top_margin"] = matcore.psd_margin(diff)
     report[f"{name}_top_ok"] = matcore.is_psd(diff, tol)
     p = matcore.pinv(base, tol) @ base
     closed = p.conj().T @ defect @ p
@@ -207,7 +207,7 @@ def check_inequality_preservation(s: MomentSequence, t: MomentSequence,
     if not matcore.is_psd(defect, tol):
         raise PreconditionError("top entries are not ordered")
 
-    report: dict = {"m": m, "top_defect_margin": matcore.psd_margin(defect, tol)}
+    report: dict = {"m": m, "top_defect_margin": matcore.psd_margin(defect)}
     if m >= 1:
         _order_report(report, "forward", first_transform(s, tol).s,
                       first_transform(t, tol).s, m - 1, s.s[0], defect, tol)

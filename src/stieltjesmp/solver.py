@@ -203,17 +203,21 @@ def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
     """Solve with a low-rank r x r parameter lifted into the full size.
 
     ``u`` (q x r, orthonormal columns spanning the range of the top
-    diagonal entry) defaults to its eigenbasis.
+    diagonal entry) defaults to its eigenbasis.  Only a given ``u`` is
+    tested against that range: the eigenbasis keeps the eigenvalues above
+    tol.psd * max(1, largest), which the pseudoinverse keeps too while
+    tol.pinv_rtol is below tol.psd, and ``solve``'s range gate tests the
+    lifted parameter either way.
     """
     _, r, top = _case(_classified(seq, tol))
     if pair.q != r:
         raise PreconditionError(
             f"parameter size {pair.q} must equal the degeneracy rank {r}")
     u_eff = _range_basis(top, r, tol) if u is None else matcore.as_cmat(u)
-    if not matcore.range_contains(top, u_eff, tol):
+    if u is not None and not matcore.range_contains(top, u_eff, tol):
         raise PreconditionError(
             "columns of u must span the range of the top diagonal entry")
-    lifted = pairs.gamma_U_embed(pair.phi, pair.psi, u_eff, pair.alpha, tol)
+    lifted = pairs.gamma_U_embed(pair.phi, pair.psi, u_eff, pair.alpha)
     return solve(SolutionRequest(seq, lifted, mode), tol)
 
 

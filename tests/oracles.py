@@ -167,7 +167,7 @@ def oracle_classify(seq, tol=None):
         tops = [stack.H[s.m // 2]]
         if s.m >= 1:
             tops.append(stack.Halpha[(s.m - 1) // 2])
-        lo = min(matcore.psd_margin(t, tol) for t in tops)
+        lo = min(matcore.psd_margin(t) for t in tops)
         return stack, lo >= -tol.psd, lo > tol.psd, abs(lo) < 10.0 * tol.psd
 
     def dominated(s):

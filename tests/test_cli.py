@@ -89,6 +89,15 @@ def test_unknown_tolerance_is_a_parse_error(tmp_path, capsys):
     assert code == 0
 
 
+def test_tol_names_only_tolerance_fields(capsys):
+    # --tol takes ToleranceConfig's field names, and pair equivalence has
+    # no field: its bound is fixed
+    assert main(["classify", str(DATA / "seq_q2_m2.json"),
+                 "--tol", "equiv=1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "bad --tol entry 'equiv=1e-3'" in captured.err
+
+
 @pytest.mark.parametrize("command, path", [
     ("classify", "seq_q2_m2.json"), ("schur", "seq_q2_m2.json"),
     ("poly", "seq_q2_m2.json"), ("solve", "solve_q2_m2.json"),

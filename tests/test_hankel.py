@@ -92,6 +92,26 @@ def test_parametrization_roundtrip_both_directions():
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("seed, draws, q_max, m_max, alpha_max", [
+    (1, 200, 3, 9, 0.0), (5, 300, 4, 12, 1.0)])
+def test_parametrization_roundtrip_never_refuses_exact_moments(
+        seed, draws, q_max, m_max, alpha_max):
+    # the Schur complements are formed by cancellation, so their rounding
+    # asymmetry is large relative to their size; neither direction may
+    # refuse them as "not Hermitian", and the round trip keeps the moments
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(draws):
+        q = int(rng.integers(1, q_max + 1))
+        m = int(rng.integers(2, m_max + 1))
+        alpha = float(rng.uniform(-alpha_max, alpha_max)) if alpha_max else 0.0
+        seq = moments(random_measure(rng, q, m + 2, alpha=alpha, spread=8.0), m)
+        back = inverse_parametrization(alpha, stieltjes_parametrization(seq))
+        scale = max(frob(x) for x in seq.s)
+        worst = max(worst, max(frob(a - b) for a, b in zip(back.s, seq.s)) / scale)
+    assert worst <= 1e-6
+
+
 def test_classify_cone_counterexample_fixture():
     # the cone member with no measure behind it: report stays in the cone
     # but both dominance and the extendability candidate say no

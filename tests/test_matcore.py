@@ -46,6 +46,14 @@ def test_tolerance_fields_must_be_positive_and_finite(value):
             replace(DEFAULT_TOL, **{name: value})
 
 
+def test_tolerance_config_holds_only_thresholds_the_package_reads():
+    # pair equivalence has a fixed bound, pairs.EQUIV_GAP, and no field
+    assert [f.name for f in fields(ToleranceConfig)] == [
+        "pinv_rtol", "herm", "psd", "inclusion", "det_gate", "extraction"]
+    with pytest.raises(TypeError):
+        ToleranceConfig(equiv=1e-7)
+
+
 def test_a_nan_tolerance_cannot_reach_a_verdict():
     # every comparison with NaN is false, so a NaN psd slack used to call
     # this non-PSD one-term sequence extendable

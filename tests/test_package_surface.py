@@ -89,6 +89,29 @@ def test_only_the_cli_grid_reaches_a_grid_parameter():
                       "lft.lft_rational", "solver.solve"}
 
 
+def test_no_function_takes_a_parameter_it_never_reads():
+    # a parameter that nothing reads is a knob that changes nothing; the
+    # cli handlers keep their args, since _COMMANDS calls every handler as
+    # (obj, cfg, args)
+    src = Path(importlib.import_module("stieltjesmp").__file__).parent
+    unread = []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in [*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg] if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = f"{path.stem}.{getattr(node, 'name', 'lambda')}"
+            unread += [f"{name}({p})" for p in params if p not in read
+                       and not (name.startswith("cli.cmd_") and p == "args")]
+    assert not unread, unread
+
+
 PACKAGE = "stieltjesmp"
 
 

@@ -100,6 +100,40 @@ def test_rational_pole_gate():
     assert err.value.point == 1.0
 
 
+def test_evaluation_is_the_grid_walk_at_one_point():
+    # f(z) is grid_values at the one point z: the same bits off a pole,
+    # SingularDenominatorError at one, and an overflow refused by name
+    rng = np.random.default_rng(53)
+    for q, deg, den in ((1, 0, (1.0,)), (2, 3, (2.0, -1.0, 0.5j)),
+                        (3, 2, (4.0, 0.0, 1.0))):
+        f = _rand_rat(rng, q, deg, den)
+        for z in sample_points(rng, 0.0, 6):
+            _, (values,) = grid_values((f,), (z,))
+            assert f(z).tobytes() == values[0].tobytes()
+    with pytest.raises(SingularDenominatorError) as err:
+        f(2j)
+    assert err.value.stage == "evaluation" and err.value.point == 2j
+    coeffs = np.zeros((302, 2, 2))
+    coeffs[0], coeffs[301] = 1e-3 * np.eye(2), 1e10 * np.eye(2)
+    big = RationalMatFun(MatrixPolynomial(coeffs))
+    with pytest.raises(PreconditionError, match=r"point 10j is not finite"):
+        big(10j)
+
+
+def test_simplify_walks_its_control_points_once(monkeypatch):
+    # _matches evaluates both functions at all four control points in one
+    # grid walk, not point by point
+    base, blown = _linear_blown()
+    walks, calls = [], []
+    call = RationalMatFun.__call__
+    monkeypatch.setattr("stieltjesmp.pairs.grid_values", lambda funs, grid:
+                        walks.append(len(grid)) or grid_values(funs, grid))
+    monkeypatch.setattr(RationalMatFun, "__call__",
+                        lambda self, z: calls.append(z) or call(self, z))
+    assert len(blown.simplify().den) == len(base.den)
+    assert walks == [4] and not calls
+
+
 def inverse(f):
     """Rational inverse: the swap [[O, I], [I, O]] acting on (F, I).  The
     swap is constant, so it has no endpoint of its own; the kernel divides

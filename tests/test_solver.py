@@ -432,6 +432,23 @@ def test_degenerate_embedded_with_explicit_bases():
         solve_degenerate_embedded(seq, moved)
 
 
+def test_a_default_basis_is_not_tested_against_the_top_entry(monkeypatch):
+    # the eigenbasis lies in the range of Q_m by construction, so after
+    # classify only solve's range gate and the descent product invert Q_m
+    _, seq = partially_degenerate_seq(np.random.default_rng(3), 2, 1)
+    top = hankel.classify(seq).trace.diagonal[-1]
+    calls = []
+
+    def counted(a, *args, _fn=matcore.pinv, **kwargs):
+        calls.append(np.array(a))
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "pinv", counted)
+    solve_degenerate_embedded(seq, identity_pair(seq.alpha, 1))
+    assert len(calls) == 2
+    assert all(np.array_equal(a, top) for a in calls)
+
+
 def m0_base_case_check(fun, s0, alpha=0.0, tol=DEFAULT_TOL):
     """Length-one roundtrip: solution -> pair -> solution.
 
