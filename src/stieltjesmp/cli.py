@@ -5,7 +5,8 @@ files holding the JSON layouts from :mod:`stieltjesmp.serialize`; output
 is deterministic JSON on stdout (sorted keys, floats at a fixed number of
 significant digits) so runs can be golden-file tested.  Every float is
 rounded once, by the layout that prints it; ``--grid`` points and
-``--tol`` values must be finite.  A call builds the parser of the
+``--tol`` values must be finite.  Only ``solve`` and ``oracle``, which
+print sampled values, take ``--grid``.  A call builds the parser of the
 subcommand it names and no other (all six when it names none), so help
 and usage errors print as they would from the full parser.  ``main``
 alone reads the file and prints: a handler maps (JSON, options, args) to
@@ -48,7 +49,7 @@ EXIT_VERIFICATION = 4
 
 @dataclasses.dataclass(frozen=True)
 class CliConfig:
-    """Resolved command-line options shared by all subcommands."""
+    """Resolved command-line options of one subcommand call."""
 
     tol: ToleranceConfig = DEFAULT_TOL
     grid: tuple | None = None
@@ -152,8 +153,8 @@ def cmd_verify(obj, cfg: CliConfig, args) -> tuple:
             EXIT_OK if report["ok"] else EXIT_VERIFICATION)
 
 
-def _random_measure(spec: dict, seed) -> DiscreteMeasure:
-    rng = np.random.default_rng(spec.get("seed", seed) or 0)
+def _random_measure(spec: dict) -> DiscreteMeasure:
+    rng = np.random.default_rng(spec.get("seed") or 0)
     q = int(spec["q"])
     atoms = int(spec.get("atoms", spec.get("m", 1) + 1))
     if q < 1 or atoms < 1:
@@ -173,7 +174,7 @@ def cmd_oracle(spec, cfg: CliConfig, args) -> tuple:
         mu = serialize.measure_from_json(spec)
         m = int(spec.get("m", max(2 * (len(mu.nodes) - 1), 0)))
     else:
-        mu = _random_measure(spec, args.seed)
+        mu = _random_measure(spec)
         m = int(spec.get("m", 1))
     seq = measures.moments(mu, m)
     fun = measures.stieltjes_transform(mu)
@@ -192,12 +193,12 @@ def cmd_oracle(spec, cfg: CliConfig, args) -> tuple:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override a tolerance field (repeatable)")
-    p.add_argument("--grid", help="comma-separated complex grid points")
     p.add_argument("--digits", type=int, default=15,
                    help="significant digits in output floats")
 
 
 _MODE = (("--mode",), {"choices": ("leq", "eq")})
+_GRID = (("--grid",), {"help": "comma-separated complex grid points"})
 
 # subcommand -> (handler, help, arguments between path and the common ones)
 _COMMANDS = {
@@ -207,11 +208,12 @@ _COMMANDS = {
         (("--trace",), {"action": "store_true",
                         "help": "include all stages and the diagonal"}))),
     "poly": (cmd_poly, "resolvent matrix polynomials of a sequence", ()),
-    "solve": (cmd_solve, "solve for a parameter pair and verify", (_MODE,)),
+    "solve": (cmd_solve, "solve for a parameter pair and verify",
+              (_MODE, _GRID)),
     "verify": (cmd_verify, "check a rational function against moments",
                (_MODE,)),
-    "oracle": (cmd_oracle, "measure fixture: moments and transform", (
-        (("--seed",), {"type": int, "default": 0}),)),
+    "oracle": (cmd_oracle, "measure fixture: moments and transform",
+               (_GRID,)),
 }
 
 
@@ -233,7 +235,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for flags, options in extras:
             p.add_argument(*flags, **options)
         _add_common(p)
-        p.set_defaults(func=func)
+        # cfg.grid is None where the subcommand offers no --grid
+        p.set_defaults(func=func, grid=None)
     return parser
 
 

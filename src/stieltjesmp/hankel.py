@@ -64,6 +64,8 @@ class MomentSequence:
     @classmethod
     def _hermitian(cls, alpha: float, mats: tuple) -> "MomentSequence":
         """Matrices the package computed as exactly Hermitian, kept unchecked."""
+        if not math.isfinite(alpha):
+            raise ValueError("alpha must be finite")
         seq = object.__new__(cls)
         object.__setattr__(seq, "s", mats)
         object.__setattr__(seq, "alpha", float(alpha))

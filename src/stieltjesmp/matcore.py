@@ -33,7 +33,6 @@ __all__ = [
     "symmetrized",
     "pinv",
     "is_psd",
-    "is_pd",
     "psd_margin",
     "range_contains",
     "null_contains",
@@ -194,10 +193,6 @@ def psd_margin(a):
 def is_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """psd_margin(a) >= -tol.psd; an asymmetric ``a`` is symmetrized."""
     return psd_margin(a) >= -tol.psd
-
-
-def is_pd(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return psd_margin(a) > tol.psd
 
 
 def range_contains(a, b, tol: ToleranceConfig = DEFAULT_TOL):

@@ -329,6 +329,8 @@ class StieltjesPair:
     psi: RationalMatFun
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if self.phi.shape != self.psi.shape or self.phi.shape[0] != self.phi.shape[1]:
             raise ValueError("pair components must be square and equally sized")
 
@@ -340,26 +342,20 @@ class StieltjesPair:
         return np.vstack([self.phi(z), self.psi(z)])
 
 
-def verify_pair(pair: StieltjesPair, tol: ToleranceConfig = DEFAULT_TOL,
-                grid=None) -> dict:
-    """Check the admissibility conditions on a finite grid.
+def verify_pair(pair: StieltjesPair,
+                tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+    """Check the admissibility conditions on ``default_grid(pair.alpha)``.
 
     Returns margins (least eigenvalue ratios, worst over the grid) and
     booleans per condition plus an overall verdict.  Grid points that land
-    on poles or on the half-axis [alpha, inf) are skipped and counted;
-    admissibility only constrains points off both.  A grid with no point
-    off the half-axis checks nothing and is refused.
+    on poles are skipped and counted; the grid has no point on the
+    half-axis [alpha, inf), where admissibility constrains nothing.
 
     All kept points are decided at once: one stacked SVD for the rank gaps
     and one batched eigensolve for the margins of every form.
     """
-    grid = default_grid(pair.alpha) if grid is None else tuple(grid)
-    pts = np.asarray(grid, dtype=complex)
-    pts = pts[(pts.imag != 0.0) | (pts.real < pair.alpha)]
-    if not len(pts):
-        raise PreconditionError("no grid point lies off the half-axis "
-                                f"[{pair.alpha}, inf)")
-    zs, (ph, ps) = grid_values((pair.phi, pair.psi), pts)
+    grid = default_grid(pair.alpha)
+    zs, (ph, ps) = grid_values((pair.phi, pair.psi), grid)
     if not len(zs):
         raise InconsistencyError("every grid point sits on a pole of the pair")
     jt = matcore.signature_j(pair.q, "imaginary")

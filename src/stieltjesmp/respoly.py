@@ -29,7 +29,6 @@ import numpy as np
 from . import matcore
 from .matcore import (DEFAULT_TOL, PreconditionError, SingularDenominatorError,
                       ToleranceConfig, j_form)
-from .schur import TransformTrace
 
 __all__ = [
     "MatrixPolynomial",

@@ -185,7 +185,6 @@ def _order_report(report: dict, name: str, xs, ys, k: int, base, defect,
 
 
 def check_inequality_preservation(s: MomentSequence, t: MomentSequence,
-                                  a=None,
                                   tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     """Order preservation of the forward and inverse steps.
 
@@ -194,8 +193,8 @@ def check_inequality_preservation(s: MomentSequence, t: MomentSequence,
       * forward: equality of transformed entries below index m-1, the
         semidefiniteness of the top difference, and its agreement with the
         closed form P^* (s_m - t_m) P for P = s_0^+ s_0;
-      * inverse (seeded with ``a``, default s_0): equality through index m
-        and the top difference against P_a^* (s_m - t_m) P_a, P_a = a^+ a.
+      * inverse (seeded with s_0): equality through index m and the top
+        difference against the same closed form.
     """
     if s.alpha != t.alpha or s.m != t.m:
         raise PreconditionError("sequences must share alpha and length")
@@ -211,9 +210,9 @@ def check_inequality_preservation(s: MomentSequence, t: MomentSequence,
     if m >= 1:
         _order_report(report, "forward", first_transform(s, tol).s,
                       first_transform(t, tol).s, m - 1, s.s[0], defect, tol)
-    seed = s.s[0] if a is None else matcore.hermitize(a, tol)
-    _order_report(report, "inverse", inverse_transform(s, seed, tol).s,
-                  inverse_transform(t, seed, tol).s, m + 1, seed, defect, tol)
+    _order_report(report, "inverse", inverse_transform(s, s.s[0], tol).s,
+                  inverse_transform(t, s.s[0], tol).s, m + 1, s.s[0], defect,
+                  tol)
 
     keys = [k for k in report if k.endswith("_ok")]
     report["ok"] = all(report[k] for k in keys)

@@ -12,7 +12,8 @@ with V the 2q x 2q descent product and the kernel ``lft.lft_rational``,
 which slices its q x q blocks, gates its denominator on the grid
 and divides out the power of (z - alpha) that the resolvent introduces.
 The low-rank routes lift an r x r pair into ``solve``, the one solve
-entry; the equality subset is the lift of (f, I) in eq mode.  The two
+entry, on the eigenbasis of the top entry at the rank classify decided;
+the equality subset is the lift of (f, I) in eq mode.  The two
 function transforms share one seed intake and one synthesis call.
 """
 
@@ -24,12 +25,7 @@ import numpy as np
 
 from . import lft, matcore, pairs, respoly
 from .hankel import ClassReport, MomentSequence, classify
-from .matcore import (
-    DEFAULT_TOL,
-    InconsistencyError,
-    PreconditionError,
-    ToleranceConfig,
-)
+from .matcore import DEFAULT_TOL, PreconditionError, ToleranceConfig
 from .pairs import RationalMatFun, StieltjesPair
 
 __all__ = [
@@ -185,39 +181,27 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
                             seq.alpha, tol, grid, stage="synthesis")
 
 
-def _range_basis(a, r: int, tol: ToleranceConfig) -> np.ndarray:
+def _range_basis(a, r: int) -> np.ndarray:
+    """Eigenvectors of the r largest eigenvalues of ``a``, r its rank as
+    classify decided it.  They span ran a: the pseudoinverse keeps these
+    eigenvalues while tol.pinv_rtol is below tol.psd, and ``solve``'s range
+    gate tests the lift either way."""
     vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(vals)[::-1]
-    cut = tol.psd * max(1.0, float(abs(vals).max()))
-    keep = [i for i in order if vals[i] > cut]
-    if len(keep) != r:
-        raise InconsistencyError(
-            f"rank of the top diagonal entry changed under the eigensplit "
-            f"({len(keep)} vs {r})")
-    return vecs[:, keep]
+    return vecs[:, np.argsort(vals)[::-1][:r]]
 
 
 def solve_degenerate_embedded(seq: MomentSequence, pair: StieltjesPair,
-                              u=None, mode: str = "leq",
+                              mode: str = "leq",
                               tol: ToleranceConfig = DEFAULT_TOL) -> RationalMatFun:
-    """Solve with a low-rank r x r parameter lifted into the full size.
-
-    ``u`` (q x r, orthonormal columns spanning the range of the top
-    diagonal entry) defaults to its eigenbasis.  Only a given ``u`` is
-    tested against that range: the eigenbasis keeps the eigenvalues above
-    tol.psd * max(1, largest), which the pseudoinverse keeps too while
-    tol.pinv_rtol is below tol.psd, and ``solve``'s range gate tests the
-    lifted parameter either way.
+    """Solve with a low-rank r x r parameter lifted into the full size on
+    the eigenbasis of the range of the top diagonal entry (``_range_basis``).
     """
     _, r, top = _case(_classified(seq, tol))
     if pair.q != r:
         raise PreconditionError(
             f"parameter size {pair.q} must equal the degeneracy rank {r}")
-    u_eff = _range_basis(top, r, tol) if u is None else matcore.as_cmat(u)
-    if u is not None and not matcore.range_contains(top, u_eff, tol):
-        raise PreconditionError(
-            "columns of u must span the range of the top diagonal entry")
-    lifted = pairs.gamma_U_embed(pair.phi, pair.psi, u_eff, pair.alpha)
+    lifted = pairs.gamma_U_embed(pair.phi, pair.psi, _range_basis(top, r),
+                                 pair.alpha)
     return solve(SolutionRequest(seq, lifted, mode), tol)
 
 
@@ -233,4 +217,4 @@ def solve_equality_subset(seq: MomentSequence, f: RationalMatFun,
             "completely degenerate sequence: the problem has a unique "
             "solution; call solve with the parameter (O, I)")
     pair = StieltjesPair(seq.alpha, f, RationalMatFun.const(np.eye(f.q)))
-    return solve_degenerate_embedded(seq, pair, None, "eq", tol)
+    return solve_degenerate_embedded(seq, pair, "eq", tol)

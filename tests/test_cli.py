@@ -468,6 +468,18 @@ def test_non_finite_alpha_is_bad_input(tmp_path, capsys, command, path):
     assert captured.err == "bad input: alpha must be finite\n"
 
 
+def test_non_finite_parameter_alpha_is_bad_input(tmp_path, capsys):
+    # refused where the pair is built, not as endpoints that differ (exit 3)
+    obj = json.loads((DATA / "solve_q1_m2.json").read_text())
+    obj["parameter"]["alpha"] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["solve", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "bad input: alpha must be finite\n"
+
+
 @pytest.mark.parametrize("spec", [{"q": 2, "atoms": 0}, {"q": 0, "m": 1},
                                   {"alpha": 0, "atoms": []}],
                          ids=["random", "random-q0", "explicit"])
@@ -691,6 +703,23 @@ PARSE_CASES = {
                                       "'classify', 'schur', 'poly', 'solve', "
                                       "'verify', 'oracle')"),
 }
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", SEQ, "--grid", "1"],
+    ["schur", SEQ, "--grid", "1"],
+    ["poly", SEQ, "--grid", "1"],
+    ["verify", str(DATA / "verify_q1_m2.json"), "--grid", "1"],
+    ["oracle", str(DATA / "measure_q2_m2.json"), "--seed", "5"],
+], ids=lambda argv: argv[0])
+def test_options_a_subcommand_would_ignore_are_usage_errors(capsys, argv):
+    # only solve and oracle read a grid, and the oracle's seed is the
+    # spec's "seed" key
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.splitlines()[-1] == ("stieltjesmp: error: unrecognized "
+                                    "arguments: " + " ".join(argv[2:]))
 
 
 @pytest.mark.parametrize("case", list(PARSE_CASES))

@@ -12,7 +12,6 @@ from stieltjesmp.matcore import (
     as_cmat,
     frob,
     hermitize,
-    is_pd,
     is_psd,
     j_form,
     null_contains,
@@ -107,7 +106,7 @@ def test_psd_predicates_symmetrize_but_need_a_square_matrix():
     assert_allclose(symmetrized(a), [[1.0, 0.5], [0.5, 1.0]])
     # a row or column does not broadcast into a square matrix
     for shape in ((1, 3), (3, 1)):
-        for check in (is_psd, is_pd, psd_margin, symmetrized, hermitize):
+        for check in (is_psd, psd_margin, symmetrized, hermitize):
             with pytest.raises(ValueError):
                 check(np.ones(shape))
 
@@ -117,8 +116,6 @@ def test_psd_margin_sign_convention():
     assert psd_margin(np.diag([1.0, 0.0])) == 0
     assert psd_margin(np.diag([1.0, -3.0])) < 0
     assert is_psd(np.zeros((2, 2)))
-    assert not is_pd(np.diag([1.0, 0.0]))
-    assert is_pd(np.eye(2))
 
 
 def test_stacked_kernels_answer_matrix_by_matrix():

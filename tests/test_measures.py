@@ -27,7 +27,7 @@ from stieltjesmp.measures import (
     stieltjes_transform,
     verify_solution,
 )
-from stieltjesmp.pairs import RationalMatFun
+from stieltjesmp.pairs import RationalMatFun, StieltjesPair
 from stieltjesmp.respoly import MatrixPolynomial
 from stieltjesmp.solver import SolutionRequest, solve
 
@@ -37,11 +37,18 @@ def test_measure_validation():
         DiscreteMeasure(0.0, (-1.0,), (np.eye(2),))
     with pytest.raises(PreconditionError):
         DiscreteMeasure(0.0, (1.0,), (-np.eye(2),))
+    one = RationalMatFun.const(np.eye(2))
+    decaying = RationalMatFun(MatrixPolynomial.constant(np.eye(2)), (1.0, -1.0))
     for alpha in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="alpha must be finite"):
             DiscreteMeasure(alpha, (1.0,), (np.eye(2),))
         with pytest.raises(ValueError, match="alpha must be finite"):
             MomentSequence(alpha, (np.eye(2),))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            StieltjesPair(alpha, one, one)
+        for fun in (decaying, RationalMatFun.zero(2)):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                extract_moments(fun, alpha, 1)
     mu = DiscreteMeasure(0.0, (1.0, 2.0), (np.eye(2), 2 * np.eye(2)))
     assert mu.q == 2
     assert_allclose(mu.total(), 3 * np.eye(2))

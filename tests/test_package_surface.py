@@ -6,12 +6,14 @@ and the value types compare by identity."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stieltjesmp import cli
 from stieltjesmp.cli import CliConfig
 from stieltjesmp.hankel import MomentSequence, build_stack
 from stieltjesmp.matcore import ToleranceConfig
@@ -71,10 +73,9 @@ def test_json_layouts_live_in_serialize():
 
 
 def test_only_the_cli_grid_reaches_a_grid_parameter():
-    # the range conditions are coefficient identities and the other gates
-    # use default_grid, so a grid parameter belongs only to the functions
-    # that the CLI's --grid reaches, and to verify_pair, whose points a
-    # library caller picks
+    # the range conditions are coefficient identities and the other gates,
+    # verify_pair's among them, use default_grid, so a grid parameter
+    # belongs only to the functions that the CLI's --grid reaches
     src = Path(importlib.import_module("stieltjesmp").__file__).parent
     takers = set()
     for path in src.glob("*.py"):
@@ -85,8 +86,8 @@ def test_only_the_cli_grid_reaches_a_grid_parameter():
                          + args.kwonlyargs]
                 if "grid" in names:
                     takers.add(f"{path.stem}.{node.name}")
-    assert takers == {"cli._samples", "pairs.grid_values", "pairs.verify_pair",
-                      "lft.lft_rational", "solver.solve"}
+    assert takers == {"cli._samples", "pairs.grid_values", "lft.lft_rational",
+                      "solver.solve"}
 
 
 def test_no_function_takes_a_parameter_it_never_reads():
@@ -113,6 +114,82 @@ def test_no_function_takes_a_parameter_it_never_reads():
 
 
 PACKAGE = "stieltjesmp"
+
+
+def _defaults(src: Path) -> dict:
+    """Callee name -> (positional parameter names, {parameter: its default
+    as an AST dump}) for each def of the package with a defaulted parameter
+    other than tol; a method drops self, and __init__ is named by its
+    class, as ``Class(...)`` calls it."""
+    out = {}
+
+    def visit(node, module, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if cls and not static:
+                    positional = positional[1:]
+                named = [*zip(positional[len(positional) - len(args.defaults):],
+                              args.defaults),
+                         *((a.arg, d) for a, d in zip(args.kwonlyargs,
+                                                      args.kw_defaults) if d)]
+                defaults = {name: ast.dump(d) for name, d in named
+                            if name != "tol"}
+                if defaults:
+                    callee = cls if child.name == "__init__" else child.name
+                    out.setdefault(callee, []).append(
+                        (f"{module}.{child.name}", positional, defaults))
+                visit(child, module)
+
+    for path in src.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a defaulted parameter that no call in the package, the benchmark or
+    # the demos sets to another value is an option with one value in use;
+    # a call resolves by the callee's name (``Class(...)`` to __init__),
+    # and one that passes *args or **kwargs sets every parameter
+    src = Path(importlib.import_module(PACKAGE).__file__).parent
+    root = src.parent.parent
+    defs = _defaults(src)
+    unset = {(name, p) for sigs in defs.values() for name, _, defaults in sigs
+             for p in defaults}
+    files = [*src.glob("*.py"), *(root / "bench").glob("*.py"),
+             *(root / "demos").glob("*.py")]
+    for path in files:
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            callee = (func.id if isinstance(func, ast.Name) else
+                      func.attr if isinstance(func, ast.Attribute) else None)
+            for name, positional, defaults in defs.get(callee, ()):
+                given = [*zip(positional, call.args),
+                         *((kw.arg, kw.value) for kw in call.keywords)]
+                if any(isinstance(v, ast.Starred) for v in call.args) or any(
+                        kw.arg is None for kw in call.keywords):
+                    given = [(p, None) for p in defaults]
+                unset -= {(name, p) for p, value in given if p in defaults
+                          and (value is None
+                               or ast.dump(value) != defaults[p])}
+    assert not unset, sorted(unset)
+
+
+def test_a_subcommand_offers_grid_only_if_its_handler_reads_it():
+    # an option that a subcommand parses and its handler never reads is
+    # accepted and ignored; the parser refuses it instead
+    for name, (handler, _, _) in cli._COMMANDS.items():
+        _, extra = cli.build_parser(name).parse_known_args(
+            [name, "in.json", "--grid", "1"])
+        reads = "cfg.grid" in inspect.getsource(handler)
+        assert (not extra) == reads, name
 
 
 def _imported_module(node: ast.ImportFrom):
@@ -280,7 +357,8 @@ def test_package_imports_form_no_cycle():
     # graph, so no module needs a function-level import to load; the one
     # left is hankel.classify's schur, the remaining cycle: schur imports
     # hankel, and both hankel.classify and schur.transform_trace are
-    # benchmark targets that stay where they are
+    # benchmark targets that stay where they are.  The function layer
+    # loads no part of the sequence layer.
     src = Path(importlib.import_module(PACKAGE).__file__).parent
     graph, local = {}, set()
     for path in src.glob("*.py"):
@@ -292,6 +370,8 @@ def test_package_imports_form_no_cycle():
                 graph.setdefault(path.stem, set()).add(module)
     assert local == {("hankel.classify", "schur")}, local
     assert "hankel" in _reachable(graph, "schur")
+    for name in ("respoly", "pairs", "lft"):
+        assert not {"hankel", "schur"} & _reachable(graph, name), name
     cyclic = sorted(name for name in graph if name in _reachable(graph, name))
     assert not cyclic, cyclic
 

@@ -467,26 +467,17 @@ def test_verify_pair_matches_the_pointwise_oracle():
     assert verdicts == {(True, 0), (False, 0), (False, 1)}
 
 
-def test_verify_pair_skips_and_counts_the_half_axis():
-    # points on [alpha, inf) enter no condition: they are skipped and
-    # counted, and a grid of nothing else is refused, where the default
-    # grid refuses the pair
+def test_verify_pair_refuses_a_pair_negative_on_the_half_axis():
+    # the default grid has no point on [alpha, inf), where admissibility
+    # constrains nothing, and its off-axis points refuse the pair
     for alpha in (0.0, 0.75):
         bad = StieltjesPair(alpha, RationalMatFun.const(-np.eye(2)),
                             RationalMatFun.const(np.eye(2)))
         assert not verify_pair(bad)["ok"]
-        for grid in ((alpha + 3.0, alpha + 7.0), (alpha,)):
-            with pytest.raises(PreconditionError,
-                               match=re.escape(f"half-axis [{alpha}, inf)")):
-                verify_pair(bad, grid=grid)
-        grid = default_grid(alpha) + (alpha, alpha + 3.0)
-        for pair in _oracle_pairs():
-            if pair.alpha == alpha:
-                got = verify_pair(pair, grid=grid)
-                assert got == verify_pair(pair) | {
-                    "skipped_points": verify_pair(pair)["skipped_points"] + 2}
-                ref = oracle_verify_pair(pair, grid, DEFAULT_TOL.psd)
-                assert got["skipped_points"] == ref["skipped_points"]
+        grid = np.asarray(default_grid(alpha))
+        assert np.all((grid.imag != 0.0) | (grid.real < alpha))
+        with pytest.raises(TypeError):
+            verify_pair(bad, grid=grid)
 
 
 def test_equivalence_is_projective():
@@ -597,7 +588,7 @@ def test_in_class_P_of_matches_the_pointwise_rule_on_the_longseq_pool():
             candidates = [prob.pair]
         else:
             candidates = [gamma_U_embed(prob.pair.phi, prob.pair.psi,
-                                        _range_basis(top, r, DEFAULT_TOL), alpha)]
+                                        _range_basis(top, r), alpha)]
         if r < q:
             eye = RationalMatFun.const(np.eye(q))
             candidates += [StieltjesPair(alpha, eye, eye),

@@ -183,6 +183,9 @@ def test_inequality_preservation_preconditions():
     bigger = MomentSequence(seq.alpha, seq.s[:-1] + (seq.s[-1] + np.eye(2),))
     with pytest.raises(PreconditionError):
         check_inequality_preservation(seq, bigger)
+    # the inverse step is seeded with s_0; there is no other seed to pick
+    with pytest.raises(TypeError):
+        check_inequality_preservation(seq, seq, a=seq.s[0])
 
 
 def _rational_measure_moments(rng):

@@ -408,23 +408,36 @@ def test_equality_subset_rejects_rank_zero_and_nondecay():
 
 
 def test_degenerate_embedded_with_explicit_bases():
+    # a basis of the caller's own goes through gamma_U_embed and solve:
+    # another orthonormal basis of ran Q_m gives the embedded route's
+    # function, and solve's range gate refuses a basis outside ran Q_m
     rng = np.random.default_rng(85)
     mu, seq = partially_degenerate_seq(rng, 3, 2, alpha=0.0)
     _, r, top = case_of(seq)
     assert r == 2
     small = cauchy_pair(0.0, 2, t=1.0)
 
+    def lifted_solve(u):
+        lifted = pairs.gamma_U_embed(small.phi, small.psi, u, 0.0)
+        return solve(SolutionRequest(seq, lifted, "leq"))
+
     sol_default = solve_degenerate_embedded(seq, small)
     vals, vecs = np.linalg.eigh(top)
-    u = vecs[:, np.argsort(vals)[::-1][:2]]
-    sol_u = solve_degenerate_embedded(seq, small, u=u)
+    order = np.argsort(vals)[::-1]
+    rot = np.linalg.qr(rng.normal(size=(2, 2))
+                       + 1j * rng.normal(size=(2, 2)))[0]
+    sol_u = lifted_solve(vecs[:, order[:2]] @ rot)
     zs = sample_points(rng, 0.0, 8)
     assert max(frob(sol_default(z) - sol_u(z)) for z in zs) <= 1e-9
 
+    # one range direction and the null direction of Q_m
+    with pytest.raises(PreconditionError, match="^parameter range escapes"):
+        lifted_solve(vecs[:, order[1:]])
+    with pytest.raises(PreconditionError,
+                       match="^columns of u must be orthonormal$"):
+        pairs.gamma_U_embed(small.phi, small.psi, np.ones((3, 2)), 0.0)
     with pytest.raises(PreconditionError):
         solve_degenerate_embedded(seq, cauchy_pair(0.0, 3, t=1.0))
-    with pytest.raises(PreconditionError):
-        solve_degenerate_embedded(seq, small, u=np.ones((3, 2)))
     # the pair is lifted at its own endpoint, which SolutionRequest refuses
     moved = StieltjesPair(0.5, small.phi, small.psi)
     with pytest.raises(PreconditionError,
@@ -467,7 +480,7 @@ def m0_base_case_check(fun, s0, alpha=0.0, tol=DEFAULT_TOL):
     psi = zshift.lmul(-s0p) + RationalMatFun.const(np.eye(q) - s0p @ s0)
     pair = StieltjesPair(alpha, phi, psi)
 
-    rep = pairs.verify_pair(pair, tol, grid)
+    rep = pairs.verify_pair(pair, tol)
     in_range = pairs.in_class_P_of(pair, s0, tol)
 
     recon = lft_rational(v_poly(alpha, s0, tol), phi, psi, alpha,
