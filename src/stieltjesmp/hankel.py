@@ -52,11 +52,23 @@ class MomentSequence:
             raise ValueError("alpha must be finite")
         if len(self.s) == 0:
             raise ValueError("need at least one moment matrix")
-        mats = tuple(matcore.hermitize(x, tol) for x in self.s)
-        q = mats[0].shape[0]
-        for x in mats:
-            if x.shape != (q, q):
+        # finite entries near the float range can overflow in s + s* or in
+        # the shift; name the entry here, not a later stage's non-finite one
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = tuple(matcore.hermitize(x, tol) for x in self.s)
+            q = mats[0].shape[0]
+            if any(x.shape != (q, q) for x in mats):
                 raise ValueError("all moment matrices must share one size")
+            stack = np.array(mats)
+            shifted = -float(self.alpha) * stack[:-1] + stack[1:]
+        j = _first_non_finite(stack)
+        if j is not None:
+            raise ValueError(f"moment s_{j} overflows the float range")
+        j = _first_non_finite(shifted)
+        if j is not None:
+            raise ValueError(f"shifted moment -alpha*s_{j} + s_{j + 1} "
+                             "overflows the float range")
+        for x in mats:
             x.flags.writeable = False
         object.__setattr__(self, "s", mats)
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -106,6 +118,13 @@ class HankelStack:
     Halpha: tuple
     L: tuple
     Lalpha: tuple
+
+
+def _first_non_finite(stack: np.ndarray):
+    """Index of the first matrix of ``stack`` with a non-finite entry, or
+    None."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    return None if finite.all() else int(finite.argmin())
 
 
 def _shifted(alpha: float, mats) -> tuple:

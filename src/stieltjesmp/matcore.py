@@ -127,7 +127,17 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def frob(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm, by the arithmetic of ``np.linalg.norm(a)`` (the same
+    bits) without its dispatch; ``order="K"`` sums a strided view in
+    numpy's order."""
+    x = np.asarray(a)
+    kind = x.dtype.kind
+    if kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
 
 
 def hermitize(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -19,12 +19,15 @@ row-major; every entry is a [re, im] pair.  On that base:
 Floats are rounded to ``digits`` significant digits on output, 15 unless
 the caller asks for fewer, so repeated runs produce identical files.  A
 layout's output is final: it is printed as it is, not rounded again.
+:func:`dumps` writes it as text, exactly ``json.dumps(obj, sort_keys=True,
+indent=2)``, without the pure-Python encoder that ``json`` falls back to
+whenever ``indent`` is set.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -61,7 +64,7 @@ def sig(x: float, digits: int = 15) -> float:
     x = float(x)
     if x == 0.0 or not math.isfinite(x):
         return x
-    return float(f"{x:.{digits}g}")
+    return float("%.*g" % (digits, x))
 
 
 def _entry(v: complex, digits: int = 15) -> list:
@@ -73,9 +76,10 @@ def matrix_to_json(a, digits: int = 15) -> dict:
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     r, c = a.shape
     return {
-        "rows": int(r),
-        "cols": int(c),
-        "data": [_entry(v, digits) for v in a.reshape(-1)],
+        "rows": r,
+        "cols": c,
+        "data": [[sig(v.real, digits), sig(v.imag, digits)]
+                 for v in a.reshape(-1).tolist()],
     }
 
 
@@ -213,6 +217,67 @@ def blocks_to_json(gen: MatrixPolynomial, digits: int = 15) -> dict:
     }
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(o) -> str:
+    """The text of a str, None, bool, int or float, tested in json's order."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write(o, nl: str, out) -> None:
+    """Append the text of ``o`` to ``out``; ``nl`` opens a line at its depth."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out(sep)
+            sep = "," + inner
+            if type(v) is float:  # matrix entries, most of every layout
+                text = float.__repr__(v)
+                out(_NON_FINITE.get(text, text))
+            else:
+                _write(v, inner, out)
+        out(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            # encode_basestring_ascii raises TypeError for a key not a str
+            out(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _write(o[key], inner, out)
+        out(nl + "}")
+    else:
+        out(_scalar(o))
+
+
 def dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, stable float formatting."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Deterministic JSON text: exactly ``json.dumps(obj, sort_keys=True,
+    indent=2)`` for every value a layout holds (str-keyed dicts, lists,
+    tuples, str, int, bool, None, float), with NaN and Infinity for
+    non-finite floats.  Any other value raises TypeError, as in ``json``;
+    so does a dict key that is not a str, which ``json`` would write as a
+    string but no layout holds."""
+    chunks = []
+    _write(obj, "\n", chunks.append)
+    return "".join(chunks)

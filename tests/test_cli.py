@@ -3,6 +3,7 @@ one run of the console script that ``pyproject.toml`` declares."""
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import cauchy_pair, completely_degenerate_seq, measure_seq
@@ -452,6 +454,24 @@ def test_far_or_infinite_atom_is_bad_input(tmp_path, capsys, x):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, obj, entry", [
+    ("oracle", {"q": 1, "m": 1, "alpha": 1e308}, "moment s_1"),
+    ("classify", serialize.sequence_to_json(1e200, [np.array([[1e300]])] * 3),
+     "shifted moment -alpha*s_0 + s_1"),
+], ids=["hermitized", "shifted"])
+def test_overflowing_moment_is_bad_input(tmp_path, capsys, command, obj,
+                                         entry):
+    # finite input whose s + s* or -alpha*s_j + s_{j+1} leaves the float
+    # range: numpy used to warn and a later stage named the non-finite value
+    path = write_json(tmp_path / "big.json", obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert not caught and not captured.out
+    assert captured.err == f"bad input: {entry} overflows the float range\n"
+
+
 @pytest.mark.parametrize("command, path", [
     ("classify", "seq_q2_m2.json"),
     ("oracle", "measure_q2_m2.json"),
@@ -565,6 +585,50 @@ def test_classify_and_oracle_output_matches_golden_bytes(capsys, name):
     assert main(golden_argv(name)) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (DATA / f"{name}.out").read_bytes()
+
+
+_KEYS = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t\x7f\u00e9\u2028\U0001d11e'),
+                max_size=4)
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.5e-310, 1e308, -1e308, math.nan, math.inf,
+     -math.inf])
+_SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+            | _FLOATS | _FLOATS.map(np.float64) | _KEYS)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_PAYLOADS)
+def test_dumps_writes_the_text_of_json_dumps(payload):
+    assert serialize.dumps(payload) == json.dumps(payload, sort_keys=True,
+                                                  indent=2)
+
+
+@pytest.mark.parametrize("value", [1j, np.zeros(2), [{"a": np.float32(1)}]],
+                         ids=["complex", "ndarray", "float32"])
+def test_dumps_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        serialize.dumps(value)
+
+
+def test_dumps_refuses_a_key_that_is_not_a_str():
+    # json would write the key 1 as "1", but no layout has such a key
+    with pytest.raises(TypeError):
+        serialize.dumps({"a": {1: 0.0}})
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.out")))
+def test_dumps_rewrites_each_golden_from_its_payload(name):
+    # pins the writer apart from the numerics that made the payload
+    text = (DATA / f"{name}.out").read_bytes().decode("utf-8")
+    assert serialize.dumps(json.loads(text)) + "\n" == text
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -85,6 +85,22 @@ def test_pinv_axioms_hold_for_general_complex_matrices(seed, q):
     assert frob(ap @ a @ ap - ap) <= 1e-9 * (1 + frob(ap))
 
 
+def test_frob_has_the_bits_of_numpy_norm():
+    # frob runs np.linalg.norm's Frobenius arithmetic without its dispatch:
+    # complex, real and integer input, strided views and extreme scales
+    rng = np.random.default_rng(7)
+    cases = [np.eye(3, dtype=int), np.zeros((0, 0)), [[1.0, 2.0]]]
+    for n in (1, 2, 5, 8):
+        for scale in (1e-300, 1e-10, 1.0, 1e150, 1e300):
+            a = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            cases += [a, a.T, a[::2, ::-1], a.real, a.real.T]
+    with np.errstate(over="ignore"):
+        for a in cases:
+            got = frob(a)
+            assert type(got) is float
+            assert got == float(np.linalg.norm(np.asarray(a)))
+
+
 def test_pinv_of_zero_and_empty():
     assert_allclose(pinv(np.zeros((3, 3))), np.zeros((3, 3)))
     assert pinv(np.zeros((0, 0))).shape == (0, 0)

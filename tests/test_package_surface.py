@@ -72,6 +72,44 @@ def test_json_layouts_live_in_serialize():
     assert not local, local
 
 
+def test_serialize_dumps_is_the_one_json_writer():
+    # no module writes JSON text through json.dump or json.dumps, and the
+    # cli prints on stdout nothing but the text of serialize.dumps
+    src = Path(importlib.import_module(PACKAGE).__file__).parent
+    writers = []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                writers.append(f"{path.stem}: json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                writers += [f"{path.stem}: from json import {a.name}"
+                            for a in node.names if a.name in ("dump", "dumps")]
+    assert not writers, writers
+    tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    bound = _bindings(tree, {})
+    printed = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout":
+            printed.append("sys.stdout")
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"):
+            continue
+        if any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+               for kw in node.keywords):
+            continue
+        arg = node.args[0] if len(node.args) == 1 and not node.keywords else None
+        func = arg.func if isinstance(arg, ast.Call) else None
+        if not (isinstance(func, ast.Name)
+                and bound.get(func.id) == ("serialize", "dumps")
+                or isinstance(func, ast.Attribute) and func.attr == "dumps"
+                and isinstance(func.value, ast.Name)
+                and bound.get(func.value.id) == "serialize"):
+            printed.append(ast.unparse(node))
+    assert not printed, printed
+
+
 def test_only_the_cli_grid_reaches_a_grid_parameter():
     # the range conditions are coefficient identities and the other gates,
     # verify_pair's among them, use default_grid, so a grid parameter
