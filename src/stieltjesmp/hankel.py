@@ -60,7 +60,7 @@ class MomentSequence:
             if any(x.shape != (q, q) for x in mats):
                 raise ValueError("all moment matrices must share one size")
             stack = np.array(mats)
-            shifted = -float(self.alpha) * stack[:-1] + stack[1:]
+            shifted = _shifted(float(self.alpha), stack)
         j = _first_non_finite(stack)
         if j is not None:
             raise ValueError(f"moment s_{j} overflows the float range")
@@ -95,7 +95,7 @@ class MomentSequence:
 
     def shifted(self) -> tuple:
         """The length-m tuple of -alpha*s_j + s_{j+1}."""
-        return _shifted(self.alpha, self.s)
+        return tuple(_shifted(self.alpha, self.s))
 
     def restricted(self, ell: int) -> "MomentSequence":
         if not 0 <= ell <= self.m:
@@ -127,17 +127,18 @@ def _first_non_finite(stack: np.ndarray):
     return None if finite.all() else int(finite.argmin())
 
 
-def _shifted(alpha: float, mats) -> tuple:
-    return tuple(-alpha * mats[j] + mats[j + 1] for j in range(len(mats) - 1))
+def _shifted(alpha: float, mats) -> np.ndarray:
+    """The stack of -alpha*s_j + s_{j+1}, j < m."""
+    stack = np.asarray(mats)
+    return -alpha * stack[:-1] + stack[1:]
 
 
 def _block_hankel(mats, n: int) -> np.ndarray:
-    q = mats[0].shape[0]
-    h = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j in range(n + 1):
-        for k in range(n + 1):
-            h[j * q:(j + 1) * q, k * q:(k + 1) * q] = mats[j + k]
-    return h
+    """The (n+1)q x (n+1)q matrix of blocks s_{j+k}, gathered at once."""
+    stack = np.asarray(mats, dtype=complex)
+    i = np.arange(n + 1)
+    side = (n + 1) * stack.shape[-1]
+    return stack[np.add.outer(i, i)].transpose(0, 2, 1, 3).reshape(side, side)
 
 
 def _theta(mats, n: int, tol: ToleranceConfig):
@@ -151,8 +152,8 @@ def _theta(mats, n: int, tol: ToleranceConfig):
 
 def build_stack(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> HankelStack:
     m = seq.m
-    mats = list(seq.s)
-    shifted = list(seq.shifted())
+    mats = np.array(seq.s)
+    shifted = _shifted(seq.alpha, mats)
     return HankelStack(
         H=tuple(_block_hankel(mats, n) for n in range(m // 2 + 1)),
         Halpha=tuple(_block_hankel(shifted, n) for n in range((m - 1) // 2 + 1)),
@@ -232,10 +233,11 @@ def cone_margins(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> tup
 
 
 def _cone_margins(alpha: float, mats) -> tuple:
-    m = len(mats) - 1
-    tops = [_block_hankel(mats, m // 2)]
+    stack = np.asarray(mats)
+    m = len(stack) - 1
+    tops = [_block_hankel(stack, m // 2)]
     if m >= 1:
-        tops.append(_block_hankel(_shifted(alpha, mats), (m - 1) // 2))
+        tops.append(_block_hankel(_shifted(alpha, stack), (m - 1) // 2))
     return tuple(matcore.psd_margin(t) for t in tops)
 
 

@@ -12,6 +12,9 @@ matrices, shape (..., rows, cols), and then answer per matrix with one
 batched LAPACK call; numpy's stacked ``eigvalsh``/``svd`` run the same
 routine on each matrix, so a stacked answer has the bits of the single
 one.  A 2-d argument is the one-matrix case, unchanged.
+
+``pinv`` is numpy's pinv arithmetic run step by step without its wrapper;
+a test pins it to ``np.linalg.pinv`` bit for bit.
 """
 
 from __future__ import annotations
@@ -151,13 +154,22 @@ def hermitize(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     cancellation.
     """
     m = as_cmat(a)
-    h = symmetrized(m)
-    asym = frob(m - m.conj().T)
-    if asym > tol.herm * (1.0 + frob(m)):
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    # the test runs on m scaled by a power of two near its largest modulus
+    # (halved, which cannot overflow): exact, so the verdict is that of the
+    # unscaled formula asym > tol.herm * (1 + |m|) wherever that formula
+    # stays in the float range, and no norm of the scaled m overflows
+    big = np.abs(0.5 * m).max(initial=0.0)
+    k = min(max(math.frexp(big)[1], -1021), 1021)
+    ms = m * 2.0 ** -k
+    asym = frob(ms - _adjoint(ms))
+    if asym > tol.herm * (2.0 ** -k + frob(ms)):
         raise PreconditionError(
-            f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds tolerance"
+            f"matrix is not Hermitian: asymmetry {asym * 2.0 ** k:.3e} "
+            "exceeds tolerance"
         )
-    return h
+    return 0.5 * (m + _adjoint(m))
 
 
 def symmetrized(a) -> np.ndarray:
@@ -176,11 +188,19 @@ def symmetrized(a) -> np.ndarray:
 
 def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse with relative singular-value cutoff; of each
-    matrix of a stack, each cut relative to its own largest value."""
+    matrix of a stack, each cut relative to its own largest value.
+
+    The arithmetic is ``np.linalg.pinv(a, rtol=tol.pinv_rtol)``'s, step by
+    step without its wrapper, so the bits are numpy's (a test pins them).
+    """
     m = _as_stack(a)
     if m.size == 0:
         return _adjoint(m).copy()
-    return np.linalg.pinv(m, rtol=tol.pinv_rtol)
+    u, s, vt = np.linalg.svd(m.conjugate(), full_matrices=False)
+    large = s > tol.pinv_rtol * s.max(axis=-1, keepdims=True)
+    np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return np.matmul(vt.swapaxes(-1, -2), s[..., None] * u.swapaxes(-1, -2))
 
 
 def psd_margin(a):
@@ -231,19 +251,31 @@ def null_contains(a, c, tol: ToleranceConfig = DEFAULT_TOL):
 def dominates(a, ap, bs, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """``range_contains(a, b)`` and ``null_contains(a, b)`` for every B in
     ``bs``, all read from ``ap``, the pseudoinverse of A the caller already
-    has (``TransformTrace.pinvs`` for a stage's first term)."""
+    has (``TransformTrace.pinvs`` for a stage's first term); the tail is
+    tested as one stack, and an empty one is dominated."""
     a = as_cmat(a)
-    proj = a @ ap
-    return all(_negligible(proj @ b - b, b, tol)
-               and _negligible(b @ ap @ a - b, b, tol) for b in bs)
+    if len(bs) == 0:
+        return True
+    b = np.asarray(bs, dtype=complex)
+    ok = _negligible(a @ ap @ b - b, b, tol) & _negligible(b @ ap @ a - b, b, tol)
+    return bool(ok.all())
 
 
 def _negligible(resid, b, tol: ToleranceConfig):
     """||resid||_F <= tol.inclusion (1 + ||b||_F); per matrix of a stack."""
     if resid.ndim == 2 and b.ndim == 2:
         return frob(resid) <= tol.inclusion * (1.0 + frob(b))
-    sizes = np.linalg.norm(b, axis=(-2, -1))
-    return np.linalg.norm(resid, axis=(-2, -1)) <= tol.inclusion * (1.0 + sizes)
+    return _frobs(resid) <= tol.inclusion * (1.0 + _frobs(b))
+
+
+def _frobs(x: np.ndarray) -> np.ndarray:
+    """:func:`frob` of each matrix of a stack, with its bits: the (1, n) @
+    (n, 1) product of a flattened matrix's real or imaginary part with
+    itself is numpy's 1-d dot of it."""
+    v = x.reshape(x.shape[:-2] + (1, -1))
+    re, im = v.real, v.imag
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def rank_with_tol(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:

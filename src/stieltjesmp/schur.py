@@ -7,6 +7,11 @@ Each step's reciprocal starts from the pseudoinverse of the stage's first
 entry, and the trace keeps these, so ``hankel.classify``'s dominance test
 and the resolvent products never invert a diagonal entry again; only the
 last one, which no step consumes, is inverted by the products.
+The public :func:`reciprocal` and :func:`alpha_shift` validate their
+argument; a step reuses their arithmetic (``_reciprocal``, ``_shift``) on
+a stage that is already checked: the first is the sequence's hermitized,
+finite moments, and each later one passed the previous step's finiteness
+test.
 The inverse step reconstructs a longer sequence from a seed matrix.
 """
 
@@ -37,19 +42,12 @@ def reciprocal(mats, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     r_j = -s_0^+ sum_{l<j} s_{j-l} r_l."""
     if len(mats) == 0:
         raise ValueError("reciprocal of an empty sequence")
-    mats = _stacked(mats)
-    out = np.empty_like(mats)
-    out[0] = matcore.pinv(mats[0], tol)
-    neg = -out[0]
-    for j in range(1, len(mats)):
-        out[j] = neg @ sum(mats[j:0:-1] @ out[:j])
-    return out
+    return _reciprocal(_stacked(mats), tol)
 
 
 def alpha_shift(alpha: float, mats) -> np.ndarray:
     """Stacked -alpha*s_{j-1} + s_j with the convention s_{-1} = 0."""
-    mats = _stacked(mats)
-    return -alpha * np.concatenate((np.zeros_like(mats[:1]), mats[:-1])) + mats
+    return _shift(alpha, _stacked(mats))
 
 
 def _stacked(mats) -> np.ndarray:
@@ -59,9 +57,25 @@ def _stacked(mats) -> np.ndarray:
     return out
 
 
+def _reciprocal(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """:func:`reciprocal` of a checked stack."""
+    out = np.empty_like(stack)
+    out[0] = matcore.pinv(stack[0], tol)
+    neg = -out[0]
+    for j in range(1, len(stack)):
+        out[j] = neg @ sum(stack[j:0:-1] @ out[:j])
+    return out
+
+
+def _shift(alpha: float, stack: np.ndarray) -> np.ndarray:
+    """:func:`alpha_shift` of a checked stack."""
+    return -alpha * np.concatenate((np.zeros_like(stack[:1]), stack[:-1])) + stack
+
+
 def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig) -> tuple:
-    """:func:`first_transform` on stacked matrices, with the pseudoinverse
-    of ``s[0]`` that the reciprocal of the shifted sequence starts from.
+    """:func:`first_transform` on a finite complex stack, with the
+    pseudoinverse of ``s[0]`` that the reciprocal of the shifted sequence
+    starts from.
 
     The outputs are Hermitian in exact arithmetic; their asymmetry is
     rounding, so they are symmetrized.  When the first output is at or
@@ -70,7 +84,7 @@ def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig) -> tuple:
     the next step's pseudoinverse would amplify: they are set to zero, and
     every later step then gives zeros.
     """
-    rec = reciprocal(alpha_shift(alpha, s), tol)
+    rec = _reciprocal(_shift(alpha, s), tol)
     out = -s[0] @ rec[1:] @ s[0]
     out = 0.5 * (out + out.conj().transpose(0, 2, 1))
     if not np.all(np.isfinite(out)):

@@ -7,6 +7,7 @@ test controls its own seed; nothing here touches global state.
 import numpy as np
 
 from stieltjesmp.hankel import MomentSequence
+from stieltjesmp.matcore import frob
 from stieltjesmp.measures import DiscreteMeasure, moments
 from stieltjesmp.pairs import RationalMatFun, StieltjesPair
 from stieltjesmp.respoly import MatrixPolynomial
@@ -68,6 +69,37 @@ def partially_degenerate_seq(rng, q, r, alpha=0.0):
     x2 = alpha + rng.uniform(0.5, 4.0)
     mu = DiscreteMeasure(alpha, (alpha, float(x2)), (w1, w2))
     return mu, moments(mu, 1)
+
+
+def partially_degenerate_moments(rng, q, m, alpha):
+    """m+1 atoms inside one fixed (q-1)-dimensional range plus one atom
+    along another direction: the top parametrization entry has rank q-1."""
+    v = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+    low, u = v[:, :-1] @ v[:, :-1].conj().T, v[:, -1:] @ v[:, -1:].conj().T
+    nodes = alpha + rng.uniform(0.3, 2.0, size=m + 2)
+    weights = [rng.uniform(0.5, 2.0) * low for _ in range(m + 1)] + [u]
+    return moments(DiscreteMeasure(alpha, tuple(nodes), tuple(weights)), m)
+
+
+def degeneracy_sweep():
+    """Sequences for q 1..4 and m 0..8, alpha in [-1, 1]: for each, exact
+    moments, the same with the top pushed off the cone, a completely
+    degenerate one and (q >= 2) a partially degenerate one."""
+    rng = np.random.default_rng(18)
+    out = []
+    for q in range(1, 5):
+        for m in range(9):
+            alpha = float(rng.uniform(-1.0, 1.0))
+            mu = random_measure(rng, q, m + 1, alpha=alpha, spread=2.0)
+            nondeg = moments(mu, m)
+            bump = random_psd(rng, q, scale=0.1 * frob(nondeg.s[-1]) / q)
+            out += [nondeg, MomentSequence(alpha, nondeg.s[:-1]
+                                           + (nondeg.s[-1] - bump,))]
+            out.append(completely_degenerate_seq(rng, q, m, alpha)[1] if m
+                       else MomentSequence(alpha, (np.zeros((q, q)),)))
+            if q >= 2:
+                out.append(partially_degenerate_moments(rng, q, m, alpha))
+    return out
 
 
 def identity_pair(alpha, q):

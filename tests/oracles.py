@@ -65,6 +65,60 @@ def oracle_first_transform(alpha, seq, rtol=1e-12):
     return [-s0 @ rec[j + 1] @ s0 for j in range(len(seq) - 1)]
 
 
+def _checked_stack(mats):
+    out = np.asarray(mats, dtype=complex)
+    if out.ndim != 3 or not np.all(np.isfinite(out)):
+        raise ValueError("expected finite matrices of one shape")
+    return out
+
+
+def checked_reciprocal(mats, rtol=1e-12):
+    """The stacked reciprocal with its own argument check, literally the
+    package's arithmetic (numpy's pinv for the package's, the same bits)."""
+    if len(mats) == 0:
+        raise ValueError("reciprocal of an empty sequence")
+    mats = _checked_stack(mats)
+    out = np.empty_like(mats)
+    out[0] = np.linalg.pinv(mats[0], rtol=rtol)
+    neg = -out[0]
+    for j in range(1, len(mats)):
+        out[j] = neg @ sum(mats[j:0:-1] @ out[:j])
+    return out
+
+
+def checked_alpha_shift(alpha, mats):
+    """The stacked shift with its own argument check."""
+    mats = _checked_stack(mats)
+    return -alpha * np.concatenate((np.zeros_like(mats[:1]), mats[:-1])) + mats
+
+
+def checked_step(alpha, s, rtol=1e-12, psd=1e-9):
+    """One algorithm step on a stack whose shift and reciprocal each check
+    their argument again, literally the package's arithmetic (numpy's norm
+    for the package's Frobenius norm, the same bits); returns the next
+    stage and the pseudoinverse of ``s[0]``."""
+    rec = checked_reciprocal(checked_alpha_shift(alpha, s), rtol)
+    out = -s[0] @ rec[1:] @ s[0]
+    out = 0.5 * (out + out.conj().transpose(0, 2, 1))
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix contains non-finite entries")
+    if np.linalg.norm(out[0]) <= psd * np.linalg.norm(s[0]):
+        out = np.zeros_like(out)
+    return out, rec[0]
+
+
+def oracle_checked_trace(alpha, s, rtol=1e-12, psd=1e-9):
+    """Every stage (as a stack) and every step's pseudoinverse of the
+    stage's first entry, by :func:`checked_step`."""
+    stages = [np.array(s, dtype=complex)]
+    pinvs = []
+    for _ in range(len(s) - 1):
+        out, r0 = checked_step(alpha, stages[-1], rtol, psd)
+        stages.append(out)
+        pinvs.append(r0)
+    return stages, pinvs
+
+
 def oracle_trace_exact(alpha, s):
     """Every stage of the q = 1 algorithm in exact rational arithmetic.
 

@@ -472,6 +472,20 @@ def test_overflowing_moment_is_bad_input(tmp_path, capsys, command, obj,
     assert captured.err == f"bad input: {entry} overflows the float range\n"
 
 
+def test_asymmetry_beyond_the_norm_range_is_a_precondition(tmp_path, capsys):
+    # the norm of this asymmetric moment overflows a float, which once let
+    # it through hermitize; it is refused as any other asymmetric one
+    big = np.array([[1e200, 1e200], [0.0, 1e200]])
+    path = sequence_file(tmp_path, 0.0, (big, np.eye(2)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["classify", path]) == 3
+    captured = capsys.readouterr()
+    assert not caught and not captured.out
+    assert captured.err.startswith("precondition violated: matrix is not "
+                                   "Hermitian: asymmetry 1.414e+200")
+
+
 @pytest.mark.parametrize("command, path", [
     ("classify", "seq_q2_m2.json"),
     ("oracle", "measure_q2_m2.json"),

@@ -10,13 +10,13 @@ from numpy.testing import assert_allclose
 import oracles
 from conftest import (
     cauchy_pair,
-    completely_degenerate_seq,
+    degeneracy_sweep,
     measure_seq,
     nondegenerate_seq,
     random_measure,
     random_psd,
 )
-from stieltjesmp import matcore, schur, serialize
+from stieltjesmp import hankel, matcore, schur, serialize
 from stieltjesmp.hankel import (
     MomentSequence,
     build_stack,
@@ -51,6 +51,27 @@ def test_block_hankel_matches_oracle():
     for n in range(2):
         assert_allclose(stack.Halpha[n],
                         oracles.oracle_block_hankel(shifted, n), atol=1e-12)
+
+
+def test_block_hankel_and_shift_have_the_bytes_of_blockwise_loops():
+    # the gathered block Hankel matrix is the loop's, and the stacked shift
+    # is -alpha*s_j + s_{j+1} formed matrix by matrix
+    rng = np.random.default_rng(11)
+    for q in range(1, 5):
+        for length in range(1, 10):
+            mats = rng.normal(size=(length, q, q)) \
+                + 1j * rng.normal(size=(length, q, q))
+            for n in range((length - 1) // 2 + 1):
+                got = hankel._block_hankel(mats, n)
+                assert got.flags.c_contiguous
+                assert got.tobytes() \
+                    == oracles.oracle_block_hankel(list(mats), n).tobytes()
+            alpha = float(rng.uniform(-1.0, 1.0))
+            shifted = hankel._shifted(alpha, tuple(mats))
+            assert shifted.shape == (length - 1, q, q)
+            assert [x.tobytes() for x in shifted] \
+                == [(-alpha * mats[j] + mats[j + 1]).tobytes()
+                    for j in range(length - 1)]
 
 
 def test_scalar_parametrization_frozen_values():
@@ -174,38 +195,10 @@ def _outcome(fn, seq):
         return type(exc), str(exc)
 
 
-def _partially_degenerate(rng, q, m, alpha):
-    """m+1 atoms inside one fixed (q-1)-dimensional range plus one atom
-    along another direction: the top parametrization entry has rank q-1."""
-    v = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
-    low, u = v[:, :-1] @ v[:, :-1].conj().T, v[:, -1:] @ v[:, -1:].conj().T
-    nodes = alpha + rng.uniform(0.3, 2.0, size=m + 2)
-    weights = [rng.uniform(0.5, 2.0) * low for _ in range(m + 1)] + [u]
-    return moments(DiscreteMeasure(alpha, tuple(nodes), tuple(weights)), m)
-
-
-def _sweep_sequences():
-    rng = np.random.default_rng(18)
-    out = []
-    for q in range(1, 5):
-        for m in range(9):
-            alpha = float(rng.uniform(-1.0, 1.0))
-            mu = random_measure(rng, q, m + 1, alpha=alpha, spread=2.0)
-            nondeg = moments(mu, m)
-            bump = random_psd(rng, q, scale=0.1 * frob(nondeg.s[-1]) / q)
-            out += [nondeg, MomentSequence(alpha, nondeg.s[:-1]
-                                           + (nondeg.s[-1] - bump,))]
-            out.append(completely_degenerate_seq(rng, q, m, alpha)[1] if m
-                       else MomentSequence(alpha, (np.zeros((q, q)),)))
-            if q >= 2:
-                out.append(_partially_degenerate(rng, q, m, alpha))
-    return out
-
-
 def test_classify_matches_recursive_oracle():
     # each sequence of the sweep and every one of its restrictions; the
     # sweep covers all three degeneracy cases and tops pushed off the cone
-    seqs = [seq.restricted(ell) for seq in _sweep_sequences()
+    seqs = [seq.restricted(ell) for seq in degeneracy_sweep()
             for ell in range(seq.m + 1)]
     reports = [_outcome(classify, seq) for seq in seqs]
     for seq, rep in zip(seqs, reports):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from stieltjesmp.matcore import (
     PreconditionError,
     ToleranceConfig,
     as_cmat,
+    dominates,
     frob,
     hermitize,
     is_psd,
@@ -24,6 +26,7 @@ from stieltjesmp.matcore import (
 )
 
 from conftest import random_hermitian, random_psd
+from stieltjesmp import matcore
 from stieltjesmp.hankel import MomentSequence, classify
 
 
@@ -99,6 +102,134 @@ def test_frob_has_the_bits_of_numpy_norm():
             got = frob(a)
             assert type(got) is float
             assert got == float(np.linalg.norm(np.asarray(a)))
+
+
+def test_pinv_has_the_bits_of_numpy_pinv():
+    # pinv runs np.linalg.pinv's arithmetic without its wrapper: complex and
+    # real, square and not, stacks, rank-deficient products, the zero
+    # matrix, extreme scales and a second cutoff
+    rng = np.random.default_rng(12)
+    cases = [np.zeros((3, 3)), rng.normal(size=(2, 3)),
+             rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))]
+    for q in range(1, 7):
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            c = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            b = c[:, :max(1, q - 2)]
+            cases += [scale * c, scale * c.real, scale * (b @ b.conj().T)]
+        stack = rng.normal(size=(4, q, q)) + 1j * rng.normal(size=(4, q, q))
+        stack[1] = stack[0] @ np.diag([1.0] * (q - 1) + [0.0]) @ stack[2]
+        stack[3] = 0.0
+        cases.append(stack)
+    for tol in (DEFAULT_TOL, ToleranceConfig(pinv_rtol=1e-8)):
+        for a in cases:
+            got = pinv(a, tol)
+            want = np.linalg.pinv(np.asarray(a, dtype=complex),
+                                  rtol=tol.pinv_rtol)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_norms_have_the_bits_of_frob():
+    # a stacked containment test reads each matrix's norm by frob's
+    # arithmetic, so its verdicts are the single matrices' verdicts
+    rng = np.random.default_rng(13)
+    for shape in ((1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (2, 3), (3, 2)):
+        for scale in (1e-150, 1e-5, 1.0, 1e5, 1e150):
+            x = scale * (rng.normal(size=(7,) + shape)
+                         + 1j * rng.normal(size=(7,) + shape))
+            got = matcore._frobs(x)
+            assert got.tobytes() == np.array([frob(m) for m in x]).tobytes()
+            assert matcore._frobs(x[0]) == frob(x[0])
+
+
+def test_dominates_is_range_and_null_containment_of_each_tail_entry():
+    # the tail is tested as one stack; the verdict is that of range_contains
+    # and null_contains matrix by matrix, also with one escaping entry in
+    # any place, for an empty tail, and on both sides of the float step of
+    # tol.inclusion where a slightly escaping tail starts to pass
+    rng = np.random.default_rng(14)
+
+    def per_matrix(a, tail, tol=DEFAULT_TOL):
+        return all(range_contains(a, b, tol) and null_contains(a, b, tol)
+                   for b in tail)
+
+    for trial in range(60):
+        q = 1 + trial % 4
+        a = random_psd(rng, q, rank=int(rng.integers(1, q + 1)))
+        ap = pinv(a)
+        inside = [a @ random_hermitian(rng, q) @ a for _ in range(5)]
+        assert dominates(a, ap, inside) is True
+        assert per_matrix(a, inside)
+        assert dominates(a, ap, []) is True and dominates(a, ap, ()) is True
+        if rank_with_tol(a) == q:
+            continue
+        out = random_psd(rng, q)
+        for pos in (0, 2, 5):
+            tail = inside[:pos] + [out] + inside[pos:]
+            assert dominates(a, ap, tail) is False
+            assert not per_matrix(a, tail)
+        tail = inside[:2] + [inside[2] + 1e-7 * out] + inside[3:]
+        lo, hi = map(int, np.array([1e-12, 1e-3]).view(np.int64))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            tol = ToleranceConfig(inclusion=float(np.int64(mid).view(np.float64)))
+            if per_matrix(a, tail, tol):
+                hi = mid
+            else:
+                lo = mid
+        for x, verdict in zip(np.array([lo, hi]).view(float), (False, True)):
+            tol = ToleranceConfig(inclusion=float(x))
+            assert per_matrix(a, tail, tol) is verdict
+            assert dominates(a, ap, tail, tol) is verdict
+
+
+def test_hermitize_refuses_asymmetry_whose_norm_would_overflow():
+    # the Frobenius norms of these overflow a float, which once made the
+    # bound infinite and let the matrix through; as large a Hermitian
+    # matrix keeps its bits
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for big in (2e154, 1e200, 1e300):
+            a = [[big, big], [0.0, big]]
+            with pytest.raises(PreconditionError, match="not Hermitian"):
+                hermitize(a)
+            with pytest.raises(PreconditionError, match="not Hermitian"):
+                MomentSequence(0.0, (a, np.eye(2)))
+            h = np.array([[big, 1j * big], [-1j * big, big]])
+            assert hermitize(h).tobytes() == h.tobytes()
+    assert not caught
+
+
+def _refused_unscaled(m, tol=DEFAULT_TOL):
+    return np.linalg.norm(m - m.conj().T) > tol.herm * (1.0 + np.linalg.norm(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(-100.0, 100.0))
+def test_hermitize_verdict_is_the_unscaled_formulas_at_its_threshold(
+        seed, q, exponent):
+    # hermitize tests m scaled by a power of two; within the float range
+    # the verdict is asym > tol.herm * (1 + |m|) on m itself, on both sides
+    # of the last float step of the asymmetry that flips it
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, q, scale=10.0 ** exponent)
+    d = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+    hi = 16 * DEFAULT_TOL.herm * (1.0 + frob(h)) / frob(d - d.conj().T)
+    assert not _refused_unscaled(h) and _refused_unscaled(h + hi * d)
+    lo, hi = map(int, np.array([0.0, hi]).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _refused_unscaled(h + np.int64(mid).view(np.float64) * d):
+            hi = mid
+        else:
+            lo = mid
+    for t in np.array([lo, hi]).view(float):
+        m = h + t * d
+        if _refused_unscaled(m):
+            with pytest.raises(PreconditionError):
+                hermitize(m)
+        else:
+            assert hermitize(m).tobytes() == symmetrized(m).tobytes()
 
 
 def test_pinv_of_zero_and_empty():

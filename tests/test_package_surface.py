@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stieltjesmp import cli
+from stieltjesmp import cli, schur
 from stieltjesmp.cli import CliConfig
 from stieltjesmp.hankel import MomentSequence, build_stack
 from stieltjesmp.matcore import ToleranceConfig
@@ -108,6 +108,44 @@ def test_serialize_dumps_is_the_one_json_writer():
                 and bound.get(func.value.id) == "serialize"):
             printed.append(ast.unparse(node))
     assert not printed, printed
+
+
+def test_matcore_is_the_one_pseudoinverse():
+    # every pseudoinverse goes through matcore.pinv, whose bits a test pins
+    # to numpy's: no other module calls np.linalg.pinv or imports it
+    src = Path(importlib.import_module(PACKAGE).__file__).parent
+    callers = []
+    for path in src.glob("*.py"):
+        if path.stem == "matcore":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "pinv"
+                    and ast.unparse(node.value).endswith("linalg")):
+                callers.append(f"{path.stem}: {ast.unparse(node)}")
+            elif (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").endswith("linalg")):
+                callers += [f"{path.stem}: from {node.module} import {a.name}"
+                            for a in node.names if a.name == "pinv"]
+    assert not callers, callers
+
+
+def test_the_trace_checks_no_stage_again(monkeypatch):
+    # the public shift and reciprocal validate their argument; the trace's
+    # steps run the same arithmetic on stages already known finite
+    calls = []
+
+    def counted(mats, _fn=schur._stacked):
+        calls.append(1)
+        return _fn(mats)
+
+    monkeypatch.setattr(schur, "_stacked", counted)
+    seq = MomentSequence(0.5, tuple(np.diag([k + 2.0, 1.0 / (k + 1)])
+                                    for k in range(5)))
+    trace = transform_trace(seq)
+    assert len(trace.stages) == 5 and not calls
+    schur.reciprocal(trace.stages[1])
+    schur.alpha_shift(seq.alpha, seq.s)
+    assert len(calls) == 2
 
 
 def test_only_the_cli_grid_reaches_a_grid_parameter():

@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from conftest import (completely_degenerate_seq, measure_seq, nondegenerate_seq,
-                      partially_degenerate_seq, random_measure, random_psd)
+from conftest import (completely_degenerate_seq, degeneracy_sweep, measure_seq,
+                      nondegenerate_seq, partially_degenerate_seq,
+                      random_measure, random_psd)
 from stieltjesmp.hankel import MomentSequence, stieltjes_parametrization
 from stieltjesmp.matcore import (DEFAULT_TOL, PreconditionError, ToleranceConfig,
                                  frob, pinv)
@@ -233,6 +234,26 @@ def test_trace_keeps_each_steps_seed_inverse_bit_for_bit():
             seen.add((np.sign(alpha), not np.any(d)))
     assert seen == {(-1.0, False), (0.0, False), (1.0, False),
                     (-1.0, True), (0.0, True), (1.0, True)}
+
+
+def test_trace_has_the_bytes_of_the_step_that_checks_each_stage_again():
+    # a step calls the shift and reciprocal arithmetic without the public
+    # functions' argument checks, on a stage already known finite; every
+    # byte of the stages and seed inverses is that of the step whose
+    # helpers check their arguments, over q 1..4, m 0..8, alpha in [-1, 1],
+    # all three degeneracy cases and a stage the step sets to zero
+    zeroed = 0
+    for tol in (DEFAULT_TOL, ToleranceConfig(pinv_rtol=1e-8, psd=1e-7)):
+        for seq in degeneracy_sweep():
+            trace = transform_trace(seq, tol)
+            stages, pinvs = oracles.oracle_checked_trace(
+                seq.alpha, seq.s, tol.pinv_rtol, tol.psd)
+            assert [np.array(st).tobytes() for st in trace.stages] \
+                == [st.tobytes() for st in stages]
+            assert [p.tobytes() for p in trace.pinvs] \
+                == [p.tobytes() for p in pinvs]
+            zeroed += any(not np.any(st) for st in stages[1:])
+    assert zeroed
 
 
 def test_scalar_trace_diagonal_matches_exact_arithmetic():
