@@ -263,17 +263,21 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
     slot = _last
     if slot[0] is seq and slot[1] == tol:
         return slot[2]
-    margins = _cone_margins(seq.alpha, seq.s)
+    # each stage is stacked once, for its cone margins and its dominance test
+    stack = np.asarray(seq.s)
+    margins = _cone_margins(seq.alpha, stack)
     lo = min(margins)
     trace = schur.transform_trace(seq, tol)
     # a single term dominates its (empty) tail; otherwise the trace holds
     # the pseudoinverse of every stage's first term but the last
-    dominant = seq.m == 0 or matcore.dominates(seq.s[0], trace.pinvs[0],
-                                                seq.s[1:], tol)
+    dominant = seq.m == 0 or matcore.dominates(stack[0], trace.pinvs[0],
+                                                stack[1:], tol)
     rank_top = matcore.rank_with_tol(trace.diagonal[-1], tol)
 
     candidate = "yes"
     for k, stage in enumerate(trace.stages):
+        if k:
+            stage = np.asarray(stage)
         stage_lo = lo if k == 0 else min(_cone_margins(seq.alpha, stage))
         borderline = abs(stage_lo) < 10.0 * tol.psd
         if stage_lo < -tol.psd:

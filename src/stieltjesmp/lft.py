@@ -6,11 +6,18 @@ A generator E = [[a, b], [c, d]] acts on a single matrix x as
 makes every denominator singular, which the denominator gates refuse.
 
 ``lft_pair`` evaluates the action at a point and ``lft_rational`` on
-rational matrix functions, each slicing the q x q blocks from the
-generator itself.  ``check_denominator`` gates their denominator values,
-sigma_min/sigma_max against ``tol.det_gate`` from one batched SVD of a
-stack (``lft_rational``'s on the whole grid), naming the first failing
-point; ``respoly.det_or_raise`` refuses a zero determinant.
+rational matrix functions, each slicing the blocks from the generator
+itself.  ``lft_rational`` forms numerator and denominator from one product
+per pair component: [a; c] phi and [b; d] psi, whose top q rows make the
+numerator and bottom q rows the denominator.  A row block of a stacked
+product has the bits of the block's own product, so the arithmetic is
+that of four q x q products, and the norms its trims read come per stack
+with ``matcore.frob``'s bits.  Tests pin this formation, and the quotient
+rows ``divide_out_root`` writes in place, to the bytes of literal copies
+in ``tests/oracles.py``.  ``check_denominator`` gates the denominator
+values of both, sigma_min/sigma_max against ``tol.det_gate`` from one
+batched SVD of a stack (``lft_rational``'s on the whole grid), naming the
+first failing point; ``respoly.det_or_raise`` refuses a zero determinant.
 
 Every generator in the package is built at an endpoint alpha, and the
 resolvent satisfies V(z)W(z) = (z-alpha)^(m+1) diag(P, I), so the numerator
@@ -73,13 +80,15 @@ DEFLATION_REL = 1e-8
 
 def _divide_by_root(c: np.ndarray, alpha: float):
     """(quotient, remainder) of the coefficient stack ``c`` (degree-ascending
-    along axis 0) divided by (z - alpha): synthetic division, top down."""
+    along axis 0) divided by (z - alpha): synthetic division, top down, each
+    quotient row written in place from the row above it."""
     quo = np.empty_like(c[1:])
-    acc = c[-1]
-    for j in range(len(c) - 2, -1, -1):
-        quo[j] = acc
-        acc = c[j] + alpha * acc
-    return quo, acc
+    rows = list(quo)
+    quo[-1] = c[-1]
+    for j in range(len(rows) - 1, 0, -1):
+        np.multiply(alpha, rows[j], rows[j - 1])
+        np.add(c[j], rows[j - 1], rows[j - 1])
+    return quo, c[0] + alpha * rows[0]
 
 
 def divide_out_root(num: MatrixPolynomial, den: np.ndarray, alpha: float):
@@ -123,6 +132,23 @@ def lft_pair(e, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.solve(den.T, (e[:q, :q] @ x + e[:q, q:] @ y).T).T
 
 
+def _num_den(gen: MatrixPolynomial, phi, psi) -> tuple:
+    """The trimmed polynomials a phi.num psi.den + b psi.num phi.den and
+    c phi.num psi.den + d psi.num phi.den of the generator
+    [[a, b], [c, d]]: [a; c] phi.num and [b; d] psi.num are one
+    convolution each, and a row block of such a stacked product has the
+    bits of the block's own product."""
+    if gen.size % 2:
+        raise ValueError("a generator needs an even size")
+    q = gen.size // 2
+    both = ((MatrixPolynomial(gen.coeffs[:, :, :q]) @ phi.num)
+            .scale_poly(psi.den)
+            + (MatrixPolynomial(gen.coeffs[:, :, q:]) @ psi.num)
+            .scale_poly(phi.den)).coeffs
+    return (MatrixPolynomial(both[:, :q]).trimmed(),
+            MatrixPolynomial(both[:, q:]).trimmed())
+
+
 def lft_rational(gen: MatrixPolynomial, phi, psi, alpha: float,
                  tol: ToleranceConfig = DEFAULT_TOL, grid=(),
                  stage: str = "rational"):
@@ -138,15 +164,7 @@ def lft_rational(gen: MatrixPolynomial, phi, psi, alpha: float,
     numerator and denominator share is divided out (``divide_out_root``,
     at ``DEFLATION_REL``) before ``simplify`` runs.
     """
-    if gen.size % 2:
-        raise ValueError("a generator needs an even size")
-    halves = (slice(None, gen.size // 2), slice(gen.size // 2, None))
-    a, b, c, d = (MatrixPolynomial(gen.coeffs[:, i, j])
-                  for i in halves for j in halves)
-    num = ((a @ phi.num).scale_poly(psi.den)
-           + (b @ psi.num).scale_poly(phi.den)).trimmed()
-    den = ((c @ phi.num).scale_poly(psi.den)
-           + (d @ psi.num).scale_poly(phi.den)).trimmed()
+    num, den = _num_den(gen, phi, psi)
     det = det_or_raise(den, stage,
                        "linear-fractional denominator is identically singular")
     zs = np.asarray(grid, dtype=complex)

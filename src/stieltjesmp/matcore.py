@@ -38,12 +38,15 @@ __all__ = [
     "is_psd",
     "psd_margin",
     "range_contains",
+    "in_range",
     "null_contains",
     "dominates",
     "rank_with_tol",
     "signature_j",
     "j_form",
     "frob",
+    "frobs",
+    "frob_at_most",
 ]
 
 
@@ -231,11 +234,18 @@ def range_contains(a, b, tol: ToleranceConfig = DEFAULT_TOL):
     Either argument may be a stack; the answer is then one verdict per
     matrix, with one (stacked) pseudoinverse of A.
     """
+    return in_range(a, pinv(a, tol), b, tol)
+
+
+def in_range(a, ap, b, tol: ToleranceConfig = DEFAULT_TOL):
+    """:func:`range_contains` read from ``ap``, the pseudoinverse of A the
+    caller already has (at ``tol``), so that A is inverted once for every
+    test and product that needs it."""
     a = _as_stack(a)
     b = _as_stack(b)
     if a.shape[-2] != b.shape[-2]:
         raise ValueError("row counts differ")
-    return _negligible(a @ pinv(a, tol) @ b - b, b, tol)
+    return _negligible(a @ ap @ b - b, b, tol)
 
 
 def null_contains(a, c, tol: ToleranceConfig = DEFAULT_TOL):
@@ -257,22 +267,53 @@ def dominates(a, ap, bs, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     if len(bs) == 0:
         return True
     b = np.asarray(bs, dtype=complex)
-    ok = _negligible(a @ ap @ b - b, b, tol) & _negligible(b @ ap @ a - b, b, tol)
-    return bool(ok.all())
+    # both residuals, as one stack, against one norm of each B
+    resid = np.empty((2,) + b.shape, dtype=complex)
+    np.subtract(a @ ap @ b, b, out=resid[0])
+    np.subtract(b @ ap @ a, b, out=resid[1])
+    return bool(_negligible(resid, b, tol).all())
 
 
 def _negligible(resid, b, tol: ToleranceConfig):
     """||resid||_F <= tol.inclusion (1 + ||b||_F); per matrix of a stack."""
-    if resid.ndim == 2 and b.ndim == 2:
-        return frob(resid) <= tol.inclusion * (1.0 + frob(b))
-    return _frobs(resid) <= tol.inclusion * (1.0 + _frobs(b))
+    return frob_at_most(resid, b, tol.inclusion, 1.0)
 
 
-def _frobs(x: np.ndarray) -> np.ndarray:
-    """:func:`frob` of each matrix of a stack, with its bits: the (1, n) @
-    (n, 1) product of a flattened matrix's real or imaginary part with
-    itself is numpy's 1-d dot of it."""
-    v = x.reshape(x.shape[:-2] + (1, -1))
+def frob_at_most(x, y, c: float, floor: float):
+    """frob(x) <= c (floor + frob(y)) for matrices, or per matrix of stacks
+    that broadcast against each other, with frob's bits and no numpy
+    warning.
+
+    When the sum of the squares of all of x or of all of y overflows, a
+    norm may, so each place is decided on x and y scaled by 2^-k, k from
+    the larger modulus of the two there (clamped to +-1021), and floor by
+    2^-k: exact scaling, so a verdict that the unscaled norms reach in
+    range is kept.
+    """
+    # no matrix's sum of squares exceeds its stack's, which np.vdot sums
+    # without a warning: when both are finite, no norm overflows
+    if float(np.vdot(x, x).real) + float(np.vdot(y, y).real) < math.inf:
+        if x.ndim == y.ndim == 2:
+            return bool(frob(x) <= c * (floor + frob(y)))
+        return frobs(x) <= c * (floor + frobs(y))
+    big = np.maximum(_max_modulus(x), _max_modulus(y))
+    scale = np.ldexp(1.0, -np.clip(np.frexp(big)[1], -1021, 1021))
+    ok = (frobs(x * scale[..., None, None])
+          <= c * (floor * scale + frobs(y * scale[..., None, None])))
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def _max_modulus(x: np.ndarray) -> np.ndarray:
+    """Largest |re| or |im| of each matrix of a stack (of a matrix, a
+    0-d array), which no complex modulus can overflow."""
+    return np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=(-2, -1))
+
+
+def frobs(x: np.ndarray) -> np.ndarray:
+    """:func:`frob` of each matrix of a C-ordered stack, with its bits, from
+    one stacked call: the (1, n) @ (n, 1) product of a flattened matrix's
+    real or imaginary part with itself is numpy's 1-d dot of it."""
+    v = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
     re, im = v.real, v.imag
     sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
     return np.sqrt(sq[..., 0, 0])

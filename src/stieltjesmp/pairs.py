@@ -13,8 +13,8 @@ is what enters the solution formulas.
 
 The range condition, ran phi(z) inside ran A for every z, is a
 polynomial identity: (I - A A^+) annihilates every numerator coefficient
-of phi, so ``in_class_P_of`` decides it on the coefficients with one
-pseudoinverse of A.  The other checks run on a finite grid
+of phi, so ``in_class_P_of`` decides it on the coefficients with the one
+pseudoinverse of A its caller has.  The other checks run on a finite grid
 (``default_grid``).  ``grid_values`` evaluates functions on all of it at
 once, and ``f(z)`` is its walk at the one point z: array Horner on the
 numerators, and the pole rule |d(z)| <= POLE_REL |d|(|z|), with |d| the
@@ -263,9 +263,9 @@ class RationalMatFun:
         points = [pole_scale * t * np.exp(1j * ang) for t, ang in
                   ((0.11, 0.77), (0.43, 2.1), (1.19, -1.3), (2.3, 0.4))]
         _, (refs, gots) = grid_values((self, other), points)
-        return len(refs) > 0 and not any(
-            matcore.frob(got - ref) > SIMPLIFY_REL * (1.0 + matcore.frob(ref))
-            for ref, got in zip(refs, gots))
+        return len(refs) > 0 and not np.any(
+            matcore.frobs(gots - refs)
+            > SIMPLIFY_REL * (1.0 + matcore.frobs(refs)))
 
 
 def default_grid(alpha: float) -> tuple:
@@ -404,12 +404,12 @@ def pair_from_function(fun: RationalMatFun, alpha: float,
     return pair
 
 
-def in_class_P_of(pair: StieltjesPair, a,
+def in_class_P_of(pair: StieltjesPair, a, ap,
                   tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Range condition: ran phi(z) inside ran a at every z, which holds
-    exactly when every numerator coefficient of phi lies in ran a; one
-    pseudoinverse of ``a`` for all of them."""
-    return bool(np.all(matcore.range_contains(a, pair.phi.num.coeffs, tol)))
+    exactly when every numerator coefficient of phi lies in ran a; all of
+    them read from ``ap``, the pseudoinverse of ``a`` the caller has."""
+    return bool(np.all(matcore.in_range(a, ap, pair.phi.num.coeffs, tol)))
 
 
 # ``equivalent``'s bound on the spectral-norm gap between span projectors

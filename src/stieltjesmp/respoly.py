@@ -3,7 +3,14 @@ stagewise compositions, and the indefinite-metric identities.
 
 A matrix polynomial is one read-only coefficient stack, and every operation
 works on the stack: evaluation takes a point or an array of points, so the
-determinant and adjugate sample each interpolation circle in one call.
+determinant and adjugate sample each interpolation circle in one call, and
+the coefficient norms behind every trim and scale are read per stack, from
+one ``matcore.frobs`` call with ``matcore.frob``'s bits.  A product of a
+row-stacked polynomial has, in each row block, the bits of that block's own
+product, so ``lft.lft_rational`` forms its numerator and denominator from
+one product per pair component.  Tests pin these kernels (norms, Horner,
+the synthesis's products) to the bytes of literal one-call-per-matrix
+copies in ``tests/oracles.py``.
 ``det_or_raise`` gives the determinant to the two callers that divide by
 it (``lft.lft_rational``, ``pairs.in_diamond``) and refuses a zero one.
 
@@ -15,9 +22,10 @@ and the ascent generator is
 Compositions run over the algorithm diagonal of a moment sequence: the
 descent product multiplies stage 0 leftmost, the ascent product stage m
 leftmost, which is the order that telescopes against the descent product.
-They take every seed's pseudoinverse from the trace but the last entry's,
-which they invert once at the trace's tolerance, and each accumulates its
-factors into one coefficient stack.
+They take every seed's pseudoinverse from the trace but the last entry's:
+``descent_resolvent`` is given that one by ``solve``, whose range gate
+reads it too, and ``compose_resolvent`` inverts it once at the trace's
+tolerance.  Each accumulates its factors into one coefficient stack.
 """
 
 from __future__ import annotations
@@ -94,8 +102,9 @@ class MatrixPolynomial:
         return len(self.coeffs) - 1
 
     def coeff_norms(self) -> list:
-        """Frobenius norm of each coefficient, degree-ascending."""
-        return [matcore.frob(c) for c in self.coeffs]
+        """Frobenius norm of each coefficient, degree-ascending: one stacked
+        ``matcore.frobs`` call, with ``matcore.frob``'s bits."""
+        return matcore.frobs(self.coeffs).tolist()
 
     def __call__(self, z) -> np.ndarray:
         """Horner evaluation at a point; at an array of points, the values
@@ -106,12 +115,14 @@ class MatrixPolynomial:
         z = np.asarray(z)
         if z.ndim:
             z = z[..., None, None]
-            # broadcast first: at one point, 1 x 1 coefficients would round
-            # unlike the single-point product, which the stack must equal
-            acc = np.broadcast_to(acc, z.shape[:-2] + self.shape)
+            # fill to the full shape first: at one point, 1 x 1 coefficients
+            # would round unlike the single-point product, which the stack
+            # must equal
+            acc = np.empty(z.shape[:-2] + self.shape, dtype=complex)
+            acc[...] = cs[n]
         for k in range(n - 1, -1, -1):
             acc = acc * z + cs[k]
-        return acc if n else acc.copy()
+        return acc if n or z.ndim else acc.copy()
 
     def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
         if self.shape != other.shape:
@@ -145,7 +156,10 @@ class MatrixPolynomial:
         return MatrixPolynomial(out)
 
     def trimmed(self) -> "MatrixPolynomial":
-        return MatrixPolynomial(trim_trailing(self.coeffs, self.coeff_norms()))
+        """Without the trailing coefficients ``trim_trailing`` drops; the
+        polynomial itself when it drops none."""
+        kept = trim_trailing(self.coeffs, self.coeff_norms())
+        return self if len(kept) == len(self.coeffs) else MatrixPolynomial(kept)
 
     @staticmethod
     def constant(a) -> "MatrixPolynomial":
@@ -298,10 +312,9 @@ def w_poly(alpha: float, a, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynom
     return MatrixPolynomial(_w_coeffs(alpha, a, matcore.pinv(a, tol)))
 
 
-def _seeds(trace: TransformTrace) -> list:
+def _seeds(trace: TransformTrace, last: np.ndarray) -> list:
     """(entry, pseudoinverse) over the trace's diagonal: the steps' inverses,
-    and the last entry's, which no step computed, inverted at trace.tol."""
-    last = matcore.pinv(trace.diagonal[-1], trace.tol)
+    and ``last``, the last entry's, which no step computed."""
     return list(zip(trace.diagonal, trace.pinvs + (last,)))
 
 
@@ -313,15 +326,18 @@ def _descent(alpha: float, seeds: list) -> MatrixPolynomial:
     return MatrixPolynomial(acc)
 
 
-def descent_resolvent(trace: TransformTrace) -> MatrixPolynomial:
+def descent_resolvent(trace: TransformTrace,
+                      last_pinv: np.ndarray) -> MatrixPolynomial:
     """The descent product over the diagonal of an algorithm trace, stage-0
     factor leftmost: the generator ``solve`` synthesizes with.
 
     Each factor is :func:`v_poly` of its diagonal entry, built from the
-    trace's pseudoinverses, and the product is formed left to right with
-    the arithmetic of ``MatrixPolynomial.__matmul__``.
+    trace's pseudoinverses and ``last_pinv``, the last entry's at
+    trace.tol, which ``solve``'s range gate reads too; the product is
+    formed left to right with the arithmetic of
+    ``MatrixPolynomial.__matmul__``.
     """
-    return _descent(trace.input.alpha, _seeds(trace))
+    return _descent(trace.input.alpha, _seeds(trace, last_pinv))
 
 
 def compose_resolvent(trace: TransformTrace):
@@ -334,7 +350,8 @@ def compose_resolvent(trace: TransformTrace):
     (z-alpha)^(m+1) diag(P, I) with P the projector onto the range of the
     top diagonal entry.  Both read the trace's pseudoinverses.
     """
-    alpha, seeds = trace.input.alpha, _seeds(trace)
+    alpha = trace.input.alpha
+    seeds = _seeds(trace, matcore.pinv(trace.diagonal[-1], trace.tol))
     acc = _w_coeffs(alpha, *seeds[0])
     for a, ap in seeds[1:]:
         acc = _convolve(_w_coeffs(alpha, a, ap), acc)

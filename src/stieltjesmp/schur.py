@@ -82,14 +82,16 @@ def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig) -> tuple:
     below tol.psd times the first input (Frobenius norms), the outputs are
     the rounding passed on from the input's larger later entries, which
     the next step's pseudoinverse would amplify: they are set to zero, and
-    every later step then gives zeros.
+    every later step then gives zeros.  Near the float range the norms are
+    compared on the two matrices scaled by one power of two
+    (``matcore.frob_at_most``), so they do not overflow.
     """
     rec = _reciprocal(_shift(alpha, s), tol)
     out = -s[0] @ rec[1:] @ s[0]
     out = 0.5 * (out + out.conj().transpose(0, 2, 1))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError("matrix contains non-finite entries")
-    if matcore.frob(out[0]) <= tol.psd * matcore.frob(s[0]):
+    if matcore.frob_at_most(out[0], s[0], tol.psd, 0.0):
         out = np.zeros_like(out)
     return out, rec[0]
 

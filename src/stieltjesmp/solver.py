@@ -165,7 +165,10 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
     pre = pairs.verify_pair(req.parameter, tol)
     if not pre["ok"]:
         raise PreconditionError(f"parameter pair is not admissible: {pre}")
-    if r < seq.q and not pairs.in_class_P_of(req.parameter, top, tol):
+    # Q_m is inverted once, for the range gate and the descent product
+    top_pinv = matcore.pinv(top, tol)
+    if r < seq.q and not pairs.in_class_P_of(req.parameter, top, top_pinv,
+                                             tol):
         raise PreconditionError(
             "parameter range escapes the range of the top diagonal entry "
             f"(rank {r} case '{tag}')")
@@ -176,7 +179,7 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
                 "equality problem needs a decaying parameter; quotient "
                 f"residual {decay['residual']:.3e}")
 
-    gen = respoly.descent_resolvent(report.trace)
+    gen = respoly.descent_resolvent(report.trace, top_pinv)
     return lft.lft_rational(gen, req.parameter.phi, req.parameter.psi,
                             seq.alpha, tol, grid, stage="synthesis")
 

@@ -2,10 +2,12 @@
 
 Everything here is written in the most literal way available -- explicit
 loops, nested sums, dense block assembly -- and, except for
-:func:`oracle_classify`, imports nothing from the package under test
-(:func:`oracle_verify_pair` calls the pair it is given, point by point, and
-:func:`oracle_simplify` the refit and match steps of the function it is
-given).
+:func:`oracle_classify` and :func:`oracle_matches`, imports nothing from the
+package under test (:func:`oracle_verify_pair` calls the pair it is given,
+point by point, and :func:`oracle_simplify` the refit and match steps of
+the function it is given).  The ``literal_*`` functions are the synthesis
+kernels as they were written before they were rewritten with fewer numpy
+calls, kept to pin the rewritten ones to their bytes.
 Tests compare the optimized library code against these second opinions,
 and several hand-derived constants below are frozen into the test modules.
 """
@@ -461,3 +463,100 @@ def oracle_simplify(f):
         den[-1] = abs(lead)
         num = num.scale(unit)
     return type(f)(num, den)
+
+
+# -- the synthesis kernels as first written, one numpy call per matrix ------
+
+def literal_coeff_norms(coeffs):
+    """Frobenius norm of each coefficient of a stack, one at a time."""
+    return [float(np.linalg.norm(c)) for c in coeffs]
+
+
+def literal_convolve(x, y):
+    """Coefficient stack of the product of the stacks ``x`` and ``y``."""
+    width = len(y)
+    out = np.zeros((len(x) + width - 1, x.shape[1], y.shape[2]),
+                   dtype=complex)
+    for i, a in enumerate(x):
+        out[i:i + width] += a @ y
+    return out
+
+
+def literal_scale_poly(coeffs, scalar_coeffs):
+    """A coefficient stack times a scalar polynomial."""
+    sc = np.atleast_1d(np.asarray(scalar_coeffs, dtype=complex))
+    n = len(coeffs)
+    out = np.zeros((n + len(sc) - 1,) + coeffs.shape[1:], dtype=complex)
+    for j in range(len(sc) - 1, -1, -1):
+        out[j:j + n] += sc[j] * coeffs
+    return out
+
+
+def literal_add(x, y):
+    """Sum of two coefficient stacks, the shorter padded with zeros."""
+    n = max(len(x), len(y))
+    a, b = (np.concatenate((p, np.zeros((n - len(p),) + p.shape[1:])))
+            for p in (x, y))
+    return a + b
+
+
+def literal_trimmed(coeffs, rel=1e-13):
+    """The stack without trailing coefficients of norm at most rel times
+    max(1, the largest norm); the constant one always stays."""
+    sizes = literal_coeff_norms(coeffs)
+    cut = rel * max(1.0, max(sizes))
+    n = len(coeffs)
+    while n > 1 and sizes[n - 1] <= cut:
+        n -= 1
+    return coeffs[:n]
+
+
+def literal_num_den(gen, phi_num, phi_den, psi_num, psi_den):
+    """Numerator and denominator stacks of the linear-fractional action of
+    the generator stack ``gen`` on a pair: four q x q blocks, four
+    products."""
+    half = gen.shape[1] // 2
+    halves = (slice(None, half), slice(half, None))
+    a, b, c, d = (gen[:, i, j] for i in halves for j in halves)
+    num = literal_add(literal_scale_poly(literal_convolve(a, phi_num), psi_den),
+                      literal_scale_poly(literal_convolve(b, psi_num), phi_den))
+    den = literal_add(literal_scale_poly(literal_convolve(c, phi_num), psi_den),
+                      literal_scale_poly(literal_convolve(d, psi_num), phi_den))
+    return literal_trimmed(num), literal_trimmed(den)
+
+
+def literal_divide_by_root(c, alpha):
+    """(quotient, remainder) of the stack ``c`` divided by (z - alpha)."""
+    quo = np.empty_like(c[1:])
+    acc = c[-1]
+    for j in range(len(c) - 2, -1, -1):
+        quo[j] = acc
+        acc = c[j] + alpha * acc
+    return quo, acc
+
+
+def literal_horner(coeffs, z):
+    """Horner evaluation of a coefficient stack at a point or at an array
+    of points, the leading coefficient broadcast to the full shape first."""
+    n = len(coeffs) - 1
+    acc = coeffs[n]
+    z = np.asarray(z)
+    if z.ndim:
+        z = z[..., None, None]
+        acc = np.broadcast_to(acc, z.shape[:-2] + coeffs.shape[1:])
+    for k in range(n - 1, -1, -1):
+        acc = acc * z + coeffs[k]
+    return acc if n else acc.copy()
+
+
+def oracle_matches(f, other, pole_scale):
+    """``simplify``'s acceptance test of ``other`` against ``f``, point by
+    point with numpy's norm, at the same control points."""
+    from stieltjesmp.pairs import SIMPLIFY_REL, grid_values
+
+    points = [pole_scale * t * np.exp(1j * ang) for t, ang in
+              ((0.11, 0.77), (0.43, 2.1), (1.19, -1.3), (2.3, 0.4))]
+    _, (refs, gots) = grid_values((f, other), points)
+    return len(refs) > 0 and not any(
+        np.linalg.norm(got - ref) > SIMPLIFY_REL * (1.0 + np.linalg.norm(ref))
+        for ref, got in zip(refs, gots))

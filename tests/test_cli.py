@@ -472,6 +472,23 @@ def test_overflowing_moment_is_bad_input(tmp_path, capsys, command, obj,
     assert captured.err == f"bad input: {entry} overflows the float range\n"
 
 
+@pytest.mark.parametrize("command", ["classify", "poly"])
+def test_moments_near_the_float_range_print_no_warning(tmp_path, capsys,
+                                                       command):
+    # s_0 = s_1 = s_2 = 1e300 at alpha 0: the zero-stage and dominance norms
+    # overflowed and numpy warned on stderr before the report
+    path = sequence_file(tmp_path, 0.0, [np.array([[1e300]])] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, path]) == 0
+    captured = capsys.readouterr()
+    assert not captured.err
+    out = json.loads(captured.out)
+    assert out["q"] == 1 and out["m"] == 2
+    if command == "classify":
+        assert out["rank_top"] == 0 and out["Kgge_candidate"] == "yes"
+
+
 def test_asymmetry_beyond_the_norm_range_is_a_precondition(tmp_path, capsys):
     # the norm of this asymmetric moment overflows a float, which once let
     # it through hermitize; it is refused as any other asymmetric one

@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -343,3 +344,20 @@ def test_concurrent_classify_returns_each_thread_its_own_report():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert wrong == []
+
+
+def test_moments_near_the_float_range_classify_as_at_unit_scale():
+    # one or two atoms with weights 2e154 to 1e300: the norms in the zero-
+    # stage test and the dominance tests overflow unless scaled, which once
+    # printed numpy warnings; the report is the unit-scale one
+    w2 = np.array([[2.0, 0.5], [0.5, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in (np.eye(1), w2):
+            for m in range(1, 5):
+                for nodes in ((1.0,), (1.0, 3.0)):
+                    s = [sum(x ** j * w for x in nodes) for j in range(m + 1)]
+                    unit = classify(MomentSequence(0.0, tuple(s)))
+                    for big in (2e154, 1e200, 1e300):
+                        seq = MomentSequence(0.0, tuple(big * x for x in s))
+                        assert classify(seq) == unit

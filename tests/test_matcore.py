@@ -13,6 +13,7 @@ from stieltjesmp.matcore import (
     as_cmat,
     dominates,
     frob,
+    frob_at_most,
     hermitize,
     is_psd,
     j_form,
@@ -133,13 +134,14 @@ def test_stacked_norms_have_the_bits_of_frob():
     # a stacked containment test reads each matrix's norm by frob's
     # arithmetic, so its verdicts are the single matrices' verdicts
     rng = np.random.default_rng(13)
-    for shape in ((1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (2, 3), (3, 2)):
+    for shape in ((1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (10, 10), (2, 3),
+                  (3, 2), (6, 3), (3, 1)):
         for scale in (1e-150, 1e-5, 1.0, 1e5, 1e150):
             x = scale * (rng.normal(size=(7,) + shape)
                          + 1j * rng.normal(size=(7,) + shape))
-            got = matcore._frobs(x)
+            got = matcore.frobs(x)
             assert got.tobytes() == np.array([frob(m) for m in x]).tobytes()
-            assert matcore._frobs(x[0]) == frob(x[0])
+            assert matcore.frobs(x[0]) == frob(x[0])
 
 
 def test_dominates_is_range_and_null_containment_of_each_tail_entry():
@@ -181,6 +183,31 @@ def test_dominates_is_range_and_null_containment_of_each_tail_entry():
             tol = ToleranceConfig(inclusion=float(x))
             assert per_matrix(a, tail, tol) is verdict
             assert dominates(a, ap, tail, tol) is verdict
+
+
+def test_frob_at_most_keeps_its_verdict_at_every_power_of_two():
+    # x sits on the float step of c (floor + |y|): c is the exact ratio and
+    # its two neighbours, so the verdicts differ; x, y and floor scaled by
+    # 2^j give the unit-scale verdict, also where the norms overflow, and a
+    # stack decides each matrix at its own scale, with no warning
+    rng = np.random.default_rng(15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(40):
+            q = 1 + trial % 4
+            x = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            y = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            floor = (0.0, 1.0)[trial % 2]
+            ratio = frob(x) / (floor + frob(y))
+            for c in (np.nextafter(ratio, 0.0), ratio, np.nextafter(ratio, 2.0)):
+                want = bool(frob(x) <= c * (floor + frob(y)))
+                assert frob_at_most(x, y, c, floor) is want
+                for j in (-300, -7, 5, 200, 511, 512, 600, 1000):
+                    k = 2.0 ** j
+                    assert frob_at_most(x * k, y * k, c, floor * k) is want
+                scales = 2.0 ** np.array([0, 300, 600, 1000])[:, None, None]
+                got = frob_at_most(x * scales, y * scales, c, floor * scales[:, 0, 0])
+                assert got.tolist() == [want] * 4
 
 
 def test_hermitize_refuses_asymmetry_whose_norm_would_overflow():

@@ -24,6 +24,7 @@ from stieltjesmp.matcore import (
     SingularDenominatorError,
     frob,
     j_form,
+    pinv,
     range_contains,
     signature_j,
 )
@@ -507,20 +508,26 @@ def test_in_class_range_condition():
                            RationalMatFun.const(np.eye(3)))
     outside = StieltjesPair(0.0, RationalMatFun.const(np.diag([0.0, 0.0, 1.0])),
                             RationalMatFun.const(np.eye(3)))
-    assert in_class_P_of(inside, proj2)
-    assert not in_class_P_of(outside, proj2)
-    assert in_class_P_of(identity_pair(0.0, 3), np.zeros((3, 3)))
+    assert in_class_P_of(inside, proj2, pinv(proj2))
+    assert not in_class_P_of(outside, proj2, pinv(proj2))
+    assert in_class_P_of(identity_pair(0.0, 3), np.zeros((3, 3)),
+                         np.zeros((3, 3)))
     # phi(z) = diag(1e6 z^2, 1e-5) leaves ran diag(1, 0) at every z, but on
     # the grid (|z - alpha| >= 0.5) the escape is below the inclusion
     # tolerance relative to |phi(z)|; its constant coefficient shows it
     phi = RationalMatFun(MatrixPolynomial(
         (np.diag([0.0, 1e-5]), np.zeros((2, 2)), np.diag([1e6, 0.0]))))
     small = StieltjesPair(0.0, phi, RationalMatFun.const(np.eye(2)))
-    assert not in_class_P_of(small, np.diag([1.0, 0.0]))
+    assert not in_class_P_of(small, np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
     assert not range_contains(np.diag([1.0, 0.0]), phi(0.01))
 
 
-def test_in_class_P_of_takes_one_pinv_of_its_matrix(monkeypatch):
+def test_in_class_P_of_reads_the_pseudoinverse_it_is_given(monkeypatch):
+    # the gate inverts nothing itself: solve hands it the one inverse of
+    # Q_m that the descent product reads too, and a wrong one shows
+    proj2 = np.diag([1.0, 1.0, 0.0])
+    pair = cauchy_pair(0.0, 3, c=np.diag([1.0, 2.0, 0.0]))
+    good, wrong = pinv(proj2), pinv(np.diag([1.0, 0.0, 0.0]))
     calls = []
 
     def counted(a, *args, _fn=matcore.pinv, **kwargs):
@@ -528,9 +535,9 @@ def test_in_class_P_of_takes_one_pinv_of_its_matrix(monkeypatch):
         return _fn(a, *args, **kwargs)
 
     monkeypatch.setattr(matcore, "pinv", counted)
-    proj2 = np.diag([1.0, 1.0, 0.0])
-    assert in_class_P_of(cauchy_pair(0.0, 3, c=np.diag([1.0, 2.0, 0.0])), proj2)
-    assert len(calls) == 1 and np.array_equal(calls[0], proj2)
+    assert in_class_P_of(pair, proj2, good)
+    assert not in_class_P_of(pair, proj2, wrong)
+    assert not calls
 
 
 def _bench_workloads():
@@ -597,7 +604,7 @@ def test_in_class_P_of_matches_the_pointwise_rule_on_the_longseq_pool():
         for pair in candidates:
             want = all(range_contains(top, ph)
                        for ph in _off_pole_values(pair.phi, grid))
-            assert in_class_P_of(pair, top) == want
+            assert in_class_P_of(pair, top, pinv(top)) == want
             verdicts.append((r < q, want))
     assert set(verdicts) == {(False, True), (True, True), (True, False)}
 
@@ -628,7 +635,8 @@ def test_gamma_embedding_roundtrip():
     lifted = gamma_U_embed(small.phi, small.psi, usub, 0.25)
     assert lifted.q == 4
     assert verify_pair(lifted)["ok"]
-    assert in_class_P_of(lifted, usub @ usub.conj().T)
+    proj = usub @ usub.conj().T
+    assert in_class_P_of(lifted, proj, pinv(proj))
 
     # extraction returns a representative of the same projective class
     phi_r, psi_r = gamma_U_extract(lifted.phi, lifted.psi, usub, 0.25)

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 import oracles
 from conftest import (completely_degenerate_seq, identity_pair, measure_seq,
-                      nondegenerate_seq, random_psd)
+                      nondegenerate_seq, partially_degenerate_moments,
+                      random_psd)
 from stieltjesmp import matcore
 from stieltjesmp.hankel import MomentSequence, classify
 from stieltjesmp.matcore import DEFAULT_TOL, PreconditionError, frob
@@ -23,7 +24,7 @@ from stieltjesmp.respoly import (
     w_poly,
 )
 from stieltjesmp.schur import transform_trace
-from stieltjesmp.solver import SolutionRequest, solve
+from stieltjesmp.solver import SolutionRequest, solve, solve_degenerate_embedded
 
 
 def _rand_poly(rng, q, deg, rect=None):
@@ -183,27 +184,39 @@ def test_resolvent_products_equal_their_factor_products_bit_for_bit():
         v, w = compose_resolvent(trace)
         assert v.coeffs.tobytes() == v_ref.coeffs.tobytes()
         assert w.coeffs.tobytes() == w_ref.coeffs.tobytes()
-        assert descent_resolvent(trace).coeffs.tobytes() == v_ref.coeffs.tobytes()
+        last = matcore.pinv(trace.diagonal[-1], trace.tol)
+        assert (descent_resolvent(trace, last).coeffs.tobytes()
+                == v_ref.coeffs.tobytes())
 
 
 def test_each_diagonal_entry_is_inverted_once_per_classify_and_solve(monkeypatch):
     # classify's trace inverts the first m diagonal entries and its
-    # dominance tests reuse them; solve inverts only the last entry
+    # dominance tests reuse them; solve inverts only the last entry, once
+    # also when it is rank-deficient and the range gate reads it as well
     calls = []
 
     def counted(a, *args, _fn=matcore.pinv, **kwargs):
         calls.append(np.array(a))
         return _fn(a, *args, **kwargs)
 
-    _, seq = nondegenerate_seq(np.random.default_rng(37), 2, 4)
+    rng = np.random.default_rng(37)
+    _, seq = nondegenerate_seq(rng, 2, 4)
+    low = partially_degenerate_moments(rng, 3, 3, 0.4)
     monkeypatch.setattr(matcore, "pinv", counted)
-    report = classify(seq)
-    assert report.first_term_dominant and report.extendable_candidate == "yes"
-    assert len(calls) == seq.m
-    calls.clear()
-    solve(SolutionRequest(seq, identity_pair(seq.alpha, seq.q)))
-    assert len(calls) == 1
-    assert np.array_equal(calls[0], report.trace.diagonal[-1])
+    for seq, pair in ((seq, identity_pair(seq.alpha, seq.q)),
+                      (low, identity_pair(low.alpha, 2))):
+        calls.clear()
+        report = classify(seq)
+        assert report.first_term_dominant and report.extendable_candidate == "yes"
+        assert len(calls) == seq.m
+        calls.clear()
+        if pair.q == seq.q:
+            solve(SolutionRequest(seq, pair))
+        else:
+            assert report.rank_top == pair.q
+            solve_degenerate_embedded(seq, pair)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], report.trace.diagonal[-1])
 
 
 def test_composed_blocks_for_the_one_atom_at_zero_fixture():
