@@ -110,7 +110,7 @@ def divide_out_root(num: MatrixPolynomial, den: np.ndarray, alpha: float):
     k = 0
     while k < min(nd, dn):
         quo, rem = _divide_by_root(both, alpha)
-        if abs(rem[-1]) > den_cut or np.linalg.norm(rem[:-1]) > num_cut:
+        if abs(rem[-1]) > den_cut or matcore.frobs(rem[None, :-1]) > num_cut:
             break
         both = quo
         k += 1

@@ -134,16 +134,31 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 def frob(a) -> float:
     """Frobenius norm, by the arithmetic of ``np.linalg.norm(a)`` (the same
-    bits) without its dispatch; ``order="K"`` sums a strided view in
-    numpy's order."""
+    bits) without its dispatch or a numpy warning: ``np.vdot`` of a real
+    vector is its 1-d dot, and ``order="K"`` sums a strided view in numpy's
+    order.  When the sum of squares overflows, the norm is that of ``a``
+    scaled by 2^-k, k from its largest modulus, scaled back: exact, and inf
+    only beyond the float range."""
     x = np.asarray(a)
     kind = x.dtype.kind
     if kind not in "fc":
         x = x.astype(float)
     x = x.ravel(order="K")
     if kind == "c":
-        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-    return math.sqrt(x.dot(x))
+        re, im = x.real, x.imag
+        sq = float(np.vdot(re, re)) + float(np.vdot(im, im))
+    else:
+        sq = float(np.vdot(x, x))
+    if sq != math.inf:
+        return math.sqrt(sq)
+    big = float(np.maximum(np.abs(x.real), np.abs(x.imag)).max())
+    if big == math.inf:
+        return math.inf
+    k = math.frexp(big)[1]
+    try:
+        return math.ldexp(frob(x * 2.0 ** -k), k)
+    except OverflowError:
+        return math.inf
 
 
 def hermitize(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -295,11 +310,11 @@ def frob_at_most(x, y, c: float, floor: float):
     if float(np.vdot(x, x).real) + float(np.vdot(y, y).real) < math.inf:
         if x.ndim == y.ndim == 2:
             return bool(frob(x) <= c * (floor + frob(y)))
-        return frobs(x) <= c * (floor + frobs(y))
+        return _frobs(x) <= c * (floor + _frobs(y))
     big = np.maximum(_max_modulus(x), _max_modulus(y))
     scale = np.ldexp(1.0, -np.clip(np.frexp(big)[1], -1021, 1021))
-    ok = (frobs(x * scale[..., None, None])
-          <= c * (floor * scale + frobs(y * scale[..., None, None])))
+    ok = (_frobs(x * scale[..., None, None])
+          <= c * (floor * scale + _frobs(y * scale[..., None, None])))
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -311,8 +326,20 @@ def _max_modulus(x: np.ndarray) -> np.ndarray:
 
 def frobs(x: np.ndarray) -> np.ndarray:
     """:func:`frob` of each matrix of a C-ordered stack, with its bits, from
-    one stacked call: the (1, n) @ (n, 1) product of a flattened matrix's
-    real or imaginary part with itself is numpy's 1-d dot of it."""
+    one stacked call; when a sum of squares overflows, from :func:`frob`
+    of each matrix, so with no numpy warning either."""
+    # no matrix's sum of squares exceeds its stack's, which np.vdot sums
+    # without a warning: when it is finite, no norm overflows
+    if float(np.vdot(x, x).real) < math.inf:
+        return _frobs(x)
+    norms = [frob(m) for m in x.reshape((-1,) + x.shape[-2:])]
+    return np.array(norms).reshape(x.shape[:-2])[()]
+
+
+def _frobs(x: np.ndarray) -> np.ndarray:
+    """:func:`frobs` where no sum of squares overflows: the (1, n) @ (n, 1)
+    product of a flattened matrix's real or imaginary part with itself is
+    numpy's 1-d dot of it."""
     v = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
     re, im = v.real, v.imag
     sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)

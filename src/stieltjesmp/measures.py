@@ -131,8 +131,8 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int):
     highest coefficient above ``TRIM_REL`` times the largest (Frobenius
     norms), must be one below the denominator's, as for every half-axis
     transform of a nonzero measure, or GrowthError names both degrees.
-    A norm that overflows, or moments beyond the float range, raise
-    ValueError.
+    A coefficient norm beyond the float range, or a moment beyond it (the
+    first such ``s_j`` named), raise ValueError.
     """
     if m < 0:
         raise PreconditionError("moment order must be nonnegative")
@@ -162,8 +162,13 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int):
         for j in range(1, min(i, deg) + 1):
             acc -= den[deg - j] * c[i - j]
         c.append(acc / den[deg])
-    mats = tuple(matcore.symmetrized(-x) for x in c)
-    return MomentSequence._hermitian(alpha, mats), residual
+    stack = -np.array(c)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"moment s_{int(np.argmin(finite))} overflows to "
+                         "a non-finite value")
+    return MomentSequence._hermitian(
+        alpha, tuple(matcore.symmetrized(stack))), residual
 
 
 def verify_solution(fun: RationalMatFun, seq: MomentSequence, mode: str = "leq",

@@ -240,7 +240,17 @@ class RationalMatFun:
         coker = q_full[:, red_nd + 1:].conj().T
         conv = self._mul_matrix(entries, d + 1)
         system = (coker @ conv).reshape(-1, d + 1)
-        scale = np.linalg.norm(system, axis=0)
+        # np.vdot sums all squares without a warning: when that sum is
+        # finite, no column's overflows
+        if float(np.vdot(system, system).real) < math.inf:
+            scale = np.linalg.norm(system, axis=0)
+        else:
+            # a column whose sum of squares overflows is scaled by its
+            # largest modulus instead
+            with np.errstate(over="ignore"):
+                scale = np.linalg.norm(system, axis=0)
+                big = np.isinf(scale)
+                scale[big] = np.abs(system[:, big]).max(axis=0)
         scale[scale == 0.0] = 1.0
         sv, vh = np.linalg.svd(system / scale, full_matrices=False)[1:]
         if sv[-1] > 1e-6 * sv[0]:

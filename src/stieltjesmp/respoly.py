@@ -3,14 +3,15 @@ stagewise compositions, and the indefinite-metric identities.
 
 A matrix polynomial is one read-only coefficient stack, and every operation
 works on the stack: evaluation takes a point or an array of points, so the
-determinant and adjugate sample each interpolation circle in one call, and
-the coefficient norms behind every trim and scale are read per stack, from
-one ``matcore.frobs`` call with ``matcore.frob``'s bits.  A product of a
-row-stacked polynomial has, in each row block, the bits of that block's own
-product, so ``lft.lft_rational`` forms its numerator and denominator from
-one product per pair component.  Tests pin these kernels (norms, Horner,
-the synthesis's products) to the bytes of literal one-call-per-matrix
-copies in ``tests/oracles.py``.
+determinant and adjugate sample all their interpolation circles in one
+call, and the coefficient norms behind every trim and scale are read per
+stack, from one ``matcore.frobs`` call with ``matcore.frob``'s bits.  A
+product forms every coefficient product in one stacked matmul.  A product
+of a row-stacked polynomial has, in each row block, the bits of that
+block's own product, so ``lft.lft_rational`` forms its numerator and
+denominator from one product per pair component.  Tests pin these kernels
+(norms, Horner, the interpolation, the synthesis's products) to the bytes
+of literal one-call-per-matrix copies in ``tests/oracles.py``.
 ``det_or_raise`` gives the determinant to the two callers that divide by
 it (``lft.lft_rational``, ``pairs.in_diamond``) and refuses a zero one.
 
@@ -168,13 +169,14 @@ class MatrixPolynomial:
 
 def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficient stack of the product of the polynomials with stacks
-    ``x`` and ``y``: row i of ``x`` times all of ``y``, accumulated in
-    ascending i."""
+    ``x`` and ``y``: every row of ``x`` times all of ``y`` in one stacked
+    product, then row i's products accumulated in ascending i."""
     width = len(y)
     out = np.zeros((len(x) + width - 1, x.shape[1], y.shape[2]),
                    dtype=complex)
-    for i, a in enumerate(x):
-        out[i:i + width] += a @ y
+    prods = x[:, None] @ y[None]
+    for i in range(len(x)):
+        out[i:i + width] += prods[i]
     return out
 
 
@@ -215,31 +217,37 @@ def _interp_coeffs(p: MatrixPolynomial, fn, k: int) -> np.ndarray:
     range: on a small circle the high-degree coefficients drown in
     rounding noise, which |z|^degree then amplifies at evaluation points
     away from the circle; on a large circle the low-degree coefficients
-    drown instead.  So the FFT interpolation runs on several radii, each
-    evaluating ``p`` once at all k nodes, and each coefficient is taken
-    from the radius with the smallest error bound
-    eps * max|samples| / radius^degree."""
+    drown instead.  So the FFT interpolation runs on several radii, all
+    sampled at once: one evaluation of ``p`` at the k nodes of every
+    circle, one ``fn`` call and one FFT; each coefficient is taken from
+    the radius with the smallest error bound
+    eps * max|samples| / radius^degree, the first on a tie."""
+    if not p.degree:
+        # one circle, radius 1, one node, 1, and a length-1 FFT is the
+        # identity; the circle's two complex divisions by 1 (by k and by
+        # radius^0) stay, since they turn some zeros' signs
+        return fn(p.coeffs) / 1 / 1.0
     radius = _balanced_radius(p)
     radii = [1.0]
     if radius > 1.5:
         radii.append(float(radius))
     if radius > 30.0:
         radii.insert(1, float(np.sqrt(radius)))
-    best = None
-    best_err = None
+    nodes = np.array(radii)[:, None] * np.exp(2j * np.pi * np.arange(k) / k)
+    vals = fn(p(nodes))
+    coeffs = np.fft.fft(vals, axis=1) / k
+    shape = (slice(None),) + (None,) * (coeffs.ndim - 2)
     powers = np.arange(k, dtype=float)
-    for r in radii:
-        nodes = r * np.exp(2j * np.pi * np.arange(k) / k)
-        vals = fn(p(nodes))
-        coeffs = np.fft.fft(vals, axis=0) / k
-        shape = (slice(None),) + (None,) * (coeffs.ndim - 1)
-        coeffs = coeffs / (r ** powers)[shape]
-        err = np.finfo(float).eps * float(np.abs(vals).max()) / r ** powers
+    best = best_err = None
+    for r, c, v in zip(radii, coeffs, vals):
+        scale = r ** powers
+        c = c / scale[shape]
+        err = np.finfo(float).eps * float(np.abs(v).max()) / scale
         if best is None:
-            best, best_err = coeffs, err
+            best, best_err = c, err
         else:
             pick = err < best_err
-            best[pick] = coeffs[pick]
+            best[pick] = c[pick]
             best_err = np.minimum(best_err, err)
     return best
 
@@ -270,6 +278,9 @@ def det_or_raise(den: MatrixPolynomial, stage: str, message: str) -> np.ndarray:
 def adjugate_poly(p: MatrixPolynomial) -> MatrixPolynomial:
     """Adjugate of a square matrix polynomial, so that
     p(z) adj(z) = adj(z) p(z) = det p(z) I."""
+    if p.size == 1:
+        # the determinant of the empty minor
+        return MatrixPolynomial.constant(np.ones((1, 1)))
     k = (p.size - 1) * p.degree + 1
     return MatrixPolynomial(_interp_coeffs(p, _adjugates, k)).trimmed()
 

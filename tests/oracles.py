@@ -482,6 +482,52 @@ def literal_convolve(x, y):
     return out
 
 
+def literal_balanced_radius(coeffs):
+    """The interpolation's circle radius: the Fujiwara-style bound on the
+    roots of the norms of the coefficients, between 1 and 1e4."""
+    norms = literal_coeff_norms(coeffs)
+    top = max(norms)
+    if top == 0.0:
+        return 1.0
+    lead = max(j for j, m in enumerate(norms) if m > 1e-12 * top)
+    if lead == 0:
+        return 1.0
+    radius = 1.0
+    for j in range(lead):
+        if norms[j] > 0.0:
+            radius = max(radius, (norms[j] / norms[lead]) ** (1.0 / (lead - j)))
+    return min(radius, 1e4)
+
+
+def literal_interp_coeffs(coeffs, fn, k):
+    """Coefficients of fn(p(z)), degree < k, for the stack ``coeffs`` of p:
+    one Horner walk, one ``fn`` call and one FFT per sampling circle, each
+    coefficient from the circle with the smallest error bound."""
+    radius = literal_balanced_radius(coeffs)
+    radii = [1.0]
+    if radius > 1.5:
+        radii.append(float(radius))
+    if radius > 30.0:
+        radii.insert(1, float(np.sqrt(radius)))
+    best = None
+    best_err = None
+    powers = np.arange(k, dtype=float)
+    for r in radii:
+        nodes = r * np.exp(2j * np.pi * np.arange(k) / k)
+        vals = fn(literal_horner(coeffs, nodes))
+        out = np.fft.fft(vals, axis=0) / k
+        shape = (slice(None),) + (None,) * (out.ndim - 1)
+        out = out / (r ** powers)[shape]
+        err = np.finfo(float).eps * float(np.abs(vals).max()) / r ** powers
+        if best is None:
+            best, best_err = out, err
+        else:
+            pick = err < best_err
+            best[pick] = out[pick]
+            best_err = np.minimum(best_err, err)
+    return best
+
+
 def literal_scale_poly(coeffs, scalar_coeffs):
     """A coefficient stack times a scalar polynomial."""
     sc = np.atleast_1d(np.asarray(scalar_coeffs, dtype=complex))

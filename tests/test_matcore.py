@@ -102,7 +102,13 @@ def test_frob_has_the_bits_of_numpy_norm():
         for a in cases:
             got = frob(a)
             assert type(got) is float
-            assert got == float(np.linalg.norm(np.asarray(a)))
+            want = float(np.linalg.norm(np.asarray(a)))
+            if want == np.inf:
+                # the sum of squares overflows, the norm does not: that of
+                # a scaled by 2^-600, scaled back, which is exact
+                want = 2.0 ** 600 * float(np.linalg.norm(
+                    np.asarray(a) * 2.0 ** -600))
+            assert got == want
 
 
 def test_pinv_has_the_bits_of_numpy_pinv():
@@ -142,6 +148,32 @@ def test_stacked_norms_have_the_bits_of_frob():
             got = matcore.frobs(x)
             assert got.tobytes() == np.array([frob(m) for m in x]).tobytes()
             assert matcore.frobs(x[0]) == frob(x[0])
+
+
+def test_norms_whose_squares_overflow_stay_finite_and_warn_nothing():
+    # the sum of squares of entries near 1e160 overflows, the norm does not:
+    # it is read from the matrix scaled by a power of two, exactly, with
+    # frob's bits on the matrices whose squares stay in range
+    rng = np.random.default_rng(14)
+    for scale in (1e160, 1e200, 1e300):
+        x = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        x[::2] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matcore.frobs(x)
+            singles = [frob(m) for m in x]
+        assert got.tobytes() == np.array(singles).tobytes()
+        for m, norm in zip(x[::2], singles[::2]):
+            want = 2.0 ** 600 * float(np.linalg.norm(m * 2.0 ** -600))
+            assert norm == want < np.inf
+        for m, norm in zip(x[1::2], singles[1::2]):
+            assert norm == float(np.linalg.norm(m))
+        assert matcore.frobs(x[0]) == singles[0]
+    # beyond the float range the norm itself is inf, still without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frob(np.full((4, 4), 1e308)) == np.inf
+        assert matcore.frobs(np.full((2, 4, 4), 1e308)).tolist() == [np.inf] * 2
 
 
 def test_dominates_is_range_and_null_containment_of_each_tail_entry():

@@ -142,7 +142,8 @@ def test_extract_moments_rejects_overflowing_moments():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="non-finite"):
         extract_moments(fun, 0.0, 15)
-    # 1e305 / (1 + 1e-10 z): the norm of the numerator itself overflows
+    # 1e305 / (1 + 1e-10 z): the numerator's norm is in range, but s_0,
+    # about -1e315, is not
     fun = RationalMatFun(MatrixPolynomial.constant(np.array([[1e305]])),
                          (1.0, 1e-10))
     with np.errstate(over="ignore", invalid="ignore"), \

@@ -1,7 +1,9 @@
+import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
@@ -95,7 +97,8 @@ def test_trimmed_drops_negligible_top_coefficients():
 
 
 def test_evaluation_at_an_array_of_points_stacks_the_pointwise_values():
-    # bit for bit: det_poly and adjugate_poly sample a whole circle at once
+    # bit for bit: det_poly and adjugate_poly sample all their circles, a
+    # (circles, nodes) array, in one walk
     rng = np.random.default_rng(40)
     for q in range(1, 7):
         for deg in (0, 1, 3, 6):
@@ -138,6 +141,47 @@ def test_det_and_adjugate_interpolation():
             assert abs(np.polynomial.polynomial.polyval(z, det)
                        - np.linalg.det(mz)) <= 1e-8 * (1 + abs(np.linalg.det(mz)))
             assert_allclose(adj(z), oracles.oracle_adjugate(mz), atol=1e-8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.integers(1, 5), deg=st.integers(0, 6), circles=st.integers(1, 3),
+       scale=st.sampled_from((1.0, 1e3, 1e6)), seed=st.integers(0, 2 ** 32 - 1))
+@example(q=3, deg=4, circles=1, scale=1.0, seed=0)
+@example(q=3, deg=4, circles=2, scale=1.0, seed=0)
+@example(q=3, deg=4, circles=3, scale=1.0, seed=0)
+def test_polynomial_times_adjugate_is_the_determinant_off_the_circles(
+        q, deg, circles, scale, seed):
+    # an independent check of both interpolations: p(z) adj(z) = det(z) I
+    # at points of the unit disk, on none of the sampling circles, to 1e-12
+    # of P^q, P the sum of the coefficient norms, which bounds both sides
+    # there.  Coefficient j is scaled by 10^(-rate j), so the Fujiwara
+    # radius samples 1, 2 or 3 circles.  (Scales below 1 would meet the
+    # trim's absolute floor, which drops adjugate coefficients of size
+    # 1e-13 and less outright.)
+    rng = np.random.default_rng(seed)
+    rate = {1: -1.0, 2: 1.0, 3: 2.5}[circles]
+    c = scale * (rng.normal(size=(deg + 1, q, q))
+                 + 1j * rng.normal(size=(deg + 1, q, q)))
+    c *= (10.0 ** (-rate * np.arange(deg + 1)))[:, None, None]
+    radius = oracles.literal_balanced_radius(c)
+    assume(not deg or 1 + (radius > 1.5) + (radius > 30.0) == circles)
+    p = MatrixPolynomial(c)
+    det, adj = det_poly(p), adjugate_poly(p)
+    size = sum(frob(x) for x in c) ** q
+    for t in (0.3, 0.55, 0.8):
+        z = t * np.exp(1j * (0.3 + 1.7 * t))
+        gap = p(z) @ adj(z) - np.polynomial.polynomial.polyval(z, det) * np.eye(q)
+        assert frob(gap) <= 1e-12 * size, (t, frob(gap) / size)
+
+
+def test_a_polynomial_whose_squared_norm_overflows_is_interpolated():
+    # every coefficient norm of 1e200 overflows when squared, not itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_allclose(det_poly(MatrixPolynomial([[[1e200]]])), [1e200],
+                        rtol=1e-13)
+        p = MatrixPolynomial([[[1e300]], [[1.0]], [[1e300]]])
+        assert_allclose(det_poly(p), p.coeffs[:, 0, 0], atol=1e-12 * 1e300)
 
 
 def test_generator_polynomials_match_pointwise_oracles():

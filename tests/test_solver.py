@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -610,3 +611,19 @@ def test_eq_solution_at_q3_m2_verifies():
     pair = serialize.pair_from_json(data["parameter"])
     sol = solve(SolutionRequest(seq, pair, data["mode"]))
     assert verify_solution(sol, seq, mode=data["mode"])["ok"]
+
+
+@pytest.mark.parametrize("q", (1, 2))
+@pytest.mark.parametrize("c", (1e150, 1e160, 1e200, 1e300))
+def test_exact_moments_near_the_float_range_verify_without_a_warning(c, q):
+    # atoms c I at 1 and 3: the coefficients' squares overflow from about
+    # 1e154 on, and every norm of the synthesis and of the verification
+    # must still be read in range, with no numpy warning
+    seq = MomentSequence(0.0, tuple(c * (3.0 ** j + 1) * np.eye(q)
+                                    for j in range(3)))
+    for mode in ("leq", "eq"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(SolutionRequest(seq, identity_pair(0.0, q), mode))
+            report = verify_solution(sol, seq, mode)
+        assert report["ok"], (mode, report["prefix_gap"], report["top_margin"])

@@ -2,20 +2,24 @@
 
 ``coeff_norms`` reads all norms from one stacked call, ``lft._num_den``
 convolves [a; c] and [b; d] once each, ``_divide_by_root`` writes its
-quotient rows in place, Horner evaluation fills its start array, and
-``_matches`` takes one stacked norm per side.  Each is compared by ``tobytes()`` with its literal
-form in ``oracles``, and ``solve`` with all of them swapped back in must
-return the same bytes.
+quotient rows in place, Horner evaluation fills its start array,
+``_matches`` takes one stacked norm per side, the determinant and adjugate
+interpolations sample all their circles in one pass, and a polynomial
+product forms all its coefficient products in one stacked matmul.  Each is
+compared by ``tobytes()`` with its literal form in ``oracles``, and
+``solve`` with all of them swapped back in must return the same bytes.
 """
 
 import numpy as np
 
 import oracles
 from conftest import identity_pair, measure_seq
-from stieltjesmp import lft, matcore
+from stieltjesmp import lft, matcore, pairs, respoly
 from stieltjesmp.hankel import MomentSequence, classify
 from stieltjesmp.pairs import RationalMatFun, StieltjesPair, default_grid
-from stieltjesmp.respoly import MatrixPolynomial, descent_resolvent
+from stieltjesmp.respoly import (MatrixPolynomial, _adjugates, _convolve,
+                                 _interp_coeffs, adjugate_poly,
+                                 descent_resolvent)
 from stieltjesmp.solver import SolutionRequest, solve
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
@@ -157,6 +161,64 @@ def test_matches_gives_the_verdict_of_one_norm_per_point():
     assert verdicts == {True, False}
 
 
+def _circles(coeffs):
+    """How many sampling circles the interpolation of ``coeffs`` uses."""
+    radius = oracles.literal_balanced_radius(coeffs)
+    return 1 + (radius > 1.5) + (radius > 30.0)
+
+
+def _spread(rng, q, deg, scale, rate):
+    """A random q x q stack whose coefficient j is scaled by 10^(-rate j):
+    the rates -1, 1 and 2.5 sample one, two and three circles on most
+    draws."""
+    c = _stack(rng, deg + 1, q, q, scale)
+    return c * (10.0 ** (-rate * np.arange(deg + 1)))[:, None, None]
+
+
+def test_interpolation_has_the_bits_of_one_pass_per_circle():
+    rng = np.random.default_rng(99)
+    seen = set()
+    for q in range(1, 6):
+        for deg in range(9):
+            for scale in SCALES:
+                for rate in (-1.0, 1.0, 2.5):
+                    c = _spread(rng, q, deg, scale, rate)
+                    if deg % 3 == 0:
+                        # exact zeros off the diagonal, and a constant I
+                        c[:] = c * np.eye(q)
+                        c[0] = np.eye(q)
+                    seen.add(_circles(c))
+                    p = MatrixPolynomial(c)
+                    for fn, k in ((np.linalg.det, q * deg + 1),
+                                  (_adjugates, (q - 1) * deg + 1)):
+                        assert _same(_interp_coeffs(p, fn, k),
+                                     oracles.literal_interp_coeffs(c, fn, k))
+                    want = MatrixPolynomial(oracles.literal_interp_coeffs(
+                        c, _adjugates, (q - 1) * deg + 1)).trimmed()
+                    assert _same(adjugate_poly(p).coeffs, want.coeffs)
+    assert seen == {1, 2, 3}
+
+
+def test_products_have_the_bits_of_one_product_per_row():
+    rng = np.random.default_rng(100)
+    for q in range(1, 6):
+        for deg in range(9):
+            for scale in SCALES:
+                # the descent product's factors, the (2q x q) row stacks
+                # that lft._num_den multiplies by a pair component, and the
+                # q x q products of N adj(D) and in_diamond
+                for left, inner, right in ((2 * q, 2 * q, 2 * q),
+                                           (2 * q, q, q), (q, q, q)):
+                    x = _stack(rng, deg + 1, left, inner, scale)
+                    y = _stack(rng, 1 + (deg * 5) % 9, inner, right)
+                    assert _same(_convolve(x, y), oracles.literal_convolve(x, y))
+
+
+def _literal_adjugate(p):
+    return MatrixPolynomial(oracles.literal_interp_coeffs(
+        p.coeffs, _adjugates, (p.size - 1) * p.degree + 1)).trimmed()
+
+
 def _old_kernels(monkeypatch):
     """Swap the literal kernels back into the synthesis path."""
     monkeypatch.setattr(MatrixPolynomial, "coeff_norms",
@@ -170,6 +232,11 @@ def _old_kernels(monkeypatch):
             gen.coeffs, phi.num.coeffs, phi.den, psi.num.coeffs, psi.den)))
     monkeypatch.setattr(lft, "_divide_by_root", oracles.literal_divide_by_root)
     monkeypatch.setattr(RationalMatFun, "_matches", oracles.oracle_matches)
+    monkeypatch.setattr(respoly, "_convolve", oracles.literal_convolve)
+    monkeypatch.setattr(respoly, "_interp_coeffs", lambda p, fn, k:
+                        oracles.literal_interp_coeffs(p.coeffs, fn, k))
+    monkeypatch.setattr(lft, "adjugate_poly", _literal_adjugate)
+    monkeypatch.setattr(pairs, "adjugate_poly", _literal_adjugate)
 
 
 def _outcome(req):
@@ -227,3 +294,29 @@ def test_a_q3_m2_solve_reads_no_single_norm_and_builds_few_polynomials(
         assert f.q == 3
         assert not frobs
         assert len(built) <= most, (mode, len(built))
+
+
+def test_a_q3_m2_solve_samples_each_interpolation_in_one_pass(monkeypatch):
+    # det D and adj D take one FFT each, and every circle of an
+    # interpolation comes from one Horner walk; the eq mode's constant
+    # psi = I is read exactly, with no walk and no FFT
+    rng = np.random.default_rng(98)
+    _, seq = measure_seq(rng, 3, 2, alpha=0.3)
+    classify(seq)
+    ffts, walks = [], []
+
+    def counted_call(self, z, _fn=MatrixPolynomial.__call__):
+        if np.ndim(z):
+            walks.append(np.shape(z))
+        return _fn(self, z)
+
+    monkeypatch.setattr(np.fft, "fft",
+                        lambda *a, _fn=np.fft.fft, **k: ffts.append(1)
+                        or _fn(*a, **k))
+    monkeypatch.setattr(MatrixPolynomial, "__call__", counted_call)
+    for mode in ("leq", "eq"):
+        req = SolutionRequest(seq, _pair(rng, 0.3, 3, "cauchy"), mode)
+        ffts.clear()
+        walks.clear()
+        assert solve(req).q == 3
+        assert (len(ffts), len(walks)) == (2, 7), (mode, walks)
