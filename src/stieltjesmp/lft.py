@@ -36,6 +36,7 @@ import numpy as np
 from . import matcore
 from .matcore import (
     DEFAULT_TOL,
+    PreconditionError,
     SingularDenominatorError,
     ToleranceConfig,
 )
@@ -160,14 +161,21 @@ def lft_rational(gen: MatrixPolynomial, phi, psi, alpha: float,
     N D^(-1) = N adj(D) / det(D); D must pass ``det_or_raise`` and, at the
     points of ``grid`` all at once, ``check_denominator`` (both raise
     tagged ``stage``; the grid gate names the first failing point, in grid
-    order, and its ``gap``).  The power of (z - alpha) that the fraction's
-    numerator and denominator share is divided out (``divide_out_root``,
-    at ``DEFLATION_REL``) before ``simplify`` runs.
+    order, and its ``gap``); a grid point where a value of D is not finite
+    is refused with PreconditionError naming it.  The power of (z - alpha)
+    that the fraction's numerator and denominator share is divided out
+    (``divide_out_root``, at ``DEFLATION_REL``) before ``simplify`` runs.
     """
     num, den = _num_den(gen, phi, psi)
     det = det_or_raise(den, stage,
                        "linear-fractional denominator is identically singular")
     zs = np.asarray(grid, dtype=complex)
-    check_denominator(den(zs), tol, stage, zs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = den(zs)
+    finite = np.isfinite(dens).all(axis=(1, 2))
+    if not finite.all():
+        raise PreconditionError(f"{stage} denominator at grid point "
+                                f"{complex(zs[~finite][0])} is not finite")
+    check_denominator(dens, tol, stage, zs)
     num, det = divide_out_root(num @ adjugate_poly(den), det, alpha)
     return RationalMatFun(num, det).simplify()

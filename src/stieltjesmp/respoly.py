@@ -13,7 +13,8 @@ denominator from one product per pair component.  Tests pin these kernels
 (norms, Horner, the interpolation, the synthesis's products) to the bytes
 of literal one-call-per-matrix copies in ``tests/oracles.py``.
 ``det_or_raise`` gives the determinant to the two callers that divide by
-it (``lft.lft_rational``, ``pairs.in_diamond``) and refuses a zero one.
+it, ``lft.lft_rational`` and ``pairs.in_diamond``, refusing a zero one
+and one beyond the float range.
 
 The descent generator at a seed A is
     [[0, -A], [(z-alpha)A^+, (z-alpha)I]]
@@ -23,10 +24,8 @@ and the ascent generator is
 Compositions run over the algorithm diagonal of a moment sequence: the
 descent product multiplies stage 0 leftmost, the ascent product stage m
 leftmost, which is the order that telescopes against the descent product.
-They take every seed's pseudoinverse from the trace but the last entry's:
-``descent_resolvent`` is given that one by ``solve``, whose range gate
-reads it too, and ``compose_resolvent`` inverts it once at the trace's
-tolerance.  Each accumulates its factors into one coefficient stack.
+They take every seed's pseudoinverse from the trace, and each accumulates
+its factors into one coefficient stack.
 """
 
 from __future__ import annotations
@@ -267,22 +266,35 @@ def det_or_raise(den: MatrixPolynomial, stage: str, message: str) -> np.ndarray:
 
     Relative to the size of ``den``, floored at 1: the coefficient trims cut
     at an absolute 1e-13, so a purely relative test would pass trim noise.
+    A determinant whose coefficients or size bound leave the float range
+    is refused with PreconditionError naming ``stage``.
     """
-    det = det_poly(den)
-    scale = max(den.coeff_norms())
-    if np.abs(det).max() <= 1e-12 * max(1.0, scale ** den.size):
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = det_poly(den)
+    try:
+        bound = max(den.coeff_norms()) ** den.size
+    except OverflowError:
+        bound = np.inf
+    if not (np.isfinite(det).all() and bound < np.inf):
+        raise PreconditionError(f"determinant of the {stage} denominator "
+                                "leaves the float range")
+    if np.abs(det).max() <= 1e-12 * max(1.0, bound):
         raise SingularDenominatorError(message, stage=stage, gap=0.0)
     return det
 
 
 def adjugate_poly(p: MatrixPolynomial) -> MatrixPolynomial:
     """Adjugate of a square matrix polynomial, so that
-    p(z) adj(z) = adj(z) p(z) = det p(z) I."""
+    p(z) adj(z) = adj(z) p(z) = det p(z) I.
+
+    Every interpolated coefficient is kept: a top coefficient small next
+    to the largest one can still dominate at |z| beyond the Fujiwara
+    radius, where |z|^j multiplies it."""
     if p.size == 1:
         # the determinant of the empty minor
         return MatrixPolynomial.constant(np.ones((1, 1)))
     k = (p.size - 1) * p.degree + 1
-    return MatrixPolynomial(_interp_coeffs(p, _adjugates, k)).trimmed()
+    return MatrixPolynomial(_interp_coeffs(p, _adjugates, k))
 
 
 def _block2(nw, ne, sw, se) -> np.ndarray:
@@ -323,32 +335,20 @@ def w_poly(alpha: float, a, tol: ToleranceConfig = DEFAULT_TOL) -> MatrixPolynom
     return MatrixPolynomial(_w_coeffs(alpha, a, matcore.pinv(a, tol)))
 
 
-def _seeds(trace: TransformTrace, last: np.ndarray) -> list:
-    """(entry, pseudoinverse) over the trace's diagonal: the steps' inverses,
-    and ``last``, the last entry's, which no step computed."""
-    return list(zip(trace.diagonal, trace.pinvs + (last,)))
-
-
-def _descent(alpha: float, seeds: list) -> MatrixPolynomial:
-    """The descent product over ``seeds``, stage-0 factor leftmost."""
-    acc = _v_coeffs(alpha, *seeds[0])
-    for a, ap in seeds[1:]:
-        acc = _convolve(acc, _v_coeffs(alpha, a, ap))
-    return MatrixPolynomial(acc)
-
-
-def descent_resolvent(trace: TransformTrace,
-                      last_pinv: np.ndarray) -> MatrixPolynomial:
+def descent_resolvent(trace: TransformTrace) -> MatrixPolynomial:
     """The descent product over the diagonal of an algorithm trace, stage-0
     factor leftmost: the generator ``solve`` synthesizes with.
 
     Each factor is :func:`v_poly` of its diagonal entry, built from the
-    trace's pseudoinverses and ``last_pinv``, the last entry's at
-    trace.tol, which ``solve``'s range gate reads too; the product is
-    formed left to right with the arithmetic of
-    ``MatrixPolynomial.__matmul__``.
+    trace's pseudoinverse of it; the product is formed left to right with
+    the arithmetic of ``MatrixPolynomial.__matmul__``.
     """
-    return _descent(trace.input.alpha, _seeds(trace, last_pinv))
+    alpha = trace.input.alpha
+    seeds = list(zip(trace.diagonal, trace.pinvs))
+    acc = _v_coeffs(alpha, *seeds[0])
+    for a, ap in seeds[1:]:
+        acc = _convolve(acc, _v_coeffs(alpha, a, ap))
+    return MatrixPolynomial(acc)
 
 
 def compose_resolvent(trace: TransformTrace):
@@ -362,11 +362,11 @@ def compose_resolvent(trace: TransformTrace):
     top diagonal entry.  Both read the trace's pseudoinverses.
     """
     alpha = trace.input.alpha
-    seeds = _seeds(trace, matcore.pinv(trace.diagonal[-1], trace.tol))
+    seeds = list(zip(trace.diagonal, trace.pinvs))
     acc = _w_coeffs(alpha, *seeds[0])
     for a, ap in seeds[1:]:
         acc = _convolve(_w_coeffs(alpha, a, ap), acc)
-    return _descent(alpha, seeds), MatrixPolynomial(acc)
+    return descent_resolvent(trace), MatrixPolynomial(acc)
 
 
 def verify_product_identity(alpha: float, a, z: complex,

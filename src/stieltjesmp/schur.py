@@ -4,9 +4,9 @@ The forward step maps ``(s_0..s_m)`` to a length-m sequence via the
 reciprocal of the shifted sequence; iterating it yields the stage trace
 whose leading entries form the diagonal used by the resolvent polynomials.
 Each step's reciprocal starts from the pseudoinverse of the stage's first
-entry, and the trace keeps these, so ``hankel.classify``'s dominance test
-and the resolvent products never invert a diagonal entry again; only the
-last one, which no step consumes, is inverted by the products.
+entry; the trace keeps these and inverts the last diagonal entry, which
+no step consumes, so ``hankel.classify``'s dominance test, ``solve``'s
+range gate and the resolvent products never invert a diagonal entry again.
 The public :func:`reciprocal` and :func:`alpha_shift` validate their
 argument; a step reuses their arithmetic (``_reciprocal``, ``_shift``) on
 a stage that is already checked: the first is the sequence's hermitized,
@@ -118,36 +118,34 @@ def k_th_transform(seq: MomentSequence, k: int,
 
 @dataclass(frozen=True, eq=False)
 class TransformTrace:
-    """All stages of the algorithm plus the leading-entry diagonal, the
-    pseudoinverses of its entries that the steps computed, and the
-    tolerance they ran under.  The resolvent products read ``pinvs`` and
-    invert only the last diagonal entry, at ``tol``."""
+    """All stages of the algorithm, the leading-entry diagonal and the
+    pseudoinverse of every diagonal entry, all read-only."""
 
     input: MomentSequence
-    stages: tuple  # stage k is a tuple of m-k+1 matrices
+    stages: tuple  # stage k is an (m-k+1, q, q) stack
     diagonal: tuple  # entry k is stages[k][0]
-    pinvs: tuple  # entry k is matcore.pinv(diagonal[k], tol), for k < m
-    tol: ToleranceConfig
+    pinvs: tuple  # entry k is matcore.pinv(diagonal[k], tol), k = 0..m
 
 
 def transform_trace(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> TransformTrace:
     """The algorithm run to its last stage; stage k has m-k+1 entries and
-    is k steps of :func:`first_transform`."""
+    is k steps of :func:`first_transform`.  Each step gives the inverse of
+    its stage's first entry; the last entry, the seed of no step, is
+    inverted after them at the same ``tol``."""
     stages = [np.array(seq.s)]
     pinvs = []
     for _ in range(seq.m):
         out, r0 = _step(seq.alpha, stages[-1], tol)
-        out.flags.writeable = False
-        r0.flags.writeable = False
         stages.append(out)
         pinvs.append(r0)
-    stages = [seq.s] + [tuple(stage) for stage in stages[1:]]
+    pinvs.append(matcore.pinv(stages[-1][0], tol))
+    for x in stages + pinvs:
+        x.flags.writeable = False
     return TransformTrace(
         input=seq,
         stages=tuple(stages),
         diagonal=tuple(st[0] for st in stages),
         pinvs=tuple(pinvs),
-        tol=tol,
     )
 
 

@@ -437,6 +437,46 @@ def test_overflowing_parameter_is_a_precondition_violation(tmp_path, capsys):
     assert captured.err.rstrip().endswith("is not finite")
 
 
+@pytest.mark.parametrize("component, mode, stage", [
+    ("phi", "leq", "synthesis"), ("phi", "eq", "synthesis"),
+    ("psi", "leq", "synthesis"), ("psi", "eq", "diamond")])
+def test_parameter_whose_determinant_overflows_is_a_precondition(
+        tmp_path, capsys, component, mode, stage):
+    # every numerator entry times 1e200: the determinant's size bound used
+    # to raise OverflowError (exit 1, a traceback) after numpy warned
+    # "overflow encountered in det"; eq mode meets the decay test first
+    obj = json.loads((DATA / "solve_q2_m2.json").read_text())
+    for mat in obj["parameter"][component]["num"]:
+        mat["data"] = [[1e200 * x for x in entry] for entry in mat["data"]]
+    path = write_json(tmp_path / "big.json", obj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", path, "--mode", mode])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (f"precondition violated: determinant of the "
+                            f"{stage} denominator leaves the float range\n")
+
+
+@pytest.mark.parametrize("grid, point", [
+    ("1e160", "(1e+160+0j)"), ("1e200i", "1e+200j"), ("1e300", "(1e+300+0j)"),
+    ("0.5,1e300", "(1e+300+0j)")])
+def test_grid_point_where_the_denominator_overflows_is_a_precondition(
+        capsys, grid, point):
+    # finite points where the synthesis denominator is not: Horner warned
+    # and numpy's SVD of the infinite value exited 2 with "bad input: SVD
+    # did not converge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", str(DATA / "solve_q2_m2.json"), "--grid", grid])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == ("precondition violated: synthesis denominator at "
+                            f"grid point {point} is not finite\n")
+
+
 @pytest.mark.parametrize("x", [1e200, float("inf")])
 def test_far_or_infinite_atom_is_bad_input(tmp_path, capsys, x):
     # x ** 2 overflows a float at 1e200, and an infinite node used to reach

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -12,6 +14,7 @@ from stieltjesmp.lft import (
 )
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
+    PreconditionError,
     SingularDenominatorError,
     frob,
 )
@@ -194,6 +197,27 @@ def test_rational_kernel_gates_the_denominator():
         lft_rational(shift, phi, psi, 0.0, grid=(1.0, 0.0),
                      stage="probe")
     assert err.value.stage == "probe" and err.value.point == 0.0
+
+
+def test_rational_kernel_refuses_a_grid_point_where_the_denominator_overflows():
+    # D(z) = z^2 I is finite at 1e150 and overflows at 1e160 and beyond:
+    # Horner warned there and numpy's SVD of the infinite value failed; the
+    # first such point in grid order is named, with no warning
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    one = RationalMatFun.const(eye)
+    gen = MatrixPolynomial((np.block([[eye, zero], [zero, zero]]),
+                            np.zeros((4, 4)),
+                            np.block([[zero, zero], [eye, zero]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fun = lft_rational(gen, one, one, 0.0, grid=(1.0, 1e150))
+        assert_allclose(fun(2.0), eye / 4.0, atol=1e-12)
+        for grid, point in (((1.0, 1e160, 1e300j), 1e160),
+                            ((1e300j, 1e160), 1e300j)):
+            with pytest.raises(PreconditionError) as err:
+                lft_rational(gen, one, one, 0.0, grid=grid, stage="probe")
+            assert str(err.value) == (f"probe denominator at grid point "
+                                      f"{complex(point)} is not finite")
 
 
 def test_rational_kernel_names_the_singular_grid_point():

@@ -19,6 +19,7 @@ from stieltjesmp.respoly import (
     adjugate_poly,
     compose_resolvent,
     descent_resolvent,
+    det_or_raise,
     det_poly,
     v_poly,
     verify_j_identities,
@@ -145,7 +146,8 @@ def test_det_and_adjugate_interpolation():
 
 @settings(max_examples=80, deadline=None)
 @given(q=st.integers(1, 5), deg=st.integers(0, 6), circles=st.integers(1, 3),
-       scale=st.sampled_from((1.0, 1e3, 1e6)), seed=st.integers(0, 2 ** 32 - 1))
+       scale=st.sampled_from((1e-6, 1e-3, 1.0, 1e3, 1e6)),
+       seed=st.integers(0, 2 ** 32 - 1))
 @example(q=3, deg=4, circles=1, scale=1.0, seed=0)
 @example(q=3, deg=4, circles=2, scale=1.0, seed=0)
 @example(q=3, deg=4, circles=3, scale=1.0, seed=0)
@@ -155,9 +157,7 @@ def test_polynomial_times_adjugate_is_the_determinant_off_the_circles(
     # at points of the unit disk, on none of the sampling circles, to 1e-12
     # of P^q, P the sum of the coefficient norms, which bounds both sides
     # there.  Coefficient j is scaled by 10^(-rate j), so the Fujiwara
-    # radius samples 1, 2 or 3 circles.  (Scales below 1 would meet the
-    # trim's absolute floor, which drops adjugate coefficients of size
-    # 1e-13 and less outright.)
+    # radius samples 1, 2 or 3 circles.
     rng = np.random.default_rng(seed)
     rate = {1: -1.0, 2: 1.0, 3: 2.5}[circles]
     c = scale * (rng.normal(size=(deg + 1, q, q))
@@ -174,6 +174,32 @@ def test_polynomial_times_adjugate_is_the_determinant_off_the_circles(
         assert frob(gap) <= 1e-12 * size, (t, frob(gap) / size)
 
 
+def test_polynomial_times_adjugate_is_the_determinant_beyond_the_radius():
+    # coefficient j scaled by 10^(-2.5 j) puts the Fujiwara radius R above
+    # 30; at |z| = 1.25 R and 2 R the small top coefficients dominate, so
+    # none of the adjugate's may be dropped: p(z) adj(z) = det(z) I to
+    # 1e-12 of (sum_j |p_j| |z|^j)^q, which bounds both sides there (a trim
+    # at 1e-13 of the largest coefficient left residuals up to 0.4; kept
+    # whole, 1.4e-15 over 300 draws)
+    rng = np.random.default_rng(43)
+    draws = 0
+    while draws < 60:
+        q, deg = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        c = (rng.normal(size=(deg + 1, q, q))
+             + 1j * rng.normal(size=(deg + 1, q, q)))
+        c *= (10.0 ** (-2.5 * np.arange(deg + 1)))[:, None, None]
+        radius = oracles.literal_balanced_radius(c)
+        if radius <= 30.0:
+            continue
+        draws += 1
+        p = MatrixPolynomial(c)
+        det, adj = det_poly(p), adjugate_poly(p)
+        for z in (1.25 * radius * np.exp(0.3j), 2.0 * radius * np.exp(2.1j)):
+            size = sum(frob(x) * abs(z) ** j for j, x in enumerate(c)) ** q
+            gap = p(z) @ adj(z) - np.polynomial.polynomial.polyval(z, det) * np.eye(q)
+            assert frob(gap) <= 1e-12 * size, (q, deg, frob(gap) / size)
+
+
 def test_a_polynomial_whose_squared_norm_overflows_is_interpolated():
     # every coefficient norm of 1e200 overflows when squared, not itself
     with warnings.catch_warnings():
@@ -182,6 +208,20 @@ def test_a_polynomial_whose_squared_norm_overflows_is_interpolated():
                         rtol=1e-13)
         p = MatrixPolynomial([[[1e300]], [[1.0]], [[1e300]]])
         assert_allclose(det_poly(p), p.coeffs[:, 0, 0], atol=1e-12 * 1e300)
+
+
+def test_a_determinant_beyond_the_float_range_is_a_precondition():
+    # the first determinant overflows, the second is 1 but its size bound
+    # (1e200)^2 is not a float: the bound used to raise OverflowError after
+    # numpy warned "overflow encountered in det"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (MatrixPolynomial([1e200 * np.eye(2), np.eye(2)]),
+                  MatrixPolynomial([np.diag([1e200, 1e-200])])):
+            with pytest.raises(PreconditionError) as err:
+                det_or_raise(p, "probe", "identically singular")
+            assert str(err.value) == ("determinant of the probe denominator "
+                                      "leaves the float range")
 
 
 def test_generator_polynomials_match_pointwise_oracles():
@@ -228,15 +268,15 @@ def test_resolvent_products_equal_their_factor_products_bit_for_bit():
         v, w = compose_resolvent(trace)
         assert v.coeffs.tobytes() == v_ref.coeffs.tobytes()
         assert w.coeffs.tobytes() == w_ref.coeffs.tobytes()
-        last = matcore.pinv(trace.diagonal[-1], trace.tol)
-        assert (descent_resolvent(trace, last).coeffs.tobytes()
+        assert (descent_resolvent(trace).coeffs.tobytes()
                 == v_ref.coeffs.tobytes())
 
 
 def test_each_diagonal_entry_is_inverted_once_per_classify_and_solve(monkeypatch):
-    # classify's trace inverts the first m diagonal entries and its
-    # dominance tests reuse them; solve inverts only the last entry, once
-    # also when it is rank-deficient and the range gate reads it as well
+    # classify's trace inverts every diagonal entry once, the last one
+    # after its steps, and its dominance tests reuse them; after it, solve
+    # (also where Q_m is rank-deficient and the range gate reads its
+    # inverse) and the resolvent products invert nothing
     calls = []
 
     def counted(a, *args, _fn=matcore.pinv, **kwargs):
@@ -252,15 +292,18 @@ def test_each_diagonal_entry_is_inverted_once_per_classify_and_solve(monkeypatch
         calls.clear()
         report = classify(seq)
         assert report.first_term_dominant and report.extendable_candidate == "yes"
-        assert len(calls) == seq.m
+        assert len(calls) == seq.m + 1
+        assert all(np.array_equal(a, d)
+                   for a, d in zip(calls, report.trace.diagonal))
         calls.clear()
         if pair.q == seq.q:
             solve(SolutionRequest(seq, pair))
         else:
-            assert report.rank_top == pair.q
+            assert 0 < report.rank_top == pair.q < seq.q
             solve_degenerate_embedded(seq, pair)
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], report.trace.diagonal[-1])
+        compose_resolvent(report.trace)
+        descent_resolvent(report.trace)
+        assert not calls
 
 
 def test_composed_blocks_for_the_one_atom_at_zero_fixture():

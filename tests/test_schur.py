@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -91,6 +92,21 @@ def test_kth_transform_composes():
         assert all(np.array_equal(a, b) for a, b in zip(lhs.s, rhs.s))
     assert np.any(k_th_transform(seq, 1).s[0])
     assert not np.any(k_th_transform(seq, 2).s)
+
+
+def test_trace_keeps_each_stage_as_one_read_only_stack():
+    for seq in degeneracy_sweep():
+        trace = transform_trace(seq)
+        assert [f.name for f in dataclasses.fields(trace)] \
+            == ["input", "stages", "diagonal", "pinvs"]
+        assert len(trace.stages) == seq.m + 1
+        for k, stage in enumerate(trace.stages):
+            assert type(stage) is np.ndarray
+            assert stage.shape == (seq.m - k + 1, seq.q, seq.q)
+            assert not stage.flags.writeable
+            assert trace.diagonal[k].tobytes() == stage[0].tobytes()
+            assert not trace.diagonal[k].flags.writeable
+        assert trace.stages[0].tobytes() == np.array(seq.s).tobytes()
 
 
 def test_trace_diagonal_equals_parametrization():
@@ -202,10 +218,11 @@ def _rational_measure_moments(rng):
 
 
 def test_trace_keeps_each_steps_seed_inverse_bit_for_bit():
-    # the inverse each step's reciprocal starts from is the one the
-    # resolvent products and classify's dominance test read back, so it
-    # must have the bits of a fresh pinv of the diagonal entry at the
-    # trace's tolerance, also where a step has zeroed its stage
+    # the inverse each step's reciprocal starts from, and the last diagonal
+    # entry's, which the trace inverts after the steps, are the ones the
+    # resolvent products, solve's range gate and classify's dominance test
+    # read back, so each must have the bits of a fresh pinv of its diagonal
+    # entry at the trace's tolerance, also where a step has zeroed its stage
     rng = np.random.default_rng(27)
     tols = (DEFAULT_TOL, ToleranceConfig(pinv_rtol=1e-8))
     builders = (
@@ -226,8 +243,7 @@ def test_trace_keeps_each_steps_seed_inverse_bit_for_bit():
         seq = build(q, m, alpha)
         tol = tols[trial // 12 % 2]
         trace = transform_trace(seq, tol)
-        assert trace.tol is tol
-        assert len(trace.pinvs) == seq.m
+        assert len(trace.pinvs) == len(trace.diagonal) == seq.m + 1
         for d, dp in zip(trace.diagonal, trace.pinvs):
             assert dp.tobytes() == pinv(d, tol).tobytes()
             assert not dp.flags.writeable
@@ -250,8 +266,10 @@ def test_trace_has_the_bytes_of_the_step_that_checks_each_stage_again():
                 seq.alpha, seq.s, tol.pinv_rtol, tol.psd)
             assert [np.array(st).tobytes() for st in trace.stages] \
                 == [st.tobytes() for st in stages]
-            assert [p.tobytes() for p in trace.pinvs] \
+            assert [p.tobytes() for p in trace.pinvs[:seq.m]] \
                 == [p.tobytes() for p in pinvs]
+            top = np.linalg.pinv(trace.diagonal[-1], rtol=tol.pinv_rtol)
+            assert trace.pinvs[seq.m].tobytes() == top.tobytes()
             zeroed += any(not np.any(st) for st in stages[1:])
     assert zeroed
 

@@ -88,9 +88,7 @@ def _generators(rng):
         for m in (1, 2, 3):
             alpha = float(rng.uniform(-1.0, 1.0))
             _, seq = measure_seq(rng, q, m, alpha=alpha)
-            trace = classify(seq).trace
-            last = matcore.pinv(trace.diagonal[-1], trace.tol)
-            yield q, descent_resolvent(trace, last)
+            yield q, descent_resolvent(classify(seq).trace)
 
 
 def test_num_den_has_the_bits_of_four_block_products():
@@ -194,7 +192,7 @@ def test_interpolation_has_the_bits_of_one_pass_per_circle():
                         assert _same(_interp_coeffs(p, fn, k),
                                      oracles.literal_interp_coeffs(c, fn, k))
                     want = MatrixPolynomial(oracles.literal_interp_coeffs(
-                        c, _adjugates, (q - 1) * deg + 1)).trimmed()
+                        c, _adjugates, (q - 1) * deg + 1))
                     assert _same(adjugate_poly(p).coeffs, want.coeffs)
     assert seen == {1, 2, 3}
 
@@ -216,7 +214,7 @@ def test_products_have_the_bits_of_one_product_per_row():
 
 def _literal_adjugate(p):
     return MatrixPolynomial(oracles.literal_interp_coeffs(
-        p.coeffs, _adjugates, (p.size - 1) * p.degree + 1)).trimmed()
+        p.coeffs, _adjugates, (p.size - 1) * p.degree + 1))
 
 
 def _old_kernels(monkeypatch):
