@@ -52,25 +52,24 @@ class MomentSequence:
             raise ValueError("alpha must be finite")
         if len(self.s) == 0:
             raise ValueError("need at least one moment matrix")
+        if len({np.shape(x) for x in self.s}) > 1:
+            raise ValueError("all moment matrices must share one size")
+        if np.ndim(self.s[0]) != 2:
+            raise ValueError(f"expected a 2-d matrix, got shape {np.shape(self.s[0])}")
         # finite entries near the float range can overflow in s + s* or in
         # the shift; name the entry here, not a later stage's non-finite one
         with np.errstate(over="ignore", invalid="ignore"):
-            mats = tuple(matcore.hermitize(x, tol) for x in self.s)
-            q = mats[0].shape[0]
-            if any(x.shape != (q, q) for x in mats):
-                raise ValueError("all moment matrices must share one size")
-            stack = np.array(mats)
+            stack = matcore.hermitize(self.s, tol)
             shifted = _shifted(float(self.alpha), stack)
-        j = _first_non_finite(stack)
+        j = matcore.first_non_finite(stack)
         if j is not None:
             raise ValueError(f"moment s_{j} overflows the float range")
-        j = _first_non_finite(shifted)
+        j = matcore.first_non_finite(shifted)
         if j is not None:
             raise ValueError(f"shifted moment -alpha*s_{j} + s_{j + 1} "
                              "overflows the float range")
-        for x in mats:
-            x.flags.writeable = False
-        object.__setattr__(self, "s", mats)
+        stack.flags.writeable = False
+        object.__setattr__(self, "s", tuple(stack))
         object.__setattr__(self, "alpha", float(self.alpha))
 
     @classmethod
@@ -118,13 +117,6 @@ class HankelStack:
     Halpha: tuple
     L: tuple
     Lalpha: tuple
-
-
-def _first_non_finite(stack: np.ndarray):
-    """Index of the first matrix of ``stack`` with a non-finite entry, or
-    None."""
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    return None if finite.all() else int(finite.argmin())
 
 
 def _shifted(alpha: float, mats) -> np.ndarray:
@@ -180,9 +172,9 @@ def inverse_parametrization(alpha: float, qs,
                             tol: ToleranceConfig = DEFAULT_TOL) -> MomentSequence:
     """The unique sequence whose interleaved-complement parametrization is
     ``qs``; inverse of :func:`stieltjes_parametrization`."""
-    qs = [matcore.hermitize(x, tol) for x in qs]
-    if not qs:
+    if len(qs) == 0:
         raise ValueError("need at least one parametrization entry")
+    qs = matcore.hermitize(qs, tol)
     mats: list = []
     for j, qj in enumerate(qs):
         k = j // 2

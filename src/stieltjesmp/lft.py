@@ -172,10 +172,10 @@ def lft_rational(gen: MatrixPolynomial, phi, psi, alpha: float,
     zs = np.asarray(grid, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         dens = den(zs)
-    finite = np.isfinite(dens).all(axis=(1, 2))
-    if not finite.all():
+    j = matcore.first_non_finite(dens)
+    if j is not None:
         raise PreconditionError(f"{stage} denominator at grid point "
-                                f"{complex(zs[~finite][0])} is not finite")
+                                f"{complex(zs[j])} is not finite")
     check_denominator(dens, tol, stage, zs)
     num, det = divide_out_root(num @ adjugate_poly(den), det, alpha)
     return RationalMatFun(num, det).simplify()

@@ -11,7 +11,8 @@ The kernels a grid gate needs (``symmetrized``, ``pinv``, ``psd_margin``,
 matrices, shape (..., rows, cols), and then answer per matrix with one
 batched LAPACK call; numpy's stacked ``eigvalsh``/``svd`` run the same
 routine on each matrix, so a stacked answer has the bits of the single
-one.  A 2-d argument is the one-matrix case, unchanged.
+one.  ``hermitize`` takes a stack too, so that a sequence or a measure is
+checked in one call.  A 2-d argument is the one-matrix case, unchanged.
 
 ``pinv`` is numpy's pinv arithmetic run step by step without its wrapper;
 a test pins it to ``np.linalg.pinv`` bit for bit.
@@ -47,6 +48,7 @@ __all__ = [
     "frob",
     "frobs",
     "frob_at_most",
+    "first_non_finite",
 ]
 
 
@@ -119,6 +121,12 @@ def _as_stack(a) -> np.ndarray:
     return m
 
 
+def first_non_finite(stack: np.ndarray):
+    """Index of the first matrix of ``stack`` with a non-finite entry, or None."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    return None if finite.all() else int(finite.argmin())
+
+
 def as_cmat(a) -> np.ndarray:
     """Coerce to a finite 2-d complex ndarray."""
     m = _as_stack(a)
@@ -136,9 +144,8 @@ def frob(a) -> float:
     """Frobenius norm, by the arithmetic of ``np.linalg.norm(a)`` (the same
     bits) without its dispatch or a numpy warning: ``np.vdot`` of a real
     vector is its 1-d dot, and ``order="K"`` sums a strided view in numpy's
-    order.  When the sum of squares overflows, the norm is that of ``a``
-    scaled by 2^-k, k from its largest modulus, scaled back: exact, and inf
-    only beyond the float range."""
+    order.  When the sum of squares overflows, the norm is :func:`frobs`'
+    of ``a`` as one row."""
     x = np.asarray(a)
     kind = x.dtype.kind
     if kind not in "fc":
@@ -151,18 +158,12 @@ def frob(a) -> float:
         sq = float(np.vdot(x, x))
     if sq != math.inf:
         return math.sqrt(sq)
-    big = float(np.maximum(np.abs(x.real), np.abs(x.imag)).max())
-    if big == math.inf:
-        return math.inf
-    k = math.frexp(big)[1]
-    try:
-        return math.ldexp(frob(x * 2.0 ** -k), k)
-    except OverflowError:
-        return math.inf
+    return float(frobs(x.reshape(1, -1)))
 
 
 def hermitize(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Return (A + A*)/2, rejecting gross asymmetry.
+    """Return (A + A*)/2 of a matrix or of each matrix of a stack,
+    rejecting gross asymmetry.
 
     Asymmetry beyond ``tol.herm`` relative to the matrix size is treated as
     a construction error rather than silently repaired.  It is meant for
@@ -171,22 +172,18 @@ def hermitize(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     it: their asymmetry is rounding, large relative to a small result of
     cancellation.
     """
-    m = as_cmat(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # the test runs on m scaled by a power of two near its largest modulus
-    # (halved, which cannot overflow): exact, so the verdict is that of the
-    # unscaled formula asym > tol.herm * (1 + |m|) wherever that formula
-    # stays in the float range, and no norm of the scaled m overflows
-    big = np.abs(0.5 * m).max(initial=0.0)
-    k = min(max(math.frexp(big)[1], -1021), 1021)
-    ms = m * 2.0 ** -k
-    asym = frob(ms - _adjoint(ms))
-    if asym > tol.herm * (2.0 ** -k + frob(ms)):
+    m = _as_stack(a)
+    if m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape[-2:]}")
+    # the rule asym > tol.herm * (1 + |m|) on the halves h = m/2: exact,
+    # and h - h* cannot overflow
+    h = 0.5 * m
+    d = h - _adjoint(h)
+    bad = np.logical_not(frob_at_most(d, h, tol.herm, 0.5))
+    if bad.any():
+        asym = 2.0 * frob(d[bad][0])  # of the first matrix refused
         raise PreconditionError(
-            f"matrix is not Hermitian: asymmetry {asym * 2.0 ** k:.3e} "
-            "exceeds tolerance"
-        )
+            f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds tolerance")
     return 0.5 * (m + _adjoint(m))
 
 
@@ -326,14 +323,16 @@ def _max_modulus(x: np.ndarray) -> np.ndarray:
 
 def frobs(x: np.ndarray) -> np.ndarray:
     """:func:`frob` of each matrix of a C-ordered stack, with its bits, from
-    one stacked call; when a sum of squares overflows, from :func:`frob`
-    of each matrix, so with no numpy warning either."""
-    # no matrix's sum of squares exceeds its stack's, which np.vdot sums
-    # without a warning: when it is finite, no norm overflows
+    one stacked call; where a sum of squares overflows, of each matrix
+    scaled by 2^-k (``ldexp`` of its float view: exact, and inf stays inf),
+    k from its largest modulus clamped to +-1021, scaled back, unwarned."""
+    # np.vdot sums the stack's squares, which bound each matrix's, unwarned
     if float(np.vdot(x, x).real) < math.inf:
         return _frobs(x)
-    norms = [frob(m) for m in x.reshape((-1,) + x.shape[-2:])]
-    return np.array(norms).reshape(x.shape[:-2])[()]
+    k = np.clip(np.frexp(_max_modulus(x))[1], -1021, 1021)
+    with np.errstate(over="ignore"):
+        xs = np.ldexp(x.view(x.real.dtype), -k[..., None, None]).view(x.dtype)
+        return np.ldexp(_frobs(xs), k)
 
 
 def _frobs(x: np.ndarray) -> np.ndarray:

@@ -55,22 +55,18 @@ class DiscreteMeasure:
         weights = tuple(matcore.as_cmat(w) for w in self.weights)
         if len(nodes) != len(weights):
             raise ValueError("nodes and weights must pair up")
-        tol = DEFAULT_TOL
         for x in nodes:
             if x < self.alpha - 1e-9 * max(1.0, abs(self.alpha)):
                 raise PreconditionError("node below the half-axis endpoint")
-        herm = []
-        for w in weights:
-            w = matcore.hermitize(w, tol)
-            if not matcore.is_psd(w, tol):
+        if len({w.shape for w in weights}) > 1:
+            raise ValueError("weights must share one size")
+        if weights:
+            stack = matcore.hermitize(weights)
+            if (matcore.psd_margin(stack) < -DEFAULT_TOL.psd).any():
                 raise PreconditionError("weights must be positive semidefinite")
-            herm.append(w)
-        q = herm[0].shape[0] if herm else 0
-        for w in herm:
-            if w.shape != (q, q):
-                raise ValueError("weights must share one size")
+            weights = tuple(stack)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", tuple(herm))
+        object.__setattr__(self, "weights", weights)
 
     @property
     def q(self) -> int:
@@ -163,10 +159,9 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int):
             acc -= den[deg - j] * c[i - j]
         c.append(acc / den[deg])
     stack = -np.array(c)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"moment s_{int(np.argmin(finite))} overflows to "
-                         "a non-finite value")
+    j = matcore.first_non_finite(stack)
+    if j is not None:
+        raise ValueError(f"moment s_{j} overflows to a non-finite value")
     return MomentSequence._hermitian(
         alpha, tuple(matcore.symmetrized(stack))), residual
 

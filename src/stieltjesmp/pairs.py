@@ -321,12 +321,10 @@ def grid_values(funs, grid) -> tuple:
         zs = zs[keep]
         values = tuple(f.num(zs) / dv[keep][:, None, None]
                        for f, dv in zip(funs, dens))
-    finite = np.ones(len(zs), dtype=bool)
-    for v in values:
-        finite &= np.isfinite(v).all(axis=(1, 2))
-    if not finite.all():
+    j = matcore.first_non_finite(np.concatenate(values, axis=-1))
+    if j is not None:
         raise PreconditionError(f"a function value at grid point "
-                                f"{complex(zs[~finite][0])} is not finite")
+                                f"{complex(zs[j])} is not finite")
     return zs, values
 
 

@@ -72,10 +72,11 @@ def _shift(alpha: float, stack: np.ndarray) -> np.ndarray:
     return -alpha * np.concatenate((np.zeros_like(stack[:1]), stack[:-1])) + stack
 
 
-def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig) -> tuple:
-    """:func:`first_transform` on a finite complex stack, with the
-    pseudoinverse of ``s[0]`` that the reciprocal of the shifted sequence
-    starts from.
+def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig, k: int) -> tuple:
+    """:func:`first_transform` on a finite complex stack, stage ``k`` of a
+    trace, with the pseudoinverse of ``s[0]`` that the reciprocal of the
+    shifted sequence starts from.  Run under the caller's ``np.errstate``,
+    it names a step whose output leaves the float range, with no warning.
 
     The outputs are Hermitian in exact arithmetic; their asymmetry is
     rounding, so they are symmetrized.  When the first output is at or
@@ -90,7 +91,8 @@ def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig) -> tuple:
     out = -s[0] @ rec[1:] @ s[0]
     out = 0.5 * (out + out.conj().transpose(0, 2, 1))
     if not np.isfinite(out).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise PreconditionError(f"α-S step {k + 1} (stage {k} → {k + 1}) "
+                                "leaves the float range")
     if matcore.frob_at_most(out[0], s[0], tol.psd, 0.0):
         out = np.zeros_like(out)
     return out, rec[0]
@@ -104,7 +106,8 @@ def first_transform(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """
     if seq.m < 1:
         raise PreconditionError("transform needs at least two sequence entries")
-    out, _ = _step(seq.alpha, np.array(seq.s), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, _ = _step(seq.alpha, np.array(seq.s), tol, 0)
     return MomentSequence(seq.alpha, tuple(out))
 
 
@@ -134,10 +137,11 @@ def transform_trace(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> 
     inverted after them at the same ``tol``."""
     stages = [np.array(seq.s)]
     pinvs = []
-    for _ in range(seq.m):
-        out, r0 = _step(seq.alpha, stages[-1], tol)
-        stages.append(out)
-        pinvs.append(r0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(seq.m):
+            out, r0 = _step(seq.alpha, stages[-1], tol, k)
+            stages.append(out)
+            pinvs.append(r0)
     pinvs.append(matcore.pinv(stages[-1][0], tol))
     for x in stages + pinvs:
         x.flags.writeable = False

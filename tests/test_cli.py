@@ -543,6 +543,23 @@ def test_asymmetry_beyond_the_norm_range_is_a_precondition(tmp_path, capsys):
                                    "Hermitian: asymmetry 1.414e+200")
 
 
+@pytest.mark.parametrize("command", ["classify", "schur", "poly"])
+def test_a_step_beyond_the_float_range_is_a_precondition(tmp_path, capsys,
+                                                         command):
+    # alpha = 1e300 overflows the first step's reciprocal: numpy warned
+    # twice and the CLI exited 2 with a message that named no step
+    obj = json.loads((DATA / "seq_q2_m2.json").read_text())
+    obj["alpha"] = 1e300
+    path = write_json(tmp_path / "far.json", obj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, path]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == ("precondition violated: α-S step 1 (stage 0 → 1) "
+                            "leaves the float range\n")
+
+
 @pytest.mark.parametrize("command, path", [
     ("classify", "seq_q2_m2.json"),
     ("oracle", "measure_q2_m2.json"),

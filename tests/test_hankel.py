@@ -41,6 +41,46 @@ def test_sequence_validation():
     assert seq.restricted(0).m == 0
 
 
+def test_sequences_and_measures_are_hermitized_in_one_call(monkeypatch):
+    # a sequence, a measure's weights and a parametrization are each
+    # checked for symmetry as one stack
+    calls = []
+
+    def counted(a, tol=DEFAULT_TOL, _fn=matcore.hermitize):
+        calls.append(np.shape(a))
+        return _fn(a, tol)
+
+    monkeypatch.setattr(matcore, "hermitize", counted)
+    mats = tuple(np.diag([k + 2.0, 1.0]) for k in range(4))
+    seq = MomentSequence(0.5, mats)
+    assert calls == [(4, 2, 2)] and type(seq.s) is tuple
+    calls.clear()
+    DiscreteMeasure(0.0, (1.0, 2.0, 3.0), mats[:3])
+    assert calls == [(3, 2, 2)]
+    calls.clear()
+    inverse_parametrization(0.5, list(mats))
+    # the entries, then the constructor of the sequence they give
+    assert calls == [(4, 2, 2), (4, 2, 2)]
+
+
+def test_sequence_and_measure_refusals_keep_their_messages():
+    asym = np.array([[1.0, 1.0], [0.0, 1.0]])
+    message = "^matrix is not Hermitian: asymmetry 1.414e\\+00 exceeds tolerance$"
+    with pytest.raises(matcore.PreconditionError, match=message):
+        MomentSequence(0.0, (np.eye(2), asym, np.eye(2)))
+    with pytest.raises(ValueError, match="^all moment matrices must share one size$"):
+        MomentSequence(0.0, (np.eye(2), np.eye(2), np.eye(3)))
+    with pytest.raises(matcore.PreconditionError, match=message):
+        DiscreteMeasure(0.0, (1.0, 2.0), (np.eye(2), asym))
+    with pytest.raises(matcore.PreconditionError,
+                       match="^weights must be positive semidefinite$"):
+        DiscreteMeasure(0.0, (1.0, 2.0), (np.eye(2), np.diag([1.0, -1.0])))
+    with pytest.raises(ValueError, match="^weights must share one size$"):
+        DiscreteMeasure(0.0, (1.0, 2.0), (np.eye(2), np.eye(3)))
+    with pytest.raises(ValueError, match="^need at least one parametrization entry$"):
+        inverse_parametrization(0.0, [])
+
+
 def test_block_hankel_matches_oracle():
     rng = np.random.default_rng(10)
     _, seq = measure_seq(rng, 2, 4, alpha=0.25)

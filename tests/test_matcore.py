@@ -176,6 +176,18 @@ def test_norms_whose_squares_overflow_stay_finite_and_warn_nothing():
         assert matcore.frobs(np.full((2, 4, 4), 1e308)).tolist() == [np.inf] * 2
 
 
+def test_an_infinite_entry_has_an_infinite_norm():
+    # the scaled path keeps inf + 0j infinite: a complex product with the
+    # scale would read it as inf + nan j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in ([[np.inf, 1.0]], [[np.inf + 0j, 1e300]],
+                  [[1e300j, complex(0.0, -np.inf)]]):
+            assert frob(np.array(a)) == np.inf
+        got = matcore.frobs(np.array([[[np.inf + 0j]], [[1e300 + 0j]]]))
+        assert got.tolist() == [np.inf, 1e300]
+
+
 def test_dominates_is_range_and_null_containment_of_each_tail_entry():
     # the tail is tested as one stack; the verdict is that of range_contains
     # and null_contains matrix by matrix, also with one escaping entry in
@@ -289,6 +301,35 @@ def test_hermitize_verdict_is_the_unscaled_formulas_at_its_threshold(
                 hermitize(m)
         else:
             assert hermitize(m).tobytes() == symmetrized(m).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+       st.lists(st.integers(-1000, 1000), min_size=1, max_size=6),
+       st.integers(0, 6))
+def test_stacked_hermitize_is_hermitize_of_each_matrix(seed, q, exponents,
+                                                       bad):
+    # one call on a stack gives each matrix's bits, and refuses exactly
+    # when one of its matrices is refused, with that matrix's message; the
+    # matrices lie at scales 2^-1000 to 2^1000, and at most one of them,
+    # at any position, is asymmetric beyond tol.herm
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_hermitian(rng, q) * 2.0 ** j for j in exponents])
+    if bad < len(stack):
+        h = stack[bad]
+        stack[bad] = h + 1j * 10 * DEFAULT_TOL.herm * (1.0 + frob(h)) * np.eye(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = np.stack([hermitize(x) for x in stack]).tobytes()
+        except PreconditionError as exc:
+            want = str(exc)
+        try:
+            got = hermitize(stack).tobytes()
+        except PreconditionError as exc:
+            got = str(exc)
+    assert got == want
+    assert isinstance(got, str) is (bad < len(stack))
 
 
 def test_pinv_of_zero_and_empty():

@@ -129,6 +129,27 @@ def test_matcore_is_the_one_pseudoinverse():
     assert not callers, callers
 
 
+def test_only_the_scaled_norms_scale_by_powers_of_two():
+    # one overflow-safe path: matcore.frobs scales a norm and
+    # matcore.frob_at_most a comparison by a power of two; every other
+    # norm or asymmetry test goes through them, and nothing imports
+    # frexp or ldexp by name
+    src = Path(importlib.import_module(PACKAGE).__file__).parent
+    callers = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                callers |= {f"{path.stem}: from {node.module} import {a.name}"
+                            for a in node.names if a.name in ("frexp", "ldexp")}
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if any(isinstance(n, ast.Attribute) and n.attr in ("frexp", "ldexp")
+                   for n in ast.walk(node)):
+                callers.add(f"{path.stem}.{node.name}")
+    assert callers == {"matcore.frobs", "matcore.frob_at_most"}, callers
+
+
 def test_the_trace_checks_no_stage_again(monkeypatch):
     # the public shift and reciprocal validate their argument; the trace's
     # steps run the same arithmetic on stages already known finite

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -291,3 +292,15 @@ def test_scalar_trace_diagonal_matches_exact_arithmetic():
         errors.append(max(abs(g - float(e)) / abs(float(e))
                           for g, e in zip(got, exact)))
     assert max(errors) <= 9.4e-9, (max(errors), float(np.median(errors)))
+
+
+def test_a_step_beyond_the_float_range_is_a_precondition():
+    # at alpha = 1e300 the reciprocal of the shifted sequence overflows:
+    # numpy warned, and the step raised an untyped error naming no step
+    seq = MomentSequence(1e300, (np.eye(2),) * 3)
+    message = "^α-S step 1 \\(stage 0 → 1\\) leaves the float range$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (transform_trace, first_transform):
+            with pytest.raises(PreconditionError, match=message):
+                run(seq)
