@@ -15,7 +15,9 @@ one.  ``hermitize`` takes a stack too, so that a sequence or a measure is
 checked in one call.  A 2-d argument is the one-matrix case, unchanged.
 
 ``pinv`` is numpy's pinv arithmetic run step by step without its wrapper;
-a test pins it to ``np.linalg.pinv`` bit for bit.
+a test pins it to ``np.linalg.pinv`` bit for bit.  ``pinv_unchecked`` is
+the same arithmetic without the finiteness check, for a stack already
+checked.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "hermitize",
     "symmetrized",
     "pinv",
+    "pinv_unchecked",
     "is_psd",
     "psd_margin",
     "range_contains",
@@ -50,6 +53,10 @@ __all__ = [
     "frob_at_most",
     "first_non_finite",
 ]
+
+
+# The smallest normal float: a sum of squares below it has lost digits.
+_TINY = float(np.finfo(float).tiny)
 
 
 class PreconditionError(ValueError):
@@ -144,8 +151,9 @@ def frob(a) -> float:
     """Frobenius norm, by the arithmetic of ``np.linalg.norm(a)`` (the same
     bits) without its dispatch or a numpy warning: ``np.vdot`` of a real
     vector is its 1-d dot, and ``order="K"`` sums a strided view in numpy's
-    order.  When the sum of squares overflows, the norm is :func:`frobs`'
-    of ``a`` as one row."""
+    order.  When the sum of squares overflows, or falls below the normal
+    range while ``a`` has a nonzero entry, the norm is :func:`frobs`' of
+    ``a`` as one row."""
     x = np.asarray(a)
     kind = x.dtype.kind
     if kind not in "fc":
@@ -156,7 +164,7 @@ def frob(a) -> float:
         sq = float(np.vdot(re, re)) + float(np.vdot(im, im))
     else:
         sq = float(np.vdot(x, x))
-    if sq != math.inf:
+    if sq != math.inf and (sq >= _TINY or not x.any()):
         return math.sqrt(sq)
     return float(frobs(x.reshape(1, -1)))
 
@@ -208,7 +216,13 @@ def pinv(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     The arithmetic is ``np.linalg.pinv(a, rtol=tol.pinv_rtol)``'s, step by
     step without its wrapper, so the bits are numpy's (a test pins them).
     """
-    m = _as_stack(a)
+    return pinv_unchecked(_as_stack(a), tol)
+
+
+def pinv_unchecked(m: np.ndarray,
+                   tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """:func:`pinv` of a complex matrix or stack the caller has already
+    found finite, without checking it again."""
     if m.size == 0:
         return _adjoint(m).copy()
     u, s, vt = np.linalg.svd(m.conjugate(), full_matrices=False)
@@ -293,8 +307,8 @@ def _negligible(resid, b, tol: ToleranceConfig):
 
 def frob_at_most(x, y, c: float, floor: float):
     """frob(x) <= c (floor + frob(y)) for matrices, or per matrix of stacks
-    that broadcast against each other, with frob's bits and no numpy
-    warning.
+    that broadcast against each other, with frob's bits (and frobs' where a
+    sum of squares falls below the normal range) and no numpy warning.
 
     When the sum of the squares of all of x or of all of y overflows, a
     norm may, so each place is decided on x and y scaled by 2^-k, k from
@@ -304,14 +318,20 @@ def frob_at_most(x, y, c: float, floor: float):
     """
     # no matrix's sum of squares exceeds its stack's, which np.vdot sums
     # without a warning: when both are finite, no norm overflows
-    if float(np.vdot(x, x).real) + float(np.vdot(y, y).real) < math.inf:
+    xx = float(np.vdot(x, x).real)
+    if xx == 0.0 and not x.any():
+        # a zero x meets every bound, c and floor being nonnegative
+        ok = np.ones(np.broadcast_shapes(x.shape[:-2], y.shape[:-2],
+                                         np.shape(floor)), dtype=bool)
+        return bool(ok) if ok.ndim == 0 else ok
+    if xx + float(np.vdot(y, y).real) < math.inf:
         if x.ndim == y.ndim == 2:
             return bool(frob(x) <= c * (floor + frob(y)))
-        return _frobs(x) <= c * (floor + _frobs(y))
+        return _in_range_frobs(x) <= c * (floor + _in_range_frobs(y))
     big = np.maximum(_max_modulus(x), _max_modulus(y))
     scale = np.ldexp(1.0, -np.clip(np.frexp(big)[1], -1021, 1021))
-    ok = (_frobs(x * scale[..., None, None])
-          <= c * (floor * scale + _frobs(y * scale[..., None, None])))
+    ok = (frobs(x * scale[..., None, None])
+          <= c * (floor * scale + frobs(y * scale[..., None, None])))
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -323,26 +343,43 @@ def _max_modulus(x: np.ndarray) -> np.ndarray:
 
 def frobs(x: np.ndarray) -> np.ndarray:
     """:func:`frob` of each matrix of a C-ordered stack, with its bits, from
-    one stacked call; where a sum of squares overflows, of each matrix
-    scaled by 2^-k (``ldexp`` of its float view: exact, and inf stays inf),
-    k from its largest modulus clamped to +-1021, scaled back, unwarned."""
+    one stacked call.  Where a sum of squares overflows, or falls below the
+    normal range in a matrix with a nonzero entry, the norm is that of the
+    matrix scaled by 2^-k (``ldexp`` of its float view: exact, and inf stays
+    inf), k from its largest modulus clamped to +-1021, scaled back,
+    unwarned; every other matrix keeps its bits."""
+    low = None
     # np.vdot sums the stack's squares, which bound each matrix's, unwarned
     if float(np.vdot(x, x).real) < math.inf:
-        return _frobs(x)
+        sq = _squares(x)
+        if sq.min(initial=math.inf) >= _TINY:
+            return np.sqrt(sq)
+        low = (sq < _TINY) & x.any(axis=(-2, -1))
+        if not low.any():
+            return np.sqrt(sq)
     k = np.clip(np.frexp(_max_modulus(x))[1], -1021, 1021)
     with np.errstate(over="ignore"):
         xs = np.ldexp(x.view(x.real.dtype), -k[..., None, None]).view(x.dtype)
-        return np.ldexp(_frobs(xs), k)
+        scaled = np.ldexp(np.sqrt(_squares(xs)), k)
+    return scaled if low is None else np.where(low, scaled, np.sqrt(sq))
 
 
-def _frobs(x: np.ndarray) -> np.ndarray:
-    """:func:`frobs` where no sum of squares overflows: the (1, n) @ (n, 1)
-    product of a flattened matrix's real or imaginary part with itself is
-    numpy's 1-d dot of it."""
+def _in_range_frobs(x: np.ndarray) -> np.ndarray:
+    """:func:`frobs` of a stack none of whose sums of squares overflows."""
+    sq = _squares(x)
+    if sq.min(initial=math.inf) >= _TINY:
+        return np.sqrt(sq)
+    return frobs(x)
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """The sum of squares of each matrix of a stack where none overflows:
+    the (1, n) @ (n, 1) product of a flattened matrix's real or imaginary
+    part with itself is numpy's 1-d dot of it."""
     v = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
     re, im = v.real, v.imag
     sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-    return np.sqrt(sq[..., 0, 0])
+    return sq[..., 0, 0]
 
 
 def rank_with_tol(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -149,7 +149,8 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int):
             f"degree {num_deg}, denominator degree {deg})")
 
     coeffs = fun.num.coeffs
-    residual = fun.proper_residual()
+    # fun.proper_residual(), from the norms already read
+    residual = float(max(norms[deg:], default=0.0) / top)
     zero = np.zeros((q, q), dtype=complex)
     c = []
     for i in range(m + 1):

@@ -51,6 +51,7 @@ __all__ = [
     "default_grid",
     "pair_from_function",
     "verify_pair",
+    "verify_pair_values",
     "in_class_P_of",
     "equivalent",
     "gamma_U_embed",
@@ -362,6 +363,14 @@ def verify_pair(pair: StieltjesPair,
     All kept points are decided at once: one stacked SVD for the rank gaps
     and one batched eigensolve for the margins of every form.
     """
+    return verify_pair_values(pair, tol)[0]
+
+
+def verify_pair_values(pair: StieltjesPair,
+                       tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
+    """(report, zs, phi values, psi values): :func:`verify_pair`'s report
+    and the ``grid_values`` walk it decided from, for a caller that reads
+    the pair on ``default_grid`` again."""
     grid = default_grid(pair.alpha)
     zs, (ph, ps) = grid_values((pair.phi, pair.psi), grid)
     if not len(zs):
@@ -395,7 +404,7 @@ def verify_pair(pair: StieltjesPair,
     }
     report["ok"] = bool(report["rank_ok"] and report["kd1_ok"]
                         and report["kd2_ok"] and report["real_axis_ok"])
-    return report
+    return report, zs, ph, ps
 
 
 def pair_from_function(fun: RationalMatFun, alpha: float,

@@ -8,10 +8,10 @@ entry; the trace keeps these and inverts the last diagonal entry, which
 no step consumes, so ``hankel.classify``'s dominance test, ``solve``'s
 range gate and the resolvent products never invert a diagonal entry again.
 The public :func:`reciprocal` and :func:`alpha_shift` validate their
-argument; a step reuses their arithmetic (``_reciprocal``, ``_shift``) on
-a stage that is already checked: the first is the sequence's hermitized,
-finite moments, and each later one passed the previous step's finiteness
-test.
+argument; a step reuses their arithmetic (``_reciprocal``, ``_shift``, and
+``matcore.pinv_unchecked``) on a stage that is already checked: the first
+is the sequence's hermitized, finite moments, and each later one passed
+the previous step's finiteness test.
 The inverse step reconstructs a longer sequence from a seed matrix.
 """
 
@@ -60,7 +60,7 @@ def _stacked(mats) -> np.ndarray:
 def _reciprocal(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """:func:`reciprocal` of a checked stack."""
     out = np.empty_like(stack)
-    out[0] = matcore.pinv(stack[0], tol)
+    out[0] = matcore.pinv_unchecked(stack[0], tol)
     neg = -out[0]
     for j in range(1, len(stack)):
         out[j] = neg @ sum(stack[j:0:-1] @ out[:j])

@@ -1,20 +1,27 @@
 """End-to-end solution of the truncated half-axis moment problem.
 
 The pipeline: classify the sequence, which runs the transform algorithm
-once (a caller's classify of the same object stores the run), build the
-descent resolvent from that run's diagonal, gate the parameter pair
-(admissibility, range condition against the top diagonal entry, decay for
-the equality problem), then synthesize the solution
+once (a caller's classify of the same object stores the run), gate the
+parameter pair (admissibility on ``default_grid``, range condition against
+the top diagonal entry, decay for the equality problem), then synthesize
+the solution
 
     F = (V_11 phi + V_12 psi) (V_21 phi + V_22 psi)^(-1)
 
-with V the 2q x 2q descent product and the kernel ``lft.lft_rational``,
-which slices its q x q blocks, gates its denominator on the grid
-and divides out the power of (z - alpha) that the resolvent introduces.
-The low-rank routes lift an r x r pair into ``solve``, the one solve
-entry, on the eigenbasis of the top entry at the rank classify decided;
-the equality subset is the lift of (f, I) in eq mode.  The two
-function transforms share one seed intake and one synthesis call.
+with V the 2q x 2q descent product of the run's diagonal Q_0..Q_m.  When
+psi is a constant invertible matrix and phi psi^(-1) = C + sum_i W_i /
+(y_i - z) has atoms (``_parameter_atoms``), F is read off the diagonal as
+a continued fraction: one Hermitian block tridiagonal eigensolve gives
+its nodes and PSD weights (``_atomic_solution``), after the descent
+denominator D = V_21 phi + V_22 psi passes its gate pointwise on the grid
+(``_gate_descent_denominator``).  Any other pair goes through the kernel
+``lft.lft_rational``, which forms V as a polynomial, slices its q x q
+blocks, gates D's polynomial on the grid and divides out the power of
+(z - alpha) that the resolvent introduces.  The low-rank routes lift an
+r x r pair into ``solve``, the one solve entry, on the eigenbasis of the
+top entry at the rank classify decided; the equality subset is the lift
+of (f, I) in eq mode.  The two function transforms share one seed intake
+and one ``lft.lft_rational`` call.
 """
 
 from __future__ import annotations
@@ -22,11 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 from . import lft, matcore, pairs, respoly
 from .hankel import ClassReport, MomentSequence, classify
 from .matcore import DEFAULT_TOL, PreconditionError, ToleranceConfig
 from .pairs import RationalMatFun, StieltjesPair
+from .respoly import MatrixPolynomial
 
 __all__ = [
     "SolutionRequest",
@@ -155,14 +164,20 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
     pair must be admissible on ``default_grid``; unless the top diagonal
     entry has full rank the pair must satisfy the range condition against
     it; the equality problem additionally requires the decaying subclass.
-    ``grid`` holds the synthesis denominator gate's points.  Equivalent
-    parameters give the same function.
+    ``grid`` holds the points of the gate on the descent denominator
+    D = V_21 phi + V_22 psi (V the descent product): at each of them D
+    must be finite, its norm to the power q, which bounds its determinant,
+    within the float range, and sigma_min/sigma_max at least
+    ``tol.det_gate``.  A pair with atoms (``_parameter_atoms``) is
+    synthesized from the trace's continued fraction (``_atomic_solution``)
+    after D passes the gate pointwise; any other pair goes through
+    ``lft.lft_rational``, whose gates on D's polynomial are the same.
+    Equivalent parameters give the same function.
     """
     seq = req.seq
     report = _classified(seq, tol)
-    grid = pairs.default_grid(seq.alpha) if grid is None else tuple(grid)
     tag, r, top = _case(report)
-    pre = pairs.verify_pair(req.parameter, tol)
+    pre, zs, ph, ps = pairs.verify_pair_values(req.parameter, tol)
     if not pre["ok"]:
         raise PreconditionError(f"parameter pair is not admissible: {pre}")
     if r < seq.q and not pairs.in_class_P_of(req.parameter, top,
@@ -177,9 +192,231 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
                 "equality problem needs a decaying parameter; quotient "
                 f"residual {decay['residual']:.3e}")
 
-    gen = respoly.descent_resolvent(report.trace)
-    return lft.lft_rational(gen, req.parameter.phi, req.parameter.psi,
-                            seq.alpha, tol, grid, stage="synthesis")
+    default = pairs.default_grid(seq.alpha)
+    grid = default if grid is None else tuple(grid)
+    atoms = _parameter_atoms(req.parameter, req.mode, zs, ph, tol)
+    if atoms is None:
+        gen = respoly.descent_resolvent(report.trace)
+        return lft.lft_rational(gen, req.parameter.phi, req.parameter.psi,
+                                seq.alpha, tol, grid, stage="synthesis")
+    if grid != default or pre["skipped_points"]:
+        zs, ph, ps = _homogeneous_values(req.parameter, grid)
+    _gate_descent_denominator(report.trace, zs, ph, ps, tol)
+    return _atomic_solution(report.trace, *atoms, tol)
+
+
+# A parameter's atoms must give its values on ``default_grid`` to this
+# relative gap: far above the rounding of a residue at a simple pole, far
+# below the error of residues at roots too close to be told apart.
+ATOMS_REL = 1e-10
+# Nodes alpha + lambda^2 of a synthesized solution whose |lambda| differ by
+# at most this fraction of the largest |lambda| = |T| are one node, and a
+# |lambda| within it of 0 is 0: eigh gives every eigenvalue of T to about
+# eps |T|, so a double eigenvalue comes out as two close ones, and the q
+# zero eigenvalues of the Radau case as q nodes near alpha.
+MERGE_REL = 1e-12
+# A merged weight whose norm is at most this fraction of the total mass
+# |s_0| is rounding, the share that an eigenvector's error gives a node no
+# level reaches: such weights reach 1.5e-13 on the tests' and the bench's
+# sequences, whose genuine weights lie above 1e-8.
+WEIGHT_REL = 1e-12
+
+
+def _parameter_atoms(pair: StieltjesPair, mode: str, zs, ph, tol):
+    """(C, y, W) with G = phi psi^(-1) = C + sum_i W_i / (y_i - z), or None.
+
+    The pair has atoms when psi is a constant matrix with sigma_min/sigma_max
+    at least ``tol.det_gate``, G's numerator degree is at most its
+    denominator's, the denominator's roots y_i are simple, real and at
+    least alpha, C and every residue W_i are positive semidefinite within
+    ``tol.psd`` (and C = 0 in eq mode), and the atoms give G's values at
+    the points ``zs``, from phi's values ``ph`` there, to ``ATOMS_REL``.
+    C and the W_i are returned symmetrized.
+    """
+    phi, psi = pair.phi, pair.psi
+    if len(psi.den) > 1 or psi.num.trimmed().degree:
+        return None
+    p0 = psi.num.coeffs[0] / psi.den[0]
+    sv = np.linalg.svd(p0, compute_uv=False)
+    if not sv[-1] >= tol.det_gate * sv[0] > 0.0:
+        return None
+    p0inv = np.linalg.inv(p0)
+    num = phi.num.trimmed().coeffs @ p0inv
+    den = phi.den
+    d = len(den) - 1
+    if len(num) > d + 1 or den.imag.any():
+        return None
+    y = npoly.polyroots(den.real)
+    if np.iscomplexobj(y):
+        return None
+    y.sort()
+    if d and (y[0] < pair.alpha or not np.all(np.diff(y) > 0.0)):
+        return None
+    c = num[d] / den[d] if len(num) == d + 1 else np.zeros_like(p0)
+    if mode == "eq" and c.any():
+        return None
+    slope = npoly.polyval(y, npoly.polyder(den.real))
+    atoms = np.concatenate((c[None], -MatrixPolynomial(num)(y)
+                            / slope[:, None, None]))
+    atoms = matcore.symmetrized(atoms)
+    if np.any(matcore.psd_margin(atoms) < -tol.psd):
+        return None
+    c, w = atoms[0], atoms[1:]
+    g = ph @ p0inv
+    fit = c + np.tensordot(1.0 / (y - zs[:, None]), w, 1)
+    if not np.all(matcore.frob_at_most(fit - g, g, ATOMS_REL, 0.0)):
+        return None
+    return c, y, w
+
+
+def _homogeneous_values(pair: StieltjesPair, points) -> tuple:
+    """(zs, top, bottom): ``points`` as an array and the values there of
+    phi.num psi.den and psi.num phi.den, the pair times its common
+    denominator, which no point turns into a pole."""
+    zs = np.asarray(points, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = pair.phi.num(zs) * npoly.polyval(zs, pair.psi.den)[:, None, None]
+        bottom = (pair.psi.num(zs)
+                  * npoly.polyval(zs, pair.phi.den)[:, None, None])
+    return zs, top, bottom
+
+
+def _gate_descent_denominator(trace, zs, top, bottom, tol) -> None:
+    """Raise unless D = V_21 top + V_22 bottom passes ``solve``'s gate at
+    every point of ``zs``, V = V_0 ... V_m the descent product of
+    ``trace`` and (top, bottom) the pair's values there.
+
+    D is formed from the bottom up, one batched product per level:
+    V_k(z) = diag(I, (z-alpha) I) [[0, -Q_k], [Q_k^+, I]].  The refusals
+    are ``lft.lft_rational``'s on D's polynomial, named by point: a value
+    that is not finite (PreconditionError), |D(z)|^q beyond the float
+    range (PreconditionError), which bounds the determinant that path
+    divides by, and ``lft.check_denominator``'s SingularDenominatorError.
+    """
+    q = len(trace.diagonal[0])
+    levels = np.zeros((len(trace.diagonal), 2 * q, 2 * q), dtype=complex)
+    levels[:, :q, q:] = np.negative(trace.diagonal)
+    levels[:, q:, :q] = trace.pinvs
+    levels[:, q:, q:] = np.eye(q)
+    u = (zs - trace.input.alpha)[:, None, None]
+    x = np.concatenate((top, bottom), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in levels[::-1]:
+            x = level @ x
+            x[:, q:] *= u
+    dens = x[:, q:]
+    j = matcore.first_non_finite(dens)
+    if j is not None:
+        raise PreconditionError(f"synthesis denominator at grid point "
+                                f"{complex(zs[j])} is not finite")
+    with np.errstate(over="ignore"):
+        if not np.all(matcore.frobs(dens) ** q < np.inf):
+            raise PreconditionError("determinant of the synthesis "
+                                    "denominator leaves the float range")
+    lft.check_denominator(dens, tol, "synthesis", zs)
+
+
+def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
+    """The solution for the parameter C + sum_i W_i / (y_i - z), read off
+    the continued fraction of the diagonal Q_0..Q_m of ``trace``.
+
+    With R_k = Q_k^(1/2), T is Hermitian block tridiagonal with zero
+    diagonal blocks and T_{k,k+1} = R_k^+ R_{k+1}; level m couples to one
+    block per atom through R_m^+ X W_i^(1/2), and that block to one more
+    through (y_i - alpha)^(1/2) I.  For C != 0, Q_m is replaced by
+    Q_m (Q_m + C)^+ Q_m and X = Q_m (Q_m + C)^+; else X = I.  The solution
+    is R_0 E_0^* (T^2 - (z - alpha))^(-1) E_0 R_0, so one eigensolve
+    T = V diag(lambda) V^* gives its nodes alpha + lambda^2 and weights
+    (R_0 V_0j)(R_0 V_0j)^*: nodes at least alpha and weights PSD by
+    construction.  T's spectrum is symmetric, so the j-th smallest and
+    j-th largest eigenvalues give one node; nodes whose |lambda| are within
+    ``MERGE_REL`` of each other are merged at their trace-weighted mean,
+    those within it of 0 at alpha itself, and weights at most
+    ``WEIGHT_REL`` of |s_0| dropped.  All roots and pseudoinverses come
+    from one stacked eigensolve of Q_0..Q_m and the W_i, each root's
+    pseudoinverse cut at ``tol.pinv_rtol`` of its largest eigenvalue, as
+    ``matcore.pinv`` cuts Q_k.
+    """
+    diagonal, alpha = trace.diagonal, trace.input.alpha
+    q = len(diagonal[0])
+    m = len(diagonal) - 1
+    k = len(y)
+    stack = np.concatenate((diagonal, w))
+    x = None
+    if c.any():
+        x = diagonal[m] @ matcore.pinv(diagonal[m] + c, tol)
+        stack[m] = x @ diagonal[m]
+    lam, vec = np.linalg.eigh(stack)
+    lam = np.maximum(lam, 0.0)
+    root = np.sqrt(lam)
+    kept = lam > tol.pinv_rtol * lam[:, -1:]
+    inv = np.divide(1.0, root, out=np.zeros_like(root), where=kept)
+    vh = vec.conj().swapaxes(-1, -2)
+    roots = (vec * root[:, None, :]) @ vh
+    pinvs = (vec * inv[:, None, :]) @ vh
+
+    couple = roots[m + 1:] if x is None else x @ roots[m + 1:]
+    # block column j > 0 couples to one block above it: level j - 1 on the
+    # chain, level m for an atom's first block, that block for its second
+    upper = np.concatenate((pinvs[:m] @ roots[1:m + 1], pinvs[m] @ couple,
+                            np.sqrt(y - alpha)[:, None, None] * np.eye(q)))
+    above = np.concatenate((np.arange(m), np.full(k, m),
+                            np.arange(m + 1, m + 1 + k)))
+    blocks = m + 1 + 2 * k
+    t = np.zeros((blocks, q, blocks, q), dtype=complex)
+    # eigh reads the lower triangle: the adjoint blocks below the diagonal
+    t[np.arange(1, blocks), :, above, :] = upper.conj().swapaxes(-1, -2)
+    lam, v = np.linalg.eigh(t.reshape(blocks * q, blocks * q))
+
+    p = (roots[0] @ v[:q]).T
+    each = p[:, :, None] * p.conj()[:, None, :]
+    half = len(lam) // 2
+    squares = 0.5 * (lam[:half] ** 2 + lam[::-1][:half] ** 2)
+    weights = each[:half] + each[::-1][:half]
+    if len(lam) % 2:
+        squares = np.append(squares, lam[half] ** 2)
+        weights = np.concatenate((weights, each[half:half + 1]))
+    order = np.argsort(squares, kind="stable")
+    squares, weights = squares[order], weights[order]
+    radii = np.sqrt(squares)
+    cut = MERGE_REL * radii[-1]
+    # an eigenvalue within the cut of 0 is 0: its node is alpha itself
+    squares[radii <= cut] = 0.0
+    apart = np.diff(radii) > cut
+    if not apart.all():
+        starts = np.flatnonzero(np.concatenate(([True], apart)))
+        mass = weights.trace(axis1=1, axis2=2).real
+        first = squares[starts]
+        offset = squares - np.repeat(first, np.diff(starts, append=len(squares)))
+        total = np.add.reduceat(mass, starts)
+        squares = first + np.divide(np.add.reduceat(mass * offset, starts),
+                                    total, out=np.zeros_like(total),
+                                    where=total > 0.0)
+        weights = np.add.reduceat(weights, starts)
+    kept = matcore.frobs(weights) > WEIGHT_REL * matcore.frob(diagonal[0])
+    return _from_atoms(alpha + squares[kept], weights[kept], q)
+
+
+def _from_atoms(nodes, weights, q: int) -> RationalMatFun:
+    """sum_k W_k / (x_k - z) over the monic denominator prod_k (z - x_k),
+    with numerator -sum_k W_k prod_{j != k} (z - x_j): every cofactor and
+    the denominator are multiplied out in one pass over the nodes, each
+    factor applied to every row but its own."""
+    n = len(nodes)
+    if not n:
+        return RationalMatFun.zero(q)
+    # row k < n is the cofactor of node k, row n the denominator; each step
+    # writes cof (z - x) into the other buffer, and row k keeps its own
+    cof = np.zeros((n + 1, n + 1))
+    cof[:, 0] = 1.0
+    out = np.empty_like(cof)
+    for k, x in enumerate(nodes):
+        np.multiply(cof, -x, out=out)
+        out[:, 1:] += cof[:, :-1]
+        out[k] = cof[k]
+        cof, out = out, cof
+    num = -(cof[:n, :n].T @ weights.reshape(n, q * q)).reshape(n, q, q)
+    return RationalMatFun(MatrixPolynomial(num), cof[n])
 
 
 def _range_basis(a, r: int) -> np.ndarray:

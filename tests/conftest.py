@@ -4,13 +4,57 @@ Everything is driven by an explicit ``numpy.random.Generator`` so each
 test controls its own seed; nothing here touches global state.
 """
 
-import numpy as np
+import importlib.util
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from stieltjesmp import lft, matcore, pairs, solver
 from stieltjesmp.hankel import MomentSequence
 from stieltjesmp.matcore import frob
 from stieltjesmp.measures import DiscreteMeasure, moments
 from stieltjesmp.pairs import RationalMatFun, StieltjesPair
-from stieltjesmp.respoly import MatrixPolynomial
+from stieltjesmp.respoly import MatrixPolynomial, descent_resolvent
+
+# the relative gap allowed between a continued-fraction solution and the
+# pointwise action of the descent product on its pair
+ACTION_REL = 1e-9
+
+
+@pytest.fixture(autouse=True)
+def atomic_solutions_match_the_pointwise_action(monkeypatch):
+    """Every solution any test gets from ``solve``'s continued-fraction
+    synthesis is checked against the action of the descent product V of
+    its trace on its pair, (V_11 phi + V_12 psi)(V_21 phi + V_22 psi)^(-1)
+    at each point of ``default_grid`` that is a pole of neither (the
+    arithmetic of ``lft.lft_pair``, all points at once), to ``ACTION_REL``
+    relative to the action."""
+    atoms, synthesize = solver._parameter_atoms, solver._atomic_solution
+    pair_of = []
+
+    def noted(pair, *args):
+        found = atoms(pair, *args)
+        pair_of[:] = [pair]
+        return found
+
+    def checked(trace, *args):
+        fun = synthesize(trace, *args)
+        pair = pair_of[0]
+        zs, (ph, ps, fz) = pairs.grid_values(
+            (pair.phi, pair.psi, fun), pairs.default_grid(trace.input.alpha))
+        gen = descent_resolvent(trace)(zs)
+        q = fun.q
+        num = gen[:, :q, :q] @ ph + gen[:, :q, q:] @ ps
+        den = gen[:, q:, :q] @ ph + gen[:, q:, q:] @ ps
+        lft.check_denominator(den, matcore.DEFAULT_TOL, "action", zs)
+        want = np.linalg.solve(den.swapaxes(1, 2), num.swapaxes(1, 2))
+        want = want.swapaxes(1, 2)
+        assert np.all(matcore.frob_at_most(fz - want, want, ACTION_REL, 0.0))
+        return fun
+
+    monkeypatch.setattr(solver, "_parameter_atoms", noted)
+    monkeypatch.setattr(solver, "_atomic_solution", checked)
 
 
 def random_psd(rng, q, rank=None, scale=1.0):
@@ -137,3 +181,13 @@ def sample_points(rng, alpha, n, radius=3.0):
         im = rng.uniform(0.2, radius) * rng.choice([-1.0, 1.0])
         zs.append(complex(re, im))
     return zs
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded from its file: the pools whose inputs
+    some tests read."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -290,6 +290,52 @@ def oracle_stieltjes_value(nodes, weights, z):
     return acc
 
 
+def oracle_block_gauss(seq):
+    """(nodes, weights) of the block Gauss rule of the moments ``seq``,
+    s_0..s_{2n-1}: n block nodes, exact for those moments.
+
+    Computed from the Hankel matrices alone (Golub and Welsch): the
+    Cholesky factor L of H = [s_{i+j}], i, j < n, and J = L^-1 H1 L^-*
+    with H1 = [s_{i+j+1}].  Each eigenpair (x, v) of J gives the node x and
+    the weight w w^* with w = L_00 v[:q], L_00 the leading block of L.
+    """
+    seq = [np.asarray(s, dtype=complex) for s in seq]
+    n = len(seq) // 2
+    if n == 0:
+        return [], []
+    q = seq[0].shape[0]
+    h = np.zeros((n * q, n * q), dtype=complex)
+    h1 = np.zeros_like(h)
+    for i in range(n):
+        for j in range(n):
+            h[i * q:(i + 1) * q, j * q:(j + 1) * q] = seq[i + j]
+            h1[i * q:(i + 1) * q, j * q:(j + 1) * q] = seq[i + j + 1]
+    low = np.linalg.cholesky(0.5 * (h + h.conj().T))
+    half = np.linalg.solve(low, h1)
+    jac = np.linalg.solve(low, half.conj().T).conj().T
+    vals, vecs = np.linalg.eigh(0.5 * (jac + jac.conj().T))
+    lead = low[:q, :q]
+    nodes, weights = [], []
+    for k in range(n * q):
+        w = lead @ vecs[:q, k]
+        nodes.append(float(vals[k]))
+        weights.append(np.outer(w, w.conj()))
+    return nodes, weights
+
+
+def oracle_block_radau(alpha, seq):
+    """(nodes, weights) of the block Gauss-Radau rule of ``seq``,
+    s_0..s_{2n}, with a node at alpha: the Gauss rule of the shifted
+    moments s_{j+1} - alpha s_j, weights divided by (x_k - alpha), and
+    s_0 minus their sum put at alpha."""
+    seq = [np.asarray(s, dtype=complex) for s in seq]
+    shifted = [seq[j + 1] - alpha * seq[j] for j in range(len(seq) - 1)]
+    gauss_nodes, gauss_weights = oracle_block_gauss(shifted)
+    weights = [w / (x - alpha) for x, w in zip(gauss_nodes, gauss_weights)]
+    rest = seq[0] - sum(weights, np.zeros_like(seq[0]))
+    return [alpha] + gauss_nodes, [rest] + weights
+
+
 def oracle_jtilde(q):
     """The 2q x 2q signature matrix [[0, -iI],[iI, 0]]."""
     j = np.zeros((2 * q, 2 * q), dtype=complex)

@@ -108,6 +108,12 @@ def test_frob_has_the_bits_of_numpy_norm():
                 # a scaled by 2^-600, scaled back, which is exact
                 want = 2.0 ** 600 * float(np.linalg.norm(
                     np.asarray(a) * 2.0 ** -600))
+            elif want < 2.0 ** -511 and np.any(a):
+                # the sum of squares falls below the normal range, where
+                # numpy's loses digits or is 0: the norm of a scaled by
+                # 2^600, scaled back, which is exact
+                want = 2.0 ** -600 * float(np.linalg.norm(
+                    np.asarray(a) * 2.0 ** 600))
             assert got == want
 
 
@@ -252,6 +258,38 @@ def test_frob_at_most_keeps_its_verdict_at_every_power_of_two():
                 scales = 2.0 ** np.array([0, 300, 600, 1000])[:, None, None]
                 got = frob_at_most(x * scales, y * scales, c, floor * scales[:, 0, 0])
                 assert got.tolist() == [want] * 4
+
+
+def test_norms_whose_squares_underflow_keep_their_digits():
+    # a sum of squares below the normal range lost digits or read 0, so the
+    # relative rule frob(x) <= c frob(y) of the alpha-S zero-stage test
+    # passed on 2^-1000 times any x; now the norm of x 2^-1000 is 2^-1000
+    # times that of x, bit for bit, a subnormal entry keeps its norm, the
+    # matrices whose squares stay in range keep frob's bits, and the
+    # comparison keeps its unit-scale verdict, all with no warning
+    rng = np.random.default_rng(16)
+    k = 2.0 ** -1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (1, 2, 3):
+            x = rng.normal(size=(6, q, q)) + 1j * rng.normal(size=(6, q, q))
+            small = x.copy()
+            small[1::2] *= k
+            got = matcore.frobs(small)
+            assert got.tolist() == [frob(m) for m in small]
+            assert got[1::2].tolist() == [k * frob(m) for m in x[1::2]]
+            assert got[::2].tolist() == [float(np.linalg.norm(m))
+                                         for m in x[::2]]
+            y = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            ratio = frob(x[0]) / frob(y)
+            for c in (np.nextafter(ratio, 0.0), np.nextafter(ratio, 2.0)):
+                want = bool(frob(x[0]) <= c * frob(y))
+                assert frob_at_most(x[0] * k, y * k, c, 0.0) is want
+                got = frob_at_most(x * k, y * k, c, 0.0)
+                assert got[0] == want
+        assert frob(np.array([[5e-324]])) == 5e-324
+        assert matcore.frobs(np.zeros((2, 3, 3))).tolist() == [0.0, 0.0]
+        assert frob(np.zeros((3, 3))) == 0.0
 
 
 def test_hermitize_refuses_asymmetry_whose_norm_would_overflow():

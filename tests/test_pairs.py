@@ -1,13 +1,12 @@
-import importlib.util
 import re
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (
+    bench_workloads,
     cauchy_pair,
     const_pair,
     const_psi_pair,
@@ -42,14 +41,9 @@ from stieltjesmp.pairs import (
     pair_from_function,
     verify_pair,
 )
-from stieltjesmp.respoly import MatrixPolynomial
-from stieltjesmp.solver import (
-    SolutionRequest,
-    _range_basis,
-    case_of,
-    solve,
-    solve_degenerate_embedded,
-)
+from stieltjesmp.hankel import classify
+from stieltjesmp.respoly import MatrixPolynomial, descent_resolvent
+from stieltjesmp.solver import _range_basis, case_of
 
 from oracles import oracle_simplify, oracle_verify_pair
 
@@ -252,8 +246,11 @@ def test_simplify_solves_thin_systems_in_the_denominator_alone(monkeypatch):
 
 def _presimplify_fractions(workload):
     """What ``lft.lft_rational`` hands to ``simplify`` on the bench's
-    seed-7 batch 0 of ``workload``: divide_out_root(N adj(D), det D, alpha),
-    captured from ``solve`` itself."""
+    seed-7 batch 0 of ``workload``: divide_out_root(N adj(D), det D, alpha)
+    for the descent product of each sequence's trace and its pair (lifted
+    as ``solve_degenerate_embedded`` lifts it), the fractions ``solve``
+    synthesized from before its pairs with atoms took the continued
+    fraction."""
     seen = []
     simplify = RationalMatFun.simplify
 
@@ -261,15 +258,18 @@ def _presimplify_fractions(workload):
         seen.append(f)
         return simplify(f)
 
-    wl = _bench_workloads()
+    wl = bench_workloads()
     make = wl.qcliff_batch if workload == "qcliff" else wl.longseq_batch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RationalMatFun, "simplify", spy)
         for prob in make(7, 0):
+            seq, pair = prob.seq, prob.pair
+            _, r, top = case_of(seq)
             if prob.embedded:
-                solve_degenerate_embedded(prob.seq, prob.pair, mode=prob.mode)
-            else:
-                solve(SolutionRequest(prob.seq, prob.pair, prob.mode))
+                pair = gamma_U_embed(pair.phi, pair.psi,
+                                     _range_basis(top, r), seq.alpha)
+            lft_rational(descent_resolvent(classify(seq).trace), pair.phi,
+                         pair.psi, seq.alpha, stage="synthesis")
     return seen
 
 
@@ -540,14 +540,6 @@ def test_in_class_P_of_reads_the_pseudoinverse_it_is_given(monkeypatch):
     assert not calls
 
 
-def _bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _off_pole_values(f, grid):
     # the pointwise reference: f(z) at each grid point that is not a pole
     for z in grid:
@@ -588,7 +580,7 @@ def test_in_class_P_of_matches_the_pointwise_rule_on_the_longseq_pool():
     # the range basis of top (the route of solve_degenerate_embedded), and
     # a rank-deficient one also against (I, I) and (top, I)
     verdicts = []
-    for prob in _bench_workloads().pool("longseq", 7, ""):
+    for prob in bench_workloads().pool("longseq", 7, ""):
         _, r, top = case_of(prob.seq)
         alpha, q = prob.seq.alpha, prob.q
         if prob.pair.q == q:

@@ -304,3 +304,18 @@ def test_a_step_beyond_the_float_range_is_a_precondition():
         for run in (transform_trace, first_transform):
             with pytest.raises(PreconditionError, match=message):
                 run(seq)
+
+
+@pytest.mark.parametrize("q", (1, 2, 3))
+def test_the_trace_of_tiny_moments_is_the_scaled_trace(q):
+    # s_j = (3^j + 1) I, atoms I at 1 and 3: at 2^-1000 the sums of squares
+    # behind the zero-stage test fall below the normal range, which once
+    # read as 0 and zeroed Q_1 and Q_2; now every stage of the trace of
+    # 2^-1000 s is 2^-1000 times that of s, bit for bit
+    k = 2.0 ** -1000
+    s = tuple((3.0 ** j + 1) * np.eye(q) for j in range(5))
+    unit = transform_trace(MomentSequence(0.0, s))
+    tiny = transform_trace(MomentSequence(0.0, tuple(k * x for x in s)))
+    for a, b in zip(unit.stages, tiny.stages):
+        assert np.array_equal(k * a, b)
+    assert all(np.any(d) for d in tiny.diagonal[:3])

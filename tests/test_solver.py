@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    bench_workloads,
     cauchy_pair,
     completely_degenerate_seq,
     const_pair,
@@ -17,12 +18,16 @@ from conftest import (
     identity_pair,
     measure_seq,
     nondegenerate_seq,
+    partially_degenerate_moments,
     partially_degenerate_seq,
     random_measure,
     random_psd,
     sample_points,
 )
-from stieltjesmp import cli, hankel, matcore, pairs, respoly, schur, serialize
+from oracles import (oracle_block_gauss, oracle_block_radau,
+                     oracle_stieltjes_value)
+from stieltjesmp import (cli, hankel, lft, matcore, pairs, respoly, schur,
+                         serialize, solver)
 from stieltjesmp.hankel import MomentSequence
 from stieltjesmp.lft import lft_rational
 from stieltjesmp.matcore import (
@@ -32,7 +37,8 @@ from stieltjesmp.matcore import (
     SingularDenominatorError,
     frob,
 )
-from stieltjesmp.measures import moments, stieltjes_transform, verify_solution
+from stieltjesmp.measures import (DiscreteMeasure, moments,
+                                  stieltjes_transform, verify_solution)
 from stieltjesmp.pairs import RationalMatFun, StieltjesPair, equivalent
 from stieltjesmp.respoly import MatrixPolynomial, v_poly
 from stieltjesmp.schur import first_transform
@@ -626,3 +632,101 @@ def test_exact_moments_near_the_float_range_verify_without_a_warning(c, q):
             sol = solve(SolutionRequest(seq, identity_pair(0.0, q), mode))
             report = verify_solution(sol, seq, mode)
         assert report["ok"], (mode, report["prefix_gap"], report["top_margin"])
+
+
+def test_bench_pairs_take_the_continued_fraction(monkeypatch):
+    # every pair of the qcliff and longseq pools, the lifted degenerate
+    # ones included, has atoms: their solves build no descent polynomial
+    # and call neither lft_rational nor simplify, so a predicate that
+    # stopped taking them would show here before it showed as lost speed
+    calls = []
+    monkeypatch.setattr(lft, "lft_rational",
+                        lambda *a, **k: calls.append("lft_rational"))
+    monkeypatch.setattr(RationalMatFun, "simplify",
+                        lambda self: calls.append("simplify"))
+    wl = bench_workloads()
+    for prob in wl.qcliff_batch(7, 0) + wl.longseq_batch(7, 0):
+        if prob.embedded:
+            sol = solve_degenerate_embedded(prob.seq, prob.pair, prob.mode)
+        else:
+            sol = solve(SolutionRequest(prob.seq, prob.pair, prob.mode))
+        assert verify_solution(sol, prob.seq, prob.mode)["ok"]
+    assert not calls
+
+    # a pair whose psi is singular has no atoms and keeps the general path
+    _, seq = nondegenerate_seq(np.random.default_rng(91), 2, 2)
+    pair = StieltjesPair(seq.alpha, RationalMatFun.const(np.eye(2)),
+                         RationalMatFun.const(np.diag([1.0, 0.0])))
+    monkeypatch.undo()
+    monkeypatch.setattr(lft, "lft_rational",
+                        lambda *a, _fn=lft_rational, **k: calls.append(1)
+                        or _fn(*a, **k))
+    sol = solve(SolutionRequest(seq, pair, "leq"))
+    assert calls == [1]
+    assert verify_solution(sol, seq)["ok"]
+
+
+def _atom_parameter(rng, alpha, q, atoms, constant):
+    """sum_i W_i / (y_i - z) over atoms y_i on [alpha, alpha + 4], plus a
+    PSD constant when ``constant``, as the pair (G, I)."""
+    nodes = tuple(float(x) for x in alpha + rng.uniform(0.0, 4.0, atoms))
+    weights = tuple(random_psd(rng, q) for _ in nodes)
+    g = stieltjes_transform(DiscreteMeasure(alpha, nodes, weights))
+    if constant:
+        g = g + RationalMatFun.const(random_psd(rng, q))
+    return StieltjesPair(alpha, g, RationalMatFun.const(np.eye(q)))
+
+
+def test_parameters_with_a_constant_and_lifted_parameters_have_atoms(
+        monkeypatch):
+    # C + sum W_i / (y_i - z) in leq mode replaces Q_m by
+    # Q_m (Q_m + C)^+ Q_m; r x r parameters lifted onto the range of a
+    # rank-r top entry couple through it.  Both take the continued
+    # fraction, verify, and (the conftest fixture) agree with the
+    # pointwise action of the descent product.  The solutions have at most
+    # 12 nodes: from about 16 on, the power basis of RationalMatFun loses
+    # the action's digits near clustered nodes (3e-9 at q = 3, m = 4 with
+    # three atoms), and from about 20 on its trim cuts den's leading
+    # coefficients.
+    taken = []
+    atomic = solver._atomic_solution
+    monkeypatch.setattr(solver, "_atomic_solution",
+                        lambda *a: taken.append(1) or atomic(*a))
+    rng = np.random.default_rng(92)
+    for trial in range(24):
+        q, m = 1 + trial % 3, 1 + trial // 3 % 3
+        alpha = float(rng.uniform(-1.0, 1.0))
+        _, seq = measure_seq(rng, q, m, atoms=m + 3, alpha=alpha)
+        pair = _atom_parameter(rng, alpha, q, 1 + trial % 2, trial % 4 < 2)
+        sol = solve(SolutionRequest(seq, pair, "leq"))
+        assert verify_solution(sol, seq)["ok"], trial
+    for q, r in ((2, 1), (3, 2), (4, 3)):
+        seq = partially_degenerate_moments(rng, q, 2, 0.25)
+        for constant, mode in ((False, "eq"), (True, "leq")):
+            pair = _atom_parameter(rng, 0.25, r, 2, constant)
+            sol = solve_degenerate_embedded(seq, pair, mode)
+            assert verify_solution(sol, seq, mode)["ok"], (q, r, mode)
+    assert len(taken) == 30
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 7),
+       st.floats(-1.0, 1.0))
+def test_the_extremal_solution_is_the_block_gauss_or_radau_rule(seed, q, m,
+                                                                 alpha):
+    # (O, I) in leq mode gives the block Gauss rule of s_0..s_m for m odd
+    # and the Gauss-Radau rule with a node at alpha for m even, computed
+    # here from the Hankel matrices alone (oracles), on exact moments of
+    # m + 3 atoms
+    mu = random_measure(np.random.default_rng(seed), q, m + 3, alpha=alpha)
+    seq = moments(mu, m)
+    if m % 2:
+        nodes, weights = oracle_block_gauss(seq.s)
+    else:
+        nodes, weights = oracle_block_radau(alpha, seq.s)
+    sol = solve(SolutionRequest(seq, identity_pair(alpha, q)))
+    zs, (got,) = pairs.grid_values((sol,), pairs.default_grid(alpha))
+    assert len(zs) == 15
+    for z, value in zip(zs, got):
+        want = oracle_stieltjes_value(nodes, weights, z)
+        assert frob(value - want) <= 1e-9 * (1.0 + frob(value)), z

@@ -8,13 +8,16 @@ interpolations sample all their circles in one pass, and a polynomial
 product forms all its coefficient products in one stacked matmul.  Each is
 compared by ``tobytes()`` with its literal form in ``oracles``, and
 ``solve`` with all of them swapped back in must return the same bytes.
+The ``solve`` tests run the general path, ``lft.lft_rational``, which
+every pair without atoms takes: ``_general_path`` switches off the atomic
+synthesis for their pairs, which have atoms.
 """
 
 import numpy as np
 
 import oracles
 from conftest import identity_pair, measure_seq
-from stieltjesmp import lft, matcore, pairs, respoly
+from stieltjesmp import lft, matcore, pairs, respoly, solver
 from stieltjesmp.hankel import MomentSequence, classify
 from stieltjesmp.pairs import RationalMatFun, StieltjesPair, default_grid
 from stieltjesmp.respoly import (MatrixPolynomial, _adjugates, _convolve,
@@ -237,6 +240,11 @@ def _old_kernels(monkeypatch):
     monkeypatch.setattr(pairs, "adjugate_poly", _literal_adjugate)
 
 
+def _general_path(monkeypatch):
+    """Send every pair through ``lft.lft_rational``, as one without atoms."""
+    monkeypatch.setattr(solver, "_parameter_atoms", lambda *args: None)
+
+
 def _outcome(req):
     try:
         f = solve(req)
@@ -258,6 +266,7 @@ def test_solve_keeps_its_bytes_with_the_literal_kernels(monkeypatch):
                 pair = _pair(rng, alpha, q, kind)
                 for mode in ("leq", "eq"):
                     requests.append(SolutionRequest(seq, pair, mode))
+    _general_path(monkeypatch)
     new = [_outcome(req) for req in requests]
     with monkeypatch.context() as mp:
         _old_kernels(mp)
@@ -275,6 +284,7 @@ def test_a_q3_m2_solve_reads_no_single_norm_and_builds_few_polynomials(
     rng = np.random.default_rng(98)
     _, seq = measure_seq(rng, 3, 2, alpha=0.3)
     classify(seq)
+    _general_path(monkeypatch)
     frobs, built = [], []
 
     def counted_post_init(self, _fn=MatrixPolynomial.__post_init__):
@@ -301,6 +311,7 @@ def test_a_q3_m2_solve_samples_each_interpolation_in_one_pass(monkeypatch):
     rng = np.random.default_rng(98)
     _, seq = measure_seq(rng, 3, 2, alpha=0.3)
     classify(seq)
+    _general_path(monkeypatch)
     ffts, walks = [], []
 
     def counted_call(self, z, _fn=MatrixPolynomial.__call__):
