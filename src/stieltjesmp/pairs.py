@@ -23,6 +23,14 @@ numerically poles of any of them.  Each gate then decides from the stacked
 values with batched kernels (``matcore`` takes stacks), and the CLI prints
 its sampled values from the same walk; a value that overflows is refused
 with the grid point it sits at.
+
+``verify_pair`` is that walk on ``default_grid`` and :func:`admissibility`,
+the decision from the values; ``solve`` walks the grid itself and asks
+:func:`admissibility` only of a pair without atoms.  A pair with a
+constant invertible psi and phi psi^(-1) = C + sum_i W_i / (y_i - z) is
+decided by its atoms instead, exactly (Kac and Krein): it is admissible
+when C >= 0, every W_i >= 0 and every y_i >= alpha, and it decays, which
+:func:`in_diamond` tests for the rest, when C = 0.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ __all__ = [
     "default_grid",
     "pair_from_function",
     "verify_pair",
-    "verify_pair_values",
+    "admissibility",
     "in_class_P_of",
     "equivalent",
     "gamma_U_embed",
@@ -353,26 +361,28 @@ class StieltjesPair:
 
 def verify_pair(pair: StieltjesPair,
                 tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Check the admissibility conditions on ``default_grid(pair.alpha)``.
+    """Check the admissibility conditions on ``default_grid(pair.alpha)``:
+    one ``grid_values`` walk of the pair, decided by :func:`admissibility`.
 
     Returns margins (least eigenvalue ratios, worst over the grid) and
     booleans per condition plus an overall verdict.  Grid points that land
     on poles are skipped and counted; the grid has no point on the
     half-axis [alpha, inf), where admissibility constrains nothing.
-
-    All kept points are decided at once: one stacked SVD for the rank gaps
-    and one batched eigensolve for the margins of every form.
     """
-    return verify_pair_values(pair, tol)[0]
+    zs, (ph, ps) = grid_values((pair.phi, pair.psi), default_grid(pair.alpha))
+    return admissibility(pair, zs, ph, ps, tol)
 
 
-def verify_pair_values(pair: StieltjesPair,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
-    """(report, zs, phi values, psi values): :func:`verify_pair`'s report
-    and the ``grid_values`` walk it decided from, for a caller that reads
-    the pair on ``default_grid`` again."""
-    grid = default_grid(pair.alpha)
-    zs, (ph, ps) = grid_values((pair.phi, pair.psi), grid)
+def admissibility(pair: StieltjesPair, zs, ph, ps,
+                  tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+    """:func:`verify_pair`'s report, decided from the pair's values: ``ph``
+    and ``ps``, phi's and psi's values at ``zs``, the points of
+    ``default_grid(pair.alpha)`` that the ``grid_values`` walk kept.
+
+    All points are decided at once: one stacked SVD for the rank gaps and
+    one batched eigensolve for the margins of every form.  A walk that
+    kept no point raises InconsistencyError.
+    """
     if not len(zs):
         raise InconsistencyError("every grid point sits on a pole of the pair")
     jt = matcore.signature_j(pair.q, "imaginary")
@@ -400,11 +410,11 @@ def verify_pair_values(pair: StieltjesPair,
         "kd2_ok": bool(kd2_m >= -tol.psd),
         "real_axis_margin": real_m,
         "real_axis_ok": bool(real_m >= -tol.psd),
-        "skipped_points": len(grid) - len(zs),
+        "skipped_points": len(default_grid(pair.alpha)) - len(zs),
     }
     report["ok"] = bool(report["rank_ok"] and report["kd1_ok"]
                         and report["kd2_ok"] and report["real_axis_ok"])
-    return report, zs, ph, ps
+    return report
 
 
 def pair_from_function(fun: RationalMatFun, alpha: float,
@@ -486,7 +496,8 @@ def in_diamond(pair: StieltjesPair) -> dict:
     its ``proper_residual``, must be rounding, at most ``TRIM_REL``.  A size
     bound would pass a nonzero limit under large lower coefficients, as in
     I + I/(200 - z).  A pair whose second component is identically
-    singular raises SingularDenominatorError.
+    singular raises SingularDenominatorError.  ``solve`` asks it only of a
+    pair without atoms.
     """
     det = det_or_raise(pair.psi.num, "diamond",
                        "second component of the pair is identically singular")

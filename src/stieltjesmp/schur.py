@@ -42,7 +42,8 @@ def reciprocal(mats, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     r_j = -s_0^+ sum_{l<j} s_{j-l} r_l."""
     if len(mats) == 0:
         raise ValueError("reciprocal of an empty sequence")
-    return _reciprocal(_stacked(mats), tol)
+    stack = _stacked(mats)
+    return _reciprocal(stack, matcore.pinv_unchecked(stack[0], tol))
 
 
 def alpha_shift(alpha: float, mats) -> np.ndarray:
@@ -57,11 +58,12 @@ def _stacked(mats) -> np.ndarray:
     return out
 
 
-def _reciprocal(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """:func:`reciprocal` of a checked stack."""
+def _reciprocal(stack: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """:func:`reciprocal` of a checked stack, from ``r0``, the
+    pseudoinverse of its first entry."""
     out = np.empty_like(stack)
-    out[0] = matcore.pinv_unchecked(stack[0], tol)
-    neg = -out[0]
+    out[0] = r0
+    neg = -r0
     for j in range(1, len(stack)):
         out[j] = neg @ sum(stack[j:0:-1] @ out[:j])
     return out
@@ -72,11 +74,13 @@ def _shift(alpha: float, stack: np.ndarray) -> np.ndarray:
     return -alpha * np.concatenate((np.zeros_like(stack[:1]), stack[:-1])) + stack
 
 
-def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig, k: int) -> tuple:
+def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig, k: int,
+          r0: np.ndarray) -> np.ndarray:
     """:func:`first_transform` on a finite complex stack, stage ``k`` of a
-    trace, with the pseudoinverse of ``s[0]`` that the reciprocal of the
-    shifted sequence starts from.  Run under the caller's ``np.errstate``,
-    it names a step whose output leaves the float range, with no warning.
+    trace, from ``r0``, the pseudoinverse of ``s[0]``: the shift leaves the
+    first entry alone, so the reciprocal of the shifted sequence starts
+    from it.  Run under the caller's ``np.errstate``, it names a step whose
+    output leaves the float range, with no warning.
 
     The outputs are Hermitian in exact arithmetic; their asymmetry is
     rounding, so they are symmetrized.  When the first output is at or
@@ -87,7 +91,7 @@ def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig, k: int) -> tuple:
     compared on the two matrices scaled by one power of two
     (``matcore.frob_at_most``), so they do not overflow.
     """
-    rec = _reciprocal(_shift(alpha, s), tol)
+    rec = _reciprocal(_shift(alpha, s), r0)
     out = -s[0] @ rec[1:] @ s[0]
     out = 0.5 * (out + out.conj().transpose(0, 2, 1))
     if not np.isfinite(out).all():
@@ -95,7 +99,7 @@ def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig, k: int) -> tuple:
                                 "leaves the float range")
     if matcore.frob_at_most(out[0], s[0], tol.psd, 0.0):
         out = np.zeros_like(out)
-    return out, rec[0]
+    return out
 
 
 def first_transform(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> MomentSequence:
@@ -106,8 +110,9 @@ def first_transform(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """
     if seq.m < 1:
         raise PreconditionError("transform needs at least two sequence entries")
+    s = np.array(seq.s)
     with np.errstate(over="ignore", invalid="ignore"):
-        out, _ = _step(seq.alpha, np.array(seq.s), tol, 0)
+        out = _step(seq.alpha, s, tol, 0, matcore.pinv_unchecked(s[0], tol))
     return MomentSequence(seq.alpha, tuple(out))
 
 
@@ -139,9 +144,8 @@ def transform_trace(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> 
     pinvs = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(seq.m):
-            out, r0 = _step(seq.alpha, stages[-1], tol, k)
-            stages.append(out)
-            pinvs.append(r0)
+            pinvs.append(matcore.pinv_unchecked(stages[-1][0], tol))
+            stages.append(_step(seq.alpha, stages[-1], tol, k, pinvs[-1]))
     pinvs.append(matcore.pinv(stages[-1][0], tol))
     for x in stages + pinvs:
         x.flags.writeable = False
@@ -165,7 +169,12 @@ def inverse_transform(t: MomentSequence, a,
     the computed entries are symmetrized.
     """
     a = matcore.hermitize(a, tol)
-    ap = matcore.pinv(a, tol)
+    return _inverse(t, a, matcore.pinv(a, tol))
+
+
+def _inverse(t: MomentSequence, a: np.ndarray, ap: np.ndarray) -> MomentSequence:
+    """:func:`inverse_transform` with the hermitized seed ``a`` and its
+    pseudoinverse ``ap``."""
     proj = a @ ap
     alpha = t.alpha
     out = [a]
@@ -184,19 +193,18 @@ def _prefix_gap(xs, ys) -> float:
     return max(matcore.frob(x - y) for x, y in zip(xs, ys))
 
 
-def _order_report(report: dict, name: str, xs, ys, k: int, base, defect,
+def _order_report(report: dict, name: str, xs, ys, k: int, base, closed,
                   tol: ToleranceConfig) -> None:
     """Add ``name``'s keys to ``report`` for the images xs, ys of two ordered
     sequences: the gap of their entries below k, the margin of their entry-k
-    difference, and its gap to P^* defect P for P = base^+ base."""
+    difference, and its gap to ``closed``, the closed form P^* defect P
+    for P = base^+ base."""
     gap = _prefix_gap(xs[:k], ys[:k])
     report[f"{name}_prefix_gap"] = gap
     report[f"{name}_prefix_ok"] = gap <= 1e-10 * (1.0 + matcore.frob(base))
     diff = matcore.symmetrized(xs[k] - ys[k])
     report[f"{name}_top_margin"] = matcore.psd_margin(diff)
     report[f"{name}_top_ok"] = matcore.is_psd(diff, tol)
-    p = matcore.pinv(base, tol) @ base
-    closed = p.conj().T @ defect @ p
     closed_gap = matcore.frob(diff - closed)
     report[f"{name}_closed_form_gap"] = closed_gap
     report[f"{name}_closed_form_ok"] = closed_gap <= 1e-9 * (1.0 + matcore.frob(closed))
@@ -224,13 +232,23 @@ def check_inequality_preservation(s: MomentSequence, t: MomentSequence,
     if not matcore.is_psd(defect, tol):
         raise PreconditionError("top entries are not ordered")
 
+    # s_0 seeds every check: the forward steps' reciprocals (the shift
+    # leaves the first entry alone), the inverse steps and the closed form
+    s0 = s.s[0]
+    sp = matcore.pinv(s0, tol)
+    p = sp @ s0
+    closed = p.conj().T @ defect @ p
     report: dict = {"m": m, "top_defect_margin": matcore.psd_margin(defect)}
     if m >= 1:
-        _order_report(report, "forward", first_transform(s, tol).s,
-                      first_transform(t, tol).s, m - 1, s.s[0], defect, tol)
-    _order_report(report, "inverse", inverse_transform(s, s.s[0], tol).s,
-                  inverse_transform(t, s.s[0], tol).s, m + 1, s.s[0], defect,
-                  tol)
+        # t_0 is s_0 by the precondition: both steps start from s_0^+
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs, ys = (tuple(_step(s.alpha, np.array(x.s), tol, 0, sp))
+                      for x in (s, t))
+        _order_report(report, "forward", xs, ys, m - 1, s0, closed, tol)
+    # the entries of a sequence are Hermitian: inverse_transform's
+    # hermitize would change no bit of the seed s_0
+    _order_report(report, "inverse", _inverse(s, s0, sp).s,
+                  _inverse(t, s0, sp).s, m + 1, s0, closed, tol)
 
     keys = [k for k in report if k.endswith("_ok")]
     report["ok"] = all(report[k] for k in keys)

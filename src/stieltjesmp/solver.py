@@ -1,27 +1,32 @@
 """End-to-end solution of the truncated half-axis moment problem.
 
 The pipeline: classify the sequence, which runs the transform algorithm
-once (a caller's classify of the same object stores the run), gate the
-parameter pair (admissibility on ``default_grid``, range condition against
-the top diagonal entry, decay for the equality problem), then synthesize
-the solution
+once (a caller's classify of the same object stores the run), read the
+parameter pair once on ``default_grid``, gate it, then synthesize the
+solution
 
     F = (V_11 phi + V_12 psi) (V_21 phi + V_22 psi)^(-1)
 
 with V the 2q x 2q descent product of the run's diagonal Q_0..Q_m.  When
 psi is a constant invertible matrix and phi psi^(-1) = C + sum_i W_i /
-(y_i - z) has atoms (``_parameter_atoms``), F is read off the diagonal as
-a continued fraction: one Hermitian block tridiagonal eigensolve gives
-its nodes and PSD weights (``_atomic_solution``), after the descent
-denominator D = V_21 phi + V_22 psi passes its gate pointwise on the grid
-(``_gate_descent_denominator``).  Any other pair goes through the kernel
-``lft.lft_rational``, which forms V as a polynomial, slices its q x q
-blocks, gates D's polynomial on the grid and divides out the power of
-(z - alpha) that the resolvent introduces.  The low-rank routes lift an
-r x r pair into ``solve``, the one solve entry, on the eigenbasis of the
-top entry at the rank classify decided; the equality subset is the lift
-of (f, I) in eq mode.  The two function transforms share one seed intake
-and one ``lft.lft_rational`` call.
+(y_i - z) has atoms (``_parameter_atoms``), the atoms are the gate: the
+pair is admissible exactly when C and every W_i are PSD (a negative one
+is refused by name), and it decays exactly when C = 0, so neither
+``pairs.admissibility`` nor ``pairs.in_diamond`` runs.  Only the range
+condition against the top diagonal entry is tested besides.  F is then
+read off the diagonal as a continued fraction: one Hermitian block
+tridiagonal eigensolve gives its nodes and PSD weights
+(``_atomic_solution``), after the descent denominator D = V_21 phi +
+V_22 psi passes its gate pointwise on the grid
+(``_gate_descent_denominator``).  Any other pair is gated on the grid
+(admissibility, range condition, decay for the equality problem) and goes
+through the kernel ``lft.lft_rational``, which forms V as a polynomial,
+slices its q x q blocks, gates D's polynomial on the grid and divides out
+the power of (z - alpha) that the resolvent introduces.  The low-rank
+routes lift an r x r pair into ``solve``, the one solve entry, on the
+eigenbasis of the top entry at the rank classify decided; the equality
+subset is the lift of (f, I) in eq mode.  The two function transforms
+share one seed intake and one ``lft.lft_rational`` call.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ import numpy.polynomial.polynomial as npoly
 
 from . import lft, matcore, pairs, respoly
 from .hankel import ClassReport, MomentSequence, classify
-from .matcore import DEFAULT_TOL, PreconditionError, ToleranceConfig
+from .matcore import (DEFAULT_TOL, GrowthError, PreconditionError,
+                      ToleranceConfig)
 from .pairs import RationalMatFun, StieltjesPair
 from .respoly import MatrixPolynomial
 
@@ -160,49 +166,67 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
           grid=None) -> RationalMatFun:
     """All solutions of the truncated problem, one per parameter pair.
 
-    Gates: the sequence must classify as extendable (candidate yes); the
-    pair must be admissible on ``default_grid``; unless the top diagonal
-    entry has full rank the pair must satisfy the range condition against
-    it; the equality problem additionally requires the decaying subclass.
+    The sequence must classify as extendable (candidate yes).  The pair is
+    read once on ``default_grid`` (``pairs.grid_values``: a value that is
+    not finite is refused, and a walk that keeps no point raises
+    InconsistencyError).  A pair with atoms (``_parameter_atoms``: psi a
+    constant invertible matrix and phi psi^(-1) = C + sum_i W_i / (y_i - z)
+    with simple real y_i >= alpha, matching the walk) is admissible exactly
+    when C and every W_i are PSD, and decays exactly when C = 0, so its
+    atoms gate it: a negative one is refused by name.  Any other pair must
+    be admissible on the grid (``pairs.admissibility``) and, in the
+    equality problem, in the decaying subclass (``pairs.in_diamond``).
+    Unless the top diagonal entry has full rank, every pair must satisfy
+    the range condition against it.
     ``grid`` holds the points of the gate on the descent denominator
     D = V_21 phi + V_22 psi (V the descent product): at each of them D
     must be finite, its norm to the power q, which bounds its determinant,
     within the float range, and sigma_min/sigma_max at least
-    ``tol.det_gate``.  A pair with atoms (``_parameter_atoms``) is
-    synthesized from the trace's continued fraction (``_atomic_solution``)
-    after D passes the gate pointwise; any other pair goes through
+    ``tol.det_gate``.  A pair with atoms is synthesized from the trace's
+    continued fraction (``_atomic_solution``) after D passes the gate
+    pointwise, and refused with GrowthError when the power basis of
+    RationalMatFun cannot hold it (its denominator's leading coefficients
+    fall under the trim floor); any other pair goes through
     ``lft.lft_rational``, whose gates on D's polynomial are the same.
     Equivalent parameters give the same function.
     """
-    seq = req.seq
+    seq, pair = req.seq, req.parameter
     report = _classified(seq, tol)
+    default = pairs.default_grid(seq.alpha)
+    grid = default if grid is None else tuple(grid)
+    zs, (ph, ps) = pairs.grid_values((pair.phi, pair.psi), default)
+    atoms = _parameter_atoms(pair, req.mode, zs, ph, tol)
+    if atoms is None:
+        pre = pairs.admissibility(pair, zs, ph, ps, tol)
+        if not pre["ok"]:
+            raise PreconditionError(f"parameter pair is not admissible: {pre}")
+        _gate_range(report, pair, tol)
+        if req.mode == "eq":
+            decay = pairs.in_diamond(pair)
+            if not decay["ok"]:
+                raise PreconditionError(
+                    "equality problem needs a decaying parameter; quotient "
+                    f"residual {decay['residual']:.3e}")
+        gen = respoly.descent_resolvent(report.trace)
+        return lft.lft_rational(gen, pair.phi, pair.psi, seq.alpha, tol,
+                                grid, stage="synthesis")
+    _gate_range(report, pair, tol)
+    if grid != default or len(zs) < len(default):
+        zs, ph, ps = _homogeneous_values(pair, grid)
+    _gate_descent_denominator(report.trace, zs, ph, ps, tol)
+    return _atomic_solution(report.trace, *atoms, tol)
+
+
+def _gate_range(report: ClassReport, pair: StieltjesPair,
+                tol: ToleranceConfig) -> None:
+    """Unless the top diagonal entry has full rank, refuse a pair that
+    fails the range condition against it (``pairs.in_class_P_of``)."""
     tag, r, top = _case(report)
-    pre, zs, ph, ps = pairs.verify_pair_values(req.parameter, tol)
-    if not pre["ok"]:
-        raise PreconditionError(f"parameter pair is not admissible: {pre}")
-    if r < seq.q and not pairs.in_class_P_of(req.parameter, top,
-                                             report.trace.pinvs[-1], tol):
+    if r < report.q and not pairs.in_class_P_of(pair, top,
+                                                report.trace.pinvs[-1], tol):
         raise PreconditionError(
             "parameter range escapes the range of the top diagonal entry "
             f"(rank {r} case '{tag}')")
-    if req.mode == "eq":
-        decay = pairs.in_diamond(req.parameter)
-        if not decay["ok"]:
-            raise PreconditionError(
-                "equality problem needs a decaying parameter; quotient "
-                f"residual {decay['residual']:.3e}")
-
-    default = pairs.default_grid(seq.alpha)
-    grid = default if grid is None else tuple(grid)
-    atoms = _parameter_atoms(req.parameter, req.mode, zs, ph, tol)
-    if atoms is None:
-        gen = respoly.descent_resolvent(report.trace)
-        return lft.lft_rational(gen, req.parameter.phi, req.parameter.psi,
-                                seq.alpha, tol, grid, stage="synthesis")
-    if grid != default or pre["skipped_points"]:
-        zs, ph, ps = _homogeneous_values(req.parameter, grid)
-    _gate_descent_denominator(report.trace, zs, ph, ps, tol)
-    return _atomic_solution(report.trace, *atoms, tol)
 
 
 # A parameter's atoms must give its values on ``default_grid`` to this
@@ -228,10 +252,13 @@ def _parameter_atoms(pair: StieltjesPair, mode: str, zs, ph, tol):
     The pair has atoms when psi is a constant matrix with sigma_min/sigma_max
     at least ``tol.det_gate``, G's numerator degree is at most its
     denominator's, the denominator's roots y_i are simple, real and at
-    least alpha, C and every residue W_i are positive semidefinite within
-    ``tol.psd`` (and C = 0 in eq mode), and the atoms give G's values at
-    the points ``zs``, from phi's values ``ph`` there, to ``ATOMS_REL``.
-    C and the W_i are returned symmetrized.
+    least alpha, C = 0 in eq mode, and the atoms give G's values at the
+    points ``zs`` (at least one), from phi's values ``ph`` there, to
+    ``ATOMS_REL``.  Such a pair is admissible exactly when C and every
+    residue W_i are positive semidefinite: one that is not, by more than
+    ``tol.psd`` (``matcore.psd_margin``), is refused with a
+    PreconditionError that names it and its margin.  C and the W_i are
+    returned symmetrized.
     """
     phi, psi = pair.phi, pair.psi
     if len(psi.den) > 1 or psi.num.trimmed().degree:
@@ -259,13 +286,19 @@ def _parameter_atoms(pair: StieltjesPair, mode: str, zs, ph, tol):
     atoms = np.concatenate((c[None], -MatrixPolynomial(num)(y)
                             / slope[:, None, None]))
     atoms = matcore.symmetrized(atoms)
-    if np.any(matcore.psd_margin(atoms) < -tol.psd):
-        return None
     c, w = atoms[0], atoms[1:]
     g = ph @ p0inv
     fit = c + np.tensordot(1.0 / (y - zs[:, None]), w, 1)
-    if not np.all(matcore.frob_at_most(fit - g, g, ATOMS_REL, 0.0)):
+    if not len(zs) or not np.all(matcore.frob_at_most(fit - g, g, ATOMS_REL,
+                                                      0.0)):
         return None
+    margins = matcore.psd_margin(atoms)
+    bad = np.flatnonzero(margins < -tol.psd)
+    if bad.size:
+        i = bad[0]
+        name = "constant" if i == 0 else f"residue at {y[i - 1]:.6g}"
+        raise PreconditionError("parameter pair is not admissible: its "
+                                f"{name} has PSD margin {margins[i]:.3e}")
     return c, y, w
 
 
@@ -401,7 +434,10 @@ def _from_atoms(nodes, weights, q: int) -> RationalMatFun:
     """sum_k W_k / (x_k - z) over the monic denominator prod_k (z - x_k),
     with numerator -sum_k W_k prod_{j != k} (z - x_j): every cofactor and
     the denominator are multiplied out in one pass over the nodes, each
-    factor applied to every row but its own."""
+    factor applied to every row but its own.  A denominator whose leading
+    coefficients the constructor trims (nodes spread so far that its
+    constant term exceeds them by the trim floor) raises GrowthError: the
+    function left would miss the solution."""
     n = len(nodes)
     if not n:
         return RationalMatFun.zero(q)
@@ -416,7 +452,13 @@ def _from_atoms(nodes, weights, q: int) -> RationalMatFun:
         out[k] = cof[k]
         cof, out = out, cof
     num = -(cof[:n, :n].T @ weights.reshape(n, q * q)).reshape(n, q, q)
-    return RationalMatFun(MatrixPolynomial(num), cof[n])
+    fun = RationalMatFun(MatrixPolynomial(num), cof[n])
+    if len(fun.den) <= n:
+        raise GrowthError(
+            f"the solution's denominator over {n} nodes on [{nodes[0]:.6g}, "
+            f"{nodes[-1]:.6g}] loses its leading coefficients to the trim "
+            "floor of RationalMatFun's power basis")
+    return fun
 
 
 def _range_basis(a, r: int) -> np.ndarray:

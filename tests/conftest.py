@@ -173,6 +173,20 @@ def const_pair(alpha, q, c=1.0):
                          RationalMatFun.const(np.eye(q)))
 
 
+# (eps, x) of the parameters 1/(1 - z) - eps/(x - z): a pole at x > 0 with
+# negative weight, beyond the radius of default_grid around alpha = 0
+NEGATIVE_ATOMS = ((0.01, 15.0), (0.05, 30.0), (0.2, 50.0), (0.5, 100.0))
+
+
+def negative_atom_problem(eps, x):
+    """The moments (m = 2) of unit atoms at 0.5, 2 and 4 on [0, inf), and
+    the pair (1/(1 - z) - eps/(x - z), 1), which is not admissible."""
+    seq = moments(DiscreteMeasure(0.0, (0.5, 2.0, 4.0), (np.eye(1),) * 3), 2)
+    one = RationalMatFun(MatrixPolynomial.constant(np.eye(1)), (1.0, -1.0))
+    neg = RationalMatFun(MatrixPolynomial.constant(-eps * np.eye(1)), (x, -1.0))
+    return seq, StieltjesPair(0.0, one + neg, RationalMatFun.const(np.eye(1)))
+
+
 def sample_points(rng, alpha, n, radius=3.0):
     """Random points off [alpha, inf): upper/lower half-plane mix."""
     zs = []

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import cauchy_pair, completely_degenerate_seq, measure_seq
+from conftest import (NEGATIVE_ATOMS, cauchy_pair, completely_degenerate_seq,
+                      measure_seq, negative_atom_problem)
 import stieltjesmp
 from stieltjesmp import measures, schur, serialize
 from stieltjesmp.cli import build_parser, main
@@ -437,14 +438,30 @@ def test_overflowing_parameter_is_a_precondition_violation(tmp_path, capsys):
     assert captured.err.rstrip().endswith("is not finite")
 
 
+def test_solve_refuses_parameters_with_a_negative_atom(tmp_path, capsys):
+    # each pair passes verify_pair's grid; its atoms refuse it (exit 3)
+    for eps, x in NEGATIVE_ATOMS:
+        seq, pair = negative_atom_problem(eps, x)
+        payload = {"sequence": serialize.sequence_to_json(seq.alpha, seq.s),
+                   "parameter": serialize.pair_to_json(pair)}
+        path = write_json(tmp_path / "prob.json", payload)
+        assert main(["solve", path]) == 3, (eps, x)
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith(
+            "precondition violated: parameter pair is not admissible: its "
+            f"residue at {x:g} has PSD margin -"), (eps, x)
+
+
 @pytest.mark.parametrize("component, mode, stage", [
     ("phi", "leq", "synthesis"), ("phi", "eq", "synthesis"),
-    ("psi", "leq", "synthesis"), ("psi", "eq", "diamond")])
+    ("psi", "leq", "synthesis"), ("psi", "eq", "synthesis")])
 def test_parameter_whose_determinant_overflows_is_a_precondition(
         tmp_path, capsys, component, mode, stage):
     # every numerator entry times 1e200: the determinant's size bound used
     # to raise OverflowError (exit 1, a traceback) after numpy warned
-    # "overflow encountered in det"; eq mode meets the decay test first
+    # "overflow encountered in det"; the pair has atoms, so eq mode meets
+    # the synthesis gate, not the decay test
     obj = json.loads((DATA / "solve_q2_m2.json").read_text())
     for mat in obj["parameter"][component]["num"]:
         mat["data"] = [[1e200 * x for x in entry] for entry in mat["data"]]

@@ -11,6 +11,7 @@ import oracles
 from conftest import (completely_degenerate_seq, degeneracy_sweep, measure_seq,
                       nondegenerate_seq, partially_degenerate_seq,
                       random_measure, random_psd)
+from stieltjesmp import matcore
 from stieltjesmp.hankel import MomentSequence, stieltjes_parametrization
 from stieltjesmp.matcore import (DEFAULT_TOL, PreconditionError, ToleranceConfig,
                                  frob, pinv)
@@ -190,6 +191,26 @@ def test_inequality_preservation_report():
         assert rep["inverse_prefix_ok"] and rep["inverse_top_ok"]
         assert rep["inverse_closed_form_ok"]
         assert rep["top_defect_margin"] >= -1e-12
+
+
+def test_inequality_preservation_inverts_s0_once(monkeypatch):
+    # the forward and inverse checks and the closed form all start from
+    # s_0^+: one pseudoinverse per call, every pseudoinverse runs through
+    # pinv_unchecked
+    rng = np.random.default_rng(27)
+    _, seq = nondegenerate_seq(rng, 2, 2)
+    smaller = MomentSequence(seq.alpha, seq.s[:-1] + (
+        seq.s[-1] - random_psd(rng, 2, rank=1, scale=0.1),))
+    seen = []
+
+    def counted(a, *args, _fn=matcore.pinv_unchecked, **kwargs):
+        seen.append(np.array(a))
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "pinv_unchecked", counted)
+    assert check_inequality_preservation(seq, smaller)["ok"]
+    assert len(seen) == 1
+    assert np.array_equal(seen[0].reshape(2, 2), seq.s[0])
 
 
 def test_inequality_preservation_preconditions():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    NEGATIVE_ATOMS,
     bench_workloads,
     cauchy_pair,
     completely_degenerate_seq,
@@ -17,6 +18,7 @@ from conftest import (
     const_psi_pair,
     identity_pair,
     measure_seq,
+    negative_atom_problem,
     nondegenerate_seq,
     partially_degenerate_moments,
     partially_degenerate_seq,
@@ -32,6 +34,7 @@ from stieltjesmp.hankel import MomentSequence
 from stieltjesmp.lft import lft_rational
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
+    GrowthError,
     InconsistencyError,
     PreconditionError,
     SingularDenominatorError,
@@ -307,6 +310,20 @@ def test_solve_rejects_inadmissible_parameter():
     bad = StieltjesPair(0.0, phi, RationalMatFun.const(np.eye(2)))
     with pytest.raises(PreconditionError):
         solve(SolutionRequest(seq, bad, "leq"))
+
+
+@pytest.mark.parametrize("eps, x", NEGATIVE_ATOMS)
+def test_solve_refuses_a_parameter_with_a_negative_atom(eps, x):
+    # 1/(1 - z) - eps/(x - z) passes verify_pair: its grid lies within
+    # radius 10 of alpha, where the negative weight at x barely shows.  Its
+    # atoms show it, and solve names the atom and its margin in both modes
+    seq, pair = negative_atom_problem(eps, x)
+    assert pairs.verify_pair(pair)["ok"]
+    message = re.escape(f"parameter pair is not admissible: its residue at "
+                        f"{x:g} has PSD margin {-eps:.3e}")
+    for mode in ("leq", "eq"):
+        with pytest.raises(PreconditionError, match=message):
+            solve(SolutionRequest(seq, pair, mode))
 
 
 def test_solve_rejects_parameter_outside_range_class():
@@ -637,13 +654,23 @@ def test_exact_moments_near_the_float_range_verify_without_a_warning(c, q):
 def test_bench_pairs_take_the_continued_fraction(monkeypatch):
     # every pair of the qcliff and longseq pools, the lifted degenerate
     # ones included, has atoms: their solves build no descent polynomial
-    # and call neither lft_rational nor simplify, so a predicate that
-    # stopped taking them would show here before it showed as lost speed
-    calls = []
-    monkeypatch.setattr(lft, "lft_rational",
-                        lambda *a, **k: calls.append("lft_rational"))
-    monkeypatch.setattr(RationalMatFun, "simplify",
-                        lambda self: calls.append("simplify"))
+    # and call neither lft_rational nor simplify, nor the grid gates their
+    # atoms stand in for, verify_pair's decision and the decay test, so a
+    # predicate that stopped taking them would show here before it showed
+    # as lost speed
+    calls, stubbed = [], {"lft_rational", "simplify"}
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return None if name in stubbed else fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((lft, "lft_rational"), (RationalMatFun, "simplify"),
+                        (pairs, "admissibility"), (pairs, "in_diamond")):
+        spy(owner, name)
     wl = bench_workloads()
     for prob in wl.qcliff_batch(7, 0) + wl.longseq_batch(7, 0):
         if prob.embedded:
@@ -654,22 +681,24 @@ def test_bench_pairs_take_the_continued_fraction(monkeypatch):
     assert not calls
 
     # a pair whose psi is singular has no atoms and keeps the general path
+    # and both grid gates: eq mode's decay test refuses it
+    stubbed.clear()
     _, seq = nondegenerate_seq(np.random.default_rng(91), 2, 2)
     pair = StieltjesPair(seq.alpha, RationalMatFun.const(np.eye(2)),
                          RationalMatFun.const(np.diag([1.0, 0.0])))
-    monkeypatch.undo()
-    monkeypatch.setattr(lft, "lft_rational",
-                        lambda *a, _fn=lft_rational, **k: calls.append(1)
-                        or _fn(*a, **k))
     sol = solve(SolutionRequest(seq, pair, "leq"))
-    assert calls == [1]
+    assert calls == ["admissibility", "lft_rational", "simplify"]
     assert verify_solution(sol, seq)["ok"]
+    calls.clear()
+    with pytest.raises(SingularDenominatorError):
+        solve(SolutionRequest(seq, pair, "eq"))
+    assert calls == ["admissibility", "in_diamond"]
 
 
-def _atom_parameter(rng, alpha, q, atoms, constant):
-    """sum_i W_i / (y_i - z) over atoms y_i on [alpha, alpha + 4], plus a
-    PSD constant when ``constant``, as the pair (G, I)."""
-    nodes = tuple(float(x) for x in alpha + rng.uniform(0.0, 4.0, atoms))
+def _atom_parameter(rng, alpha, q, atoms, constant, spread=4.0):
+    """sum_i W_i / (y_i - z) over atoms y_i on [alpha, alpha + spread], plus
+    a PSD constant when ``constant``, as the pair (G, I)."""
+    nodes = tuple(float(x) for x in alpha + rng.uniform(0.0, spread, atoms))
     weights = tuple(random_psd(rng, q) for _ in nodes)
     g = stieltjes_transform(DiscreteMeasure(alpha, nodes, weights))
     if constant:
@@ -730,3 +759,66 @@ def test_the_extremal_solution_is_the_block_gauss_or_radau_rule(seed, q, m,
     for z, value in zip(zs, got):
         want = oracle_stieltjes_value(nodes, weights, z)
         assert frob(value - want) <= 1e-9 * (1.0 + frob(value)), z
+
+
+def _with_psi(rng, pair, cond):
+    """The pair (G P, P) for (G, I), P a random constant q x q matrix with
+    condition number ``cond``: phi psi^(-1) is still G."""
+    q = pair.q
+    u, v = (np.linalg.qr(rng.normal(size=(q, q))
+                         + 1j * rng.normal(size=(q, q)))[0] for _ in range(2))
+    p = (u * np.geomspace(1.0, 1.0 / cond, q)) @ v
+    return StieltjesPair(pair.alpha, pair.phi.rmul(p), RationalMatFun.const(p))
+
+
+def test_a_parameter_with_atoms_passes_the_gates_it_skips():
+    # solve lets a pair's atoms stand in for verify_pair and in_diamond, as
+    # the class of S-functions allows: C + sum W_i / (y_i - z) with PSD C
+    # and W_i and every y_i >= alpha is admissible, and decays when C = 0.
+    # Every draw with atoms (q 1-4, 1-3 atoms on [alpha, alpha + 20], C in
+    # half the leq draws, cond(psi) up to 1e4) passes both, and every eq
+    # draw is solved on moments of three atoms (m = 1).  Its solution has
+    # q (1 + k) nodes for k parameter atoms.  In 4 of the 5 draws at
+    # q = 4 with three atoms, 16 nodes spread over 20, the power basis of
+    # RationalMatFun trims the denominator's leading coefficients, and
+    # solve refuses the solution with GrowthError instead of returning a
+    # function that misses the action; every solution it returns meets the
+    # action (the conftest fixture)
+    rng = np.random.default_rng(93)
+    found = solved = refused = 0
+    for trial in range(120):
+        q, k = 1 + trial % 4, 1 + trial % 3
+        mode = ("leq", "eq")[trial // 4 % 2]
+        alpha = float(rng.uniform(-1.0, 1.0))
+        pair = _atom_parameter(rng, alpha, q, k,
+                               mode == "leq" and trial % 16 < 8, spread=20.0)
+        pair = _with_psi(rng, pair, 10.0 ** rng.uniform(0.0, 4.0))
+        zs, (ph,) = pairs.grid_values((pair.phi,), pairs.default_grid(alpha))
+        if solver._parameter_atoms(pair, mode, zs, ph, DEFAULT_TOL) is None:
+            continue
+        found += 1
+        assert pairs.verify_pair(pair)["ok"], trial
+        if mode == "eq":
+            assert pairs.in_diamond(pair)["ok"], trial
+            _, seq = measure_seq(rng, q, 1, atoms=3, alpha=alpha)
+            try:
+                assert solve(SolutionRequest(seq, pair, "eq")).q == q
+                solved += 1
+            except GrowthError as exc:
+                assert "trim floor" in str(exc), trial
+                refused += 1
+    assert (found, solved, refused) == (120, 56, 4)
+
+
+def test_an_atomic_parameter_that_in_diamond_refuses_solves_in_eq_mode():
+    # cond(psi) = 3e5 at q = 4: the leading coefficient of phi.den det psi
+    # falls under the polynomial trim floor, so in_diamond's degree test
+    # reads the strictly proper quotient as improper; its atoms show
+    # C = 0, and solve takes the pair
+    rng = np.random.default_rng(1)
+    pair = _with_psi(rng, _atom_parameter(rng, 0.0, 4, 2, False, spread=20.0),
+                     3e5)
+    _, seq = nondegenerate_seq(rng, 4, 2)
+    assert not pairs.in_diamond(pair)["ok"]
+    sol = solve(SolutionRequest(seq, pair, "eq"))
+    assert verify_solution(sol, seq, "eq")["ok"]
