@@ -2,7 +2,8 @@
 
 A measure here is a finite sum of point masses with positive semidefinite
 matrix weights.  It supplies exact moments, an exactly rational
-half-axis transform sum_k (x_k - z)^(-1) w_k, and the reverse direction:
+half-axis transform sum_k (x_k - z)^(-1) w_k (``from_atoms``, the one
+builder from atoms, which ``solve`` uses too), and the reverse direction:
 reading moments back off a rational function exactly, by series division
 at infinity, which is how candidate solutions get verified.  Only a
 function of the transforms' growth class has such moments: one that is
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from . import matcore
 from .hankel import MomentSequence, cone_margins
@@ -33,6 +33,7 @@ __all__ = [
     "DiscreteMeasure",
     "moments",
     "stieltjes_transform",
+    "from_atoms",
     "extract_moments",
     "verify_solution",
 ]
@@ -98,23 +99,51 @@ def moments(mu: DiscreteMeasure, m: int) -> MomentSequence:
 
 
 def stieltjes_transform(mu: DiscreteMeasure) -> RationalMatFun:
-    """The rational function sum_k (x_k - z)^(-1) w_k.
+    """The rational function sum_k (x_k - z)^(-1) w_k, built by
+    :func:`from_atoms`: poles exactly at the nodes, coincident ones merged."""
+    return from_atoms(mu.nodes, np.array(mu.weights), mu.q)
 
-    Denominator prod_k (x_k - z); poles exactly at the nodes (up to
-    coincident-node merging, which simplify() removes).
-    """
-    q = mu.q
-    k = len(mu.nodes)
-    if k == 0:
-        return RationalMatFun(MatrixPolynomial.constant(np.zeros((q, q))))
-    sign = (-1.0) ** k
-    den = sign * npoly.polyfromroots(mu.nodes)
-    num = MatrixPolynomial.constant(np.zeros((q, q)))
-    for i, w in enumerate(mu.weights):
-        others = [x for j, x in enumerate(mu.nodes) if j != i]
-        cof = ((-1.0) ** len(others)) * npoly.polyfromroots(others)
-        num = num + MatrixPolynomial.constant(w).scale_poly(cof)
-    return RationalMatFun(num.trimmed(), den).simplify()
+
+def from_atoms(nodes, weights, q: int) -> RationalMatFun:
+    """sum_k W_k / (x_k - z) for nodes x_k and a stack of q x q weights W_k.
+
+    The nodes are sorted, and exactly equal ones merged by summing their
+    weights.  The function is the monic denominator prod_k (z - x_k) over
+    the numerator -sum_k W_k prod_{j != k} (z - x_j): every cofactor and
+    the denominator are multiplied out in one pass over the nodes, each
+    factor applied to every row but its own.  A denominator whose leading
+    coefficients the constructor trims (nodes spread so far that its
+    constant term exceeds them by the trim floor) raises GrowthError: the
+    function left would miss the sum."""
+    nodes = np.asarray(nodes, dtype=float)
+    n = len(nodes)
+    if not n:
+        return RationalMatFun.zero(q)
+    order = np.argsort(nodes, kind="stable")
+    nodes, weights = nodes[order], weights[order]
+    apart = np.diff(nodes) > 0.0
+    if not apart.all():
+        starts = np.flatnonzero(np.concatenate(([True], apart)))
+        nodes, weights = nodes[starts], np.add.reduceat(weights, starts)
+        n = len(nodes)
+    # row k < n is the cofactor of node k, row n the denominator; each step
+    # writes cof (z - x) into the other buffer, and row k keeps its own
+    cof = np.zeros((n + 1, n + 1))
+    cof[:, 0] = 1.0
+    out = np.empty_like(cof)
+    for k, x in enumerate(nodes):
+        np.multiply(cof, -x, out=out)
+        out[:, 1:] += cof[:, :-1]
+        out[k] = cof[k]
+        cof, out = out, cof
+    num = -(cof[:n, :n].T @ weights.reshape(n, q * q)).reshape(n, q, q)
+    fun = RationalMatFun(MatrixPolynomial(num), cof[n])
+    if len(fun.den) <= n:
+        raise GrowthError(
+            f"the function's denominator over {n} nodes on [{nodes[0]:.6g}, "
+            f"{nodes[-1]:.6g}] loses its leading coefficients to the trim "
+            "floor of RationalMatFun's power basis")
+    return fun
 
 
 def extract_moments(fun: RationalMatFun, alpha: float, m: int):

@@ -15,18 +15,19 @@ is refused by name), and it decays exactly when C = 0, so neither
 ``pairs.admissibility`` nor ``pairs.in_diamond`` runs.  Only the range
 condition against the top diagonal entry is tested besides.  F is then
 read off the diagonal as a continued fraction: one Hermitian block
-tridiagonal eigensolve gives its nodes and PSD weights
-(``_atomic_solution``), after the descent denominator D = V_21 phi +
-V_22 psi passes its gate pointwise on the grid
-(``_gate_descent_denominator``).  Any other pair is gated on the grid
+tridiagonal eigensolve gives its nodes and PSD weights, which
+``measures.from_atoms`` turns into F (``_atomic_solution``), after the
+descent denominator D = V_21 phi + V_22 psi passes its gate pointwise on
+the grid (``_gate_descent_denominator``).  Any other pair is gated on the grid
 (admissibility, range condition, decay for the equality problem) and goes
 through the kernel ``lft.lft_rational``, which forms V as a polynomial,
 slices its q x q blocks, gates D's polynomial on the grid and divides out
 the power of (z - alpha) that the resolvent introduces.  The low-rank
 routes lift an r x r pair into ``solve``, the one solve entry, on the
 eigenbasis of the top entry at the rank classify decided; the equality
-subset is the lift of (f, I) in eq mode.  The two function transforms
-share one seed intake and one ``lft.lft_rational`` call.
+subset is the lift of (f, I) in eq mode.  The ascent transform is
+``solve`` at order 0: the one-term sequence (A) in eq mode with the
+parameter (G, I).
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from . import lft, matcore, pairs, respoly
+from . import lft, matcore, measures, pairs, respoly
 from .hankel import ClassReport, MomentSequence, classify
-from .matcore import (DEFAULT_TOL, GrowthError, PreconditionError,
-                      ToleranceConfig)
+from .matcore import DEFAULT_TOL, PreconditionError, ToleranceConfig
 from .pairs import RationalMatFun, StieltjesPair
 from .respoly import MatrixPolynomial
 
@@ -106,49 +106,38 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     one stacked pseudoinverse of the function's values and names the first
     failing grid point.
     """
-    a = _seed(a, fun, tol)
-    zs, (fz,) = pairs.grid_values((fun,), pairs.default_grid(alpha))
-    failing = np.flatnonzero(~matcore.null_contains(fz, a, tol))
-    if failing.size:
-        raise PreconditionError("null space of the function at "
-                                f"{complex(zs[failing[0]])} is not killed by the seed")
-    return _step(respoly.w_poly(alpha, a, tol), fun, alpha, tol, "descent")
-
-
-def _seed(a, fun: RationalMatFun, tol: ToleranceConfig) -> np.ndarray:
-    """The hermitized seed ``a``; raises unless every numerator coefficient
-    of ``fun`` lies in its range, naming the lowest degree that does not."""
     a = matcore.hermitize(a, tol)
     failing = np.flatnonzero(~matcore.range_contains(a, fun.num.coeffs, tol))
     if failing.size:
         raise PreconditionError(f"range of the function's degree-{failing[0]} "
                                 "numerator coefficient escapes the range of the seed")
-    return a
-
-
-def _step(gen, fun: RationalMatFun, alpha: float, tol, stage: str):
-    """The action of the degree-1 generator ``gen`` on the pair (fun, I)."""
-    return lft.lft_rational(gen, fun, RationalMatFun.const(np.eye(fun.q)),
-                            alpha, tol, stage=stage)
+    zs, (fz,) = pairs.grid_values((fun,), pairs.default_grid(alpha))
+    failing = np.flatnonzero(~matcore.null_contains(fz, a, tol))
+    if failing.size:
+        raise PreconditionError("null space of the function at "
+                                f"{complex(zs[failing[0]])} is not killed by the seed")
+    return lft.lft_rational(respoly.w_poly(alpha, a, tol), fun,
+                            RationalMatFun.const(np.eye(fun.q)), alpha, tol,
+                            stage="descent")
 
 
 def inverse_schur_stieltjes_transform(
         fun: RationalMatFun, a, alpha: float,
         tol: ToleranceConfig = DEFAULT_TOL) -> RationalMatFun:
-    """One ascent step: F = -A [(z-alpha)(A^+ G + I)]^(-1).
-
-    Requires a PSD seed and an input that decays along the imaginary axis
-    with range inside the range of the seed.
+    """One ascent step: F = -A [(z-alpha)(A^+ G + I)]^(-1), ``solve``'s
+    solution of the one-term sequence (A) in eq mode for the parameter
+    (G, I), so its gates are ``solve``'s: the hermitized seed must be PSD
+    (the sequence then classifies as extendable), G admissible by its atoms
+    or on ``default_grid``, its numerator coefficients in the range of the
+    seed and G decaying (C = 0 for G with atoms, ``pairs.in_diamond``
+    otherwise), and the denominator must pass the gate on
+    ``default_grid``.  The one-term sequence replaces the sequence in
+    ``hankel``'s classify slot.
     """
-    a = _seed(a, fun, tol)
-    if not matcore.is_psd(a, tol):
-        raise PreconditionError("seed of the ascent transform must be PSD")
-    decay = pairs.in_diamond(
-        StieltjesPair(alpha, fun, RationalMatFun.const(np.eye(fun.q))))
-    if not decay["ok"]:
-        raise PreconditionError("function does not decay along the imaginary "
-                                f"axis: residual {decay['residual']:.3e}")
-    return _step(respoly.v_poly(alpha, a, tol), fun, alpha, tol, "ascent")
+    return solve(SolutionRequest(
+        MomentSequence(alpha, (a,), tol),
+        StieltjesPair(alpha, fun, RationalMatFun.const(np.eye(fun.q))), "eq"),
+        tol)
 
 
 def _classified(seq: MomentSequence, tol: ToleranceConfig) -> ClassReport:
@@ -427,38 +416,7 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
                                     where=total > 0.0)
         weights = np.add.reduceat(weights, starts)
     kept = matcore.frobs(weights) > WEIGHT_REL * matcore.frob(diagonal[0])
-    return _from_atoms(alpha + squares[kept], weights[kept], q)
-
-
-def _from_atoms(nodes, weights, q: int) -> RationalMatFun:
-    """sum_k W_k / (x_k - z) over the monic denominator prod_k (z - x_k),
-    with numerator -sum_k W_k prod_{j != k} (z - x_j): every cofactor and
-    the denominator are multiplied out in one pass over the nodes, each
-    factor applied to every row but its own.  A denominator whose leading
-    coefficients the constructor trims (nodes spread so far that its
-    constant term exceeds them by the trim floor) raises GrowthError: the
-    function left would miss the solution."""
-    n = len(nodes)
-    if not n:
-        return RationalMatFun.zero(q)
-    # row k < n is the cofactor of node k, row n the denominator; each step
-    # writes cof (z - x) into the other buffer, and row k keeps its own
-    cof = np.zeros((n + 1, n + 1))
-    cof[:, 0] = 1.0
-    out = np.empty_like(cof)
-    for k, x in enumerate(nodes):
-        np.multiply(cof, -x, out=out)
-        out[:, 1:] += cof[:, :-1]
-        out[k] = cof[k]
-        cof, out = out, cof
-    num = -(cof[:n, :n].T @ weights.reshape(n, q * q)).reshape(n, q, q)
-    fun = RationalMatFun(MatrixPolynomial(num), cof[n])
-    if len(fun.den) <= n:
-        raise GrowthError(
-            f"the solution's denominator over {n} nodes on [{nodes[0]:.6g}, "
-            f"{nodes[-1]:.6g}] loses its leading coefficients to the trim "
-            "floor of RationalMatFun's power basis")
-    return fun
+    return measures.from_atoms(alpha + squares[kept], weights[kept], q)
 
 
 def _range_basis(a, r: int) -> np.ndarray:

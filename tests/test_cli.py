@@ -355,6 +355,17 @@ def test_oracle_accepts_explicit_measure(tmp_path, capsys):
         assert_allclose(a, b, atol=1e-12)
 
 
+def test_oracle_refuses_a_measure_its_power_basis_cannot_hold(tmp_path,
+                                                             capsys):
+    # the transform of 24 atoms needs a denominator whose leading
+    # coefficients fall under the trim floor: a verification failure, not
+    # a printed function that misses the sum
+    path = write_json(tmp_path / "spec.json", {"q": 1, "atoms": 24, "seed": 1})
+    assert main(["oracle", path]) == 4
+    out, err = capsys.readouterr()
+    assert not out and "denominator over 24 nodes" in err
+
+
 def test_grid_override_controls_sample_points(tmp_path, capsys):
     rng = np.random.default_rng(9)
     _, seq = completely_degenerate_seq(rng, 1, 2)

@@ -97,6 +97,30 @@ def test_transform_of_empty_measure_is_zero():
     assert max(frob(c) for c in fun.num.coeffs) <= 1e-12
 
 
+def test_transform_merges_coincident_nodes():
+    # two atoms at one node are one pole whose weight is their sum
+    w = (np.diag([1.0, 2.0]), np.array([[1.0, 0.5], [0.5, 1.0]]), np.eye(2))
+    mu = DiscreteMeasure(0.0, (2.0, 0.5, 2.0), w)
+    fun = stieltjes_transform(mu)
+    assert len(fun.den) == 3
+    for z in sample_points(np.random.default_rng(64), 0.0, 8):
+        ref = sum(wk / (x - z) for x, wk in zip(mu.nodes, mu.weights))
+        assert frob(fun(z) - ref) <= 1e-12 * frob(ref)
+
+
+def test_transform_refuses_nodes_its_power_basis_cannot_hold():
+    # prod (z - x_k) over 24 nodes on [0.5, 7.9] has a constant term beyond
+    # the trim floor of its leading coefficients; cutting them would leave
+    # a function far from the sum, so the builder refuses
+    rng = np.random.default_rng(1)
+    mu = DiscreteMeasure(0.0, tuple(np.sort(rng.uniform(0.3, 8.0, 24))),
+                         (np.eye(1),) * 24)
+    with pytest.raises(GrowthError,
+                       match=r"^the function's denominator over 24 nodes .* "
+                             "trim floor"):
+        stieltjes_transform(mu)
+
+
 def test_extract_moments_roundtrip():
     rng = np.random.default_rng(62)
     for q, m in [(1, 2), (2, 3), (3, 4), (4, 5)]:

@@ -150,6 +150,33 @@ def test_only_the_scaled_norms_scale_by_powers_of_two():
     assert callers == {"matcore.frobs", "matcore.frob_at_most"}, callers
 
 
+def test_the_scalar_denominator_synthesis_keeps_its_last_callers():
+    # the callers that still stand before simplify, lft_rational and
+    # in_diamond can be deleted: a new one would have to be removed too
+    src = Path(importlib.import_module(PACKAGE).__file__).parent
+    callers = {"simplify": set(), "lft_rational": set(), "in_diamond": set()}
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(path.stem, node) for node in tree.body]
+        scopes += [(f"{path.stem}.{cls.name}", node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for owner, scope in scopes:
+            if not isinstance(scope, ast.FunctionDef):
+                continue
+            name = f"{owner}.{scope.name}"
+            for node in ast.walk(scope):
+                func = node.func if isinstance(node, ast.Call) else None
+                called = (func.attr if isinstance(func, ast.Attribute) else
+                          func.id if isinstance(func, ast.Name) else None)
+                if called in callers:
+                    callers[called].add(name)
+    assert callers == {
+        "simplify": {"lft.lft_rational"},
+        "lft_rational": {"solver.solve", "solver.schur_stieltjes_transform"},
+        "in_diamond": {"solver.solve"},
+    }, callers
+
+
 def test_the_trace_checks_no_stage_again(monkeypatch):
     # the public shift and reciprocal validate their argument; the trace's
     # steps run the same arithmetic on stages already known finite

@@ -221,6 +221,37 @@ def test_descended_function_solves_descended_problem():
     assert rep["ok"], rep
 
 
+def test_ascent_of_a_measure_transform_takes_the_continued_fraction(
+        monkeypatch):
+    # a measure's transform has atoms: the ascent, solve at order 0, reads
+    # them instead of synthesizing by lft_rational or gating by in_diamond
+    # (the autouse fixture checks the result against the pointwise action)
+    rng = np.random.default_rng(80)
+    mu, seq = measure_seq(rng, 2, 1, atoms=3)
+    fun, a = stieltjes_transform(mu), seq.s[0]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(lft, "lft_rational", refused)
+    monkeypatch.setattr(pairs, "in_diamond", refused)
+    back = inverse_schur_stieltjes_transform(fun, a, 0.0)
+    for z in sample_points(rng, 0.0, 5):
+        want = -a @ np.linalg.inv(z * (np.linalg.pinv(a) @ fun(z) + np.eye(2)))
+        assert frob(back(z) - want) <= 1e-9 * frob(want)
+
+
+@pytest.mark.parametrize("eps, x", NEGATIVE_ATOMS)
+def test_ascent_refuses_a_function_with_a_negative_atom(eps, x):
+    # 1/(1 - z) - eps/(x - z) passes the grid; as solve's parameter at
+    # order 0 its atoms refuse it, as they refuse it in solve
+    _, pair = negative_atom_problem(eps, x)
+    message = re.escape(f"parameter pair is not admissible: its residue at "
+                        f"{x:g} has PSD margin {-eps:.3e}")
+    with pytest.raises(PreconditionError, match=message):
+        inverse_schur_stieltjes_transform(pair.phi, np.eye(1), 0.0)
+
+
 def test_inverse_transform_gates():
     rng = np.random.default_rng(73)
     mu, seq = measure_seq(rng, 2, 1, atoms=2)
