@@ -251,6 +251,8 @@ def main(argv=None) -> int:
         cfg = _config(args)
         with open(args.path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError("the input must be a JSON object")
         payload, code = args.func(obj, cfg, args)
         print(dumps(payload))
         return code

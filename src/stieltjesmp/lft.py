@@ -14,10 +14,10 @@ product has the bits of the block's own product, so the arithmetic is
 that of four q x q products, and the norms its trims read come per stack
 with ``matcore.frob``'s bits.  Tests pin this formation, and the quotient
 rows ``divide_out_root`` writes in place, to the bytes of literal copies
-in ``tests/oracles.py``.  ``check_denominator`` gates the denominator
-values of both, sigma_min/sigma_max against ``tol.det_gate`` from one
-batched SVD of a stack (``lft_rational``'s on the whole grid), naming the
-first failing point; ``respoly.det_or_raise`` refuses a zero determinant.
+in ``tests/oracles.py``.  ``check_denominator`` gates denominator values
+(``lft_pair``'s, and ``solver.solve``'s on its grid), sigma_min/sigma_max
+against ``tol.det_gate`` from one batched SVD of a stack, naming the first
+failing point; ``respoly.det_or_raise`` refuses a zero determinant.
 
 Every generator in the package is built at an endpoint alpha, and the
 resolvent satisfies V(z)W(z) = (z-alpha)^(m+1) diag(P, I), so the numerator
@@ -36,7 +36,6 @@ import numpy as np
 from . import matcore
 from .matcore import (
     DEFAULT_TOL,
-    PreconditionError,
     SingularDenominatorError,
     ToleranceConfig,
 )
@@ -151,31 +150,20 @@ def _num_den(gen: MatrixPolynomial, phi, psi) -> tuple:
 
 
 def lft_rational(gen: MatrixPolynomial, phi, psi, alpha: float,
-                 tol: ToleranceConfig = DEFAULT_TOL, grid=(),
                  stage: str = "rational"):
     """(a phi + b psi)(c phi + d psi)^(-1) as one rational matrix function.
 
     ``gen`` is the 2q x 2q generator polynomial [[a, b], [c, d]], (phi, psi)
     a pair of ``RationalMatFun``, and ``alpha`` the endpoint the generator
     was built at.  Over the common factor phi.den psi.den the action is
-    N D^(-1) = N adj(D) / det(D); D must pass ``det_or_raise`` and, at the
-    points of ``grid`` all at once, ``check_denominator`` (both raise
-    tagged ``stage``; the grid gate names the first failing point, in grid
-    order, and its ``gap``); a grid point where a value of D is not finite
-    is refused with PreconditionError naming it.  The power of (z - alpha)
-    that the fraction's numerator and denominator share is divided out
-    (``divide_out_root``, at ``DEFLATION_REL``) before ``simplify`` runs.
+    N D^(-1) = N adj(D) / det(D); det D must pass ``det_or_raise`` (tagged
+    ``stage``).  D(z) is gated at no point here: ``solver.solve`` gates it
+    on its grid first.  The power of (z - alpha) that the fraction's
+    numerator and denominator share is divided out (``divide_out_root``,
+    at ``DEFLATION_REL``) before ``simplify`` runs.
     """
     num, den = _num_den(gen, phi, psi)
     det = det_or_raise(den, stage,
                        "linear-fractional denominator is identically singular")
-    zs = np.asarray(grid, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dens = den(zs)
-    j = matcore.first_non_finite(dens)
-    if j is not None:
-        raise PreconditionError(f"{stage} denominator at grid point "
-                                f"{complex(zs[j])} is not finite")
-    check_denominator(dens, tol, stage, zs)
     num, det = divide_out_root(num @ adjugate_poly(den), det, alpha)
     return RationalMatFun(num, det).simplify()

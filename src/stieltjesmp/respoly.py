@@ -14,7 +14,7 @@ denominator from one product per pair component.  Tests pin these kernels
 of literal one-call-per-matrix copies in ``tests/oracles.py``.
 ``det_or_raise`` gives the determinant to the two callers that divide by
 it, ``lft.lft_rational`` and ``pairs.in_diamond``, refusing a zero one
-and one beyond the float range.
+and one beyond the float range (``solver.solve`` gates D(z) pointwise).
 
 The descent generator at a seed A is
     [[0, -A], [(z-alpha)A^+, (z-alpha)I]]

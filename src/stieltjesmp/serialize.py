@@ -83,13 +83,20 @@ def matrix_to_json(a, digits: int = 15) -> dict:
     }
 
 
+def _complexes(entries) -> list:
+    """complex(re, im) of each [re, im] pair, refusing any other entry."""
+    try:
+        return [complex(re, im) for re, im in entries]
+    except ValueError:
+        raise ValueError("an entry is not a [re, im] pair") from None
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     r, c = int(obj["rows"]), int(obj["cols"])
     data = obj["data"]
     if len(data) != r * c:
         raise ValueError("matrix data length does not match rows*cols")
-    flat = np.array([complex(p[0], p[1]) for p in data], dtype=complex)
-    return flat.reshape(r, c)
+    return np.array(_complexes(data), dtype=complex).reshape(r, c)
 
 
 def sequence_to_json(alpha: float, mats, digits: int = 15) -> dict:
@@ -138,7 +145,7 @@ def rational_to_json(fun, digits: int = 15) -> dict:
 
 def rational_from_json(obj: dict) -> RationalMatFun:
     num = MatrixPolynomial(tuple(matrix_from_json(c) for c in obj["num"]))
-    den = tuple(complex(p[0], p[1]) for p in obj["den"])
+    den = tuple(_complexes(obj["den"]))
     return RationalMatFun(num, den)
 
 

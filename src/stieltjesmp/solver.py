@@ -12,22 +12,21 @@ psi is a constant invertible matrix and phi psi^(-1) = C + sum_i W_i /
 (y_i - z) has atoms (``_parameter_atoms``), the atoms are the gate: the
 pair is admissible exactly when C and every W_i are PSD (a negative one
 is refused by name), and it decays exactly when C = 0, so neither
-``pairs.admissibility`` nor ``pairs.in_diamond`` runs.  Only the range
-condition against the top diagonal entry is tested besides.  F is then
-read off the diagonal as a continued fraction: one Hermitian block
-tridiagonal eigensolve gives its nodes and PSD weights, which
-``measures.from_atoms`` turns into F (``_atomic_solution``), after the
-descent denominator D = V_21 phi + V_22 psi passes its gate pointwise on
-the grid (``_gate_descent_denominator``).  Any other pair is gated on the grid
-(admissibility, range condition, decay for the equality problem) and goes
-through the kernel ``lft.lft_rational``, which forms V as a polynomial,
-slices its q x q blocks, gates D's polynomial on the grid and divides out
-the power of (z - alpha) that the resolvent introduces.  The low-rank
-routes lift an r x r pair into ``solve``, the one solve entry, on the
-eigenbasis of the top entry at the rank classify decided; the equality
-subset is the lift of (f, I) in eq mode.  The ascent transform is
-``solve`` at order 0: the one-term sequence (A) in eq mode with the
-parameter (G, I).
+``pairs.admissibility`` nor ``pairs.in_diamond`` runs.  Any other pair is
+gated on the grid (admissibility, decay for the equality problem).  Every
+pair then meets the range condition against the top diagonal entry and one
+gate on the descent denominator D = V_21 phi + V_22 psi, pointwise on the
+grid (``_gate_descent_denominator``).  A pair with atoms has F read off the
+diagonal as a continued fraction: one Hermitian block tridiagonal
+eigensolve gives its nodes and PSD weights, which ``measures.from_atoms``
+turns into F (``_atomic_solution``).  Any other pair goes through the
+kernel ``lft.lft_rational``, which forms V as a polynomial, slices its
+q x q blocks and divides out the power of (z - alpha) that the resolvent
+introduces.  The low-rank routes lift an r x r pair into ``solve``, the one
+solve entry, on the eigenbasis of the top entry at the rank classify
+decided; the equality subset is the lift of (f, I) in eq mode.  The ascent
+transform is ``solve`` at order 0: the one-term sequence (A) in eq mode
+with the parameter (G, I).
 """
 
 from __future__ import annotations
@@ -117,8 +116,8 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
         raise PreconditionError("null space of the function at "
                                 f"{complex(zs[failing[0]])} is not killed by the seed")
     return lft.lft_rational(respoly.w_poly(alpha, a, tol), fun,
-                            RationalMatFun.const(np.eye(fun.q)), alpha, tol,
-                            stage="descent")
+                            RationalMatFun.const(np.eye(fun.q)), alpha,
+                            "descent")
 
 
 def inverse_schur_stieltjes_transform(
@@ -167,16 +166,16 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
     equality problem, in the decaying subclass (``pairs.in_diamond``).
     Unless the top diagonal entry has full rank, every pair must satisfy
     the range condition against it.
-    ``grid`` holds the points of the gate on the descent denominator
-    D = V_21 phi + V_22 psi (V the descent product): at each of them D
-    must be finite, its norm to the power q, which bounds its determinant,
-    within the float range, and sigma_min/sigma_max at least
-    ``tol.det_gate``.  A pair with atoms is synthesized from the trace's
-    continued fraction (``_atomic_solution``) after D passes the gate
-    pointwise, and refused with GrowthError when the power basis of
-    RationalMatFun cannot hold it (its denominator's leading coefficients
-    fall under the trim floor); any other pair goes through
-    ``lft.lft_rational``, whose gates on D's polynomial are the same.
+    ``grid`` holds the points of the one gate on the descent denominator
+    D = V_21 phi + V_22 psi (V the descent product), which every pair
+    passes before either synthesis: at each point D must be finite, its
+    norm to the power q, which bounds its determinant, within the float
+    range, and sigma_min/sigma_max at least ``tol.det_gate``.  A pair with
+    atoms is then synthesized from the trace's continued fraction
+    (``_atomic_solution``), and refused with GrowthError when the power
+    basis of RationalMatFun cannot hold it (its denominator's leading
+    coefficients fall under the trim floor); any other pair goes through
+    ``lft.lft_rational``, which refuses an identically singular det D.
     Equivalent parameters give the same function.
     """
     seq, pair = req.seq, req.parameter
@@ -189,33 +188,25 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
         pre = pairs.admissibility(pair, zs, ph, ps, tol)
         if not pre["ok"]:
             raise PreconditionError(f"parameter pair is not admissible: {pre}")
-        _gate_range(report, pair, tol)
-        if req.mode == "eq":
-            decay = pairs.in_diamond(pair)
-            if not decay["ok"]:
-                raise PreconditionError(
-                    "equality problem needs a decaying parameter; quotient "
-                    f"residual {decay['residual']:.3e}")
-        gen = respoly.descent_resolvent(report.trace)
-        return lft.lft_rational(gen, pair.phi, pair.psi, seq.alpha, tol,
-                                grid, stage="synthesis")
-    _gate_range(report, pair, tol)
-    if grid != default or len(zs) < len(default):
-        zs, ph, ps = _homogeneous_values(pair, grid)
-    _gate_descent_denominator(report.trace, zs, ph, ps, tol)
-    return _atomic_solution(report.trace, *atoms, tol)
-
-
-def _gate_range(report: ClassReport, pair: StieltjesPair,
-                tol: ToleranceConfig) -> None:
-    """Unless the top diagonal entry has full rank, refuse a pair that
-    fails the range condition against it (``pairs.in_class_P_of``)."""
     tag, r, top = _case(report)
     if r < report.q and not pairs.in_class_P_of(pair, top,
                                                 report.trace.pinvs[-1], tol):
         raise PreconditionError(
             "parameter range escapes the range of the top diagonal entry "
             f"(rank {r} case '{tag}')")
+    if atoms is None and req.mode == "eq":
+        decay = pairs.in_diamond(pair)
+        if not decay["ok"]:
+            raise PreconditionError(
+                "equality problem needs a decaying parameter; quotient "
+                f"residual {decay['residual']:.3e}")
+    if grid != default or len(zs) < len(default):
+        zs, ph, ps = _homogeneous_values(pair, grid)
+    _gate_descent_denominator(report.trace, zs, ph, ps, tol)
+    if atoms is None:
+        return lft.lft_rational(respoly.descent_resolvent(report.trace),
+                                pair.phi, pair.psi, seq.alpha, "synthesis")
+    return _atomic_solution(report.trace, *atoms, tol)
 
 
 # A parameter's atoms must give its values on ``default_grid`` to this
@@ -309,11 +300,11 @@ def _gate_descent_denominator(trace, zs, top, bottom, tol) -> None:
     ``trace`` and (top, bottom) the pair's values there.
 
     D is formed from the bottom up, one batched product per level:
-    V_k(z) = diag(I, (z-alpha) I) [[0, -Q_k], [Q_k^+, I]].  The refusals
-    are ``lft.lft_rational``'s on D's polynomial, named by point: a value
-    that is not finite (PreconditionError), |D(z)|^q beyond the float
-    range (PreconditionError), which bounds the determinant that path
-    divides by, and ``lft.check_denominator``'s SingularDenominatorError.
+    V_k(z) = diag(I, (z-alpha) I) [[0, -Q_k], [Q_k^+, I]].  The refusals,
+    each decided over all points before the next: a value that is not
+    finite (PreconditionError, naming the first such point), |D(z)|^q
+    beyond the float range (PreconditionError), which bounds det D(z),
+    and ``lft.check_denominator``'s SingularDenominatorError.
     """
     q = len(trace.diagonal[0])
     levels = np.zeros((len(trace.diagonal), 2 * q, 2 * q), dtype=complex)

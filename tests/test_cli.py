@@ -653,6 +653,67 @@ def test_malformed_denominator_is_bad_input(tmp_path, capsys, command, path,
     assert captured.err.count("\n") == 1
 
 
+def _set_entry(obj, keys, value):
+    """obj with the item at the path ``keys`` replaced by ``value``."""
+    *head, last = keys
+    for key in head:
+        obj = obj[key]
+    obj[last] = value
+
+
+@pytest.mark.parametrize("command, path, keys, value", [
+    ("classify", "seq_q2_m2.json", ("s", 0, "data", 1), [1.0]),
+    ("classify", "seq_q2_m2.json", ("s", 0, "data", 1), []),
+    ("classify", "seq_q2_m2.json", ("s", 0), {"rows": 1, "cols": 2,
+                                               "data": "ab"}),
+    ("verify", "verify_q1_m2.json", ("function", "den", 1), [1.0]),
+    ("oracle", "measure_q2_m2.json", ("atoms", 0, "w", "data", 0), [1.0]),
+    ("oracle", "measure_q2_m2.json", (), [1.0]),
+    ("oracle", "measure_q2_m2.json", (), "ab"),
+], ids=["short-entry", "empty-entry", "string-data", "short-den",
+        "short-weight", "array", "string"])
+def test_malformed_entries_and_top_level_values_are_bad_input(
+        tmp_path, capsys, command, path, keys, value):
+    # each used to end in an IndexError or AttributeError traceback (exit 1)
+    obj = json.loads((DATA / path).read_text())
+    if keys:
+        _set_entry(obj, keys, value)
+    else:
+        obj = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("bad input: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_solve_takes_the_general_path_end_to_end(tmp_path, capsys):
+    # psi = diag(1, 0) is singular, so the pair has no atoms: lft_rational
+    # synthesizes the solution after solve's gate on D, which refuses
+    # alpha, where every descent factor makes D vanish
+    alpha = 0.3
+    _, seq = measure_seq(np.random.default_rng(0), 2, 2, alpha=alpha)
+    eye = RationalMatFun.const(np.eye(2))
+    payload = {"sequence": serialize.sequence_to_json(seq.alpha, seq.s),
+               "parameter": {"alpha": alpha,
+                             "phi": serialize.rational_to_json(eye),
+                             "psi": serialize.rational_to_json(
+                                 RationalMatFun.const(np.diag([1.0, 0.0])))},
+               "mode": "leq"}
+    path = write_json(tmp_path / "prob.json", payload)
+    code, out = run_cli(capsys, ["solve", path])
+    assert code == 0
+    assert out["verification_report"]["ok"] is True
+    assert main(["solve", path, "--grid", "1+1i,0.3"]) == 4
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == ("verification failed: linear-fractional "
+                            "denominator is numerically singular at "
+                            "(0.3+0j)\n")
+
+
 DATA = Path(__file__).resolve().parent / "data"
 
 # golden stdout name -> (subcommand, input file, flags); seq_q2_m2.json is

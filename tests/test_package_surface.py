@@ -152,9 +152,11 @@ def test_only_the_scaled_norms_scale_by_powers_of_two():
 
 def test_the_scalar_denominator_synthesis_keeps_its_last_callers():
     # the callers that still stand before simplify, lft_rational and
-    # in_diamond can be deleted: a new one would have to be removed too
+    # in_diamond can be deleted: a new one would have to be removed too.
+    # D(z) has one gate, solve's, beside lft_pair's on its one value
     src = Path(importlib.import_module(PACKAGE).__file__).parent
-    callers = {"simplify": set(), "lft_rational": set(), "in_diamond": set()}
+    callers = {"simplify": set(), "lft_rational": set(), "in_diamond": set(),
+               "check_denominator": set()}
     for path in src.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scopes = [(path.stem, node) for node in tree.body]
@@ -174,6 +176,8 @@ def test_the_scalar_denominator_synthesis_keeps_its_last_callers():
         "simplify": {"lft.lft_rational"},
         "lft_rational": {"solver.solve", "solver.schur_stieltjes_transform"},
         "in_diamond": {"solver.solve"},
+        "check_denominator": {"lft.lft_pair",
+                              "solver._gate_descent_denominator"},
     }, callers
 
 
@@ -210,8 +214,7 @@ def test_only_the_cli_grid_reaches_a_grid_parameter():
                          + args.kwonlyargs]
                 if "grid" in names:
                     takers.add(f"{path.stem}.{node.name}")
-    assert takers == {"cli._samples", "pairs.grid_values", "lft.lft_rational",
-                      "solver.solve"}
+    assert takers == {"cli._samples", "pairs.grid_values", "solver.solve"}
 
 
 def test_no_function_takes_a_parameter_it_never_reads():

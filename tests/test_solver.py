@@ -144,6 +144,150 @@ def test_solve_gates_the_denominator_on_its_grid():
     assert err.value.point == 0.5
 
 
+def _rooted_problem():
+    """At m = 0 and s_0 = I, the pair (R, R) with R = diag(z + 3, 1), which
+    is (I, I) times R and has no atoms, since psi is not constant: its
+    descent denominator D = 2 z R(z) is singular at alpha = 0 and at -3."""
+    seq = MomentSequence(0.0, (np.eye(2),))
+    rooted = RationalMatFun(MatrixPolynomial((np.diag([3.0, 1.0]),
+                                              np.diag([1.0, 0.0]))), (1.0,))
+    return SolutionRequest(seq, StieltjesPair(0.0, rooted, rooted))
+
+
+def test_solve_names_the_singular_grid_point():
+    # the general path's gate names the point and the gap of its matrix,
+    # as check_denominator does on D at that point alone
+    req = _rooted_problem()
+    z0 = -3.0 + 1e-11j
+    with pytest.raises(SingularDenominatorError) as ref:
+        lft.check_denominator(
+            (2.0 * z0 * np.diag([z0 + 3.0, 1.0]))[None], DEFAULT_TOL,
+            "synthesis", [z0])
+    with pytest.raises(SingularDenominatorError) as err:
+        solve(req, grid=(1j, z0, 2j))
+    assert (err.value.stage, err.value.point) == ("synthesis", z0)
+    assert err.value.gap == pytest.approx(ref.value.gap, rel=1e-9)
+    assert err.value.gap == pytest.approx(1e-11, rel=1e-9)
+    assert str(err.value) == str(ref.value)
+    # on a grid without its singular points the same pair passes
+    assert solve(req, grid=(1j, 2j, -1.0)).q == 2
+    assert solve(req).q == 2
+
+
+def test_solve_names_the_first_failing_grid_point_in_grid_order():
+    # D is singular at -3, at alpha and near -3 + 1e-11i: the first of
+    # them in grid order is named
+    req = _rooted_problem()
+    z0 = -3.0 + 1e-11j
+    for grid, first, gap in (((1j, z0, 0.0, -3.0), z0, 1e-11),
+                             ((1j, -3.0, z0, 0.0), -3.0, 0.0),
+                             ((0.0, z0, -3.0), 0.0, 0.0)):
+        with pytest.raises(SingularDenominatorError) as err:
+            solve(req, grid=grid)
+        assert err.value.point == first
+        assert err.value.gap == pytest.approx(gap, rel=1e-9)
+
+
+def test_solve_refuses_a_grid_point_where_the_denominator_overflows():
+    # D(z) = 2 z R(z) overflows at 1e160 and beyond: the first such point
+    # in grid order is named, with no warning; at 1e150 D is finite, but
+    # |D|^2, which bounds det D, leaves the float range
+    req = _rooted_problem()
+    for grid, point in (((1.0, 1e160, 1e300j), 1e160),
+                        ((1e300j, 1e160), 1e300j)):
+        with pytest.raises(PreconditionError) as err:
+            solve(req, grid=grid)
+        assert str(err.value) == ("synthesis denominator at grid point "
+                                  f"{complex(point)} is not finite")
+    with pytest.raises(PreconditionError, match="leaves the float range"):
+        solve(req, grid=(1.0, 1e150))
+
+
+def test_solve_refuses_alpha_on_the_general_path():
+    # every descent factor's lower block row carries (z - alpha), so
+    # D(alpha) = 0 exactly; the gate on D's polynomial passed alpha on the
+    # rounding of its coefficients here
+    alpha = 0.3
+    _, seq = measure_seq(np.random.default_rng(0), 2, 2, alpha=alpha)
+    pair = StieltjesPair(alpha, RationalMatFun.const(np.eye(2)),
+                         RationalMatFun.const(np.diag([1.0, 0.0])))
+    req = SolutionRequest(seq, pair)
+    assert verify_solution(solve(req), seq)["ok"]
+    with pytest.raises(SingularDenominatorError) as err:
+        solve(req, grid=pairs.default_grid(alpha) + (alpha,))
+    assert (err.value.stage, err.value.point, err.value.gap) == (
+        "synthesis", alpha, 0.0)
+
+
+def _general_pair(rng, alpha, q, kind):
+    """A pair without atoms: (I, I with one 0), (I, O), the Cauchy pair
+    (C/(t - z), I) times (s + z), or a Cauchy pair over I + D/(u - z)."""
+    eye = np.eye(q)
+    if kind == "diag":
+        d = np.ones(q)
+        d[rng.integers(q)] = 0.0
+        return StieltjesPair(alpha, RationalMatFun.const(eye),
+                             RationalMatFun.const(np.diag(d)))
+    if kind == "io":
+        return StieltjesPair(alpha, RationalMatFun.const(eye),
+                             RationalMatFun.const(np.zeros((q, q))))
+    c = random_psd(rng, q) + 0.5 * eye
+    t = alpha + rng.uniform(0.5, 2.0)
+    if kind == "cauchy":
+        s = rng.uniform(0.5, 3.0) - alpha
+        return StieltjesPair(
+            alpha, RationalMatFun(MatrixPolynomial((s * c, c)), (t, -1.0)),
+            RationalMatFun(MatrixPolynomial((s * eye, eye)), (1.0,)))
+    phi = RationalMatFun(MatrixPolynomial.constant(c), (t, -1.0))
+    psi = RationalMatFun.const(eye) + RationalMatFun(
+        MatrixPolynomial.constant(random_psd(rng, q)),
+        (alpha + rng.uniform(0.5, 2.0), -1.0))
+    return StieltjesPair(alpha, phi, psi)
+
+
+def test_the_gate_and_the_synthesis_read_the_same_denominator(monkeypatch):
+    # the values the gate decides on are the kernel's D at the same points:
+    # on the walk's values over phi.den psi.den, which the walk divided by,
+    # and on a user grid exactly.  The bound is relative to sum_k |D_k||z|^k,
+    # the size of Horner's terms: D(z) itself can be smaller by cancellation
+    # (1.7e-12 relative to |D(z)| in one draw here)
+    seen = []
+    monkeypatch.setattr(lft, "check_denominator", lambda dens, tol, stage,
+                        zs, _fn=lft.check_denominator: seen.append(
+                            (dens, zs)) or _fn(dens, tol, stage, zs))
+    rng = np.random.default_rng(101)
+    gated = 0
+    for _ in range(40):
+        q, m = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+        alpha = float(rng.uniform(-1.0, 1.0))
+        _, seq = measure_seq(rng, q, m, alpha=alpha)
+        kind = ("diag", "io", "cauchy", "two_dens")[int(rng.integers(4))]
+        pair = _general_pair(rng, alpha, q, kind)
+        gen = respoly.descent_resolvent(hankel.classify(seq).trace)
+        den = lft._num_den(gen, pair.phi, pair.psi)[1]
+        for mode in ("leq", "eq"):
+            for grid in (None, pairs.default_grid(alpha) + (alpha + 3 + 1j,)):
+                seen.clear()
+                try:
+                    solve(SolutionRequest(seq, pair, mode), grid=grid)
+                except (PreconditionError, SingularDenominatorError):
+                    pass
+                if not seen:
+                    continue
+                (dens, zs), = seen
+                want = den(zs)
+                size = npoly.polyval(abs(zs), den.coeff_norms())
+                if grid is None:
+                    walked = (npoly.polyval(zs, pair.phi.den)
+                              * npoly.polyval(zs, pair.psi.den))
+                    want = want / walked[:, None, None]
+                    size = size / abs(walked)
+                assert np.all(matcore.frobs(dens - want) <= 1e-12 * size), (
+                    q, m, kind, mode)
+                gated += 1
+    assert gated >= 80, gated
+
+
 def test_case_tags():
     rng = np.random.default_rng(70)
     _, seq = nondegenerate_seq(rng, 2, 2)
@@ -539,7 +683,7 @@ def m0_base_case_check(fun, s0, alpha=0.0, tol=DEFAULT_TOL):
     in_range = pairs.in_class_P_of(pair, s0, s0p, tol)
 
     recon = lft_rational(v_poly(alpha, s0, tol), phi, psi, alpha,
-                         tol, stage="reconstruction")
+                         stage="reconstruction")
 
     gaps = []
     for z in grid:

@@ -9,8 +9,9 @@ product forms all its coefficient products in one stacked matmul.  Each is
 compared by ``tobytes()`` with its literal form in ``oracles``, and
 ``solve`` with all of them swapped back in must return the same bytes.
 The ``solve`` tests run the general path, ``lft.lft_rational``, which
-every pair without atoms takes: ``_general_path`` switches off the atomic
-synthesis for their pairs, which have atoms.
+every pair without atoms takes after ``solve``'s pointwise gate on D:
+``_general_path`` switches off the atomic synthesis for their pairs, which
+have atoms.
 """
 
 import numpy as np
@@ -307,7 +308,8 @@ def test_a_q3_m2_solve_reads_no_single_norm_and_builds_few_polynomials(
 def test_a_q3_m2_solve_samples_each_interpolation_in_one_pass(monkeypatch):
     # det D and adj D take one FFT each, and every circle of an
     # interpolation comes from one Horner walk; the eq mode's constant
-    # psi = I is read exactly, with no walk and no FFT
+    # psi = I is read exactly, with no walk and no FFT.  D's polynomial is
+    # walked on no grid: solve gates D(z) from the pair's values
     rng = np.random.default_rng(98)
     _, seq = measure_seq(rng, 3, 2, alpha=0.3)
     classify(seq)
@@ -328,4 +330,4 @@ def test_a_q3_m2_solve_samples_each_interpolation_in_one_pass(monkeypatch):
         ffts.clear()
         walks.clear()
         assert solve(req).q == 3
-        assert (len(ffts), len(walks)) == (2, 7), (mode, walks)
+        assert (len(ffts), len(walks)) == (2, 6), (mode, walks)
