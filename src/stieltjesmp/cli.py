@@ -171,7 +171,7 @@ def _random_measure(spec: dict) -> DiscreteMeasure:
 
 def cmd_oracle(spec, cfg: CliConfig, args) -> tuple:
     if "atoms" in spec and isinstance(spec["atoms"], list):
-        mu = serialize.measure_from_json(spec)
+        mu = serialize.measure_from_json(spec, cfg.tol)
         m = int(spec.get("m", max(2 * (len(mu.nodes) - 1), 0)))
     else:
         mu = _random_measure(spec)

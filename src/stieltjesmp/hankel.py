@@ -10,9 +10,9 @@ last :func:`classify`, read back for the same sequence object (``is``,
 whose id the slot's reference keeps from reuse) under an equal tolerance.
 One entry suffices for classify -> solve -> verify on one sequence to run
 the algorithm once, and retains one sequence at most.  Sequences and trace
-stages are read-only, so a stored report is never stale.  Each stage's
-dominance test reads the pseudoinverse of the stage's first term from the
-trace, as the solver's resolvent product does after it.
+stages are read-only, so a stored report is never stale.  The stages'
+dominance tests read the diagonal's pseudoinverses from the trace, as the
+solver's resolvent product does after it.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ class ClassReport:
 
     extendable_candidate is three-valued ('yes'/'no'/'unknown'): there is no
     constructive one-shot test for one-step extendability, so it is decided
-    by the stagewise criterion in :func:`classify`'s docstring.
+    by the rules in :func:`classify`'s docstring, from the algorithm's run.
 
     ``trace`` is the algorithm run the verdicts were read from, which the
     solver reuses; it takes no part in ``==``, ``repr`` or the JSON layout
@@ -238,16 +238,24 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
     slot's when it holds ``seq`` under ``tol``, else computed and stored.
 
     The moment cone test checks the top plain Hankel matrix together with
-    the top shifted one; strict positivity upgrades the verdict.  Q_m is
-    the last entry of the algorithm's diagonal, whose steps set a stage of
-    rounding to zero, and rank_top is its numerical rank; complete
-    degeneracy means rank 0.  The extendability candidate walks the
-    algorithm's stages: a stage outside the cone settles it as 'no'
-    ('unknown' when borderline); a cone member settles it as 'yes' when it
-    is strictly positive or completely degenerate (both are sufficient) or
-    when it is a single term; otherwise its ranges must be dominated by its
-    first term (failing is disqualifying; tested with the first term's
-    pseudoinverse from the trace) and the next stage decides.
+    the top shifted one; strict positivity upgrades the verdict.  Q_0..Q_m
+    is the algorithm's diagonal, whose steps set a stage of rounding to
+    zero; rank_top is the numerical rank of Q_m, and complete degeneracy
+    means rank 0.  Stage k is dominated when its later entries lie in
+    ran Q_k (for Hermitian matrices, the same as nul Q_k in theirs), tested
+    with Q_k^+ from the trace; the first term dominates when stage 0 is.
+    The extendability candidate is settled by the first rule that applies:
+      1. stage 0 outside the cone: 'no' ('unknown' within 10 tol.psd);
+         strictly positive, Q_m = 0 or m = 0: 'yes'; not dominated: 'no';
+      2. for k = 1..m in turn: a margin of Q_k below -tol.psd, 'no'
+         ('unknown' within 10 tol.psd); stage k not dominated, 'no';
+      3. otherwise 'yes'.
+    Rule 2 is one stacked eigensolve of the diagonal and one stacked range
+    test of all stages of the Schur-type algorithm (MR3611479, MR3611471)
+    in place of a block-Hankel cone test per stage; the tests check it
+    against that stagewise recursion (``oracle_classify``).  The diagonal
+    alone does not suffice: a step's outputs are Q_k X Q_k, so ran Q_{k+1}
+    lies in ran Q_k even where stage k's later entries leave it.
     """
     from . import schur
 
@@ -256,30 +264,33 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
     if slot[0] is seq and slot[1] == tol:
         return slot[2]
     trace = schur.transform_trace(seq, tol)
-    stack = trace.stages[0]
-    margins = _cone_margins(seq.alpha, stack)
+    diag = np.array(trace.diagonal)
+    margins = _cone_margins(seq.alpha, trace.stages[0])
     lo = min(margins)
-    # a single term dominates its (empty) tail
-    dominant = seq.m == 0 or matcore.dominates(stack[0], trace.pinvs[0],
-                                                stack[1:], tol)
-    rank_top = matcore.rank_with_tol(trace.diagonal[-1], tol)
+    counts = np.arange(seq.m, 0, -1)
+    inside = matcore.in_range(
+        np.repeat(diag[:-1], counts, axis=0),
+        np.repeat(np.array(trace.pinvs)[:-1], counts, axis=0),
+        np.concatenate([st[1:] for st in trace.stages]), tol)
+    escaped = np.zeros(seq.m + 1, dtype=bool)
+    escaped[np.repeat(np.arange(seq.m), counts)[~inside]] = True
+    rank_top = matcore.rank_with_tol(diag[-1], tol)
 
-    candidate = "yes"
-    for k, stage in enumerate(trace.stages):
-        stage_lo = lo if k == 0 else min(_cone_margins(seq.alpha, stage))
-        borderline = abs(stage_lo) < 10.0 * tol.psd
-        if stage_lo < -tol.psd:
-            candidate = "unknown" if borderline else "no"
-            break
+    if lo < -tol.psd:
+        candidate = "unknown" if abs(lo) < 10.0 * tol.psd else "no"
+    elif lo >= 10.0 * tol.psd or rank_top == 0 or seq.m == 0:
         # strict positivity and complete degeneracy both suffice, and a
         # PSD single term always extends: append alpha*s_0 + s_0
-        if stage_lo > tol.psd and not borderline or rank_top == 0 \
-                or k == seq.m:
-            break
-        if not (dominant if k == 0 else matcore.dominates(
-                stage[0], trace.pinvs[k], stage[1:], tol)):
-            candidate = "no"
-            break
+        candidate = "yes"
+    elif escaped[0]:
+        candidate = "no"
+    else:
+        # level k fails on Q_k's margin first, then on stage k's tail
+        level = matcore.psd_margin(diag[1:])
+        fails = np.column_stack([level < -tol.psd, escaped[1:]]).ravel()
+        k, tail = divmod(int(fails.argmax()), 2)
+        candidate = "yes" if not fails.any() else "no" if tail or \
+            abs(level[k]) >= 10.0 * tol.psd else "unknown"
 
     report = ClassReport(
         q=seq.q,
@@ -287,7 +298,7 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
         hankel_psd=margins[0] >= -tol.psd,
         stieltjes_psd=lo >= -tol.psd,
         stieltjes_pd=lo > tol.psd,
-        first_term_dominant=dominant,
+        first_term_dominant=not escaped[0],
         completely_degenerate=rank_top == 0,
         extendable_candidate=candidate,
         rank_top=rank_top,

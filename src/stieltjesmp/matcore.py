@@ -44,7 +44,6 @@ __all__ = [
     "range_contains",
     "in_range",
     "null_contains",
-    "dominates",
     "rank_with_tol",
     "signature_j",
     "j_form",
@@ -282,22 +281,6 @@ def null_contains(a, c, tol: ToleranceConfig = DEFAULT_TOL):
     if a.shape[-1] != c.shape[-1]:
         raise ValueError("column counts differ")
     return _negligible(c @ pinv(a, tol) @ a - c, c, tol)
-
-
-def dominates(a, ap, bs, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """``range_contains(a, b)`` and ``null_contains(a, b)`` for every B in
-    ``bs``, all read from ``ap``, the pseudoinverse of A the caller already
-    has (``TransformTrace.pinvs`` for a stage's first term); the tail is
-    tested as one stack, and an empty one is dominated."""
-    a = as_cmat(a)
-    if len(bs) == 0:
-        return True
-    b = np.asarray(bs, dtype=complex)
-    # both residuals, as one stack, against one norm of each B
-    resid = np.empty((2,) + b.shape, dtype=complex)
-    np.subtract(a @ ap @ b, b, out=resid[0])
-    np.subtract(b @ ap @ a, b, out=resid[1])
-    return bool(_negligible(resid, b, tol).all())
 
 
 def _negligible(resid, b, tol: ToleranceConfig):

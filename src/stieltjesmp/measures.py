@@ -14,7 +14,7 @@ denominator's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -46,8 +46,9 @@ class DiscreteMeasure:
     alpha: float
     nodes: tuple
     weights: tuple
+    tol: InitVar[ToleranceConfig] = DEFAULT_TOL  # checks weights; not stored
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         if not math.isfinite(float(self.alpha)):
             raise ValueError("alpha must be finite")
         nodes = tuple(float(x) for x in self.nodes)
@@ -62,8 +63,8 @@ class DiscreteMeasure:
         if len({w.shape for w in weights}) > 1:
             raise ValueError("weights must share one size")
         if weights:
-            stack = matcore.hermitize(weights)
-            if (matcore.psd_margin(stack) < -DEFAULT_TOL.psd).any():
+            stack = matcore.hermitize(weights, tol)
+            if (matcore.psd_margin(stack) < -tol.psd).any():
                 raise PreconditionError("weights must be positive semidefinite")
             weights = tuple(stack)
         object.__setattr__(self, "nodes", nodes)

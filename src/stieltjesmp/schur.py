@@ -5,7 +5,7 @@ reciprocal of the shifted sequence; iterating it yields the stage trace
 whose leading entries form the diagonal used by the resolvent polynomials.
 Each step's reciprocal starts from the pseudoinverse of the stage's first
 entry; the trace keeps these and inverts the last diagonal entry, which
-no step consumes, so ``hankel.classify``'s dominance test, ``solve``'s
+no step consumes, so ``hankel.classify``'s dominance tests, ``solve``'s
 range gate and the resolvent products never invert a diagonal entry again.
 The public :func:`reciprocal` and :func:`alpha_shift` validate their
 argument; a step reuses their arithmetic (``_reciprocal``, ``_shift``, and

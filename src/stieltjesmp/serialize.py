@@ -125,13 +125,14 @@ def measure_to_json(alpha: float, nodes, weights, digits: int = 15) -> dict:
     }
 
 
-def measure_from_json(obj: dict) -> DiscreteMeasure:
+def measure_from_json(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> DiscreteMeasure:
+    """The measure, its weights hermitized and PSD-tested at ``tol``."""
     if not obj["atoms"]:
         # the library's zero measure has q = 0; a file must name its size
         raise ValueError("a measure needs at least one atom to fix q")
     nodes = tuple(float(atom["x"]) for atom in obj["atoms"])
     weights = tuple(matrix_from_json(atom["w"]) for atom in obj["atoms"])
-    return DiscreteMeasure(float(obj["alpha"]), nodes, weights)
+    return DiscreteMeasure(float(obj["alpha"]), nodes, weights, tol)
 
 
 def rational_to_json(fun, digits: int = 15) -> dict:

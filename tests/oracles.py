@@ -203,10 +203,13 @@ def oracle_classify(seq, tol=None):
     sequence and recomputes each verdict from them, then recurses through
     one algorithm step.  Q_m is the top block-Hankel Schur complement of
     each level, a second route beside the library's, which reads it off
-    the algorithm's diagonal.  It uses the package's block-Hankel layer
-    (``build_stack``, ``stieltjes_parametrization``), ``first_transform``
-    and the matcore predicates, so it checks how the library's classifier
-    walks and reuses the stages, not those building blocks.
+    the algorithm's diagonal.  The library tests the levels after stage 0
+    differently, reading each Q_k's margin and each stage's dominance off
+    the trace in stacked calls in place of each stage's cone test, so this
+    checks that rule against the stagewise one.  It uses the package's
+    block-Hankel layer (``build_stack``, ``stieltjes_parametrization``),
+    ``first_transform`` and the matcore predicates, which it does not
+    check.  Its dominance test takes both range and null containment.
     """
     from stieltjesmp import matcore
     from stieltjesmp.hankel import (

@@ -355,6 +355,26 @@ def test_oracle_accepts_explicit_measure(tmp_path, capsys):
         assert_allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("eps, field", [(1.4e-6, "herm"), (-1e-7, "psd")])
+def test_tol_reaches_the_measure_reader(tmp_path, capsys, eps, field):
+    # --tol herm and --tol psd decide how much asymmetry, and how negative
+    # an eigenvalue, a measure's weight read from a file may carry, as they
+    # do for a sequence's moments
+    w1 = np.array([[2.0, 1.0], [1.0, 1.0]])
+    if field == "herm":
+        w1[1, 0] += eps
+    else:
+        w1 = np.diag([1.0, eps])
+    spec = serialize.measure_to_json(0.0, (1.0, 3.0), (np.eye(2), w1))
+    path = write_json(tmp_path / "measure.json", spec)
+    assert main(["oracle", path]) == 3
+    assert ("not Hermitian" if field == "herm" else "positive semidefinite") \
+        in capsys.readouterr().err
+    assert main(["oracle", path, "--tol", f"{field}=1e-3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["measure"]["atoms"]) == 2
+
+
 def test_oracle_refuses_a_measure_its_power_basis_cannot_hold(tmp_path,
                                                              capsys):
     # the transform of 24 atoms needs a denominator whose leading

@@ -3,6 +3,7 @@ import sys
 import threading
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from conftest import (
     degeneracy_sweep,
     measure_seq,
     nondegenerate_seq,
+    partially_degenerate_moments,
+    random_hermitian,
     random_measure,
     random_psd,
 )
@@ -268,6 +271,122 @@ def test_classify_matches_recursive_oracle():
     assert got[3].extendable_candidate == "yes" and got[3].rank_top == 2
     sol = solve(SolutionRequest(seq8, cauchy_pair(0.0, 2)))
     assert verify_solution(sol, seq8)["ok"]
+
+
+def _chain_draws(rng, count):
+    """``count`` sequences, q 1-3, m 1-6, alpha in [-1, 1], of four kinds in
+    turn: exact moments of 1 to m+2 atoms of random rank; the same with the
+    top pushed down by a PSD matrix; the same with one entry perturbed by a
+    Hermitian matrix; rank-one atoms with the top pushed down.  Pushes and
+    perturbations are 1e-3 to 1 of the entry's norm."""
+    out = []
+    for i in range(count):
+        kind = i % 4
+        q, m = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        alpha = float(rng.uniform(-1.0, 1.0))
+        atoms = int(rng.integers(1, m + (2 if kind == 3 else 3)))
+        ranks = [1 if kind == 3 else int(rng.integers(1, q + 1))
+                 for _ in range(atoms)]
+        nodes = np.sort(alpha + rng.uniform(0.0, 4.0, atoms))
+        weights = tuple(random_psd(rng, q, rank=r) for r in ranks)
+        s = list(moments(DiscreteMeasure(alpha, tuple(map(float, nodes)),
+                                         weights), m).s)
+        if kind in (1, 3):
+            size = 10.0 ** rng.uniform(-3, 0) * frob(s[-1]) / q
+            s[-1] = s[-1] - random_psd(rng, q, scale=size)
+        elif kind == 2:
+            j = int(rng.integers(0, m + 1))
+            size = 10.0 ** rng.uniform(-3, -1) * max(1.0, frob(s[j]))
+            s[j] = s[j] + random_hermitian(rng, q, scale=size)
+        out.append(MomentSequence(alpha, tuple(s)))
+    return out
+
+
+def _up_to_rank(rep, want):
+    """``rep == want`` but for rank_top and complete degeneracy: the oracle
+    ranks the top block-Hankel Schur complement, whose rounding is larger
+    than the trace's; outside the extendable sequences, where each step
+    keeps only what lies in ran Q_k, the two Q_m differ beyond rounding."""
+    return replace(rep, rank_top=want.rank_top,
+                   completely_degenerate=want.completely_degenerate) == want
+
+
+def test_classify_matches_stagewise_oracle_on_random_draws():
+    # classify reads the levels after stage 0 off the trace: one stacked
+    # margin of the diagonal and one stacked dominance test of the stages;
+    # the oracle recomputes every stage's block-Hankel cone test instead
+    seqs = _chain_draws(np.random.default_rng(2), 400)
+    reports = [classify(seq) for seq in seqs]
+    for seq, rep in zip(seqs, reports):
+        assert _up_to_rank(rep, oracles.oracle_classify(seq)), \
+            (seq.q, seq.m, seq.alpha)
+    for kind in range(4):
+        verdicts = [rep.extendable_candidate for rep in reports[kind::4]]
+        assert verdicts.count("yes") > 10 and (kind == 0 or "no" in verdicts)
+    assert sum(rep.first_term_dominant and not rep.stieltjes_pd
+               for rep in reports) > 100
+
+
+def test_classify_borderline_last_level_is_unknown():
+    # a last level just outside the cone after levels that are in it: the
+    # borderline verdict comes from the diagonal, stage 0 in the cone; a
+    # clearly negative last level already takes stage 0 out of it.  (The
+    # oracle's rank_top cuts entries relative to the largest moment, so it
+    # ranks the first Q_m 1 where the library ranks it 2.)
+    eye = np.eye(2)
+    for alpha in (0.0, 0.5):
+        for levels in ([eye, eye], [eye, 2 * eye, eye]):
+            seq = inverse_parametrization(alpha, levels + [np.diag([1.0, -5e-9])])
+            rep = classify(seq)
+            assert rep.stieltjes_psd and rep.extendable_candidate == "unknown"
+            assert _up_to_rank(rep, oracles.oracle_classify(seq))
+            seq = inverse_parametrization(alpha, levels + [np.diag([1.0, -5e-7])])
+            rep = classify(seq)
+            assert not rep.stieltjes_psd and rep.extendable_candidate != "yes"
+            assert _up_to_rank(rep, oracles.oracle_classify(seq))
+
+
+def test_a_stage_whose_tail_escapes_its_first_term_is_refused():
+    # Q = (I, I, P, I) with P of rank one: stage 0 is in the cone and
+    # dominant, but stage 2's tail leaves ran Q_2.  Each step's outputs are
+    # Q_k X Q_k, so the trace's diagonal is nested and PSD all the same:
+    # only the stages' own dominance tests refuse the sequence
+    eye, proj = np.eye(2), np.diag([1.0, 0.0])
+    seq = inverse_parametrization(0.0, [eye, eye, proj, eye])
+    rep = classify(seq)
+    assert rep.stieltjes_psd and rep.first_term_dominant
+    assert rep.extendable_candidate == "no" and rep.rank_top == 1
+    assert _up_to_rank(rep, oracles.oracle_classify(seq))
+    diag = np.array(rep.trace.diagonal)
+    assert matcore.in_range(diag[:-1], np.array(rep.trace.pinvs)[:-1],
+                            diag[1:]).all()
+    assert (matcore.psd_margin(diag) >= -DEFAULT_TOL.psd).all()
+    stage = rep.trace.stages[2]
+    assert not matcore.range_contains(stage[0], stage[1])
+
+
+def test_classify_builds_hankel_matrices_for_stage_0_only(monkeypatch):
+    # sequences in the cone but not strictly inside it, with a nonzero top,
+    # are decided past stage 0; only stage 0's plain and shifted top Hankel
+    # matrices are built, and matcore keeps no two-sided dominance test
+    assert not hasattr(matcore, "dominates")
+    calls = []
+
+    def counted(mats, n, _fn=hankel._block_hankel):
+        calls.append(n)
+        return _fn(mats, n)
+
+    monkeypatch.setattr(hankel, "_block_hankel", counted)
+    eye, proj = np.eye(2), np.diag([1.0, 0.0])
+    rng = np.random.default_rng(19)
+    seqs = [inverse_parametrization(0.0, [eye, eye, proj, eye]),
+            partially_degenerate_moments(rng, 2, 6, 0.5),
+            partially_degenerate_moments(rng, 3, 5, -0.5)]
+    for seq in seqs:
+        calls.clear()
+        rep = classify(seq)
+        assert not rep.stieltjes_pd and rep.rank_top > 0
+        assert calls == [seq.m // 2, (seq.m - 1) // 2]
 
 
 def test_json_roundtrip():

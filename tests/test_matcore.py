@@ -11,10 +11,10 @@ from stieltjesmp.matcore import (
     PreconditionError,
     ToleranceConfig,
     as_cmat,
-    dominates,
     frob,
     frob_at_most,
     hermitize,
+    in_range,
     is_psd,
     j_form,
     null_contains,
@@ -194,45 +194,67 @@ def test_an_infinite_entry_has_an_infinite_norm():
         assert got.tolist() == [np.inf, 1e300]
 
 
-def test_dominates_is_range_and_null_containment_of_each_tail_entry():
-    # the tail is tested as one stack; the verdict is that of range_contains
-    # and null_contains matrix by matrix, also with one escaping entry in
-    # any place, for an empty tail, and on both sides of the float step of
-    # tol.inclusion where a slightly escaping tail starts to pass
+def test_in_range_of_a_stacked_tail_is_range_contains_of_each_entry():
+    # the tail is tested as one stack against the pseudoinverse the caller
+    # has; the verdicts are range_contains' matrix by matrix, also with one
+    # escaping entry in any place, for an empty tail, and on both sides of
+    # the float step of tol.inclusion where a slightly escaping entry
+    # starts to pass
     rng = np.random.default_rng(14)
 
     def per_matrix(a, tail, tol=DEFAULT_TOL):
-        return all(range_contains(a, b, tol) and null_contains(a, b, tol)
-                   for b in tail)
+        return [bool(range_contains(a, b, tol)) for b in tail]
 
     for trial in range(60):
         q = 1 + trial % 4
         a = random_psd(rng, q, rank=int(rng.integers(1, q + 1)))
         ap = pinv(a)
         inside = [a @ random_hermitian(rng, q) @ a for _ in range(5)]
-        assert dominates(a, ap, inside) is True
-        assert per_matrix(a, inside)
-        assert dominates(a, ap, []) is True and dominates(a, ap, ()) is True
+        assert in_range(a, ap, np.array(inside)).tolist() == [True] * 5
+        assert per_matrix(a, inside) == [True] * 5
+        assert in_range(a, ap, np.zeros((0, q, q))).all()
         if rank_with_tol(a) == q:
             continue
         out = random_psd(rng, q)
         for pos in (0, 2, 5):
             tail = inside[:pos] + [out] + inside[pos:]
-            assert dominates(a, ap, tail) is False
-            assert not per_matrix(a, tail)
+            got = in_range(a, ap, np.array(tail)).tolist()
+            assert got == per_matrix(a, tail)
+            assert got == [k != pos for k in range(6)]
         tail = inside[:2] + [inside[2] + 1e-7 * out] + inside[3:]
         lo, hi = map(int, np.array([1e-12, 1e-3]).view(np.int64))
         while hi - lo > 1:
             mid = (lo + hi) // 2
             tol = ToleranceConfig(inclusion=float(np.int64(mid).view(np.float64)))
-            if per_matrix(a, tail, tol):
+            if all(per_matrix(a, tail, tol)):
                 hi = mid
             else:
                 lo = mid
         for x, verdict in zip(np.array([lo, hi]).view(float), (False, True)):
             tol = ToleranceConfig(inclusion=float(x))
-            assert per_matrix(a, tail, tol) is verdict
-            assert dominates(a, ap, tail, tol) is verdict
+            assert all(per_matrix(a, tail, tol)) is verdict
+            assert bool(in_range(a, ap, np.array(tail), tol).all()) is verdict
+
+
+def test_range_and_null_containment_agree_for_hermitian_matrices():
+    # for Hermitian A and B, nul A in nul B exactly when ran B in ran A, and
+    # the residuals A A^+ B - B and B A^+ A - B are adjoints of each other
+    # (A^+ is Hermitian), so a null-space test decides nothing that the
+    # range test has not
+    rng = np.random.default_rng(16)
+    verdicts = set()
+    for trial in range(80):
+        q = 2 + trial % 3
+        a = random_psd(rng, q, rank=int(rng.integers(1, q)))
+        inside = a @ random_hermitian(rng, q) @ a
+        outside = inside + random_hermitian(rng, q, scale=0.1 * frob(inside))
+        for b in (inside, outside):
+            got = bool(range_contains(a, b))
+            assert bool(null_contains(a, b)) is got
+            verdicts.add(got)
+        tail = np.array([inside, outside, inside])
+        assert (null_contains(a, tail) == range_contains(a, tail)).all()
+    assert verdicts == {True, False}
 
 
 def test_frob_at_most_keeps_its_verdict_at_every_power_of_two():
