@@ -7,6 +7,8 @@ Each step's reciprocal starts from the pseudoinverse of the stage's first
 entry; the trace keeps these and inverts the last diagonal entry, which
 no step consumes, so ``hankel.classify``'s dominance tests, ``solve``'s
 range gate and the resolvent products never invert a diagonal entry again.
+The trace stops stepping at its first all-zero stage and fills the rest
+with zero stacks and the one pseudoinverse of the zero matrix.
 The public :func:`reciprocal` and :func:`alpha_shift` validate their
 argument; a step reuses their arithmetic (``_reciprocal``, ``_shift``, and
 ``matcore.pinv_unchecked``) on a stage that is already checked: the first
@@ -139,14 +141,25 @@ def transform_trace(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """The algorithm run to its last stage; stage k has m-k+1 entries and
     is k steps of :func:`first_transform`.  Each step gives the inverse of
     its stage's first entry; the last entry, the seed of no step, is
-    inverted after them at the same ``tol``."""
+    inverted after them at the same ``tol``.  Stepping stops at the first
+    all-zero stage: a step on it gives +0.0 zeros again (-alpha*0, pinv(0)*0
+    and -0*r*0 are +-0, so :func:`_step`'s zero test fires), so the later
+    stages are zero stacks and their inverses the one pseudoinverse of the
+    zero matrix, the bytes the steps would give."""
     stages = [np.array(seq.s)]
     pinvs = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(seq.m):
             pinvs.append(matcore.pinv_unchecked(stages[-1][0], tol))
             stages.append(_step(seq.alpha, stages[-1], tol, k, pinvs[-1]))
-    pinvs.append(matcore.pinv(stages[-1][0], tol))
+            if not stages[-1].any():
+                zero = stages[-1]
+                stages += [np.zeros_like(zero[:seq.m - j + 1])
+                           for j in range(k + 2, seq.m + 1)]
+                pinvs += [matcore.pinv_unchecked(zero[0], tol)] * (seq.m - k)
+                break
+    if len(pinvs) == seq.m:
+        pinvs.append(matcore.pinv(stages[-1][0], tol))
     for x in stages + pinvs:
         x.flags.writeable = False
     return TransformTrace(

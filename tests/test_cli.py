@@ -746,6 +746,13 @@ GOLDEN = {
     "oracle_q2_m2": ("oracle", "measure_q2_m2.json"),
     "poly_q2_m2": ("poly", "seq_q2_m2.json"),
     "schur_k1_q2_m2": ("schur", "seq_q2_m2.json", "-k", "1", "--trace"),
+    # one atom, W = [[2, 1-i], [1+i, 3]] at 2.5 with alpha = 0.5, q = 2,
+    # m = 5, and the pair (O, I): the trace is zero from stage 2 on
+    "classify_deg_q2_m5": ("classify", "seq_deg_q2_m5.json"),
+    "poly_deg_q2_m5": ("poly", "seq_deg_q2_m5.json"),
+    "schur_k3_deg_q2_m5": ("schur", "seq_deg_q2_m5.json", "-k", "3",
+                           "--trace"),
+    "solve_deg_q2_m5": ("solve", "solve_deg_q2_m5.json"),
 }
 
 

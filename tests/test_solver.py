@@ -118,6 +118,15 @@ def test_solve_runs_the_algorithm_once(monkeypatch, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["case"] == "NonDegenerate"
     assert calls["transform_trace"] == 1
 
+    # one atom: stage 2 is the first zero stage, where the trace stops
+    # stepping, so classify, solve with (O, I) and verify step twice
+    _, seq = completely_degenerate_seq(np.random.default_rng(73), 2, 5)
+    calls.update(transform_trace=0, _step=0)
+    hankel.classify(seq)
+    sol = solve(SolutionRequest(seq, identity_pair(0.0, 2)))
+    assert verify_solution(sol, seq)["ok"]
+    assert calls == {"transform_trace": 1, "_step": 2, "build_stack": 0}
+
 
 def test_solve_builds_only_the_descent_product(monkeypatch):
     # the synthesis reads the descent product; no ascent generator is built
