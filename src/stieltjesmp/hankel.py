@@ -257,12 +257,12 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
     alone does not suffice: a step's outputs are Q_k X Q_k, so ran Q_{k+1}
     lies in ran Q_k even where stage k's later entries leave it.
     """
-    from . import schur
-
     global _last
     slot = _last
     if slot[0] is seq and slot[1] == tol:
         return slot[2]
+    from . import schur
+
     trace = schur.transform_trace(seq, tol)
     diag = np.array(trace.diagonal)
     margins = _cone_margins(seq.alpha, trace.stages[0])

@@ -225,9 +225,9 @@ def pinv_unchecked(m: np.ndarray,
     if m.size == 0:
         return _adjoint(m).copy()
     u, s, vt = np.linalg.svd(m.conjugate(), full_matrices=False)
-    large = s > tol.pinv_rtol * s.max(axis=-1, keepdims=True)
-    np.divide(1, s, where=large, out=s)
-    s[~large] = 0
+    # LAPACK orders the singular values descending: the first is the max
+    large = s > tol.pinv_rtol * s[..., :1]
+    s = np.divide(1, s, out=np.zeros_like(s), where=large)
     return np.matmul(vt.swapaxes(-1, -2), s[..., None] * u.swapaxes(-1, -2))
 
 

@@ -287,14 +287,18 @@ class RationalMatFun:
             > SIMPLIFY_REL * (1.0 + matcore.frobs(refs)))
 
 
+# default_grid's offsets from alpha: three to its left on the real axis,
+# and rings of radius 0.5, 2 and 10 in four directions
+_GRID_LEFT = (1.0, 2.0, 5.0)
+_GRID_RINGS = tuple(r * np.exp(1j * th) for r in (0.5, 2.0, 10.0)
+                    for th in (np.pi / 3, np.pi / 2, 2 * np.pi / 3, -np.pi / 2))
+
+
 def default_grid(alpha: float) -> tuple:
     """Evaluation points used by the pair checks: three points left of
     alpha on the real axis plus rings of off-axis points around alpha."""
-    pts = [alpha - 1.0, alpha - 2.0, alpha - 5.0]
-    for r in (0.5, 2.0, 10.0):
-        for th in (np.pi / 3, np.pi / 2, 2 * np.pi / 3, -np.pi / 2):
-            pts.append(alpha + r * np.exp(1j * th))
-    return tuple(pts)
+    return (tuple(alpha - d for d in _GRID_LEFT)
+            + tuple(alpha + w for w in _GRID_RINGS))
 
 
 def grid_values(funs, grid) -> tuple:
@@ -410,7 +414,7 @@ def admissibility(pair: StieltjesPair, zs, ph, ps,
         "kd2_ok": bool(kd2_m >= -tol.psd),
         "real_axis_margin": real_m,
         "real_axis_ok": bool(real_m >= -tol.psd),
-        "skipped_points": len(default_grid(pair.alpha)) - len(zs),
+        "skipped_points": len(_GRID_LEFT) + len(_GRID_RINGS) - len(zs),
     }
     report["ok"] = bool(report["rank_ok"] and report["kd1_ok"]
                         and report["kd2_ok"] and report["real_axis_ok"])

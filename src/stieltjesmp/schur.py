@@ -10,11 +10,18 @@ range gate and the resolvent products never invert a diagonal entry again.
 The trace stops stepping at its first all-zero stage and fills the rest
 with zero stacks and the one pseudoinverse of the zero matrix.
 The public :func:`reciprocal` and :func:`alpha_shift` validate their
-argument; a step reuses their arithmetic (``_reciprocal``, ``_shift``, and
-``matcore.pinv_unchecked``) on a stage that is already checked: the first
-is the sequence's hermitized, finite moments, and each later one passed
-the previous step's finiteness test.
-The inverse step reconstructs a longer sequence from a seed matrix.
+argument; a step reuses their arithmetic (``_reciprocal``, the shift of
+the later entries, and ``matcore.pinv_unchecked``) on a stage that is
+already checked: the first is the sequence's hermitized, finite moments,
+and each later one passed the previous step's finiteness test.
+The reciprocal's sums r_j = -s_0^+ sum_{l<j} s_{j-l} r_l are accumulated:
+each r_l, once known, is multiplied by the stack of later entries in one
+product and added to every later sum, so a stage of n entries takes
+3(n-1) numpy calls where a sum per entry took n(n-1)/2 more.  Every sum
+still gets its terms in ascending l, starting from +0.0, so its bits are
+those of the nested sum.
+The inverse step reconstructs a longer sequence from a seed matrix; its
+sums are accumulated the same way.
 """
 
 from __future__ import annotations
@@ -41,16 +48,18 @@ __all__ = [
 
 def reciprocal(mats, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Reciprocal of stacked matrices: r_0 = s_0^+,
-    r_j = -s_0^+ sum_{l<j} s_{j-l} r_l."""
+    r_j = -s_0^+ sum_{l<j} s_{j-l} r_l, each sum accumulated in ascending
+    l (see ``_reciprocal``)."""
     if len(mats) == 0:
         raise ValueError("reciprocal of an empty sequence")
     stack = _stacked(mats)
-    return _reciprocal(stack, matcore.pinv_unchecked(stack[0], tol))
+    return _reciprocal(stack[1:], matcore.pinv_unchecked(stack[0], tol))
 
 
 def alpha_shift(alpha: float, mats) -> np.ndarray:
     """Stacked -alpha*s_{j-1} + s_j with the convention s_{-1} = 0."""
-    return _shift(alpha, _stacked(mats))
+    stack = _stacked(mats)
+    return -alpha * np.concatenate((np.zeros_like(stack[:1]), stack[:-1])) + stack
 
 
 def _stacked(mats) -> np.ndarray:
@@ -60,20 +69,25 @@ def _stacked(mats) -> np.ndarray:
     return out
 
 
-def _reciprocal(stack: np.ndarray, r0: np.ndarray) -> np.ndarray:
+def _reciprocal(tail: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """:func:`reciprocal` of a checked stack, from ``r0``, the
-    pseudoinverse of its first entry."""
-    out = np.empty_like(stack)
+    pseudoinverse of its first entry, and ``tail``, its later entries.
+
+    The sums are accumulated: once r_l is known, one stacked product adds
+    s_{j-l} r_l to the sum of every later entry j, whose sum is then
+    complete for j = l + 1.  Each sum gets its terms in ascending l from
+    +0.0, the order and start of ``sum(s_j r_0, ..., s_1 r_{j-1})``, so the
+    bits are those of the nested sum (a test pins them).
+    """
+    n = len(tail)
+    out = np.empty((n + 1, *r0.shape), dtype=complex)
     out[0] = r0
     neg = -r0
-    for j in range(1, len(stack)):
-        out[j] = neg @ sum(stack[j:0:-1] @ out[:j])
+    acc = np.zeros_like(tail)
+    for l in range(n):
+        acc[l:] += tail[:n - l] @ out[l]
+        out[l + 1] = neg @ acc[l]
     return out
-
-
-def _shift(alpha: float, stack: np.ndarray) -> np.ndarray:
-    """:func:`alpha_shift` of a checked stack."""
-    return -alpha * np.concatenate((np.zeros_like(stack[:1]), stack[:-1])) + stack
 
 
 def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig, k: int,
@@ -81,7 +95,8 @@ def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig, k: int,
     """:func:`first_transform` on a finite complex stack, stage ``k`` of a
     trace, from ``r0``, the pseudoinverse of ``s[0]``: the shift leaves the
     first entry alone, so the reciprocal of the shifted sequence starts
-    from it.  Run under the caller's ``np.errstate``, it names a step whose
+    from it, and only the later entries, which the reciprocal reads, are
+    shifted.  Run under the caller's ``np.errstate``, it names a step whose
     output leaves the float range, with no warning.
 
     The outputs are Hermitian in exact arithmetic; their asymmetry is
@@ -93,7 +108,7 @@ def _step(alpha: float, s: np.ndarray, tol: ToleranceConfig, k: int,
     compared on the two matrices scaled by one power of two
     (``matcore.frob_at_most``), so they do not overflow.
     """
-    rec = _reciprocal(_shift(alpha, s), r0)
+    rec = _reciprocal(-alpha * s[:-1] + s[1:], r0)
     out = -s[0] @ rec[1:] @ s[0]
     out = 0.5 * (out + out.conj().transpose(0, 2, 1))
     if not np.isfinite(out).all():
@@ -178,8 +193,10 @@ def inverse_transform(t: MomentSequence, a,
         r_0 = a,
         r_j = alpha r_{j-1} + a a^+ sum_{k<j} t_{j-1-k} a^+ (shift r)_k,
     which agrees with the literal nested-sum definition (the test suite
-    checks them against each other).  The seed is checked for asymmetry;
-    the computed entries are symmetrized.
+    checks them against each other).  Each sum is accumulated as the
+    reciprocal's are: once (shift r)_k is known, one stacked product adds
+    its term to every later sum, in ascending k from +0.0.  The seed is
+    checked for asymmetry; the computed entries are symmetrized.
     """
     a = matcore.hermitize(a, tol)
     return _inverse(t, a, matcore.pinv(a, tol))
@@ -190,12 +207,15 @@ def _inverse(t: MomentSequence, a: np.ndarray, ap: np.ndarray) -> MomentSequence
     pseudoinverse ``ap``."""
     proj = a @ ap
     alpha = t.alpha
+    tap = np.array(t.s) @ ap
+    acc = np.zeros_like(tap)  # entry j - 1 sums t_{j-1-k} a^+ (shift r)_k
     out = [a]
-    shifted = [a]  # (shift r)_k, maintained alongside
+    shifted = a  # (shift r)_{j-1}
     for j in range(1, t.m + 2):
-        acc = sum(t.s[j - 1 - k] @ ap @ shifted[k] for k in range(j))
-        nxt = matcore.symmetrized(alpha * out[-1] + proj @ acc)
-        shifted.append(-alpha * out[-1] + nxt)
+        # k = j - 1: add its term to sums j..m+1, each in ascending k
+        acc[j - 1:] += tap[:t.m + 2 - j] @ shifted
+        nxt = matcore.symmetrized(alpha * out[-1] + proj @ acc[j - 1])
+        shifted = -alpha * out[-1] + nxt
         out.append(nxt)
     return MomentSequence(alpha, tuple(out))
 

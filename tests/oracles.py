@@ -175,6 +175,23 @@ def oracle_inverse_transform(alpha, a, t, n, rtol=1e-12):
     return out
 
 
+def checked_inverse(alpha, t, a, ap):
+    """The inverse step's loop with one sum of products per entry, literally
+    the package's arithmetic before its sums were accumulated: entries
+    r_0..r_{m+1} from the seed ``a`` (Hermitian) and its pseudoinverse
+    ``ap``."""
+    proj = a @ ap
+    out = [a]
+    shifted = [a]
+    for j in range(1, len(t) + 1):
+        acc = sum(t[j - 1 - k] @ ap @ shifted[k] for k in range(j))
+        nxt = alpha * out[-1] + proj @ acc
+        nxt = 0.5 * (nxt + nxt.conj().T)
+        shifted.append(-alpha * out[-1] + nxt)
+        out.append(nxt)
+    return out
+
+
 def oracle_block_hankel(seq, n):
     """Dense (n+1)x(n+1) block Hankel matrix with block (j,k) = s_{j+k}."""
     seq = [np.asarray(s, dtype=complex) for s in seq]

@@ -345,6 +345,25 @@ def test_default_grid_shape():
     assert len(reals) == 3 and all(complex(z).real < 1.0 for z in reals)
 
 
+def test_default_grid_has_the_bytes_of_its_loop():
+    # the ring offsets are computed once; each point keeps the bits and the
+    # type of the loop that evaluated the exponentials per call
+    def loop(alpha):
+        pts = [alpha - 1.0, alpha - 2.0, alpha - 5.0]
+        for r in (0.5, 2.0, 10.0):
+            for th in (np.pi / 3, np.pi / 2, 2 * np.pi / 3, -np.pi / 2):
+                pts.append(alpha + r * np.exp(1j * th))
+        return tuple(pts)
+
+    rng = np.random.default_rng(39)
+    alphas = [0.0, -0.0, 1, np.float64(0.3)]
+    alphas += list(rng.uniform(-1e3, 1e3, 1000)) + list(rng.standard_normal(1000))
+    for alpha in alphas:
+        got, ref = default_grid(alpha), loop(alpha)
+        assert [type(z) for z in got] == [type(z) for z in ref]
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
 def test_pair_construction_and_quotient():
     p = cauchy_pair(0.0, 2, t=1.0)
     assert p.q == 2

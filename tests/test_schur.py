@@ -43,6 +43,63 @@ def test_reciprocal_is_convolution_inverse():
         assert frob(acc) <= 1e-10 * (1 + frob(mats[0]))
 
 
+def _adversarial_stack(rng, q, n, kind):
+    # entries scaled from 1e-150 to 1e150, a first entry that is plain,
+    # zero or with singular values under the pinv cutoff, and -0.0 parts
+    mats = rng.standard_normal((n, q, q)) + 1j * rng.standard_normal((n, q, q))
+    mats *= 10.0 ** rng.uniform(-150, 150, n)[:, None, None]
+    if kind == 1:
+        mats[0] = 0
+    elif kind == 2:
+        u, _, vh = np.linalg.svd(mats[0])
+        sv = 10.0 ** rng.uniform(-18, -13, q)
+        sv[0] = 1.0
+        mats[0] = 10.0 ** rng.uniform(-150, 150) * (u * sv) @ vh
+    if rng.random() < 0.5:
+        mats.real[rng.random(mats.shape) < 0.3] = -0.0
+        mats.imag[rng.random(mats.shape) < 0.3] = -0.0
+    return mats
+
+
+def test_reciprocal_accumulates_with_the_bytes_of_the_nested_sum():
+    # the accumulated sums get their terms in the nested sum's order, from
+    # the same +0.0, so every byte is that of one sum per entry
+    rng = np.random.default_rng(37)
+    negzero = 0
+    for trial in range(3000):
+        q, n = int(rng.integers(1, 5)), int(rng.integers(1, 11))
+        mats = _adversarial_stack(rng, q, n, trial % 3)
+        parts = mats.view(float)
+        negzero += bool(np.any(np.signbit(parts) & (parts == 0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = reciprocal(mats)
+            ref = oracles.checked_reciprocal(mats)
+        assert got.shape == ref.shape == (n, q, q)
+        assert got.tobytes() == ref.tobytes(), (trial, q, n)
+    assert negzero > 1000
+
+
+def test_inverse_accumulates_with_the_bytes_of_the_nested_sum():
+    # the inverse step's sums, accumulated once (shift r)_k is known, have
+    # the bytes of a sum of products per entry, also for a zero or a
+    # singular seed and a zero t_0
+    rng = np.random.default_rng(38)
+    for trial in range(600):
+        q, m = int(rng.integers(1, 5)), int(rng.integers(0, 7))
+        alpha = float(rng.choice([0.0, rng.uniform(-2.0, 2.0)]))
+        t = [oracles.random_hermitian(rng, q, scale=10.0 ** rng.uniform(-5, 5))
+             for _ in range(m + 1)]
+        if trial % 4 == 1:
+            t[0] = np.zeros((q, q))
+        rank = (q, 0, max(q - 1, 0), q)[trial % 4]
+        a = oracles.random_psd(rng, q, rank=rank)
+        seq = MomentSequence(alpha, tuple(t))
+        got = inverse_transform(seq, a)
+        a = matcore.hermitize(a)
+        ref = oracles.checked_inverse(alpha, seq.s, a, pinv(a))
+        assert [x.tobytes() for x in got.s] == [x.tobytes() for x in ref], trial
+
+
 def test_alpha_shift_convention():
     out = alpha_shift(2.0, [np.eye(1), 3 * np.eye(1), 4 * np.eye(1)])
     assert_allclose(np.concatenate(out).ravel(), [1.0, 1.0, -2.0])
