@@ -59,9 +59,9 @@ def check_denominator(dens, tol: ToleranceConfig, stage: str,
     if not sv.shape[-1]:
         sv = np.zeros(sv.shape[:-1] + (1,))
     top, low = sv[..., 0].ravel(), sv[..., -1].ravel()
-    failing = np.flatnonzero(~((top != 0.0) & (low >= tol.det_gate * top)))
-    if failing.size:
-        k = failing[0]
+    ok = (top != 0.0) & (low >= tol.det_gate * top)
+    if not ok.all():
+        k = int(ok.argmin())
         gap = float(low[k] / top[k]) if top[k] != 0.0 else 0.0
         point = None if points is None else complex(points[k])
         where = "" if point is None else f" at {point}"

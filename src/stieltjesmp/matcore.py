@@ -129,8 +129,8 @@ def _as_stack(a) -> np.ndarray:
 
 def first_non_finite(stack: np.ndarray):
     """Index of the first matrix of ``stack`` with a non-finite entry, or None."""
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    return None if finite.all() else int(finite.argmin())
+    finite = np.isfinite(stack)
+    return None if finite.all() else int(finite.all(axis=(-2, -1)).argmin())
 
 
 def as_cmat(a) -> np.ndarray:
@@ -153,19 +153,23 @@ def frob(a) -> float:
     order.  When the sum of squares overflows, or falls below the normal
     range while ``a`` has a nonzero entry, the norm is :func:`frobs`' of
     ``a`` as one row."""
+    return _squares_and_norm(a)[1]
+
+
+def _squares_and_norm(a) -> tuple:
+    """(sum of squares, :func:`frob`) of ``a``, both from one pass."""
     x = np.asarray(a)
-    kind = x.dtype.kind
-    if kind not in "fc":
+    if x.dtype.kind not in "fc":
         x = x.astype(float)
     x = x.ravel(order="K")
-    if kind == "c":
+    if x.dtype.kind == "c":
         re, im = x.real, x.imag
         sq = float(np.vdot(re, re)) + float(np.vdot(im, im))
     else:
         sq = float(np.vdot(x, x))
     if sq != math.inf and (sq >= _TINY or not x.any()):
-        return math.sqrt(sq)
-    return float(frobs(x.reshape(1, -1)))
+        return sq, math.sqrt(sq)
+    return sq, float(frobs(x.reshape(1, -1)))
 
 
 def hermitize(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -297,24 +301,29 @@ def frob_at_most(x, y, c: float, floor: float):
     norm may, so each place is decided on x and y scaled by 2^-k, k from
     the larger modulus of the two there (clamped to +-1021), and floor by
     2^-k: exact scaling, so a verdict that the unscaled norms reach in
-    range is kept.
+    range is kept.  Each of two matrices gives its sum and norm in one pass.
     """
-    # no matrix's sum of squares exceeds its stack's, which np.vdot sums
-    # without a warning: when both are finite, no norm overflows
-    xx = float(np.vdot(x, x).real)
+    if x.ndim == y.ndim == 2:
+        (xx, fx), (yy, fy) = _squares_and_norm(x), _squares_and_norm(y)
+    else:
+        # no matrix's sum of squares exceeds its stack's, which np.vdot
+        # sums without a warning: when both are finite, no norm overflows
+        xx, yy = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
     if xx == 0.0 and not x.any():
         # a zero x meets every bound, c and floor being nonnegative
         ok = np.ones(np.broadcast_shapes(x.shape[:-2], y.shape[:-2],
                                          np.shape(floor)), dtype=bool)
         return bool(ok) if ok.ndim == 0 else ok
-    if xx + float(np.vdot(y, y).real) < math.inf:
+    if xx + yy < math.inf:
         if x.ndim == y.ndim == 2:
-            return bool(frob(x) <= c * (floor + frob(y)))
+            return bool(fx <= c * (floor + fy))
         return _in_range_frobs(x) <= c * (floor + _in_range_frobs(y))
     big = np.maximum(_max_modulus(x), _max_modulus(y))
     scale = np.ldexp(1.0, -np.clip(np.frexp(big)[1], -1021, 1021))
-    ok = (frobs(x * scale[..., None, None])
-          <= c * (floor * scale + frobs(y * scale[..., None, None])))
+    # a finite complex product near the float maximum can raise the flag
+    with np.errstate(over="ignore"):
+        xs, ys = x * scale[..., None, None], y * scale[..., None, None]
+    ok = frobs(xs) <= c * (floor * scale + frobs(ys))
     return bool(ok) if ok.ndim == 0 else ok
 
 

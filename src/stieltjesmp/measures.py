@@ -122,7 +122,7 @@ def from_atoms(nodes, weights, q: int) -> RationalMatFun:
         return RationalMatFun.zero(q)
     order = np.argsort(nodes, kind="stable")
     nodes, weights = nodes[order], weights[order]
-    apart = np.diff(nodes) > 0.0
+    apart = nodes[1:] > nodes[:-1]
     if not apart.all():
         starts = np.flatnonzero(np.concatenate(([True], apart)))
         nodes, weights = nodes[starts], np.add.reduceat(weights, starts)

@@ -91,7 +91,8 @@ class RationalMatFun:
 
     def __post_init__(self):
         den = np.atleast_1d(np.array(self.den, dtype=complex))
-        sizes = [abs(x) for x in den]
+        # np.hypot has the bits of Python's abs of each coefficient
+        sizes = np.hypot(den.real, den.imag).tolist()
         if not sizes:
             raise ValueError("denominator has no coefficients")
         if not all(map(math.isfinite, sizes)):
@@ -322,11 +323,10 @@ def grid_values(funs, grid) -> tuple:
             # Horner on real and imaginary parts, so no fused multiply-add
             # can move the bits: numpy's vector complex product may fuse
             # one that separate real products round apart; beside it, the
-            # bound |d|(|z|)
-            coeffs = zip(*(v[::-1].tolist() for v in
-                           (f.den.real, f.den.imag, np.abs(f.den))))
-            re, im, bound = (np.full(zs.shape, v) for v in next(coeffs))
-            for a, b, c in coeffs:
+            # bound |d|(|z|); all three start from the leading coefficient
+            rows = np.array((f.den.real, f.den.imag, np.abs(f.den)))[:, ::-1]
+            re, im, bound = rows[:, 0].repeat(len(zs)).reshape(3, -1)
+            for a, b, c in rows[:, 1:].T.tolist():
                 re, im = re * x - im * y + a, re * y + im * x + b
                 bound = bound * r + c
             keep &= np.hypot(re, im) > POLE_REL * np.maximum(bound, 1e-300)

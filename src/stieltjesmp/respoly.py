@@ -157,7 +157,9 @@ class MatrixPolynomial:
 
     def trimmed(self) -> "MatrixPolynomial":
         """Without the trailing coefficients ``trim_trailing`` drops; the
-        polynomial itself when it drops none."""
+        polynomial itself when it drops none, as it does a constant."""
+        if len(self.coeffs) == 1:
+            return self
         kept = trim_trailing(self.coeffs, self.coeff_norms())
         return self if len(kept) == len(self.coeffs) else MatrixPolynomial(kept)
 

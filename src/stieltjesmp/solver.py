@@ -15,18 +15,18 @@ is refused by name), and it decays exactly when C = 0, so neither
 ``pairs.admissibility`` nor ``pairs.in_diamond`` runs.  Any other pair is
 gated on the grid (admissibility, decay for the equality problem).  Every
 pair then meets the range condition against the top diagonal entry and one
-gate on the descent denominator D = V_21 phi + V_22 psi, pointwise on the
-grid (``_gate_descent_denominator``).  A pair with atoms has F read off the
-diagonal as a continued fraction: one Hermitian block tridiagonal
-eigensolve gives its nodes and PSD weights, which ``measures.from_atoms``
-turns into F (``_atomic_solution``).  Any other pair goes through the
-kernel ``lft.lft_rational``, which forms V as a polynomial, slices its
-q x q blocks and divides out the power of (z - alpha) that the resolvent
-introduces.  The low-rank routes lift an r x r pair into ``solve``, the one
-solve entry, on the eigenbasis of the top entry at the rank classify
-decided; the equality subset is the lift of (f, I) in eq mode.  The ascent
-transform is ``solve`` at order 0: the one-term sequence (A) in eq mode
-with the parameter (G, I).
+gate on the descent denominator D = V_21 phi + V_22 psi at each point of a
+grid of at least one (``_gate_descent_denominator``).  A pair with atoms
+has F read off the diagonal as a continued fraction: one Hermitian block
+tridiagonal eigensolve, of T written by slices, gives its nodes and PSD
+weights, which ``measures.from_atoms`` turns into F (``_atomic_solution``).
+Any other pair goes through the kernel ``lft.lft_rational``, which forms V
+as a polynomial, slices its q x q blocks and divides out the power of
+(z - alpha) that the resolvent introduces.  The low-rank routes lift an
+r x r pair into ``solve``, the one solve entry, on the eigenbasis of the
+top entry at the rank classify decided; the equality subset is the lift of
+(f, I) in eq mode.  The ascent transform is ``solve`` at order 0: the
+one-term sequence (A) in eq mode with the parameter (G, I).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from . import lft, matcore, measures, pairs, respoly
 from .hankel import ClassReport, MomentSequence, classify
 from .matcore import DEFAULT_TOL, PreconditionError, ToleranceConfig
 from .pairs import RationalMatFun, StieltjesPair
-from .respoly import MatrixPolynomial
 
 __all__ = [
     "SolutionRequest",
@@ -166,12 +165,12 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
     equality problem, in the decaying subclass (``pairs.in_diamond``).
     Unless the top diagonal entry has full rank, every pair must satisfy
     the range condition against it.
-    ``grid`` holds the points of the one gate on the descent denominator
-    D = V_21 phi + V_22 psi (V the descent product), which every pair
-    passes before either synthesis: at each point D must be finite, its
-    norm to the power q, which bounds its determinant, within the float
-    range, and sigma_min/sigma_max at least ``tol.det_gate``.  A pair with
-    atoms is then synthesized from the trace's continued fraction
+    ``grid`` holds the points, at least one, of the one gate on the descent
+    denominator D = V_21 phi + V_22 psi (V the descent product), which
+    every pair passes before either synthesis: at each point D must be
+    finite, its norm to the power q, which bounds its determinant, within
+    the float range, and sigma_min/sigma_max at least ``tol.det_gate``.  A
+    pair with atoms is then synthesized from the trace's continued fraction
     (``_atomic_solution``), and refused with GrowthError when the power
     basis of RationalMatFun cannot hold it (its denominator's leading
     coefficients fall under the trim floor); any other pair goes through
@@ -182,6 +181,8 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
     report = _classified(seq, tol)
     default = pairs.default_grid(seq.alpha)
     grid = default if grid is None else tuple(grid)
+    if not grid:
+        raise PreconditionError("the gate's grid must name at least one point")
     zs, (ph, ps) = pairs.grid_values((pair.phi, pair.psi), default)
     atoms = _parameter_atoms(pair, req.mode, zs, ph, tol)
     if atoms is None:
@@ -249,33 +250,40 @@ def _parameter_atoms(pair: StieltjesPair, mode: str, zs, ph, tol):
         return None
     p0inv = np.linalg.inv(p0)
     num = phi.num.trimmed().coeffs @ p0inv
-    den = phi.den
-    d = len(den) - 1
-    if len(num) > d + 1 or den.imag.any():
+    d = len(phi.den) - 1
+    if len(num) > d + 1 or phi.den.imag.any():
         return None
-    y = npoly.polyroots(den.real)
+    den = phi.den.real
+    y = npoly.polyroots(den)
     if np.iscomplexobj(y):
         return None
     y.sort()
-    if d and (y[0] < pair.alpha or not np.all(np.diff(y) > 0.0)):
+    if d and (y[0] < pair.alpha or not (y[1:] > y[:-1]).all()):
         return None
-    c = num[d] / den[d] if len(num) == d + 1 else np.zeros_like(p0)
+    c = num[d] / phi.den[d] if len(num) == d + 1 else np.zeros_like(p0)
     if mode == "eq" and c.any():
         return None
-    slope = npoly.polyval(y, npoly.polyder(den.real))
-    atoms = np.concatenate((c[None], -MatrixPolynomial(num)(y)
-                            / slope[:, None, None]))
-    atoms = matcore.symmetrized(atoms)
+    # den'(y) and num(y) by Horner, with the start and order of numpy's
+    # polyval of polyder's j den_j and of MatrixPolynomial's evaluation
+    slope = d * den[d] + y * 0
+    for j in range(d - 1, 0, -1):
+        slope = j * den[j] + slope * y
+    res = np.full((len(y),) + c.shape, num[-1])
+    for coeff in num[-2::-1]:
+        res = res * y[:, None, None] + coeff
+    atoms = matcore.symmetrized(np.concatenate(
+        (c[None], -res / slope[:, None, None])))
     c, w = atoms[0], atoms[1:]
     g = ph @ p0inv
-    fit = c + np.tensordot(1.0 / (y - zs[:, None]), w, 1)
+    fit = c + np.dot(1.0 / (y - zs[:, None]),
+                     w.reshape(len(y), c.size)).reshape(g.shape)
     if not len(zs) or not np.all(matcore.frob_at_most(fit - g, g, ATOMS_REL,
                                                       0.0)):
         return None
     margins = matcore.psd_margin(atoms)
-    bad = np.flatnonzero(margins < -tol.psd)
-    if bad.size:
-        i = bad[0]
+    bad = margins < -tol.psd
+    if bad.any():
+        i = int(bad.argmax())
         name = "constant" if i == 0 else f"residue at {y[i - 1]:.6g}"
         raise PreconditionError("parameter pair is not admissible: its "
                                 f"{name} has PSD margin {margins[i]:.3e}")
@@ -304,7 +312,9 @@ def _gate_descent_denominator(trace, zs, top, bottom, tol) -> None:
     each decided over all points before the next: a value that is not
     finite (PreconditionError, naming the first such point), |D(z)|^q
     beyond the float range (PreconditionError), which bounds det D(z),
-    and ``lft.check_denominator``'s SingularDenominatorError.
+    and ``lft.check_denominator``'s SingularDenominatorError.  A value
+    that is not finite has a norm that is not: only a stack whose norms
+    fail is searched for one.
     """
     q = len(trace.diagonal[0])
     levels = np.zeros((len(trace.diagonal), 2 * q, 2 * q), dtype=complex)
@@ -317,15 +327,15 @@ def _gate_descent_denominator(trace, zs, top, bottom, tol) -> None:
         for level in levels[::-1]:
             x = level @ x
             x[:, q:] *= u
-    dens = x[:, q:]
-    j = matcore.first_non_finite(dens)
-    if j is not None:
-        raise PreconditionError(f"synthesis denominator at grid point "
-                                f"{complex(zs[j])} is not finite")
-    with np.errstate(over="ignore"):
-        if not np.all(matcore.frobs(dens) ** q < np.inf):
-            raise PreconditionError("determinant of the synthesis "
-                                    "denominator leaves the float range")
+        dens = x[:, q:]
+        in_range = np.all(matcore.frobs(dens) ** q < np.inf)
+    if not in_range:
+        j = matcore.first_non_finite(dens)
+        if j is not None:
+            raise PreconditionError(f"synthesis denominator at grid point "
+                                    f"{complex(zs[j])} is not finite")
+        raise PreconditionError("determinant of the synthesis "
+                                "denominator leaves the float range")
     lft.check_denominator(dens, tol, "synthesis", zs)
 
 
@@ -348,7 +358,9 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
     ``WEIGHT_REL`` of |s_0| dropped.  All roots and pseudoinverses come
     from one stacked eigensolve of Q_0..Q_m and the W_i, each root's
     pseudoinverse cut at ``tol.pinv_rtol`` of its largest eigenvalue, as
-    ``matcore.pinv`` cuts Q_k.
+    ``matcore.pinv`` cuts Q_k.  T is written by slices: under each block
+    above the diagonal its adjoint, signed zeros included, as eigh reads
+    the lower triangle.
     """
     diagonal, alpha = trace.diagonal, trace.input.alpha
     q = len(diagonal[0])
@@ -369,16 +381,18 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
     pinvs = (vec * inv[:, None, :]) @ vh
 
     couple = roots[m + 1:] if x is None else x @ roots[m + 1:]
-    # block column j > 0 couples to one block above it: level j - 1 on the
-    # chain, level m for an atom's first block, that block for its second
-    upper = np.concatenate((pinvs[:m] @ roots[1:m + 1], pinvs[m] @ couple,
-                            np.sqrt(y - alpha)[:, None, None] * np.eye(q)))
-    above = np.concatenate((np.arange(m), np.full(k, m),
-                            np.arange(m + 1, m + 1 + k)))
     blocks = m + 1 + 2 * k
     t = np.zeros((blocks, q, blocks, q), dtype=complex)
-    # eigh reads the lower triangle: the adjoint blocks below the diagonal
-    t[np.arange(1, blocks), :, above, :] = upper.conj().swapaxes(-1, -2)
+    # under level j on the chain, level m for the atoms' first blocks and
+    # each first block for its second, (y_i - alpha)^(1/2) I
+    chain = (pinvs[:m] @ roots[1:m + 1]).conj().swapaxes(-1, -2)
+    for j in range(m):
+        t[j + 1, :, j] = chain[j]
+    t[m + 1:m + 1 + k, :, m] = (pinvs[m] @ couple).conj().swapaxes(-1, -2)
+    spokes = (np.sqrt(y - alpha)[:, None, None]
+              * np.eye(q, dtype=complex)).conj().swapaxes(-1, -2)
+    for i in range(k):
+        t[m + 1 + k + i, :, m + 1 + i] = spokes[i]
     lam, v = np.linalg.eigh(t.reshape(blocks * q, blocks * q))
 
     p = (roots[0] @ v[:q]).T
@@ -395,7 +409,7 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
     cut = MERGE_REL * radii[-1]
     # an eigenvalue within the cut of 0 is 0: its node is alpha itself
     squares[radii <= cut] = 0.0
-    apart = np.diff(radii) > cut
+    apart = radii[1:] - radii[:-1] > cut
     if not apart.all():
         starts = np.flatnonzero(np.concatenate(([True], apart)))
         mass = weights.trace(axis1=1, axis2=2).real

@@ -672,3 +672,241 @@ def oracle_matches(f, other, pole_scale):
     return len(refs) > 0 and not any(
         np.linalg.norm(got - ref) > SIMPLIFY_REL * (1.0 + np.linalg.norm(ref))
         for ref, got in zip(refs, gots))
+
+
+# -- solve's atomic path as first written, before its numpy calls were cut --
+
+def literal_frob(a):
+    """``matcore.frob`` as first written."""
+    import math
+
+    from stieltjesmp.matcore import frobs
+
+    x = np.asarray(a)
+    kind = x.dtype.kind
+    if kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if kind == "c":
+        re, im = x.real, x.imag
+        sq = float(np.vdot(re, re)) + float(np.vdot(im, im))
+    else:
+        sq = float(np.vdot(x, x))
+    if sq != math.inf and (sq >= np.finfo(float).tiny or not x.any()):
+        return math.sqrt(sq)
+    return float(frobs(x.reshape(1, -1)))
+
+
+def literal_frob_at_most(x, y, c, floor):
+    """``matcore.frob_at_most`` as first written: two whole-array sums of
+    squares decide the path, then every norm is summed again."""
+    import math
+
+    from stieltjesmp.matcore import _max_modulus, frobs
+
+    def in_range_frobs(s):
+        v = s.reshape(s.shape[:-2] + (1, s.shape[-2] * s.shape[-1]))
+        sq = (v.real @ v.real.swapaxes(-1, -2)
+              + v.imag @ v.imag.swapaxes(-1, -2))[..., 0, 0]
+        if sq.min(initial=math.inf) >= np.finfo(float).tiny:
+            return np.sqrt(sq)
+        return frobs(s)
+
+    xx = float(np.vdot(x, x).real)
+    if xx == 0.0 and not x.any():
+        ok = np.ones(np.broadcast_shapes(x.shape[:-2], y.shape[:-2],
+                                         np.shape(floor)), dtype=bool)
+        return bool(ok) if ok.ndim == 0 else ok
+    if xx + float(np.vdot(y, y).real) < math.inf:
+        if x.ndim == y.ndim == 2:
+            return bool(literal_frob(x) <= c * (floor + literal_frob(y)))
+        return in_range_frobs(x) <= c * (floor + in_range_frobs(y))
+    big = np.maximum(_max_modulus(x), _max_modulus(y))
+    scale = np.ldexp(1.0, -np.clip(np.frexp(big)[1], -1021, 1021))
+    ok = (frobs(x * scale[..., None, None])
+          <= c * (floor * scale + frobs(y * scale[..., None, None])))
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def literal_unit_den(den, rel=1e-13):
+    """(den, top) of ``RationalMatFun``'s constructor as first written: the
+    coefficients without their negligible trailing ones, divided by the
+    largest modulus ``top`` unless it lies in [0.5, 2] (then top is None);
+    the moduli by Python's abs, one coefficient at a time."""
+    den = np.atleast_1d(np.array(den, dtype=complex))
+    sizes = [abs(x) for x in den]
+    cut = rel * max(1.0, max(sizes))
+    n = len(den)
+    while n > 1 and sizes[n - 1] <= cut:
+        n -= 1
+    den = den[:n]
+    top = max(sizes[:n])
+    if not (0.5 <= top <= 2.0):
+        return den / top, top
+    return den, None
+
+
+def literal_parameter_atoms(pair, mode, zs, ph, tol, atoms_rel=1e-10):
+    """``solver._parameter_atoms`` as first written: numpy's polyder and
+    polyval for the slope, a polynomial object's Horner for the residues
+    and ``tensordot`` for the fit."""
+    import numpy.polynomial.polynomial as npoly
+
+    from stieltjesmp import matcore
+    from stieltjesmp.matcore import PreconditionError
+
+    phi, psi = pair.phi, pair.psi
+    if len(psi.den) > 1 or len(literal_trimmed(psi.num.coeffs)) > 1:
+        return None
+    p0 = psi.num.coeffs[0] / psi.den[0]
+    sv = np.linalg.svd(p0, compute_uv=False)
+    if not sv[-1] >= tol.det_gate * sv[0] > 0.0:
+        return None
+    p0inv = np.linalg.inv(p0)
+    num = literal_trimmed(phi.num.coeffs) @ p0inv
+    den = phi.den
+    d = len(den) - 1
+    if len(num) > d + 1 or den.imag.any():
+        return None
+    y = npoly.polyroots(den.real)
+    if np.iscomplexobj(y):
+        return None
+    y.sort()
+    if d and (y[0] < pair.alpha or not np.all(np.diff(y) > 0.0)):
+        return None
+    c = num[d] / den[d] if len(num) == d + 1 else np.zeros_like(p0)
+    if mode == "eq" and c.any():
+        return None
+    slope = npoly.polyval(y, npoly.polyder(den.real))
+    atoms = np.concatenate((c[None], -literal_horner(num, y)
+                            / slope[:, None, None]))
+    atoms = matcore.symmetrized(atoms)
+    c, w = atoms[0], atoms[1:]
+    g = ph @ p0inv
+    fit = c + np.tensordot(1.0 / (y - zs[:, None]), w, 1)
+    if not len(zs) or not np.all(literal_frob_at_most(fit - g, g, atoms_rel,
+                                                      0.0)):
+        return None
+    margins = matcore.psd_margin(atoms)
+    bad = np.flatnonzero(margins < -tol.psd)
+    if bad.size:
+        i = bad[0]
+        name = "constant" if i == 0 else f"residue at {y[i - 1]:.6g}"
+        raise PreconditionError("parameter pair is not admissible: its "
+                                f"{name} has PSD margin {margins[i]:.3e}")
+    return c, y, w
+
+
+def literal_check_denominator(dens, tol, stage, points=None):
+    """``lft.check_denominator`` as first written."""
+    from stieltjesmp.matcore import SingularDenominatorError
+
+    sv = np.linalg.svd(dens, compute_uv=False)
+    if not sv.shape[-1]:
+        sv = np.zeros(sv.shape[:-1] + (1,))
+    top, low = sv[..., 0].ravel(), sv[..., -1].ravel()
+    failing = np.flatnonzero(~((top != 0.0) & (low >= tol.det_gate * top)))
+    if failing.size:
+        k = failing[0]
+        gap = float(low[k] / top[k]) if top[k] != 0.0 else 0.0
+        point = None if points is None else complex(points[k])
+        where = "" if point is None else f" at {point}"
+        raise SingularDenominatorError(
+            f"linear-fractional denominator is numerically singular{where}",
+            stage=stage, point=point, gap=gap,
+        )
+
+
+def literal_gate(trace, zs, top, bottom, tol):
+    """``solver._gate_descent_denominator`` as first written, returning the
+    stack D it gated: every level built from the trace's tuples, then one
+    pass each for non-finite values, |D|^q overflow and the SVD."""
+    from stieltjesmp import matcore
+    from stieltjesmp.matcore import PreconditionError
+
+    q = len(trace.diagonal[0])
+    levels = np.zeros((len(trace.diagonal), 2 * q, 2 * q), dtype=complex)
+    levels[:, :q, q:] = np.negative(trace.diagonal)
+    levels[:, q:, :q] = trace.pinvs
+    levels[:, q:, q:] = np.eye(q)
+    u = (zs - trace.input.alpha)[:, None, None]
+    x = np.concatenate((top, bottom), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in levels[::-1]:
+            x = level @ x
+            x[:, q:] *= u
+    dens = x[:, q:]
+    j = matcore.first_non_finite(dens)
+    if j is not None:
+        raise PreconditionError(f"synthesis denominator at grid point "
+                                f"{complex(zs[j])} is not finite")
+    with np.errstate(over="ignore"):
+        if not np.all(matcore.frobs(dens) ** q < np.inf):
+            raise PreconditionError("determinant of the synthesis "
+                                    "denominator leaves the float range")
+    literal_check_denominator(dens, tol, "synthesis", zs)
+    return dens
+
+
+def literal_atomic_solution(trace, c, y, w, tol, merge_rel=1e-12,
+                            weight_rel=1e-12):
+    """``solver._atomic_solution`` as first written: the blocks of T above
+    the diagonal concatenated, their block rows and columns listed by
+    ``arange``, and their adjoints written below the diagonal by one
+    fancy-indexed assignment."""
+    from stieltjesmp import matcore, measures
+
+    diagonal, alpha = trace.diagonal, trace.input.alpha
+    q = len(diagonal[0])
+    m = len(diagonal) - 1
+    k = len(y)
+    stack = np.concatenate((diagonal, w))
+    x = None
+    if c.any():
+        x = diagonal[m] @ matcore.pinv(diagonal[m] + c, tol)
+        stack[m] = x @ diagonal[m]
+    lam, vec = np.linalg.eigh(stack)
+    lam = np.maximum(lam, 0.0)
+    root = np.sqrt(lam)
+    kept = lam > tol.pinv_rtol * lam[:, -1:]
+    inv = np.divide(1.0, root, out=np.zeros_like(root), where=kept)
+    vh = vec.conj().swapaxes(-1, -2)
+    roots = (vec * root[:, None, :]) @ vh
+    pinvs = (vec * inv[:, None, :]) @ vh
+
+    couple = roots[m + 1:] if x is None else x @ roots[m + 1:]
+    upper = np.concatenate((pinvs[:m] @ roots[1:m + 1], pinvs[m] @ couple,
+                            np.sqrt(y - alpha)[:, None, None] * np.eye(q)))
+    above = np.concatenate((np.arange(m), np.full(k, m),
+                            np.arange(m + 1, m + 1 + k)))
+    blocks = m + 1 + 2 * k
+    t = np.zeros((blocks, q, blocks, q), dtype=complex)
+    t[np.arange(1, blocks), :, above, :] = upper.conj().swapaxes(-1, -2)
+    lam, v = np.linalg.eigh(t.reshape(blocks * q, blocks * q))
+
+    p = (roots[0] @ v[:q]).T
+    each = p[:, :, None] * p.conj()[:, None, :]
+    half = len(lam) // 2
+    squares = 0.5 * (lam[:half] ** 2 + lam[::-1][:half] ** 2)
+    weights = each[:half] + each[::-1][:half]
+    if len(lam) % 2:
+        squares = np.append(squares, lam[half] ** 2)
+        weights = np.concatenate((weights, each[half:half + 1]))
+    order = np.argsort(squares, kind="stable")
+    squares, weights = squares[order], weights[order]
+    radii = np.sqrt(squares)
+    cut = merge_rel * radii[-1]
+    squares[radii <= cut] = 0.0
+    apart = np.diff(radii) > cut
+    if not apart.all():
+        starts = np.flatnonzero(np.concatenate(([True], apart)))
+        mass = weights.trace(axis1=1, axis2=2).real
+        first = squares[starts]
+        offset = squares - np.repeat(first, np.diff(starts, append=len(squares)))
+        total = np.add.reduceat(mass, starts)
+        squares = first + np.divide(np.add.reduceat(mass * offset, starts),
+                                    total, out=np.zeros_like(total),
+                                    where=total > 0.0)
+        weights = np.add.reduceat(weights, starts)
+    kept = matcore.frobs(weights) > weight_rel * matcore.frob(diagonal[0])
+    return measures.from_atoms(alpha + squares[kept], weights[kept], q)
