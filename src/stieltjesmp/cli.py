@@ -6,11 +6,12 @@ is deterministic JSON on stdout (sorted keys, floats at a fixed number of
 significant digits) so runs can be golden-file tested.  Every float is
 rounded once, by the layout that prints it; ``--grid`` points and
 ``--tol`` values must be finite.  Only ``solve`` and ``oracle``, which
-print sampled values, take ``--grid``.  A call builds the parser of the
-subcommand it names and no other (all six when it names none), so help
-and usage errors print as they would from the full parser.  ``main``
-alone reads the file and prints: a handler maps (JSON, options, args) to
-(payload, exit code).
+print sampled values, take ``--grid``, and it sets those samples alone:
+every gate of ``solve`` reads ``pairs.default_grid``.  A call builds the
+parser of the subcommand it names and no other (all six when it names
+none), so help and usage errors print as they would from the full
+parser.  ``main`` alone reads the file and prints: a handler maps (JSON,
+options, args) to (payload, exit code).
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation,
 4 verification failure.
@@ -127,17 +128,15 @@ def cmd_solve(obj, cfg: CliConfig, args) -> tuple:
     seq = serialize.sequence_from_json(obj["sequence"], cfg.tol)
     parameter = serialize.pair_from_json(obj["parameter"])
     mode = args.mode or obj.get("mode", "leq")
-    req = solver.SolutionRequest(seq, parameter, mode)
-    grid = cfg.grid if cfg.grid is not None else pairs.default_grid(seq.alpha)
-
-    sol = solver.solve(req, cfg.tol, grid)
+    sol = solver.solve(solver.SolutionRequest(seq, parameter, mode), cfg.tol)
     tag, rank, _ = solver.case_of(seq, cfg.tol)
     report = measures.verify_solution(sol, seq, mode, cfg.tol)
     payload = {
         "case": tag,
         "rank": rank,
         "rational_function": serialize.rational_to_json(sol, cfg.digits),
-        "samples": _samples(sol, grid, cfg.digits),
+        "samples": _samples(sol, cfg.grid or pairs.default_grid(seq.alpha),
+                            cfg.digits),
         "verification_report": serialize.verification_to_json(report,
                                                              cfg.digits),
     }
@@ -178,14 +177,14 @@ def cmd_oracle(spec, cfg: CliConfig, args) -> tuple:
         m = int(spec.get("m", 1))
     seq = measures.moments(mu, m)
     fun = measures.stieltjes_transform(mu)
-    grid = cfg.grid if cfg.grid is not None else pairs.default_grid(mu.alpha)
     payload = {
         "measure": serialize.measure_to_json(mu.alpha, mu.nodes, mu.weights,
                                              cfg.digits),
         "sequence": serialize.sequence_to_json(seq.alpha, seq.s, cfg.digits),
         "classification": serialize.report_to_json(classify(seq, cfg.tol)),
         "transform": serialize.rational_to_json(fun, cfg.digits),
-        "samples": _samples(fun, grid, cfg.digits),
+        "samples": _samples(fun, cfg.grid or pairs.default_grid(mu.alpha),
+                            cfg.digits),
     }
     return payload, EXIT_OK
 

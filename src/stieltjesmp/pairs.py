@@ -308,15 +308,16 @@ def grid_values(funs, grid) -> tuple:
     for each function its values there, stacked along a leading axis.
 
     A point is a pole of f when |f.den(z)| <= POLE_REL |f.den|(|z|); the
-    kept values come from one array Horner per numerator.  A value that
-    overflows is refused, not passed on: PreconditionError names the first
-    kept point where a function's value is not finite.
+    kept values come from one array Horner per numerator.  What overflows
+    is refused, not passed on: PreconditionError names the first point
+    where a bound |f.den|(|z|) is not finite, and then the first kept point
+    where a function's value is not finite.
     """
     zs = np.asarray(grid, dtype=complex)
     x, y = zs.real, zs.imag
     # moduli by hypot: numpy's vector complex abs rounds differently
     r = np.hypot(x, y)
-    keep = np.ones(len(zs), dtype=bool)
+    keep, bounded = np.ones((2, len(zs)), dtype=bool)
     dens = []
     with np.errstate(over="ignore", invalid="ignore"):
         for f in funs:
@@ -330,7 +331,12 @@ def grid_values(funs, grid) -> tuple:
                 re, im = re * x - im * y + a, re * y + im * x + b
                 bound = bound * r + c
             keep &= np.hypot(re, im) > POLE_REL * np.maximum(bound, 1e-300)
+            bounded &= bound < np.inf
             dens.append(re + 1j * im)
+        if not bounded.all():
+            raise PreconditionError(
+                "a denominator's size bound at grid point "
+                f"{complex(zs[bounded.argmin()])} leaves the float range")
         zs = zs[keep]
         values = tuple(f.num(zs) / dv[keep][:, None, None]
                        for f, dv in zip(funs, dens))

@@ -15,8 +15,8 @@ is refused by name), and it decays exactly when C = 0, so neither
 ``pairs.admissibility`` nor ``pairs.in_diamond`` runs.  Any other pair is
 gated on the grid (admissibility, decay for the equality problem).  Every
 pair then meets the range condition against the top diagonal entry and one
-gate on the descent denominator D = V_21 phi + V_22 psi at each point of a
-grid of at least one (``_gate_descent_denominator``).  A pair with atoms
+gate on the descent denominator D = V_21 phi + V_22 psi, on the walk's
+values (``_gate_descent_denominator``).  A pair with atoms
 has F read off the diagonal as a continued fraction: one Hermitian block
 tridiagonal eigensolve, of T written by slices, gives its nodes and PSD
 weights, which ``measures.from_atoms`` turns into F (``_atomic_solution``).
@@ -94,15 +94,14 @@ def schur_stieltjes_transform(fun: RationalMatFun, a, alpha: float,
     """One descent step: the transform with seed ``a`` applied to ``fun``.
 
     Computed as the linear-fractional action of the degree-1 ascent
-    generator, G = [(z-a)F + A][-(z-a)A^+ F + (I - A^+A)]^(-1), which only
-    matches the pointwise pseudoinverse formula when ran F(z) lies in ran A
-    and nul F(z) in nul A.  The range half is a coefficient identity,
-    decided on the numerator coefficients with one pseudoinverse of the
-    seed; the first offending degree is named.  The null half stays on
-    ``default_grid``: it bounds the rank of F(z) from below at each point,
-    which no identity among the coefficients expresses, so it is tested on
-    one stacked pseudoinverse of the function's values and names the first
-    failing grid point.
+    generator, G = [(z-alpha)F + A][-(z-alpha)A^+ F + (I - A^+A)]^(-1),
+    which matches the pointwise pseudoinverse formula only when ran F(z)
+    lies in ran A and nul F(z) in nul A.  The range half is a coefficient
+    identity, decided on the numerator coefficients with one pseudoinverse
+    of the seed; the first offending degree is named.  The null half, a
+    lower bound on the rank of F(z) that no coefficient identity expresses,
+    stays on ``default_grid``: one stacked pseudoinverse of the function's
+    values tests it and names the first failing grid point.
     """
     a = matcore.hermitize(a, tol)
     failing = np.flatnonzero(~matcore.range_contains(a, fun.num.coeffs, tol))
@@ -149,8 +148,8 @@ def _classified(seq: MomentSequence, tol: ToleranceConfig) -> ClassReport:
     return report
 
 
-def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
-          grid=None) -> RationalMatFun:
+def solve(req: SolutionRequest,
+          tol: ToleranceConfig = DEFAULT_TOL) -> RationalMatFun:
     """All solutions of the truncated problem, one per parameter pair.
 
     The sequence must classify as extendable (candidate yes).  The pair is
@@ -164,13 +163,13 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
     be admissible on the grid (``pairs.admissibility``) and, in the
     equality problem, in the decaying subclass (``pairs.in_diamond``).
     Unless the top diagonal entry has full rank, every pair must satisfy
-    the range condition against it.
-    ``grid`` holds the points, at least one, of the one gate on the descent
-    denominator D = V_21 phi + V_22 psi (V the descent product), which
-    every pair passes before either synthesis: at each point D must be
-    finite, its norm to the power q, which bounds its determinant, within
-    the float range, and sigma_min/sigma_max at least ``tol.det_gate``.  A
-    pair with atoms is then synthesized from the trace's continued fraction
+    the range condition against it.  Every pair then passes the one gate
+    on the descent denominator D = V_21 phi + V_22 psi (V the descent
+    product) on the walk's values: at each point D must be finite, its
+    norm to the power q, which bounds its determinant, within the float
+    range, and sigma_min/sigma_max at least ``tol.det_gate``; no point lies
+    on [alpha, inf), where F has its poles and D(alpha) = 0.  A pair with
+    atoms is then synthesized from the trace's continued fraction
     (``_atomic_solution``), and refused with GrowthError when the power
     basis of RationalMatFun cannot hold it (its denominator's leading
     coefficients fall under the trim floor); any other pair goes through
@@ -179,11 +178,8 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
     """
     seq, pair = req.seq, req.parameter
     report = _classified(seq, tol)
-    default = pairs.default_grid(seq.alpha)
-    grid = default if grid is None else tuple(grid)
-    if not grid:
-        raise PreconditionError("the gate's grid must name at least one point")
-    zs, (ph, ps) = pairs.grid_values((pair.phi, pair.psi), default)
+    zs, (ph, ps) = pairs.grid_values((pair.phi, pair.psi),
+                                     pairs.default_grid(seq.alpha))
     atoms = _parameter_atoms(pair, req.mode, zs, ph, tol)
     if atoms is None:
         pre = pairs.admissibility(pair, zs, ph, ps, tol)
@@ -201,8 +197,6 @@ def solve(req: SolutionRequest, tol: ToleranceConfig = DEFAULT_TOL,
             raise PreconditionError(
                 "equality problem needs a decaying parameter; quotient "
                 f"residual {decay['residual']:.3e}")
-    if grid != default or len(zs) < len(default):
-        zs, ph, ps = _homogeneous_values(pair, grid)
     _gate_descent_denominator(report.trace, zs, ph, ps, tol)
     if atoms is None:
         return lft.lft_rational(respoly.descent_resolvent(report.trace),
@@ -220,10 +214,12 @@ ATOMS_REL = 1e-10
 # eps |T|, so a double eigenvalue comes out as two close ones, and the q
 # zero eigenvalues of the Radau case as q nodes near alpha.
 MERGE_REL = 1e-12
-# A merged weight whose norm is at most this fraction of the total mass
-# |s_0| is rounding, the share that an eigenvector's error gives a node no
-# level reaches: such weights reach 1.5e-13 on the tests' and the bench's
-# sequences, whose genuine weights lie above 1e-8.
+# A merged weight W at node x is rounding, the share that an eigenvector's
+# error gives a node no level reaches, when its share (x - alpha)^j |W| of
+# each shifted moment t_j, j <= m, is at most this fraction of |t_j|, or
+# when |W| is at most this fraction of |s_0| and a share exceeds its |t_j|,
+# as no atom's can (a far node gets such a weight near eps^2 |s_0|).
+# Dropped weights reach 1.5e-13 |s_0| on the tests' and bench's sequences.
 WEIGHT_REL = 1e-12
 
 
@@ -290,18 +286,6 @@ def _parameter_atoms(pair: StieltjesPair, mode: str, zs, ph, tol):
     return c, y, w
 
 
-def _homogeneous_values(pair: StieltjesPair, points) -> tuple:
-    """(zs, top, bottom): ``points`` as an array and the values there of
-    phi.num psi.den and psi.num phi.den, the pair times its common
-    denominator, which no point turns into a pole."""
-    zs = np.asarray(points, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        top = pair.phi.num(zs) * npoly.polyval(zs, pair.psi.den)[:, None, None]
-        bottom = (pair.psi.num(zs)
-                  * npoly.polyval(zs, pair.phi.den)[:, None, None])
-    return zs, top, bottom
-
-
 def _gate_descent_denominator(trace, zs, top, bottom, tol) -> None:
     """Raise unless D = V_21 top + V_22 bottom passes ``solve``'s gate at
     every point of ``zs``, V = V_0 ... V_m the descent product of
@@ -354,13 +338,12 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
     construction.  T's spectrum is symmetric, so the j-th smallest and
     j-th largest eigenvalues give one node; nodes whose |lambda| are within
     ``MERGE_REL`` of each other are merged at their trace-weighted mean,
-    those within it of 0 at alpha itself, and weights at most
-    ``WEIGHT_REL`` of |s_0| dropped.  All roots and pseudoinverses come
-    from one stacked eigensolve of Q_0..Q_m and the W_i, each root's
-    pseudoinverse cut at ``tol.pinv_rtol`` of its largest eigenvalue, as
-    ``matcore.pinv`` cuts Q_k.  T is written by slices: under each block
-    above the diagonal its adjoint, signed zeros included, as eigh reads
-    the lower triangle.
+    those within it of 0 at alpha itself, and rounding weights dropped
+    (``WEIGHT_REL``).  All roots and pseudoinverses come from one stacked
+    eigensolve of Q_0..Q_m and the W_i, each root's pseudoinverse cut at
+    ``tol.pinv_rtol`` of its largest eigenvalue, as ``matcore.pinv`` cuts
+    Q_k.  T is written by slices: under each block above the diagonal its
+    adjoint, signed zeros included, as eigh reads the lower triangle.
     """
     diagonal, alpha = trace.diagonal, trace.input.alpha
     q = len(diagonal[0])
@@ -420,7 +403,18 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
                                     total, out=np.zeros_like(total),
                                     where=total > 0.0)
         weights = np.add.reduceat(weights, starts)
-    kept = matcore.frobs(weights) > WEIGHT_REL * matcore.frob(diagonal[0])
+    mass = matcore.frobs(weights)
+    kept = mass > WEIGHT_REL * matcore.frob(diagonal[0])
+    if not kept.all():
+        # t_j = sum_k C(j, k) (-alpha)^(j-k) s_k, by synthetic division
+        shifted = np.array(trace.input.s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(shifted) - 1):
+                shifted[i + 1:] -= alpha * shifted[i:-1]
+            sizes = matcore.frobs(shifted)
+            shares = squares[:, None] ** np.arange(len(sizes)) * mass[:, None]
+            kept |= ((shares > WEIGHT_REL * sizes).any(axis=1)
+                     & (shares <= sizes).all(axis=1))
     return measures.from_atoms(alpha + squares[kept], weights[kept], q)
 
 

@@ -15,6 +15,7 @@ and several hand-derived constants below are frozen into the test modules.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -908,5 +909,19 @@ def literal_atomic_solution(trace, c, y, w, tol, merge_rel=1e-12,
                                     total, out=np.zeros_like(total),
                                     where=total > 0.0)
         weights = np.add.reduceat(weights, starts)
-    kept = matcore.frobs(weights) > weight_rel * matcore.frob(diagonal[0])
-    return measures.from_atoms(alpha + squares[kept], weights[kept], q)
+    # W at x is kept when its mass exceeds weight_rel |s_0|, or when its
+    # share (x - alpha)^j |W| exceeds weight_rel |t_j| for some j and
+    # exceeds |t_j| for none, t_j the moments of the measure moved by -alpha
+    s = trace.input.s
+    t = [sum(comb(j, i) * (-alpha) ** (j - i) * s[i] for i in range(j + 1))
+         for j in range(len(s))]
+    nodes = alpha + squares
+    kept = np.zeros(len(nodes), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (x, wi) in enumerate(zip(squares, weights)):
+            shares = [x ** j * matcore.frob(wi) for j in range(len(t))]
+            sizes = [matcore.frob(tj) for tj in t]
+            kept[i] = shares[0] > weight_rel * sizes[0] or (
+                any(a > weight_rel * b for a, b in zip(shares, sizes))
+                and all(a <= b for a, b in zip(shares, sizes)))
+    return measures.from_atoms(nodes[kept], weights[kept], q)

@@ -16,10 +16,9 @@ import oracles
 from conftest import completely_degenerate_seq, measure_seq
 from stieltjesmp import lft, matcore, measures, pairs, solver
 from stieltjesmp.hankel import classify
-from stieltjesmp.matcore import DEFAULT_TOL, PreconditionError
+from stieltjesmp.matcore import DEFAULT_TOL
 from stieltjesmp.pairs import RationalMatFun, StieltjesPair, default_grid
 from stieltjesmp.respoly import MatrixPolynomial
-from stieltjesmp.solver import SolutionRequest, solve
 
 
 def _same(got, want):
@@ -52,7 +51,7 @@ def _atom_pair(rng, alpha, q, k, constant, mode):
     return StieltjesPair(alpha, g.rmul(p), RationalMatFun.const(p))
 
 
-def _compare_stages(monkeypatch, seq, pair, mode, grid=None):
+def _compare_stages(monkeypatch, seq, pair, mode, points=None):
     tol = DEFAULT_TOL
     trace = classify(seq, tol).trace
     zs, (ph, ps) = pairs.grid_values((pair.phi, pair.psi),
@@ -65,8 +64,8 @@ def _compare_stages(monkeypatch, seq, pair, mode, grid=None):
         return None
     assert all(_same(a, b) for a, b in zip(got[1], want[1]))
 
-    if grid is not None:
-        zs, ph, ps = solver._homogeneous_values(pair, grid)
+    if points is not None:
+        zs, (ph, ps) = pairs.grid_values((pair.phi, pair.psi), points)
     gated = []
     check = lft.check_denominator
 
@@ -128,27 +127,17 @@ def test_the_atomic_stages_keep_the_bytes_of_their_literal_forms(
         assert solver._parameter_atoms(pair, "leq", zs, ph,
                                        DEFAULT_TOL)[0].any()
         gated.add(_compare_stages(monkeypatch, seq, pair, "leq"))
-    # a trace with a zero tail, and a user grid whose point alpha makes D
-    # singular
+    # a trace with a zero tail, and the gate at chosen points, alpha among
+    # them, where D is singular
     _, seq = completely_degenerate_seq(rng, 2, 5, alpha=-0.25)
     assert not classify(seq).trace.diagonal[-1].any()
     zero = _atom_pair(rng, -0.25, 2, 0, constant=False, mode="eq")
     gated.add(_compare_stages(monkeypatch, seq, zero, "eq"))
     _, seq = measure_seq(rng, 3, 3, alpha=0.0)
     pair = _atom_pair(rng, 0.0, 3, 1, constant=False, mode="leq")
-    for grid in ((-1.5, 2j, 3.0 - 1j), (-1.0, 0.0, 1j)):
-        gated.add(_compare_stages(monkeypatch, seq, pair, "leq", grid))
+    for points in ((-1.5, 2j, 3.0 - 1j), (-1.0, 0.0, 1j)):
+        gated.add(_compare_stages(monkeypatch, seq, pair, "leq", points))
     assert gated == {"value", "raise"}
-
-
-def test_solve_refuses_an_empty_grid():
-    rng = np.random.default_rng(3802)
-    _, seq = measure_seq(rng, 2, 2)
-    pair = _atom_pair(rng, 0.0, 2, 1, constant=False, mode="leq")
-    req = SolutionRequest(seq, pair)
-    assert solve(req, grid=(-1.0,)).q == 2
-    with pytest.raises(PreconditionError, match="at least one point"):
-        solve(req, grid=())
 
 
 def _verdicts_match(x, y, c, floor):

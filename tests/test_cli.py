@@ -19,12 +19,13 @@ from numpy.testing import assert_allclose
 from conftest import (NEGATIVE_ATOMS, cauchy_pair, completely_degenerate_seq,
                       measure_seq, negative_atom_problem)
 import stieltjesmp
-from stieltjesmp import measures, schur, serialize
+from stieltjesmp import measures, pairs, schur, serialize
 from stieltjesmp.cli import build_parser, main
 from stieltjesmp.measures import DiscreteMeasure, moments
 from stieltjesmp.pairs import RationalMatFun
 from stieltjesmp.respoly import MatrixPolynomial
 from stieltjesmp.schur import first_transform
+from stieltjesmp.solver import SolutionRequest, solve
 
 
 def write_json(path, obj):
@@ -406,8 +407,11 @@ def test_grid_override_controls_sample_points(tmp_path, capsys):
     assert code == 2
 
 
-def test_singular_grid_point_is_a_verification_failure(tmp_path, capsys):
-    # at m = 0 the solution denominator (z - alpha) I is singular at alpha
+def test_a_grid_point_at_a_pole_of_the_solution_is_dropped(tmp_path,
+                                                           capsys):
+    # --grid names sample points alone: at m = 0 the solution is
+    # -s_0 / (z - alpha), and its pole alpha is dropped from the samples as
+    # oracle drops it, while solve's gate on D reads default_grid
     eye = serialize.matrix_to_json(np.eye(2))
     zero = serialize.matrix_to_json(np.zeros((2, 2)))
     payload = {
@@ -417,8 +421,22 @@ def test_singular_grid_point_is_a_verification_failure(tmp_path, capsys):
                       "psi": {"num": [eye], "den": [[1.0, 0.0]]}},
     }
     path = write_json(tmp_path / "prob.json", payload)
-    code, out = run_cli(capsys, ["solve", path, "--grid", "0.5"])
-    assert code == 4 and out is None
+    code, out = run_cli(capsys, ["solve", path, "--grid", "0.5,0.5+1i"])
+    assert code == 0 and out["verification_report"]["ok"] is True
+    assert [e["z"] for e in out["samples"]] == [[0.5, 1.0]]
+    # each solve fixture at its own alpha: every descent factor makes
+    # D(alpha) = 0, and the samples are the walk's of the printed function
+    for name in ("solve_q1_m2", "solve_q2_m2", "solve_deg_q2_m5"):
+        obj = json.loads((DATA / f"{name}.json").read_text())
+        seq = serialize.sequence_from_json(obj["sequence"])
+        pair = serialize.pair_from_json(obj["parameter"])
+        sol = solve(SolutionRequest(seq, pair, obj.get("mode", "leq")))
+        code, out = run_cli(capsys, ["solve", str(DATA / f"{name}.json"),
+                                     "--grid", repr(seq.alpha)])
+        assert code == 0 and out["verification_report"]["ok"] is True
+        zs, (values,) = pairs.grid_values((sol,), (seq.alpha,))
+        assert out["samples"] == json.loads(serialize.dumps(
+            serialize.samples_to_json(zs, values, 15)))
 
 
 @pytest.mark.parametrize("grid", ["nan", "1+nanj", "0.5,nan", "inf",
@@ -512,17 +530,20 @@ def test_parameter_whose_determinant_overflows_is_a_precondition(
     ("0.5,1e300", "(1e+300+0j)")])
 def test_grid_point_where_the_denominator_overflows_is_a_precondition(
         capsys, grid, point):
-    # finite points where the synthesis denominator is not: Horner warned
-    # and numpy's SVD of the infinite value exited 2 with "bad input: SVD
-    # did not converge"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["solve", str(DATA / "solve_q2_m2.json"), "--grid", grid])
-    assert code == 3
-    captured = capsys.readouterr()
-    assert not captured.out
-    assert captured.err == ("precondition violated: synthesis denominator at "
-                            f"grid point {point} is not finite\n")
+    # finite points where the size bound |d|(|z|) of the printed function's
+    # denominator leaves the float range, so the pole rule cannot decide:
+    # both subcommands that print samples refuse the point by name
+    for argv in (["solve", str(DATA / "solve_q2_m2.json")],
+                 ["oracle", str(DATA / "measure_q2_m2.json")]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--grid", grid])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == ("precondition violated: a denominator's size "
+                                f"bound at grid point {point} leaves the "
+                                "float range\n")
 
 
 @pytest.mark.parametrize("x", [1e200, float("inf")])
@@ -711,8 +732,9 @@ def test_malformed_entries_and_top_level_values_are_bad_input(
 
 def test_solve_takes_the_general_path_end_to_end(tmp_path, capsys):
     # psi = diag(1, 0) is singular, so the pair has no atoms: lft_rational
-    # synthesizes the solution after solve's gate on D, which refuses
-    # alpha, where every descent factor makes D vanish
+    # synthesizes the solution after solve's gate on D on default_grid.
+    # --grid only samples: alpha, where every descent factor makes D
+    # vanish, is a sample point like any other
     alpha = 0.3
     _, seq = measure_seq(np.random.default_rng(0), 2, 2, alpha=alpha)
     eye = RationalMatFun.const(np.eye(2))
@@ -726,12 +748,16 @@ def test_solve_takes_the_general_path_end_to_end(tmp_path, capsys):
     code, out = run_cli(capsys, ["solve", path])
     assert code == 0
     assert out["verification_report"]["ok"] is True
-    assert main(["solve", path, "--grid", "1+1i,0.3"]) == 4
-    captured = capsys.readouterr()
-    assert not captured.out
-    assert captured.err == ("verification failed: linear-fractional "
-                            "denominator is numerically singular at "
-                            "(0.3+0j)\n")
+    written = json.loads(Path(path).read_text(encoding="utf-8"))
+    sol = solve(SolutionRequest(
+        serialize.sequence_from_json(written["sequence"]),
+        serialize.pair_from_json(written["parameter"])))
+    code, sampled = run_cli(capsys, ["solve", path, "--grid", "1+1i,0.3"])
+    assert code == 0
+    assert sampled["rational_function"] == out["rational_function"]
+    zs, (values,) = pairs.grid_values((sol,), (1 + 1j, alpha))
+    assert sampled["samples"] == json.loads(serialize.dumps(
+        serialize.samples_to_json(zs, values, 15)))
 
 
 DATA = Path(__file__).resolve().parent / "data"

@@ -201,9 +201,10 @@ def test_the_trace_checks_no_stage_again(monkeypatch):
 
 
 def test_only_the_cli_grid_reaches_a_grid_parameter():
-    # the range conditions are coefficient identities and the other gates,
-    # verify_pair's among them, use default_grid, so a grid parameter
-    # belongs only to the functions that the CLI's --grid reaches
+    # the range conditions are coefficient identities and every gate,
+    # verify_pair's and solve's among them, uses default_grid, so a grid
+    # parameter belongs only to the functions that the CLI's --grid reaches:
+    # the printed samples
     src = Path(importlib.import_module("stieltjesmp").__file__).parent
     takers = set()
     for path in src.glob("*.py"):
@@ -214,7 +215,22 @@ def test_only_the_cli_grid_reaches_a_grid_parameter():
                          + args.kwonlyargs]
                 if "grid" in names:
                     takers.add(f"{path.stem}.{node.name}")
-    assert takers == {"cli._samples", "pairs.grid_values", "solver.solve"}
+    assert takers == {"cli._samples", "pairs.grid_values"}
+
+
+def test_grid_values_is_the_one_scalar_denominator_evaluator():
+    # a scalar denominator is evaluated by grid_values' walk alone, with
+    # its pole rule and its overflow refusals: no module calls polyval
+    src = Path(importlib.import_module(PACKAGE).__file__).parent
+    callers = []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", ""))
+                if name == "polyval":
+                    callers.append(f"{path.stem}: {ast.unparse(node)}")
+    assert not callers, callers
 
 
 def test_no_function_takes_a_parameter_it_never_reads():

@@ -28,8 +28,8 @@ from conftest import (
 )
 from oracles import (oracle_block_gauss, oracle_block_radau,
                      oracle_stieltjes_value)
-from stieltjesmp import (cli, hankel, lft, matcore, pairs, respoly, schur,
-                         serialize, solver)
+from stieltjesmp import (cli, hankel, lft, matcore, measures, pairs, respoly,
+                         schur, serialize, solver)
 from stieltjesmp.hankel import MomentSequence
 from stieltjesmp.lft import lft_rational
 from stieltjesmp.matcore import (
@@ -143,12 +143,24 @@ def test_solve_builds_only_the_descent_product(monkeypatch):
     assert verify_solution(sol, seq)["ok"]
 
 
+def _gate(req, points, tol=DEFAULT_TOL):
+    """solve's gate on the descent denominator of ``req``'s pair, at the
+    chosen ``points`` in place of the walk of ``default_grid``."""
+    pair = req.parameter
+    zs, (ph, ps) = pairs.grid_values((pair.phi, pair.psi), points)
+    solver._gate_descent_denominator(hankel.classify(req.seq, tol).trace,
+                                     zs, ph, ps, tol)
+
+
 def test_solve_gates_the_denominator_on_its_grid():
-    # at m = 0 the solution denominator is (z - alpha) I, singular at alpha
+    # at m = 0 the solution denominator is (z - alpha) I, singular at
+    # alpha, which default_grid, solve's only grid, leaves out
     seq = MomentSequence(0.5, (np.diag([2.0, 1.0]),))
     req = SolutionRequest(seq, identity_pair(0.5, 2))
+    assert verify_solution(solve(req), seq)["ok"]
+    assert all(z.imag or z.real < 0.5 for z in pairs.default_grid(0.5))
     with pytest.raises(SingularDenominatorError) as err:
-        solve(req, grid=(0.5, 0.5 + 1j))
+        _gate(req, (0.5, 0.5 + 1j))
     assert err.value.stage == "synthesis"
     assert err.value.point == 0.5
 
@@ -173,49 +185,53 @@ def test_solve_names_the_singular_grid_point():
             (2.0 * z0 * np.diag([z0 + 3.0, 1.0]))[None], DEFAULT_TOL,
             "synthesis", [z0])
     with pytest.raises(SingularDenominatorError) as err:
-        solve(req, grid=(1j, z0, 2j))
+        _gate(req, (1j, z0, 2j))
     assert (err.value.stage, err.value.point) == ("synthesis", z0)
     assert err.value.gap == pytest.approx(ref.value.gap, rel=1e-9)
     assert err.value.gap == pytest.approx(1e-11, rel=1e-9)
     assert str(err.value) == str(ref.value)
-    # on a grid without its singular points the same pair passes
-    assert solve(req, grid=(1j, 2j, -1.0)).q == 2
+    # at points away from its singular ones the same pair passes, and
+    # default_grid holds none of them
+    _gate(req, (1j, 2j, -1.0))
     assert solve(req).q == 2
 
 
 def test_solve_names_the_first_failing_grid_point_in_grid_order():
     # D is singular at -3, at alpha and near -3 + 1e-11i: the first of
-    # them in grid order is named
+    # them in the order of the points is named
     req = _rooted_problem()
     z0 = -3.0 + 1e-11j
-    for grid, first, gap in (((1j, z0, 0.0, -3.0), z0, 1e-11),
-                             ((1j, -3.0, z0, 0.0), -3.0, 0.0),
-                             ((0.0, z0, -3.0), 0.0, 0.0)):
+    for points, first, gap in (((1j, z0, 0.0, -3.0), z0, 1e-11),
+                               ((1j, -3.0, z0, 0.0), -3.0, 0.0),
+                               ((0.0, z0, -3.0), 0.0, 0.0)):
         with pytest.raises(SingularDenominatorError) as err:
-            solve(req, grid=grid)
+            _gate(req, points)
         assert err.value.point == first
         assert err.value.gap == pytest.approx(gap, rel=1e-9)
 
 
 def test_solve_refuses_a_grid_point_where_the_denominator_overflows():
     # D(z) = 2 z R(z) overflows at 1e160 and beyond: the first such point
-    # in grid order is named, with no warning; at 1e150 D is finite, but
-    # |D|^2, which bounds det D, leaves the float range
+    # in the order of the points is named, with no warning; at 1e150 D is
+    # finite, but |D|^2, which bounds det D, leaves the float range.  The
+    # walk passes these points, as the pair's denominators are constant
     req = _rooted_problem()
-    for grid, point in (((1.0, 1e160, 1e300j), 1e160),
-                        ((1e300j, 1e160), 1e300j)):
+    for points, point in (((1.0, 1e160, 1e300j), 1e160),
+                          ((1e300j, 1e160), 1e300j)):
         with pytest.raises(PreconditionError) as err:
-            solve(req, grid=grid)
+            _gate(req, points)
         assert str(err.value) == ("synthesis denominator at grid point "
                                   f"{complex(point)} is not finite")
     with pytest.raises(PreconditionError, match="leaves the float range"):
-        solve(req, grid=(1.0, 1e150))
+        _gate(req, (1.0, 1e150))
 
 
 def test_solve_refuses_alpha_on_the_general_path():
     # every descent factor's lower block row carries (z - alpha), so
-    # D(alpha) = 0 exactly; the gate on D's polynomial passed alpha on the
-    # rounding of its coefficients here
+    # D(alpha) = 0 exactly, and the gate refuses alpha by its values; the
+    # gate on D's polynomial passed alpha on the rounding of its
+    # coefficients here.  solve's walk of default_grid holds no point of
+    # [alpha, inf), so solve itself meets no such point
     alpha = 0.3
     _, seq = measure_seq(np.random.default_rng(0), 2, 2, alpha=alpha)
     pair = StieltjesPair(alpha, RationalMatFun.const(np.eye(2)),
@@ -223,7 +239,7 @@ def test_solve_refuses_alpha_on_the_general_path():
     req = SolutionRequest(seq, pair)
     assert verify_solution(solve(req), seq)["ok"]
     with pytest.raises(SingularDenominatorError) as err:
-        solve(req, grid=pairs.default_grid(alpha) + (alpha,))
+        _gate(req, pairs.default_grid(alpha) + (alpha,))
     assert (err.value.stage, err.value.point, err.value.gap) == (
         "synthesis", alpha, 0.0)
 
@@ -255,11 +271,12 @@ def _general_pair(rng, alpha, q, kind):
 
 
 def test_the_gate_and_the_synthesis_read_the_same_denominator(monkeypatch):
-    # the values the gate decides on are the kernel's D at the same points:
-    # on the walk's values over phi.den psi.den, which the walk divided by,
-    # and on a user grid exactly.  The bound is relative to sum_k |D_k||z|^k,
-    # the size of Horner's terms: D(z) itself can be smaller by cancellation
-    # (1.7e-12 relative to |D(z)| in one draw here)
+    # the values the gate decides on are the kernel's D at the same points,
+    # over phi.den psi.den, which the walk divided by: in solve, on
+    # default_grid, and at chosen points with one more, off the half-axis.
+    # The bound is relative to sum_k |D_k||z|^k, the size of Horner's
+    # terms: D(z) itself can be smaller by cancellation (1.7e-12 relative
+    # to |D(z)| in one draw here)
     seen = []
     monkeypatch.setattr(lft, "check_denominator", lambda dens, tol, stage,
                         zs, _fn=lft.check_denominator: seen.append(
@@ -274,26 +291,26 @@ def test_the_gate_and_the_synthesis_read_the_same_denominator(monkeypatch):
         pair = _general_pair(rng, alpha, q, kind)
         gen = respoly.descent_resolvent(hankel.classify(seq).trace)
         den = lft._num_den(gen, pair.phi, pair.psi)[1]
-        for mode in ("leq", "eq"):
-            for grid in (None, pairs.default_grid(alpha) + (alpha + 3 + 1j,)):
-                seen.clear()
-                try:
-                    solve(SolutionRequest(seq, pair, mode), grid=grid)
-                except (PreconditionError, SingularDenominatorError):
-                    pass
-                if not seen:
-                    continue
-                (dens, zs), = seen
-                want = den(zs)
-                size = npoly.polyval(abs(zs), den.coeff_norms())
-                if grid is None:
-                    walked = (npoly.polyval(zs, pair.phi.den)
-                              * npoly.polyval(zs, pair.psi.den))
-                    want = want / walked[:, None, None]
-                    size = size / abs(walked)
-                assert np.all(matcore.frobs(dens - want) <= 1e-12 * size), (
-                    q, m, kind, mode)
-                gated += 1
+        points = pairs.default_grid(alpha) + (alpha + 3 + 1j,)
+        for mode in ("leq", "eq", None):
+            seen.clear()
+            try:
+                if mode is None:
+                    _gate(SolutionRequest(seq, pair), points)
+                else:
+                    solve(SolutionRequest(seq, pair, mode))
+            except (PreconditionError, SingularDenominatorError):
+                pass
+            if not seen:
+                continue
+            (dens, zs), = seen
+            walked = (npoly.polyval(zs, pair.phi.den)
+                      * npoly.polyval(zs, pair.psi.den))
+            want = den(zs) / walked[:, None, None]
+            size = npoly.polyval(abs(zs), den.coeff_norms()) / abs(walked)
+            assert np.all(matcore.frobs(dens - want) <= 1e-12 * size), (
+                q, m, kind, mode)
+            gated += 1
     assert gated >= 80, gated
 
 
@@ -1006,3 +1023,66 @@ def test_an_atomic_parameter_that_in_diamond_refuses_solves_in_eq_mode():
     assert not pairs.in_diamond(pair)["ok"]
     sol = solve(SolutionRequest(seq, pair, "eq"))
     assert verify_solution(sol, seq, "eq")["ok"]
+
+
+def test_far_atoms_of_tiny_weight_are_not_dropped(monkeypatch):
+    # with phi of solve_q2_m2.json scaled by 1e8, the solution has nodes
+    # near 6.4e6 and 3.3e7 whose weights, 4.5e-13 and 4.9e-15, lie under
+    # WEIGHT_REL |s_0| but carry 42 % of s_2.  Dropped by their mass, the
+    # function missed s_2: verify refused it in eq mode and passed it in
+    # leq mode, where C = 0 makes the parameter's solution meet s_2 exactly
+    obj = json.loads((DATA / "solve_q2_m2.json").read_text())
+    seq = serialize.sequence_from_json(obj["sequence"])
+    pair = serialize.pair_from_json(obj["parameter"])
+    big = StieltjesPair(pair.alpha, pair.phi.scale(1e8), pair.psi)
+    atoms = []
+    from_atoms = measures.from_atoms
+    monkeypatch.setattr(measures, "from_atoms", lambda nodes, weights, q: (
+        atoms.append((nodes, weights)) or from_atoms(nodes, weights, q)))
+    for mode in ("leq", "eq"):
+        atoms.clear()
+        try:
+            sol = solve(SolutionRequest(seq, big, mode))
+        except GrowthError:
+            sol = None
+        (nodes, weights), = atoms
+        assert nodes[-1] > 1e7
+        for j, s in enumerate(seq.s):
+            got = np.tensordot(nodes ** j, weights, axes=1)
+            assert frob(got - s) <= 1e-8 * frob(s), (mode, j)
+        if sol is not None:
+            assert verify_solution(sol, seq, mode)["ok"]
+            got = measures.extract_moments(sol, seq.alpha, seq.m)[0].s
+            assert all(frob(a - b) <= 1e-8 * frob(b)
+                       for a, b in zip(got, seq.s)), mode
+
+
+def test_solve_returns_the_solution_of_its_own_parameter():
+    # in eq mode the moments of F beyond m are fixed by the parameter
+    # G = sum_i W_i / (y_i - z): ascending G's moments sum_i y_i^j W_i
+    # with inverse_transform, seeded with the trace's diagonal from last to
+    # first, gives F's moments through code the eigensolve does not use
+    rng = np.random.default_rng(1401)
+    worst = {}
+    for _ in range(60):
+        q, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        k = int(rng.integers(1, 3))
+        alpha = float(rng.uniform(-1.0, 1.0))
+        _, seq = measure_seq(rng, q, m, atoms=m + 3, alpha=alpha)
+        y = np.sort(alpha + rng.uniform(0.2, 6.0, size=k))
+        w = np.array([random_psd(rng, q) + 0.05 * np.eye(q)
+                      for _ in range(k)])
+        pair = StieltjesPair(alpha, measures.from_atoms(y, w, q),
+                             RationalMatFun.const(np.eye(q)))
+        sol = solve(SolutionRequest(seq, pair, "eq"))
+        up = MomentSequence(alpha, tuple(np.tensordot(y ** j, w, axes=1)
+                                         for j in range(4)))
+        for a in hankel.classify(seq).trace.diagonal[::-1]:
+            up = schur.inverse_transform(up, a)
+        assert len(up.s) == m + 5
+        got = measures.extract_moments(sol, alpha, m + 4)[0].s
+        gap = max(frob(a - b) / frob(b) for a, b in zip(got, up.s))
+        worst[q] = max(worst.get(q, 0.0), gap)
+    # worst gaps here: 1.6e-13, 3.3e-11 and 1.1e-10 for q = 1, 2, 3
+    assert sorted(worst) == [1, 2, 3]
+    assert max(worst.values()) <= 1e-8, worst
