@@ -9,14 +9,15 @@ solution
 
 with V the 2q x 2q descent product of the run's diagonal Q_0..Q_m.  When
 psi is a constant invertible matrix and phi psi^(-1) = C + sum_i W_i /
-(y_i - z) has atoms (``_parameter_atoms``), the atoms are the gate: the
-pair is admissible exactly when C and every W_i are PSD (a negative one
-is refused by name), and it decays exactly when C = 0, so neither
-``pairs.admissibility`` nor ``pairs.in_diamond`` runs.  Any other pair is
-gated on the grid (admissibility, decay for the equality problem).  Every
-pair then meets the range condition against the top diagonal entry and one
-gate on the descent denominator D = V_21 phi + V_22 psi, on the walk's
-values (``_gate_descent_denominator``).  A pair with atoms
+(y_i - z) has atoms (``_parameter_atoms``, in either mode), the atoms are
+the gate: the pair is admissible exactly when C and every W_i are PSD (a
+negative one is refused by name), and it decays exactly when C = 0, so
+neither ``pairs.admissibility`` nor ``pairs.in_diamond`` runs.  Any other
+pair must be admissible on the grid.  Every pair then meets the range
+condition against the top diagonal entry; in the equality problem, the
+one decay gate (C = 0 for a pair with atoms, ``pairs.in_diamond`` for any
+other); and one gate on the descent denominator D = V_21 phi + V_22 psi,
+on the walk's values (``_gate_descent_denominator``).  A pair with atoms
 has F read off the diagonal as a continued fraction: one Hermitian block
 tridiagonal eigensolve, of T written by slices, gives its nodes and PSD
 weights, which ``measures.from_atoms`` turns into F (``_atomic_solution``).
@@ -158,12 +159,14 @@ def solve(req: SolutionRequest,
     InconsistencyError).  A pair with atoms (``_parameter_atoms``: psi a
     constant invertible matrix and phi psi^(-1) = C + sum_i W_i / (y_i - z)
     with simple real y_i >= alpha, matching the walk) is admissible exactly
-    when C and every W_i are PSD, and decays exactly when C = 0, so its
-    atoms gate it: a negative one is refused by name.  Any other pair must
-    be admissible on the grid (``pairs.admissibility``) and, in the
-    equality problem, in the decaying subclass (``pairs.in_diamond``).
-    Unless the top diagonal entry has full rank, every pair must satisfy
-    the range condition against it.  Every pair then passes the one gate
+    when C and every W_i are PSD, so its atoms gate it: a negative one is
+    refused by name.  Any other pair must be admissible on the grid
+    (``pairs.admissibility``).  Unless the top diagonal entry has full
+    rank, every pair must satisfy the range condition against it.  The
+    equality problem then reads the mode, once: a pair with atoms decays
+    exactly when C = 0 and is refused with its constant's norm otherwise,
+    and any other pair must be in the decaying subclass
+    (``pairs.in_diamond``).  Every pair then passes the one gate
     on the descent denominator D = V_21 phi + V_22 psi (V the descent
     product) on the walk's values: at each point D must be finite, its
     norm to the power q, which bounds its determinant, within the float
@@ -180,7 +183,7 @@ def solve(req: SolutionRequest,
     report = _classified(seq, tol)
     zs, (ph, ps) = pairs.grid_values((pair.phi, pair.psi),
                                      pairs.default_grid(seq.alpha))
-    atoms = _parameter_atoms(pair, req.mode, zs, ph, tol)
+    atoms = _parameter_atoms(pair, zs, ph, tol)
     if atoms is None:
         pre = pairs.admissibility(pair, zs, ph, ps, tol)
         if not pre["ok"]:
@@ -191,12 +194,18 @@ def solve(req: SolutionRequest,
         raise PreconditionError(
             "parameter range escapes the range of the top diagonal entry "
             f"(rank {r} case '{tag}')")
-    if atoms is None and req.mode == "eq":
-        decay = pairs.in_diamond(pair)
-        if not decay["ok"]:
-            raise PreconditionError(
-                "equality problem needs a decaying parameter; quotient "
-                f"residual {decay['residual']:.3e}")
+    if req.mode == "eq":
+        if atoms is not None:
+            if atoms[0].any():
+                raise PreconditionError(
+                    "equality problem needs a decaying parameter; its "
+                    f"constant has norm {matcore.frob(atoms[0]):.3e}")
+        else:
+            decay = pairs.in_diamond(pair)
+            if not decay["ok"]:
+                raise PreconditionError(
+                    "equality problem needs a decaying parameter; quotient "
+                    f"residual {decay['residual']:.3e}")
     _gate_descent_denominator(report.trace, zs, ph, ps, tol)
     if atoms is None:
         return lft.lft_rational(respoly.descent_resolvent(report.trace),
@@ -223,19 +232,20 @@ MERGE_REL = 1e-12
 WEIGHT_REL = 1e-12
 
 
-def _parameter_atoms(pair: StieltjesPair, mode: str, zs, ph, tol):
+def _parameter_atoms(pair: StieltjesPair, zs, ph, tol):
     """(C, y, W) with G = phi psi^(-1) = C + sum_i W_i / (y_i - z), or None.
 
     The pair has atoms when psi is a constant matrix with sigma_min/sigma_max
     at least ``tol.det_gate``, G's numerator degree is at most its
     denominator's, the denominator's roots y_i are simple, real and at
-    least alpha, C = 0 in eq mode, and the atoms give G's values at the
-    points ``zs`` (at least one), from phi's values ``ph`` there, to
-    ``ATOMS_REL``.  Such a pair is admissible exactly when C and every
-    residue W_i are positive semidefinite: one that is not, by more than
-    ``tol.psd`` (``matcore.psd_margin``), is refused with a
-    PreconditionError that names it and its margin.  C and the W_i are
-    returned symmetrized.
+    least alpha, and the atoms give G's values at the points ``zs`` (at
+    least one), from phi's values ``ph`` there, to ``ATOMS_REL``; None
+    means only that it has none.  Such a pair is admissible exactly when C
+    and every residue W_i are positive semidefinite: one that is not, by
+    more than ``tol.psd`` (``matcore.psd_margin``), is refused with a
+    PreconditionError that names it and its margin.  Whether it decays,
+    C = 0, is ``solve``'s decay gate.  C and the W_i are returned
+    symmetrized.
     """
     phi, psi = pair.phi, pair.psi
     if len(psi.den) > 1 or psi.num.trimmed().degree:
@@ -257,8 +267,6 @@ def _parameter_atoms(pair: StieltjesPair, mode: str, zs, ph, tol):
     if d and (y[0] < pair.alpha or not (y[1:] > y[:-1]).all()):
         return None
     c = num[d] / phi.den[d] if len(num) == d + 1 else np.zeros_like(p0)
-    if mode == "eq" and c.any():
-        return None
     # den'(y) and num(y) by Horner, with the start and order of numpy's
     # polyval of polyder's j den_j and of MatrixPolynomial's evaluation
     slope = d * den[d] + y * 0

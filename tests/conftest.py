@@ -8,6 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from stieltjesmp import lft, matcore, pairs, solver
@@ -171,6 +172,15 @@ def const_pair(alpha, q, c=1.0):
     """(c I, I) with c >= 0: admissible but NOT decaying."""
     return StieltjesPair(alpha, RationalMatFun.const(c * np.eye(q)),
                          RationalMatFun.const(np.eye(q)))
+
+
+def grid_pole_pair(alpha, q):
+    """(I / d, I) with d the monic polynomial whose roots are the points of
+    ``default_grid(alpha)``: every grid point is a pole of the pair."""
+    den = npoly.polyfromroots(pairs.default_grid(alpha))
+    return StieltjesPair(alpha, RationalMatFun(
+        MatrixPolynomial.constant(np.eye(q)), den),
+        RationalMatFun.const(np.eye(q)))
 
 
 # (eps, x) of the parameters 1/(1 - z) - eps/(x - z): a pole at x > 0 with

@@ -747,7 +747,7 @@ def literal_unit_den(den, rel=1e-13):
     return den, None
 
 
-def literal_parameter_atoms(pair, mode, zs, ph, tol, atoms_rel=1e-10):
+def literal_parameter_atoms(pair, zs, ph, tol, atoms_rel=1e-10):
     """``solver._parameter_atoms`` as first written: numpy's polyder and
     polyval for the slope, a polynomial object's Horner for the residues
     and ``tensordot`` for the fit."""
@@ -776,8 +776,6 @@ def literal_parameter_atoms(pair, mode, zs, ph, tol, atoms_rel=1e-10):
     if d and (y[0] < pair.alpha or not np.all(np.diff(y) > 0.0)):
         return None
     c = num[d] / den[d] if len(num) == d + 1 else np.zeros_like(p0)
-    if mode == "eq" and c.any():
-        return None
     slope = npoly.polyval(y, npoly.polyder(den.real))
     atoms = np.concatenate((c[None], -literal_horner(num, y)
                             / slope[:, None, None]))

@@ -36,28 +36,27 @@ def _outcome(fn, *args):
                 tuple(getattr(exc, a, None) for a in ("stage", "point", "gap")))
 
 
-def _atom_pair(rng, alpha, q, k, constant, mode):
+def _atom_pair(rng, alpha, q, k, constant):
     """(G P, P) for a random invertible P and G = C + sum_i W_i / (y_i - z)
-    with k simple real y_i > alpha and PSD W_i; C = 0 unless ``constant``
-    (and never in eq mode)."""
+    with k simple real y_i > alpha and PSD W_i; C = 0 unless ``constant``."""
     p = (rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
          + 3.0 * np.eye(q))
     nodes = np.sort(alpha + rng.uniform(0.2, 6.0, size=k))
     weights = np.array([oracles.random_psd(rng, q) for _ in range(k)]
                        ).reshape(k, q, q)
     g = measures.from_atoms(nodes, weights, q)
-    if constant and mode == "leq":
+    if constant:
         g = g + RationalMatFun.const(oracles.random_psd(rng, q))
     return StieltjesPair(alpha, g.rmul(p), RationalMatFun.const(p))
 
 
-def _compare_stages(monkeypatch, seq, pair, mode, points=None):
+def _compare_stages(monkeypatch, seq, pair, points=None):
     tol = DEFAULT_TOL
     trace = classify(seq, tol).trace
     zs, (ph, ps) = pairs.grid_values((pair.phi, pair.psi),
                                      default_grid(seq.alpha))
-    got = _outcome(solver._parameter_atoms, pair, mode, zs, ph, tol)
-    want = _outcome(oracles.literal_parameter_atoms, pair, mode, zs, ph, tol)
+    got = _outcome(solver._parameter_atoms, pair, zs, ph, tol)
+    want = _outcome(oracles.literal_parameter_atoms, pair, zs, ph, tol)
     assert got[0] == want[0]
     if got[0] == "raise" or got[1] is None:
         assert got == want
@@ -115,28 +114,26 @@ def test_the_atomic_stages_keep_the_bytes_of_their_literal_forms(
         for m in range(7):
             alpha = float(rng.uniform(-1.0, 1.0))
             k = (0, 1, 3)[(q + m) % 3]
-            mode = ("leq", "eq")[(q * m) % 2]
             _, seq = measure_seq(rng, q, m, alpha=alpha)
-            pair = _atom_pair(rng, alpha, q, k, constant=True, mode=mode)
-            gated.add(_compare_stages(monkeypatch, seq, pair, mode))
-    # C != 0 in leq mode beside k = 0, 1 and 3 atoms
+            pair = _atom_pair(rng, alpha, q, k, constant=(q * m) % 2 == 0)
+            gated.add(_compare_stages(monkeypatch, seq, pair))
+    # C != 0 beside k = 0, 1 and 3 atoms
     for k in (0, 1, 3):
         _, seq = measure_seq(rng, 3, 4, alpha=0.5)
-        pair = _atom_pair(rng, 0.5, 3, k, constant=True, mode="leq")
+        pair = _atom_pair(rng, 0.5, 3, k, constant=True)
         zs, (ph,) = pairs.grid_values((pair.phi,), default_grid(0.5))
-        assert solver._parameter_atoms(pair, "leq", zs, ph,
-                                       DEFAULT_TOL)[0].any()
-        gated.add(_compare_stages(monkeypatch, seq, pair, "leq"))
+        assert solver._parameter_atoms(pair, zs, ph, DEFAULT_TOL)[0].any()
+        gated.add(_compare_stages(monkeypatch, seq, pair))
     # a trace with a zero tail, and the gate at chosen points, alpha among
     # them, where D is singular
     _, seq = completely_degenerate_seq(rng, 2, 5, alpha=-0.25)
     assert not classify(seq).trace.diagonal[-1].any()
-    zero = _atom_pair(rng, -0.25, 2, 0, constant=False, mode="eq")
-    gated.add(_compare_stages(monkeypatch, seq, zero, "eq"))
+    zero = _atom_pair(rng, -0.25, 2, 0, constant=False)
+    gated.add(_compare_stages(monkeypatch, seq, zero))
     _, seq = measure_seq(rng, 3, 3, alpha=0.0)
-    pair = _atom_pair(rng, 0.0, 3, 1, constant=False, mode="leq")
+    pair = _atom_pair(rng, 0.0, 3, 1, constant=False)
     for points in ((-1.5, 2j, 3.0 - 1j), (-1.0, 0.0, 1j)):
-        gated.add(_compare_stages(monkeypatch, seq, pair, "leq", points))
+        gated.add(_compare_stages(monkeypatch, seq, pair, points))
     assert gated == {"value", "raise"}
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (NEGATIVE_ATOMS, cauchy_pair, completely_degenerate_seq,
-                      measure_seq, negative_atom_problem)
+                      grid_pole_pair, measure_seq, negative_atom_problem)
 import stieltjesmp
 from stieltjesmp import measures, pairs, schur, serialize
 from stieltjesmp.cli import build_parser, main
@@ -260,6 +260,20 @@ def test_solve_rejects_inadmissible_parameter(tmp_path, capsys):
     # condition; the pair is gated on the default grid whatever --grid is
     code, _ = run_cli(capsys, ["solve", path, "--grid", "3,7"])
     assert code == 3
+
+
+def test_solve_exits_4_when_every_grid_point_is_a_pole(tmp_path, capsys):
+    # the pair's walk of default_grid keeps no point: an inconsistency,
+    # not a precondition
+    _, seq = measure_seq(np.random.default_rng(15), 2, 2, atoms=3)
+    payload = {"sequence": serialize.sequence_to_json(seq.alpha, seq.s),
+               "parameter": serialize.pair_to_json(grid_pole_pair(0.0, 2))}
+    path = write_json(tmp_path / "prob.json", payload)
+    assert main(["solve", path]) == 4
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == ("verification failed: every grid point sits on "
+                            "a pole of the pair\n")
 
 
 def test_verify_refuses_a_function_of_another_size(tmp_path, capsys):
@@ -1070,3 +1084,21 @@ def test_console_script_runs(tmp_path):
     proc = subprocess.run([str(exe), "classify", str(bad)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2, proc.stderr
+
+
+@pytest.mark.parametrize("obj", [
+    {"rows": 2, "cols": 2, "data": [[1.0, 0.0]] * 3},
+    {"rows": 1, "cols": 2, "data": []}], ids=["long", "empty"])
+def test_matrix_data_must_fill_its_shape(obj):
+    with pytest.raises(ValueError,
+                       match="matrix data length does not match rows\\*cols"):
+        serialize.matrix_from_json(obj)
+
+
+@pytest.mark.parametrize("digits", ["0", "-2"])
+def test_digits_below_one_is_a_precondition(capsys, digits):
+    code = main(["solve", str(DATA / "solve_q1_m2.json"), "--digits", digits])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "precondition violated: digits must be at least 1\n"

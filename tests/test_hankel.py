@@ -38,6 +38,19 @@ def test_sequence_validation():
         MomentSequence(0.0, ())
     with pytest.raises(ValueError):
         MomentSequence(0.0, (np.eye(2), np.eye(3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MomentSequence(0.0, (np.ones(2), np.ones(2))),
+     "expected a 2-d matrix, got shape"),
+    (lambda: MomentSequence(0.0, (np.eye(2),) * 2).restricted(2),
+     "restriction index out of range"),
+    (lambda: MomentSequence(0.0, (np.eye(2),) * 2).restricted(-1),
+     "restriction index out of range"),
+], ids=["one-d", "past-m", "negative"])
+def test_sequence_refuses_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
     seq = MomentSequence(0.5, (np.eye(2), 2 * np.eye(2)))
     assert seq.q == 2 and seq.m == 1
     assert_allclose(seq.shifted()[0], 1.5 * np.eye(2))

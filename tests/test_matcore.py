@@ -556,3 +556,17 @@ def test_j_form_is_congruence_by_minus_j():
     # the form is Hermitian whenever J is
     f = j_form(x, jt)
     assert_allclose(f, f.conj().T)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_cmat([[1.0, np.nan]]), "matrix contains non-finite entries"),
+    (lambda: as_cmat(np.ones((2, 2, 2))), "expected a 2-d matrix, got shape"),
+    (lambda: in_range(np.eye(2), np.eye(2), np.ones((3, 1))),
+     "row counts differ"),
+    (lambda: null_contains(np.eye(2), np.ones((1, 3))), "column counts differ"),
+    (lambda: j_form(np.ones((3, 1)), signature_j(1)),
+     "stacked matrix has 3 rows, signature expects 2"),
+], ids=["non-finite", "three-d", "in_range", "null_contains", "j_form"])
+def test_malformed_matrices_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -384,3 +384,23 @@ def test_cauchy_schwarz_equality_case():
     rep = finite_cauchy_schwarz_check(mu, f, f)
     assert rep["ok"]
     assert rep["sandwich_fg"] and rep["sandwich_fg_swapped"]
+
+
+def _overflowing_numerator():
+    return RationalMatFun(MatrixPolynomial.constant(np.full((2, 2), 1e308)),
+                          (1.0, -1.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DiscreteMeasure(0.0, (1.0, 2.0), (np.eye(1),)), ValueError,
+     "nodes and weights must pair up"),
+    (lambda: moments(DiscreteMeasure(0.0, (1.0,), (np.eye(1),)), -1),
+     PreconditionError, "moment order must be nonnegative"),
+    (lambda: extract_moments(RationalMatFun.const(np.eye(1)), 0.0, -1),
+     PreconditionError, "moment order must be nonnegative"),
+    (lambda: extract_moments(_overflowing_numerator(), 0.0, 1), ValueError,
+     "numerator coefficient norm overflows to a non-finite value"),
+], ids=["unpaired", "moments-order", "extract-order", "overflow"])
+def test_measures_refuse_malformed_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

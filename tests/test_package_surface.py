@@ -181,6 +181,20 @@ def test_the_scalar_denominator_synthesis_keeps_its_last_callers():
     }, callers
 
 
+def test_solve_reads_the_mode_once():
+    # the atoms of a pair do not depend on the problem: only solve's decay
+    # gate asks which problem it solves (read from the source, as a
+    # fixture wraps _parameter_atoms)
+    tree = ast.parse(_package_source("solver"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    assert [a.arg for a in defs["_parameter_atoms"].args.args] == [
+        "pair", "zs", "ph", "tol"]
+    reads = [ast.unparse(node) for node in ast.walk(defs["solve"])
+             if isinstance(node, ast.Attribute) and node.attr == "mode"]
+    assert reads == ["req.mode"]
+
+
 def test_the_trace_checks_no_stage_again(monkeypatch):
     # the public shift and reciprocal validate their argument; the trace's
     # steps run the same arithmetic on stages already known finite

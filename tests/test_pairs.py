@@ -10,6 +10,7 @@ from conftest import (
     cauchy_pair,
     const_pair,
     const_psi_pair,
+    grid_pole_pair,
     identity_pair,
     random_measure,
     random_psd,
@@ -403,6 +404,15 @@ def test_verify_pair_rejects_wrong_sign_and_real_axis():
     assert not rep["real_axis_ok"] and not rep["ok"]
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_verify_pair_refuses_a_walk_that_keeps_no_point(alpha):
+    pair = grid_pole_pair(alpha, 2)
+    assert not len(grid_values((pair.phi,), default_grid(alpha))[0])
+    with pytest.raises(InconsistencyError,
+                       match="every grid point sits on a pole of the pair"):
+        verify_pair(pair)
+
+
 def test_pair_from_function_names_the_failed_conditions():
     # F = -I: Im((z - alpha) F) < 0 above the axis, and F < 0 left of alpha
     with pytest.raises(PreconditionError) as err:
@@ -699,3 +709,23 @@ def test_pair_json_roundtrip():
     z = 2.0 + 1.0j
     assert_allclose(back.phi(z), p.phi(z), atol=1e-12)
     assert_allclose(back.psi(z), p.psi(z), atol=1e-12)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: StieltjesPair(float("nan"), RationalMatFun.const(np.eye(1)),
+                           RationalMatFun.const(np.eye(1))),
+     ValueError, "alpha must be finite"),
+    (lambda: StieltjesPair(0.0, RationalMatFun.const(np.eye(1)),
+                           RationalMatFun.const(np.eye(2))),
+     ValueError, "pair components must be square and equally sized"),
+    (lambda: StieltjesPair(0.0, RationalMatFun.const(np.ones((1, 2))),
+                           RationalMatFun.const(np.ones((1, 2)))),
+     ValueError, "pair components must be square and equally sized"),
+    (lambda: gamma_U_embed(RationalMatFun.const(np.eye(2)),
+                           RationalMatFun.const(np.eye(2)), np.eye(3)[:, :1],
+                           0.0),
+     PreconditionError, "pair size must match the number of columns of u"),
+], ids=["alpha", "sizes", "non-square", "embed-size"])
+def test_pairs_refuse_malformed_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -384,3 +384,11 @@ def test_j_identity_weighted_forms_require_null_domination():
     bad_a = np.diag([1.0, 0.0, 0.0])
     with pytest.raises(PreconditionError):
         verify_j_identities(0.0, np.eye(3), 0.5 + 1.0j, a=bad_a)
+
+
+@pytest.mark.parametrize("left, right", [
+    (np.eye(2), np.eye(3)), (np.eye(2), np.ones((2, 3)))],
+    ids=["sizes", "square-and-wide"])
+def test_polynomial_sum_refuses_a_shape_mismatch(left, right):
+    with pytest.raises(ValueError, match="shape mismatch in polynomial sum"):
+        MatrixPolynomial.constant(left) + MatrixPolynomial.constant(right)

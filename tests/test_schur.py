@@ -462,3 +462,25 @@ def test_the_trace_of_tiny_moments_is_the_scaled_trace(q):
     for a, b in zip(unit.stages, tiny.stages):
         assert np.array_equal(k * a, b)
     assert all(np.any(d) for d in tiny.diagonal[:3])
+
+
+def _sequence(alpha, m):
+    return MomentSequence(alpha, (np.eye(2),) * (m + 1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: reciprocal(()), ValueError, "reciprocal of an empty sequence"),
+    (lambda: reciprocal([np.eye(2), np.full((2, 2), np.inf)]), ValueError,
+     "expected finite matrices of one shape"),
+    (lambda: alpha_shift(0.0, np.eye(2)), ValueError,
+     "expected finite matrices of one shape"),
+    (lambda: check_inequality_preservation(_sequence(0.0, 1),
+                                           _sequence(1.0, 1)),
+     PreconditionError, "sequences must share alpha and length"),
+    (lambda: check_inequality_preservation(_sequence(0.0, 1),
+                                           _sequence(0.0, 2)),
+     PreconditionError, "sequences must share alpha and length"),
+], ids=["empty", "non-finite", "one-matrix", "alpha", "length"])
+def test_schur_refuses_malformed_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -16,6 +16,7 @@ from conftest import (
     completely_degenerate_seq,
     const_pair,
     const_psi_pair,
+    grid_pole_pair,
     identity_pair,
     measure_seq,
     negative_atom_problem,
@@ -517,14 +518,76 @@ def test_solve_rejects_inadmissible_parameter():
 def test_solve_refuses_a_parameter_with_a_negative_atom(eps, x):
     # 1/(1 - z) - eps/(x - z) passes verify_pair: its grid lies within
     # radius 10 of alpha, where the negative weight at x barely shows.  Its
-    # atoms show it, and solve names the atom and its margin in both modes
+    # atoms show it, and solve names the atom and its margin in both modes;
+    # with a constant I added, too, which eq mode would refuse as not
+    # decaying: the atoms' test comes first
     seq, pair = negative_atom_problem(eps, x)
     assert pairs.verify_pair(pair)["ok"]
+    shifted = StieltjesPair(0.0, pair.phi + RationalMatFun.const(np.eye(1)),
+                            pair.psi)
     message = re.escape(f"parameter pair is not admissible: its residue at "
                         f"{x:g} has PSD margin {-eps:.3e}")
     for mode in ("leq", "eq"):
-        with pytest.raises(PreconditionError, match=message):
+        for parameter in (pair, shifted):
+            with pytest.raises(PreconditionError, match=message):
+                solve(SolutionRequest(seq, parameter, mode))
+
+
+def _has_atoms(pair):
+    zs, (ph,) = pairs.grid_values((pair.phi,), pairs.default_grid(pair.alpha))
+    return solver._parameter_atoms(pair, zs, ph, DEFAULT_TOL) is not None
+
+
+def test_a_denominator_with_complex_roots_has_no_atoms():
+    # 1/((z - 1)^2 + 1/4) has a real denominator with roots 1 +- i/2: no
+    # atoms, so the grid decides the pair, and refuses it in both modes
+    phi = RationalMatFun(MatrixPolynomial.constant(np.eye(1)),
+                         (1.25, -2.0, 1.0))
+    pair = StieltjesPair(0.0, phi, RationalMatFun.const(np.eye(1)))
+    assert np.iscomplexobj(npoly.polyroots(phi.den.real))
+    assert not _has_atoms(pair)
+    assert not pairs.verify_pair(pair)["ok"]
+    _, seq = measure_seq(np.random.default_rng(86), 1, 2, atoms=3)
+    for mode in ("leq", "eq"):
+        with pytest.raises(PreconditionError, match=re.escape(
+                "parameter pair is not admissible: {'rank_ok'")):
             solve(SolutionRequest(seq, pair, mode))
+
+
+def test_atoms_that_miss_the_grid_values_are_no_atoms(monkeypatch):
+    # unit rank-one weights diag(1, 0) and diag(0, 1) at 1.2 and 1.2 + 1e-8:
+    # the denominator's roots come out real and simple, but the residues at
+    # roots that close miss the pair's values on the grid, so it has no
+    # atoms; the grid fork solves it, and the solution verifies
+    weights = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    fun = measures.from_atoms(np.array([1.2, 1.2 + 1e-8]), weights, 2)
+    pair = StieltjesPair(0.0, fun, RationalMatFun.const(np.eye(2)))
+    roots = npoly.polyroots(fun.den.real)
+    assert np.isrealobj(roots) and roots[0] != roots[1]
+    assert not _has_atoms(pair)
+    _, seq = nondegenerate_seq(np.random.default_rng(0), 2, 2)
+    calls = []
+    synthesize = lft.lft_rational
+
+    def counted(*args):
+        calls.append(1)
+        return synthesize(*args)
+
+    monkeypatch.setattr(lft, "lft_rational", counted)
+    for mode in ("leq", "eq"):
+        sol = solve(SolutionRequest(seq, pair, mode))
+        assert verify_solution(sol, seq, mode)["ok"], mode
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_solve_refuses_a_walk_that_keeps_no_point(alpha):
+    _, seq = measure_seq(np.random.default_rng(87), 2, 2, atoms=3,
+                         alpha=alpha)
+    for mode in ("leq", "eq"):
+        with pytest.raises(InconsistencyError,
+                           match="every grid point sits on a pole of the pair"):
+            solve(SolutionRequest(seq, grid_pole_pair(alpha, 2), mode))
 
 
 def test_solve_rejects_parameter_outside_range_class():
@@ -535,11 +598,37 @@ def test_solve_rejects_parameter_outside_range_class():
         solve(SolutionRequest(seq, cauchy_pair(0.0, 2, t=1.0), "leq"))
 
 
-def test_solve_eq_mode_needs_decay():
+def test_solve_eq_mode_needs_decay(monkeypatch):
+    # a parameter with atoms decays exactly when its constant C is 0: eq
+    # mode refuses C != 0 by its norm, before any grid admissibility, decay
+    # quotient or determinant polynomial; the constant pair (I, I) and
+    # criterion 08's constant parameter, lifted onto the rank subset
     rng = np.random.default_rng(79)
     _, seq = nondegenerate_seq(rng, 2, 1)
-    with pytest.raises(PreconditionError):
-        solve(SolutionRequest(seq, const_pair(0.0, 2, 1.0), "eq"))
+    calls = []
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((pairs, "admissibility"), (pairs, "in_diamond"),
+                        (respoly, "det_poly")):
+        spy(owner, name)
+    message = re.escape("equality problem needs a decaying parameter; its "
+                        "constant has norm 1.414e+00")
+    with pytest.raises(PreconditionError, match=message):
+        solve(SolutionRequest(seq, const_pair(seq.alpha, 2, 1.0), "eq"))
+    with pytest.raises(PreconditionError, match=message):
+        solve_equality_subset(seq, const_pair(seq.alpha, 2, 1.0).phi)
+    assert not calls
+    # leq mode takes the same pair by its atoms
+    sol = solve(SolutionRequest(seq, const_pair(seq.alpha, 2, 1.0), "leq"))
+    assert verify_solution(sol, seq)["ok"]
+    assert not calls
 
 
 def test_solve_eq_mode_refuses_an_identically_singular_psi():
@@ -995,7 +1084,7 @@ def test_a_parameter_with_atoms_passes_the_gates_it_skips():
                                mode == "leq" and trial % 16 < 8, spread=20.0)
         pair = _with_psi(rng, pair, 10.0 ** rng.uniform(0.0, 4.0))
         zs, (ph,) = pairs.grid_values((pair.phi,), pairs.default_grid(alpha))
-        if solver._parameter_atoms(pair, mode, zs, ph, DEFAULT_TOL) is None:
+        if solver._parameter_atoms(pair, zs, ph, DEFAULT_TOL) is None:
             continue
         found += 1
         assert pairs.verify_pair(pair)["ok"], trial
