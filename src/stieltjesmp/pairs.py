@@ -36,7 +36,7 @@ when C >= 0, every W_i >= 0 and every y_i >= alpha, and it decays, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -84,10 +84,18 @@ POLE_REL = 1e-12
 class RationalMatFun:
     """Matrix polynomial numerator over a scalar polynomial denominator
     ``den``: a read-only 1-d complex array, degree-ascending, copied from
-    the given sequence without its negligible trailing coefficients."""
+    the given sequence without its negligible trailing coefficients.
+
+    ``atoms`` is None, or the function's own pole-residue form
+    sum_k W_k / (x_k - z) as read-only arrays (sorted distinct nodes x_k,
+    the (n, q, q) stack of W_k).  Only ``measures.from_atoms`` fills it; it
+    is no constructor argument, so every other constructor and operation
+    (``scale``, ``lmul``, ``rmul``, ``+``, ``@``, ``simplify``) builds a
+    function without it."""
 
     num: MatrixPolynomial
     den: np.ndarray = (1.0 + 0.0j,)
+    atoms: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         den = np.atleast_1d(np.array(self.den, dtype=complex))

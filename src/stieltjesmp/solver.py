@@ -20,7 +20,8 @@ other); and one gate on the descent denominator D = V_21 phi + V_22 psi,
 on the walk's values (``_gate_descent_denominator``).  A pair with atoms
 has F read off the diagonal as a continued fraction: one Hermitian block
 tridiagonal eigensolve, of T written by slices, gives its nodes and PSD
-weights, which ``measures.from_atoms`` turns into F (``_atomic_solution``).
+weights, which ``measures.from_atoms`` turns into F (``_atomic_solution``)
+and keeps in F's ``atoms`` slot, where ``verify_solution`` reads them.
 Any other pair goes through the kernel ``lft.lft_rational``, which forms V
 as a polynomial, slices its q x q blocks and divides out the power of
 (z - alpha) that the resolvent introduces.  The low-rank routes lift an
@@ -235,17 +236,22 @@ WEIGHT_REL = 1e-12
 def _parameter_atoms(pair: StieltjesPair, zs, ph, tol):
     """(C, y, W) with G = phi psi^(-1) = C + sum_i W_i / (y_i - z), or None.
 
-    The pair has atoms when psi is a constant matrix with sigma_min/sigma_max
-    at least ``tol.det_gate``, G's numerator degree is at most its
-    denominator's, the denominator's roots y_i are simple, real and at
-    least alpha, and the atoms give G's values at the points ``zs`` (at
-    least one), from phi's values ``ph`` there, to ``ATOMS_REL``; None
-    means only that it has none.  Such a pair is admissible exactly when C
-    and every residue W_i are positive semidefinite: one that is not, by
-    more than ``tol.psd`` (``matcore.psd_margin``), is refused with a
-    PreconditionError that names it and its margin.  Whether it decays,
-    C = 0, is ``solve``'s decay gate.  C and the W_i are returned
-    symmetrized.
+    The pair has atoms when psi is a constant matrix P with
+    sigma_min/sigma_max at least ``tol.det_gate``, G's numerator degree is
+    at most its denominator's, the denominator's roots y_i are simple, real
+    and at least alpha, and the atoms give G's values at the points ``zs``
+    (at least one), from phi's values ``ph`` there, to ``ATOMS_REL``; None
+    means only that it has none.  A phi that holds its atoms
+    (``measures.from_atoms``) gives them directly: C = 0, y its nodes and
+    W_i its weights times P^(-1).  Any other phi is read off its power
+    basis: a denominator that is not real is divided, with the numerator,
+    by its leading coefficient and must then be exactly real; y are its
+    roots, and C and the W_i follow by Horner.  Such a pair is admissible
+    exactly when C and every residue W_i are positive semidefinite: one
+    that is not, by more than ``tol.psd`` (``matcore.psd_margin``), is
+    refused with a PreconditionError that names it and its margin.
+    Whether it decays, C = 0, is ``solve``'s decay gate.  C and the W_i
+    are returned symmetrized.
     """
     phi, psi = pair.phi, pair.psi
     if len(psi.den) > 1 or psi.num.trimmed().degree:
@@ -255,28 +261,39 @@ def _parameter_atoms(pair: StieltjesPair, zs, ph, tol):
     if not sv[-1] >= tol.det_gate * sv[0] > 0.0:
         return None
     p0inv = np.linalg.inv(p0)
-    num = phi.num.trimmed().coeffs @ p0inv
-    d = len(phi.den) - 1
-    if len(num) > d + 1 or phi.den.imag.any():
-        return None
-    den = phi.den.real
-    y = npoly.polyroots(den)
-    if np.iscomplexobj(y):
-        return None
-    y.sort()
-    if d and (y[0] < pair.alpha or not (y[1:] > y[:-1]).all()):
-        return None
-    c = num[d] / phi.den[d] if len(num) == d + 1 else np.zeros_like(p0)
-    # den'(y) and num(y) by Horner, with the start and order of numpy's
-    # polyval of polyder's j den_j and of MatrixPolynomial's evaluation
-    slope = d * den[d] + y * 0
-    for j in range(d - 1, 0, -1):
-        slope = j * den[j] + slope * y
-    res = np.full((len(y),) + c.shape, num[-1])
-    for coeff in num[-2::-1]:
-        res = res * y[:, None, None] + coeff
-    atoms = matcore.symmetrized(np.concatenate(
-        (c[None], -res / slope[:, None, None])))
+    if phi.atoms is not None:
+        y, w = phi.atoms
+        if len(y) and y[0] < pair.alpha:
+            return None
+        atoms = matcore.symmetrized(np.concatenate(
+            (np.zeros_like(p0)[None], w @ p0inv)))
+    else:
+        num = phi.num.trimmed().coeffs @ p0inv
+        den = phi.den
+        d = len(den) - 1
+        if den.imag.any():
+            # a complex multiple of a real denominator
+            num, den = num / den[d], den / den[d]
+        if len(num) > d + 1 or den.imag.any():
+            return None
+        y = npoly.polyroots(den.real)
+        if np.iscomplexobj(y):
+            return None
+        y.sort()
+        if d and (y[0] < pair.alpha or not (y[1:] > y[:-1]).all()):
+            return None
+        c = num[d] / den[d] if len(num) == d + 1 else np.zeros_like(p0)
+        den = den.real
+        # den'(y) and num(y) by Horner, with the start and order of numpy's
+        # polyval of polyder's j den_j and of MatrixPolynomial's evaluation
+        slope = d * den[d] + y * 0
+        for j in range(d - 1, 0, -1):
+            slope = j * den[j] + slope * y
+        res = np.full((len(y),) + c.shape, num[-1])
+        for coeff in num[-2::-1]:
+            res = res * y[:, None, None] + coeff
+        atoms = matcore.symmetrized(np.concatenate(
+            (c[None], -res / slope[:, None, None])))
     c, w = atoms[0], atoms[1:]
     g = ph @ p0inv
     fit = c + np.dot(1.0 / (y - zs[:, None]),

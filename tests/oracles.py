@@ -747,10 +747,31 @@ def literal_unit_den(den, rel=1e-13):
     return den, None
 
 
+def literal_moments(mu, m):
+    """``measures.moments`` as first written: for each j, (x ** j) w added
+    over the atoms in order to complex zeros, under numpy's overflow
+    trap."""
+    from stieltjesmp.hankel import MomentSequence
+
+    mats = []
+    try:
+        with np.errstate(over="raise"):
+            for j in range(m + 1):
+                s = np.zeros((mu.q, mu.q), dtype=complex)
+                for x, w in zip(mu.nodes, mu.weights):
+                    s = s + (x ** j) * w
+                mats.append(s)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"moment s_{j} overflows the float range") from None
+    return MomentSequence(mu.alpha, tuple(mats))
+
+
 def literal_parameter_atoms(pair, zs, ph, tol, atoms_rel=1e-10):
-    """``solver._parameter_atoms`` as first written: numpy's polyder and
-    polyval for the slope, a polynomial object's Horner for the residues
-    and ``tensordot`` for the fit."""
+    """``solver._parameter_atoms`` as first written for a phi without
+    atoms: numpy's polyder and polyval for the slope, a polynomial object's
+    Horner for the residues and ``tensordot`` for the fit; a denominator
+    that is not real divided, with the numerator, by its leading
+    coefficient."""
     import numpy.polynomial.polynomial as npoly
 
     from stieltjesmp import matcore
@@ -767,6 +788,8 @@ def literal_parameter_atoms(pair, zs, ph, tol, atoms_rel=1e-10):
     num = literal_trimmed(phi.num.coeffs) @ p0inv
     den = phi.den
     d = len(den) - 1
+    if den.imag.any():
+        num, den = num / den[d], den / den[d]
     if len(num) > d + 1 or den.imag.any():
         return None
     y = npoly.polyroots(den.real)

@@ -124,6 +124,16 @@ def test_the_atomic_stages_keep_the_bytes_of_their_literal_forms(
         zs, (ph,) = pairs.grid_values((pair.phi,), default_grid(0.5))
         assert solver._parameter_atoms(pair, zs, ph, DEFAULT_TOL)[0].any()
         gated.add(_compare_stages(monkeypatch, seq, pair))
+    # phi times 1j, numerator and denominator: divided by its leading
+    # coefficient, the denominator is real again, and the pair has atoms
+    _, seq = measure_seq(rng, 2, 3, alpha=0.5)
+    pair = _atom_pair(rng, 0.5, 2, 3, constant=False)
+    pair = StieltjesPair(0.5, RationalMatFun(pair.phi.num.scale(1j),
+                                             pair.phi.den * 1j), pair.psi)
+    zs, (ph,) = pairs.grid_values((pair.phi,), default_grid(0.5))
+    assert pair.phi.den.imag.any()
+    assert solver._parameter_atoms(pair, zs, ph, DEFAULT_TOL) is not None
+    gated.add(_compare_stages(monkeypatch, seq, pair))
     # a trace with a zero tail, and the gate at chosen points, alpha among
     # them, where D is singular
     _, seq = completely_degenerate_seq(rng, 2, 5, alpha=-0.25)

@@ -1,9 +1,12 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oracles
 from conftest import (
+    bench_workloads,
     cauchy_pair,
     measure_seq,
     nondegenerate_seq,
@@ -12,7 +15,7 @@ from conftest import (
     sample_points,
 )
 from stieltjesmp.hankel import MomentSequence, classify
-from stieltjesmp import matcore
+from stieltjesmp import matcore, serialize
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
     GrowthError,
@@ -23,13 +26,15 @@ from stieltjesmp.matcore import (
 from stieltjesmp.measures import (
     DiscreteMeasure,
     extract_moments,
+    from_atoms,
     moments,
     stieltjes_transform,
     verify_solution,
 )
 from stieltjesmp.pairs import RationalMatFun, StieltjesPair
 from stieltjesmp.respoly import MatrixPolynomial
-from stieltjesmp.solver import SolutionRequest, solve
+from stieltjesmp.solver import (SolutionRequest, schur_stieltjes_transform,
+                                solve)
 
 
 def test_measure_validation():
@@ -63,6 +68,46 @@ def test_moments_frozen_diagonal_example():
     assert_allclose(seq.s[0], np.diag([4.0, 2.0]), atol=1e-14)
     assert_allclose(seq.s[1], np.diag([7.0, 2.0]), atol=1e-14)
     assert_allclose(seq.s[2], np.diag([13.0, 2.0]), atol=1e-14)
+
+
+def _moments_outcome(fn, mu, m):
+    """('value', alpha, bytes of s_0..s_m) or ('raise', message)."""
+    try:
+        seq = fn(mu, m)
+    except ValueError as exc:
+        return ("raise", str(exc))
+    return ("value", seq.alpha, np.array(seq.s).tobytes())
+
+
+def test_moments_keep_the_bytes_of_the_summation_loop():
+    # the bench pools' measures (qcliff and longseq at seed 1), whose
+    # moments are the bench's inputs, and random draws: negative and far
+    # nodes, empty measures, zero weight columns, and nodes so large that
+    # a power, a product or a sum leaves the float range at some s_j
+    wl = bench_workloads()
+    for p in wl.pool("qcliff", 1, "") + wl.pool("longseq", 1, ""):
+        assert (_moments_outcome(moments, p.mu, p.m)
+                == _moments_outcome(oracles.literal_moments, p.mu, p.m))
+    rng = np.random.default_rng(4102)
+    refused = 0
+    for trial in range(1500):
+        q, n, m = (int(rng.integers(1, 5)), int(rng.integers(0, 12)),
+                   int(rng.integers(0, 12)))
+        scale = 10.0 ** rng.uniform(*((20.0, 160.0) if trial % 10 == 0
+                                      else (-3.0, 3.0)))
+        nodes = tuple(float(x) for x in np.sort(rng.uniform(-1, 1, n) * scale))
+        weights = []
+        for _ in range(n):
+            w = random_psd(rng, q, scale=10.0 ** rng.uniform(-5.0, 5.0))
+            if trial % 7 == 0:
+                w[:, 0] = w[0, :] = 0.0
+            weights.append(w)
+        alpha = nodes[0] if n else 0.0
+        mu = DiscreteMeasure(alpha, nodes, tuple(weights))
+        want = _moments_outcome(oracles.literal_moments, mu, m)
+        assert _moments_outcome(moments, mu, m) == want, trial
+        refused += want[0] == "raise"
+    assert refused > 50
 
 
 def test_moments_match_oracle():
@@ -122,16 +167,23 @@ def test_transform_refuses_nodes_its_power_basis_cannot_hold():
 
 
 def test_extract_moments_roundtrip():
+    # series division of the transform's power basis (its atoms stripped)
+    # recovers the moments to the extraction tolerance; the transform
+    # itself holds its atoms and gives their moments, bit for bit
     rng = np.random.default_rng(62)
     for q, m in [(1, 2), (2, 3), (3, 4), (4, 5)]:
         mu = random_measure(rng, q, m + 1)
         seq = moments(mu, m)
         fun = stieltjes_transform(mu)
-        got, residual = extract_moments(fun, 0.0, m)
+        got, residual = extract_moments(RationalMatFun(fun.num, fun.den),
+                                        0.0, m)
         assert residual <= 1e-6
         scale = 1 + max(frob(x) for x in seq.s)
         worst = max(frob(a - b) for a, b in zip(got.s, seq.s))
         assert worst <= DEFAULT_TOL.extraction * scale, (q, m, worst)
+        got, residual = extract_moments(fun, 0.0, m)
+        assert residual == 0.0
+        assert np.array(got.s).tobytes() == np.array(seq.s).tobytes()
 
 
 def test_extract_moments_with_far_nodes_and_low_rank_weights():
@@ -140,10 +192,13 @@ def test_extract_moments_with_far_nodes_and_low_rank_weights():
     weights = tuple(random_psd(rng, 3, rank=r) for r in (3, 2, 3, 1, 2))
     mu = DiscreteMeasure(0.0, nodes, weights)
     seq = moments(mu, 5)
-    got, _ = extract_moments(stieltjes_transform(mu), 0.0, 5)
+    fun = stieltjes_transform(mu)
+    got, _ = extract_moments(RationalMatFun(fun.num, fun.den), 0.0, 5)
     scale = 1 + max(frob(x) for x in seq.s)
     worst = max(frob(a - b) for a, b in zip(got.s, seq.s))
     assert worst <= 1e-3 * scale
+    got, _ = extract_moments(fun, 0.0, 5)
+    assert np.array(got.s).tobytes() == np.array(seq.s).tobytes()
 
 
 def test_extract_moments_rejects_growth():
@@ -173,6 +228,14 @@ def test_extract_moments_rejects_overflowing_moments():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="overflow.*non-finite"):
         extract_moments(fun, 0.0, 2)
+    # atoms at 1e10: the power 1e10^31 leaves the float range, and with
+    # weight 1e300 the product at j = 1 does; the first such j is named
+    for weight, j in ((1.0, 31), (1e300, 1)):
+        fun = from_atoms([1e10], np.full((1, 1, 1), weight), 1)
+        assert fun.atoms is not None
+        with pytest.raises(ValueError, match=f"^moment s_{j} overflows to "
+                                             "a non-finite value$"):
+            extract_moments(fun, 0.0, 40)
 
 
 def test_verify_solution_modes():
@@ -200,6 +263,54 @@ def test_verify_solution_modes():
         verify_solution(fun, MomentSequence(0.0, (-np.eye(2),)), mode="leq")
 
 
+def test_a_measures_transform_verifies_against_its_own_moments_exactly():
+    # the transform holds the measure's atoms, and extract_moments reads
+    # them with moments' own kernel: every gap is exactly zero
+    rng = np.random.default_rng(4103)
+    for trial in range(300):
+        q, m = 1 + trial % 4, trial // 4 % 9
+        mu = random_measure(rng, q, int(rng.integers(1, m + 3)),
+                            alpha=float(rng.uniform(-1.0, 1.0)))
+        seq, fun = moments(mu, m), stieltjes_transform(mu)
+        for mode in ("leq", "eq"):
+            rep = verify_solution(fun, seq, mode)
+            assert rep["prefix_gap"] == 0.0, (trial, mode)
+            assert rep["top_margin"] == 0.0, (trial, mode)
+            assert rep["residual"] == 0.0 and rep["ok"]
+
+
+def test_only_from_atoms_fills_the_atoms_slot():
+    # sorted, merged and read-only; no constructor takes it, and every
+    # function derived from one that holds it is given as num/den only
+    rng = np.random.default_rng(4104)
+    weights = np.array([random_psd(rng, 2) for _ in range(3)])
+    fun = from_atoms([2.0, 0.5, 2.0], weights, 2)
+    nodes, stack = fun.atoms
+    assert nodes.tolist() == [0.5, 2.0]
+    assert np.array_equal(stack, [weights[1], weights[0] + weights[2]])
+    assert not nodes.flags.writeable and not stack.flags.writeable
+    with pytest.raises(FrozenInstanceError):
+        fun.atoms = None
+    with pytest.raises(TypeError, match="atoms"):
+        RationalMatFun(fun.num, fun.den, atoms=fun.atoms)
+    assert from_atoms([], np.zeros((0, 2, 2)), 2).atoms[0].size == 0
+    a = random_psd(rng, 2) + np.eye(2)
+    derived = {
+        "constructor": RationalMatFun(fun.num, fun.den),
+        "scale": fun.scale(2.0),
+        "lmul": fun.lmul(a),
+        "rmul": fun.rmul(a),
+        "add": fun + fun,
+        "sub": fun - fun,
+        "matmul": fun @ fun,
+        "simplify": fun.simplify(),
+        "lft_rational": schur_stieltjes_transform(fun, a, 0.0),
+        "rational_from_json": serialize.rational_from_json(
+            serialize.rational_to_json(fun)),
+    }
+    assert [k for k, f in derived.items() if f.atoms is not None] == []
+
+
 def test_verify_solution_negative_fixture_defect():
     # the cone member with no representing measure: the candidate function
     # reproduces s_0 but misses s_1 by exactly [[0,1],[1,1]]
@@ -222,15 +333,18 @@ def test_verify_solution_reads_exact_moments(q, m, seed, modes):
     # least-squares fit of the moments along the imaginary axis rejected
     # at these orders.  The leq solutions here have top moment equal to
     # s_m; the leq rule's relative scale accepts that zero defect at
-    # every order.
+    # every order.  The transform is read by its atoms and, stripped of
+    # them, by series division of its power basis.
     rng = np.random.default_rng(seed)
     mu, seq = nondegenerate_seq(rng, q, m)
-    rep = verify_solution(stieltjes_transform(mu), seq, mode="eq")
-    assert rep["ok"], rep
-    assert rep["residual"] <= 1e-12
+    fun = stieltjes_transform(mu)
     ref = oracles.oracle_moments(0.0, mu.nodes, mu.weights, m)
-    for got, want in zip(rep["extracted"].s, ref):
-        assert frob(got - want) <= 1e-8 * (1.0 + frob(want))
+    for form in (fun, RationalMatFun(fun.num, fun.den)):
+        rep = verify_solution(form, seq, mode="eq")
+        assert rep["ok"], rep
+        assert rep["residual"] <= 1e-12
+        for got, want in zip(rep["extracted"].s, ref):
+            assert frob(got - want) <= 1e-8 * (1.0 + frob(want))
     for mode in modes:
         sol = solve(SolutionRequest(seq, cauchy_pair(0.0, q), mode))
         rep = verify_solution(sol, seq, mode=mode)
@@ -255,11 +369,14 @@ def test_verify_solution_asks_only_the_cone_question():
 def test_verify_solution_accepts_far_nodes():
     # weight I at 0.5 and 100 I at 5e4: y*norm(F(iy)) still grows over
     # y in 1e3..1e5, which refused this transform when decay was sampled
-    # there; the degrees alone decide it
+    # there; the degrees alone decide it for the power basis, and the
+    # atoms need no decision
     mu = DiscreteMeasure(0.0, (0.5, 5e4), (np.eye(2), 100 * np.eye(2)))
+    fun = stieltjes_transform(mu)
     for m in (1, 2):
-        rep = verify_solution(stieltjes_transform(mu), moments(mu, m), mode="eq")
-        assert rep["ok"], (m, rep)
+        for form in (fun, RationalMatFun(fun.num, fun.den)):
+            rep = verify_solution(form, moments(mu, m), mode="eq")
+            assert rep["ok"], (m, rep)
 
 
 def test_verify_solution_rejects_improper_function():

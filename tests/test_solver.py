@@ -521,14 +521,19 @@ def test_solve_refuses_a_parameter_with_a_negative_atom(eps, x):
     # atoms show it, and solve names the atom and its margin in both modes;
     # with a constant I added, too, which eq mode would refuse as not
     # decaying: the atoms' test comes first
+    # and with phi's numerator and denominator both times 1j, whose
+    # denominator is real once divided by its leading coefficient
     seq, pair = negative_atom_problem(eps, x)
     assert pairs.verify_pair(pair)["ok"]
     shifted = StieltjesPair(0.0, pair.phi + RationalMatFun.const(np.eye(1)),
                             pair.psi)
+    turned = StieltjesPair(0.0, RationalMatFun(pair.phi.num.scale(1j),
+                                               pair.phi.den * 1j), pair.psi)
+    assert turned.phi.den.imag.any()
     message = re.escape(f"parameter pair is not admissible: its residue at "
                         f"{x:g} has PSD margin {-eps:.3e}")
     for mode in ("leq", "eq"):
-        for parameter in (pair, shifted):
+        for parameter in (pair, shifted, turned):
             with pytest.raises(PreconditionError, match=message):
                 solve(SolutionRequest(seq, parameter, mode))
 
@@ -555,12 +560,14 @@ def test_a_denominator_with_complex_roots_has_no_atoms():
 
 
 def test_atoms_that_miss_the_grid_values_are_no_atoms(monkeypatch):
-    # unit rank-one weights diag(1, 0) and diag(0, 1) at 1.2 and 1.2 + 1e-8:
-    # the denominator's roots come out real and simple, but the residues at
-    # roots that close miss the pair's values on the grid, so it has no
-    # atoms; the grid fork solves it, and the solution verifies
+    # unit rank-one weights diag(1, 0) and diag(0, 1) at 1.2 and 1.2 + 1e-8,
+    # given as num/den only: the denominator's roots come out real and
+    # simple, but the residues at roots that close miss the pair's values
+    # on the grid, so it has no atoms; the grid fork solves it, and the
+    # solution verifies
     weights = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     fun = measures.from_atoms(np.array([1.2, 1.2 + 1e-8]), weights, 2)
+    fun = RationalMatFun(fun.num, fun.den)
     pair = StieltjesPair(0.0, fun, RationalMatFun.const(np.eye(2)))
     roots = npoly.polyroots(fun.den.real)
     assert np.isrealobj(roots) and roots[0] != roots[1]
@@ -578,6 +585,33 @@ def test_atoms_that_miss_the_grid_values_are_no_atoms(monkeypatch):
         sol = solve(SolutionRequest(seq, pair, mode))
         assert verify_solution(sol, seq, mode)["ok"], mode
     assert len(calls) == 2
+
+
+def test_a_phi_that_holds_its_atoms_gives_them_to_solve(monkeypatch):
+    # diag(1, 0) and diag(0, 1) at 0.1 and 0.1 + 1e-8: polyroots and Horner
+    # give residues of PSD margin -2.3e-2 at roots that close, and refuse
+    # the pair read from JSON; from_atoms' own atoms are exact, and the
+    # pair solves and verifies in both modes without any root finding.  A
+    # node below alpha still means no atoms.
+    weights = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    fun = measures.from_atoms(np.array([0.1, 0.1 + 1e-8]), weights, 2)
+    pair = StieltjesPair(0.0, fun, RationalMatFun.const(2.0 * np.eye(2)))
+    _, seq = nondegenerate_seq(np.random.default_rng(0), 2, 2)
+    read = serialize.pair_from_json(serialize.pair_to_json(pair))
+    for mode in ("leq", "eq"):
+        with pytest.raises(PreconditionError, match=re.escape(
+                "its residue at 0.1 has PSD margin -")):
+            solve(SolutionRequest(seq, read, mode))
+    zs, (ph,) = pairs.grid_values((fun,), pairs.default_grid(0.0))
+    monkeypatch.setattr(npoly, "polyroots", None)
+    c, y, w = solver._parameter_atoms(pair, zs, ph, DEFAULT_TOL)
+    assert not c.any() and np.array_equal(y, fun.atoms[0])
+    assert np.array_equal(w, 0.5 * weights)
+    for mode in ("leq", "eq"):
+        sol = solve(SolutionRequest(seq, pair, mode))
+        assert verify_solution(sol, seq, mode)["ok"], mode
+    below = StieltjesPair(0.2, fun, pair.psi)
+    assert solver._parameter_atoms(below, zs, ph, DEFAULT_TOL) is None
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
@@ -983,6 +1017,61 @@ def test_bench_pairs_take_the_continued_fraction(monkeypatch):
     with pytest.raises(SingularDenominatorError):
         solve(SolutionRequest(seq, pair, "eq"))
     assert calls == ["admissibility", "in_diamond"]
+
+
+def test_bench_solutions_hold_atoms_that_match_their_power_basis():
+    # every solution of the qcliff and longseq pools at seed 1 holds its
+    # atoms, whose moments verify_solution reads; series division of the
+    # same power basis agrees with them to 1e-10 relative
+    wl = bench_workloads()
+    worst = 0.0
+    for prob in wl.pool("qcliff", 1, "") + wl.pool("longseq", 1, ""):
+        if prob.embedded:
+            sol = solve_degenerate_embedded(prob.seq, prob.pair, prob.mode)
+        else:
+            sol = solve(SolutionRequest(prob.seq, prob.pair, prob.mode))
+        assert sol.atoms is not None
+        alpha, m = prob.seq.alpha, prob.seq.m
+        got = measures.extract_moments(sol, alpha, m)[0].s
+        plain = RationalMatFun(sol.num, sol.den)
+        want = measures.extract_moments(plain, alpha, m)[0].s
+        worst = max(worst, max(frob(a - b) / frob(b)
+                               for a, b in zip(got, want)))
+    assert worst <= 1e-10
+
+
+def test_the_leq_top_defect_has_the_rank_of_the_parameters_constant():
+    # the equality problem is the relaxed one restricted to the parameters
+    # with C = 0: for G + C, G with 1-2 atoms on [alpha, alpha + 20] and C
+    # PSD of rank r, the leq solution's top moment falls short of s_m by a
+    # defect of numerical rank r.  10 of the 200 draws have solutions
+    # whose power basis RationalMatFun cannot hold (GrowthError)
+    rng = np.random.default_rng(2501)
+    held = refused = 0
+    for trial in range(200):
+        q, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        alpha = float(rng.uniform(-1.0, 1.0))
+        _, seq = measure_seq(rng, q, m, atoms=m + 3, alpha=alpha)
+        k = int(rng.integers(1, 3))
+        nodes = np.sort(alpha + rng.uniform(0.0, 20.0, k))
+        weights = np.array([random_psd(rng, q) for _ in range(k)])
+        r = int(rng.integers(0, q + 1))
+        g = (measures.from_atoms(nodes, weights, q)
+             + RationalMatFun.const(random_psd(rng, q, rank=r)))
+        pair = StieltjesPair(alpha, g, RationalMatFun.const(np.eye(q)))
+        try:
+            sol = solve(SolutionRequest(seq, pair, "leq"))
+        except GrowthError as exc:
+            assert "trim floor" in str(exc), trial
+            refused += 1
+            continue
+        rep = verify_solution(sol, seq, "leq")
+        assert rep["ok"], trial
+        sv = np.linalg.svd(rep["top_defect"], compute_uv=False)
+        cut = 1e-8 * max(1.0, frob(seq.s[-1]))
+        assert (sv > cut).sum() == r, (trial, sv, cut)
+        held += 1
+    assert (held, refused) == (190, 10)
 
 
 def _atom_parameter(rng, alpha, q, atoms, constant, spread=4.0):
