@@ -245,10 +245,11 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
     ran Q_k (for Hermitian matrices, the same as nul Q_k in theirs), tested
     with Q_k^+ from the trace; the first term dominates when stage 0 is.
     The extendability candidate is settled by the first rule that applies:
-      1. stage 0 outside the cone: 'no' ('unknown' within 10 tol.psd);
-         strictly positive, Q_m = 0 or m = 0: 'yes'; not dominated: 'no';
+      1. stage 0 outside the cone: 'no' ('unknown' within the band,
+         ``matcore.UNKNOWN_BAND`` = 10 times tol.psd); strictly positive,
+         Q_m = 0 or m = 0: 'yes'; not dominated: 'no';
       2. for k = 1..m in turn: a margin of Q_k below -tol.psd, 'no'
-         ('unknown' within 10 tol.psd); stage k not dominated, 'no';
+         ('unknown' within the band); stage k not dominated, 'no';
       3. otherwise 'yes'.
     Rule 2 is one stacked eigensolve of the diagonal and one stacked range
     test of all stages of the Schur-type algorithm (MR3611479, MR3611471)
@@ -275,10 +276,11 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
     escaped = np.zeros(seq.m + 1, dtype=bool)
     escaped[np.repeat(np.arange(seq.m), counts)[~inside]] = True
     rank_top = matcore.rank_with_tol(diag[-1], tol)
+    band = matcore.UNKNOWN_BAND * tol.psd
 
     if lo < -tol.psd:
-        candidate = "unknown" if abs(lo) < 10.0 * tol.psd else "no"
-    elif lo >= 10.0 * tol.psd or rank_top == 0 or seq.m == 0:
+        candidate = "unknown" if abs(lo) < band else "no"
+    elif lo >= band or rank_top == 0 or seq.m == 0:
         # strict positivity and complete degeneracy both suffice, and a
         # PSD single term always extends: append alpha*s_0 + s_0
         candidate = "yes"
@@ -290,7 +292,7 @@ def classify(seq: MomentSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ClassRe
         fails = np.column_stack([level < -tol.psd, escaped[1:]]).ravel()
         k, tail = divmod(int(fails.argmax()), 2)
         candidate = "yes" if not fails.any() else "no" if tail or \
-            abs(level[k]) >= 10.0 * tol.psd else "unknown"
+            abs(level[k]) >= band else "unknown"
 
     report = ClassReport(
         q=seq.q,

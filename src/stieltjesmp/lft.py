@@ -26,7 +26,9 @@ power of (z - alpha).  Rounding spreads a k-fold root into a cluster of
 radius about eps^(1/k) that ``simplify`` cannot cancel, so the kernel takes
 alpha and divides that power out first (``divide_out_root``): repeated
 synthetic division, for as long as both remainders are at most
-``DEFLATION_REL`` of their largest coefficient.
+``matcore.DEFLATION_REL`` of their largest coefficient: far above the
+rounding that spreads a multiple root at alpha into a cluster, far below
+any coefficient a solution needs.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from .matcore import (
 from .pairs import RationalMatFun
 from .respoly import MatrixPolynomial, adjugate_poly, det_or_raise
 
-__all__ = ["DEFLATION_REL", "check_denominator", "divide_out_root",
-           "lft_pair", "lft_rational"]
+__all__ = ["check_denominator", "divide_out_root", "lft_pair",
+           "lft_rational"]
 
 
 def check_denominator(dens, tol: ToleranceConfig, stage: str,
@@ -71,13 +73,6 @@ def check_denominator(dens, tol: ToleranceConfig, stage: str,
         )
 
 
-# A remainder of the division by (z - alpha) is negligible when it is at most
-# this fraction of the largest coefficient of the polynomial divided: far
-# above the rounding that spreads a multiple root at alpha into a cluster,
-# far below any coefficient a solution needs.
-DEFLATION_REL = 1e-8
-
-
 def _divide_by_root(c: np.ndarray, alpha: float):
     """(quotient, remainder) of the coefficient stack ``c`` (degree-ascending
     along axis 0) divided by (z - alpha): synthetic division, top down, each
@@ -93,7 +88,7 @@ def _divide_by_root(c: np.ndarray, alpha: float):
 
 def divide_out_root(num: MatrixPolynomial, den: np.ndarray, alpha: float):
     """(num, den) over the largest power of (z - alpha) at which the
-    remainders of both are at most ``DEFLATION_REL`` of their largest
+    remainders of both are at most ``matcore.DEFLATION_REL`` of their largest
     coefficient; the inputs themselves when that power is 0.
 
     The denominator is taken as the last column of the numerator's
@@ -102,8 +97,8 @@ def divide_out_root(num: MatrixPolynomial, den: np.ndarray, alpha: float):
     """
     rows, cols = num.shape
     nd, dn = num.degree, len(den) - 1
-    num_cut = DEFLATION_REL * max(num.coeff_norms())
-    den_cut = DEFLATION_REL * float(np.abs(den).max())
+    num_cut = matcore.DEFLATION_REL * max(num.coeff_norms())
+    den_cut = matcore.DEFLATION_REL * float(np.abs(den).max())
     both = np.zeros((max(nd, dn) + 1, rows * cols + 1), dtype=complex)
     both[:nd + 1, :-1] = num.coeffs.reshape(nd + 1, -1)
     both[:dn + 1, -1] = den
@@ -160,7 +155,7 @@ def lft_rational(gen: MatrixPolynomial, phi, psi, alpha: float,
     ``stage``).  D(z) is gated at no point here: ``solver.solve`` gates it
     on its grid first.  The power of (z - alpha) that the fraction's
     numerator and denominator share is divided out (``divide_out_root``,
-    at ``DEFLATION_REL``) before ``simplify`` runs.
+    at ``matcore.DEFLATION_REL``) before ``simplify`` runs.
     """
     num, den = _num_den(gen, phi, psi)
     det = det_or_raise(den, stage,

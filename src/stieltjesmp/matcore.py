@@ -64,15 +64,28 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Shared numeric thresholds, each positive and finite.
+    """Shared numeric thresholds, each positive and finite: the only ones a
+    user sets (``--tol NAME=VALUE``).  Every other threshold is a fixed
+    name in the table below.  Each field, with its readers:
 
-    pinv_rtol    relative singular-value cutoff for pseudoinverses
+    pinv_rtol    relative singular-value cutoff for pseudoinverses: ``pinv``,
+                 and the roots of ``solver._atomic_solution``
     herm         allowed relative asymmetry before symmetrization errors out
-    psd          relative eigenvalue slack for semidefiniteness tests
+                 (``hermitize``); also the bound, relative to 1 + |s_0|, on
+                 the prefix gap of ``schur.check_inequality_preservation``
+    psd          relative eigenvalue slack for semidefiniteness tests:
+                 ``is_psd``, ``rank_with_tol``'s floor, the margins and
+                 'unknown' band of ``hankel.classify``, ``schur._step``'s
+                 zero stage, the weights of ``DiscreteMeasure``, the cone
+                 test of ``verify_solution``, ``pairs.admissibility``, and
+                 the atoms of ``solver._parameter_atoms``
     inclusion    relative residual for range/null-space containment tests
+                 (``range_contains``, ``in_range``, ``null_contains``)
     det_gate     sigma_min/sigma_max gate below which denominators count
-                 as singular
+                 as singular: ``lft.check_denominator``, and psi's constant
+                 in ``solver._parameter_atoms``
     extraction   relative tolerance for the moments read off a solution
+                 (``measures.verify_solution``)
     """
 
     pinv_rtol: float = 1e-12
@@ -92,6 +105,48 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+# Fixed thresholds, each on one line with what it decides, then the scale it
+# is relative to.  A scale of 1 + |.| or max(1, .) acts as an absolute one
+# below unit size; those, and the absolute floors, are to be made scale-free.
+# solver._parameter_atoms: gap of the atoms' values to G = phi psi^(-1); |G|
+ATOMS_REL = 1e-10
+# solver._atomic_solution: |lambda| this close are one node; sigma_1 of T
+MERGE_REL = 1e-12
+# solver._atomic_solution: a merged weight is rounding; |s_0| and each |t_j|
+WEIGHT_REL = 1e-12
+# RationalMatFun.simplify: a reduced candidate's value error; 1 + |value|
+SIMPLIFY_REL = 1e-10
+# pairs.grid_values: z is a pole of d when |d(z)| is at most this; |d|(|z|)
+POLE_REL = 1e-12
+# pairs.equivalent: spectral gap of the span projectors; none (norm 1)
+EQUIV_GAP = 1e-7
+# trims: a trailing coefficient is rounding; the largest one, or max(1, .)
+TRIM_REL = 1e-13
+# lft.divide_out_root: a remainder is zero; the largest coefficient
+DEFLATION_REL = 1e-8
+# DiscreteMeasure: how far a node may sit below alpha; max(1, |alpha|)
+NODE_SLACK = 1e-9
+# RationalMatFun._refit: sigma_min of a fitting denominator's system; sigma_1
+REFIT_REL = 1e-6
+# pairs: floor of |d|(|z|) and of sigma_1, either of which may be 0; absolute
+SCALE_FLOOR = 1e-300
+# pairs: values [phi; psi] have full rank when sigma_min exceeds this; sigma_1
+RANK_GAP = 1e-10
+# pairs.equivalent: a stack whose sigma_1 is below this is zero; absolute
+EQUIV_FLOOR = 1e-250
+# pairs.gamma_U_embed: |u^* u - I| for orthonormal columns; max(1, q)
+ORTHO_REL = 1e-10
+# respoly._balanced_radius: the highest coefficient that counts; the largest
+LEAD_REL = 1e-12
+# respoly.det_or_raise: det is identically zero; max(1, |den|^size)
+DET_ZERO_REL = 1e-12
+# schur order reports: the gap of the images' prefixes; 1 + |s_0|
+PREFIX_REL = 1e-10
+# schur order reports: the top difference's gap to P^* defect P; 1 + |.|
+CLOSED_FORM_REL = 1e-9
+# hankel.classify: the 'unknown' band of a margin about 0; tol.psd
+UNKNOWN_BAND = 10.0
 
 
 class SingularDenominatorError(ArithmeticError):

@@ -30,7 +30,7 @@ from .matcore import (
     ToleranceConfig,
 )
 from .pairs import RationalMatFun
-from .respoly import TRIM_REL, MatrixPolynomial
+from .respoly import MatrixPolynomial
 
 __all__ = [
     "DiscreteMeasure",
@@ -60,9 +60,9 @@ class DiscreteMeasure:
         weights = tuple(matcore.as_cmat(w) for w in self.weights)
         if len(nodes) != len(weights):
             raise ValueError("nodes and weights must pair up")
-        for x in nodes:
-            if x < self.alpha - 1e-9 * max(1.0, abs(self.alpha)):
-                raise PreconditionError("node below the half-axis endpoint")
+        lowest = self.alpha - matcore.NODE_SLACK * max(1.0, abs(self.alpha))
+        if any(x < lowest for x in nodes):
+            raise PreconditionError("node below the half-axis endpoint")
         if len({w.shape for w in weights}) > 1:
             raise ValueError("weights must share one size")
         if weights:
@@ -207,12 +207,12 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int):
     of the numerator by the scalar denominator at infinity, and
     ``residual`` is ``fun.proper_residual()``.  A zero numerator reads
     zero moments; otherwise the numerator's degree, its highest
-    coefficient above ``TRIM_REL`` times the largest (Frobenius norms),
-    must be one below the denominator's, as for every half-axis transform
-    of a nonzero measure, or GrowthError names both degrees.  Either way
-    the Hermitian parts are returned, and a moment beyond the float range
-    (the first such ``s_j`` named), or a coefficient norm beyond it,
-    raises ValueError.
+    coefficient above ``matcore.TRIM_REL`` times the largest (Frobenius
+    norms), must be one below the denominator's, as for every half-axis
+    transform of a nonzero measure, or GrowthError names both degrees.
+    Either way the Hermitian parts are returned, and a moment beyond the
+    float range (the first such ``s_j`` named), or a coefficient norm
+    beyond it, raises ValueError.
     """
     if m < 0:
         raise PreconditionError("moment order must be nonnegative")
@@ -229,7 +229,8 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int):
         return MomentSequence._hermitian(alpha, (zero,) * (m + 1)), 0.0
     den = fun.den
     deg = len(den) - 1
-    num_deg = max(k for k, x in enumerate(norms) if x > TRIM_REL * top)
+    num_deg = max(k for k, x in enumerate(norms)
+                  if x > matcore.TRIM_REL * top)
     if num_deg != deg - 1:
         raise GrowthError(
             "function does not decay like a half-axis transform (numerator "

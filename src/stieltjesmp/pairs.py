@@ -17,12 +17,12 @@ of phi, so ``in_class_P_of`` decides it on the coefficients with the one
 pseudoinverse of A its caller has.  The other checks run on a finite grid
 (``default_grid``).  ``grid_values`` evaluates functions on all of it at
 once, and ``f(z)`` is its walk at the one point z: array Horner on the
-numerators, and the pole rule |d(z)| <= POLE_REL |d|(|z|), with |d| the
-polynomial of the moduli of d's coefficients, to drop the points that are
-numerically poles of any of them.  Each gate then decides from the stacked
-values with batched kernels (``matcore`` takes stacks), and the CLI prints
-its sampled values from the same walk; a value that overflows is refused
-with the grid point it sits at.
+numerators, and the pole rule |d(z)| <= ``matcore.POLE_REL`` |d|(|z|),
+with |d| the polynomial of the moduli of d's coefficients, to drop the
+points that are numerically poles of any of them.  Each gate then
+decides from the stacked values with batched kernels (``matcore`` takes
+stacks), and the CLI prints its sampled values from the same walk; a
+value that overflows is refused with the grid point it sits at.
 
 ``verify_pair`` is that walk on ``default_grid`` and :func:`admissibility`,
 the decision from the values; ``solve`` walks the grid itself and asks
@@ -49,12 +49,11 @@ from .matcore import (
     SingularDenominatorError,
     ToleranceConfig,
 )
-from .respoly import (TRIM_REL, MatrixPolynomial, adjugate_poly, det_or_raise,
+from .respoly import (MatrixPolynomial, adjugate_poly, det_or_raise,
                       trim_trailing)
 
 __all__ = [
     "RationalMatFun",
-    "SIMPLIFY_REL",
     "StieltjesPair",
     "default_grid",
     "pair_from_function",
@@ -65,19 +64,7 @@ __all__ = [
     "gamma_U_embed",
     "in_diamond",
     "grid_values",
-    "POLE_REL",
-    "EQUIV_GAP",
 ]
-
-# A reduced candidate replaces a function in ``simplify`` only if it gives
-# its values at every control point to this relative error: loose enough
-# for the rounding a coefficient refit leaves, tight enough that a
-# candidate of too low a degree shows.
-SIMPLIFY_REL = 1e-10
-
-# A point z is numerically a pole of a denominator d when |d(z)| is at most
-# this fraction of |d|(|z|), the bound the moduli of d's coefficients give.
-POLE_REL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,7 +258,7 @@ class RationalMatFun:
                 scale[big] = np.abs(system[:, big]).max(axis=0)
         scale[scale == 0.0] = 1.0
         sv, vh = np.linalg.svd(system / scale, full_matrices=False)[1:]
-        if sv[-1] > 1e-6 * sv[0]:
+        if sv[-1] > matcore.REFIT_REL * sv[0]:
             return None
         new_den = vh[-1].conj() / scale
         # unit peak, so the constructor trims tiny trailing coefficients
@@ -291,9 +278,11 @@ class RationalMatFun:
         points = [pole_scale * t * np.exp(1j * ang) for t, ang in
                   ((0.11, 0.77), (0.43, 2.1), (1.19, -1.3), (2.3, 0.4))]
         _, (refs, gots) = grid_values((self, other), points)
+        # loose enough for the rounding a coefficient refit leaves, tight
+        # enough that a candidate of too low a degree shows
         return len(refs) > 0 and not np.any(
             matcore.frobs(gots - refs)
-            > SIMPLIFY_REL * (1.0 + matcore.frobs(refs)))
+            > matcore.SIMPLIFY_REL * (1.0 + matcore.frobs(refs)))
 
 
 # default_grid's offsets from alpha: three to its left on the real axis,
@@ -315,11 +304,11 @@ def grid_values(funs, grid) -> tuple:
     rational functions ``funs``, as a 1-d complex array in grid order, and
     for each function its values there, stacked along a leading axis.
 
-    A point is a pole of f when |f.den(z)| <= POLE_REL |f.den|(|z|); the
-    kept values come from one array Horner per numerator.  What overflows
-    is refused, not passed on: PreconditionError names the first point
-    where a bound |f.den|(|z|) is not finite, and then the first kept point
-    where a function's value is not finite.
+    A point is a pole of f when |f.den(z)| <= ``matcore.POLE_REL``
+    |f.den|(|z|); the kept values come from one array Horner per
+    numerator.  What overflows is refused, not passed on: PreconditionError
+    names the first point where a bound |f.den|(|z|) is not finite, and
+    then the first kept point where a function's value is not finite.
     """
     zs = np.asarray(grid, dtype=complex)
     x, y = zs.real, zs.imag
@@ -338,7 +327,8 @@ def grid_values(funs, grid) -> tuple:
             for a, b, c in rows[:, 1:].T.tolist():
                 re, im = re * x - im * y + a, re * y + im * x + b
                 bound = bound * r + c
-            keep &= np.hypot(re, im) > POLE_REL * np.maximum(bound, 1e-300)
+            keep &= np.hypot(re, im) > matcore.POLE_REL * np.maximum(
+                bound, matcore.SCALE_FLOOR)
             bounded &= bound < np.inf
             dens.append(re + 1j * im)
         if not bounded.all():
@@ -408,7 +398,7 @@ def admissibility(pair: StieltjesPair, zs, ph, ps,
 
     stk = np.concatenate([ph, ps], axis=1)
     sv = np.linalg.svd(stk, compute_uv=False)
-    rank_gaps = sv[:, -1] / np.maximum(sv[:, 0], 1e-300)
+    rank_gaps = sv[:, -1] / np.maximum(sv[:, 0], matcore.SCALE_FLOOR)
     off = zs.imag != 0.0
     height = (2.0 * zs.imag[off])[:, None, None]
     stk2 = np.concatenate([(zs[off] - pair.alpha)[:, None, None] * ph[off],
@@ -420,7 +410,7 @@ def admissibility(pair: StieltjesPair, zs, ph, ps,
     kd1_m, kd2_m, real_m = (float(m.min()) if m.size else 0.0 for m in
                             np.split(margins, [off.sum(), 2 * off.sum()]))
     report = {
-        "rank_ok": bool(rank_gaps.min() > 1e-10),
+        "rank_ok": bool(rank_gaps.min() > matcore.RANK_GAP),
         "min_rank_gap": float(rank_gaps.min()),
         "kd1_margin": kd1_m,
         "kd1_ok": bool(kd1_m >= -tol.psd),
@@ -457,17 +447,14 @@ def in_class_P_of(pair: StieltjesPair, a, ap,
     return bool(np.all(matcore.in_range(a, ap, pair.phi.num.coeffs, tol)))
 
 
-# ``equivalent``'s bound on the spectral-norm gap between span projectors
-EQUIV_GAP = 1e-7
-
-
 def equivalent(p1: StieltjesPair, p2: StieltjesPair) -> bool:
     """Same pair up to an invertible rational right factor.
 
     Tested as equality of the column spans of the stacked pairs at every
     point of ``default_grid`` (projectors compared in spectral norm, to
-    ``EQUIV_GAP``); points where either stack is zero or numerically rank
-    deficient are passed over.
+    ``matcore.EQUIV_GAP``); points where either stack is zero or
+    numerically rank deficient are passed over.  Pairs with no point left
+    to compare are not equivalent: False.
     """
     if p1.q != p2.q or p1.alpha != p2.alpha:
         return False
@@ -477,10 +464,12 @@ def equivalent(p1: StieltjesPair, p2: StieltjesPair) -> bool:
     usable = True
     for s in (np.concatenate([f1, g1], axis=1), np.concatenate([f2, g2], axis=1)):
         u, sv, _ = np.linalg.svd(s, full_matrices=False)
-        usable = usable & (sv[:, 0] >= 1e-250) & (sv[:, -1] >= 1e-10 * sv[:, 0])
+        usable = usable & (sv[:, 0] >= matcore.EQUIV_FLOOR) & (
+            sv[:, -1] >= matcore.RANK_GAP * sv[:, 0])
         projectors.append(u @ u.conj().swapaxes(-1, -2))
     gaps = np.linalg.svd(projectors[0] - projectors[1], compute_uv=False)
-    return bool(np.all(gaps[usable, 0] <= EQUIV_GAP))
+    return bool(usable.any()
+                and np.all(gaps[usable, 0] <= matcore.EQUIV_GAP))
 
 
 def gamma_U_embed(phi: RationalMatFun, psi: RationalMatFun, u,
@@ -496,7 +485,7 @@ def gamma_U_embed(phi: RationalMatFun, psi: RationalMatFun, u,
     if phi.q != r or psi.q != r:
         raise PreconditionError("pair size must match the number of columns of u")
     gram = u.conj().T @ u
-    if matcore.frob(gram - np.eye(r)) > 1e-10 * max(1.0, q):
+    if matcore.frob(gram - np.eye(r)) > matcore.ORTHO_REL * max(1.0, q):
         raise PreconditionError("columns of u must be orthonormal")
     comp = np.eye(q, dtype=complex) - u @ u.conj().T
 
@@ -511,15 +500,15 @@ def in_diamond(pair: StieltjesPair) -> dict:
     For a rational pair that is strict properness, judged by degree on the
     unreduced fraction phi.num psi.den adj(psi.num) / (phi.den det psi.num)
     (common factors leave its degree difference unchanged): ``residual``,
-    its ``proper_residual``, must be rounding, at most ``TRIM_REL``.  A size
-    bound would pass a nonzero limit under large lower coefficients, as in
-    I + I/(200 - z).  A pair whose second component is identically
-    singular raises SingularDenominatorError.  ``solve`` asks it only of a
-    pair without atoms.
+    its ``proper_residual``, must be rounding, at most
+    ``matcore.TRIM_REL``.  A size bound would pass a nonzero limit under
+    large lower coefficients, as in I + I/(200 - z).  A pair whose second
+    component is identically singular raises SingularDenominatorError.
+    ``solve`` asks it only of a pair without atoms.
     """
     det = det_or_raise(pair.psi.num, "diamond",
                        "second component of the pair is identically singular")
     num = pair.phi.num.scale_poly(pair.psi.den) @ adjugate_poly(pair.psi.num)
     den = npoly.polymul(pair.phi.den, det)
     residual = RationalMatFun(num, den).proper_residual()
-    return {"residual": residual, "ok": bool(residual <= TRIM_REL)}
+    return {"residual": residual, "ok": bool(residual <= matcore.TRIM_REL)}

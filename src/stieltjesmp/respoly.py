@@ -40,7 +40,6 @@ from .matcore import (DEFAULT_TOL, PreconditionError, SingularDenominatorError,
 
 __all__ = [
     "MatrixPolynomial",
-    "TRIM_REL",
     "trim_trailing",
     "det_poly",
     "det_or_raise",
@@ -54,17 +53,13 @@ __all__ = [
 ]
 
 
-# Trailing coefficients at most this fraction of the largest one, floored
-# at 1, are rounding left by the products that formed them (a few hundred
-# ulps), not a degree the polynomial has.
-TRIM_REL = 1e-13
-
-
 def trim_trailing(stack, sizes):
     """``stack`` (degree-ascending coefficients) without its trailing
-    entries of size at most TRIM_REL * max(1, largest size); ``sizes`` holds
-    the size of each entry.  The constant entry always stays."""
-    cut = TRIM_REL * max(1.0, max(sizes))
+    entries of size at most ``matcore.TRIM_REL`` * max(1, largest size),
+    the rounding left by the products that formed them (a few hundred
+    ulps), not a degree the polynomial has; ``sizes`` holds the size of
+    each entry.  The constant entry always stays."""
+    cut = matcore.TRIM_REL * max(1.0, max(sizes))
     n = len(stack)
     while n > 1 and sizes[n - 1] <= cut:
         n -= 1
@@ -200,7 +195,7 @@ def _balanced_radius(p: MatrixPolynomial) -> float:
     top = max(norms)
     if top == 0.0:
         return 1.0
-    lead = max(j for j, m in enumerate(norms) if m > 1e-12 * top)
+    lead = max(j for j, m in enumerate(norms) if m > matcore.LEAD_REL * top)
     if lead == 0:
         return 1.0
     radius = 1.0
@@ -266,8 +261,9 @@ def det_or_raise(den: MatrixPolynomial, stage: str, message: str) -> np.ndarray:
     """Coefficients of det den(z); SingularDenominatorError(``message``),
     tagged ``stage``, if it vanishes identically.
 
-    Relative to the size of ``den``, floored at 1: the coefficient trims cut
-    at an absolute 1e-13, so a purely relative test would pass trim noise.
+    Relative to the size of ``den``, floored at 1 (``matcore.DET_ZERO_REL``):
+    the coefficient trims cut at an absolute ``matcore.TRIM_REL`` below unit
+    size, so a purely relative test would pass trim noise.
     A determinant whose coefficients or size bound leave the float range
     is refused with PreconditionError naming ``stage``.
     """
@@ -280,7 +276,7 @@ def det_or_raise(den: MatrixPolynomial, stage: str, message: str) -> np.ndarray:
     if not (np.isfinite(det).all() and bound < np.inf):
         raise PreconditionError(f"determinant of the {stage} denominator "
                                 "leaves the float range")
-    if np.abs(det).max() <= 1e-12 * max(1.0, bound):
+    if np.abs(det).max() <= matcore.DET_ZERO_REL * max(1.0, bound):
         raise SingularDenominatorError(message, stage=stage, gap=0.0)
     return det
 

@@ -234,13 +234,15 @@ def _order_report(report: dict, name: str, xs, ys, k: int, base, closed,
     for P = base^+ base."""
     gap = _prefix_gap(xs[:k], ys[:k])
     report[f"{name}_prefix_gap"] = gap
-    report[f"{name}_prefix_ok"] = gap <= 1e-10 * (1.0 + matcore.frob(base))
+    report[f"{name}_prefix_ok"] = gap <= matcore.PREFIX_REL * (
+        1.0 + matcore.frob(base))
     diff = matcore.symmetrized(xs[k] - ys[k])
     report[f"{name}_top_margin"] = matcore.psd_margin(diff)
     report[f"{name}_top_ok"] = matcore.is_psd(diff, tol)
     closed_gap = matcore.frob(diff - closed)
     report[f"{name}_closed_form_gap"] = closed_gap
-    report[f"{name}_closed_form_ok"] = closed_gap <= 1e-9 * (1.0 + matcore.frob(closed))
+    report[f"{name}_closed_form_ok"] = (
+        closed_gap <= matcore.CLOSED_FORM_REL * (1.0 + matcore.frob(closed)))
 
 
 def check_inequality_preservation(s: MomentSequence, t: MomentSequence,

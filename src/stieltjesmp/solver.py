@@ -214,25 +214,6 @@ def solve(req: SolutionRequest,
     return _atomic_solution(report.trace, *atoms, tol)
 
 
-# A parameter's atoms must give its values on ``default_grid`` to this
-# relative gap: far above the rounding of a residue at a simple pole, far
-# below the error of residues at roots too close to be told apart.
-ATOMS_REL = 1e-10
-# Nodes alpha + lambda^2 of a synthesized solution whose |lambda| differ by
-# at most this fraction of the largest |lambda| = |T| are one node, and a
-# |lambda| within it of 0 is 0: eigh gives every eigenvalue of T to about
-# eps |T|, so a double eigenvalue comes out as two close ones, and the q
-# zero eigenvalues of the Radau case as q nodes near alpha.
-MERGE_REL = 1e-12
-# A merged weight W at node x is rounding, the share that an eigenvector's
-# error gives a node no level reaches, when its share (x - alpha)^j |W| of
-# each shifted moment t_j, j <= m, is at most this fraction of |t_j|, or
-# when |W| is at most this fraction of |s_0| and a share exceeds its |t_j|,
-# as no atom's can (a far node gets such a weight near eps^2 |s_0|).
-# Dropped weights reach 1.5e-13 |s_0| on the tests' and bench's sequences.
-WEIGHT_REL = 1e-12
-
-
 def _parameter_atoms(pair: StieltjesPair, zs, ph, tol):
     """(C, y, W) with G = phi psi^(-1) = C + sum_i W_i / (y_i - z), or None.
 
@@ -240,18 +221,18 @@ def _parameter_atoms(pair: StieltjesPair, zs, ph, tol):
     sigma_min/sigma_max at least ``tol.det_gate``, G's numerator degree is
     at most its denominator's, the denominator's roots y_i are simple, real
     and at least alpha, and the atoms give G's values at the points ``zs``
-    (at least one), from phi's values ``ph`` there, to ``ATOMS_REL``; None
-    means only that it has none.  A phi that holds its atoms
-    (``measures.from_atoms``) gives them directly: C = 0, y its nodes and
-    W_i its weights times P^(-1).  Any other phi is read off its power
-    basis: a denominator that is not real is divided, with the numerator,
-    by its leading coefficient and must then be exactly real; y are its
-    roots, and C and the W_i follow by Horner.  Such a pair is admissible
-    exactly when C and every residue W_i are positive semidefinite: one
-    that is not, by more than ``tol.psd`` (``matcore.psd_margin``), is
-    refused with a PreconditionError that names it and its margin.
-    Whether it decays, C = 0, is ``solve``'s decay gate.  C and the W_i
-    are returned symmetrized.
+    (at least one), from phi's values ``ph`` there, to
+    ``matcore.ATOMS_REL``; None means only that it has none.  A phi that
+    holds its atoms (``measures.from_atoms``) gives them directly: C = 0,
+    y its nodes and W_i its weights times P^(-1).  Any other phi is read
+    off its power basis: a denominator that is not real is divided, with
+    the numerator, by its leading coefficient and must then be exactly
+    real; y are its roots, and C and the W_i follow by Horner.  Such a
+    pair is admissible exactly when C and every residue W_i are positive
+    semidefinite: one that is not, by more than ``tol.psd``
+    (``matcore.psd_margin``), is refused with a PreconditionError that
+    names it and its margin.  Whether it decays, C = 0, is ``solve``'s
+    decay gate.  C and the W_i are returned symmetrized.
     """
     phi, psi = pair.phi, pair.psi
     if len(psi.den) > 1 or psi.num.trimmed().degree:
@@ -298,8 +279,10 @@ def _parameter_atoms(pair: StieltjesPair, zs, ph, tol):
     g = ph @ p0inv
     fit = c + np.dot(1.0 / (y - zs[:, None]),
                      w.reshape(len(y), c.size)).reshape(g.shape)
-    if not len(zs) or not np.all(matcore.frob_at_most(fit - g, g, ATOMS_REL,
-                                                      0.0)):
+    # far above the rounding of a residue at a simple pole, far below the
+    # error of residues at roots too close to be told apart
+    if not len(zs) or not np.all(matcore.frob_at_most(
+            fit - g, g, matcore.ATOMS_REL, 0.0)):
         return None
     margins = matcore.psd_margin(atoms)
     bad = margins < -tol.psd
@@ -362,13 +345,14 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
     (R_0 V_0j)(R_0 V_0j)^*: nodes at least alpha and weights PSD by
     construction.  T's spectrum is symmetric, so the j-th smallest and
     j-th largest eigenvalues give one node; nodes whose |lambda| are within
-    ``MERGE_REL`` of each other are merged at their trace-weighted mean,
-    those within it of 0 at alpha itself, and rounding weights dropped
-    (``WEIGHT_REL``).  All roots and pseudoinverses come from one stacked
-    eigensolve of Q_0..Q_m and the W_i, each root's pseudoinverse cut at
-    ``tol.pinv_rtol`` of its largest eigenvalue, as ``matcore.pinv`` cuts
-    Q_k.  T is written by slices: under each block above the diagonal its
-    adjoint, signed zeros included, as eigh reads the lower triangle.
+    ``matcore.MERGE_REL`` of each other are merged at their trace-weighted
+    mean, those within it of 0 at alpha itself, and rounding weights
+    dropped (``matcore.WEIGHT_REL``).  All roots and pseudoinverses come
+    from one stacked eigensolve of Q_0..Q_m and the W_i, each root's
+    pseudoinverse cut at ``tol.pinv_rtol`` of its largest eigenvalue, as
+    ``matcore.pinv`` cuts Q_k.  T is written by slices: under each block
+    above the diagonal its adjoint, signed zeros included, as eigh reads
+    the lower triangle.
     """
     diagonal, alpha = trace.diagonal, trace.input.alpha
     q = len(diagonal[0])
@@ -414,7 +398,10 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
     order = np.argsort(squares, kind="stable")
     squares, weights = squares[order], weights[order]
     radii = np.sqrt(squares)
-    cut = MERGE_REL * radii[-1]
+    # eigh gives every eigenvalue of T to about eps |T|: a double eigenvalue
+    # comes out as two close ones, and the q zero eigenvalues of the Radau
+    # case as q nodes near alpha
+    cut = matcore.MERGE_REL * radii[-1]
     # an eigenvalue within the cut of 0 is 0: its node is alpha itself
     squares[radii <= cut] = 0.0
     apart = radii[1:] - radii[:-1] > cut
@@ -428,8 +415,14 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
                                     total, out=np.zeros_like(total),
                                     where=total > 0.0)
         weights = np.add.reduceat(weights, starts)
+    # a merged weight W at node x with |W| at most WEIGHT_REL |s_0| is
+    # rounding, the share that an eigenvector's error gives a node no level
+    # reaches, when each share (x - alpha)^j |W| of a shifted moment t_j is
+    # at most WEIGHT_REL |t_j|, or when a share exceeds its |t_j|, as no
+    # atom's can; dropped weights reach 1.5e-13 |s_0| on the tests' and
+    # bench's sequences
     mass = matcore.frobs(weights)
-    kept = mass > WEIGHT_REL * matcore.frob(diagonal[0])
+    kept = mass > matcore.WEIGHT_REL * matcore.frob(diagonal[0])
     if not kept.all():
         # t_j = sum_k C(j, k) (-alpha)^(j-k) s_k, by synthetic division
         shifted = np.array(trace.input.s)
@@ -438,7 +431,7 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
                 shifted[i + 1:] -= alpha * shifted[i:-1]
             sizes = matcore.frobs(shifted)
             shares = squares[:, None] ** np.arange(len(sizes)) * mass[:, None]
-            kept |= ((shares > WEIGHT_REL * sizes).any(axis=1)
+            kept |= ((shares > matcore.WEIGHT_REL * sizes).any(axis=1)
                      & (shares <= sizes).all(axis=1))
     return measures.from_atoms(alpha + squares[kept], weights[kept], q)
 

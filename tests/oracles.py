@@ -665,7 +665,8 @@ def literal_horner(coeffs, z):
 def oracle_matches(f, other, pole_scale):
     """``simplify``'s acceptance test of ``other`` against ``f``, point by
     point with numpy's norm, at the same control points."""
-    from stieltjesmp.pairs import SIMPLIFY_REL, grid_values
+    from stieltjesmp.matcore import SIMPLIFY_REL
+    from stieltjesmp.pairs import grid_values
 
     points = [pole_scale * t * np.exp(1j * ang) for t, ang in
               ((0.11, 0.77), (0.43, 2.1), (1.19, -1.3), (2.3, 0.4))]

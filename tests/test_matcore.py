@@ -50,7 +50,7 @@ def test_tolerance_fields_must_be_positive_and_finite(value):
 
 
 def test_tolerance_config_holds_only_thresholds_the_package_reads():
-    # pair equivalence has a fixed bound, pairs.EQUIV_GAP, and no field
+    # pair equivalence has a fixed bound, matcore.EQUIV_GAP, and no field
     assert [f.name for f in fields(ToleranceConfig)] == [
         "pinv_rtol", "herm", "psd", "inclusion", "det_gate", "extraction"]
     with pytest.raises(TypeError):

@@ -50,6 +50,62 @@ def test_every_tolerance_field_is_read():
     assert not unread, unread
 
 
+def _package_trees() -> dict:
+    """Module name -> its parsed source, for every module of the package."""
+    src = Path(importlib.import_module("stieltjesmp").__file__).parent
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(src.glob("*.py"))}
+
+
+def _threshold_table(matcore_tree) -> dict:
+    """matcore's table of fixed thresholds: name -> the literal of each
+    top-level ``NAME = <float>`` assignment."""
+    return {stmt.targets[0].id: stmt.value for stmt in matcore_tree.body
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and stmt.targets[0].id.isupper()
+            and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, float)}
+
+
+def test_every_small_threshold_is_named_in_the_table():
+    # a fixed threshold is a name in matcore's table, beside ToleranceConfig:
+    # no float literal below 1e-3 appears anywhere else in the package than
+    # there and in the config's defaults, and no other module assigns a
+    # table name
+    trees = _package_trees()
+    table = _threshold_table(trees["matcore"])
+    config = next(node for node in trees["matcore"].body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "ToleranceConfig")
+    named = {id(value) for value in table.values()}
+    named |= {id(stmt.value) for stmt in config.body
+              if isinstance(stmt, ast.AnnAssign)}
+    stray = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and type(node.value) is float
+                    and 0.0 < abs(node.value) < 1e-3
+                    and id(node) not in named):
+                stray.append(f"{module}:{node.lineno}: {node.value!r}")
+            elif (module != "matcore" and isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store) and node.id in table):
+                stray.append(f"{module}:{node.lineno}: {node.id} =")
+    assert table and not stray, stray
+
+
+def test_every_threshold_in_the_table_is_read():
+    # as for the tolerance fields: a table entry that nothing reads outside
+    # its own definition is a threshold that decides nothing
+    trees = _package_trees()
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    unread = sorted(set(_threshold_table(trees["matcore"])) - read)
+    assert not unread, unread
+
+
 def test_every_cli_config_field_is_read():
     # likewise a CliConfig field no subcommand reads is an option that the
     # CLI parses and then ignores

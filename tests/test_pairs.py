@@ -531,6 +531,18 @@ def test_equivalence_is_projective():
     assert not equivalent(identity_pair(0.0, 2), identity_pair(0.5, 2))
 
 
+def test_pairs_with_no_point_to_compare_are_not_equivalent():
+    # a walk that keeps no point, or stacks that are rank deficient at
+    # every point, compare nothing: no span was seen to agree
+    five = StieltjesPair(0.0, RationalMatFun.const(5.0 * np.eye(2)),
+                         RationalMatFun.const(np.eye(2)))
+    flat = RationalMatFun.const(np.diag([1.0, 0.0]))
+    assert not equivalent(grid_pole_pair(0.0, 2), five)
+    assert not equivalent(five, grid_pole_pair(0.0, 2))
+    assert not equivalent(StieltjesPair(0.0, flat, flat), five)
+    assert equivalent(five, five)
+
+
 def test_in_class_range_condition():
     proj2 = np.diag([1.0, 1.0, 0.0])
     inside = StieltjesPair(0.0, RationalMatFun.const(np.diag([1.0, 0.0, 0.0])),
