@@ -133,8 +133,6 @@ REFIT_REL = 1e-6
 SCALE_FLOOR = 1e-300
 # pairs: values [phi; psi] have full rank when sigma_min exceeds this; sigma_1
 RANK_GAP = 1e-10
-# pairs.equivalent: a stack whose sigma_1 is below this is zero; absolute
-EQUIV_FLOOR = 1e-250
 # pairs.gamma_U_embed: |u^* u - I| for orthonormal columns; max(1, q)
 ORTHO_REL = 1e-10
 # respoly._balanced_radius: the highest coefficient that counts; the largest

@@ -1,16 +1,17 @@
 """Discrete matrix measures on a half-axis [alpha, inf).
 
 A measure here is a finite sum of point masses with positive semidefinite
-matrix weights.  It supplies exact moments, an exactly rational
-half-axis transform sum_k (x_k - z)^(-1) w_k (``from_atoms``, the one
-builder from atoms, which ``solve`` uses too), and the reverse direction:
-reading moments back off a rational function, which is how candidate
-solutions get verified.  A function built from atoms keeps them, and its
-moments are its atoms' sum_k x_k^j w_k, by the kernel ``moments`` uses;
-any other function, given as numerator over denominator, has them read
-exactly by series division at infinity.  Only a function of the
-transforms' growth class has such moments: one that is identically zero,
-or whose numerator degree is one below its denominator's.
+matrix weights, the one form of atoms (``solve``'s parameters and
+solutions too).  It supplies exact moments, the exactly rational
+transform sum_k (x_k - z)^(-1) w_k (``stieltjes_transform``, the one
+builder of a power basis from atoms), and the reverse direction: reading
+moments back off a rational function, which is how candidate solutions
+get verified.  A transform keeps its measure, and its moments are the
+measure's, by the kernel ``moments`` uses; any other function, given as
+numerator over denominator, has them read exactly by series division at
+infinity.  Only a function of the transforms' growth class has such
+moments: one that is identically zero, or whose numerator degree is one
+below its denominator's.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "DiscreteMeasure",
     "moments",
     "stieltjes_transform",
-    "from_atoms",
     "extract_moments",
     "verify_solution",
 ]
@@ -44,11 +44,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Point masses x_k >= alpha with PSD matrix weights w_k."""
+    """Point masses x_k >= alpha with PSD matrix weights w_k: ``nodes`` a
+    tuple of Python floats, ``weights`` one read-only (n, q, q) complex
+    stack, so a measure without atoms keeps its q when given as a stack."""
 
     alpha: float
     nodes: tuple
-    weights: tuple
+    weights: np.ndarray
     tol: InitVar[ToleranceConfig] = DEFAULT_TOL  # checks weights; not stored
 
     def __post_init__(self, tol):
@@ -57,7 +59,7 @@ class DiscreteMeasure:
         nodes = tuple(float(x) for x in self.nodes)
         if not all(map(math.isfinite, nodes)):
             raise ValueError("measure nodes must be finite")
-        weights = tuple(matcore.as_cmat(w) for w in self.weights)
+        weights = [matcore.as_cmat(w) for w in self.weights]
         if len(nodes) != len(weights):
             raise ValueError("nodes and weights must pair up")
         lowest = self.alpha - matcore.NODE_SLACK * max(1.0, abs(self.alpha))
@@ -69,31 +71,43 @@ class DiscreteMeasure:
             stack = matcore.hermitize(weights, tol)
             if (matcore.psd_margin(stack) < -tol.psd).any():
                 raise PreconditionError("weights must be positive semidefinite")
-            weights = tuple(stack)
+        else:
+            q = np.shape(self.weights)[-1] if np.ndim(self.weights) == 3 else 0
+            stack = np.zeros((0, q, q), dtype=complex)
+        stack.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", stack)
+
+    @classmethod
+    def _computed(cls, alpha: float, nodes, weights) -> "DiscreteMeasure":
+        """Atoms the package computed, kept unchecked: real nodes at least
+        alpha and a PSD (n, q, q) complex stack of weights."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "alpha", alpha)
+        object.__setattr__(mu, "nodes", tuple(np.asarray(nodes, float).tolist()))
+        weights.flags.writeable = False
+        object.__setattr__(mu, "weights", weights)
+        return mu
 
     @property
     def q(self) -> int:
-        return self.weights[0].shape[0] if self.weights else 0
+        return self.weights.shape[-1]
 
     def total(self) -> np.ndarray:
-        if not self.weights:
-            return np.zeros((0, 0), dtype=complex)
-        return sum(self.weights)
+        return self.weights.sum(axis=0)
 
 
-def _atom_moments(nodes, weights, m: int):
-    """(stack, bad): s_j = sum_k x_k^j W_k for the nodes ``nodes`` and the
-    (n, q, q) stack ``weights``, j = 0..m, with the bits of the loop that
-    adds (x_k ** j) W_k over the atoms in order to complex zeros.  Each
-    power is Python's ``**`` of the node as a Python float (numpy's power
-    rounds some differently), and one cumulative sum from a zero slab
-    keeps the loop's order of sums.  ``bad`` is None, or the first j at
-    which a power, a product or a sum leaves the float range; the stack
-    then holds s_0..s_(bad-1).  A sum that leaves the range stays
-    non-finite to the last atom, so the last running sum shows it."""
-    xs = np.asarray(nodes, dtype=float).tolist()
+def _atom_moments(mu: DiscreteMeasure, m: int):
+    """(stack, bad): s_j = sum_k x_k^j W_k over the atoms of ``mu``, j =
+    0..m, with the bits of the loop that adds (x_k ** j) W_k over the atoms
+    in order to complex zeros.  Each power is Python's ``**`` of the node
+    as a Python float (numpy's power rounds some differently), and one
+    cumulative sum from a zero slab keeps the loop's order of sums.  ``bad``
+    is None, or the first j at which a power, a product or a sum leaves the
+    float range; the stack then holds s_0..s_(bad-1).  A sum that leaves
+    the range stays non-finite to the last atom, so the last running sum
+    shows it."""
+    xs, weights = mu.nodes, mu.weights
     n, q = weights.shape[0], weights.shape[-1]
     try:
         powers = [x ** j for j in range(m + 1) for x in xs]
@@ -127,40 +141,31 @@ def moments(mu: DiscreteMeasure, m: int) -> MomentSequence:
     the float range is a ValueError that names it."""
     if m < 0:
         raise PreconditionError("moment order must be nonnegative")
-    weights = np.array(mu.weights, dtype=complex).reshape(
-        len(mu.nodes), mu.q, mu.q)
-    stack, bad = _atom_moments(mu.nodes, weights, m)
+    stack, bad = _atom_moments(mu, m)
     if bad is not None:
         raise ValueError(f"moment s_{bad} overflows the float range")
     return MomentSequence(mu.alpha, tuple(stack))
 
 
 def stieltjes_transform(mu: DiscreteMeasure) -> RationalMatFun:
-    """The rational function sum_k (x_k - z)^(-1) w_k, built by
-    :func:`from_atoms`: poles exactly at the nodes, coincident ones merged."""
-    return from_atoms(mu.nodes, np.array(mu.weights), mu.q)
-
-
-def from_atoms(nodes, weights, q: int) -> RationalMatFun:
-    """sum_k W_k / (x_k - z) for nodes x_k and a stack of q x q weights W_k.
+    """sum_k w_k / (x_k - z), the one builder of a power basis from atoms.
 
     The nodes are sorted, and exactly equal ones merged by summing their
     weights.  The function is the monic denominator prod_k (z - x_k) over
-    the numerator -sum_k W_k prod_{j != k} (z - x_j): every cofactor and
+    the numerator -sum_k w_k prod_{j != k} (z - x_j): every cofactor and
     the denominator are multiplied out in one pass over the nodes, each
     factor applied to every row but its own.  The function keeps the
-    sorted, merged atoms in its ``atoms`` slot, which
+    sorted, merged measure in its ``atoms`` slot, which
     :func:`extract_moments` and ``solve``'s parameter reading take instead
     of its power basis.  A denominator whose leading coefficients the
     constructor trims (nodes spread so far that its constant term exceeds
     them by the trim floor) raises GrowthError: the function left would
     miss the sum."""
-    nodes = np.asarray(nodes, dtype=float)
+    nodes, weights, q = np.array(mu.nodes, dtype=float), mu.weights, mu.q
     n = len(nodes)
     if not n:
         fun = RationalMatFun.zero(q)
-        object.__setattr__(fun, "atoms", _frozen(
-            np.zeros(0), np.zeros((0, q, q), dtype=complex)))
+        object.__setattr__(fun, "atoms", mu)
         return fun
     order = np.argsort(nodes, kind="stable")
     nodes, weights = nodes[order], weights[order]
@@ -186,23 +191,17 @@ def from_atoms(nodes, weights, q: int) -> RationalMatFun:
             f"the function's denominator over {n} nodes on [{nodes[0]:.6g}, "
             f"{nodes[-1]:.6g}] loses its leading coefficients to the trim "
             "floor of RationalMatFun's power basis")
-    object.__setattr__(fun, "atoms", _frozen(
-        nodes, weights.astype(complex, copy=False)))
+    object.__setattr__(fun, "atoms", DiscreteMeasure._computed(
+        mu.alpha, nodes, weights))
     return fun
-
-
-def _frozen(nodes, weights) -> tuple:
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
 
 
 def extract_moments(fun: RationalMatFun, alpha: float, m: int):
     """Recover (s_0..s_m, residual) of ``fun`` = -sum_j s_j z^-(j+1).
 
-    A function that holds its atoms (``fun.atoms``, filled by
-    :func:`from_atoms`) has the moments sum_k x_k^j W_k, by the kernel of
-    :func:`moments`, and residual 0.0.  Any other function, given as
+    A function that holds its atoms (``fun.atoms``, the measure
+    :func:`stieltjes_transform` keeps) has the moments sum_k x_k^j W_k, by
+    the kernel of :func:`moments`, and residual 0.0.  Any other function, given as
     numerator over denominator, has them read exactly by series division
     of the numerator by the scalar denominator at infinity, and
     ``residual`` is ``fun.proper_residual()``.  A zero numerator reads
@@ -217,7 +216,7 @@ def extract_moments(fun: RationalMatFun, alpha: float, m: int):
     if m < 0:
         raise PreconditionError("moment order must be nonnegative")
     if fun.atoms is not None:
-        stack, j = _atom_moments(*fun.atoms, m)
+        stack, j = _atom_moments(fun.atoms, m)
         return _read_moments(alpha, stack, j, 0.0)
     q = fun.q
     norms = fun.num.coeff_norms()
@@ -265,9 +264,9 @@ def verify_solution(fun: RationalMatFun, seq: MomentSequence, mode: str = "leq",
                     tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     """Compare the moments read off ``fun`` with a prescribed sequence.
 
-    ``extract_moments`` reads the moments: a function built from atoms
+    ``extract_moments`` reads the moments: a function that holds its atoms
     (``solve``'s solution for a parameter with atoms, a measure's
-    transform) by its atoms' moments, any other by series division, where
+    transform) by their moments, any other by series division, where
     a function outside the transforms' growth class raises GrowthError.
     Both modes require the first m moments to match relatively to the
     extraction tolerance; the final moment must match too (eq mode) or sit

@@ -73,16 +73,16 @@ class RationalMatFun:
     ``den``: a read-only 1-d complex array, degree-ascending, copied from
     the given sequence without its negligible trailing coefficients.
 
-    ``atoms`` is None, or the function's own pole-residue form
-    sum_k W_k / (x_k - z) as read-only arrays (sorted distinct nodes x_k,
-    the (n, q, q) stack of W_k).  Only ``measures.from_atoms`` fills it; it
-    is no constructor argument, so every other constructor and operation
-    (``scale``, ``lmul``, ``rmul``, ``+``, ``@``, ``simplify``) builds a
-    function without it."""
+    ``atoms`` is None, or the ``measures.DiscreteMeasure`` (sorted distinct
+    nodes x_k) whose transform sum_k W_k / (x_k - z) the function is.
+    Only ``measures.stieltjes_transform`` fills it; it is no constructor
+    argument, so every other constructor and operation (``scale``,
+    ``lmul``, ``rmul``, ``+``, ``@``, ``simplify``) builds a function
+    without it."""
 
     num: MatrixPolynomial
     den: np.ndarray = (1.0 + 0.0j,)
-    atoms: tuple = field(default=None, init=False, repr=False)
+    atoms: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         den = np.atleast_1d(np.array(self.den, dtype=complex))
@@ -452,9 +452,9 @@ def equivalent(p1: StieltjesPair, p2: StieltjesPair) -> bool:
 
     Tested as equality of the column spans of the stacked pairs at every
     point of ``default_grid`` (projectors compared in spectral norm, to
-    ``matcore.EQUIV_GAP``); points where either stack is zero or
-    numerically rank deficient are passed over.  Pairs with no point left
-    to compare are not equivalent: False.
+    ``matcore.EQUIV_GAP``); points where either stack is zero (sigma_1 =
+    0, at any scale) or numerically rank deficient are passed over.  Pairs
+    with no point left to compare are not equivalent: False.
     """
     if p1.q != p2.q or p1.alpha != p2.alpha:
         return False
@@ -464,7 +464,7 @@ def equivalent(p1: StieltjesPair, p2: StieltjesPair) -> bool:
     usable = True
     for s in (np.concatenate([f1, g1], axis=1), np.concatenate([f2, g2], axis=1)):
         u, sv, _ = np.linalg.svd(s, full_matrices=False)
-        usable = usable & (sv[:, 0] >= matcore.EQUIV_FLOOR) & (
+        usable = usable & (sv[:, 0] > 0.0) & (
             sv[:, -1] >= matcore.RANK_GAP * sv[:, 0])
         projectors.append(u @ u.conj().swapaxes(-1, -2))
     gaps = np.linalg.svd(projectors[0] - projectors[1], compute_uv=False)

@@ -19,9 +19,9 @@ one decay gate (C = 0 for a pair with atoms, ``pairs.in_diamond`` for any
 other); and one gate on the descent denominator D = V_21 phi + V_22 psi,
 on the walk's values (``_gate_descent_denominator``).  A pair with atoms
 has F read off the diagonal as a continued fraction: one Hermitian block
-tridiagonal eigensolve, of T written by slices, gives its nodes and PSD
-weights, which ``measures.from_atoms`` turns into F (``_atomic_solution``)
-and keeps in F's ``atoms`` slot, where ``verify_solution`` reads them.
+tridiagonal eigensolve, of T written by slices, gives the measure of F,
+which ``measures.stieltjes_transform`` turns into F (``_atomic_solution``)
+and keeps in F's ``atoms`` slot, where ``verify_solution`` reads it.
 Any other pair goes through the kernel ``lft.lft_rational``, which forms V
 as a polynomial, slices its q x q blocks and divides out the power of
 (z - alpha) that the resolvent introduces.  The low-rank routes lift an
@@ -215,7 +215,8 @@ def solve(req: SolutionRequest,
 
 
 def _parameter_atoms(pair: StieltjesPair, zs, ph, tol):
-    """(C, y, W) with G = phi psi^(-1) = C + sum_i W_i / (y_i - z), or None.
+    """(C, g) with G = phi psi^(-1) = C + sum_i W_i / (y_i - z), or None:
+    g the ``measures.DiscreteMeasure`` on [alpha, inf) of the atoms.
 
     The pair has atoms when psi is a constant matrix P with
     sigma_min/sigma_max at least ``tol.det_gate``, G's numerator degree is
@@ -223,7 +224,7 @@ def _parameter_atoms(pair: StieltjesPair, zs, ph, tol):
     and at least alpha, and the atoms give G's values at the points ``zs``
     (at least one), from phi's values ``ph`` there, to
     ``matcore.ATOMS_REL``; None means only that it has none.  A phi that
-    holds its atoms (``measures.from_atoms``) gives them directly: C = 0,
+    holds its measure (``measures.stieltjes_transform``) gives it: C = 0,
     y its nodes and W_i its weights times P^(-1).  Any other phi is read
     off its power basis: a denominator that is not real is divided, with
     the numerator, by its leading coefficient and must then be exactly
@@ -243,11 +244,11 @@ def _parameter_atoms(pair: StieltjesPair, zs, ph, tol):
         return None
     p0inv = np.linalg.inv(p0)
     if phi.atoms is not None:
-        y, w = phi.atoms
+        y = np.array(phi.atoms.nodes)
         if len(y) and y[0] < pair.alpha:
             return None
         atoms = matcore.symmetrized(np.concatenate(
-            (np.zeros_like(p0)[None], w @ p0inv)))
+            (np.zeros_like(p0)[None], phi.atoms.weights @ p0inv)))
     else:
         num = phi.num.trimmed().coeffs @ p0inv
         den = phi.den
@@ -291,7 +292,7 @@ def _parameter_atoms(pair: StieltjesPair, zs, ph, tol):
         name = "constant" if i == 0 else f"residue at {y[i - 1]:.6g}"
         raise PreconditionError("parameter pair is not admissible: its "
                                 f"{name} has PSD margin {margins[i]:.3e}")
-    return c, y, w
+    return c, measures.DiscreteMeasure._computed(pair.alpha, y, w)
 
 
 def _gate_descent_denominator(trace, zs, top, bottom, tol) -> None:
@@ -331,9 +332,10 @@ def _gate_descent_denominator(trace, zs, top, bottom, tol) -> None:
     lft.check_denominator(dens, tol, "synthesis", zs)
 
 
-def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
-    """The solution for the parameter C + sum_i W_i / (y_i - z), read off
-    the continued fraction of the diagonal Q_0..Q_m of ``trace``.
+def _atomic_solution(trace, c, g, tol: ToleranceConfig) -> RationalMatFun:
+    """The solution for the parameter C + sum_i W_i / (y_i - z), g the
+    measure of the atoms y_i, W_i, read off the continued fraction of the
+    diagonal Q_0..Q_m of ``trace``.
 
     With R_k = Q_k^(1/2), T is Hermitian block tridiagonal with zero
     diagonal blocks and T_{k,k+1} = R_k^+ R_{k+1}; level m couples to one
@@ -357,8 +359,8 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
     diagonal, alpha = trace.diagonal, trace.input.alpha
     q = len(diagonal[0])
     m = len(diagonal) - 1
-    k = len(y)
-    stack = np.concatenate((diagonal, w))
+    k = len(g.nodes)
+    stack = np.concatenate((diagonal, g.weights))
     x = None
     if c.any():
         x = diagonal[m] @ matcore.pinv(diagonal[m] + c, tol)
@@ -381,7 +383,7 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
     for j in range(m):
         t[j + 1, :, j] = chain[j]
     t[m + 1:m + 1 + k, :, m] = (pinvs[m] @ couple).conj().swapaxes(-1, -2)
-    spokes = (np.sqrt(y - alpha)[:, None, None]
+    spokes = (np.sqrt(np.subtract(g.nodes, alpha))[:, None, None]
               * np.eye(q, dtype=complex)).conj().swapaxes(-1, -2)
     for i in range(k):
         t[m + 1 + k + i, :, m + 1 + i] = spokes[i]
@@ -433,7 +435,8 @@ def _atomic_solution(trace, c, y, w, tol: ToleranceConfig) -> RationalMatFun:
             shares = squares[:, None] ** np.arange(len(sizes)) * mass[:, None]
             kept |= ((shares > matcore.WEIGHT_REL * sizes).any(axis=1)
                      & (shares <= sizes).all(axis=1))
-    return measures.from_atoms(alpha + squares[kept], weights[kept], q)
+    return measures.stieltjes_transform(measures.DiscreteMeasure._computed(
+        alpha, alpha + squares[kept], weights[kept]))
 
 
 def _range_basis(a, r: int) -> np.ndarray:

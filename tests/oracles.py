@@ -775,7 +775,7 @@ def literal_parameter_atoms(pair, zs, ph, tol, atoms_rel=1e-10):
     coefficient."""
     import numpy.polynomial.polynomial as npoly
 
-    from stieltjesmp import matcore
+    from stieltjesmp import matcore, measures
     from stieltjesmp.matcore import PreconditionError
 
     phi, psi = pair.phi, pair.psi
@@ -817,7 +817,7 @@ def literal_parameter_atoms(pair, zs, ph, tol, atoms_rel=1e-10):
         name = "constant" if i == 0 else f"residue at {y[i - 1]:.6g}"
         raise PreconditionError("parameter pair is not admissible: its "
                                 f"{name} has PSD margin {margins[i]:.3e}")
-    return c, y, w
+    return c, measures.DiscreteMeasure._computed(pair.alpha, y, w)
 
 
 def literal_check_denominator(dens, tol, stage, points=None):
@@ -871,7 +871,7 @@ def literal_gate(trace, zs, top, bottom, tol):
     return dens
 
 
-def literal_atomic_solution(trace, c, y, w, tol, merge_rel=1e-12,
+def literal_atomic_solution(trace, c, g, tol, merge_rel=1e-12,
                             weight_rel=1e-12):
     """``solver._atomic_solution`` as first written: the blocks of T above
     the diagonal concatenated, their block rows and columns listed by
@@ -879,6 +879,7 @@ def literal_atomic_solution(trace, c, y, w, tol, merge_rel=1e-12,
     fancy-indexed assignment."""
     from stieltjesmp import matcore, measures
 
+    y, w = np.array(g.nodes), g.weights
     diagonal, alpha = trace.diagonal, trace.input.alpha
     q = len(diagonal[0])
     m = len(diagonal) - 1
@@ -946,4 +947,5 @@ def literal_atomic_solution(trace, c, y, w, tol, merge_rel=1e-12,
             kept[i] = shares[0] > weight_rel * sizes[0] or (
                 any(a > weight_rel * b for a, b in zip(shares, sizes))
                 and all(a <= b for a, b in zip(shares, sizes)))
-    return measures.from_atoms(nodes[kept], weights[kept], q)
+    return measures.stieltjes_transform(measures.DiscreteMeasure._computed(
+        alpha, nodes[kept], weights[kept]))

@@ -26,7 +26,6 @@ from stieltjesmp.matcore import (
 from stieltjesmp.measures import (
     DiscreteMeasure,
     extract_moments,
-    from_atoms,
     moments,
     stieltjes_transform,
     verify_solution,
@@ -231,7 +230,8 @@ def test_extract_moments_rejects_overflowing_moments():
     # atoms at 1e10: the power 1e10^31 leaves the float range, and with
     # weight 1e300 the product at j = 1 does; the first such j is named
     for weight, j in ((1.0, 31), (1e300, 1)):
-        fun = from_atoms([1e10], np.full((1, 1, 1), weight), 1)
+        fun = stieltjes_transform(
+            DiscreteMeasure(0.0, (1e10,), np.full((1, 1, 1), weight)))
         assert fun.atoms is not None
         with pytest.raises(ValueError, match=f"^moment s_{j} overflows to "
                                              "a non-finite value$"):
@@ -279,21 +279,32 @@ def test_a_measures_transform_verifies_against_its_own_moments_exactly():
             assert rep["residual"] == 0.0 and rep["ok"]
 
 
-def test_only_from_atoms_fills_the_atoms_slot():
-    # sorted, merged and read-only; no constructor takes it, and every
-    # function derived from one that holds it is given as num/den only
+def test_only_stieltjes_transform_fills_the_atoms_slot():
+    # a measure, sorted, merged and read-only; no constructor takes it, and
+    # every function derived from one that holds it is given as num/den
+    # only.  A measure without atoms keeps the q of its (0, q, q) stack.
     rng = np.random.default_rng(4104)
-    weights = np.array([random_psd(rng, 2) for _ in range(3)])
-    fun = from_atoms([2.0, 0.5, 2.0], weights, 2)
-    nodes, stack = fun.atoms
-    assert nodes.tolist() == [0.5, 2.0]
-    assert np.array_equal(stack, [weights[1], weights[0] + weights[2]])
-    assert not nodes.flags.writeable and not stack.flags.writeable
+    mu = DiscreteMeasure(0.5, (2.0, 0.5, 2.0),
+                         np.array([random_psd(rng, 2) for _ in range(3)]))
+    weights = mu.weights
+    fun = stieltjes_transform(mu)
+    atoms = fun.atoms
+    assert isinstance(atoms, DiscreteMeasure) and atoms.alpha == 0.5
+    assert atoms.nodes == (0.5, 2.0)
+    assert all(type(x) is float for x in atoms.nodes + mu.nodes)
+    assert np.array_equal(atoms.weights, [weights[1], weights[0] + weights[2]])
+    assert atoms.weights.dtype == complex and atoms.weights.shape == (2, 2, 2)
+    assert not weights.flags.writeable and not atoms.weights.flags.writeable
     with pytest.raises(FrozenInstanceError):
         fun.atoms = None
+    with pytest.raises(FrozenInstanceError):
+        atoms.weights = weights
     with pytest.raises(TypeError, match="atoms"):
         RationalMatFun(fun.num, fun.den, atoms=fun.atoms)
-    assert from_atoms([], np.zeros((0, 2, 2)), 2).atoms[0].size == 0
+    empty = stieltjes_transform(DiscreteMeasure(0.0, (), np.zeros((0, 2, 2))))
+    assert empty.q == empty.atoms.q == 2 and empty.atoms.nodes == ()
+    assert empty.atoms.weights.shape == (0, 2, 2)
+    assert DiscreteMeasure(0.0, (), ()).q == 0
     a = random_psd(rng, 2) + np.eye(2)
     derived = {
         "constructor": RationalMatFun(fun.num, fun.den),

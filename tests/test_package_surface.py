@@ -251,6 +251,33 @@ def test_solve_reads_the_mode_once():
     assert reads == ["req.mode"]
 
 
+def test_only_the_transform_writes_the_atoms_slot():
+    # a function's atoms are the measure it is the transform of:
+    # measures.stieltjes_transform alone sets the slot, by
+    # object.__setattr__, setattr or an assignment to ``.atoms``
+    writers = set()
+    for module, tree in _package_trees().items():
+        scopes = [(f"{module}.{node.name}", node) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)]
+        for name, scope in scopes:
+            for node in ast.walk(scope):
+                slot = None
+                if isinstance(node, ast.Call) and len(node.args) >= 2:
+                    func = node.func
+                    called = (func.attr if isinstance(func, ast.Attribute)
+                              else func.id if isinstance(func, ast.Name)
+                              else None)
+                    if called in ("__setattr__", "setattr"):
+                        slot = node.args[1]
+                        slot = slot.value if isinstance(slot, ast.Constant) else "?"
+                elif isinstance(node, ast.Attribute) and not isinstance(
+                        node.ctx, ast.Load):
+                    slot = node.attr
+                if slot in ("atoms", "?"):
+                    writers.add(name)
+    assert writers == {"measures.stieltjes_transform"}, writers
+
+
 def test_the_trace_checks_no_stage_again(monkeypatch):
     # the public shift and reciprocal validate their argument; the trace's
     # steps run the same arithmetic on stages already known finite

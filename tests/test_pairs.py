@@ -741,3 +741,25 @@ def test_pair_json_roundtrip():
 def test_pairs_refuse_malformed_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_a_pair_scaled_far_below_unit_size_is_equivalent_to_itself():
+    # both numerators times 1e-260 or 1e-300 is the right factor c I: the
+    # stacks' sigma_1 sit near c, and only a zero stack, sigma_1 = 0,
+    # compares nothing.  An absolute floor of 1e-250 once passed over
+    # every point of such a pair, which then was not even equivalent to
+    # itself
+    base = cauchy_pair(0.0, 2, t=1.5)
+    for c in (1e-260, 1e-300):
+        tiny = StieltjesPair(0.0,
+                             RationalMatFun(base.phi.num.scale(c), base.phi.den),
+                             RationalMatFun(base.psi.num.scale(c), base.psi.den))
+        assert equivalent(tiny, tiny), c
+        assert equivalent(tiny, base) and equivalent(base, tiny), c
+    # a zero stack's singular vectors span some q columns, here those of
+    # (I, O): only sigma_1 = 0 keeps that from counting as agreement
+    zero = RationalMatFun.zero(2)
+    upper = StieltjesPair(0.0, RationalMatFun.const(np.eye(2)), zero)
+    for other in (base, upper):
+        assert not equivalent(StieltjesPair(0.0, zero, zero), other)
+        assert not equivalent(other, StieltjesPair(0.0, zero, zero))

@@ -566,7 +566,7 @@ def test_atoms_that_miss_the_grid_values_are_no_atoms(monkeypatch):
     # on the grid, so it has no atoms; the grid fork solves it, and the
     # solution verifies
     weights = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    fun = measures.from_atoms(np.array([1.2, 1.2 + 1e-8]), weights, 2)
+    fun = stieltjes_transform(DiscreteMeasure(0.0, (1.2, 1.2 + 1e-8), weights))
     fun = RationalMatFun(fun.num, fun.den)
     pair = StieltjesPair(0.0, fun, RationalMatFun.const(np.eye(2)))
     roots = npoly.polyroots(fun.den.real)
@@ -590,11 +590,11 @@ def test_atoms_that_miss_the_grid_values_are_no_atoms(monkeypatch):
 def test_a_phi_that_holds_its_atoms_gives_them_to_solve(monkeypatch):
     # diag(1, 0) and diag(0, 1) at 0.1 and 0.1 + 1e-8: polyroots and Horner
     # give residues of PSD margin -2.3e-2 at roots that close, and refuse
-    # the pair read from JSON; from_atoms' own atoms are exact, and the
+    # the pair read from JSON; a transform's own atoms are exact, and the
     # pair solves and verifies in both modes without any root finding.  A
     # node below alpha still means no atoms.
     weights = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    fun = measures.from_atoms(np.array([0.1, 0.1 + 1e-8]), weights, 2)
+    fun = stieltjes_transform(DiscreteMeasure(0.0, (0.1, 0.1 + 1e-8), weights))
     pair = StieltjesPair(0.0, fun, RationalMatFun.const(2.0 * np.eye(2)))
     _, seq = nondegenerate_seq(np.random.default_rng(0), 2, 2)
     read = serialize.pair_from_json(serialize.pair_to_json(pair))
@@ -604,14 +604,67 @@ def test_a_phi_that_holds_its_atoms_gives_them_to_solve(monkeypatch):
             solve(SolutionRequest(seq, read, mode))
     zs, (ph,) = pairs.grid_values((fun,), pairs.default_grid(0.0))
     monkeypatch.setattr(npoly, "polyroots", None)
-    c, y, w = solver._parameter_atoms(pair, zs, ph, DEFAULT_TOL)
-    assert not c.any() and np.array_equal(y, fun.atoms[0])
-    assert np.array_equal(w, 0.5 * weights)
+    c, g = solver._parameter_atoms(pair, zs, ph, DEFAULT_TOL)
+    assert isinstance(g, DiscreteMeasure) and g.alpha == 0.0
+    assert not c.any() and g.nodes == fun.atoms.nodes
+    assert np.array_equal(g.weights, 0.5 * weights)
     for mode in ("leq", "eq"):
         sol = solve(SolutionRequest(seq, pair, mode))
         assert verify_solution(sol, seq, mode)["ok"], mode
     below = StieltjesPair(0.2, fun, pair.psi)
     assert solver._parameter_atoms(below, zs, ph, DEFAULT_TOL) is None
+
+
+def test_both_readers_of_a_parameter_give_one_measure():
+    # phi = sum_i W_i / (y_i - z) over 1-4 PSD atoms of random rank on
+    # [alpha, alpha + 20], at least 1e-2 apart, psi = I: read as built, by
+    # its atoms, and stripped to num/den, by roots and residues.  Both give
+    # (0, the measure) wherever both accept.  The atoms reader accepts
+    # every draw; the num/den reader falsely refuses 4 of the 1 000, each
+    # with four atoms, by a residue whose PSD margin, -1.3e-9 to -3.1e-8,
+    # is its own rounding
+    rng = np.random.default_rng(4301)
+    refused = []
+    worst_y = worst_w = 0.0
+    for trial in range(1000):
+        q, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        alpha = float(rng.uniform(-1.0, 1.0))
+        nodes = np.sort(alpha + rng.uniform(0.0, 20.0, k))
+        while k > 1 and np.diff(nodes).min() < 1e-2:
+            nodes = np.sort(alpha + rng.uniform(0.0, 20.0, k))
+        weights = np.array([random_psd(rng, q, rank=int(rng.integers(1, q + 1)))
+                            for _ in range(k)])
+        fun = stieltjes_transform(DiscreteMeasure(alpha, nodes, weights))
+        zs, (ph,) = pairs.grid_values((fun,), pairs.default_grid(alpha))
+        read = []
+        for phi in (fun, RationalMatFun(fun.num, fun.den)):
+            pair = StieltjesPair(alpha, phi, RationalMatFun.const(np.eye(q)))
+            try:
+                read.append(solver._parameter_atoms(pair, zs, ph, DEFAULT_TOL))
+            except PreconditionError as exc:
+                read.append(str(exc))
+        (c, g), plain = read
+        assert isinstance(g, DiscreteMeasure) and not c.any(), trial
+        assert g.nodes == fun.atoms.nodes, trial
+        if not isinstance(plain, tuple):
+            refused.append((trial, k, plain))
+            continue
+        c2, g2 = plain
+        top = max(frob(w) for w in g.weights)
+        assert isinstance(g2, DiscreteMeasure) and len(g2.nodes) == k, trial
+        assert frob(c2) <= 1e-10 * top, trial
+        worst_y = max(worst_y, max(abs(a - b) for a, b in zip(g.nodes, g2.nodes))
+                      / max(1.0, abs(g.nodes[-1])))
+        worst_w = max(worst_w, max(frob(a - b) for a, b in
+                                   zip(g.weights, g2.weights)) / top)
+    # here: nodes agree to 2.7e-11 relative, weights to 5.6e-9 of the
+    # largest weight
+    assert worst_y <= 1e-10 and worst_w <= 1e-7, (worst_y, worst_w)
+    assert [(trial, k) for trial, k, _ in refused] == [
+        (54, 4), (269, 4), (276, 4), (664, 4)]
+    margins = [float(why.rsplit(" ", 1)[1]) for _, _, why in refused]
+    assert all("residue at" in why for _, _, why in refused)
+    assert all(-3.1e-8 <= x <= -1.3e-9 for x in margins), margins
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
@@ -1056,7 +1109,7 @@ def test_the_leq_top_defect_has_the_rank_of_the_parameters_constant():
         nodes = np.sort(alpha + rng.uniform(0.0, 20.0, k))
         weights = np.array([random_psd(rng, q) for _ in range(k)])
         r = int(rng.integers(0, q + 1))
-        g = (measures.from_atoms(nodes, weights, q)
+        g = (stieltjes_transform(DiscreteMeasure(alpha, nodes, weights))
              + RationalMatFun.const(random_psd(rng, q, rank=r)))
         pair = StieltjesPair(alpha, g, RationalMatFun.const(np.eye(q)))
         try:
@@ -1214,19 +1267,20 @@ def test_far_atoms_of_tiny_weight_are_not_dropped(monkeypatch):
     pair = serialize.pair_from_json(obj["parameter"])
     big = StieltjesPair(pair.alpha, pair.phi.scale(1e8), pair.psi)
     atoms = []
-    from_atoms = measures.from_atoms
-    monkeypatch.setattr(measures, "from_atoms", lambda nodes, weights, q: (
-        atoms.append((nodes, weights)) or from_atoms(nodes, weights, q)))
+    transform = measures.stieltjes_transform
+    monkeypatch.setattr(measures, "stieltjes_transform",
+                        lambda mu: atoms.append(mu) or transform(mu))
     for mode in ("leq", "eq"):
         atoms.clear()
         try:
             sol = solve(SolutionRequest(seq, big, mode))
         except GrowthError:
             sol = None
-        (nodes, weights), = atoms
+        (mu,) = atoms
+        nodes = np.array(mu.nodes)
         assert nodes[-1] > 1e7
         for j, s in enumerate(seq.s):
-            got = np.tensordot(nodes ** j, weights, axes=1)
+            got = np.tensordot(nodes ** j, mu.weights, axes=1)
             assert frob(got - s) <= 1e-8 * frob(s), (mode, j)
         if sol is not None:
             assert verify_solution(sol, seq, mode)["ok"]
@@ -1250,7 +1304,8 @@ def test_solve_returns_the_solution_of_its_own_parameter():
         y = np.sort(alpha + rng.uniform(0.2, 6.0, size=k))
         w = np.array([random_psd(rng, q) + 0.05 * np.eye(q)
                       for _ in range(k)])
-        pair = StieltjesPair(alpha, measures.from_atoms(y, w, q),
+        pair = StieltjesPair(alpha,
+                             stieltjes_transform(DiscreteMeasure(alpha, y, w)),
                              RationalMatFun.const(np.eye(q)))
         sol = solve(SolutionRequest(seq, pair, "eq"))
         up = MomentSequence(alpha, tuple(np.tensordot(y ** j, w, axes=1)
