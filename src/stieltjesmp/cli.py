@@ -2,16 +2,18 @@
 
 Subcommands: classify, schur, poly, solve, verify, oracle.  Inputs are
 files holding the JSON layouts from :mod:`stieltjesmp.serialize`; output
-is deterministic JSON on stdout (sorted keys, floats at a fixed number of
-significant digits) so runs can be golden-file tested.  Every float is
-rounded once, by the layout that prints it; ``--grid`` points and
-``--tol`` values must be finite.  Only ``solve`` and ``oracle``, which
-print sampled values, take ``--grid``, and it sets those samples alone:
-every gate of ``solve`` reads ``pairs.default_grid``.  A call builds the
-parser of the subcommand it names and no other (all six when it names
-none), so help and usage errors print as they would from the full
-parser.  ``main`` alone reads the file and prints: a handler maps (JSON,
-options, args) to (payload, exit code).
+is deterministic JSON on stdout (sorted keys, floats at a fixed number
+of significant digits) so runs can be golden-file tested.  Each float is
+rounded once, by ``dumps`` as it writes it; the layouts are exact.
+``--grid`` points and ``--tol`` values must be finite.  Only ``solve``
+and ``oracle``, which print sampled values, take ``--grid``, and it sets
+those samples alone: every gate of ``solve`` reads
+``pairs.default_grid``.  A call builds the parser of the subcommand it
+names and no other (all six when it names none), so help and usage
+errors print as they would from the full parser.  ``main`` alone
+resolves ``--tol``, ``--grid`` and ``--digits`` (in that order, before
+the file is opened), reads the file and prints: a handler maps (JSON,
+args) to (payload, exit code).
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation,
 4 verification failure.
@@ -40,25 +42,12 @@ from .matcore import (
 from .measures import DiscreteMeasure
 from .serialize import dumps
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
-
-
-@dataclasses.dataclass(frozen=True)
-class CliConfig:
-    """Resolved command-line options of one subcommand call."""
-
-    tol: ToleranceConfig = DEFAULT_TOL
-    grid: tuple | None = None
-    digits: int = 15
-
-    def __post_init__(self):
-        if self.digits < 1:
-            raise PreconditionError("digits must be at least 1")
 
 
 def _parse_tol(items) -> ToleranceConfig:
@@ -88,67 +77,59 @@ def _parse_grid(text: str | None):
     return points
 
 
-def _config(args) -> CliConfig:
-    return CliConfig(tol=_parse_tol(args.tol), grid=_parse_grid(args.grid),
-                     digits=args.digits)
-
-
-def _samples(fun, grid, digits: int) -> list:
+def _samples(fun, grid) -> list:
     zs, (values,) = pairs.grid_values((fun,), grid)
-    return serialize.samples_to_json(zs, values, digits)
+    return serialize.samples_to_json(zs, values)
 
 
-def cmd_classify(obj, cfg: CliConfig, args) -> tuple:
-    seq = serialize.sequence_from_json(obj, cfg.tol)
-    return serialize.report_to_json(classify(seq, cfg.tol)), EXIT_OK
+def cmd_classify(obj, args) -> tuple:
+    seq = serialize.sequence_from_json(obj, args.tol)
+    return serialize.report_to_json(classify(seq, args.tol)), EXIT_OK
 
 
-def cmd_schur(obj, cfg: CliConfig, args) -> tuple:
-    seq = serialize.sequence_from_json(obj, cfg.tol)
+def cmd_schur(obj, args) -> tuple:
+    seq = serialize.sequence_from_json(obj, args.tol)
     if args.k < 0 or args.k > seq.m:
         raise PreconditionError(
             f"transform order k={args.k} out of range 0..{seq.m}")
-    trace = schur.transform_trace(seq, cfg.tol)
+    trace = schur.transform_trace(seq, args.tol)
     payload = {"k": args.k, "sequence": serialize.sequence_to_json(
-        seq.alpha, trace.stages[args.k], cfg.digits)}
+        seq.alpha, trace.stages[args.k])}
     if args.trace:
-        payload["trace"] = serialize.trace_to_json(trace, cfg.digits)
+        payload["trace"] = serialize.trace_to_json(trace)
     return payload, EXIT_OK
 
 
-def cmd_poly(obj, cfg: CliConfig, args) -> tuple:
-    seq = serialize.sequence_from_json(obj, cfg.tol)
-    v, w = respoly.compose_resolvent(schur.transform_trace(seq, cfg.tol))
-    return {"q": seq.q, "m": seq.m,
-            "v": serialize.blocks_to_json(v, cfg.digits),
-            "w": serialize.blocks_to_json(w, cfg.digits)}, EXIT_OK
+def cmd_poly(obj, args) -> tuple:
+    seq = serialize.sequence_from_json(obj, args.tol)
+    v, w = respoly.compose_resolvent(schur.transform_trace(seq, args.tol))
+    return {"q": seq.q, "m": seq.m, "v": serialize.blocks_to_json(v),
+            "w": serialize.blocks_to_json(w)}, EXIT_OK
 
 
-def cmd_solve(obj, cfg: CliConfig, args) -> tuple:
-    seq = serialize.sequence_from_json(obj["sequence"], cfg.tol)
+def cmd_solve(obj, args) -> tuple:
+    seq = serialize.sequence_from_json(obj["sequence"], args.tol)
     parameter = serialize.pair_from_json(obj["parameter"])
     mode = args.mode or obj.get("mode", "leq")
-    sol = solver.solve(solver.SolutionRequest(seq, parameter, mode), cfg.tol)
-    tag, rank, _ = solver.case_of(seq, cfg.tol)
-    report = measures.verify_solution(sol, seq, mode, cfg.tol)
+    sol = solver.solve(solver.SolutionRequest(seq, parameter, mode), args.tol)
+    tag, rank, _ = solver.case_of(seq, args.tol)
+    report = measures.verify_solution(sol, seq, mode, args.tol)
     payload = {
         "case": tag,
         "rank": rank,
-        "rational_function": serialize.rational_to_json(sol, cfg.digits),
-        "samples": _samples(sol, cfg.grid or pairs.default_grid(seq.alpha),
-                            cfg.digits),
-        "verification_report": serialize.verification_to_json(report,
-                                                             cfg.digits),
+        "rational_function": serialize.rational_to_json(sol),
+        "samples": _samples(sol, args.grid or pairs.default_grid(seq.alpha)),
+        "verification_report": serialize.verification_to_json(report),
     }
     return payload, EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
-def cmd_verify(obj, cfg: CliConfig, args) -> tuple:
-    seq = serialize.sequence_from_json(obj["sequence"], cfg.tol)
+def cmd_verify(obj, args) -> tuple:
+    seq = serialize.sequence_from_json(obj["sequence"], args.tol)
     fun = serialize.rational_from_json(obj["function"])
     mode = args.mode or obj.get("mode", "leq")
-    report = measures.verify_solution(fun, seq, mode, cfg.tol)
-    return (serialize.verification_to_json(report, cfg.digits),
+    report = measures.verify_solution(fun, seq, mode, args.tol)
+    return (serialize.verification_to_json(report),
             EXIT_OK if report["ok"] else EXIT_VERIFICATION)
 
 
@@ -168,9 +149,9 @@ def _random_measure(spec: dict) -> DiscreteMeasure:
                            tuple(weights))
 
 
-def cmd_oracle(spec, cfg: CliConfig, args) -> tuple:
+def cmd_oracle(spec, args) -> tuple:
     if "atoms" in spec and isinstance(spec["atoms"], list):
-        mu = serialize.measure_from_json(spec, cfg.tol)
+        mu = serialize.measure_from_json(spec, args.tol)
         m = int(spec.get("m", max(2 * (len(mu.nodes) - 1), 0)))
     else:
         mu = _random_measure(spec)
@@ -178,13 +159,11 @@ def cmd_oracle(spec, cfg: CliConfig, args) -> tuple:
     seq = measures.moments(mu, m)
     fun = measures.stieltjes_transform(mu)
     payload = {
-        "measure": serialize.measure_to_json(mu.alpha, mu.nodes, mu.weights,
-                                             cfg.digits),
-        "sequence": serialize.sequence_to_json(seq.alpha, seq.s, cfg.digits),
-        "classification": serialize.report_to_json(classify(seq, cfg.tol)),
-        "transform": serialize.rational_to_json(fun, cfg.digits),
-        "samples": _samples(fun, cfg.grid or pairs.default_grid(mu.alpha),
-                            cfg.digits),
+        "measure": serialize.measure_to_json(mu.alpha, mu.nodes, mu.weights),
+        "sequence": serialize.sequence_to_json(seq.alpha, seq.s),
+        "classification": serialize.report_to_json(classify(seq, args.tol)),
+        "transform": serialize.rational_to_json(fun),
+        "samples": _samples(fun, args.grid or pairs.default_grid(mu.alpha)),
     }
     return payload, EXIT_OK
 
@@ -234,7 +213,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for flags, options in extras:
             p.add_argument(*flags, **options)
         _add_common(p)
-        # cfg.grid is None where the subcommand offers no --grid
+        # args.grid is None where the subcommand offers no --grid
         p.set_defaults(func=func, grid=None)
     return parser
 
@@ -247,13 +226,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
-        cfg = _config(args)
+        args.tol = _parse_tol(args.tol)
+        args.grid = _parse_grid(args.grid)
+        if args.digits < 1:
+            raise PreconditionError("digits must be at least 1")
         with open(args.path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError("the input must be a JSON object")
-        payload, code = args.func(obj, cfg, args)
-        print(dumps(payload))
+        payload, code = args.func(obj, args)
+        print(dumps(payload, args.digits))
         return code
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

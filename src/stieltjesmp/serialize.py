@@ -16,12 +16,13 @@ row-major; every entry is a [re, im] pair.  On that base:
   trace      {"input": sequence, "stages": [[matrix]], "diagonal": [matrix]}
   blocks     {"nw", "ne", "sw", "se"}, each {"size", "coeffs": [matrix]}
 
-Floats are rounded to ``digits`` significant digits on output, 15 unless
-the caller asks for fewer, so repeated runs produce identical files.  A
-layout's output is final: it is printed as it is, not rounded again.
-:func:`dumps` writes it as text, exactly ``json.dumps(obj, sort_keys=True,
-indent=2)``, without the pure-Python encoder that ``json`` falls back to
-whenever ``indent`` is set.
+A layout holds exact Python floats: written with ``json.dump`` and read
+back, it gives its source bit for bit.  Each float is rounded once, by
+:func:`dumps` as it writes it, to the ``digits`` significant digits the
+caller names, so repeated runs produce identical files.  Otherwise the
+text is exactly ``json.dumps(obj, sort_keys=True, indent=2)``, written
+without the pure-Python encoder that ``json`` falls back to whenever
+``indent`` is set.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 
-def sig(x: float, digits: int = 15) -> float:
+def sig(x: float, digits: int) -> float:
     """Round to ``digits`` significant digits (0.0 stays 0.0)."""
     x = float(x)
     if x == 0.0 or not math.isfinite(x):
@@ -67,19 +68,18 @@ def sig(x: float, digits: int = 15) -> float:
     return float("%.*g" % (digits, x))
 
 
-def _entry(v: complex, digits: int = 15) -> list:
+def _entry(v: complex) -> list:
     v = complex(v)
-    return [sig(v.real, digits), sig(v.imag, digits)]
+    return [v.real, v.imag]
 
 
-def matrix_to_json(a, digits: int = 15) -> dict:
+def matrix_to_json(a) -> dict:
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     r, c = a.shape
     return {
         "rows": r,
         "cols": c,
-        "data": [[sig(v.real, digits), sig(v.imag, digits)]
-                 for v in a.reshape(-1).tolist()],
+        "data": [[v.real, v.imag] for v in a.reshape(-1).tolist()],
     }
 
 
@@ -99,13 +99,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return np.array(_complexes(data), dtype=complex).reshape(r, c)
 
 
-def sequence_to_json(alpha: float, mats, digits: int = 15) -> dict:
+def sequence_to_json(alpha: float, mats) -> dict:
     mats = list(mats)
     q = np.atleast_2d(np.asarray(mats[0])).shape[0] if mats else 0
     return {
-        "alpha": sig(alpha, digits),
+        "alpha": float(alpha),
         "q": int(q),
-        "s": [matrix_to_json(m, digits) for m in mats],
+        "s": [matrix_to_json(m) for m in mats],
     }
 
 
@@ -115,11 +115,11 @@ def sequence_from_json(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> MomentS
     return MomentSequence(float(obj["alpha"]), mats, tol)
 
 
-def measure_to_json(alpha: float, nodes, weights, digits: int = 15) -> dict:
+def measure_to_json(alpha: float, nodes, weights) -> dict:
     return {
-        "alpha": sig(alpha, digits),
+        "alpha": float(alpha),
         "atoms": [
-            {"x": sig(float(x), digits), "w": matrix_to_json(w, digits)}
+            {"x": float(x), "w": matrix_to_json(w)}
             for x, w in zip(nodes, weights)
         ],
     }
@@ -135,12 +135,12 @@ def measure_from_json(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Discrete
     return DiscreteMeasure(float(obj["alpha"]), nodes, weights, tol)
 
 
-def rational_to_json(fun, digits: int = 15) -> dict:
+def rational_to_json(fun) -> dict:
     """Encode a rational matrix function as numerator coefficient matrices
     over a scalar denominator coefficient list (degree-ascending)."""
     return {
-        "num": [matrix_to_json(c, digits) for c in fun.num.coeffs],
-        "den": [_entry(c, digits) for c in fun.den],
+        "num": [matrix_to_json(c) for c in fun.num.coeffs],
+        "den": [_entry(c) for c in fun.den],
     }
 
 
@@ -152,7 +152,7 @@ def rational_from_json(obj: dict) -> RationalMatFun:
 
 def pair_to_json(pair) -> dict:
     return {
-        "alpha": sig(pair.alpha),
+        "alpha": float(pair.alpha),
         "phi": rational_to_json(pair.phi),
         "psi": rational_to_json(pair.psi),
     }
@@ -179,38 +179,37 @@ def report_to_json(rep: ClassReport) -> dict:
     }
 
 
-def verification_to_json(report: dict, digits: int = 15) -> dict:
+def verification_to_json(report: dict) -> dict:
     """The report of :func:`stieltjesmp.measures.verify_solution`."""
     extracted = report["extracted"]
     return {
         "mode": report["mode"],
-        "extracted": sequence_to_json(extracted.alpha, extracted.s, digits),
-        "residual": sig(report["residual"], digits),
-        "prefix_gap": sig(report["prefix_gap"], digits),
+        "extracted": sequence_to_json(extracted.alpha, extracted.s),
+        "residual": float(report["residual"]),
+        "prefix_gap": float(report["prefix_gap"]),
         "prefix_ok": bool(report["prefix_ok"]),
-        "top_defect": matrix_to_json(report["top_defect"], digits),
-        "top_margin": sig(report["top_margin"], digits),
+        "top_defect": matrix_to_json(report["top_defect"]),
+        "top_margin": float(report["top_margin"]),
         "top_ok": bool(report["top_ok"]),
         "ok": bool(report["ok"]),
     }
 
 
-def samples_to_json(zs, values, digits: int = 15) -> list:
+def samples_to_json(zs, values) -> list:
     """Matrix values F(z) at grid points z."""
-    return [{"z": _entry(z, digits), "F": matrix_to_json(v, digits)}
+    return [{"z": _entry(z), "F": matrix_to_json(v)}
             for z, v in zip(zs, values)]
 
 
-def trace_to_json(trace: TransformTrace, digits: int = 15) -> dict:
+def trace_to_json(trace: TransformTrace) -> dict:
     return {
-        "input": sequence_to_json(trace.input.alpha, trace.input.s, digits),
-        "stages": [[matrix_to_json(x, digits) for x in st]
-                   for st in trace.stages],
-        "diagonal": [matrix_to_json(x, digits) for x in trace.diagonal],
+        "input": sequence_to_json(trace.input.alpha, trace.input.s),
+        "stages": [[matrix_to_json(x) for x in st] for st in trace.stages],
+        "diagonal": [matrix_to_json(x) for x in trace.diagonal],
     }
 
 
-def blocks_to_json(gen: MatrixPolynomial, digits: int = 15) -> dict:
+def blocks_to_json(gen: MatrixPolynomial) -> dict:
     """The four q x q blocks of a 2q x 2q resolvent factor, each with its
     size and coefficient matrices (degree-ascending)."""
     if gen.size % 2:
@@ -218,7 +217,7 @@ def blocks_to_json(gen: MatrixPolynomial, digits: int = 15) -> dict:
     q = gen.size // 2
     return {
         name: {"size": q,
-               "coeffs": [matrix_to_json(c, digits)
+               "coeffs": [matrix_to_json(c)
                           for c in gen.coeffs[:, i:i + q, j:j + q]]}
         for name, i, j in (("nw", 0, 0), ("ne", 0, q), ("sw", q, 0),
                            ("se", q, q))
@@ -228,8 +227,9 @@ def blocks_to_json(gen: MatrixPolynomial, digits: int = 15) -> dict:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _scalar(o) -> str:
-    """The text of a str, None, bool, int or float, tested in json's order."""
+def _scalar(o, digits: int) -> str:
+    """The text of a str, None, bool, int or float, tested in json's order;
+    a float rounded to ``digits`` significant digits."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -241,12 +241,12 @@ def _scalar(o) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        text = float.__repr__(o)
+        text = float.__repr__(sig(o, digits))
         return _NON_FINITE.get(text, text)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _write(o, nl: str, out) -> None:
+def _write(o, nl: str, out, digits: int) -> None:
     """Append the text of ``o`` to ``out``; ``nl`` opens a line at its depth."""
     if isinstance(o, (list, tuple)):
         if not o:
@@ -258,10 +258,10 @@ def _write(o, nl: str, out) -> None:
             out(sep)
             sep = "," + inner
             if type(v) is float:  # matrix entries, most of every layout
-                text = float.__repr__(v)
+                text = float.__repr__(sig(v, digits))
                 out(_NON_FINITE.get(text, text))
             else:
-                _write(v, inner, out)
+                _write(v, inner, out, digits)
         out(nl + "]")
     elif isinstance(o, dict):
         if not o:
@@ -273,19 +273,20 @@ def _write(o, nl: str, out) -> None:
             # encode_basestring_ascii raises TypeError for a key not a str
             out(sep + encode_basestring_ascii(key) + ": ")
             sep = "," + inner
-            _write(o[key], inner, out)
+            _write(o[key], inner, out, digits)
         out(nl + "}")
     else:
-        out(_scalar(o))
+        out(_scalar(o, digits))
 
 
-def dumps(obj) -> str:
+def dumps(obj, digits: int) -> str:
     """Deterministic JSON text: exactly ``json.dumps(obj, sort_keys=True,
     indent=2)`` for every value a layout holds (str-keyed dicts, lists,
-    tuples, str, int, bool, None, float), with NaN and Infinity for
-    non-finite floats.  Any other value raises TypeError, as in ``json``;
-    so does a dict key that is not a str, which ``json`` would write as a
-    string but no layout holds."""
+    tuples, str, int, bool, None, float), with each float first rounded
+    to ``digits`` significant digits (17 keep every double) and NaN and
+    Infinity for non-finite ones.  Any other value raises TypeError, as
+    in ``json``; so does a dict key that is not a str, which ``json``
+    would write as a string but no layout holds."""
     chunks = []
-    _write(obj, "\n", chunks.append)
+    _write(obj, "\n", chunks.append, digits)
     return "".join(chunks)

@@ -74,6 +74,12 @@ MUTATIONS = [
      "kept |= ((shares", "kept &= ((shares"),
     ("equivalent_compares_zero_stacks", "pairs",
      "(sv[:, 0] > 0.0)", "(sv[:, 0] >= 0.0)"),
+    ("writer_leaves_dict_floats_unrounded", "serialize",
+     "text = float.__repr__(sig(o, digits))", "text = float.__repr__(o)"),
+    ("main_takes_zero_digits", "cli",
+     "if args.digits < 1:", "if args.digits < 0:"),
+    ("eq_mode_skips_the_decay_refusal", "solver",
+     'if not decay["ok"]:', "if False:"),
 ]
 
 

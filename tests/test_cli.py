@@ -29,7 +29,8 @@ from stieltjesmp.solver import SolutionRequest, solve
 
 
 def write_json(path, obj):
-    path.write_text(serialize.dumps(obj), encoding="utf-8")
+    # 17 significant digits write every double as it is
+    path.write_text(serialize.dumps(obj, 17), encoding="utf-8")
     return str(path)
 
 
@@ -162,8 +163,9 @@ def test_schur_trace_runs_the_algorithm_once(tmp_path, capsys, monkeypatch):
     path = sequence_file(tmp_path, seq.alpha, seq.s)
     with open(path) as fh:
         read = serialize.sequence_from_json(json.load(fh))
-    direct = [serialize.sequence_to_json(
-        read.alpha, schur.k_th_transform(read, k).s) for k in range(seq.m + 1)]
+    direct = [json.loads(serialize.dumps(serialize.sequence_to_json(
+        read.alpha, schur.k_th_transform(read, k).s), 15))
+        for k in range(seq.m + 1)]
     steps = []
 
     def counted(*args, _fn=schur._step, **kwargs):
@@ -450,7 +452,7 @@ def test_a_grid_point_at_a_pole_of_the_solution_is_dropped(tmp_path,
         assert code == 0 and out["verification_report"]["ok"] is True
         zs, (values,) = pairs.grid_values((sol,), (seq.alpha,))
         assert out["samples"] == json.loads(serialize.dumps(
-            serialize.samples_to_json(zs, values, 15)))
+            serialize.samples_to_json(zs, values), 15))
 
 
 @pytest.mark.parametrize("grid", ["nan", "1+nanj", "0.5,nan", "inf",
@@ -771,7 +773,7 @@ def test_solve_takes_the_general_path_end_to_end(tmp_path, capsys):
     assert sampled["rational_function"] == out["rational_function"]
     zs, (values,) = pairs.grid_values((sol,), (1 + 1j, alpha))
     assert sampled["samples"] == json.loads(serialize.dumps(
-        serialize.samples_to_json(zs, values, 15)))
+        serialize.samples_to_json(zs, values), 15))
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -849,8 +851,9 @@ _PAYLOADS = st.recursive(
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_PAYLOADS)
 def test_dumps_writes_the_text_of_json_dumps(payload):
-    assert serialize.dumps(payload) == json.dumps(payload, sort_keys=True,
-                                                  indent=2)
+    # 17 significant digits reproduce every double, so dumps rounds none
+    assert serialize.dumps(payload, 17) == json.dumps(payload, sort_keys=True,
+                                                      indent=2)
 
 
 @pytest.mark.parametrize("value", [1j, np.zeros(2), [{"a": np.float32(1)}]],
@@ -859,20 +862,20 @@ def test_dumps_refuses_what_json_refuses(value):
     with pytest.raises(TypeError):
         json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
-        serialize.dumps(value)
+        serialize.dumps(value, 17)
 
 
 def test_dumps_refuses_a_key_that_is_not_a_str():
     # json would write the key 1 as "1", but no layout has such a key
     with pytest.raises(TypeError):
-        serialize.dumps({"a": {1: 0.0}})
+        serialize.dumps({"a": {1: 0.0}}, 17)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.out")))
 def test_dumps_rewrites_each_golden_from_its_payload(name):
     # pins the writer apart from the numerics that made the payload
     text = (DATA / f"{name}.out").read_bytes().decode("utf-8")
-    assert serialize.dumps(json.loads(text)) + "\n" == text
+    assert serialize.dumps(json.loads(text), 17) + "\n" == text
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -943,9 +946,10 @@ def test_digits_flag_rounds_each_float_once(tmp_path, capsys):
 @pytest.mark.parametrize("digits", [[], ["--digits", "3"]])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_each_printed_float_is_rounded_once(capsys, name, digits):
-    # the layouts round every float they print, and nothing rounds their
-    # output again: one sig call per float of the six subcommands' output,
-    # counted on sig's code object so that every name bound to it counts
+    # dumps rounds every float as it writes it, and nothing rounds it
+    # before or again: one sig call per float of the six subcommands'
+    # output, counted on sig's code object so that every name bound to it
+    # counts
     calls = []
 
     def profile(frame, event, arg):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -56,6 +57,17 @@ def test_measure_validation():
     mu = DiscreteMeasure(0.0, (1.0, 2.0), (np.eye(2), 2 * np.eye(2)))
     assert mu.q == 2
     assert_allclose(mu.total(), 3 * np.eye(2))
+
+
+def test_measure_json_roundtrip():
+    # the layout holds exact floats and json writes every double exactly:
+    # the measure read back is its source bit for bit
+    rng = np.random.default_rng(59)
+    mu = random_measure(rng, 3, 4, alpha=rng.uniform(-1.0, 1.0))
+    back = serialize.measure_from_json(json.loads(json.dumps(
+        serialize.measure_to_json(mu.alpha, mu.nodes, mu.weights))))
+    assert (back.alpha, back.nodes) == (mu.alpha, mu.nodes)
+    assert back.weights.tobytes() == mu.weights.tobytes()
 
 
 def test_moments_frozen_diagonal_example():

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from stieltjesmp import cli, schur
-from stieltjesmp.cli import CliConfig
 from stieltjesmp.hankel import MomentSequence, build_stack
 from stieltjesmp.matcore import ToleranceConfig
 from stieltjesmp.measures import DiscreteMeasure
@@ -106,13 +105,35 @@ def test_every_threshold_in_the_table_is_read():
     assert not unread, unread
 
 
-def test_every_cli_config_field_is_read():
-    # likewise a CliConfig field no subcommand reads is an option that the
-    # CLI parses and then ignores
-    text = _package_source("cli")
-    unread = [f.name for f in dataclasses.fields(CliConfig)
-              if not re.search(rf"\bcfg\.{f.name}\b", text)]
+def test_every_cli_option_is_read():
+    # likewise an option that a subparser defines and neither its handler
+    # nor main reads is one that the CLI parses and then ignores
+    unread = []
+    for name, (handler, _, _) in cli._COMMANDS.items():
+        args = cli.build_parser(name).parse_args([name, "in.json"])
+        # the root parser's command and the handler itself are no options
+        dests = set(vars(args)) - {"command", "func"}
+        text = inspect.getsource(handler) + inspect.getsource(cli.main)
+        unread += [f"{name} {dest}" for dest in sorted(dests)
+                   if not re.search(rf"\bargs\.{dest}\b", text)]
     assert not unread, unread
+
+
+def test_only_the_writer_rounds():
+    # a float is rounded once, where dumps writes it: sig is called by the
+    # writer's two functions and nowhere else in the package
+    callers = set()
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                func = call.func if isinstance(call, ast.Call) else None
+                if (isinstance(func, ast.Name) and func.id == "sig"
+                        or isinstance(func, ast.Attribute)
+                        and func.attr == "sig"):
+                    callers.add(f"{module}.{node.name}")
+    assert callers == {"serialize._write", "serialize._scalar"}, callers
 
 
 def test_json_layouts_live_in_serialize():
@@ -331,9 +352,7 @@ def test_grid_values_is_the_one_scalar_denominator_evaluator():
 
 
 def test_no_function_takes_a_parameter_it_never_reads():
-    # a parameter that nothing reads is a knob that changes nothing; the
-    # cli handlers keep their args, since _COMMANDS calls every handler as
-    # (obj, cfg, args)
+    # a parameter that nothing reads is a knob that changes nothing
     src = Path(importlib.import_module("stieltjesmp").__file__).parent
     unread = []
     for path in src.glob("*.py"):
@@ -348,8 +367,7 @@ def test_no_function_takes_a_parameter_it_never_reads():
             read = {n.id for stmt in body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             name = f"{path.stem}.{getattr(node, 'name', 'lambda')}"
-            unread += [f"{name}({p})" for p in params if p not in read
-                       and not (name.startswith("cli.cmd_") and p == "args")]
+            unread += [f"{name}({p})" for p in params if p not in read]
     assert not unread, unread
 
 
@@ -428,7 +446,7 @@ def test_a_subcommand_offers_grid_only_if_its_handler_reads_it():
     for name, (handler, _, _) in cli._COMMANDS.items():
         _, extra = cli.build_parser(name).parse_known_args(
             [name, "in.json", "--grid", "1"])
-        reads = "cfg.grid" in inspect.getsource(handler)
+        reads = "args.grid" in inspect.getsource(handler)
         assert (not extra) == reads, name
 
 

@@ -113,7 +113,7 @@ def test_solve_runs_the_algorithm_once(monkeypatch, tmp_path, capsys):
     path.write_text(serialize.dumps({
         "sequence": serialize.sequence_to_json(seq.alpha, seq.s),
         "parameter": serialize.pair_to_json(cauchy_pair(seq.alpha, 2)),
-        "mode": "leq"}), encoding="utf-8")
+        "mode": "leq"}, 17), encoding="utf-8")
     calls["transform_trace"] = 0
     assert cli.main(["solve", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["case"] == "NonDegenerate"
@@ -716,6 +716,42 @@ def test_solve_eq_mode_needs_decay(monkeypatch):
     sol = solve(SolutionRequest(seq, const_pair(seq.alpha, 2, 1.0), "leq"))
     assert verify_solution(sol, seq)["ok"]
     assert not calls
+
+
+def test_solve_eq_mode_refuses_a_pair_without_atoms_that_does_not_decay(
+        tmp_path, capsys):
+    # (C (s + z), (s + z) I) with C > 0 is (C, I) times a common factor: its
+    # psi is no constant, so it has no atoms and takes the grid.  eq mode
+    # refuses it by in_diamond's quotient residual, and so does cli solve
+    # (exit 3); leq mode solves it as it solves (C, I), whose atoms are
+    # C alone (1.5e-11 relative at worst on these 30 draws)
+    rng = np.random.default_rng(211)
+    for _ in range(30):
+        q, m = (int(k) for k in rng.integers(1, 4, size=2))
+        _, seq = nondegenerate_seq(rng, q, m, alpha=rng.uniform(-1.0, 1.0))
+        c, s, eye = random_psd(rng, q), rng.uniform(2.0, 5.0), np.eye(q)
+        pair = StieltjesPair(
+            seq.alpha, RationalMatFun(MatrixPolynomial((s * c, c)), (1.0,)),
+            RationalMatFun(MatrixPolynomial((s * eye, eye)), (1.0,)))
+        with pytest.raises(PreconditionError, match=re.escape(
+                "equality problem needs a decaying parameter; quotient "
+                "residual ")):
+            solve(SolutionRequest(seq, pair, "eq"))
+        sol = solve(SolutionRequest(seq, pair, "leq"))
+        ref = solve(SolutionRequest(seq, StieltjesPair(
+            seq.alpha, RationalMatFun.const(c), RationalMatFun.const(eye))))
+        _, (got, want) = pairs.grid_values((sol, ref),
+                                           pairs.default_grid(seq.alpha))
+        assert all(frob(a - b) <= 1e-9 * frob(b) for a, b in zip(got, want))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "sequence": serialize.sequence_to_json(seq.alpha, seq.s),
+        "parameter": serialize.pair_to_json(pair), "mode": "eq"}),
+        encoding="utf-8")
+    assert cli.main(["solve", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: equality problem needs a "
+                          "decaying parameter; quotient residual "), err
 
 
 def test_solve_eq_mode_refuses_an_identically_singular_psi():
