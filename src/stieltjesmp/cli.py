@@ -8,12 +8,13 @@ rounded once, by ``dumps`` as it writes it; the layouts are exact.
 ``--grid`` points and ``--tol`` values must be finite.  Only ``solve``
 and ``oracle``, which print sampled values, take ``--grid``, and it sets
 those samples alone: every gate of ``solve`` reads
-``pairs.default_grid``.  A call builds the parser of the subcommand it
-names and no other (all six when it names none), so help and usage
-errors print as they would from the full parser.  ``main`` alone
+``pairs.default_grid``.  Each subcommand's parser is built once per
+process, when a call first names it, and holds only that subcommand
+(the full parser, of all six, serves calls that name none), so help and
+usage errors print as they would from the full parser.  ``main`` alone
 resolves ``--tol``, ``--grid`` and ``--digits`` (in that order, before
-the file is opened), reads the file and prints: a handler maps (JSON,
-args) to (payload, exit code).
+the file is opened; ``--digits`` runs from 1 to 2**31 - 1), reads the
+file and prints: a handler maps (JSON, args) to (payload, exit code).
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation,
 4 verification failure.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import sys
 
@@ -196,6 +198,14 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of subcommand ``command``, or the full one where it names
+    none; shared by every call in the process, so callers must not mutate
+    it.  The key is resolved first, so at most seven parsers exist."""
+    return _parser(command if command in _COMMANDS else None)
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stieltjesmp",
         description="Truncated half-axis matrix moment problems: classify, "
@@ -230,6 +240,8 @@ def main(argv=None) -> int:
         args.grid = _parse_grid(args.grid)
         if args.digits < 1:
             raise PreconditionError("digits must be at least 1")
+        if args.digits >= 2 ** 31:  # sig's "%.*g" takes a C int
+            raise PreconditionError("digits must be at most 2147483647")
         with open(args.path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict):

@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 from conftest import (NEGATIVE_ATOMS, cauchy_pair, completely_degenerate_seq,
                       grid_pole_pair, measure_seq, negative_atom_problem)
 import stieltjesmp
-from stieltjesmp import measures, pairs, schur, serialize
+from stieltjesmp import cli, measures, pairs, schur, serialize
 from stieltjesmp.cli import build_parser, main
 from stieltjesmp.measures import DiscreteMeasure, moments
 from stieltjesmp.pairs import RationalMatFun
@@ -38,6 +38,13 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def _call(capsys, argv):
+    # (stdout, stderr, exit code) of one main call
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return out, err, code
 
 
 def sequence_file(tmp_path, alpha, mats, name="seq.json"):
@@ -979,10 +986,54 @@ def test_consecutive_calls_keep_no_state(capsys):
     assert out == (DATA / "solve_q2_m2.out").read_bytes()
 
 
+def test_interleaved_calls_keep_no_state(capsys):
+    # the parsers are shared by every call in the process: options, usage
+    # errors and help printed between the golden calls change none of
+    # their bytes, and each other call prints the same whichever calls
+    # came before it
+    solve = str(DATA / "solve_q2_m2.json")
+    others = [
+        ["solve", solve, "--tol", "psd=1e-8"],
+        ["solve", solve, "--digits", "3"],
+        ["solve", solve, "--grid", "1i"],
+        ["solve", solve, "--mode", "eq"],
+        ["schur", SEQ, "-k", "2", "--trace"],
+        ["classify", SEQ, "--tol", "bogus=1"],
+        ["verify", str(DATA / "verify_q2_m2.json"), "--bogus"],
+        ["poly", "-h"],
+        ["-h"],
+    ]
+    names = sorted(GOLDEN)
+    seen = {}
+    for order in (1, -1):
+        for name, argv in zip(names[::order], (others * 2)[::order]):
+            assert _call(capsys, golden_argv(name)) == (
+                (DATA / f"{name}.out").read_text(encoding="utf-8"), "", 0)
+            result = _call(capsys, argv)
+            assert seen.setdefault(tuple(argv), result) == result, argv
+    assert {code for _, _, code in seen.values()} == {0, 2}
+
+
+def test_each_parser_is_built_once():
+    assert build_parser("solve") is build_parser("solve")
+    assert build_parser("nonsense") is build_parser(None)
+    assert build_parser(None) is not build_parser("solve")
+
+
+def test_typos_build_no_parser_of_their_own(capsys):
+    # a first argument that names no subcommand is served by the full
+    # parser, so a long-lived process holds at most seven parsers
+    for i in range(50):
+        assert main([f"bogus{i}", SEQ]) == 2
+    capsys.readouterr()
+    assert cli._parser.cache_info().currsize <= len(cli._COMMANDS) + 1
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_each_call_builds_only_its_subcommand_parser(capsys, monkeypatch,
                                                      name):
-    # the root parser and the one subparser the call names, not all six
+    # a cold call builds the root parser and the one subparser the call
+    # names, not all six, and a second call builds none
     built = []
 
     def counted(self, *args, _init=argparse.ArgumentParser.__init__,
@@ -990,10 +1041,13 @@ def test_each_call_builds_only_its_subcommand_parser(capsys, monkeypatch,
         built.append(kwargs.get("prog"))
         _init(self, *args, **kwargs)
 
+    cli._parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(golden_argv(name)) == 0
+    assert len(built) == 2, built
+    assert main(golden_argv(name)) == 0
     capsys.readouterr()
-    assert len(built) <= 2, built
+    assert len(built) == 2, built
 
 
 SEQ = str(DATA / "seq_q2_m2.json")
@@ -1037,15 +1091,20 @@ def test_options_a_subcommand_would_ignore_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize("case", list(PARSE_CASES))
 def test_usage_errors_and_help_match_the_full_parser(capsys, monkeypatch,
                                                      case):
-    # building one subparser changes no help text, usage line or message
+    # building one subparser, and keeping it, changes no help text, usage
+    # line or message: the shared parser, built at one width and printed
+    # at another, prints what a fresh full parser prints
     argv, last_err = PARSE_CASES[case]
-    monkeypatch.setenv("COLUMNS", "80")
-    code = main(argv)
-    out, err = capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv)
-    assert (out, err) == capsys.readouterr()
-    assert code == exc.value.code
+    cli._parser.cache_clear()
+    printed = {}
+    for columns in ("80", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        printed[columns] = _call(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            cli._parser.__wrapped__(None).parse_args(argv)
+        out, err = capsys.readouterr()
+        assert printed[columns] == (out, err, exc.value.code)
+    err = printed["80"][1]
     if last_err is not None:
         assert err.splitlines()[-1] == last_err
     if case == "extra-positional":
@@ -1106,3 +1165,22 @@ def test_digits_below_one_is_a_precondition(capsys, digits):
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err == "precondition violated: digits must be at least 1\n"
+
+
+@pytest.mark.parametrize("digits", [2 ** 31, 10 ** 30])
+def test_digits_beyond_a_c_int_is_a_precondition(tmp_path, capsys, digits):
+    # refused before the file is opened: a missing file would exit 2
+    code = main(["solve", str(tmp_path / "nope.json"), "--digits",
+                 str(digits)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == ("precondition violated: digits must be at most "
+                            "2147483647\n")
+
+
+def test_the_largest_digits_prints_every_double_as_it_is(capsys):
+    # beyond 17 digits every double is written as it is
+    argv = ["solve", str(DATA / "solve_q1_m2.json"), "--digits"]
+    assert (_call(capsys, argv + ["17"])
+            == _call(capsys, argv + [str(2 ** 31 - 1)]))

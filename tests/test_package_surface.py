@@ -1,11 +1,13 @@
 """The public surface of each module: every name in ``__all__`` resolves,
 a star import works and something reads it, every tolerance field and
 command-line option is read somewhere, the package imports form no cycle,
-and the value types compare by identity."""
+the value types compare by identity, and each mutation of
+``tests/mutants.py`` still finds its text."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -654,3 +656,15 @@ def test_value_types_compare_by_identity():
         assert (one == one) is True and (one == twin) is False, one
         assert (one != twin) is True, one
         assert hash(one) == hash(one) and isinstance(hash(twin), int), one
+
+
+def test_every_mutation_finds_its_text_once():
+    # tests/mutants.py replaces exact pieces of the package's source; an
+    # entry whose text moved would only show as STALE when it next runs
+    path = Path(__file__).with_name("mutants.py")
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    stale = [name for name, module, old, _ in mutants.MUTATIONS
+             if _package_source(module).count(old) != 1]
+    assert mutants.MUTATIONS and not stale, stale
